@@ -23,11 +23,12 @@ import math
 import os
 import sys
 import time
+import uuid
 from pathlib import Path
 
 from . import evaluation, scenario_io, selectors, stats
 from .evaluation import ScoreReport, aggregate, report_gap, score_system
-from .scenario import Scenario, RunRecord, improvement_factor, sbs, validate, vbs_cost
+from .scenario import Scenario, RunRecord, baseline_means, improvement_factor, sbs, validate
 from .scenario_io import ParseError, ViolationsError, generate_splits, parse_scenario
 from .selectors import Hyperparameters, fit_system, load_model, predict, save_model
 
@@ -42,12 +43,20 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _atomic_write(path: Path, writer) -> None:
-    """Write through a temp file plus rename so readers never see partials."""
+    """Write through a temp file plus rename so readers never see partials.
+
+    The temp name is unique, so concurrent writers never share one, and the
+    writer creates the file itself, so it gets the mode a plain open() gives.
+    A writer that raises leaves neither the temp file nor a changed target.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _resolve_splits(scenario: Scenario, spec: str, seed: int):
@@ -104,29 +113,7 @@ def cmd_validate(args) -> int:
 
 def cmd_baselines(args) -> int:
     scen = parse_scenario(args.scenario)
-    sbs_algo = sbs(scen, scen.instances)
-    n = len(scen.instances)
-    sign = -1.0 if scen.direction == "maximize" else 1.0
-    if scen.objective == "runtime":
-        from .scenario import best_ok_time
-
-        vbs_mean = math.fsum(best_ok_time(scen, i) for i in scen.instances) / n
-    else:
-        vbs_mean = sign * math.fsum(vbs_cost(scen, i) for i in scen.instances) / n
-    if scen.objective == "runtime":
-        # capped, unpenalized means: the same convention the factor uses
-        sbs_mean = (
-            math.fsum(
-                min(scen.runs[(i, sbs_algo)].value, scen.cutoff)
-                if scen.runs[(i, sbs_algo)].status == "ok"
-                else scen.cutoff
-                for i in scen.instances
-            )
-            / n
-        )
-    else:
-        sbs_mean = math.fsum(scen.runs[(i, sbs_algo)].value for i in scen.instances) / n
-    factor = improvement_factor(scen)
+    sbs_mean, vbs_mean = baseline_means(scen, slice(None))
     doc = {
         "scenario": scen.id,
         "objective": scen.objective,
@@ -134,10 +121,10 @@ def cmd_baselines(args) -> int:
         "algorithms": len(scen.algorithms),
         "instances": len(scen.instances),
         "features": len(scen.feature_names),
-        "sbs": sbs_algo,
+        "sbs": sbs(scen, scen.instances),
         "sbs_mean": sbs_mean,
         "vbs_mean": vbs_mean,
-        "improvement_factor": factor,
+        "improvement_factor": improvement_factor(scen),
     }
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -249,8 +236,7 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
         splits = per_cell.get((system, scen))
         if not splits:
             raise ValueError(f"no designated gap rows for {system!r} on {scen!r}")
-        split_means = [math.fsum(v) / len(v) for v in splits.values()]
-        return math.fsum(split_means) / len(split_means)
+        return evaluation.mean_of_split_means(splits)
 
     matrix = [[cell(system, scen) for system in systems] for scen in scenarios]
     ranked = [s for s in systems if s not in set(ooc)]

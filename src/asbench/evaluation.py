@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .scenario import PAR10_FACTOR, Scenario, Split, best_ok_time, sbs, vbs_cost
+from .scenario import PAR10_FACTOR, Scenario, Split, best_ok_time, sbs
 
 GAP_EPS = 1e-12
 
@@ -85,7 +85,7 @@ def simulate(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
     Quality scenarios return the recorded value of the single scheduled
     algorithm; feature costs never count against quality.
     """
-    if instance not in scenario.instances:
+    if instance not in scenario.table.row:
         raise ValueError(f"unknown instance {instance!r}")
     validate_schedule(scenario, schedule)
 
@@ -188,6 +188,9 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         raise ValueError(f"missing predictions for test instances {missing[:5]!r}")
     sbs_algo = sbs(scenario, split.train)
     n = len(test)
+    table = scenario.table
+    rows = [table.row[i] for i in test]
+    vbs = table.cost[rows].min(axis=1).tolist()
 
     if scenario.objective == "runtime":
         cutoff = scenario.cutoff
@@ -200,14 +203,14 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
 
         par10_s = mean(par10(o, cutoff) for o in outcomes)
         par10_b = mean(par10(o, cutoff) for o in sbs_outcomes)
-        par10_v = mean(vbs_cost(scenario, i) for i in test)
+        par10_v = mean(vbs)
 
         mcp_s = mean(mcp(o, scenario, i) for o, i in zip(outcomes, test))
         mcp_b = mean(mcp(o, scenario, i) for o, i in zip(sbs_outcomes, test))
 
         solved_s = mean(float(o.solved) for o in outcomes)
         solved_b = mean(float(o.solved) for o in sbs_outcomes)
-        solved_v = mean(float(_any_ok(scenario, i)) for i in test)
+        solved_v = mean(table.solved[rows].any(axis=1).tolist())
 
         metrics = {
             "par10": MetricScore(par10_s, par10_b, par10_v, _gap(par10_s, par10_b, par10_v)),
@@ -220,8 +223,8 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         sign = -1.0 if scenario.direction == "maximize" else 1.0
         values = [simulate(scenario, i, schedules[i]).achieved_value for i in test]
         value_s = math.fsum(values) / n
-        value_b = math.fsum(scenario.runs[(i, sbs_algo)].value for i in test) / n
-        value_v = math.fsum(sign * vbs_cost(scenario, i) for i in test) / n
+        value_b = math.fsum(table.values[rows, scenario.algorithms.index(sbs_algo)].tolist()) / n
+        value_v = math.fsum(sign * v for v in vbs) / n
         metrics = {
             "quality": MetricScore(
                 value_s, value_b, value_v, _gap(sign * value_s, sign * value_b, sign * value_v)
@@ -233,14 +236,6 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         split_id=split.split_id,
         objective=scenario.objective,
         metrics=metrics,
-    )
-
-
-def _any_ok(scenario: Scenario, instance: str) -> bool:
-    return any(
-        scenario.runs[(instance, a)].status == "ok"
-        and scenario.runs[(instance, a)].value <= scenario.cutoff
-        for a in scenario.algorithms
     )
 
 
@@ -289,16 +284,20 @@ def aggregate(reports, mode: str = "icon2015", use: str = "gap", weights=None) -
         per_scenario.setdefault(rep.scenario_id, {}).setdefault(rep.split_id, []).append(v)
     if not per_scenario:
         raise ValueError("every gap was undefined; nothing to aggregate")
-    scenario_means = []
-    for scen in per_scenario.values():
-        split_means = [math.fsum(vs) / len(vs) for vs in scen.values()]
-        scenario_means.append(math.fsum(split_means) / len(split_means))
+    scenario_means = [mean_of_split_means(scen) for scen in per_scenario.values()]
     if weights is None:
         return math.fsum(scenario_means) / len(scenario_means)
     if len(weights) != len(scenario_means):
         raise ValueError("one weight per scenario required")
     total = math.fsum(weights)
     return math.fsum(w * m for w, m in zip(weights, scenario_means)) / total
+
+
+def mean_of_split_means(per_split: dict[int, list[float]]) -> float:
+    """Average each split's values, then the split means, so every split
+    weighs the same whatever its number of values."""
+    split_means = [math.fsum(vs) / len(vs) for vs in per_split.values()]
+    return math.fsum(split_means) / len(split_means)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 OBJECTIVES = ("runtime", "quality")
 DIRECTIONS = ("minimize", "maximize")
@@ -80,6 +83,50 @@ class Scenario:
     feature_groups: tuple[FeatureGroup, ...]
     splits: tuple[Split, ...] = ()
 
+    @cached_property
+    def table(self) -> RunTable:
+        """The runs as dense instance x algorithm arrays, built on first use."""
+        return RunTable.build(self)
+
+
+@dataclass(frozen=True)
+class RunTable:
+    """Dense view of a scenario's runs: one row per instance, in
+    ``Scenario.instances`` order, and one column per algorithm, in portfolio
+    order (ASlib's performance-matrix layout). The arrays are read-only.
+
+    ``solved`` is the one solved predicate: status ``ok`` and, for runtime
+    scenarios, a value within the cutoff. ``cost`` is what selection
+    minimizes: PAR10 for runtime scenarios, the value (negated under the
+    maximize direction) for quality ones. ``capped`` is the unpenalized
+    runtime, the cutoff for an unsolved run; quality scenarios keep the raw
+    values there.
+    """
+
+    row: dict[str, int]
+    values: np.ndarray
+    solved: np.ndarray
+    cost: np.ndarray
+    capped: np.ndarray
+
+    @classmethod
+    def build(cls, scenario: Scenario) -> RunTable:
+        shape = (len(scenario.instances), len(scenario.algorithms))
+        records = [scenario.runs[(i, a)] for i in scenario.instances for a in scenario.algorithms]
+        values = np.array([r.value for r in records], dtype=np.float64).reshape(shape)
+        solved = np.array([r.status == "ok" for r in records], dtype=bool).reshape(shape)
+        if scenario.objective == "runtime":
+            solved &= values <= scenario.cutoff
+            cost = np.where(solved, values, PAR10_FACTOR * scenario.cutoff)
+            capped = np.where(solved, values, scenario.cutoff)
+        else:
+            cost = -values if scenario.direction == "maximize" else values
+            capped = values
+        for array in (values, solved, cost, capped):
+            array.flags.writeable = False
+        row = {inst: r for r, inst in enumerate(scenario.instances)}
+        return cls(row=row, values=values, solved=solved, cost=cost, capped=capped)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -116,7 +163,9 @@ def validate(scenario: Scenario) -> list[Violation]:
     if scenario.direction not in DIRECTIONS:
         err("bad_direction", scenario.id, f"direction {scenario.direction!r}")
     runtime = scenario.objective == "runtime"
-    if runtime and (scenario.cutoff is None or scenario.cutoff <= 0):
+    if runtime and scenario.cutoff is not None and not math.isfinite(scenario.cutoff):
+        err("non_finite_value", scenario.id, f"cutoff {scenario.cutoff}")
+    elif runtime and (scenario.cutoff is None or scenario.cutoff <= 0):
         err("bad_cutoff", scenario.id, f"runtime scenario needs cutoff > 0, got {scenario.cutoff}")
     if not runtime and scenario.cutoff is not None:
         err("bad_cutoff", scenario.id, "quality scenario must not carry a cutoff")
@@ -138,6 +187,9 @@ def validate(scenario: Scenario) -> list[Violation]:
                 continue
             if rec.status not in RUN_STATUSES:
                 err("bad_status", f"{inst}/{algo}", f"status {rec.status!r}")
+            if not math.isfinite(rec.value):
+                err("non_finite_value", f"{inst}/{algo}", f"run value {rec.value}")
+                continue
             if runtime and rec.value < 0:
                 err("negative_value", f"{inst}/{algo}", f"runtime {rec.value} < 0")
             if runtime and rec.status == "ok" and scenario.cutoff is not None and rec.value > scenario.cutoff:
@@ -182,6 +234,8 @@ def validate(scenario: Scenario) -> list[Violation]:
             for inst, cost in group.cost.items():
                 if inst not in inst_set:
                     err("unknown_cost_row", group.name, f"cost for unknown instance {inst!r}")
+                elif not math.isfinite(cost):
+                    err("non_finite_value", group.name, f"cost {cost} for {inst!r}")
                 elif cost < 0:
                     err("negative_cost", group.name, f"cost {cost} for {inst!r}")
             for inst in scenario.instances:
@@ -216,50 +270,51 @@ def effective_cost(scenario: Scenario, instance: str, algorithm: str) -> float:
     finished ok within the cutoff, otherwise ten times the cutoff. Quality
     scenarios return the value itself (negated for maximize direction).
     """
-    rec = scenario.runs[(instance, algorithm)]
-    if scenario.objective == "runtime":
-        assert scenario.cutoff is not None
-        if rec.status == "ok" and rec.value <= scenario.cutoff:
-            return rec.value
-        return PAR10_FACTOR * scenario.cutoff
-    return -rec.value if scenario.direction == "maximize" else rec.value
+    table = scenario.table
+    return float(table.cost[table.row[instance], scenario.algorithms.index(algorithm)])
 
 
 def best_ok_time(scenario: Scenario, instance: str) -> float:
     """Fastest successful recorded runtime on an instance, cutoff if none."""
     assert scenario.objective == "runtime" and scenario.cutoff is not None
-    times = [
-        scenario.runs[(instance, a)].value
-        for a in scenario.algorithms
-        if scenario.runs[(instance, a)].status == "ok"
-        and scenario.runs[(instance, a)].value <= scenario.cutoff
-    ]
-    return min(times) if times else scenario.cutoff
+    table = scenario.table
+    return float(table.capped[table.row[instance]].min())
 
 
 def vbs_cost(scenario: Scenario, instance: str) -> float:
     """Cost of the virtual best solver on one instance: the per-instance
     minimum effective cost, with zero overhead for feature computation."""
-    if instance not in scenario.instances:
+    table = scenario.table
+    if instance not in table.row:
         raise ValueError(f"unknown instance {instance!r}")
-    return min(effective_cost(scenario, instance, a) for a in scenario.algorithms)
+    return float(table.cost[table.row[instance]].min())
 
 
 def sbs(scenario: Scenario, train_instances) -> str:
     """Single best solver: the algorithm with the lowest total effective cost
     over the given training instances. Ties go to the earlier portfolio slot."""
-    train = list(train_instances)
-    if not train:
+    table = scenario.table
+    rows = [table.row[i] for i in train_instances]
+    if not rows:
         raise ValueError("cannot pick a single best solver from an empty training set")
-    best_algo = None
-    best_total = math.inf
-    for algo in scenario.algorithms:
-        total = math.fsum(effective_cost(scenario, i, algo) for i in train)
-        if total < best_total:
-            best_total = total
-            best_algo = algo
-    assert best_algo is not None
-    return best_algo
+    totals = [math.fsum(column) for column in table.cost[rows].T.tolist()]
+    return scenario.algorithms[totals.index(min(totals))]
+
+
+def baseline_means(scenario: Scenario, rows) -> tuple[float, float]:
+    """Means of the single best solver, picked on every instance, and of the
+    virtual best solver over the given table rows (an index array or slice).
+
+    Runtime scenarios average unpenalized runtimes capped at the cutoff;
+    quality scenarios average the raw values.
+    """
+    table = scenario.table
+    capped = table.capped[rows]
+    # the virtual best solver runs each row's cheapest algorithm
+    vbs = capped[np.arange(len(capped)), table.cost[rows].argmin(axis=1)]
+    sbs_col = scenario.algorithms.index(sbs(scenario, scenario.instances))
+    n = len(capped)
+    return math.fsum(capped[:, sbs_col].tolist()) / n, math.fsum(vbs.tolist()) / n
 
 
 def improvement_factor(scenario: Scenario) -> float:
@@ -271,42 +326,12 @@ def improvement_factor(scenario: Scenario) -> float:
     VBS yields a factor above 1 for either direction.
     """
     if scenario.objective == "runtime":
-        assert scenario.cutoff is not None
-        cutoff = scenario.cutoff
-        kept = [
-            i
-            for i in scenario.instances
-            if any(
-                scenario.runs[(i, a)].status == "ok" and scenario.runs[(i, a)].value <= cutoff
-                for a in scenario.algorithms
-            )
-        ]
-        if not kept:
+        rows = np.flatnonzero(scenario.table.solved.any(axis=1))
+        if not len(rows):
             raise ValueError("degenerate scenario: every algorithm failed on every instance")
-        sbs_algo = sbs(scenario, scenario.instances)
-
-        def capped(inst: str, algo: str) -> float:
-            rec = scenario.runs[(inst, algo)]
-            if rec.status == "ok":
-                return min(rec.value, cutoff)
-            return cutoff
-
-        m_sbs = math.fsum(capped(i, sbs_algo) for i in kept) / len(kept)
-        m_vbs = math.fsum(best_ok_time(scenario, i) for i in kept) / len(kept)
-        return m_sbs / m_vbs
-
-    sbs_algo = sbs(scenario, scenario.instances)
-    n = len(scenario.instances)
-    mean_sbs = math.fsum(scenario.runs[(i, sbs_algo)].value for i in scenario.instances) / n
-    mean_vbs = (
-        math.fsum(
-            max(scenario.runs[(i, a)].value for a in scenario.algorithms)
-            if scenario.direction == "maximize"
-            else min(scenario.runs[(i, a)].value for a in scenario.algorithms)
-            for i in scenario.instances
-        )
-        / n
-    )
+        sbs_mean, vbs_mean = baseline_means(scenario, rows)
+        return sbs_mean / vbs_mean
+    sbs_mean, vbs_mean = baseline_means(scenario, slice(None))
     if scenario.direction == "maximize":
-        return mean_vbs / mean_sbs
-    return mean_sbs / mean_vbs
+        return vbs_mean / sbs_mean
+    return sbs_mean / vbs_mean

@@ -29,7 +29,7 @@ import numpy as np
 
 from .evaluation import FeatureStep, SolverStep, simulate
 from .learners import KNN, Forest, Tree, fit_forest, fit_kmeans, rng_stream
-from .scenario import Scenario, effective_cost, sbs
+from .scenario import Scenario
 
 SELECTOR_KINDS = ("regression", "pairwise", "cluster", "stacking", "sunny")
 
@@ -158,17 +158,8 @@ def build_training_set(scenario: Scenario, instances, feature_groups=None) -> Tr
     X = (filled - means[None, :]) / safe_stds[None, :]
     X = X[:, kept]
 
-    costs = np.array(
-        [[effective_cost(scenario, i, a) for a in scenario.algorithms] for i in instances]
-    )
-
-    def is_solved(inst, algo):
-        rec = scenario.runs[(inst, algo)]
-        if scenario.objective == "runtime":
-            return rec.status == "ok" and rec.value <= scenario.cutoff
-        return rec.status == "ok"
-
-    solved = np.array([[is_solved(i, a) for a in scenario.algorithms] for i in instances])
+    table = scenario.table
+    rows = [table.row[i] for i in instances]
     pre = Preprocess(
         columns=columns,
         medians=tuple(medians.tolist()),
@@ -181,8 +172,8 @@ def build_training_set(scenario: Scenario, instances, feature_groups=None) -> Tr
         algorithms=scenario.algorithms,
         feature_groups=feature_groups,
         X=X,
-        costs=costs,
-        solved=solved,
+        costs=table.cost[rows],
+        solved=table.solved[rows],
         pre=pre,
     )
 
@@ -431,45 +422,33 @@ def build_presolver(train_instances, scenario: Scenario, hp: Hyperparameters, ma
     if scenario.objective != "runtime" or hp.presolve_budget_fraction <= 0:
         return ()
     budget = hp.presolve_budget_fraction * scenario.cutoff
-    remaining = list(train_instances)
+    table = scenario.table
+    rows = [table.row[i] for i in train_instances]
+    # Solved times of the remaining instances, +inf where unsolved. The budget
+    # stays below the cutoff, so "ok within t" and "solved within t" agree.
+    times = np.where(table.solved[rows], table.values[rows], np.inf)
     prefix: list[SolverStep] = []
     for _ in range(max_steps):
-        if budget <= 0 or not remaining:
+        if budget <= 0 or not len(times):
             break
         best = None  # (rate, time, algo_idx)
-        for ai, algo in enumerate(scenario.algorithms):
-            times = sorted(
-                {
-                    scenario.runs[(i, algo)].value
-                    for i in remaining
-                    if scenario.runs[(i, algo)].status == "ok"
-                    and 0 < scenario.runs[(i, algo)].value <= budget
-                }
-            )
-            if not times and any(
-                scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value == 0
-                for i in remaining
-            ):
-                times = [budget]
-            for t in times:
-                solved = sum(
-                    1
-                    for i in remaining
-                    if scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value <= t
-                )
-                rate = solved / t
-                if best is None or rate > best[0] or (rate == best[0] and t < best[1]):
-                    best = (rate, t, ai)
+        for ai in range(times.shape[1]):
+            column = np.sort(times[:, ai])
+            candidates = np.unique(column[(column > 0) & (column <= budget)])
+            if not len(candidates) and (column == 0).any():
+                candidates = np.array([budget])
+            if not len(candidates):
+                continue
+            rates = np.searchsorted(column, candidates, side="right") / candidates
+            j = int(np.argmax(rates))  # the first maximum is the shortest time
+            rate, t = float(rates[j]), float(candidates[j])
+            if best is None or rate > best[0] or (rate == best[0] and t < best[1]):
+                best = (rate, t, ai)
         if best is None or best[0] <= 0:
             break
         _, t, ai = best
-        algo = scenario.algorithms[ai]
-        prefix.append(SolverStep(algorithm=algo, budget=t))
-        remaining = [
-            i
-            for i in remaining
-            if not (scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value <= t)
-        ]
+        prefix.append(SolverStep(algorithm=scenario.algorithms[ai], budget=t))
+        times = times[times[:, ai] > t]
         budget -= t
     return tuple(prefix)
 

@@ -74,6 +74,60 @@ def oracle_sbs(scenario, instances):
     return scenario.algorithms[totals.index(best)]
 
 
+def oracle_presolver(train_instances, scenario, hp, max_steps=1):
+    """Greedy static prefix, the original per-pair search kept as the reference.
+
+    Each round picks the (algorithm, time) pair that solves the most
+    remaining training instances per allocated second, with times drawn from
+    the recorded runtimes that fit the remaining budget. Stops when nothing
+    solves, the budget is gone, or ``max_steps`` rounds were taken.
+    """
+    if scenario.objective != "runtime" or hp.presolve_budget_fraction <= 0:
+        return ()
+    budget = hp.presolve_budget_fraction * scenario.cutoff
+    remaining = list(train_instances)
+    prefix: list[SolverStep] = []
+    for _ in range(max_steps):
+        if budget <= 0 or not remaining:
+            break
+        best = None  # (rate, time, algo_idx)
+        for ai, algo in enumerate(scenario.algorithms):
+            times = sorted(
+                {
+                    scenario.runs[(i, algo)].value
+                    for i in remaining
+                    if scenario.runs[(i, algo)].status == "ok"
+                    and 0 < scenario.runs[(i, algo)].value <= budget
+                }
+            )
+            if not times and any(
+                scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value == 0
+                for i in remaining
+            ):
+                times = [budget]
+            for t in times:
+                solved = sum(
+                    1
+                    for i in remaining
+                    if scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value <= t
+                )
+                rate = solved / t
+                if best is None or rate > best[0] or (rate == best[0] and t < best[1]):
+                    best = (rate, t, ai)
+        if best is None or best[0] <= 0:
+            break
+        _, t, ai = best
+        algo = scenario.algorithms[ai]
+        prefix.append(SolverStep(algorithm=algo, budget=t))
+        remaining = [
+            i
+            for i in remaining
+            if not (scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value <= t)
+        ]
+        budget -= t
+    return tuple(prefix)
+
+
 def oracle_friedman_statistic(score_rows):
     """Hand evaluation of the Friedman formula with exact rationals.
 

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from asbench import parse_predictions, parse_scenario, sbs, write_scenario
-from asbench.cli import main
+from asbench.cli import _atomic_write, main
 
 from gen import learnable_scenario
 
@@ -47,6 +48,49 @@ class TestValidate:
         runs.write_text(runs.read_text().replace("i1,A1,300.0,ok", "i1,A1,300000.0,ok"))
         assert run_cli("validate", "--scenario", tutorial_bundle) == 2
         assert "value_exceeds_cutoff" in capsys.readouterr().out
+
+
+    def test_non_finite_run_value_exits_two(self, tutorial_bundle, capsys):
+        runs = tutorial_bundle / "runs.csv"
+        runs.write_text(runs.read_text().replace("i1,A1,300.0,ok", "i1,A1,nan,ok"))
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 2
+        assert "non_finite_value (i1/A1)" in capsys.readouterr().out
+        # every other command refuses the bundle before computing anything
+        assert run_cli("baselines", "--scenario", tutorial_bundle) == 2
+        assert "non_finite_value" in capsys.readouterr().err
+
+
+class TestAtomicWrite:
+    def test_failed_writer_leaves_the_directory_as_it_was(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def broken(tmp):
+            tmp.write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            _atomic_write(target, broken)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text() == "old\n"
+
+    def test_temp_names_are_unique_and_mode_is_plain(self, tmp_path):
+        plain = tmp_path / "plain"
+        open(plain, "w").close()
+        used = []
+
+        def writer(tmp):
+            used.append(tmp)
+            with open(tmp, "w") as fh:
+                fh.write("new\n")
+
+        _atomic_write(tmp_path / "out", writer)
+        _atomic_write(tmp_path / "out", writer)
+        assert used[0] != used[1]
+        assert all(p.parent == tmp_path for p in used)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]
+        assert (tmp_path / "out").read_text() == "new\n"
+        assert os.stat(tmp_path / "out").st_mode == os.stat(plain).st_mode
 
 
 class TestBaselines:

@@ -1,0 +1,134 @@
+"""The dense run table against per-pair recomputations and the oracles.
+
+Runtimes are drawn on a coarse grid, so many runs, rates and totals tie,
+and zero-second ok runs exercise the presolver's zero-time rule. The grid
+reaches one step past the cutoff: an ok run over the cutoff is unsolved.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from asbench import Hyperparameters, build_presolver, build_training_set, sbs, vbs_cost
+from asbench.scenario import best_ok_time, effective_cost
+
+from gen import build_scenario
+from oracles import oracle_presolver, oracle_sbs, oracle_vbs_cost
+
+CUTOFF = 100.0
+STEP = 5.0
+STATUSES = ("ok", "ok", "ok", "timeout", "memout", "crash", "other")
+KINDS = (("runtime", "minimize"), ("quality", "minimize"), ("quality", "maximize"))
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@st.composite
+def specs(draw):
+    """(grid, train): grid[i][a] is (steps of STEP seconds, status); train
+    indexes instances and may repeat them, as a bootstrap split does."""
+    k = draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(0, int(CUTOFF / STEP) + 1), st.sampled_from(STATUSES))
+    grid = draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=1, max_size=8))
+    train = draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=2 * len(grid)))
+    return grid, train
+
+
+def make(grid, train, objective="runtime", direction="minimize"):
+    algorithms = [f"A{a}" for a in range(len(grid[0]))]
+    instances = [f"i{i}" for i in range(len(grid))]
+    runs = {
+        (instances[i], algorithms[a]): (steps * STEP, status)
+        for i, row in enumerate(grid)
+        for a, (steps, status) in enumerate(row)
+    }
+    scen = build_scenario(
+        runs, algorithms, instances, cutoff=CUTOFF, objective=objective, direction=direction
+    )
+    return scen, [instances[i] for i in train]
+
+
+# zero-second runs only: the candidate time becomes the whole budget
+ZERO_TIMES = ([[(0, "ok"), (20, "timeout")], [(0, "ok"), (20, "timeout")]], [0, 1])
+# A0 solves one in 5 s, A1 two in 10 s: equal rates, the shorter time wins
+RATE_TIE = ([[(1, "ok"), (2, "ok")], [(20, "timeout"), (2, "ok")]], [0, 1])
+# A0 solves one in 5 s and both in 10 s: equal rates, the shorter time wins
+SHORTER_TIME = ([[(1, "ok")], [(2, "ok")]], [0, 1])
+# identical columns: equal rate and time, the earlier algorithm wins
+FULL_TIE = ([[(1, "ok"), (1, "ok")], [(3, "ok"), (3, "ok")], [(0, "ok"), (0, "ok")]], [0, 1, 2, 2])
+
+
+@SETTINGS
+@given(
+    spec=specs(),
+    fraction=st.sampled_from([0.05, 0.1, 0.3, 0.6, 0.95]),
+    max_steps=st.sampled_from([1, 3]),
+)
+@example(spec=ZERO_TIMES, fraction=0.1, max_steps=1)
+@example(spec=RATE_TIE, fraction=0.3, max_steps=3)
+@example(spec=SHORTER_TIME, fraction=0.3, max_steps=1)
+@example(spec=FULL_TIE, fraction=0.3, max_steps=3)
+def test_presolver_matches_the_reference_search(spec, fraction, max_steps):
+    scen, train = make(*spec)
+    hp = Hyperparameters(presolve_budget_fraction=fraction)
+    got = build_presolver(train, scen, hp, max_steps=max_steps)
+    assert got == oracle_presolver(train, scen, hp, max_steps=max_steps)
+    assert all(type(step.budget) is float for step in got)
+
+
+def test_presolver_tie_rules():
+    def steps(spec, max_steps):
+        scen, train = make(*spec)
+        hp = Hyperparameters(presolve_budget_fraction=0.3)  # a 30 s budget
+        return [(s.algorithm, s.budget) for s in build_presolver(train, scen, hp, max_steps)]
+
+    assert steps(ZERO_TIMES, 1) == [("A0", 30.0)]
+    assert steps(RATE_TIE, 1) == [("A0", 5.0)]
+    assert steps(SHORTER_TIME, 1) == [("A0", 5.0)]
+    assert steps(FULL_TIE, 3) == [("A0", 5.0), ("A0", 15.0)]
+
+
+@SETTINGS
+@given(spec=specs(), kind=st.sampled_from(KINDS))
+def test_sbs_and_vbs_match_the_oracles(spec, kind):
+    scen, train = make(*spec, *kind)
+    assert sbs(scen, train) == oracle_sbs(scen, train)
+    for inst in scen.instances:
+        got = vbs_cost(scen, inst)
+        assert type(got) is float
+        assert got == oracle_vbs_cost(scen, inst)
+
+
+@SETTINGS
+@given(spec=specs(), kind=st.sampled_from(KINDS))
+def test_training_set_matches_per_pair_recomputation(spec, kind):
+    scen, train = make(*spec, *kind)
+    ts = build_training_set(scen, train)
+    assert ts.costs.shape == ts.solved.shape == (len(train), len(scen.algorithms))
+    for r, inst in enumerate(train):
+        for c, algo in enumerate(scen.algorithms):
+            rec = scen.runs[(inst, algo)]
+            if scen.objective == "runtime":
+                solved = rec.status == "ok" and rec.value <= scen.cutoff
+                cost = rec.value if solved else 10 * scen.cutoff
+            else:
+                solved = rec.status == "ok"
+                cost = -rec.value if scen.direction == "maximize" else rec.value
+            assert ts.solved[r, c] == solved
+            assert ts.costs[r, c] == cost
+            assert effective_cost(scen, inst, algo) == cost
+
+
+def test_table_is_cached_read_only_and_in_scenario_order(tutorial):
+    table = tutorial.table
+    assert tutorial.table is table
+    assert list(table.row) == list(tutorial.instances)
+    assert table.values.shape == (len(tutorial.instances), len(tutorial.algorithms))
+    with pytest.raises(ValueError):
+        table.cost[0, 0] = 0.0
+    # i2: A1 timed out, A2 took 80 s, A3 hit a memout
+    assert table.solved[table.row["i2"]].tolist() == [False, True, False]
+    assert best_ok_time(tutorial, "i2") == 80.0
+    assert type(best_ok_time(tutorial, "i2")) is float

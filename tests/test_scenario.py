@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from asbench import (
@@ -37,6 +40,21 @@ def test_ok_value_over_cutoff_is_reported():
     )
     violations = validate(scen)
     assert any(v.code == "value_exceeds_cutoff" and "i0" in v.entity for v in violations)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_reported(tutorial, bad):
+    runs = {**tutorial.runs, ("i1", "A1"): RunRecord(bad, "ok")}
+    base, probing = tutorial.feature_groups
+    costly = replace(base, cost={**base.cost, "i2": bad})
+    broken = {
+        "i1/A1": replace(tutorial, runs=runs),
+        "base": replace(tutorial, feature_groups=(costly, probing)),
+        "tutorial": replace(tutorial, cutoff=bad),
+    }
+    for entity, scen in broken.items():
+        found = [v for v in validate(scen) if v.code == "non_finite_value"]
+        assert [(v.entity, v.severity) for v in found] == [(entity, "error")]
 
 
 def test_validate_flags_split_and_group_problems(tutorial):
