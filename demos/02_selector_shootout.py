@@ -11,7 +11,7 @@ from asbench import (
     Scenario,
     Split,
     fit_system,
-    predict,
+    predict_batch,
     report_gap,
     score_system,
 )
@@ -58,7 +58,7 @@ print(f"{'selector':>12} {'PAR10':>8} {'gap':>6}   (0 = virtual best, 1 = single
 report = None
 for kind in ("regression", "pairwise", "cluster", "stacking", "sunny"):
     model = fit_system(scenario, split.train, kind, hp)
-    schedules = {inst: predict(model, scenario, inst) for inst in split.test}
+    schedules = predict_batch(model, scenario, split.test)
     report = score_system(scenario, split, schedules, system=kind)
     gap = report_gap(report, mode="oasc2017")
     print(f"{kind:>12} {report.metrics['par10'].value:8.1f} {gap:6.3f}")

@@ -13,7 +13,7 @@ from asbench import (
     ecdf,
     ecdf_points,
     fit_system,
-    predict,
+    predict_batch,
     report_gap,
     score_system,
 )
@@ -52,7 +52,7 @@ samples = []
 for seed in range(40):
     hp = Hyperparameters(n_trees=3, seed=seed)
     model = fit_system(scenario, split.train, "regression", hp)
-    schedules = {inst: predict(model, scenario, inst) for inst in split.test}
+    schedules = predict_batch(model, scenario, split.test)
     report = score_system(scenario, split, schedules, system="regression")
     samples.append(report_gap(report, mode="oasc2017"))
 

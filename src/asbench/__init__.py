@@ -57,6 +57,7 @@ from .selectors import (
     fit_system,
     load_model,
     predict,
+    predict_batch,
     save_model,
 )
 from .stats import (

@@ -30,7 +30,7 @@ from . import evaluation, scenario_io, selectors, stats
 from .evaluation import ScoreReport, aggregate, report_gap, score_system
 from .scenario import Scenario, RunRecord, baseline_means, improvement_factor, sbs, validate
 from .scenario_io import ParseError, ViolationsError, generate_splits, parse_scenario
-from .selectors import Hyperparameters, fit_system, load_model, predict, save_model
+from .selectors import Hyperparameters, fit_system, load_model, predict_batch, save_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -170,7 +170,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     if args.anonymize_test:
         scen = _anonymize_test(scen, split.test)
-    schedules = {inst: predict(model, scen, inst) for inst in split.test}
+    schedules = predict_batch(model, scen, split.test)
     _atomic_write(Path(args.out), lambda tmp: scenario_io.write_predictions(schedules, scen, tmp))
     print(f"wrote schedules for {len(schedules)} test instances -> {args.out}")
     return EXIT_OK
@@ -336,7 +336,7 @@ def cmd_seed_study(args) -> int:
     for offset in range(args.n_seeds):
         hp = Hyperparameters(**{**_hp_dict(hp0), "seed": args.seed + offset})
         model = fit_system(scen, split.train, args.selector, hp, mode=args.mode)
-        schedules = {inst: predict(model, scen, inst) for inst in split.test}
+        schedules = predict_batch(model, scen, split.test)
         report = score_system(scen, split, schedules, system=args.selector)
         gap = report_gap(report, args.mode)
         if gap is None:

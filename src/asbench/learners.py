@@ -197,15 +197,20 @@ class Forest:
     n_classes: int | None = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.n_classes is None:
-            return np.mean([t.predict(X) for t in self.trees], axis=0)
-        dist = np.mean([t.predict(X) for t in self.trees], axis=0)
-        return np.argmax(dist, axis=1)
+        mean = self._average(X)
+        return mean if self.n_classes is None else np.argmax(mean, axis=1)
 
     def predict_dist(self, X: np.ndarray) -> np.ndarray:
+        return self._average(X)
+
+    def _average(self, X: np.ndarray) -> np.ndarray:
+        """Plain average of the tree outputs, summed in tree order, so a row
+        gets the same bits whichever rows share the call."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return np.mean([t.predict(X) for t in self.trees], axis=0)
+        total = self.trees[0].predict(X)
+        for tree in self.trees[1:]:
+            total = total + tree.predict(X)
+        return total / len(self.trees)
 
 
 def fit_forest(X, y, hp, stream, n_classes=None) -> Forest:
@@ -247,7 +252,6 @@ class KNN:
     training index order, so duplicates behave deterministically."""
 
     X: np.ndarray
-    y: np.ndarray
     k: int
 
     def neighbors(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -255,17 +259,6 @@ class KNN:
         d = self.X - np.asarray(x, dtype=np.float64)
         dist = np.einsum("ij,ij->i", d, d) if self.X.shape[1] else np.zeros(self.X.shape[0])
         return np.argsort(dist, kind="stable")[:k]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return np.asarray([self.y[self.neighbors(x)].mean(axis=0) for x in X])
-
-
-def fit_knn(X, y, hp) -> KNN:
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit k-NN on an empty training set")
-    return KNN(X=X, y=np.asarray(y, dtype=np.float64), k=hp.k_neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +303,7 @@ def fit_kmeans(X, k, rng, max_iter=100, tol=1e-6) -> KMeans:
         sq = np.minimum(sq, ((X - centroids[c]) ** 2).sum(axis=1))
 
     for _ in range(max_iter):
-        dist = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(dist, axis=1)
+        assign = KMeans(centroids).assign(X)
         new = centroids.copy()
         for c in range(k):
             members = X[assign == c]

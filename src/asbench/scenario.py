@@ -209,6 +209,12 @@ def validate(scenario: Scenario) -> list[Violation]:
             err("missing_features", inst, "no feature vector")
         elif len(vec) != d:
             err("bad_feature_length", inst, f"vector has {len(vec)} values, expected {d}")
+        else:
+            for v in vec:
+                if v is not None and not math.isfinite(v):
+                    name = scenario.feature_names[vec.index(v)]
+                    err("non_finite_value", inst, f"feature {name} value {v}")
+                    break  # one report per instance; index() finds this first one
     for inst in scenario.features:
         if inst not in inst_set:
             err("unknown_feature_row", inst, "feature vector for unknown instance")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .evaluation import FeatureStep, SolverStep, simulate
-from .learners import KNN, Forest, Tree, fit_forest, fit_kmeans, rng_stream
+from .learners import KNN, Forest, KMeans, Tree, fit_forest, fit_kmeans, rng_stream
 from .scenario import Scenario
 
 SELECTOR_KINDS = ("regression", "pairwise", "cluster", "stacking", "sunny")
@@ -91,16 +91,40 @@ class Preprocess:
     stds: tuple[float, ...]
     kept: tuple[bool, ...]
 
-    def __call__(self, raw_vector) -> np.ndarray | None:
-        """Transform one raw feature vector; None if every value is missing."""
-        vals = [raw_vector[c] for c in self.columns]
-        if all(v is None for v in vals) and self.columns:
-            return None
-        x = np.array(
-            [m if v is None else float(v) for v, m in zip(vals, self.medians)], dtype=np.float64
+    @classmethod
+    def fit(cls, raw: np.ndarray, columns) -> Preprocess:
+        """Fit on a raw training matrix (NaN where a value is missing)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+            medians = np.nanmedian(raw, axis=0)
+        medians = np.where(np.isnan(medians), 0.0, medians)
+        filled = np.where(np.isnan(raw), medians[None, :], raw)
+        means = filled.mean(axis=0)
+        stds = filled.std(axis=0)
+        kept = stds > 0
+        return cls(
+            columns=tuple(columns),
+            medians=tuple(medians.tolist()),
+            means=tuple(means.tolist()),
+            stds=tuple(np.where(kept, stds, 1.0).tolist()),
+            kept=tuple(bool(k) for k in kept),
         )
-        x = (x - np.asarray(self.means)) / np.asarray(self.stds)
-        return x[np.asarray(self.kept, dtype=bool)]
+
+    def transform(self, raw: np.ndarray) -> np.ndarray:
+        """Impute, standardize and drop the constant columns of a raw matrix."""
+        filled = np.where(np.isnan(raw), np.asarray(self.medians)[None, :], raw)
+        X = (filled - np.asarray(self.means)[None, :]) / np.asarray(self.stds)[None, :]
+        return X[:, np.asarray(self.kept, dtype=bool)]
+
+
+def raw_features(scenario: Scenario, instances, columns) -> np.ndarray:
+    """The instances x columns feature matrix, NaN where a value is missing."""
+    columns = tuple(columns)
+    rows = [
+        [np.nan if v is None else v for v in (vec[c] for c in columns)]
+        for vec in (scenario.features[i] for i in instances)
+    ]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
 
 
 @dataclass(frozen=True)
@@ -138,40 +162,15 @@ def build_training_set(scenario: Scenario, instances, feature_groups=None) -> Tr
     by_name = {g.name: g for g in scenario.feature_groups}
     columns = tuple(idx for name in feature_groups for idx in by_name[name].feature_indices)
 
-    raw = np.full((len(instances), len(columns)), np.nan)
-    for r, inst in enumerate(instances):
-        vec = scenario.features[inst]
-        for c, col in enumerate(columns):
-            v = vec[col]
-            if v is not None:
-                raw[r, c] = float(v)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
-        medians = np.nanmedian(raw, axis=0)
-    medians = np.where(np.isnan(medians), 0.0, medians)
-    filled = np.where(np.isnan(raw), medians[None, :], raw)
-    means = filled.mean(axis=0) if len(columns) else np.zeros(0)
-    stds = filled.std(axis=0) if len(columns) else np.zeros(0)
-    kept = stds > 0
-    safe_stds = np.where(kept, stds, 1.0)
-    X = (filled - means[None, :]) / safe_stds[None, :]
-    X = X[:, kept]
-
+    raw = raw_features(scenario, instances, columns)
+    pre = Preprocess.fit(raw, columns)
     table = scenario.table
     rows = [table.row[i] for i in instances]
-    pre = Preprocess(
-        columns=columns,
-        medians=tuple(medians.tolist()),
-        means=tuple(means.tolist()),
-        stds=tuple(safe_stds.tolist()),
-        kept=tuple(bool(k) for k in kept),
-    )
     return TrainingSet(
         instances=instances,
         algorithms=scenario.algorithms,
         feature_groups=feature_groups,
-        X=X,
+        X=pre.transform(raw),
         costs=table.cost[rows],
         solved=table.solved[rows],
         pre=pre,
@@ -305,47 +304,42 @@ def _model(kind, train, hp, payload) -> SelectorModel:
 # selection and schedules
 
 
-def select_algorithm(model: SelectorModel, x: np.ndarray) -> int:
-    """Index of the algorithm the model picks for one transformed vector."""
+def select_algorithms(model: SelectorModel, X: np.ndarray) -> np.ndarray:
+    """Index of the algorithm the model picks for each row of a transformed
+    feature matrix."""
     kind = model.kind
     p = model.payload
     if kind == "regression":
-        preds = np.array([f.predict(x[None, :])[0] for f in p["forests"]])
-        return int(np.argmin(preds))
+        return np.argmin(np.column_stack([f.predict(X) for f in p["forests"]]), axis=1)
     if kind == "pairwise":
-        votes = np.zeros(len(model.algorithms))
+        k = len(model.algorithms)
+        votes = np.zeros((X.shape[0], k), dtype=np.int64)
+        rows = np.arange(X.shape[0])
         for a, b, forest in p["classifiers"]:
-            winner = a if forest.predict(x[None, :])[0] == 1 else b
-            votes[winner] += 1
-        best = votes.max()
-        tied = np.flatnonzero(votes == best)
-        if len(tied) > 1:
-            mean_costs = np.asarray(p["mean_costs"])
-            tied = tied[np.argsort(mean_costs[tied], kind="stable")]
-        return int(tied[0])
+            votes[rows, np.where(forest.predict(X) == 1, a, b)] += 1
+        # a vote tie goes to the lower mean training cost, then portfolio order
+        rank = np.empty(k, dtype=np.int64)
+        rank[np.argsort(np.asarray(p["mean_costs"]), kind="stable")] = np.arange(k)
+        tied = votes == votes.max(axis=1, keepdims=True)
+        return np.argmin(np.where(tied, rank, k), axis=1)
     if kind == "cluster":
-        centroids = np.asarray(p["centroids"])
-        d = ((centroids - x[None, :]) ** 2).sum(axis=1)
-        return int(p["champions"][int(np.argmin(d))])
+        return np.asarray(p["champions"])[KMeans(np.asarray(p["centroids"])).assign(X)]
     if kind == "stacking":
-        level1 = np.array([[f.predict(x[None, :])[0] for f in p["forests"]]])
-        return int(p["combiner"].predict(level1)[0])
+        return p["combiner"].predict(np.column_stack([f.predict(X) for f in p["forests"]]))
     if kind == "sunny":
-        costs = _sunny_neighborhood(model, x)[1]
-        return int(np.argmin(costs.mean(axis=0)))
+        costs = (_sunny_neighborhood(model, x)[1] for x in X)
+        return np.array([np.argmin(c.mean(axis=0)) for c in costs], dtype=np.int64)
     raise ValueError(f"unknown selector kind {kind!r}")
 
 
 def _sunny_neighborhood(model: SelectorModel, x: np.ndarray):
     p = model.payload
-    X = np.asarray(p["X"])
-    knn = KNN(X=X, y=np.asarray(p["costs"]), k=model.hp.sunny_k)
-    idx = knn.neighbors(x)
+    idx = KNN(X=np.asarray(p["X"]), k=model.hp.sunny_k).neighbors(x)
     return idx, np.asarray(p["costs"])[idx], np.asarray(p["solved"])[idx]
 
 
 def _sunny_schedule(model: SelectorModel, x: np.ndarray, budget: float):
-    """Slice ``budget`` proportionally to neighborhood solve counts.
+    """Solver steps slicing ``budget`` proportionally to neighborhood solve counts.
 
     Neighborhood instances that nobody solves contribute their share to a
     backup slice for the algorithm with the best mean cost nearby; slices
@@ -359,7 +353,7 @@ def _sunny_schedule(model: SelectorModel, x: np.ndarray, budget: float):
 
     denom = counts.sum() + unsolved
     if denom <= 0:
-        return ((backup, budget),)
+        return (SolverStep(algorithm=model.algorithms[backup], budget=budget),)
     order = sorted(
         (a for a in range(len(counts)) if counts[a] > 0),
         key=lambda a: (-counts[a], mean_costs[a], a),
@@ -373,38 +367,43 @@ def _sunny_schedule(model: SelectorModel, x: np.ndarray, budget: float):
     elif remainder > 0:
         order.append(backup)
         slices[backup] = remainder
-    return tuple((a, slices[a]) for a in order)
+    return tuple(SolverStep(algorithm=model.algorithms[a], budget=slices[a]) for a in order)
 
 
-def predict(model: SelectorModel, scenario: Scenario, instance: str):
-    """Emit the schedule for one instance.
+def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> dict:
+    """Emit the schedule of each instance, in the given order.
 
     Runtime schedules are presolve prefix, then the model's feature groups,
     then solver steps filling the cutoff left after presolving. Quality
     schedules are a single solver step. Instances with no feature values at
     all fall back to the stored single best solver, with a warning.
     """
-    x = model.pre(scenario.features[instance])
-    if scenario.objective == "quality":
-        if x is None:
-            warnings.warn(f"no features for {instance!r}; falling back to the single best solver")
-            return (SolverStep(algorithm=model.sbs_algorithm, budget=0.0),)
-        return (SolverStep(algorithm=model.algorithms[select_algorithm(model, x)], budget=0.0),)
-
-    cutoff = scenario.cutoff
-    prefix = tuple(model.presolve)
-    remaining = cutoff - math.fsum(s.budget for s in prefix)
-    if x is None:
-        warnings.warn(f"no features for {instance!r}; falling back to the single best solver")
-        return prefix + (SolverStep(algorithm=model.sbs_algorithm, budget=remaining),)
-    steps: list = [FeatureStep(group=g) for g in model.feature_groups]
-    if model.kind == "sunny":
-        for a, budget in _sunny_schedule(model, x, remaining):
-            steps.append(SolverStep(algorithm=model.algorithms[a], budget=budget))
+    instances = tuple(instances)
+    raw = raw_features(scenario, instances, model.pre.columns)
+    blank = np.isnan(raw).all(axis=1) & (raw.shape[1] > 0)
+    X = model.pre.transform(raw[~blank])
+    quality = scenario.objective == "quality"
+    prefix = () if quality else tuple(model.presolve)
+    remaining = 0.0 if quality else scenario.cutoff - math.fsum(s.budget for s in prefix)
+    features = () if quality else tuple(FeatureStep(group=g) for g in model.feature_groups)
+    if model.kind == "sunny" and not quality:
+        tails = iter([_sunny_schedule(model, x, remaining) for x in X])
     else:
-        chosen = model.algorithms[select_algorithm(model, x)]
-        steps.append(SolverStep(algorithm=chosen, budget=remaining))
-    return prefix + tuple(steps)
+        picks = select_algorithms(model, X).tolist()
+        tails = iter([(SolverStep(algorithm=model.algorithms[a], budget=remaining),) for a in picks])
+    out = {}
+    for inst, missing in zip(instances, blank.tolist()):
+        if missing:
+            warnings.warn(f"no features for {inst!r}; falling back to the single best solver")
+            out[inst] = prefix + (SolverStep(algorithm=model.sbs_algorithm, budget=remaining),)
+        else:
+            out[inst] = prefix + features + next(tails)
+    return out
+
+
+def predict(model: SelectorModel, scenario: Scenario, instance: str):
+    """Emit the schedule for one instance (see :func:`predict_batch`)."""
+    return predict_batch(model, scenario, (instance,))[instance]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ into the code paths it verifies.
 
 from __future__ import annotations
 
+import math
+import warnings
 from fractions import Fraction
+
+import numpy as np
 
 from asbench.evaluation import FeatureStep, SolverStep
 
@@ -126,6 +130,118 @@ def oracle_presolver(train_instances, scenario, hp, max_steps=1):
         ]
         budget -= t
     return tuple(prefix)
+
+
+def _oracle_transform(pre, raw_vector):
+    """One raw feature vector through a fitted ``Preprocess``; None if every
+    value is missing."""
+    vals = [raw_vector[c] for c in pre.columns]
+    if all(v is None for v in vals) and pre.columns:
+        return None
+    x = np.array(
+        [m if v is None else float(v) for v, m in zip(vals, pre.medians)], dtype=np.float64
+    )
+    x = (x - np.asarray(pre.means)) / np.asarray(pre.stds)
+    return x[np.asarray(pre.kept, dtype=bool)]
+
+
+def _oracle_forest_predict(forest, X):
+    """A forest's prediction as ``np.mean`` over the stacked tree outputs."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if forest.n_classes is None:
+        return np.mean([t.predict(X) for t in forest.trees], axis=0)
+    dist = np.mean([t.predict(X) for t in forest.trees], axis=0)
+    return np.argmax(dist, axis=1)
+
+
+def _oracle_select(model, x):
+    """Index of the algorithm the model picks for one transformed vector."""
+    kind = model.kind
+    p = model.payload
+    if kind == "regression":
+        preds = np.array([_oracle_forest_predict(f, x[None, :])[0] for f in p["forests"]])
+        return int(np.argmin(preds))
+    if kind == "pairwise":
+        votes = np.zeros(len(model.algorithms))
+        for a, b, forest in p["classifiers"]:
+            winner = a if _oracle_forest_predict(forest, x[None, :])[0] == 1 else b
+            votes[winner] += 1
+        best = votes.max()
+        tied = np.flatnonzero(votes == best)
+        if len(tied) > 1:
+            mean_costs = np.asarray(p["mean_costs"])
+            tied = tied[np.argsort(mean_costs[tied], kind="stable")]
+        return int(tied[0])
+    if kind == "cluster":
+        centroids = np.asarray(p["centroids"])
+        d = ((centroids - x[None, :]) ** 2).sum(axis=1)
+        return int(p["champions"][int(np.argmin(d))])
+    if kind == "stacking":
+        level1 = np.array([[_oracle_forest_predict(f, x[None, :])[0] for f in p["forests"]]])
+        return int(_oracle_forest_predict(p["combiner"], level1)[0])
+    if kind == "sunny":
+        costs = _oracle_sunny_neighborhood(model, x)[1]
+        return int(np.argmin(costs.mean(axis=0)))
+    raise ValueError(f"unknown selector kind {kind!r}")
+
+
+def _oracle_sunny_neighborhood(model, x):
+    p = model.payload
+    X = np.asarray(p["X"])
+    d = X - np.asarray(x, dtype=np.float64)
+    dist = np.einsum("ij,ij->i", d, d) if X.shape[1] else np.zeros(X.shape[0])
+    idx = np.argsort(dist, kind="stable")[: min(model.hp.sunny_k, X.shape[0])]
+    return idx, np.asarray(p["costs"])[idx], np.asarray(p["solved"])[idx]
+
+
+def _oracle_sunny_schedule(model, x, budget):
+    _, costs, solved = _oracle_sunny_neighborhood(model, x)
+    counts = solved.sum(axis=0).astype(np.float64)
+    mean_costs = costs.mean(axis=0)
+    unsolved = int((~solved.any(axis=1)).sum())
+    backup = int(np.argmin(mean_costs))
+
+    denom = counts.sum() + unsolved
+    if denom <= 0:
+        return ((backup, budget),)
+    order = sorted(
+        (a for a in range(len(counts)) if counts[a] > 0),
+        key=lambda a: (-counts[a], mean_costs[a], a),
+    )
+    slices = {a: budget * counts[a] / denom for a in order}
+    remainder = budget - math.fsum(slices.values())
+    if backup in slices:
+        slices[backup] += remainder
+    elif remainder > 0:
+        order.append(backup)
+        slices[backup] = remainder
+    return tuple((a, slices[a]) for a in order)
+
+
+def oracle_predict(model, scenario, instance):
+    """The schedule for one instance, one feature vector and one forest
+    query per row at a time: the original per-row prediction path."""
+    x = _oracle_transform(model.pre, scenario.features[instance])
+    if scenario.objective == "quality":
+        if x is None:
+            warnings.warn(f"no features for {instance!r}; falling back to the single best solver")
+            return (SolverStep(algorithm=model.sbs_algorithm, budget=0.0),)
+        return (SolverStep(algorithm=model.algorithms[_oracle_select(model, x)], budget=0.0),)
+
+    cutoff = scenario.cutoff
+    prefix = tuple(model.presolve)
+    remaining = cutoff - math.fsum(s.budget for s in prefix)
+    if x is None:
+        warnings.warn(f"no features for {instance!r}; falling back to the single best solver")
+        return prefix + (SolverStep(algorithm=model.sbs_algorithm, budget=remaining),)
+    steps: list = [FeatureStep(group=g) for g in model.feature_groups]
+    if model.kind == "sunny":
+        for a, budget in _oracle_sunny_schedule(model, x, remaining):
+            steps.append(SolverStep(algorithm=model.algorithms[a], budget=budget))
+    else:
+        chosen = model.algorithms[_oracle_select(model, x)]
+        steps.append(SolverStep(algorithm=chosen, budget=remaining))
+    return prefix + tuple(steps)
 
 
 def oracle_friedman_statistic(score_rows):

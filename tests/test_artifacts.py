@@ -5,7 +5,8 @@ Two small generated bundles go through the real command-line entry point:
 * a learnable runtime bundle: every selector family at three trees, trained
   under the 2017 rules with the static presolver on, then predict, evaluate
   (CSV and JSON), compare over the five reports, a two-seed seed study and
-  the baselines summary;
+  the baselines summary; then regression and stacking again at twelve
+  trees, where the order in which tree outputs are summed shows in the bits;
 * a quality bundle with the maximize direction: the baselines summary and a
   regression train/predict/evaluate chain.
 
@@ -53,11 +54,19 @@ EXPECTED = {
     "out/regression.json": "5d29e3dfa12c137a0640f4b3c0ebabb4b9d7fbcae788f57a0f1ae6bbc54684cd",
     "out/regression_model.json": "0089ba7f9daf1055f640aa08f2a74a72baabbdfc0b8609b0c7e092f1e3c65e6d",
     "out/regression_preds.csv": "6dc86df27032b44120ac6dd266fd19f1cdeda35945a2499ee365c2ddd2f4cbe6",
+    "out/regression12.csv": "7f146dc603f85b946e5befb112c52b231000413cb012825171b17aad06230e85",
+    "out/regression12.json": "0a90f0194a6fe88da532d7b9b2dbd4ad49911fa264533ccabfdc8ea2d00805af",
+    "out/regression12_model.json": "793c911692c5bdd641516efef5ad1493823e2b390feade49d6fcef6edea008fa",
+    "out/regression12_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
     "out/runtime_baselines.json": "4b251174752b5900eb2fea87a07324273224026b52d39b20c93ce3562cf742eb",
     "out/stacking.csv": "106f94c7560409b2a2aa1286251c3eac54e447f87a97e8d7a5efdc6cd5aa2531",
     "out/stacking.json": "6c1e6b48218d066852ea998169c430888608bf8cf74164c95a1220ab172da64d",
     "out/stacking_model.json": "ee7658296f74f611cbdee7b53953770d175f3ce826c96680089a0a5e42d0bf47",
     "out/stacking_preds.csv": "fdf7e2d930fddff26d8d11adb89968d331164183bbc243aed9813f0fa343190a",
+    "out/stacking12.csv": "40b95187818b7ab24baf947d9ce62442354b5f50590d97eaf43ae7dd33d90540",
+    "out/stacking12.json": "2a78f06bbdcce7b04a5c5178e89f8f1f47fca6b4b654971e5b55efa8438ddced",
+    "out/stacking12_model.json": "acf9cc082e4e28002079618ca2e87beb60b438e67f5efd70f2e6bfa722a38771",
+    "out/stacking12_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
     "out/study.json": "85e70eedda3b35d66da57dd3f4df504c656e624aadcbaf02e29ac55a3b0e18b5",
     "out/study_ecdf.csv": "900eb8a0473e99a0931de54bdf3504d701c13097cad50de14d9cc0684903c67e",
     "out/study_samples.csv": "30aa43ea7c7ea3d198f6d7029bee84bfd3a50f6c0ca632caded727d13ee615cd",
@@ -114,6 +123,14 @@ def run_chain(root: Path) -> dict[str, str]:
     _cli("compare", *reports, "--json", "--out", out / "compare")
     _cli("seed-study", "--scenario", runtime, "--selector", "pairwise", "--hp", "n_trees=3",
          "--n-seeds", "2", "--out", out / "study")
+    # at 8 or more trees the order in which tree outputs are summed shows in the bits
+    for kind in ("regression", "stacking"):
+        model, preds = out / f"{kind}12_model.json", out / f"{kind}12_preds.csv"
+        _cli("train", "--scenario", runtime, "--selector", kind, "--hp", "n_trees=12",
+             "--mode", "oasc2017", "--out", model)
+        _cli("predict", "--scenario", runtime, "--model", model, "--mode", "oasc2017", "--out", preds)
+        _cli("evaluate", "--scenario", runtime, "--predictions", preds, "--system", kind,
+             "--mode", "oasc2017", "--out", out / f"{kind}12", "--json")
 
     model, preds = out / "quality_model.json", out / "quality_preds.csv"
     _cli("train", "--scenario", quality, "--selector", "regression", "--hp", "n_trees=3",

@@ -59,6 +59,26 @@ class TestValidate:
         assert run_cli("baselines", "--scenario", tutorial_bundle) == 2
         assert "non_finite_value" in capsys.readouterr().err
 
+    def test_non_finite_feature_value_exits_two(self, learnable_bundle, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli("train", "--scenario", learnable_bundle, "--selector", "regression",
+                       "--hp", "n_trees=2", "--out", model) == 0
+        broken = tmp_path / "broken"
+        write_scenario(parse_scenario(learnable_bundle), broken)
+        features = broken / "features.csv"
+        lines = features.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = "nan"
+        lines[3] = ",".join(cells)
+        features.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("validate", "--scenario", broken) == 2
+        assert "non_finite_value" in capsys.readouterr().out
+        preds = tmp_path / "preds.csv"
+        assert run_cli("predict", "--scenario", broken, "--model", model, "--out", preds) == 2
+        assert "non_finite_value" in capsys.readouterr().err
+        assert not preds.exists()
+
 
 class TestAtomicWrite:
     def test_failed_writer_leaves_the_directory_as_it_was(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asbench.learners import KNN, fit_forest, fit_kmeans, fit_knn, grow_tree, rng_stream
+from asbench.learners import KNN, fit_forest, fit_kmeans, grow_tree, rng_stream
 from asbench.selectors import Hyperparameters
 
 
@@ -92,23 +92,16 @@ class TestForest:
 class TestKnn:
     def test_k1_recovers_training_label(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        y = np.array([1.0, 2.0, 3.0])
-        model = KNN(X=X, y=y, k=1)
-        assert model.predict(np.array([[1.0, 1.0]]))[0] == 2.0
+        model = KNN(X=X, k=1)
+        assert model.neighbors(np.array([1.0, 1.0])).tolist() == [1]
 
     def test_duplicate_points_resolve_by_index(self):
         X = np.zeros((4, 2))
-        model = KNN(X=X, y=np.arange(4.0), k=2)
+        model = KNN(X=X, k=2)
         assert model.neighbors(np.zeros(2)).tolist() == [0, 1]
 
-    def test_fit_knn_uses_hyperparameter_k(self):
-        X = np.random.default_rng(0).random((10, 2))
-        model = fit_knn(X, np.arange(10.0), Hyperparameters(k_neighbors=3))
-        assert model.k == 3
-        assert len(model.neighbors(X[0])) == 3
-
     def test_zero_width_features(self):
-        model = KNN(X=np.zeros((5, 0)), y=np.arange(5.0), k=2)
+        model = KNN(X=np.zeros((5, 0)), k=2)
         assert model.neighbors(np.zeros(0)).tolist() == [0, 1]
 
 

@@ -7,15 +7,26 @@ reaches one step past the cutoff: an ok run over the cutoff is unsolved.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asbench import Hyperparameters, build_presolver, build_training_set, sbs, vbs_cost
+from asbench import (
+    Hyperparameters,
+    Split,
+    build_presolver,
+    build_training_set,
+    sbs,
+    score_system,
+    vbs_cost,
+)
+from asbench.evaluation import SolverStep
 from asbench.scenario import best_ok_time, effective_cost
 
 from gen import build_scenario
-from oracles import oracle_presolver, oracle_sbs, oracle_vbs_cost
+from oracles import oracle_presolver, oracle_sbs, oracle_simulate, oracle_vbs_cost
 
 CUTOFF = 100.0
 STEP = 5.0
@@ -119,6 +130,41 @@ def test_training_set_matches_per_pair_recomputation(spec, kind):
             assert ts.solved[r, c] == solved
             assert ts.costs[r, c] == cost
             assert effective_cost(scen, inst, algo) == cost
+
+
+# A0 is the single best solver: a memout (15 s) and a crash (10 s) die
+# before the cutoff, and A1's 105 s ok run lies over it
+EARLY_DEATHS = ([[(3, "memout"), (21, "ok")], [(1, "ok"), (20, "timeout")], [(2, "crash"), (4, "ok")]], [0, 1, 2])
+
+
+@SETTINGS
+@given(spec=specs(), kind=st.sampled_from(KINDS))
+@example(spec=EARLY_DEATHS, kind=KINDS[0])
+def test_sbs_scores_match_oracle_replays(spec, kind):
+    scen, train = make(*spec, *kind)
+    test = scen.instances
+    algo = oracle_sbs(scen, train)
+    n = len(test)
+
+    def mean(xs):
+        return math.fsum(xs) / n
+
+    if scen.objective == "quality":
+        schedules = {i: (SolverStep(scen.algorithms[-1], 0.0),) for i in test}
+        report = score_system(scen, Split(0, tuple(train), test), schedules)
+        assert report.metrics["quality"].sbs == mean(scen.runs[(i, algo)].value for i in test)
+        return
+    # the system runs the last algorithm for half the cutoff, then the first
+    system = (SolverStep(scen.algorithms[-1], CUTOFF / 2), SolverStep(scen.algorithms[0], CUTOFF))
+    report = score_system(scen, Split(0, tuple(train), test), {i: system for i in test})
+    best = [min(oracle_vbs_cost(scen, i), CUTOFF) for i in test]
+    for metric, schedule in (("sbs", (SolverStep(algo, CUTOFF),)), ("value", system)):
+        replays = [oracle_simulate(scen, i, schedule) for i in test]
+        par10 = mean(t if ok else 10 * CUTOFF for ok, t in replays)
+        mcp = mean(min(t, CUTOFF) - b for (_, t), b in zip(replays, best))
+        solved = mean(float(ok) for ok, _ in replays)
+        got = {name: getattr(report.metrics[name], metric) for name in ("par10", "mcp", "solved")}
+        assert got == {"par10": par10, "mcp": mcp, "solved": solved}
 
 
 def test_table_is_cached_read_only_and_in_scenario_order(tutorial):

@@ -57,6 +57,14 @@ def test_non_finite_values_are_reported(tutorial, bad):
         assert [(v.entity, v.severity) for v in found] == [(entity, "error")]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_feature_values_are_reported(tutorial, bad):
+    features = {**tutorial.features, "i2": (1.5, bad, 2.0)}
+    found = [v for v in validate(replace(tutorial, features=features)) if v.code == "non_finite_value"]
+    assert [(v.entity, v.severity) for v in found] == [("i2", "error")]
+    assert "f_b" in found[0].detail
+
+
 def test_validate_flags_split_and_group_problems(tutorial):
     from dataclasses import replace
 

@@ -22,7 +22,7 @@ from asbench import (
 )
 from asbench.evaluation import FeatureStep, SolverStep
 from asbench.learners import Tree, Forest
-from asbench.selectors import SelectorModel, select_algorithm
+from asbench.selectors import SelectorModel, raw_features, select_algorithms
 
 from gen import best_algorithm_truth, build_scenario, learnable_scenario, random_scenario
 from oracles import oracle_simulate
@@ -159,9 +159,8 @@ class TestRegression:
             ]
             shifted_forests.append(Forest(trees=trees))
         shifted = replace(model, payload={"forests": shifted_forests})
-        for inst in scen.instances:
-            x = model.pre(scen.features[inst])
-            assert select_algorithm(model, x) == select_algorithm(shifted, x)
+        X = model.pre.transform(raw_features(scen, scen.instances, model.pre.columns))
+        assert select_algorithms(model, X).tolist() == select_algorithms(shifted, X).tolist()
 
 
 class TestPairwise:
@@ -226,8 +225,8 @@ class TestPairwise:
                 "mean_costs": np.array([30.0, 10.0, 20.0]),
             },
         )
-        # votes are (1, 1, 1); A1 has the lowest mean training cost
-        assert select_algorithm(model, np.zeros(1)) == 1
+        # votes are (1, 1, 1) on every row; A1 has the lowest mean training cost
+        assert select_algorithms(model, np.zeros((3, 1))).tolist() == [1, 1, 1]
 
     def test_learns_the_synthetic_rule(self):
         scen = learnable_scenario(n_train=500, n_test=200, seed=8)
