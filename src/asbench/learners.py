@@ -66,60 +66,34 @@ class Tree:
         return self.dist[idx]
 
 
-def _best_split(X, y, target_sq, feat_order, min_leaf, one_hot):
-    """Lowest-impurity split over the candidate features, or None.
-
-    Impurity is the summed squared error for regression and the weighted
-    Gini index for classification (``one_hot`` given). Ties keep the first
-    candidate feature, which makes the search order part of the contract.
-    """
-    n = y.shape[0]
-    best = None
-    for f in feat_order:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        pos = np.arange(min_leaf - 1, n - min_leaf)
-        if pos.size == 0:
-            continue
-        valid = xs[pos] < xs[pos + 1]
-        if not valid.any():
-            continue
-        pos = pos[valid]
-        n_left = pos + 1.0
-        n_right = n - n_left
-        if one_hot is None:
-            ys = y[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(target_sq[order])
-            s_left, q_left = csum[pos], csq[pos]
-            s_right = csum[-1] - s_left
-            q_right = csq[-1] - q_left
-            cost = (q_left - s_left**2 / n_left) + (q_right - s_right**2 / n_right)
-        else:
-            cum = np.cumsum(one_hot[order], axis=0)
-            c_left = cum[pos]
-            c_right = cum[-1] - c_left
-            gini_left = n_left - (c_left**2).sum(axis=1) / n_left
-            gini_right = n_right - (c_right**2).sum(axis=1) / n_right
-            cost = gini_left + gini_right
-        j = int(np.argmin(cost))
-        if best is None or cost[j] < best[0]:
-            thr = 0.5 * (xs[pos[j]] + xs[pos[j] + 1])
-            best = (float(cost[j]), int(f), thr)
-    return best
-
-
 def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Tree:
     """Grow a CART tree to purity (no depth cap).
 
     ``n_classes`` switches to classification with Gini splits; otherwise
-    splits minimize variance. ``features_per_split`` caps how many features
-    each node may consider, drawn fresh per node from ``rng``.
+    splits minimize the summed squared error. ``features_per_split`` caps how
+    many features each node may consider, drawn fresh per node from ``rng``.
+
+    Nodes are grown depth first, the right child before the left, and every
+    node with at least ``2 * min_leaf`` samples and mixed targets draws its
+    candidate features from ``rng`` in that order, so the order is part of
+    the contract. Among equal impurities the split keeps the first candidate
+    feature in draw order, then the lowest split position along it.
+
+    This is presorted CART: each feature is argsorted once per tree, and a
+    node passes its per-feature sorted positions on to its children by a
+    stable partition, so all candidate features of a node are scored in one
+    pass over a ``(features, samples)`` matrix.
     """
     n, d = X.shape
     classify = n_classes is not None
-    one_hot_all = np.eye(n_classes, dtype=np.float64)[y] if classify else None
-    target_sq = None if classify else y * y
+    XT = np.ascontiguousarray(X.T)
+    if classify:
+        one_hot_all = np.eye(n_classes, dtype=np.float64)[y]
+    else:
+        y_and_sq = np.stack([y, y * y])
+    all_features = np.arange(d)
+    counts = np.arange(1.0, n + 1.0)  # samples left of each split position
+    draw = features_per_split is not None and features_per_split < d
 
     feature = []
     threshold = []
@@ -135,40 +109,65 @@ def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) ->
         payload.append(None)
         return len(feature) - 1
 
-    stack = [(np.arange(n), new_node())]
+    # S[f] holds the node's sample positions sorted by feature f, ties in
+    # ascending position (a stable sort); the extra row S[d] holds them in
+    # ascending order. Stable partitions keep both orders down the tree.
+    S = np.vstack([np.argsort(XT, axis=1, kind="stable"), np.arange(n)])
+    stack = [(S, new_node())]
     while stack:
-        idx, slot = stack.pop()
-        ys = y[idx]
-        pure = ys.size < 2 * min_leaf or np.all(ys == ys[0])
-        split = None
-        if not pure:
-            if features_per_split is None or features_per_split >= d:
-                feat_order = np.arange(d)
-            else:
-                feat_order = rng.permutation(d)[:features_per_split]
-            split = _best_split(
-                X[idx],
-                ys,
-                None if classify else target_sq[idx],
-                feat_order,
-                min_leaf,
-                one_hot_all[idx] if classify else None,
-            )
-        if split is None:
-            if classify:
-                counts = np.bincount(ys, minlength=n_classes).astype(np.float64)
-                payload[slot] = counts / counts.sum()
-            else:
-                payload[slot] = float(ys.mean())
+        S, slot = stack.pop()
+        m = S.shape[1]
+        idx = S[d]
+        if m == 1:
+            payload[slot] = one_hot_all[idx[0]] if classify else float(y[idx[0]])
             continue
-        _, f, thr = split
+        ys = y[idx]
+        best = None
+        if m >= 2 * min_leaf and not (ys == ys[0]).all():
+            feats = rng.permutation(d)[:features_per_split] if draw else all_features
+            SF = S[feats]
+            xs = XT[feats[:, None], SF]
+            # split after sorted position p, for p in [lo, hi)
+            lo, hi = min_leaf - 1, m - min_leaf
+            valid = xs[:, lo:hi] < xs[:, lo + 1 : hi + 1]
+            if valid.any():
+                n_left = counts[lo:hi]
+                n_right = m - n_left
+                if classify:
+                    cum = one_hot_all[SF].cumsum(axis=1)
+                    c_left = cum[:, lo:hi]
+                    c_right = cum[:, -1:] - c_left
+                    gini_left = n_left - (c_left**2).sum(axis=2) / n_left
+                    gini_right = n_right - (c_right**2).sum(axis=2) / n_right
+                    cost = gini_left + gini_right
+                else:
+                    # [sum, sum of squares] of y up to each sorted position
+                    cum = y_and_sq[:, SF].cumsum(axis=2)
+                    c_left = cum[:, :, lo:hi]
+                    c_right = cum[:, :, -1:] - c_left
+                    cost = (c_left[1] - c_left[0] ** 2 / n_left) + (
+                        c_right[1] - c_right[0] ** 2 / n_right
+                    )
+                cost = np.where(valid, cost, np.inf)
+                # the flat argmin runs in (draw order, position) order: the tie rule
+                i, p = divmod(int(cost.argmin()), hi - lo)
+                p += lo
+                best = int(feats[i]), 0.5 * (xs[i, p] + xs[i, p + 1])
+        if best is None:
+            if classify:
+                payload[slot] = np.bincount(ys, minlength=n_classes) / m
+            else:
+                payload[slot] = float(ys.sum() / m)  # bitwise ys.mean()
+            continue
+        f, thr = best
         feature[slot] = f
         threshold[slot] = thr
-        mask = X[idx, f] <= thr
         left[slot] = new_node()
         right[slot] = new_node()
-        stack.append((idx[mask], left[slot]))
-        stack.append((idx[~mask], right[slot]))
+        goes = (XT[f] <= thr)[S]
+        n_go = np.count_nonzero(goes[d])
+        stack.append((S[goes].reshape(d + 1, n_go), left[slot]))
+        stack.append((S[~goes].reshape(d + 1, m - n_go), right[slot]))
 
     m = len(feature)
     tree = Tree(

@@ -252,10 +252,8 @@ def fit_stacking(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
     n, k = train.costs.shape
     best_label = np.argmin(train.costs, axis=1)
     n_folds = min(5, n)
-    fold_of = np.zeros(n, dtype=np.int64)
-    perm = rng_stream(hp.seed, _S_FOLDS).permutation(n)
-    for pos, row in enumerate(perm.tolist()):
-        fold_of[row] = pos % n_folds
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[rng_stream(hp.seed, _S_FOLDS).permutation(n)] = np.arange(n) % n_folds
 
     level1_oof = np.zeros((n, k))
     for f in range(n_folds):

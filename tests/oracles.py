@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from asbench.evaluation import FeatureStep, SolverStep
+from asbench.learners import Tree
 
 
 def oracle_simulate(scenario, instance, schedule):
@@ -130,6 +131,132 @@ def oracle_presolver(train_instances, scenario, hp, max_steps=1):
         ]
         budget -= t
     return tuple(prefix)
+
+
+# The CART grower before presorting: one argsort and one cumsum chain per
+# node per candidate feature. ``grow_tree`` must reproduce its trees bit for bit.
+
+
+def _oracle_best_split(X, y, target_sq, feat_order, min_leaf, one_hot):
+    """Lowest-impurity split over the candidate features, or None.
+
+    Impurity is the summed squared error for regression and the weighted
+    Gini index for classification (``one_hot`` given). Ties keep the first
+    candidate feature, which makes the search order part of the contract.
+    """
+    n = y.shape[0]
+    best = None
+    for f in feat_order:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        pos = np.arange(min_leaf - 1, n - min_leaf)
+        if pos.size == 0:
+            continue
+        valid = xs[pos] < xs[pos + 1]
+        if not valid.any():
+            continue
+        pos = pos[valid]
+        n_left = pos + 1.0
+        n_right = n - n_left
+        if one_hot is None:
+            ys = y[order]
+            csum = np.cumsum(ys)
+            csq = np.cumsum(target_sq[order])
+            s_left, q_left = csum[pos], csq[pos]
+            s_right = csum[-1] - s_left
+            q_right = csq[-1] - q_left
+            cost = (q_left - s_left**2 / n_left) + (q_right - s_right**2 / n_right)
+        else:
+            cum = np.cumsum(one_hot[order], axis=0)
+            c_left = cum[pos]
+            c_right = cum[-1] - c_left
+            gini_left = n_left - (c_left**2).sum(axis=1) / n_left
+            gini_right = n_right - (c_right**2).sum(axis=1) / n_right
+            cost = gini_left + gini_right
+        j = int(np.argmin(cost))
+        if best is None or cost[j] < best[0]:
+            thr = 0.5 * (xs[pos[j]] + xs[pos[j] + 1])
+            best = (float(cost[j]), int(f), thr)
+    return best
+
+
+def oracle_grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Tree:
+    """Grow a CART tree to purity (no depth cap).
+
+    ``n_classes`` switches to classification with Gini splits; otherwise
+    splits minimize variance. ``features_per_split`` caps how many features
+    each node may consider, drawn fresh per node from ``rng``.
+    """
+    n, d = X.shape
+    classify = n_classes is not None
+    one_hot_all = np.eye(n_classes, dtype=np.float64)[y] if classify else None
+    target_sq = None if classify else y * y
+
+    feature = []
+    threshold = []
+    left = []
+    right = []
+    payload = []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        payload.append(None)
+        return len(feature) - 1
+
+    stack = [(np.arange(n), new_node())]
+    while stack:
+        idx, slot = stack.pop()
+        ys = y[idx]
+        pure = ys.size < 2 * min_leaf or np.all(ys == ys[0])
+        split = None
+        if not pure:
+            if features_per_split is None or features_per_split >= d:
+                feat_order = np.arange(d)
+            else:
+                feat_order = rng.permutation(d)[:features_per_split]
+            split = _oracle_best_split(
+                X[idx],
+                ys,
+                None if classify else target_sq[idx],
+                feat_order,
+                min_leaf,
+                one_hot_all[idx] if classify else None,
+            )
+        if split is None:
+            if classify:
+                counts = np.bincount(ys, minlength=n_classes).astype(np.float64)
+                payload[slot] = counts / counts.sum()
+            else:
+                payload[slot] = float(ys.mean())
+            continue
+        _, f, thr = split
+        feature[slot] = f
+        threshold[slot] = thr
+        mask = X[idx, f] <= thr
+        left[slot] = new_node()
+        right[slot] = new_node()
+        stack.append((idx[mask], left[slot]))
+        stack.append((idx[~mask], right[slot]))
+
+    m = len(feature)
+    tree = Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+    )
+    if classify:
+        dist = np.zeros((m, n_classes), dtype=np.float64)
+        for i, p in enumerate(payload):
+            if p is not None:
+                dist[i] = p
+        tree.dist = dist
+    else:
+        tree.value = np.asarray([0.0 if p is None else p for p in payload], dtype=np.float64)
+    return tree
 
 
 def _oracle_transform(pre, raw_vector):

@@ -7,6 +7,8 @@ Two small generated bundles go through the real command-line entry point:
   (CSV and JSON), compare over the five reports, a two-seed seed study and
   the baselines summary; then regression and stacking again at twelve
   trees, where the order in which tree outputs are summed shows in the bits;
+  and regression and pairwise train/predict at twelve trees with
+  ``min_leaf=2`` and ``features_per_split=1``, the tree grower's knobs;
 * a quality bundle with the maximize direction: the baselines summary and a
   regression train/predict/evaluate chain.
 
@@ -43,6 +45,8 @@ EXPECTED = {
     "out/compare_scores.csv": "44e64604cd0ab61768a6271a5eaef38245ce830644a7a70574b7329f36acd2f2",
     "out/pairwise.csv": "c02fa5a46fb75e7d31b1fafcca04b3fe5b659c2bcbfb5174bf94f00c115615de",
     "out/pairwise.json": "b7c3059218edab946b5d8041d944a2c3e02b489fc745ffe31e468557cdb2ebe4",
+    "out/pairwise_knobs_model.json": "7802b84e9524d12e623f0b8eafc8c0e8faae8254c47da80b4903e24c46c091e1",
+    "out/pairwise_knobs_preds.csv": "aa58ac44c68dccad0b789210a1d30295e8b6bd6f1e14734b42202b3f51ae7c15",
     "out/pairwise_model.json": "91bc1db2a4a37885a51e8e4a4ddc4ae72d739862c23eb35de3ad481e7d9ffa0a",
     "out/pairwise_preds.csv": "97c330c82d42111216531626f4aaab2f4da408003363a44f6993275e3f4873aa",
     "out/quality_baselines.json": "a445a0b3977bb69c95191c5cd178013192fb9b37373bdd3d1258d08fede76fc7",
@@ -52,6 +56,8 @@ EXPECTED = {
     "out/quality_report.json": "baed87bcc6aa624734698424d30a0280ea51debb590a9328a70a3b740758cc8f",
     "out/regression.csv": "d66a0c2c722a44ebcb85d87faa7dafc18cf46f5137af60ccd7e5215b96e00df9",
     "out/regression.json": "5d29e3dfa12c137a0640f4b3c0ebabb4b9d7fbcae788f57a0f1ae6bbc54684cd",
+    "out/regression_knobs_model.json": "cba6535bb023405b0b282c5b4f94b90d66e9f2d82f1171d0d1e3f490f9bfa566",
+    "out/regression_knobs_preds.csv": "1f764d1051f83859275fa9ec5bb71dfa4a285e8c021f6df89d677bd444aa06f9",
     "out/regression_model.json": "0089ba7f9daf1055f640aa08f2a74a72baabbdfc0b8609b0c7e092f1e3c65e6d",
     "out/regression_preds.csv": "6dc86df27032b44120ac6dd266fd19f1cdeda35945a2499ee365c2ddd2f4cbe6",
     "out/regression12.csv": "7f146dc603f85b946e5befb112c52b231000413cb012825171b17aad06230e85",
@@ -131,6 +137,13 @@ def run_chain(root: Path) -> dict[str, str]:
         _cli("predict", "--scenario", runtime, "--model", model, "--mode", "oasc2017", "--out", preds)
         _cli("evaluate", "--scenario", runtime, "--predictions", preds, "--system", kind,
              "--mode", "oasc2017", "--out", out / f"{kind}12", "--json")
+    # the grower's knobs away from their defaults: leaves of two, one feature per split
+    for kind in ("regression", "pairwise"):
+        model, preds = out / f"{kind}_knobs_model.json", out / f"{kind}_knobs_preds.csv"
+        _cli("train", "--scenario", runtime, "--selector", kind, "--hp", "n_trees=12",
+             "--hp", "min_leaf=2", "--hp", "features_per_split=1", "--mode", "oasc2017",
+             "--out", model)
+        _cli("predict", "--scenario", runtime, "--model", model, "--mode", "oasc2017", "--out", preds)
 
     model, preds = out / "quality_model.json", out / "quality_preds.csv"
     _cli("train", "--scenario", quality, "--selector", "regression", "--hp", "n_trees=3",

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asbench.learners import KNN, fit_forest, fit_kmeans, grow_tree, rng_stream
 from asbench.selectors import Hyperparameters
+
+from oracles import oracle_grow_tree
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "dist")
 
 
 class TestRngStream:
@@ -45,6 +52,86 @@ class TestTree:
         tree = grow_tree(X, y, rng_stream(0, 1), n_classes=2)
         preds = np.argmax(tree.predict(X), axis=1)
         assert (preds == y).all()
+
+
+def assert_same_tree(got, want):
+    """Every array of the two trees has the same dtype, shape and bytes."""
+    for name in TREE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def growth_cases(draw):
+    """(X, y, n_classes, features_per_split). X sits on a coarse grid, so
+    values tie; rows repeat, as in a bootstrap sample; some columns are
+    constant. Regression targets mix integers, which tie and sum exactly,
+    tenths, which tie but round by summation order, and floats."""
+    d = draw(st.integers(0, 5))
+    levels = draw(st.sampled_from([2, 3, 8]))
+    cell = st.integers(0, levels - 1)
+    distinct = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=20))
+    rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    X = 0.3 * np.array([distinct[r] for r in rows], dtype=np.float64).reshape(len(rows), d)
+    X[:, draw(st.lists(st.booleans(), min_size=d, max_size=d))] = 1.5
+    n = X.shape[0]
+    n_classes = draw(st.sampled_from([None, 2, 3, 4, 5, 9]))
+    if n_classes is None:
+        target = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.integers(-30, 30).map(lambda k: k / 10),
+            st.floats(-1e3, 1e3, allow_nan=False),
+        )
+        y = np.array(draw(st.lists(target, min_size=n, max_size=n)), dtype=np.float64)
+    else:
+        labels = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
+        y = np.array(draw(labels), dtype=np.int64)
+    per_split = draw(st.sampled_from([None, 1, max(d - 1, 1), max(d, 1), d + 1]))
+    return X, y, n_classes, per_split
+
+
+def _case(X, y, n_classes=None, per_split=None):
+    return np.asarray(X, dtype=np.float64), np.asarray(y), n_classes, per_split
+
+
+@SETTINGS
+@given(case=growth_cases(), min_leaf=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(case=_case([[0.5, 1.0]], [2.0]), min_leaf=1, seed=0)  # n = 1
+@example(case=_case([[0.5, 1.0]], [1], n_classes=2), min_leaf=1, seed=0)
+@example(case=_case(np.zeros((6, 0)), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), min_leaf=1, seed=0)  # d = 0
+@example(case=_case(np.zeros((4, 0)), [0, 1, 2, 1], n_classes=3), min_leaf=1, seed=0)
+@example(case=_case([[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0]), min_leaf=2, seed=0)  # n < 2 min_leaf
+@example(case=_case([[0.0], [1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1, 0], 2), min_leaf=3, seed=0)
+# all-equal X with distinct y: no valid split anywhere
+@example(case=_case(np.full((5, 3), 0.7), [1.0, 2.0, 3.0, 4.0, 5.0], None, 2), min_leaf=1, seed=0)
+@example(case=_case(np.full((5, 3), 0.7), [0, 1, 2, 3, 4], 5), min_leaf=1, seed=0)
+def test_grow_tree_matches_the_reference(case, min_leaf, seed):
+    X, y, n_classes, per_split = case
+    got = grow_tree(X, y, rng_stream(seed, 1), min_leaf, per_split, n_classes)
+    want = oracle_grow_tree(X, y, rng_stream(seed, 1), min_leaf, per_split, n_classes)
+    assert_same_tree(got, want)
+
+
+@pytest.mark.parametrize("n_classes", [None, 3])
+def test_fit_forest_matches_the_reference(n_classes):
+    # bootstrap samples of 60 rows repeat rows; the grid makes values tie
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 4, size=(60, 5)) * 0.25
+    y = rng.integers(0, 3, size=60) if n_classes else rng.normal(size=60)
+    hp = Hyperparameters(n_trees=3, seed=13, min_leaf=2)
+    forest = fit_forest(X, y, hp, stream=(6, 1), n_classes=n_classes)
+    assert len(forest.trees) == 3
+    for t, tree in enumerate(forest.trees):
+        rng_t = rng_stream(hp.seed, 6, 1, t)
+        boot = rng_t.integers(0, 60, size=60)
+        assert np.unique(boot).size < 60
+        mtry = 3  # ceil(sqrt(5 features))
+        want = oracle_grow_tree(X[boot], y[boot], rng_t, hp.min_leaf, mtry, n_classes)
+        assert_same_tree(tree, want)
 
 
 class TestForest:
