@@ -7,14 +7,40 @@ into the code paths it verifies.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from asbench.evaluation import FeatureStep, SolverStep
 from asbench.learners import Tree
+from asbench.scenario import (
+    DIRECTIONS,
+    OBJECTIVES,
+    RUN_STATUSES,
+    FeatureGroup,
+    RunRecord,
+    Scenario,
+    Split,
+    Violation,
+    collapse_repetitions,
+)
+from asbench.scenario_io import (
+    COSTS_FILE,
+    DESCRIPTION_FILE,
+    FEATURES_FILE,
+    MISSING_MARK,
+    RUNS_FILE,
+    SPLITS_FILE,
+    ParseError,
+    ViolationsError,
+    _check_id,
+    _parse_description,
+    _parse_float,
+)
 
 
 def oracle_simulate(scenario, instance, schedule):
@@ -437,3 +463,294 @@ def oracle_range_quantile(k, alpha):
 
     q = brentq(lambda x: cdf(x) - (1 - alpha), 0.1, 10.0, xtol=1e-10)
     return q / math.sqrt(2.0)
+
+# The bundle parser and validate before the columnar parser and the array
+# checks: one RunRecord per runs.csv row, collapsed per pair, then a walk over
+# every (instance, algorithm) pair. ``parse_scenario`` and ``validate`` must
+# give equal scenarios, the same ParseError and the same violation list.
+
+
+def _oracle_read_csv(path: Path, header: list[str] | None = None):
+    """Yield (line_number, row) pairs, checking the header when given."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            head = next(reader)
+        except StopIteration:
+            raise ParseError(path.name, 1, "file is empty, header row required") from None
+        if header is not None and head != header:
+            raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
+        yield 1, head
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            yield lineno, row
+
+
+def oracle_parse_scenario(path, check: bool = True) -> Scenario:
+    """The row parser before the columnar one: one ``RunRecord`` per row.
+
+    With ``check`` (the default) the scenario must come back clean from
+    :func:`asbench.scenario.validate`; error-level violations raise
+    :class:`ViolationsError`, warnings are tolerated.
+    """
+    root = Path(path)
+    if not root.is_dir():
+        raise FileNotFoundError(f"scenario directory {root} does not exist")
+    for required in (DESCRIPTION_FILE, RUNS_FILE, FEATURES_FILE, SPLITS_FILE):
+        if not (root / required).exists():
+            raise ParseError(required, 0, "required file missing from bundle")
+
+    scenario_id, objective, direction, cutoff, algorithms, group_specs = _parse_description(
+        root / DESCRIPTION_FILE
+    )
+
+    # features.csv fixes the instance order; one row per instance.
+    feature_names: tuple[str, ...] = ()
+    instances: list[str] = []
+    features: dict[str, tuple[float | None, ...]] = {}
+    for lineno, row in _oracle_read_csv(root / FEATURES_FILE):
+        if lineno == 1:
+            if not row or row[0] != "instance_id":
+                raise ParseError(FEATURES_FILE, 1, "first column must be instance_id")
+            feature_names = tuple(row[1:])
+            continue
+        if len(row) != 1 + len(feature_names):
+            raise ParseError(
+                FEATURES_FILE, lineno, f"expected {1 + len(feature_names)} columns, got {len(row)}"
+            )
+        inst = _check_id(row[0], FEATURES_FILE, lineno, "instance")
+        if inst in features:
+            raise ParseError(FEATURES_FILE, lineno, f"duplicate instance row {inst!r}")
+        vec = tuple(
+            None if tok.strip() == MISSING_MARK else _parse_float(tok, FEATURES_FILE, lineno, "feature")
+            for tok in row[1:]
+        )
+        instances.append(inst)
+        features[inst] = vec
+    inst_set = set(instances)
+    algo_set = set(algorithms)
+
+    reps: dict[tuple[str, str], list[RunRecord]] = {}
+    for lineno, row in _oracle_read_csv(root / RUNS_FILE, ["instance_id", "algorithm_id", "value", "status"]):
+        if lineno == 1:
+            continue
+        if len(row) != 4:
+            raise ParseError(RUNS_FILE, lineno, f"expected 4 columns, got {len(row)}")
+        inst, algo, value_text, status = (t.strip() for t in row)
+        if inst not in inst_set:
+            raise ParseError(RUNS_FILE, lineno, f"unknown instance {inst!r}")
+        if algo not in algo_set:
+            raise ParseError(RUNS_FILE, lineno, f"unknown algorithm {algo!r}")
+        if status not in RUN_STATUSES:
+            raise ParseError(RUNS_FILE, lineno, f"unknown status {status!r}")
+        value = _parse_float(value_text, RUNS_FILE, lineno, "value")
+        reps.setdefault((inst, algo), []).append(RunRecord(value=value, status=status))
+    runs = {pair: collapse_repetitions(records) for pair, records in reps.items()}
+
+    cost_tables: dict[str, dict[str, float]] = {}
+    cost_path = root / COSTS_FILE
+    if cost_path.exists():
+        cost_cols: list[str] = []
+        for lineno, row in _oracle_read_csv(cost_path):
+            if lineno == 1:
+                if not row or row[0] != "instance_id":
+                    raise ParseError(COSTS_FILE, 1, "first column must be instance_id")
+                cost_cols = row[1:]
+                if len(set(cost_cols)) != len(cost_cols):
+                    raise ParseError(COSTS_FILE, 1, "duplicate cost column")
+                for col in cost_cols:
+                    cost_tables[col] = {}
+                continue
+            if len(row) != 1 + len(cost_cols):
+                raise ParseError(COSTS_FILE, lineno, f"expected {1 + len(cost_cols)} columns")
+            inst = row[0].strip()
+            if inst not in inst_set:
+                raise ParseError(COSTS_FILE, lineno, f"unknown instance {inst!r}")
+            if cost_cols and inst in cost_tables[cost_cols[0]]:
+                raise ParseError(COSTS_FILE, lineno, f"duplicate instance row {inst!r}")
+            for col, tok in zip(cost_cols, row[1:]):
+                cost_tables[col][inst] = _parse_float(tok, COSTS_FILE, lineno, "cost")
+    elif objective == "runtime":
+        raise ParseError(COSTS_FILE, 0, "runtime scenario requires a feature cost table")
+
+    # A group whose cost column is absent simply has no recorded costs;
+    # validate() downgrades that to a warning for runtime scenarios.
+    groups = [
+        FeatureGroup(name=name, feature_indices=indices, cost=cost_tables.get(cost_col))
+        for name, cost_col, indices in group_specs
+    ]
+
+    splits = _oracle_parse_splits(root / SPLITS_FILE, inst_set)
+
+    scenario = Scenario(
+        id=scenario_id,
+        objective=objective,
+        direction=direction,
+        cutoff=cutoff,
+        algorithms=algorithms,
+        instances=tuple(instances),
+        runs=runs,
+        features=features,
+        feature_names=feature_names,
+        feature_groups=tuple(groups),
+        splits=splits,
+    )
+    if check:
+        problems = [v for v in oracle_validate(scenario) if v.severity == "error"]
+        if problems:
+            raise ViolationsError(problems)
+    return scenario
+
+
+def _oracle_parse_splits(path: Path, inst_set: set[str]) -> tuple[Split, ...]:
+    rows: dict[int, dict[str, list[str]]] = {}
+    modes: dict[int, str] = {}
+    for lineno, row in _oracle_read_csv(path, ["split_id", "mode", "role", "instance_id"]):
+        if lineno == 1:
+            continue
+        if len(row) != 4:
+            raise ParseError(SPLITS_FILE, lineno, f"expected 4 columns, got {len(row)}")
+        sid_text, mode, role, inst = (t.strip() for t in row)
+        try:
+            sid = int(sid_text)
+        except ValueError:
+            raise ParseError(SPLITS_FILE, lineno, f"bad split id {sid_text!r}") from None
+        if mode not in ("bootstrap", "holdout", "custom"):
+            raise ParseError(SPLITS_FILE, lineno, f"unknown split mode {mode!r}")
+        if role not in ("train", "test"):
+            raise ParseError(SPLITS_FILE, lineno, f"unknown role {role!r}")
+        if inst not in inst_set:
+            raise ParseError(SPLITS_FILE, lineno, f"unknown instance {inst!r}")
+        if sid in modes and modes[sid] != mode:
+            raise ParseError(SPLITS_FILE, lineno, f"split {sid} mixes modes")
+        modes[sid] = mode
+        rows.setdefault(sid, {"train": [], "test": []})[role].append(inst)
+    return tuple(
+        Split(
+            split_id=sid,
+            train=tuple(parts["train"]),
+            test=tuple(parts["test"]),
+            from_bootstrap=modes[sid] == "bootstrap",
+        )
+        for sid, parts in sorted(rows.items())
+    )
+
+
+def oracle_validate(scenario: Scenario) -> list[Violation]:
+    """The record-walking ``validate`` before the array checks."""
+    out: list[Violation] = []
+    err = lambda code, entity, detail: out.append(Violation(code, entity, detail))
+    warn = lambda code, entity, detail: out.append(
+        Violation(code, entity, detail, severity="warning")
+    )
+
+    if scenario.objective not in OBJECTIVES:
+        err("bad_objective", scenario.id, f"objective {scenario.objective!r}")
+    if scenario.direction not in DIRECTIONS:
+        err("bad_direction", scenario.id, f"direction {scenario.direction!r}")
+    runtime = scenario.objective == "runtime"
+    if runtime and scenario.cutoff is not None and not math.isfinite(scenario.cutoff):
+        err("non_finite_value", scenario.id, f"cutoff {scenario.cutoff}")
+    elif runtime and (scenario.cutoff is None or scenario.cutoff <= 0):
+        err("bad_cutoff", scenario.id, f"runtime scenario needs cutoff > 0, got {scenario.cutoff}")
+    if not runtime and scenario.cutoff is not None:
+        err("bad_cutoff", scenario.id, "quality scenario must not carry a cutoff")
+
+    if len(set(scenario.algorithms)) != len(scenario.algorithms):
+        err("duplicate_algorithm", scenario.id, "algorithm ids are not unique")
+    if len(set(scenario.instances)) != len(scenario.instances):
+        err("duplicate_instance", scenario.id, "instance ids are not unique")
+
+    inst_set = set(scenario.instances)
+    algo_set = set(scenario.algorithms)
+
+    # Dense run matrix: exactly one record per pair, nothing extra.
+    for inst in scenario.instances:
+        for algo in scenario.algorithms:
+            rec = scenario.runs.get((inst, algo))
+            if rec is None:
+                err("missing_run", f"{inst}/{algo}", "no run record for pair")
+                continue
+            if rec.status not in RUN_STATUSES:
+                err("bad_status", f"{inst}/{algo}", f"status {rec.status!r}")
+            if not math.isfinite(rec.value):
+                err("non_finite_value", f"{inst}/{algo}", f"run value {rec.value}")
+                continue
+            if runtime and rec.value < 0:
+                err("negative_value", f"{inst}/{algo}", f"runtime {rec.value} < 0")
+            if runtime and rec.status == "ok" and scenario.cutoff is not None and rec.value > scenario.cutoff:
+                err(
+                    "value_exceeds_cutoff",
+                    f"{inst}/{algo}",
+                    f"ok run took {rec.value} > cutoff {scenario.cutoff}",
+                )
+    for inst, algo in scenario.runs:
+        if inst not in inst_set or algo not in algo_set:
+            err("unknown_run", f"{inst}/{algo}", "run for unknown instance or algorithm")
+
+    d = len(scenario.feature_names)
+    for inst in scenario.instances:
+        vec = scenario.features.get(inst)
+        if vec is None:
+            err("missing_features", inst, "no feature vector")
+        elif len(vec) != d:
+            err("bad_feature_length", inst, f"vector has {len(vec)} values, expected {d}")
+        else:
+            for v in vec:
+                if v is not None and not math.isfinite(v):
+                    name = scenario.feature_names[vec.index(v)]
+                    err("non_finite_value", inst, f"feature {name} value {v}")
+                    break  # one report per instance; index() finds this first one
+    for inst in scenario.features:
+        if inst not in inst_set:
+            err("unknown_feature_row", inst, "feature vector for unknown instance")
+
+    group_names = [g.name for g in scenario.feature_groups]
+    if len(set(group_names)) != len(group_names):
+        err("duplicate_group", scenario.id, "feature group names are not unique")
+
+    # Each feature index belongs to exactly one group.
+    owners: dict[int, str] = {}
+    for group in scenario.feature_groups:
+        for idx in group.feature_indices:
+            if not 0 <= idx < d:
+                err("bad_feature_index", group.name, f"index {idx} outside [0, {d})")
+            elif idx in owners:
+                err("feature_in_two_groups", group.name, f"index {idx} also in {owners[idx]!r}")
+            else:
+                owners[idx] = group.name
+        if group.cost is None:
+            if runtime:
+                warn("missing_cost_table", group.name, "no cost table; costs treated as 0")
+        else:
+            for inst, cost in group.cost.items():
+                if inst not in inst_set:
+                    err("unknown_cost_row", group.name, f"cost for unknown instance {inst!r}")
+                elif not math.isfinite(cost):
+                    err("non_finite_value", group.name, f"cost {cost} for {inst!r}")
+                elif cost < 0:
+                    err("negative_cost", group.name, f"cost {cost} for {inst!r}")
+            for inst in scenario.instances:
+                if inst not in group.cost:
+                    warn("missing_cost", group.name, f"no cost for {inst!r}; treated as 0")
+    for idx in range(d):
+        if idx not in owners:
+            err("ungrouped_feature", scenario.feature_names[idx], f"index {idx} in no group")
+
+    seen_split_ids = set()
+    for split in scenario.splits:
+        sid = f"split {split.split_id}"
+        if split.split_id in seen_split_ids:
+            err("duplicate_split", sid, "split id repeated")
+        seen_split_ids.add(split.split_id)
+        for name, part in (("train", split.train), ("test", split.test)):
+            unknown = [i for i in part if i not in inst_set]
+            if unknown:
+                err("unknown_split_instance", sid, f"{name} contains {unknown[:3]!r}")
+        if not split.test:
+            err("empty_test_set", sid, "test set is empty")
+        overlap = set(split.train) & set(split.test)
+        if overlap and not split.from_bootstrap:
+            err("split_overlap", sid, f"train/test share {sorted(overlap)[:3]!r}")
+    return out
