@@ -24,11 +24,14 @@ import os
 import sys
 import time
 import uuid
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import evaluation, scenario_io, selectors, stats
 from .evaluation import ScoreReport, aggregate, report_gap, score_system
-from .scenario import Scenario, RunRecord, baseline_means, improvement_factor, sbs, validate
+from .scenario import STATUS_CODE, Runs, Scenario, baseline_means, improvement_factor, sbs, validate
 from .scenario_io import ParseError, ViolationsError, generate_splits, parse_scenario
 from .selectors import Hyperparameters, fit_system, load_model, predict_batch, save_model
 
@@ -88,13 +91,12 @@ def _pick_split(splits, split_id: int):
 def _anonymize_test(scenario: Scenario, test_instances) -> Scenario:
     """Blind the test rows: performance 0, status ok, like a hidden test set."""
     test = set(test_instances)
-    runs = {
-        pair: (RunRecord(value=0.0, status="ok") if pair[0] in test else rec)
-        for pair, rec in scenario.runs.items()
-    }
-    from dataclasses import replace
-
-    return replace(scenario, runs=runs)
+    runs = scenario.runs
+    blind = np.fromiter((i in test for i in runs.instances), dtype=bool, count=len(runs.instances))
+    blind = blind[:, None] & (runs.status >= 0)
+    values = np.where(blind, 0.0, runs.values)
+    status = np.where(blind, STATUS_CODE["ok"], runs.status)
+    return replace(scenario, runs=Runs(runs.instances, runs.algorithms, values, status))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .scenario import PAR10_FACTOR, Scenario, Split, best_ok_time, sbs
+from .scenario import PAR10_FACTOR, STATUS_CODE, Scenario, Split, best_ok_time, sbs
 
 GAP_EPS = 1e-12
+
+_OK = STATUS_CODE["ok"]
+# runs that may die before their slice ends and give the rest of it back
+_DIES_EARLY = {STATUS_CODE[s] for s in ("memout", "crash", "other")}
 
 
 @dataclass(frozen=True)
@@ -85,16 +89,21 @@ def simulate(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
     Quality scenarios return the recorded value of the single scheduled
     algorithm; feature costs never count against quality.
     """
-    if instance not in scenario.table.row:
+    runs = scenario.runs
+    if instance not in runs.row:
         raise ValueError(f"unknown instance {instance!r}")
     validate_schedule(scenario, schedule)
+    r = runs.row[instance]
+
+    def record(algorithm):
+        c = runs.col[algorithm]
+        if runs.status[r, c] < 0:
+            raise KeyError((instance, algorithm))
+        return float(runs.values[r, c]), int(runs.status[r, c])
 
     if scenario.objective == "quality":
-        step = schedule[0]
-        rec = scenario.runs[(instance, step.algorithm)]
-        return EvaluationOutcome(
-            solved=rec.status == "ok", achieved_value=rec.value, solving_step=1
-        )
+        value, status = record(schedule[0].algorithm)
+        return EvaluationOutcome(solved=status == _OK, achieved_value=value, solving_step=1)
 
     cutoff = scenario.cutoff
     groups = {g.name: g for g in scenario.feature_groups}
@@ -104,12 +113,12 @@ def simulate(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
             cost = groups[step.group].cost
             t += cost.get(instance, 0.0) if cost else 0.0
         else:
-            rec = scenario.runs[(instance, step.algorithm)]
+            value, status = record(step.algorithm)
             slice_ = min(step.budget, cutoff - t)
-            if rec.status == "ok" and rec.value <= slice_:
-                return EvaluationOutcome(solved=True, time_used=t + rec.value, solving_step=ordinal)
-            if rec.status in ("memout", "crash", "other") and rec.value < slice_:
-                t += rec.value
+            if status == _OK and value <= slice_:
+                return EvaluationOutcome(solved=True, time_used=t + value, solving_step=ordinal)
+            if status in _DIES_EARLY and value < slice_:
+                t += value
             else:
                 t += slice_
         if t >= cutoff:

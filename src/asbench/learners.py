@@ -152,7 +152,11 @@ def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) ->
                 # the flat argmin runs in (draw order, position) order: the tie rule
                 i, p = divmod(int(cost.argmin()), hi - lo)
                 p += lo
-                best = int(feats[i]), 0.5 * (xs[i, p] + xs[i, p + 1])
+                a, b = float(xs[i, p]), float(xs[i, p + 1])
+                # the midpoint of adjacent doubles rounds to b, and of huge
+                # ones overflows; a still parts the samples
+                mid = 0.5 * (a + b)
+                best = int(feats[i]), mid if a <= mid < b else a
         if best is None:
             if classify:
                 payload[slot] = np.bincount(ys, minlength=n_classes) / m

@@ -10,7 +10,10 @@ mutates it.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,8 +23,9 @@ OBJECTIVES = ("runtime", "quality")
 DIRECTIONS = ("minimize", "maximize")
 RUN_STATUSES = ("ok", "timeout", "memout", "crash", "other")
 
-# Severity order used when collapsing repeated runs: keep the worst status.
-_STATUS_RANK = {s: i for i, s in enumerate(RUN_STATUSES)}
+# A status's index in RUN_STATUSES: its int8 code in ``Runs.status`` and its
+# severity rank when repeated runs collapse to the worst status.
+STATUS_CODE = {s: i for i, s in enumerate(RUN_STATUSES)}
 
 PAR10_FACTOR = 10.0
 
@@ -62,12 +66,94 @@ class Split:
     from_bootstrap: bool = False
 
 
+class Runs(Mapping):
+    """The stored run data of a scenario, as ASlib's performance matrix.
+
+    ``values[n,k]`` (float64) and ``status[n,k]`` (int8) are read-only
+    arrays with one row per instance of ``instances`` and one column per
+    algorithm of ``algorithms``. A status is an index into ``RUN_STATUSES``,
+    whose order is the severity rank; -1 marks a pair without a record,
+    whose value is NaN. The table reads as a mapping from
+    ``(instance, algorithm)`` to :class:`RunRecord`, without the missing
+    pairs, in row-major order.
+    """
+
+    __slots__ = ("instances", "algorithms", "values", "status", "row", "col")
+
+    def __init__(self, instances, algorithms, values: np.ndarray, status: np.ndarray):
+        self.instances = tuple(instances)
+        self.algorithms = tuple(algorithms)
+        shape = (len(self.instances), len(self.algorithms))
+        self.values = np.asarray(values, dtype=np.float64).reshape(shape)
+        self.status = np.asarray(status, dtype=np.int8).reshape(shape)
+        self.values.flags.writeable = False
+        self.status.flags.writeable = False
+        self.row = {inst: r for r, inst in enumerate(self.instances)}
+        self.col = {algo: c for c, algo in enumerate(self.algorithms)}
+
+    @classmethod
+    def from_records(cls, records: Mapping, instances, algorithms) -> Runs:
+        """Store a mapping of ``(instance, algorithm)`` to :class:`RunRecord`.
+
+        Raises ValueError for a record the table cannot hold: one for an
+        unknown instance or algorithm, or with an unknown status.
+        """
+        inst_set, algo_set = set(instances), set(algorithms)
+        for inst, algo in records:
+            if inst not in inst_set or algo not in algo_set:
+                raise ValueError(f"run {inst}/{algo} is for an unknown instance or algorithm")
+        cells = [records.get(pair) for pair in itertools.product(instances, algorithms)]
+        try:
+            status = [-1 if rec is None else STATUS_CODE[rec.status] for rec in cells]
+        except KeyError as exc:
+            raise ValueError(f"unknown run status {exc.args[0]!r}") from None
+        values = [math.nan if rec is None else rec.value for rec in cells]
+        return cls(instances, algorithms, values, status)
+
+    def __getitem__(self, pair) -> RunRecord:
+        try:
+            inst, algo = pair
+            r, c = self.row[inst], self.col[algo]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(pair) from None
+        code = int(self.status[r, c])
+        if code < 0:
+            raise KeyError(pair)
+        return RunRecord(value=float(self.values[r, c]), status=RUN_STATUSES[code])
+
+    def __iter__(self):
+        for r, c in zip(*np.nonzero(self.status >= 0)):
+            yield self.instances[r], self.algorithms[c]
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.status >= 0))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Runs):
+            return super().__eq__(other)
+        return (
+            self.instances == other.instances
+            and self.algorithms == other.algorithms
+            and np.array_equal(self.status, other.status)
+            and np.array_equal(self.values, other.values, equal_nan=True)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        n, k = self.values.shape
+        return f"Runs({n} instances x {k} algorithms, {len(self)} records)"
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete, immutable algorithm-selection benchmark scenario.
 
-    ``runs`` is a dense table: exactly one record per (instance, algorithm)
-    pair. ``features`` maps each instance to a vector aligned with
+    ``runs`` is the stored run table (:class:`Runs`), aligned to
+    ``instances`` and ``algorithms``; a valid scenario has a record for
+    every pair. A mapping of ``(instance, algorithm)`` to
+    :class:`RunRecord` is accepted instead and converted once, at
+    construction. ``features`` maps each instance to a vector aligned with
     ``feature_names``; missing values are ``None``, never silently zero.
     """
 
@@ -77,23 +163,36 @@ class Scenario:
     cutoff: float | None
     algorithms: tuple[str, ...]
     instances: tuple[str, ...]
-    runs: dict[tuple[str, str], RunRecord]
+    runs: Runs
     features: dict[str, tuple[float | None, ...]]
     feature_names: tuple[str, ...]
     feature_groups: tuple[FeatureGroup, ...]
     splits: tuple[Split, ...] = ()
 
+    def __post_init__(self):
+        runs = self.runs
+        if not (
+            isinstance(runs, Runs)
+            and runs.instances == tuple(self.instances)
+            and runs.algorithms == tuple(self.algorithms)
+        ):
+            object.__setattr__(
+                self, "runs", Runs.from_records(runs, self.instances, self.algorithms)
+            )
+
     @cached_property
     def table(self) -> RunTable:
-        """The runs as dense instance x algorithm arrays, built on first use."""
+        """The arrays derived from the runs, built on first use."""
         return RunTable.build(self)
 
 
 @dataclass(frozen=True)
 class RunTable:
-    """Dense view of a scenario's runs: one row per instance, in
+    """Arrays derived from a scenario's stored runs (:class:`Runs`) and its
+    objective, direction and cutoff: one row per instance, in
     ``Scenario.instances`` order, and one column per algorithm, in portfolio
-    order (ASlib's performance-matrix layout). The arrays are read-only.
+    order. The arrays are read-only; ``row`` and ``values`` are the stored
+    table's own.
 
     ``solved`` is the one solved predicate: status ``ok`` and, for runtime
     scenarios, a value within the cutoff. ``cost`` is what selection
@@ -111,10 +210,9 @@ class RunTable:
 
     @classmethod
     def build(cls, scenario: Scenario) -> RunTable:
-        shape = (len(scenario.instances), len(scenario.algorithms))
-        records = [scenario.runs[(i, a)] for i in scenario.instances for a in scenario.algorithms]
-        values = np.array([r.value for r in records], dtype=np.float64).reshape(shape)
-        solved = np.array([r.status == "ok" for r in records], dtype=bool).reshape(shape)
+        runs = scenario.runs
+        values = runs.values
+        solved = runs.status == STATUS_CODE["ok"]
         if scenario.objective == "runtime":
             solved &= values <= scenario.cutoff
             cost = np.where(solved, values, PAR10_FACTOR * scenario.cutoff)
@@ -122,10 +220,9 @@ class RunTable:
         else:
             cost = -values if scenario.direction == "maximize" else values
             capped = values
-        for array in (values, solved, cost, capped):
+        for array in (solved, cost, capped):
             array.flags.writeable = False
-        row = {inst: r for r, inst in enumerate(scenario.instances)}
-        return cls(row=row, values=values, solved=solved, cost=cost, capped=capped)
+        return cls(row=runs.row, values=values, solved=solved, cost=cost, capped=capped)
 
 
 @dataclass(frozen=True)
@@ -146,7 +243,7 @@ def collapse_repetitions(records: list[RunRecord]) -> RunRecord:
     if len(records) == 1:
         return records[0]
     value = math.fsum(r.value for r in records) / len(records)
-    status = max((r.status for r in records), key=lambda s: _STATUS_RANK[s])
+    status = max((r.status for r in records), key=lambda s: STATUS_CODE[s])
     return RunRecord(value=value, status=status)
 
 
@@ -176,31 +273,32 @@ def validate(scenario: Scenario) -> list[Violation]:
         err("duplicate_instance", scenario.id, "instance ids are not unique")
 
     inst_set = set(scenario.instances)
-    algo_set = set(scenario.algorithms)
 
-    # Dense run matrix: exactly one record per pair, nothing extra.
-    for inst in scenario.instances:
-        for algo in scenario.algorithms:
-            rec = scenario.runs.get((inst, algo))
-            if rec is None:
-                err("missing_run", f"{inst}/{algo}", "no run record for pair")
-                continue
-            if rec.status not in RUN_STATUSES:
-                err("bad_status", f"{inst}/{algo}", f"status {rec.status!r}")
-            if not math.isfinite(rec.value):
-                err("non_finite_value", f"{inst}/{algo}", f"run value {rec.value}")
-                continue
-            if runtime and rec.value < 0:
-                err("negative_value", f"{inst}/{algo}", f"runtime {rec.value} < 0")
-            if runtime and rec.status == "ok" and scenario.cutoff is not None and rec.value > scenario.cutoff:
-                err(
-                    "value_exceeds_cutoff",
-                    f"{inst}/{algo}",
-                    f"ok run took {rec.value} > cutoff {scenario.cutoff}",
-                )
-    for inst, algo in scenario.runs:
-        if inst not in inst_set or algo not in algo_set:
-            err("unknown_run", f"{inst}/{algo}", "run for unknown instance or algorithm")
+    # Dense run matrix: exactly one record per pair. The stored table holds
+    # no record for an unknown pair or with an unknown status, so only its
+    # cells can break an invariant; details are built for flagged cells only.
+    runs = scenario.runs
+    values, status = runs.values, runs.status
+    missing = status < 0
+    finite = np.isfinite(values)
+    flagged = missing | ~finite
+    if runtime:
+        flagged |= values < 0
+        if scenario.cutoff is not None:
+            flagged |= (status == STATUS_CODE["ok"]) & (values > scenario.cutoff)
+    for r, c in zip(*np.nonzero(flagged)):
+        entity = f"{runs.instances[r]}/{runs.algorithms[c]}"
+        value = float(values[r, c])
+        if missing[r, c]:
+            err("missing_run", entity, "no run record for pair")
+            continue
+        if not finite[r, c]:
+            err("non_finite_value", entity, f"run value {value}")
+            continue
+        if runtime and value < 0:
+            err("negative_value", entity, f"runtime {value} < 0")
+        if runtime and status[r, c] == STATUS_CODE["ok"] and scenario.cutoff is not None and value > scenario.cutoff:
+            err("value_exceeds_cutoff", entity, f"ok run took {value} > cutoff {scenario.cutoff}")
 
     d = len(scenario.feature_names)
     for inst in scenario.instances:
@@ -261,6 +359,11 @@ def validate(scenario: Scenario) -> list[Violation]:
             unknown = [i for i in part if i not in inst_set]
             if unknown:
                 err("unknown_split_instance", sid, f"{name} contains {unknown[:3]!r}")
+            # a bootstrap sample may draw a training instance more than once
+            if name == "test" or not split.from_bootstrap:
+                repeated = [i for i, count in Counter(part).items() if count > 1]
+                if repeated:
+                    err("duplicate_split_instance", sid, f"{name} lists {repeated[:3]!r} more than once")
         if not split.test:
             err("empty_test_set", sid, "test set is empty")
         overlap = set(split.train) & set(split.test)

@@ -22,13 +22,17 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .learners import rng_stream
 from .scenario import (
     DIRECTIONS,
     OBJECTIVES,
     RUN_STATUSES,
+    STATUS_CODE,
     FeatureGroup,
     RunRecord,
+    Runs,
     Scenario,
     Split,
     collapse_repetitions,
@@ -85,8 +89,9 @@ def _parse_float(text: str, file: str, line: int, what: str) -> float:
         raise ParseError(file, line, f"bad {what} {text!r}, expected a number") from None
 
 
-def _read_csv(path: Path, header: list[str] | None = None):
-    """Yield (line_number, row) pairs, checking the header when given."""
+def _read_table(path: Path, header: list[str] | None = None):
+    """Read a CSV file whole: (header, rows, line numbers), blank rows
+    skipped. The header is checked when given."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -95,11 +100,90 @@ def _read_csv(path: Path, header: list[str] | None = None):
             raise ParseError(path.name, 1, "file is empty, header row required") from None
         if header is not None and head != header:
             raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
-        yield 1, head
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            yield lineno, row
+        rows = list(reader)
+    lines = range(2, len(rows) + 2)
+    if not all(rows):
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    return head, rows, lines
+
+
+# The bundle files are read column-wise: each check runs over a whole column
+# and yields the index of the first row it flags, or None. When one flags,
+# the file is read again and its per-row checks run on the first flagged row
+# alone, raising the error with that row's line. A check that needs its rows
+# well formed (a column count, a number) looks only at the rows before the
+# first row already flagged.
+
+
+def _first(flags) -> int | None:
+    """Index of the first true flag, or None."""
+    return next((j for j, flag in enumerate(flags) if flag), None)
+
+
+def _first_ragged(rows, width: int) -> int | None:
+    if set(map(len, rows)) <= {width}:
+        return None
+    return _first(len(row) != width for row in rows)
+
+
+def _first_repeat(tokens) -> int | None:
+    if len(set(tokens)) == len(tokens):
+        return None
+    seen = set()
+    return _first(t in seen or seen.add(t) for t in tokens)
+
+
+def _lookup(index: dict, tokens) -> list:
+    """Map tokens through ``index``, ignoring surrounding whitespace as the
+    row checks do; None where a token is unknown."""
+    out = list(map(index.get, tokens))
+    if None in out:
+        out = [index.get(t.strip()) for t in tokens]
+    return out
+
+
+def _first_none(values) -> int | None:
+    return values.index(None) if None in values else None
+
+
+def _numbers(tokens, convert=float, missing: bool = False):
+    """``convert`` of every token, and the index of the first token that is
+    not a number (None if all are). With ``missing`` the missing mark reads
+    as None."""
+    holes = [j for j, token in enumerate(tokens) if token == MISSING_MARK] if missing else []
+    if holes:
+        tokens = list(tokens)
+        for j in holes:
+            tokens[j] = "0"
+    try:
+        out = list(map(convert, tokens))
+    except ValueError:
+        pass
+    else:
+        for j in holes:
+            out[j] = None
+        return out, None
+    # a mark padded with whitespace, or a token that is not a number
+    out = []
+    for j, token in enumerate(tokens):
+        if (missing and token.strip() == MISSING_MARK) or j in holes:
+            out.append(None)
+            continue
+        try:
+            out.append(convert(token))
+        except ValueError:
+            return out, j
+    return out, None
+
+
+def _raise_first(path: Path, header, flagged, check_row) -> None:
+    """Run the per-row checks ``check_row(rows, lines, j)`` on the first
+    flagged row of the file read again; they raise its ParseError."""
+    _, rows, lines = _read_table(path, header)
+    j = min(f for f in flagged if f is not None)
+    check_row(rows, lines, j)
+    raise RuntimeError(f"{path.name}:{lines[j]}: row flagged but passed the row checks")
 
 
 # ---------------------------------------------------------------------------
@@ -213,73 +297,13 @@ def parse_scenario(path, check: bool = True) -> Scenario:
     scenario_id, objective, direction, cutoff, algorithms, group_specs = _parse_description(
         root / DESCRIPTION_FILE
     )
-
-    # features.csv fixes the instance order; one row per instance.
-    feature_names: tuple[str, ...] = ()
-    instances: list[str] = []
-    features: dict[str, tuple[float | None, ...]] = {}
-    for lineno, row in _read_csv(root / FEATURES_FILE):
-        if lineno == 1:
-            if not row or row[0] != "instance_id":
-                raise ParseError(FEATURES_FILE, 1, "first column must be instance_id")
-            feature_names = tuple(row[1:])
-            continue
-        if len(row) != 1 + len(feature_names):
-            raise ParseError(
-                FEATURES_FILE, lineno, f"expected {1 + len(feature_names)} columns, got {len(row)}"
-            )
-        inst = _check_id(row[0], FEATURES_FILE, lineno, "instance")
-        if inst in features:
-            raise ParseError(FEATURES_FILE, lineno, f"duplicate instance row {inst!r}")
-        vec = tuple(
-            None if tok.strip() == MISSING_MARK else _parse_float(tok, FEATURES_FILE, lineno, "feature")
-            for tok in row[1:]
-        )
-        instances.append(inst)
-        features[inst] = vec
-    inst_set = set(instances)
-    algo_set = set(algorithms)
-
-    reps: dict[tuple[str, str], list[RunRecord]] = {}
-    for lineno, row in _read_csv(root / RUNS_FILE, ["instance_id", "algorithm_id", "value", "status"]):
-        if lineno == 1:
-            continue
-        if len(row) != 4:
-            raise ParseError(RUNS_FILE, lineno, f"expected 4 columns, got {len(row)}")
-        inst, algo, value_text, status = (t.strip() for t in row)
-        if inst not in inst_set:
-            raise ParseError(RUNS_FILE, lineno, f"unknown instance {inst!r}")
-        if algo not in algo_set:
-            raise ParseError(RUNS_FILE, lineno, f"unknown algorithm {algo!r}")
-        if status not in RUN_STATUSES:
-            raise ParseError(RUNS_FILE, lineno, f"unknown status {status!r}")
-        value = _parse_float(value_text, RUNS_FILE, lineno, "value")
-        reps.setdefault((inst, algo), []).append(RunRecord(value=value, status=status))
-    runs = {pair: collapse_repetitions(records) for pair, records in reps.items()}
+    instances, features, feature_names = _parse_features(root / FEATURES_FILE)
+    runs = _parse_runs(root / RUNS_FILE, instances, algorithms)
 
     cost_tables: dict[str, dict[str, float]] = {}
     cost_path = root / COSTS_FILE
     if cost_path.exists():
-        cost_cols: list[str] = []
-        for lineno, row in _read_csv(cost_path):
-            if lineno == 1:
-                if not row or row[0] != "instance_id":
-                    raise ParseError(COSTS_FILE, 1, "first column must be instance_id")
-                cost_cols = row[1:]
-                if len(set(cost_cols)) != len(cost_cols):
-                    raise ParseError(COSTS_FILE, 1, "duplicate cost column")
-                for col in cost_cols:
-                    cost_tables[col] = {}
-                continue
-            if len(row) != 1 + len(cost_cols):
-                raise ParseError(COSTS_FILE, lineno, f"expected {1 + len(cost_cols)} columns")
-            inst = row[0].strip()
-            if inst not in inst_set:
-                raise ParseError(COSTS_FILE, lineno, f"unknown instance {inst!r}")
-            if cost_cols and inst in cost_tables[cost_cols[0]]:
-                raise ParseError(COSTS_FILE, lineno, f"duplicate instance row {inst!r}")
-            for col, tok in zip(cost_cols, row[1:]):
-                cost_tables[col][inst] = _parse_float(tok, COSTS_FILE, lineno, "cost")
+        cost_tables = _parse_costs(cost_path, set(instances))
     elif objective == "runtime":
         raise ParseError(COSTS_FILE, 0, "runtime scenario requires a feature cost table")
 
@@ -290,7 +314,7 @@ def parse_scenario(path, check: bool = True) -> Scenario:
         for name, cost_col, indices in group_specs
     ]
 
-    splits = _parse_splits(root / SPLITS_FILE, inst_set)
+    splits = _parse_splits(root / SPLITS_FILE, set(instances))
 
     scenario = Scenario(
         id=scenario_id,
@@ -298,7 +322,7 @@ def parse_scenario(path, check: bool = True) -> Scenario:
         direction=direction,
         cutoff=cutoff,
         algorithms=algorithms,
-        instances=tuple(instances),
+        instances=instances,
         runs=runs,
         features=features,
         feature_names=feature_names,
@@ -312,37 +336,200 @@ def parse_scenario(path, check: bool = True) -> Scenario:
     return scenario
 
 
-def _parse_splits(path: Path, inst_set: set[str]) -> tuple[Split, ...]:
-    rows: dict[int, dict[str, list[str]]] = {}
-    modes: dict[int, str] = {}
-    for lineno, row in _read_csv(path, ["split_id", "mode", "role", "instance_id"]):
-        if lineno == 1:
-            continue
+def _parse_features(path: Path):
+    """features.csv fixes the instance order; one row per instance."""
+    head, rows, _ = _read_table(path)
+    if not head or head[0] != "instance_id":
+        raise ParseError(FEATURES_FILE, 1, "first column must be instance_id")
+    feature_names = tuple(head[1:])
+    d = len(feature_names)
+
+    def check_row(rows, lines, j):
+        row, line = rows[j], lines[j]
+        if len(row) != 1 + d:
+            raise ParseError(FEATURES_FILE, line, f"expected {1 + d} columns, got {len(row)}")
+        inst = _check_id(row[0], FEATURES_FILE, line, "instance")
+        if inst in {prior[0].strip() for prior in rows[:j]}:
+            raise ParseError(FEATURES_FILE, line, f"duplicate instance row {inst!r}")
+        for tok in row[1:]:
+            if tok.strip() != MISSING_MARK:
+                _parse_float(tok, FEATURES_FILE, line, "feature")
+
+    ragged = _first_ragged(rows, 1 + d)
+    if ragged is not None:
+        rows = rows[:ragged]
+    ids = [row[0].strip() for row in rows]
+    cells = [tok for row in rows for tok in row[1:]]
+    del rows
+    values, bad_value = _numbers(cells, missing=True)
+    flagged = (
+        ragged,
+        _first(not t or not _ID_FORBIDDEN.isdisjoint(t) for t in ids),
+        _first_repeat(ids),
+        None if bad_value is None else bad_value // d,
+    )
+    if any(f is not None for f in flagged):
+        _raise_first(path, None, flagged, check_row)
+    vectors = zip(*[iter(values)] * d) if d else (() for _ in ids)
+    return tuple(ids), dict(zip(ids, vectors)), feature_names
+
+
+_RUNS_HEADER = ["instance_id", "algorithm_id", "value", "status"]
+
+
+def _parse_runs(path: Path, instances, algorithms) -> Runs:
+    """runs.csv into the run table; repeated pairs collapse to one record."""
+    _, rows, _ = _read_table(path, _RUNS_HEADER)
+    row_of = {inst: r for r, inst in enumerate(instances)}
+    col_of = {algo: c for c, algo in enumerate(algorithms)}
+
+    def check_row(rows, lines, j):
+        row, line = rows[j], lines[j]
         if len(row) != 4:
-            raise ParseError(SPLITS_FILE, lineno, f"expected 4 columns, got {len(row)}")
+            raise ParseError(RUNS_FILE, line, f"expected 4 columns, got {len(row)}")
+        inst, algo, value_text, status = (t.strip() for t in row)
+        if inst not in row_of:
+            raise ParseError(RUNS_FILE, line, f"unknown instance {inst!r}")
+        if algo not in col_of:
+            raise ParseError(RUNS_FILE, line, f"unknown algorithm {algo!r}")
+        if status not in STATUS_CODE:
+            raise ParseError(RUNS_FILE, line, f"unknown status {status!r}")
+        _parse_float(value_text, RUNS_FILE, line, "value")
+
+    ragged = _first_ragged(rows, 4)
+    if ragged is not None:
+        rows = rows[:ragged]
+    columns = list(zip(*rows)) or [(), (), (), ()]
+    del rows  # the columns hold the cells now
+    r = _lookup(row_of, columns[0])
+    c = _lookup(col_of, columns[1])
+    s = _lookup(STATUS_CODE, columns[3])
+    v, bad_value = _numbers(columns[2])
+    del columns
+    flagged = (ragged, _first_none(r), _first_none(c), _first_none(s), bad_value)
+    if any(f is not None for f in flagged):
+        _raise_first(path, _RUNS_HEADER, flagged, check_row)
+
+    k = len(algorithms)
+    cell = np.array(r, dtype=np.intp) * k + np.array(c, dtype=np.intp)
+    values = np.full(len(instances) * k, np.nan)
+    status = np.full(len(instances) * k, -1, dtype=np.int8)
+    values[cell] = v
+    status[cell] = s
+    counts = np.bincount(cell, minlength=values.size)
+    if len(cell) > np.count_nonzero(counts):
+        repeats: dict[int, list[RunRecord]] = {}
+        for j in np.flatnonzero(counts[cell] > 1).tolist():
+            repeats.setdefault(int(cell[j]), []).append(RunRecord(v[j], RUN_STATUSES[s[j]]))
+        for i, records in repeats.items():
+            rec = collapse_repetitions(records)
+            values[i] = rec.value
+            status[i] = STATUS_CODE[rec.status]
+    return Runs(instances, algorithms, values, status)
+
+
+def _parse_costs(path: Path, inst_set: set[str]) -> dict[str, dict[str, float]]:
+    """feature_costs.csv: one cost table per column, keyed by instance."""
+    head, rows, _ = _read_table(path)
+    if not head or head[0] != "instance_id":
+        raise ParseError(COSTS_FILE, 1, "first column must be instance_id")
+    cost_cols = head[1:]
+    if len(set(cost_cols)) != len(cost_cols):
+        raise ParseError(COSTS_FILE, 1, "duplicate cost column")
+
+    def check_row(rows, lines, j):
+        row, line = rows[j], lines[j]
+        if len(row) != 1 + len(cost_cols):
+            raise ParseError(COSTS_FILE, line, f"expected {1 + len(cost_cols)} columns")
+        inst = row[0].strip()
+        if inst not in inst_set:
+            raise ParseError(COSTS_FILE, line, f"unknown instance {inst!r}")
+        if cost_cols and inst in {prior[0].strip() for prior in rows[:j]}:
+            raise ParseError(COSTS_FILE, line, f"duplicate instance row {inst!r}")
+        for tok in row[1:]:
+            _parse_float(tok, COSTS_FILE, line, "cost")
+
+    ragged = _first_ragged(rows, 1 + len(cost_cols))
+    if ragged is not None:
+        rows = rows[:ragged]
+    ids = [row[0].strip() for row in rows]
+    flagged = [
+        ragged,
+        None if inst_set.issuperset(ids) else _first(t not in inst_set for t in ids),
+        _first_repeat(ids) if cost_cols else None,
+    ]
+    tables = {col: {} for col in cost_cols}
+    for col, tokens in zip(cost_cols, list(zip(*rows))[1:]):
+        costs, bad_cost = _numbers(tokens)
+        tables[col] = dict(zip(ids, costs))
+        flagged.append(bad_cost)
+    if any(f is not None for f in flagged):
+        _raise_first(path, None, flagged, check_row)
+    return tables
+
+
+_SPLITS_HEADER = ["split_id", "mode", "role", "instance_id"]
+_SPLIT_MODES = ("bootstrap", "holdout", "custom")
+
+
+def _parse_splits(path: Path, inst_set: set[str]) -> tuple[Split, ...]:
+    _, rows, _ = _read_table(path, _SPLITS_HEADER)
+
+    def check_row(rows, lines, j):
+        row, line = rows[j], lines[j]
+        if len(row) != 4:
+            raise ParseError(SPLITS_FILE, line, f"expected 4 columns, got {len(row)}")
         sid_text, mode, role, inst = (t.strip() for t in row)
         try:
             sid = int(sid_text)
         except ValueError:
-            raise ParseError(SPLITS_FILE, lineno, f"bad split id {sid_text!r}") from None
-        if mode not in ("bootstrap", "holdout", "custom"):
-            raise ParseError(SPLITS_FILE, lineno, f"unknown split mode {mode!r}")
+            raise ParseError(SPLITS_FILE, line, f"bad split id {sid_text!r}") from None
+        if mode not in _SPLIT_MODES:
+            raise ParseError(SPLITS_FILE, line, f"unknown split mode {mode!r}")
         if role not in ("train", "test"):
-            raise ParseError(SPLITS_FILE, lineno, f"unknown role {role!r}")
+            raise ParseError(SPLITS_FILE, line, f"unknown role {role!r}")
         if inst not in inst_set:
-            raise ParseError(SPLITS_FILE, lineno, f"unknown instance {inst!r}")
-        if sid in modes and modes[sid] != mode:
-            raise ParseError(SPLITS_FILE, lineno, f"split {sid} mixes modes")
-        modes[sid] = mode
-        rows.setdefault(sid, {"train": [], "test": []})[role].append(inst)
+            raise ParseError(SPLITS_FILE, line, f"unknown instance {inst!r}")
+        first_mode: dict[int, str] = {}
+        for prior in rows[:j]:
+            first_mode.setdefault(int(prior[0]), prior[1].strip())
+        if first_mode.get(sid, mode) != mode:
+            raise ParseError(SPLITS_FILE, line, f"split {sid} mixes modes")
+
+    ragged = _first_ragged(rows, 4)
+    if ragged is not None:
+        rows = rows[:ragged]
+    columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[], [], [], []]
+    del rows
+    sid_texts, modes, roles, insts = columns
+    sids, bad_sid = _numbers(sid_texts, int)
+    flagged = [
+        ragged,
+        bad_sid,
+        _first(m not in _SPLIT_MODES for m in modes),
+        _first(r not in ("train", "test") for r in roles),
+        None if inst_set.issuperset(insts) else _first(i not in inst_set for i in insts),
+    ]
+    mode_of: dict[int, str] = {}
+    for sid, mode in zip(sids, modes):
+        mode_of.setdefault(sid, mode)
+    if any(f is not None for f in flagged) or len(mode_of) != len(set(zip(sids, modes))):
+        # modes are compared only up to the first row flagged otherwise
+        limit = min((f for f in flagged if f is not None), default=len(sids))
+        flagged.append(_first(mode_of[sid] != mode for sid, mode in zip(sids[:limit], modes)))
+        _raise_first(path, _SPLITS_HEADER, flagged, check_row)
+
+    parts = {sid: {"train": [], "test": []} for sid in sorted(mode_of)}
+    for sid, role, inst in zip(sids, roles, insts):
+        parts[sid][role].append(inst)
     return tuple(
         Split(
             split_id=sid,
-            train=tuple(parts["train"]),
-            test=tuple(parts["test"]),
-            from_bootstrap=modes[sid] == "bootstrap",
+            train=tuple(part["train"]),
+            test=tuple(part["test"]),
+            from_bootstrap=mode_of[sid] == "bootstrap",
         )
-        for sid, parts in sorted(rows.items())
+        for sid, part in parts.items()
     )
 
 
@@ -363,10 +550,12 @@ def write_scenario(scenario: Scenario, path) -> None:
     with open(root / RUNS_FILE, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["instance_id", "algorithm_id", "value", "status"])
-        for inst in scenario.instances:
-            for algo in scenario.algorithms:
-                rec = scenario.runs[(inst, algo)]
-                writer.writerow([inst, algo, _fmt(rec.value), rec.status])
+        runs = scenario.runs
+        for inst, values, status in zip(runs.instances, runs.values.tolist(), runs.status.tolist()):
+            writer.writerows(
+                [inst, algo, repr(value), RUN_STATUSES[code]]
+                for algo, value, code in zip(runs.algorithms, values, status)
+            )
 
     with open(root / FEATURES_FILE, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -424,9 +613,8 @@ def parse_predictions(path, scenario: Scenario, require_cover=None):
 
     staged: dict[str, list[tuple[int, object]]] = {}
     lines: dict[str, int] = {}
-    for lineno, row in _read_csv(Path(path), PREDICTIONS_HEADER):
-        if lineno == 1:
-            continue
+    _, rows, row_lines = _read_table(Path(path), PREDICTIONS_HEADER)
+    for lineno, row in zip(row_lines, rows):
         if len(row) != 5:
             raise ParseError(fname, lineno, f"expected 5 columns, got {len(row)}")
         inst, ordinal_text, kind, name, budget_text = (t.strip() for t in row)
@@ -574,15 +762,18 @@ def deobfuscate(scenario: Scenario, name_map) -> Scenario:
 
 
 def rename_scenario(scenario: Scenario, algo_map, inst_map) -> Scenario:
-    """Rebuild a scenario with algorithm/instance ids renamed in place."""
+    """Rebuild a scenario with algorithm/instance ids renamed in place; the
+    run table keeps its arrays under the new labels."""
+    algorithms = tuple(algo_map[a] for a in scenario.algorithms)
+    instances = tuple(inst_map[i] for i in scenario.instances)
     return Scenario(
         id=scenario.id,
         objective=scenario.objective,
         direction=scenario.direction,
         cutoff=scenario.cutoff,
-        algorithms=tuple(algo_map[a] for a in scenario.algorithms),
-        instances=tuple(inst_map[i] for i in scenario.instances),
-        runs={(inst_map[i], algo_map[a]): rec for (i, a), rec in scenario.runs.items()},
+        algorithms=algorithms,
+        instances=instances,
+        runs=Runs(instances, algorithms, scenario.runs.values, scenario.runs.status),
         features={inst_map[i]: vec for i, vec in scenario.features.items()},
         feature_names=scenario.feature_names,
         feature_groups=tuple(

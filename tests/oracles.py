@@ -201,7 +201,10 @@ def _oracle_best_split(X, y, target_sq, feat_order, min_leaf, one_hot):
             cost = gini_left + gini_right
         j = int(np.argmin(cost))
         if best is None or cost[j] < best[0]:
-            thr = 0.5 * (xs[pos[j]] + xs[pos[j] + 1])
+            a, b = float(xs[pos[j]]), float(xs[pos[j] + 1])
+            thr = 0.5 * (a + b)
+            if not a <= thr < b:  # adjacent or huge doubles: keep a, which parts them
+                thr = a
             best = (float(cost[j]), int(f), thr)
     return best
 
@@ -748,6 +751,10 @@ def oracle_validate(scenario: Scenario) -> list[Violation]:
             unknown = [i for i in part if i not in inst_set]
             if unknown:
                 err("unknown_split_instance", sid, f"{name} contains {unknown[:3]!r}")
+            if name == "test" or not split.from_bootstrap:
+                repeated = [i for i in dict.fromkeys(part) if part.count(i) > 1]
+                if repeated:
+                    err("duplicate_split_instance", sid, f"{name} lists {repeated[:3]!r} more than once")
         if not split.test:
             err("empty_test_set", sid, "test set is empty")
         overlap = set(split.train) & set(split.test)

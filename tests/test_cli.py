@@ -50,6 +50,15 @@ class TestValidate:
         assert "value_exceeds_cutoff" in capsys.readouterr().out
 
 
+    def test_repeated_split_instance_exits_two(self, tutorial_bundle, capsys):
+        # a test instance listed twice would be scored twice
+        splits = tutorial_bundle / "splits.csv"
+        lines = splits.read_text().splitlines()
+        test_row = next(line for line in lines if ",test," in line)
+        splits.write_text("\n".join(lines + [test_row]) + "\n")
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 2
+        assert "duplicate_split_instance (split 0)" in capsys.readouterr().out
+
     def test_non_finite_run_value_exits_two(self, tutorial_bundle, capsys):
         runs = tutorial_bundle / "runs.csv"
         runs.write_text(runs.read_text().replace("i1,A1,300.0,ok", "i1,A1,nan,ok"))

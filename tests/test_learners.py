@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -114,6 +120,45 @@ def test_grow_tree_matches_the_reference(case, min_leaf, seed):
     got = grow_tree(X, y, rng_stream(seed, 1), min_leaf, per_split, n_classes)
     want = oracle_grow_tree(X, y, rng_stream(seed, 1), min_leaf, per_split, n_classes)
     assert_same_tree(got, want)
+
+
+_PARTING_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import numpy as np
+    from asbench.learners import grow_tree, rng_stream
+    from oracles import oracle_grow_tree
+
+    b = 1 + 2**-51
+    pairs = [(float(np.nextafter(b, 0)), b), (1.7e308, 1.79e308), (-1.79e308, -1.7e308)]
+    out = []
+    for a, b in pairs:
+        X = np.array([[a], [b]])
+        for grow in (grow_tree, oracle_grow_tree):
+            for n_classes, y in ((None, np.array([0.0, 1.0])), (2, np.array([0, 1]))):
+                tree = grow(X, y, rng_stream(0, 1), n_classes=n_classes)
+                leaves = tree.value[1:] if n_classes is None else tree.dist[1:].argmax(axis=1)
+                out.append([a, b, tree.feature.tolist(), float(tree.threshold[0]), leaves.tolist()])
+    print(json.dumps(out))
+    """
+)
+
+
+def test_grow_tree_parts_adjacent_and_huge_doubles():
+    # 0.5 * (a + b) rounds to b for adjacent doubles and overflows for huge
+    # ones, so every sample went left and growth never ended; the threshold
+    # falls back to a. A hang fails this test through the timeout.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", _PARTING_SCRIPT], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+    trees = json.loads(done.stdout)
+    assert len(trees) == 12
+    for a, b, feature, threshold, leaves in trees:
+        assert feature == [0, -1, -1]  # one split, two leaves
+        assert threshold == a
+        assert leaves == [0, 1]  # {a} left, {b} right
 
 
 @pytest.mark.parametrize("n_classes", [None, 3])

@@ -8,6 +8,7 @@ reaches one step past the cutoff: an ok run over the cutoff is unsolved.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,7 @@ from asbench import (
     vbs_cost,
 )
 from asbench.evaluation import SolverStep
-from asbench.scenario import best_ok_time, effective_cost
+from asbench.scenario import RunRecord, Runs, best_ok_time, effective_cost
 
 from gen import build_scenario
 from oracles import oracle_presolver, oracle_sbs, oracle_simulate, oracle_vbs_cost
@@ -178,3 +179,37 @@ def test_table_is_cached_read_only_and_in_scenario_order(tutorial):
     assert table.solved[table.row["i2"]].tolist() == [False, True, False]
     assert best_ok_time(tutorial, "i2") == 80.0
     assert type(best_ok_time(tutorial, "i2")) is float
+
+
+def test_runs_are_the_stored_table_and_read_as_a_mapping(tutorial):
+    runs = tutorial.runs
+    assert runs.values.shape == runs.status.shape == (5, 3)
+    for array in (runs.values, runs.status):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+    records = dict(runs.items())
+    assert list(records) == [(i, a) for i in tutorial.instances for a in tutorial.algorithms]
+    assert len(runs) == 15 and ("i2", "A2") in runs and ("i2", "A9") not in runs and "i2" not in runs
+    assert runs[("i2", "A3")] == RunRecord(900.0, "memout")
+    assert runs == records and Runs.from_records(records, tutorial.instances, tutorial.algorithms) == runs
+    # a pair without a record reads as missing
+    del records[("i3", "A2")]
+    holed = replace(tutorial, runs=records)
+    assert holed.runs.status[2, 1] == -1 and math.isnan(holed.runs.values[2, 1])
+    assert ("i3", "A2") not in holed.runs and holed.runs.get(("i3", "A2")) is None
+    assert len(holed.runs) == 14 and holed.runs == records
+
+
+def test_records_the_table_cannot_hold_are_refused(tutorial):
+    for pair, rec in ((("i9", "A1"), RunRecord(1.0)), (("i1", "A9"), RunRecord(1.0)), (("i1", "A1"), RunRecord(1.0, "lost"))):
+        with pytest.raises(ValueError):
+            replace(tutorial, runs={**tutorial.runs, pair: rec})
+
+
+def test_table_follows_the_cutoff_of_a_replaced_scenario(tutorial):
+    assert tutorial.table.solved[tutorial.table.row["i3"]].tolist() == [True, True, False]
+    tighter = replace(tutorial, cutoff=2000.0)
+    assert tighter.runs is tutorial.runs
+    # i3: A1 took 2,500 s, over the new cutoff
+    assert tighter.table.solved[tighter.table.row["i3"]].tolist() == [False, True, False]
+    assert tighter.table.cost[tighter.table.row["i3"], 0] == 20000.0
