@@ -151,13 +151,14 @@ def _numbers(tokens, convert=float, missing: bool = False):
     """``convert`` of every token, and the index of the first token that is
     not a number (None if all are). With ``missing`` the missing mark reads
     as None."""
+    filled = tokens
     holes = [j for j, token in enumerate(tokens) if token == MISSING_MARK] if missing else []
     if holes:
-        tokens = list(tokens)
+        filled = list(tokens)
         for j in holes:
-            tokens[j] = "0"
+            filled[j] = "0"
     try:
-        out = list(map(convert, tokens))
+        out = list(map(convert, filled))
     except ValueError:
         pass
     else:
@@ -167,7 +168,7 @@ def _numbers(tokens, convert=float, missing: bool = False):
     # a mark padded with whitespace, or a token that is not a number
     out = []
     for j, token in enumerate(tokens):
-        if (missing and token.strip() == MISSING_MARK) or j in holes:
+        if missing and token.strip() == MISSING_MARK:
             out.append(None)
             continue
         try:
