@@ -97,9 +97,10 @@ def simulate(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
 
     def record(algorithm):
         c = runs.col[algorithm]
-        if runs.status[r, c] < 0:
+        status = int(runs.status[r, c])
+        if status < 0:
             raise KeyError((instance, algorithm))
-        return float(runs.values[r, c]), int(runs.status[r, c])
+        return float(runs.values[r, c]), status
 
     if scenario.objective == "quality":
         value, status = record(schedule[0].algorithm)
