@@ -8,14 +8,14 @@ padded tokens, blank lines and malformed rows.
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asbench import ParseError, Split, ViolationsError, parse_scenario, validate, write_scenario
+from asbench import ParseError, RunRecord, Split, ViolationsError, parse_scenario, validate, write_scenario
 from asbench.scenario import RUN_STATUSES
 
 from gen import random_scenario, tutorial_scenario
@@ -59,7 +59,7 @@ def bundles(draw):
     if d:
         cut = draw(st.integers(1, d))
         groups = [("g0", list(range(cut)))] + ([("g1", list(range(cut, d)))] if cut < d else [])
-    desc = [f"scenario_id: s", f"objective: {objective}", f"direction: {direction}"]
+    desc = ["scenario_id: s", f"objective: {objective}", f"direction: {direction}"]
     if objective == "runtime":
         desc.append(f"cutoff: {CUTOFF!r}")
     desc.append("algorithms: " + ",".join(algorithms))
@@ -229,16 +229,41 @@ def test_malformed_bundles_fail_like_the_row_parser(files):
     _assert_same_parse(files)
 
 
-@pytest.mark.parametrize(
-    "name, bad",
-    [(name, bad) for name, rows in CORRUPTIONS.items() for bad in rows if bad not in ("DUP",) and "MIXED" not in bad],
-)
+# One malformed row per check, fitted to the tutorial bundle.
+TUTORIAL_BAD_ROWS = [
+    ("runs.csv", "i1,A1,1.0"),
+    ("runs.csv", "i1,A1,1.0,ok,extra"),
+    ("runs.csv", "zz,A1,1.0,ok"),
+    ("runs.csv", "i1,zz,1.0,ok"),
+    ("runs.csv", "i1,A1,1.0,finished"),
+    ("runs.csv", "i1,A1,fast,ok"),
+    ("runs.csv", "i1,A1,?,ok"),
+    ("runs.csv", "zz,zz,fast,done"),
+    ("features.csv", "i2"),
+    ("features.csv", "i2,1.0,2.0,3.0,4.0"),
+    ("features.csv", " ,1.0,2.0,3.0"),
+    ("features.csv", "i;2,1.0,2.0,3.0"),
+    ("features.csv", "i2,abc,1.0,2.0"),
+    ("features.csv", "zz,?,x,1"),
+    ("feature_costs.csv", "zz,1.0,1.0"),
+    ("feature_costs.csv", "i2,cheap,1.0"),
+    ("feature_costs.csv", "i2,1.0,cheap"),
+    ("feature_costs.csv", "i2,1.0"),
+    ("splits.csv", "x,custom,train,i1"),
+    ("splits.csv", "1.5,custom,train,i1"),
+    ("splits.csv", "0,crossval,train,i1"),
+    ("splits.csv", "0,custom,valid,i1"),
+    ("splits.csv", "0,custom,train,zz"),
+    ("splits.csv", "0,custom,train"),
+]
+
+
+@pytest.mark.parametrize("name, bad", TUTORIAL_BAD_ROWS)
 def test_each_malformed_row_names_its_line(tmp_path, name, bad):
     write_scenario(tutorial_scenario(), tmp_path / "s")
     path = tmp_path / "s" / name
     lines = path.read_text().splitlines()
-    # blank lines before the bad row still count
-    lines[2:3] = ["", "", bad.replace("a0", "A1").replace("i0", "i1").replace("i1,abc", "i2,abc")]
+    lines[2:3] = ["", "", bad]  # blank lines before the bad row still count
     path.write_text("\n".join(lines) + "\n")
     got = _outcome(parse_scenario, tmp_path / "s", True)
     assert got == _outcome(oracle_parse_scenario, tmp_path / "s", True)
@@ -284,8 +309,6 @@ def _broken(tutorial, cells):
             del runs[pair]
         else:
             runs[pair] = rec
-    from dataclasses import replace
-
     return replace(tutorial, runs=runs)
 
 
@@ -299,10 +322,6 @@ def _broken(tutorial, cells):
     cutoff=st.sampled_from([5000.0, 0.0, -1.0, math.nan, math.inf, None]),
 )
 def test_validate_matches_the_record_walk(cells, cutoff):
-    from dataclasses import replace
-
-    from asbench import RunRecord
-
     tutorial = tutorial_scenario()
     scen = _broken(tutorial, {p: None if c is None else RunRecord(*c) for p, c in cells.items()})
     scen = replace(scen, cutoff=cutoff)
@@ -316,8 +335,6 @@ def test_validate_reports_the_same_list_on_a_wide_bundle():
 
 class TestDuplicateSplitInstance:
     def test_repeated_test_instance_is_an_error(self, tutorial):
-        from dataclasses import replace
-
         for bootstrap in (False, True):
             split = Split(split_id=0, train=("i1", "i2"), test=("i4", "i4", "i5"), from_bootstrap=bootstrap)
             found = [v for v in validate(replace(tutorial, splits=(split,))) if v.code == "duplicate_split_instance"]
@@ -325,8 +342,6 @@ class TestDuplicateSplitInstance:
             assert "'i4'" in found[0].detail
 
     def test_repeated_train_instance_only_in_bootstrap_splits(self, tutorial):
-        from dataclasses import replace
-
         for bootstrap, expected in ((False, 1), (True, 0)):
             split = Split(split_id=0, train=("i1", "i1", "i2"), test=("i4",), from_bootstrap=bootstrap)
             found = [v for v in validate(replace(tutorial, splits=(split,))) if v.code == "duplicate_split_instance"]
