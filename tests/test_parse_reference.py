@@ -328,11 +328,6 @@ def test_validate_matches_the_record_walk(cells, cutoff):
     assert _violations(validate(scen)) == _violations(oracle_validate(scen))
 
 
-def test_validate_reports_the_same_list_on_a_wide_bundle():
-    scen = random_scenario(5, n_insts=40, n_algos=5)
-    assert _violations(validate(scen)) == _violations(oracle_validate(scen)) == []
-
-
 class TestDuplicateSplitInstance:
     def test_repeated_test_instance_is_an_error(self, tutorial):
         for bootstrap in (False, True):
