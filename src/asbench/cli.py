@@ -18,6 +18,7 @@ resolved configuration to stderr, and writes outputs atomically. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -145,7 +146,7 @@ def cmd_train(args) -> int:
     split = _pick_split(splits, args.split_id)
     hp = Hyperparameters.from_pairs(args.hp or [])
     if args.seed is not None and "seed" not in _hp_keys(args.hp):
-        hp = Hyperparameters(**{**_hp_dict(hp), "seed": args.seed})
+        hp = replace(hp, seed=args.seed)
     if args.anonymize_test:
         scen = _anonymize_test(scen, split.test)
     groups = args.feature_groups.split(",") if args.feature_groups else None
@@ -155,10 +156,6 @@ def cmd_train(args) -> int:
     _atomic_write(Path(args.out), lambda tmp: save_model(model, tmp))
     print(f"trained {args.selector} on {len(split.train)} instances in {elapsed:.2f}s -> {args.out}")
     return EXIT_OK
-
-
-def _hp_dict(hp: Hyperparameters) -> dict:
-    return {name: getattr(hp, name) for name in Hyperparameters.__dataclass_fields__}
 
 
 def _hp_keys(pairs) -> set:
@@ -280,11 +277,9 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
 
 
 def _write_comparison_csv(doc: dict, prefix: Path) -> None:
-    import csv as _csv
-
     def write_scores(tmp):
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["scenario", *doc["systems"]])
             for scen, row in zip(doc["scenarios"], doc["scores"]):
                 writer.writerow([scen, *(repr(v) for v in row)])
@@ -296,7 +291,7 @@ def _write_comparison_csv(doc: dict, prefix: Path) -> None:
     def write_ranks(tmp):
         ranked = [s for s in doc["systems"] if s not in doc["ooc"]]
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["scenario", *ranked])
             for scen, row in zip(doc["scenarios"], doc["per_scenario_ranks"]):
                 writer.writerow([scen, *(repr(v) for v in row)])
@@ -336,7 +331,7 @@ def cmd_seed_study(args) -> int:
     hp0 = Hyperparameters.from_pairs(args.hp or [])
     samples = []
     for offset in range(args.n_seeds):
-        hp = Hyperparameters(**{**_hp_dict(hp0), "seed": args.seed + offset})
+        hp = replace(hp0, seed=args.seed + offset)
         model = fit_system(scen, split.train, args.selector, hp, mode=args.mode)
         schedules = predict_batch(model, scen, split.test)
         report = score_system(scen, split, schedules, system=args.selector)
@@ -350,19 +345,15 @@ def cmd_seed_study(args) -> int:
     prefix = Path(args.out)
 
     def write_samples(tmp):
-        import csv as _csv
-
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["seed", "gap"])
             for offset, gap in enumerate(samples):
                 writer.writerow([args.seed + offset, repr(gap)])
 
     def write_ecdf(tmp):
-        import csv as _csv
-
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["gap", "cumulative_fraction"])
             for x, f in points:
                 writer.writerow([repr(x), repr(f)])
@@ -405,6 +396,13 @@ def _add_common(p: argparse.ArgumentParser, scenario=True, split=False, hp=False
         help="competition rule set",
     )
     p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -456,7 +454,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seed-study", help="refit across seeds and report the score's ECDF")
     _add_common(p, split=True, hp=True)
     p.add_argument("--selector", required=True, choices=selectors.SELECTOR_KINDS)
-    p.add_argument("--n-seeds", type=int, required=True)
+    p.add_argument("--n-seeds", type=_positive_int, required=True)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_seed_study)
 

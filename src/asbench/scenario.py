@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -239,10 +240,23 @@ class Violation:
 
 
 def collapse_repetitions(records: list[RunRecord]) -> RunRecord:
-    """Merge repeated runs of one pair: mean value, worst observed status."""
+    """Merge repeated runs of one pair: mean value, worst observed status.
+
+    The mean is ``math.fsum``'s. Where fsum's partial sums overflow it is
+    taken exactly, since a mean of finite doubles is finite; ``inf`` with
+    ``-inf`` has no mean and gives NaN, which ``validate`` flags.
+    """
     if len(records) == 1:
         return records[0]
-    value = math.fsum(r.value for r in records) / len(records)
+    values = [r.value for r in records]
+    try:
+        value = math.fsum(values) / len(values)
+    except ValueError:  # inf with -inf
+        value = math.nan
+    except OverflowError:  # the finite values sum past the largest double
+        finite = [v for v in values if math.isfinite(v)]
+        special = sum(v for v in values if not math.isfinite(v))  # 0, inf, -inf or NaN
+        value = float(sum(map(Fraction, finite)) / len(values)) + special
     status = max((r.status for r in records), key=lambda s: STATUS_CODE[s])
     return RunRecord(value=value, status=status)
 

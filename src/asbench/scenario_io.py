@@ -108,30 +108,10 @@ def _read_table(path: Path, header: list[str] | None = None):
     return head, rows, lines
 
 
-# The bundle files are read column-wise: each check runs over a whole column
-# and yields the index of the first row it flags, or None. When one flags,
-# the file is read again and its per-row checks run on the first flagged row
-# alone, raising the error with that row's line. A check that needs its rows
-# well formed (a column count, a number) looks only at the rows before the
-# first row already flagged.
-
-
-def _first(flags) -> int | None:
-    """Index of the first true flag, or None."""
-    return next((j for j, flag in enumerate(flags) if flag), None)
-
-
-def _first_ragged(rows, width: int) -> int | None:
-    if set(map(len, rows)) <= {width}:
-        return None
-    return _first(len(row) != width for row in rows)
-
-
-def _first_repeat(tokens) -> int | None:
-    if len(set(tokens)) == len(tokens):
-        return None
-    seen = set()
-    return _first(t in seen or seen.add(t) for t in tokens)
+# The bundle files are read column-wise, and each check asks whether a whole
+# column is clean. When one is not, the file is read again and walked from
+# its first row through the per-row checks, which raise the first bad row's
+# error with its line.
 
 
 def _lookup(index: dict, tokens) -> list:
@@ -143,14 +123,9 @@ def _lookup(index: dict, tokens) -> list:
     return out
 
 
-def _first_none(values) -> int | None:
-    return values.index(None) if None in values else None
-
-
 def _numbers(tokens, convert=float, missing: bool = False):
-    """``convert`` of every token, and the index of the first token that is
-    not a number (None if all are). With ``missing`` the missing mark reads
-    as None."""
+    """``convert`` of every token, or None if a token is not a number. With
+    ``missing`` the missing mark reads as None."""
     filled = tokens
     holes = [j for j, token in enumerate(tokens) if token == MISSING_MARK] if missing else []
     if holes:
@@ -160,31 +135,23 @@ def _numbers(tokens, convert=float, missing: bool = False):
     try:
         out = list(map(convert, filled))
     except ValueError:
-        pass
-    else:
-        for j in holes:
-            out[j] = None
-        return out, None
-    # a mark padded with whitespace, or a token that is not a number
-    out = []
-    for j, token in enumerate(tokens):
-        if missing and token.strip() == MISSING_MARK:
-            out.append(None)
-            continue
+        # a mark padded with whitespace, or a token that is not a number
         try:
-            out.append(convert(token))
+            return [None if missing and t.strip() == MISSING_MARK else convert(t) for t in tokens]
         except ValueError:
-            return out, j
-    return out, None
+            return None
+    for j in holes:
+        out[j] = None
+    return out
 
 
-def _raise_first(path: Path, header, flagged, check_row) -> None:
-    """Run the per-row checks ``check_row(rows, lines, j)`` on the first
-    flagged row of the file read again; they raise its ParseError."""
+def _raise_bad_row(path: Path, header, check_row) -> None:
+    """Walk the file, read again, through ``check_row(row, line)``, which
+    raises the ParseError of the first bad row."""
     _, rows, lines = _read_table(path, header)
-    j = min(f for f in flagged if f is not None)
-    check_row(rows, lines, j)
-    raise RuntimeError(f"{path.name}:{lines[j]}: row flagged but passed the row checks")
+    for row, line in zip(rows, lines):
+        check_row(row, line)
+    raise RuntimeError(f"{path.name}: a column check failed but every row passed")
 
 
 # ---------------------------------------------------------------------------
@@ -344,33 +311,32 @@ def _parse_features(path: Path):
         raise ParseError(FEATURES_FILE, 1, "first column must be instance_id")
     feature_names = tuple(head[1:])
     d = len(feature_names)
+    seen = set()
 
-    def check_row(rows, lines, j):
-        row, line = rows[j], lines[j]
+    def check_row(row, line):
         if len(row) != 1 + d:
             raise ParseError(FEATURES_FILE, line, f"expected {1 + d} columns, got {len(row)}")
         inst = _check_id(row[0], FEATURES_FILE, line, "instance")
-        if inst in {prior[0].strip() for prior in rows[:j]}:
+        if inst in seen:
             raise ParseError(FEATURES_FILE, line, f"duplicate instance row {inst!r}")
+        seen.add(inst)
         for tok in row[1:]:
             if tok.strip() != MISSING_MARK:
                 _parse_float(tok, FEATURES_FILE, line, "feature")
 
-    ragged = _first_ragged(rows, 1 + d)
-    if ragged is not None:
-        rows = rows[:ragged]
     ids = [row[0].strip() for row in rows]
-    cells = [tok for row in rows for tok in row[1:]]
-    del rows
-    values, bad_value = _numbers(cells, missing=True)
-    flagged = (
-        ragged,
-        _first(not t or not _ID_FORBIDDEN.isdisjoint(t) for t in ids),
-        _first_repeat(ids),
-        None if bad_value is None else bad_value // d,
+    clean = (
+        set(map(len, rows)) <= {1 + d}
+        and all(t and _ID_FORBIDDEN.isdisjoint(t) for t in ids)
+        and len(set(ids)) == len(ids)
     )
-    if any(f is not None for f in flagged):
-        _raise_first(path, None, flagged, check_row)
+    if clean:
+        cells = [tok for row in rows for tok in row[1:]]
+        del rows
+        values = _numbers(cells, missing=True)
+        clean = values is not None
+    if not clean:
+        _raise_bad_row(path, None, check_row)
     vectors = zip(*[iter(values)] * d) if d else (() for _ in ids)
     return tuple(ids), dict(zip(ids, vectors)), feature_names
 
@@ -384,8 +350,7 @@ def _parse_runs(path: Path, instances, algorithms) -> Runs:
     row_of = {inst: r for r, inst in enumerate(instances)}
     col_of = {algo: c for c, algo in enumerate(algorithms)}
 
-    def check_row(rows, lines, j):
-        row, line = rows[j], lines[j]
+    def check_row(row, line):
         if len(row) != 4:
             raise ParseError(RUNS_FILE, line, f"expected 4 columns, got {len(row)}")
         inst, algo, value_text, status = (t.strip() for t in row)
@@ -397,19 +362,18 @@ def _parse_runs(path: Path, instances, algorithms) -> Runs:
             raise ParseError(RUNS_FILE, line, f"unknown status {status!r}")
         _parse_float(value_text, RUNS_FILE, line, "value")
 
-    ragged = _first_ragged(rows, 4)
-    if ragged is not None:
-        rows = rows[:ragged]
-    columns = list(zip(*rows)) or [(), (), (), ()]
-    del rows  # the columns hold the cells now
-    r = _lookup(row_of, columns[0])
-    c = _lookup(col_of, columns[1])
-    s = _lookup(STATUS_CODE, columns[3])
-    v, bad_value = _numbers(columns[2])
-    del columns
-    flagged = (ragged, _first_none(r), _first_none(c), _first_none(s), bad_value)
-    if any(f is not None for f in flagged):
-        _raise_first(path, _RUNS_HEADER, flagged, check_row)
+    clean = set(map(len, rows)) <= {4}
+    if clean:
+        columns = list(zip(*rows)) or [(), (), (), ()]
+        del rows  # the columns hold the cells now
+        r = _lookup(row_of, columns[0])
+        c = _lookup(col_of, columns[1])
+        s = _lookup(STATUS_CODE, columns[3])
+        v = _numbers(columns[2])
+        del columns
+        clean = v is not None and None not in r and None not in c and None not in s
+    if not clean:
+        _raise_bad_row(path, _RUNS_HEADER, check_row)
 
     k = len(algorithms)
     cell = np.array(r, dtype=np.intp) * k + np.array(c, dtype=np.intp)
@@ -438,35 +402,30 @@ def _parse_costs(path: Path, inst_set: set[str]) -> dict[str, dict[str, float]]:
     if len(set(cost_cols)) != len(cost_cols):
         raise ParseError(COSTS_FILE, 1, "duplicate cost column")
 
-    def check_row(rows, lines, j):
-        row, line = rows[j], lines[j]
+    seen = set()
+
+    def check_row(row, line):
         if len(row) != 1 + len(cost_cols):
             raise ParseError(COSTS_FILE, line, f"expected {1 + len(cost_cols)} columns")
         inst = row[0].strip()
         if inst not in inst_set:
             raise ParseError(COSTS_FILE, line, f"unknown instance {inst!r}")
-        if cost_cols and inst in {prior[0].strip() for prior in rows[:j]}:
+        if cost_cols and inst in seen:
             raise ParseError(COSTS_FILE, line, f"duplicate instance row {inst!r}")
+        seen.add(inst)
         for tok in row[1:]:
             _parse_float(tok, COSTS_FILE, line, "cost")
 
-    ragged = _first_ragged(rows, 1 + len(cost_cols))
-    if ragged is not None:
-        rows = rows[:ragged]
     ids = [row[0].strip() for row in rows]
-    flagged = [
-        ragged,
-        None if inst_set.issuperset(ids) else _first(t not in inst_set for t in ids),
-        _first_repeat(ids) if cost_cols else None,
-    ]
-    tables = {col: {} for col in cost_cols}
-    for col, tokens in zip(cost_cols, list(zip(*rows))[1:]):
-        costs, bad_cost = _numbers(tokens)
-        tables[col] = dict(zip(ids, costs))
-        flagged.append(bad_cost)
-    if any(f is not None for f in flagged):
-        _raise_first(path, None, flagged, check_row)
-    return tables
+    clean = (
+        set(map(len, rows)) <= {len(head)}
+        and inst_set.issuperset(ids)
+        and (not cost_cols or len(set(ids)) == len(ids))
+    )
+    costs = [_numbers([row[j] for row in rows]) for j in range(1, len(head))] if clean else []
+    if not clean or None in costs:
+        _raise_bad_row(path, None, check_row)
+    return {col: dict(zip(ids, column)) for col, column in zip(cost_cols, costs)}
 
 
 _SPLITS_HEADER = ["split_id", "mode", "role", "instance_id"]
@@ -475,9 +434,9 @@ _SPLIT_MODES = ("bootstrap", "holdout", "custom")
 
 def _parse_splits(path: Path, inst_set: set[str]) -> tuple[Split, ...]:
     _, rows, _ = _read_table(path, _SPLITS_HEADER)
+    first_mode: dict[int, str] = {}
 
-    def check_row(rows, lines, j):
-        row, line = rows[j], lines[j]
+    def check_row(row, line):
         if len(row) != 4:
             raise ParseError(SPLITS_FILE, line, f"expected 4 columns, got {len(row)}")
         sid_text, mode, role, inst = (t.strip() for t in row)
@@ -491,35 +450,26 @@ def _parse_splits(path: Path, inst_set: set[str]) -> tuple[Split, ...]:
             raise ParseError(SPLITS_FILE, line, f"unknown role {role!r}")
         if inst not in inst_set:
             raise ParseError(SPLITS_FILE, line, f"unknown instance {inst!r}")
-        first_mode: dict[int, str] = {}
-        for prior in rows[:j]:
-            first_mode.setdefault(int(prior[0]), prior[1].strip())
-        if first_mode.get(sid, mode) != mode:
+        if first_mode.setdefault(sid, mode) != mode:
             raise ParseError(SPLITS_FILE, line, f"split {sid} mixes modes")
 
-    ragged = _first_ragged(rows, 4)
-    if ragged is not None:
-        rows = rows[:ragged]
-    columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[], [], [], []]
-    del rows
-    sid_texts, modes, roles, insts = columns
-    sids, bad_sid = _numbers(sid_texts, int)
-    flagged = [
-        ragged,
-        bad_sid,
-        _first(m not in _SPLIT_MODES for m in modes),
-        _first(r not in ("train", "test") for r in roles),
-        None if inst_set.issuperset(insts) else _first(i not in inst_set for i in insts),
-    ]
-    mode_of: dict[int, str] = {}
-    for sid, mode in zip(sids, modes):
-        mode_of.setdefault(sid, mode)
-    if any(f is not None for f in flagged) or len(mode_of) != len(set(zip(sids, modes))):
-        # modes are compared only up to the first row flagged otherwise
-        limit = min((f for f in flagged if f is not None), default=len(sids))
-        flagged.append(_first(mode_of[sid] != mode for sid, mode in zip(sids[:limit], modes)))
-        _raise_first(path, _SPLITS_HEADER, flagged, check_row)
+    clean = set(map(len, rows)) <= {4}
+    if clean:
+        columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[], [], [], []]
+        del rows
+        sid_texts, modes, roles, insts = columns
+        sids = _numbers(sid_texts, int)
+        clean = (
+            sids is not None
+            and set(modes) <= set(_SPLIT_MODES)
+            and set(roles) <= {"train", "test"}
+            and inst_set.issuperset(insts)
+            and len(set(sids)) == len(set(zip(sids, modes)))  # no split mixes modes
+        )
+    if not clean:
+        _raise_bad_row(path, _SPLITS_HEADER, check_row)
 
+    mode_of = dict(zip(sids, modes))
     parts = {sid: {"train": [], "test": []} for sid in sorted(mode_of)}
     for sid, role, inst in zip(sids, roles, insts):
         parts[sid][role].append(inst)

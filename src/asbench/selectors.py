@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -605,9 +605,7 @@ def save_model(model: SelectorModel, path) -> None:
             "stds": list(model.pre.stds),
             "kept": [int(k) for k in model.pre.kept],
         },
-        "hyperparameters": {
-            name: getattr(model.hp, name) for name in Hyperparameters.__dataclass_fields__
-        },
+        "hyperparameters": asdict(model.hp),
         "payload": _payload_to_dict(model.kind, model.payload),
     }
     with open(path, "w", encoding="utf-8") as fh:

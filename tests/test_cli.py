@@ -68,6 +68,17 @@ class TestValidate:
         assert run_cli("baselines", "--scenario", tutorial_bundle) == 2
         assert "non_finite_value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, code", [(("inf", "-inf"), "non_finite_value"), (("1e308", "1e308"), "value_exceeds_cutoff")]
+    )
+    def test_repeats_past_fsum_exit_two(self, tutorial_bundle, capsys, values, code):
+        # math.fsum fails on both pairs; the collapsed run is validated like any other
+        runs = tutorial_bundle / "runs.csv"
+        repeats = "\n".join(f"i1,A1,{v},ok" for v in values)
+        runs.write_text(runs.read_text().replace("i1,A1,300.0,ok", repeats))
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 2
+        assert f"{code} (i1/A1)" in capsys.readouterr().out
+
     def test_non_finite_feature_value_exits_two(self, learnable_bundle, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert run_cli("train", "--scenario", learnable_bundle, "--selector", "regression",
@@ -376,6 +387,17 @@ class TestSeedStudy:
         fractions = [float(r.split(",")[1]) for r in ecdf_rows]
         assert fractions == sorted(fractions)
         assert fractions[-1] == 1.0
+
+    @pytest.mark.parametrize("n_seeds", ["0", "-3"])
+    def test_seed_count_below_one_exits_two(self, learnable_bundle, tmp_path, capsys, n_seeds):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "seed-study", "--scenario", learnable_bundle, "--selector", "cluster",
+                "--n-seeds", n_seeds, "--out", tmp_path / "study",
+            )
+        assert exc.value.code == 2
+        assert "--n-seeds" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 def test_console_script_is_installed():

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -116,6 +117,18 @@ def test_collapse_repetitions_mean_and_worst_status():
     )
     assert rec.value == pytest.approx(20.0)
     assert rec.status == "crash"
+    # fsum overflows on these: the mean is taken exactly, or is NaN for inf with -inf
+    big, inf = 1.7976931348623157e308, math.inf
+    for values, mean in (
+        ([1e308, 1e308], 1e308),
+        ([big, big, big], big),
+        ([-big, -big, 5.0], float((-2 * Fraction(big) + 5) / 3)),
+        ([big, big, inf], inf),
+        ([big, big, -inf], -inf),
+    ):
+        assert collapse_repetitions([RunRecord(v, "ok") for v in values]).value == mean
+    for values in ([inf, -inf], [-inf, 1.0, inf], [big, big, inf, -inf]):
+        assert math.isnan(collapse_repetitions([RunRecord(v, "ok") for v in values]).value)
 
 
 def test_effective_cost_penalizes_any_non_ok_status():
