@@ -145,7 +145,7 @@ def cmd_train(args) -> int:
     splits = _resolve_splits(scen, args.splits, args.seed)
     split = _pick_split(splits, args.split_id)
     hp = Hyperparameters.from_pairs(args.hp or [])
-    if args.seed is not None and "seed" not in _hp_keys(args.hp):
+    if "seed" not in _hp_keys(args.hp):
         hp = replace(hp, seed=args.seed)
     if args.anonymize_test:
         scen = _anonymize_test(scen, split.test)
@@ -216,10 +216,7 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
     of a system on a scenario is its designated gap (2017: PAR10 or quality
     gap; 2015: the mean of the three metric gaps), averaged over splits.
     """
-    designated = {
-        "icon2015": ("gap_par10", "gap_mcp", "gap_solved", "gap_quality"),
-        "oasc2017": ("gap_par10", "gap_quality"),
-    }[mode]
+    designated = {f"gap_{m}" for m in evaluation.GAP_METRICS[mode]}
     per_cell: dict[tuple[str, str], dict[int, list[float]]] = {}
     systems: list[str] = []
     scenarios: list[str] = []
@@ -276,29 +273,26 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
     return doc
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    def writer(tmp):
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            out.writerows(rows)
+
+    _atomic_write(path, writer)
+
+
 def _write_comparison_csv(doc: dict, prefix: Path) -> None:
-    def write_scores(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["scenario", *doc["systems"]])
-            for scen, row in zip(doc["scenarios"], doc["scores"]):
-                writer.writerow([scen, *(repr(v) for v in row)])
-            writer.writerow(["__avg_gap__", *(repr(doc["avg_gap"][s]) for s in doc["systems"])])
-            writer.writerow(
-                ["__meta_vbs__", repr(doc["meta_vbs"]["mean"])] + [""] * (len(doc["systems"]) - 1)
-            )
-
-    def write_ranks(tmp):
-        ranked = [s for s in doc["systems"] if s not in doc["ooc"]]
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["scenario", *ranked])
-            for scen, row in zip(doc["scenarios"], doc["per_scenario_ranks"]):
-                writer.writerow([scen, *(repr(v) for v in row)])
-            writer.writerow(["__avg_rank__", *(repr(doc["avg_rank"][s]) for s in ranked)])
-
-    _atomic_write(prefix.parent / (prefix.name + "_scores.csv"), write_scores)
-    _atomic_write(prefix.parent / (prefix.name + "_ranks.csv"), write_ranks)
+    systems, scenarios = doc["systems"], doc["scenarios"]
+    ranked = [s for s in systems if s not in doc["ooc"]]
+    scores = [[scen, *map(repr, row)] for scen, row in zip(scenarios, doc["scores"])]
+    scores.append(["__avg_gap__", *(repr(doc["avg_gap"][s]) for s in systems)])
+    scores.append(["__meta_vbs__", repr(doc["meta_vbs"]["mean"])] + [""] * (len(systems) - 1))
+    ranks = [[scen, *map(repr, row)] for scen, row in zip(scenarios, doc["per_scenario_ranks"])]
+    ranks.append(["__avg_rank__", *(repr(doc["avg_rank"][s]) for s in ranked)])
+    _write_csv(prefix.parent / (prefix.name + "_scores.csv"), ["scenario", *systems], scores)
+    _write_csv(prefix.parent / (prefix.name + "_ranks.csv"), ["scenario", *ranked], ranks)
 
 
 def cmd_compare(args) -> int:
@@ -325,6 +319,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_seed_study(args) -> int:
+    if "seed" in _hp_keys(args.hp):
+        raise ValueError("seed-study sets each fit's seed from --seed; drop seed from --hp")
     scen = parse_scenario(args.scenario)
     splits = _resolve_splits(scen, args.splits, args.seed)
     split = _pick_split(splits, args.split_id)
@@ -344,22 +340,11 @@ def cmd_seed_study(args) -> int:
     points = stats.ecdf_points(samples)
     prefix = Path(args.out)
 
-    def write_samples(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["seed", "gap"])
-            for offset, gap in enumerate(samples):
-                writer.writerow([args.seed + offset, repr(gap)])
-
-    def write_ecdf(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["gap", "cumulative_fraction"])
-            for x, f in points:
-                writer.writerow([repr(x), repr(f)])
-
-    _atomic_write(prefix.parent / (prefix.name + "_samples.csv"), write_samples)
-    _atomic_write(prefix.parent / (prefix.name + "_ecdf.csv"), write_ecdf)
+    seed_rows = [[args.seed + offset, repr(gap)] for offset, gap in enumerate(samples)]
+    _write_csv(prefix.parent / (prefix.name + "_samples.csv"), ["seed", "gap"], seed_rows)
+    ecdf_rows = [[repr(x), repr(f)] for x, f in points]
+    ecdf_header = ["gap", "cumulative_fraction"]
+    _write_csv(prefix.parent / (prefix.name + "_ecdf.csv"), ecdf_header, ecdf_rows)
     summary = {
         "selector": args.selector,
         "scenario": scen.id,

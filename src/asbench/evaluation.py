@@ -250,7 +250,12 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
     )
 
 
-GAP_METRICS = {"runtime": ("par10", "mcp", "solved"), "quality": ("quality",)}
+# The metrics whose gaps a mode averages into its headline gap; a report
+# holds only those of its objective (par10, mcp and solved, or quality).
+GAP_METRICS = {
+    "icon2015": ("par10", "mcp", "solved", "quality"),
+    "oasc2017": ("par10", "quality"),
+}
 
 
 def report_gap(report: ScoreReport, mode: str) -> float | None:
@@ -268,10 +273,7 @@ def report_gap(report: ScoreReport, mode: str) -> float | None:
 
 
 def _designated(report: ScoreReport, mode: str) -> tuple[str, ...]:
-    names = GAP_METRICS[report.objective]
-    if mode == "oasc2017":
-        names = ("par10",) if report.objective == "runtime" else ("quality",)
-    return tuple(m for m in names if m in report.metrics)
+    return tuple(m for m in GAP_METRICS[mode] if m in report.metrics)
 
 
 def aggregate(reports, mode: str = "icon2015", use: str = "gap", weights=None) -> float:

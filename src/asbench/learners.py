@@ -257,8 +257,8 @@ class KNN:
     X: np.ndarray
     k: int
 
-    def neighbors(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
-        k = min(k or self.k, self.X.shape[0])
+    def neighbors(self, x: np.ndarray) -> np.ndarray:
+        k = min(self.k, self.X.shape[0])
         d = self.X - np.asarray(x, dtype=np.float64)
         dist = np.einsum("ij,ij->i", d, d) if self.X.shape[1] else np.zeros(self.X.shape[0])
         return np.argsort(dist, kind="stable")[:k]

@@ -127,6 +127,16 @@ def raw_features(scenario: Scenario, instances, columns) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
 
 
+def _group_columns(scenario: Scenario, feature_groups) -> tuple[int, ...]:
+    """Positions in the scenario's feature vectors of the named groups'
+    columns, group by group."""
+    by_name = {g.name: g for g in scenario.feature_groups}
+    unknown = [g for g in feature_groups if g not in by_name]
+    if unknown:
+        raise ValueError(f"unknown feature groups {unknown!r}")
+    return tuple(idx for name in feature_groups for idx in by_name[name].feature_indices)
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """Preprocessed training data: one row per instance, one cost column per
@@ -152,16 +162,9 @@ def build_training_set(scenario: Scenario, instances, feature_groups=None) -> Tr
     if not instances:
         raise ValueError("empty training set")
     if feature_groups is None:
-        feature_groups = tuple(g.name for g in scenario.feature_groups)
-    else:
-        feature_groups = tuple(feature_groups)
-        known = {g.name for g in scenario.feature_groups}
-        unknown = [g for g in feature_groups if g not in known]
-        if unknown:
-            raise ValueError(f"unknown feature groups {unknown!r}")
-    by_name = {g.name: g for g in scenario.feature_groups}
-    columns = tuple(idx for name in feature_groups for idx in by_name[name].feature_indices)
-
+        feature_groups = [g.name for g in scenario.feature_groups]
+    feature_groups = tuple(feature_groups)
+    columns = _group_columns(scenario, feature_groups)
     raw = raw_features(scenario, instances, columns)
     pre = Preprocess.fit(raw, columns)
     table = scenario.table
@@ -374,8 +377,16 @@ def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> dict:
     Runtime schedules are presolve prefix, then the model's feature groups,
     then solver steps filling the cutoff left after presolving. Quality
     schedules are a single solver step. Instances with no feature values at
-    all fall back to the stored single best solver, with a warning.
+    all fall back to the stored single best solver, with a warning. A model
+    whose portfolio or feature columns differ from the scenario's is refused.
     """
+    if model.algorithms != scenario.algorithms:
+        raise ValueError(
+            f"model portfolio {list(model.algorithms)} differs from the scenario's "
+            f"{list(scenario.algorithms)}"
+        )
+    if _group_columns(scenario, model.feature_groups) != model.pre.columns:
+        raise ValueError("model feature groups sit at other columns in this scenario")
     instances = tuple(instances)
     raw = raw_features(scenario, instances, model.pre.columns)
     blank = np.isnan(raw).all(axis=1) & (raw.shape[1] > 0)
@@ -502,90 +513,41 @@ def fit_system(
 # model serialization
 
 
-def _tree_to_dict(tree: Tree) -> dict:
-    out = {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-    }
-    if tree.value is not None:
-        out["value"] = tree.value.tolist()
-    if tree.dist is not None:
-        out["dist"] = tree.dist.tolist()
-    return out
+def _encode(obj):
+    """JSON-ready form of a payload: arrays, tuples and containers become
+    lists (booleans 0/1), forests and trees dicts of their arrays."""
+    if isinstance(obj, np.ndarray):
+        return (obj.astype(np.int64) if obj.dtype == bool else obj).tolist()
+    if isinstance(obj, Forest):
+        return {"n_classes": obj.n_classes, "trees": [_encode(t) for t in obj.trees]}
+    if isinstance(obj, Tree):
+        return {name: a.tolist() for name, a in vars(obj).items() if a is not None}
+    if isinstance(obj, dict):
+        return {key: _encode(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode(v) for v in obj]
+    if isinstance(obj, bool):
+        return int(obj)
+    return obj
 
 
-def _tree_from_dict(d: dict) -> Tree:
-    return Tree(
-        feature=np.asarray(d["feature"], dtype=np.int64),
-        threshold=np.asarray(d["threshold"], dtype=np.float64),
-        left=np.asarray(d["left"], dtype=np.int64),
-        right=np.asarray(d["right"], dtype=np.int64),
-        value=np.asarray(d["value"], dtype=np.float64) if "value" in d else None,
-        dist=np.asarray(d["dist"], dtype=np.float64) if "dist" in d else None,
-    )
-
-
-def _forest_to_dict(forest: Forest) -> dict:
-    return {"n_classes": forest.n_classes, "trees": [_tree_to_dict(t) for t in forest.trees]}
-
-
-def _forest_from_dict(d: dict) -> Forest:
-    return Forest(trees=[_tree_from_dict(t) for t in d["trees"]], n_classes=d["n_classes"])
-
-
-def _payload_to_dict(kind: str, p: dict) -> dict:
-    if kind in ("regression",):
-        return {"forests": [_forest_to_dict(f) for f in p["forests"]]}
-    if kind == "pairwise":
-        return {
-            "classifiers": [[a, b, _forest_to_dict(f)] for a, b, f in p["classifiers"]],
-            "mean_costs": np.asarray(p["mean_costs"]).tolist(),
-        }
-    if kind == "cluster":
-        return {
-            "centroids": np.asarray(p["centroids"]).tolist(),
-            "champions": list(p["champions"]),
-        }
-    if kind == "stacking":
-        return {
-            "forests": [_forest_to_dict(f) for f in p["forests"]],
-            "combiner": _forest_to_dict(p["combiner"]),
-        }
-    if kind == "sunny":
-        return {
-            "X": np.asarray(p["X"]).tolist(),
-            "costs": np.asarray(p["costs"]).tolist(),
-            "solved": np.asarray(p["solved"]).astype(int).tolist(),
-            "mean_costs": np.asarray(p["mean_costs"]).tolist(),
-        }
-    raise ValueError(f"unknown selector kind {kind!r}")
-
-
-def _payload_from_dict(kind: str, d: dict) -> dict:
-    if kind == "regression":
-        return {"forests": [_forest_from_dict(f) for f in d["forests"]]}
-    if kind == "pairwise":
-        return {
-            "classifiers": [(a, b, _forest_from_dict(f)) for a, b, f in d["classifiers"]],
-            "mean_costs": np.asarray(d["mean_costs"]),
-        }
-    if kind == "cluster":
-        return {"centroids": np.asarray(d["centroids"]), "champions": list(d["champions"])}
-    if kind == "stacking":
-        return {
-            "forests": [_forest_from_dict(f) for f in d["forests"]],
-            "combiner": _forest_from_dict(d["combiner"]),
-        }
-    if kind == "sunny":
-        return {
-            "X": np.asarray(d["X"], dtype=np.float64),
-            "costs": np.asarray(d["costs"], dtype=np.float64),
-            "solved": np.asarray(d["solved"], dtype=bool),
-            "mean_costs": np.asarray(d["mean_costs"]),
-        }
-    raise ValueError(f"unknown selector kind {kind!r}")
+def _decode(obj):
+    """Inverse of :func:`_encode`: a dict with trees is a forest, a list numpy
+    reads as an int or float array is that array, and containers recurse."""
+    if isinstance(obj, dict):
+        if "trees" in obj:
+            trees = [Tree(**_decode(t)) for t in obj["trees"]]
+            return Forest(trees=trees, n_classes=obj["n_classes"])
+        return {key: _decode(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        try:
+            array = np.asarray(obj)
+        except ValueError:  # ragged
+            array = None
+        if array is not None and array.dtype.kind in "if":
+            return array
+        return [_decode(v) for v in obj]
+    return obj
 
 
 def save_model(model: SelectorModel, path) -> None:
@@ -594,46 +556,39 @@ def save_model(model: SelectorModel, path) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": model.kind,
-        "algorithms": list(model.algorithms),
-        "feature_groups": list(model.feature_groups),
+        "algorithms": model.algorithms,
+        "feature_groups": model.feature_groups,
         "sbs_algorithm": model.sbs_algorithm,
-        "presolve": [[s.algorithm, s.budget] for s in model.presolve],
-        "preprocess": {
-            "columns": list(model.pre.columns),
-            "medians": list(model.pre.medians),
-            "means": list(model.pre.means),
-            "stds": list(model.pre.stds),
-            "kept": [int(k) for k in model.pre.kept],
-        },
+        "presolve": [(s.algorithm, s.budget) for s in model.presolve],
+        "preprocess": asdict(model.pre),
         "hyperparameters": asdict(model.hp),
-        "payload": _payload_to_dict(model.kind, model.payload),
+        "payload": model.payload,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        json.dump(_encode(doc), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
 def load_model(path) -> SelectorModel:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a selector model artifact")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-    pre = doc["preprocess"]
-    return SelectorModel(
-        kind=doc["kind"],
-        algorithms=tuple(doc["algorithms"]),
-        feature_groups=tuple(doc["feature_groups"]),
-        pre=Preprocess(
-            columns=tuple(pre["columns"]),
-            medians=tuple(pre["medians"]),
-            means=tuple(pre["means"]),
-            stds=tuple(pre["stds"]),
-            kept=tuple(bool(k) for k in pre["kept"]),
-        ),
-        sbs_algorithm=doc["sbs_algorithm"],
-        payload=_payload_from_dict(doc["kind"], doc["payload"]),
-        presolve=tuple(SolverStep(algorithm=a, budget=b) for a, b in doc["presolve"]),
-        hp=Hyperparameters(**doc["hyperparameters"]),
-    )
+    try:
+        if doc["kind"] not in SELECTOR_KINDS:
+            raise ValueError(f"{path}: unknown selector kind {doc['kind']!r}")
+        pre = {name: tuple(values) for name, values in doc["preprocess"].items()}
+        return SelectorModel(
+            kind=doc["kind"],
+            algorithms=tuple(doc["algorithms"]),
+            feature_groups=tuple(doc["feature_groups"]),
+            pre=Preprocess(**{**pre, "kept": tuple(map(bool, pre["kept"]))}),
+            sbs_algorithm=doc["sbs_algorithm"],
+            payload=_decode(doc["payload"]),
+            presolve=tuple(SolverStep(algorithm=a, budget=b) for a, b in doc["presolve"]),
+            hp=Hyperparameters(**doc["hyperparameters"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: model document has no {exc.args[0]!r}") from None

@@ -262,6 +262,27 @@ class TestTrainPredictEvaluate:
             blobs[tag] = (model.read_bytes(), preds.read_bytes())
         assert blobs["plain"] == blobs["blind"]
 
+    @pytest.mark.parametrize("edit", ["no-payload", "renamed-portfolio"])
+    def test_broken_or_foreign_model_exits_two(self, learnable_bundle, tmp_path, capsys, edit):
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", "--scenario", learnable_bundle, "--selector", "cluster",
+            "--hp", "n_trees=2", "--out", model,
+        ) == 0
+        doc = json.loads(model.read_text())
+        if edit == "no-payload":
+            del doc["payload"]
+        else:
+            doc["algorithms"] = ["Z0", "Z1", "Z2"]
+        model.write_text(json.dumps(doc))
+        preds = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert run_cli(
+            "predict", "--scenario", learnable_bundle, "--model", model, "--out", preds
+        ) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert not preds.exists()
+
     def test_missing_scenario_exits_two(self, tmp_path):
         assert run_cli("validate", "--scenario", tmp_path / "nope") == 2
 
@@ -387,6 +408,14 @@ class TestSeedStudy:
         fractions = [float(r.split(",")[1]) for r in ecdf_rows]
         assert fractions == sorted(fractions)
         assert fractions[-1] == 1.0
+
+    def test_seed_in_hp_exits_two(self, learnable_bundle, tmp_path, capsys):
+        assert run_cli(
+            "seed-study", "--scenario", learnable_bundle, "--selector", "cluster",
+            "--hp", "seed=5", "--n-seeds", "2", "--out", tmp_path / "study",
+        ) == 2
+        assert "--seed" in capsys.readouterr().err.splitlines()[-1]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("n_seeds", ["0", "-3"])
     def test_seed_count_below_one_exits_two(self, learnable_bundle, tmp_path, capsys, n_seeds):

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from asbench import (
     fit_system,
     load_model,
     predict,
+    predict_batch,
     save_model,
     simulate,
     validate_schedule,
@@ -497,6 +500,33 @@ class TestPredictSchedules:
         feature_steps = [s for s in schedule if isinstance(s, FeatureStep)]
         assert [s.group for s in feature_steps] == ["base"]
 
+    def test_model_of_another_portfolio_is_refused(self):
+        scen = learnable_scenario(n_train=40, n_test=5, seed=6)
+        split = scen.splits[0]
+        model = fit_system(scen, split.train, "regression", FAST)
+        renamed = replace(model, algorithms=("Z0", "Z1", "Z2"))
+        shorter = replace(model, algorithms=model.algorithms[:2])
+        for foreign in (renamed, shorter):
+            with pytest.raises(ValueError, match="portfolio"):
+                predict_batch(foreign, scen, split.test)
+
+    def test_model_of_other_feature_columns_is_refused(self):
+        scen = learnable_scenario(n_train=40, n_test=5, seed=6)
+        from asbench import FeatureGroup
+
+        def grouped(base, extra):
+            cost = {i: 1.0 for i in scen.instances}
+            groups = (FeatureGroup("base", base, cost=cost), FeatureGroup("extra", extra, cost=cost))
+            return replace(scen, feature_groups=groups)
+
+        split = scen.splits[0]
+        model = fit_system(scen, split.train, "regression", FAST, feature_groups=["all"])
+        with pytest.raises(ValueError, match="unknown feature groups"):
+            predict_batch(model, grouped((0, 1), (2, 3)), split.test)
+        model = fit_system(grouped((0, 1), (2, 3)), split.train, "regression", FAST, ["base"])
+        with pytest.raises(ValueError, match="other columns"):
+            predict_batch(model, grouped((2, 3), (0, 1)), split.test)
+
     def test_all_kinds_emit_legal_schedules(self):
         scen = learnable_scenario(n_train=50, n_test=10, seed=6)
         split = scen.splits[0]
@@ -504,6 +534,43 @@ class TestPredictSchedules:
             model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=5, seed=2))
             for inst in split.test:
                 validate_schedule(scen, predict(model, scen, inst))
+
+
+def constant_features(scen):
+    """The scenario with one value per feature column on every instance."""
+    return replace(scen, features={i: (1.0,) * len(scen.feature_names) for i in scen.instances})
+
+
+# case: (scenario factory, hyperparameters, mode)
+ROUND_TRIPS = {
+    "learnable": (
+        lambda: learnable_scenario(n_train=40, n_test=10, seed=4),
+        Hyperparameters(n_trees=5, seed=3),
+        "icon2015",
+    ),
+    "quality-maximize": (
+        lambda: replace(
+            random_scenario(6, n_algos=3, n_insts=30, objective="quality"), direction="maximize"
+        ),
+        Hyperparameters(n_trees=5, seed=3),
+        "icon2015",
+    ),
+    "constant-features": (
+        lambda: constant_features(learnable_scenario(n_train=40, n_test=10, seed=4)),
+        Hyperparameters(n_trees=5, seed=3),
+        "icon2015",
+    ),
+    "one-tree": (
+        lambda: learnable_scenario(n_train=40, n_test=10, seed=4),
+        Hyperparameters(n_trees=1, seed=3),
+        "icon2015",
+    ),
+    "oasc2017-presolver": (
+        lambda: learnable_scenario(n_train=40, n_test=10, seed=4),
+        Hyperparameters(n_trees=5, seed=3, presolve_budget_fraction=0.2),
+        "oasc2017",
+    ),
+}
 
 
 class TestDeterminismAndSerialization:
@@ -527,22 +594,45 @@ class TestDeterminismAndSerialization:
         save_model(b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() != (tmp_path / "b.json").read_bytes()
 
-    @pytest.mark.parametrize("kind", ["regression", "pairwise", "cluster", "stacking", "sunny"])
-    def test_round_trip_preserves_behavior(self, tmp_path, kind):
-        scen = learnable_scenario(n_train=40, n_test=10, seed=4)
+    @pytest.mark.parametrize(
+        "kind, case",
+        [
+            pytest.param(kind, case, id=kind if case == "learnable" else f"{kind}-{case}")
+            for case in ROUND_TRIPS
+            for kind in ("regression", "pairwise", "cluster", "stacking", "sunny")
+        ],
+    )
+    def test_round_trip_preserves_behavior(self, tmp_path, kind, case):
+        make, hp, mode = ROUND_TRIPS[case]
+        scen = make()
         split = scen.splits[0]
-        model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=5, seed=3))
+        model = fit_system(scen, split.train, kind, hp, mode=mode)
+        if case == "constant-features":
+            assert not any(model.pre.kept)
+        if case == "oasc2017-presolver":
+            assert len(model.presolve) > 1
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        for inst in split.test:
-            assert predict(model, scen, inst) == predict(loaded, scen, inst)
+        assert predict_batch(model, scen, split.test) == predict_batch(loaded, scen, split.test)
         again = tmp_path / "again.json"
         save_model(loaded, again)
         assert path.read_bytes() == again.read_bytes()
 
     def test_load_rejects_other_files(self, tmp_path):
         bad = tmp_path / "not_a_model.json"
-        bad.write_text('{"hello": 1}')
-        with pytest.raises(ValueError, match="not a selector model"):
+        for text in ('{"hello": 1}', "[1, 2]"):
+            bad.write_text(text)
+            with pytest.raises(ValueError, match="not a selector model"):
+                load_model(bad)
+        scen = learnable_scenario(n_train=40, n_test=5, seed=4)
+        good = tmp_path / "model.json"
+        save_model(fit_system(scen, scen.splits[0].train, "cluster", FAST), good)
+        doc = json.loads(good.read_text())
+        for key in ("payload", "preprocess", "kind"):
+            bad.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+            with pytest.raises(ValueError, match=re.escape(f"{bad}: model document has no {key!r}")):
+                load_model(bad)
+        bad.write_text(json.dumps({**doc, "kind": "oracle"}))
+        with pytest.raises(ValueError, match="unknown selector kind 'oracle'"):
             load_model(bad)
