@@ -542,10 +542,10 @@ def _decode(obj):
     if isinstance(obj, list):
         try:
             array = np.asarray(obj)
+            if array.dtype.kind in "if":
+                return array
         except ValueError:  # ragged
-            array = None
-        if array is not None and array.dtype.kind in "if":
-            return array
+            pass
         return [_decode(v) for v in obj]
     return obj
 
