@@ -71,124 +71,267 @@ def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) ->
 
     ``n_classes`` switches to classification with Gini splits; otherwise
     splits minimize the summed squared error. ``features_per_split`` caps how
-    many features each node may consider, drawn fresh per node from ``rng``.
+    many features each node may consider, drawn from ``rng``.
 
-    Nodes are grown depth first, the right child before the left, and every
-    node with at least ``2 * min_leaf`` samples and mixed targets draws its
-    candidate features from ``rng`` in that order, so the order is part of
-    the contract. Among equal impurities the split keeps the first candidate
-    feature in draw order, then the lowest split position along it.
+    The tree grows breadth first. Node 0 is the root, and each depth numbers
+    its children in parent order, left before right. A node with at least
+    ``2 * min_leaf`` samples and mixed targets is splittable; at each depth
+    the tree draws one block of feature orders for its splittable nodes,
+    ``rng.permuted`` over rows of ``arange(d)``, one row per node in node-id
+    order, and a node's candidates are the first ``features_per_split`` of
+    its row (all features in order when that is not below ``d``).
 
-    This is presorted CART: each feature is argsorted once per tree, and a
-    node passes its per-feature sorted positions on to its children by a
-    stable partition, so all candidate features of a node are scored in one
-    pass over a ``(features, samples)`` matrix.
+    A node's running sums along a candidate feature are ``np.cumsum`` over
+    its own samples sorted by that feature, ties in ascending sample
+    position: the targets and their squares for regression, the one-hot
+    labels for classification. Splitting after sorted position ``p`` costs
+    the summed squared error (or the size-weighted Gini index) of both
+    sides, the right side's sums being the node total minus the left's.
+    Among equal costs the split keeps the first candidate feature in draw
+    order, then the lowest position. A regression leaf holds the sum of its
+    targets in ascending position, as ``np.add.reduceat`` takes it, divided
+    by its size; a classification leaf its label counts over its size.
     """
-    n, d = X.shape
-    classify = n_classes is not None
-    XT = np.ascontiguousarray(X.T)
-    if classify:
-        one_hot_all = np.eye(n_classes, dtype=np.float64)[y]
-    else:
-        y_and_sq = np.stack([y, y * y])
-    all_features = np.arange(d)
-    counts = np.arange(1.0, n + 1.0)  # samples left of each split position
+    X = np.asarray(X, dtype=np.float64)
+    boot = np.arange(X.shape[0])[None]
+    return _grow_trees(X, np.asarray(y), boot, [rng], min_leaf, features_per_split, n_classes)[0]
+
+
+def _grow_trees(X, y, boot, rngs, min_leaf, features_per_split, n_classes) -> list[Tree]:
+    """Grow one tree per row of ``boot``, on the sample ``X[boot[t]]``,
+    ``y[boot[t]]``, as :func:`grow_tree` with ``rngs[t]`` does, one depth of
+    all trees at a time.
+
+    This is presorted CART. Row ``S[t, f]`` holds tree t's sample positions
+    sorted by feature f within each node, and ``S[t, d]`` holds them in
+    ascending order; every node owns one range of columns, and a split
+    partitions that range stably, so both orders hold down the tree. At each
+    depth the candidate rows of every splittable node of every tree are
+    gathered into padded (nodes, candidates, columns) blocks of nodes of
+    similar size (:func:`_size_blocks`), and each block is scored in one pass.
+    """
+    T, n = boot.shape
+    d = X.shape[1]
+    XT = np.ascontiguousarray(X.T[:, boot].transpose(1, 0, 2))  # (T, d, n)
+    Y = y[boot]
     draw = features_per_split is not None and features_per_split < d
-
-    feature = []
-    threshold = []
-    left = []
-    right = []
-    payload = []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        payload.append(None)
-        return len(feature) - 1
-
-    # S[f] holds the node's sample positions sorted by feature f, ties in
-    # ascending position (a stable sort); the extra row S[d] holds them in
-    # ascending order. Stable partitions keep both orders down the tree.
-    S = np.vstack([np.argsort(XT, axis=1, kind="stable"), np.arange(n)])
-    stack = [(S, new_node())]
-    while stack:
-        S, slot = stack.pop()
-        m = S.shape[1]
-        idx = S[d]
-        if m == 1:
-            payload[slot] = one_hot_all[idx[0]] if classify else float(y[idx[0]])
-            continue
-        ys = y[idx]
-        best = None
-        if m >= 2 * min_leaf and not (ys == ys[0]).all():
-            feats = rng.permutation(d)[:features_per_split] if draw else all_features
-            SF = S[feats]
-            xs = XT[feats[:, None], SF]
-            # split after sorted position p, for p in [lo, hi)
-            lo, hi = min_leaf - 1, m - min_leaf
-            valid = xs[:, lo:hi] < xs[:, lo + 1 : hi + 1]
-            if valid.any():
-                n_left = counts[lo:hi]
-                n_right = m - n_left
-                if classify:
-                    cum = one_hot_all[SF].cumsum(axis=1)
-                    c_left = cum[:, lo:hi]
-                    c_right = cum[:, -1:] - c_left
-                    gini_left = n_left - (c_left**2).sum(axis=2) / n_left
-                    gini_right = n_right - (c_right**2).sum(axis=2) / n_right
-                    cost = gini_left + gini_right
-                else:
-                    # [sum, sum of squares] of y up to each sorted position
-                    cum = y_and_sq[:, SF].cumsum(axis=2)
-                    c_left = cum[:, :, lo:hi]
-                    c_right = cum[:, :, -1:] - c_left
-                    cost = (c_left[1] - c_left[0] ** 2 / n_left) + (
-                        c_right[1] - c_right[0] ** 2 / n_right
-                    )
-                cost = np.where(valid, cost, np.inf)
-                # the flat argmin runs in (draw order, position) order: the tie rule
-                i, p = divmod(int(cost.argmin()), hi - lo)
-                p += lo
-                a, b = float(xs[i, p]), float(xs[i, p + 1])
-                # the midpoint of adjacent doubles rounds to b, and of huge
-                # ones overflows; a still parts the samples
-                mid = 0.5 * (a + b)
-                best = int(feats[i]), mid if a <= mid < b else a
-        if best is None:
-            if classify:
-                payload[slot] = np.bincount(ys, minlength=n_classes) / m
-            else:
-                payload[slot] = float(ys.sum() / m)  # bitwise ys.mean()
-            continue
-        f, thr = best
-        feature[slot] = f
-        threshold[slot] = thr
-        left[slot] = new_node()
-        right[slot] = new_node()
-        goes = (XT[f] <= thr)[S]
-        n_go = np.count_nonzero(goes[d])
-        stack.append((S[goes].reshape(d + 1, n_go), left[slot]))
-        stack.append((S[~goes].reshape(d + 1, m - n_go), right[slot]))
-
-    m = len(feature)
-    tree = Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
+    n_cand = features_per_split if draw else d
+    # the dense rank of each value sorts stably as the value does, and fast
+    rank = np.zeros((d, X.shape[0]), dtype=np.uint16 if X.shape[0] <= 1 << 16 else np.int64)
+    for f in range(d):
+        rank[f] = np.unique(X[:, f], return_inverse=True)[1]
+    S = np.concatenate(
+        [
+            np.argsort(rank[:, boot].transpose(1, 0, 2), axis=2, kind="stable"),
+            np.broadcast_to(np.arange(n), (T, 1, n)),
+        ],
+        axis=1,
     )
-    if classify:
-        dist = np.zeros((m, n_classes), dtype=np.float64)
-        for i, p in enumerate(payload):
-            if p is not None:
-                dist[i] = p
-        tree.dist = dist
-    else:
-        tree.value = np.asarray([0.0 if p is None else p for p in payload], dtype=np.float64)
-    return tree
+    S_flat = S.reshape(-1)  # a view: partitions below write through it
+    X_flat = XT.reshape(-1)
+    Y_flat = Y.reshape(-1)
+    row_base = np.arange(T)[:, None] * n
+
+    # the frontier: tree, first column and size of every node of the current
+    # depth, in (tree, node id) order
+    tree = np.arange(T)
+    start = np.zeros(T, dtype=np.int64)
+    size = np.full(T, n, dtype=np.int64)
+    levels = []  # per depth: the frontier with each node's feature (-1: leaf) and threshold
+    while tree.size:
+        # a target change between neighbours of the ascending row, counted
+        y_asc = Y_flat[row_base + S[:, d]].reshape(-1)
+        changes = np.concatenate([[0], np.cumsum(y_asc[1:] != y_asc[:-1])])
+        first = tree * n + start
+        mixed = changes[first + size - 1] > changes[first]
+        cand = np.flatnonzero(mixed & (size >= 2 * min_leaf))
+        if draw and cand.size:
+            per_tree = np.bincount(tree[cand], minlength=T)
+            rows = np.broadcast_to(np.arange(d), (per_tree.max(), d))
+            feats = np.concatenate(
+                [rngs[t].permuted(rows[: per_tree[t]], axis=1) for t in np.flatnonzero(per_tree)]
+            )[:, :n_cand]
+        else:
+            feats = np.broadcast_to(np.arange(d), (cand.size, d))
+        feat = np.full(tree.size, -1)
+        thr = np.zeros(tree.size)
+        if n_cand and cand.size:
+            feat[cand], thr[cand] = _best_splits(
+                S_flat, X_flat, Y_flat, n_classes, (T, d, n), min_leaf,
+                tree[cand], start[cand], size[cand], feats,
+            )
+        levels.append((tree, start, size, feat, thr))
+        idx = np.flatnonzero(feat >= 0)
+        if not idx.size:
+            break
+        t, s, m = tree[idx], start[idx], size[idx]
+        n_left = _partition(S_flat, X_flat, (T, d, n), t, s, m, feat[idx], thr[idx])
+        # each split's children, left then right, in split order
+        tree = np.repeat(t, 2)
+        start = np.stack([s, s + n_left], axis=1).reshape(-1)
+        size = np.stack([n_left, m - n_left], axis=1).reshape(-1)
+    return _assemble(levels, Y_flat[row_base + S[:, d]], n_classes)
+
+
+# A split search scores nodes in blocks of (nodes, candidates, columns, sums)
+# elements, each node padded to the block's largest size. One block costs
+# about as much time as _BLOCK_COST padded elements on top of its size, and
+# none holds more than _BLOCK_MAX elements.
+_BLOCK_COST = 1 << 14
+_BLOCK_MAX = 1 << 16
+
+
+def _size_blocks(size, unit):
+    """Node index blocks, by size, as groups of consecutive size classes
+    (sizes in ``(2**(k-1), 2**k]``) that cost the least padded elements, at
+    ``unit`` elements a column, plus ``_BLOCK_COST`` per block."""
+    if size.size * int(size.max()) * unit <= _BLOCK_COST:
+        return [np.arange(size.size)]  # what the search below would pick
+    order = np.argsort(size, kind="stable")
+    ends = np.append(np.flatnonzero(np.diff(np.frexp(size[order] - 1)[1])) + 1, size.size)
+    starts = np.append(0, ends[:-1])
+    widths = size[order][ends - 1] * unit
+    # best[j]: the least cost of the classes before j; cut[j]: the first
+    # class of the last block in the best grouping of classes up to j
+    best, cut = [0], []
+    for j, end in enumerate(ends):
+        costs = [best[i] + (end - starts[i]) * widths[j] for i in range(j + 1)]
+        cut.append(int(np.argmin(costs)))
+        best.append(costs[cut[-1]] + _BLOCK_COST)
+    blocks = []
+    j = len(ends) - 1
+    while j >= 0:
+        group = order[starts[cut[j]] : ends[j]]
+        step = max(1, _BLOCK_MAX // int(widths[j]))
+        blocks += [group[lo : lo + step] for lo in range(0, group.size, step)]
+        j = cut[j] - 1
+    return blocks
+
+
+def _best_splits(S_flat, X_flat, Y_flat, n_classes, shape, min_leaf, tree, start, size, feats):
+    """Best (feature, threshold) of every node given by its tree, first
+    column, size and candidate features; feature -1 where none parts it."""
+    T, d, n = shape
+    n_cand = feats.shape[1]
+    feat = np.full(size.size, -1, dtype=np.int64)
+    thr = np.zeros(size.size)
+    sums = 2 if n_classes is None else n_classes
+    classes = None if n_classes is None else np.arange(n_classes)[:, None, None, None]
+    for r in _size_blocks(size, n_cand * sums):
+        t, m, F = tree[r], size[r], feats[r]
+        L = int(m.max())
+        cols = np.minimum(start[r, None] + np.arange(L), n - 1)
+        SF = S_flat[((t[:, None] * (d + 1) + F) * n)[:, :, None] + cols[:, None, :]]
+        xs = X_flat[((t[:, None] * d + F) * n)[:, :, None] + SF]  # (nodes, cands, L)
+        ys = Y_flat[(t * n)[:, None, None] + SF]
+        # split after sorted position p, for p in [min_leaf - 1, m - min_leaf)
+        p = np.arange(L - 1)
+        n_left = p + 1.0
+        n_right = m[:, None, None] - n_left
+        valid = (xs[:, :, :-1] < xs[:, :, 1:]) & (p < (m - min_leaf)[:, None, None])
+        valid &= p >= min_leaf - 1
+        last = (np.arange(r.size)[:, None], np.arange(n_cand), (m - 1)[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):  # past a node's end
+            if n_classes is None:
+                # sums of y and of y**2 up to each sorted position
+                s_left, q_left = ys.cumsum(axis=2), (ys * ys).cumsum(axis=2)
+                s_right = s_left[last][:, :, None] - s_left[:, :, :-1]
+                q_right = q_left[last][:, :, None] - q_left[:, :, :-1]
+                s_left, q_left = s_left[:, :, :-1], q_left[:, :, :-1]
+                cost = (q_left - s_left**2 / n_left) + (q_right - s_right**2 / n_right)
+            else:
+                # label counts up to each sorted position, one plane per
+                # class; their squares sum exactly, in any order
+                c_left = (ys == classes).cumsum(axis=3)
+                c_right = c_left[(slice(None), *last)][..., None] - c_left[..., :-1]
+                c_left = c_left[..., :-1]
+                gini_left = n_left - (c_left * c_left).sum(axis=0) / n_left
+                gini_right = n_right - (c_right * c_right).sum(axis=0) / n_right
+                cost = gini_left + gini_right
+        cost = np.where(valid, cost, np.inf).reshape(r.size, -1)
+        # the flat argmin runs in (draw order, position) order: the tie rule
+        k, q = np.divmod(cost.argmin(axis=1), L - 1)
+        b = np.arange(r.size)
+        a, z = xs[b, k, q], xs[b, k, q + 1]
+        # the midpoint of adjacent doubles rounds to z, and of huge ones
+        # overflows; a still parts the samples
+        mid = 0.5 * (a + z)
+        feat[r] = np.where(valid.reshape(r.size, -1).any(axis=1), F[b, k], -1)
+        thr[r] = np.where((a <= mid) & (mid < z), mid, a)
+    return feat, thr
+
+
+def _partition(S_flat, X_flat, shape, tree, start, size, feat, thr):
+    """Stably partition every row of each split node's columns, samples with
+    ``x[feat] <= thr`` first; returns the left sizes."""
+    T, d, n = shape
+    seg = np.repeat(np.arange(size.size), size)
+    t = tree[seg]
+    k = np.arange(seg.size) - (np.cumsum(size) - size)[seg]  # column within the node
+    cells = np.arange(0, (d + 1) * n, n)[:, None] + (t * ((d + 1) * n) + start[seg] + k)
+    samples = S_flat[cells]  # (d + 1, columns)
+    # which side each sample goes to, read through every row
+    goes = np.zeros(T * n, dtype=bool)
+    t_n = t * n
+    goes[t_n + samples[d]] = X_flat[(t * d + feat[seg]) * n + samples[d]] <= thr[seg]
+    goes = goes[t_n + samples]
+    n_left = np.bincount(seg[goes[d]], minlength=size.size)
+    # every row sends the same number of samples left, so row by row, node
+    # by node, the left-goers fill the left children's columns in order
+    left = k < n_left[seg]
+    moved = np.empty_like(samples)
+    moved[:, left] = samples[goes].reshape(d + 1, -1)
+    moved[:, ~left] = samples[~goes].reshape(d + 1, -1)
+    S_flat[cells] = moved
+    return n_left
+
+
+def _assemble(levels, y_asc, n_classes) -> list[Tree]:
+    """Per-tree node arrays from the frontiers of every depth; ``y_asc``
+    holds each tree's targets in its final ascending row, leaf by leaf."""
+    T, n = y_asc.shape
+    tree, start, size, feature, threshold = (np.concatenate(x) for x in zip(*levels))
+    split = feature >= 0
+    # the k-th split of a depth has its children at 2k and 2k + 1 of the next
+    counts = [level[0].size for level in levels]
+    depth = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum([0, *counts])
+    before = np.cumsum(split) - split
+    left = np.where(split, offsets[depth + 1] + 2 * (before - before[offsets[depth]]), -1)
+    # each tree's nodes, depth by depth in frontier order, are its breadth-first ids
+    order = np.argsort(tree, kind="stable")
+    n_nodes = np.bincount(tree, minlength=T)
+    first_id = np.cumsum(n_nodes) - n_nodes
+    node_id = np.empty_like(order)
+    node_id[order] = np.arange(order.size) - first_id[tree[order]]
+    left = np.where(split, node_id[left], -1)
+    # the leaves tile the rows
+    leaf = np.flatnonzero(~split)
+    leaf = leaf[np.argsort(tree[leaf] * n + start[leaf])]
+    targets = y_asc.reshape(-1)
+    if n_classes is not None:
+        targets = np.eye(n_classes)[targets]
+    sums = np.add.reduceat(targets, tree[leaf] * n + start[leaf], axis=0)
+    payload = np.zeros((tree.size,) + sums.shape[1:])
+    payload[leaf] = sums / (size[leaf] if n_classes is None else size[leaf, None])
+    columns = (
+        feature,
+        np.where(split, threshold, 0.0),
+        left,
+        np.where(split, left + 1, -1),
+        payload,
+    )
+    feature, threshold, left, right, payload = (c[order] for c in columns)
+    trees = []
+    for first, count in zip(first_id, n_nodes):
+        nodes = slice(first, first + count)
+        tree = Tree(feature[nodes], threshold[nodes], left[nodes], right[nodes])
+        if n_classes is None:
+            tree.value = payload[nodes]
+        else:
+            tree.dist = payload[nodes]
+        trees.append(tree)
+    return trees
 
 
 @dataclass
@@ -216,6 +359,11 @@ class Forest:
         return total / len(self.trees)
 
 
+# Sorted sample positions (trees x (features + 1) x samples) that one call of
+# the grower holds; a depth's partition makes a few arrays of that size.
+_GROW_CELLS = 1 << 18
+
+
 def fit_forest(X, y, hp, stream, n_classes=None) -> Forest:
     """Fit a random forest; ``stream`` is a tuple of ids naming the RNG
     substream so sibling models stay independent but reproducible."""
@@ -228,20 +376,15 @@ def fit_forest(X, y, hp, stream, n_classes=None) -> Forest:
     else:
         y = np.asarray(y, dtype=np.int64)
     mtry = (hp.features_per_split or int(np.ceil(np.sqrt(d)))) if d else None
+    # each tree's generator draws its bootstrap, then its features
+    rngs = [rng_stream(hp.seed, *stream, t) for t in range(hp.n_trees)]
+    boot = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    # the trees are independent, so they grow in groups of bounded size
+    group = max(1, _GROW_CELLS // (n * (d + 1)))
     trees = []
-    for t in range(hp.n_trees):
-        rng = rng_stream(hp.seed, *stream, t)
-        boot = rng.integers(0, n, size=n)
-        trees.append(
-            grow_tree(
-                X[boot],
-                y[boot],
-                rng,
-                min_leaf=hp.min_leaf,
-                features_per_split=mtry,
-                n_classes=n_classes,
-            )
-        )
+    for lo in range(0, hp.n_trees, group):
+        sl = slice(lo, lo + group)
+        trees += _grow_trees(X, y, boot[sl], rngs[sl], hp.min_leaf, mtry, n_classes)
     return Forest(trees=trees, n_classes=n_classes)
 
 

@@ -37,7 +37,7 @@ SELECTOR_KINDS = ("regression", "pairwise", "cluster", "stacking", "sunny")
 _S_REGRESSION, _S_PAIRWISE, _S_CLUSTER, _S_STACK_L1, _S_STACK_L2, _S_FOLDS = range(1, 7)
 
 MODEL_FORMAT = "asbench-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class Hyperparameters:
     the command line to override any of them.
     """
 
-    k_neighbors: int = 32
     n_trees: int = 100
     min_leaf: int = 1
     features_per_split: int | None = None  # None: ceil(sqrt(n_features))
@@ -58,7 +57,7 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k_neighbors", "n_trees", "min_leaf", "k_clusters", "sunny_k"):
+        for name in ("n_trees", "min_leaf", "k_clusters", "sunny_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.features_per_split is not None and self.features_per_split < 1:
@@ -575,20 +574,33 @@ def load_model(path) -> SelectorModel:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a selector model artifact")
     if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
+        raise ValueError(
+            f"{path}: model version {doc.get('version')} is not supported (this asbench reads "
+            f"version {MODEL_VERSION}); retrain the model"
+        )
     try:
         if doc["kind"] not in SELECTOR_KINDS:
             raise ValueError(f"{path}: unknown selector kind {doc['kind']!r}")
         pre = {name: tuple(values) for name, values in doc["preprocess"].items()}
+        pre["kept"] = tuple(map(bool, pre["kept"]))
         return SelectorModel(
             kind=doc["kind"],
             algorithms=tuple(doc["algorithms"]),
             feature_groups=tuple(doc["feature_groups"]),
-            pre=Preprocess(**{**pre, "kept": tuple(map(bool, pre["kept"]))}),
+            pre=_build(path, "preprocess", Preprocess, pre),
             sbs_algorithm=doc["sbs_algorithm"],
             payload=_decode(doc["payload"]),
             presolve=tuple(SolverStep(algorithm=a, budget=b) for a, b in doc["presolve"]),
-            hp=Hyperparameters(**doc["hyperparameters"]),
+            hp=_build(path, "hyperparameters", Hyperparameters, doc["hyperparameters"]),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: model document has no {exc.args[0]!r}") from None
+
+
+def _build(path, field, cls, values):
+    """``cls(**values)``, with a key the class lacks or needs reported as
+    invalid input that names the file and the document field."""
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ValueError(f"{path}: model field {field!r} does not fit: {exc}") from None

@@ -159,8 +159,9 @@ def oracle_presolver(train_instances, scenario, hp, max_steps=1):
     return tuple(prefix)
 
 
-# The CART grower before presorting: one argsort and one cumsum chain per
-# node per candidate feature. ``grow_tree`` must reproduce its trees bit for bit.
+# The CART grower before presorting, one node at a time: one argsort and one
+# cumsum chain per node per candidate feature, breadth first, with the same
+# per-depth feature draws. ``grow_tree`` must reproduce its trees bit for bit.
 
 
 def _oracle_best_split(X, y, target_sq, feat_order, min_leaf, one_hot):
@@ -210,16 +211,18 @@ def _oracle_best_split(X, y, target_sq, feat_order, min_leaf, one_hot):
 
 
 def oracle_grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Tree:
-    """Grow a CART tree to purity (no depth cap).
+    """Grow a CART tree to purity (no depth cap), breadth first.
 
     ``n_classes`` switches to classification with Gini splits; otherwise
     splits minimize variance. ``features_per_split`` caps how many features
-    each node may consider, drawn fresh per node from ``rng``.
+    each node may consider: at each depth the tree draws one row of feature
+    orders per splittable node, in node order.
     """
     n, d = X.shape
     classify = n_classes is not None
     one_hot_all = np.eye(n_classes, dtype=np.float64)[y] if classify else None
     target_sq = None if classify else y * y
+    draw = features_per_split is not None and features_per_split < d
 
     feature = []
     threshold = []
@@ -235,40 +238,44 @@ def oracle_grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=N
         payload.append(None)
         return len(feature) - 1
 
-    stack = [(np.arange(n), new_node())]
-    while stack:
-        idx, slot = stack.pop()
-        ys = y[idx]
-        pure = ys.size < 2 * min_leaf or np.all(ys == ys[0])
-        split = None
-        if not pure:
-            if features_per_split is None or features_per_split >= d:
-                feat_order = np.arange(d)
-            else:
-                feat_order = rng.permutation(d)[:features_per_split]
-            split = _oracle_best_split(
-                X[idx],
-                ys,
-                None if classify else target_sq[idx],
-                feat_order,
-                min_leaf,
-                one_hot_all[idx] if classify else None,
-            )
-        if split is None:
-            if classify:
-                counts = np.bincount(ys, minlength=n_classes).astype(np.float64)
-                payload[slot] = counts / counts.sum()
-            else:
-                payload[slot] = float(ys.mean())
-            continue
-        _, f, thr = split
-        feature[slot] = f
-        threshold[slot] = thr
-        mask = X[idx, f] <= thr
-        left[slot] = new_node()
-        right[slot] = new_node()
-        stack.append((idx[mask], left[slot]))
-        stack.append((idx[~mask], right[slot]))
+    level = [(np.arange(n), new_node())]
+    while level:
+        splittable = [
+            idx.size >= 2 * min_leaf and not np.all(y[idx] == y[idx][0]) for idx, _ in level
+        ]
+        if draw:
+            rows = np.tile(np.arange(d), (sum(splittable), 1))
+            orders = iter(rng.permuted(rows, axis=1)[:, :features_per_split])
+        next_level = []
+        for (idx, slot), splits in zip(level, splittable):
+            ys = y[idx]
+            split = None
+            if splits:
+                feat_order = next(orders) if draw else np.arange(d)
+                split = _oracle_best_split(
+                    X[idx],
+                    ys,
+                    None if classify else target_sq[idx],
+                    feat_order,
+                    min_leaf,
+                    one_hot_all[idx] if classify else None,
+                )
+            if split is None:
+                if classify:
+                    counts = np.bincount(ys, minlength=n_classes).astype(np.float64)
+                    payload[slot] = counts / counts.sum()
+                else:
+                    payload[slot] = float(np.add.reduceat(ys, [0])[0] / ys.size)
+                continue
+            _, f, thr = split
+            feature[slot] = f
+            threshold[slot] = thr
+            mask = X[idx, f] <= thr
+            left[slot] = new_node()
+            right[slot] = new_node()
+            next_level.append((idx[mask], left[slot]))
+            next_level.append((idx[~mask], right[slot]))
+        level = next_level
 
     m = len(feature)
     tree = Tree(

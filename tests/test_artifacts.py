@@ -37,48 +37,48 @@ from gen import learnable_scenario, random_scenario
 EXPECTED = {
     "out/cluster.csv": "09c4f575e08cf80738a2985b91ba84a2f2f1a6b509a63e487bdd4454484a561a",
     "out/cluster.json": "5446aedff634cddec9f1263d3a4e6feb3bd9880f75c87662014a9fdd071b9b6c",
-    "out/cluster_model.json": "c84ba3529dda7a5240c91e37947e98df05da5da154af1ed1b8d37e2b3b89221d",
+    "out/cluster_model.json": "75251fe7bb17a7ccf2233bd74cb90b80067ec81105e42bc0344552f40e7ad885",
     "out/cluster_preds.csv": "6428f461221dc862f4c5fcd3c98aa27570906edb1112f891ac92689d1cb169a2",
-    "out/compare.json": "a1abcaa933f3a4c2fb9a4dfc59daefb02d2e7e28f9c77d0e6f753fd3cfe9677d",
+    "out/compare.json": "8c613a6440708360993c9fd9a74a40ba7c53257d5c74bcc4d8b6d06a26bc8218",
     "out/compare_cd.json": "38e0b9de817f645c4bec37c0d4a3e58baecccb040f5718dc069a72c7385a0bed",
-    "out/compare_ranks.csv": "eeee85105bf1eaf9eda7bbae5ce6e28fecf5ea8b597d50b5efd3f77d547da82e",
-    "out/compare_scores.csv": "44e64604cd0ab61768a6271a5eaef38245ce830644a7a70574b7329f36acd2f2",
+    "out/compare_ranks.csv": "d1100ce25bdfdbb3b7e74c604b119c629c6bfbef2e64c958f25e02e3afeccbea",
+    "out/compare_scores.csv": "845d27e4a067ab7b9fc7795679a2f1cb8eea3a79b683df43dbe3b6050a5b6ed9",
     "out/pairwise.csv": "c02fa5a46fb75e7d31b1fafcca04b3fe5b659c2bcbfb5174bf94f00c115615de",
     "out/pairwise.json": "b7c3059218edab946b5d8041d944a2c3e02b489fc745ffe31e468557cdb2ebe4",
-    "out/pairwise_knobs_model.json": "7802b84e9524d12e623f0b8eafc8c0e8faae8254c47da80b4903e24c46c091e1",
-    "out/pairwise_knobs_preds.csv": "aa58ac44c68dccad0b789210a1d30295e8b6bd6f1e14734b42202b3f51ae7c15",
-    "out/pairwise_model.json": "91bc1db2a4a37885a51e8e4a4ddc4ae72d739862c23eb35de3ad481e7d9ffa0a",
+    "out/pairwise_knobs_model.json": "c59a6fc9e92d06296d638588d8fc3a5a7fe027951d27e6c1ae15c3d56930a1b3",
+    "out/pairwise_knobs_preds.csv": "621f24cb3a71dda444d46af438b681fc4a3255793d234a1c5c2d02e75508c9a4",
+    "out/pairwise_model.json": "ed4927caf1c7239c6e33a339f3d85701ce8644f95cd2c2d00d9d1291f04269fd",
     "out/pairwise_preds.csv": "97c330c82d42111216531626f4aaab2f4da408003363a44f6993275e3f4873aa",
     "out/quality_baselines.json": "a445a0b3977bb69c95191c5cd178013192fb9b37373bdd3d1258d08fede76fc7",
-    "out/quality_model.json": "937c191703dd4ecf62e67541e7dcfab8cdd458bbd377a9a9cbcb0bdddea10f82",
+    "out/quality_model.json": "f01f6f7ea4fee142615587de7427bff2acf93f74ba9d2298f813af8c5ff65257",
     "out/quality_preds.csv": "023748d01556b18886c500f88b0d446ed1a7c7dcffa0417a824a3d72e1f18d1a",
     "out/quality_report.csv": "bee51d187e6fdc5a04b769e73e7c21a54c061e6326561750e83b479b043820c1",
     "out/quality_report.json": "baed87bcc6aa624734698424d30a0280ea51debb590a9328a70a3b740758cc8f",
-    "out/regression.csv": "d66a0c2c722a44ebcb85d87faa7dafc18cf46f5137af60ccd7e5215b96e00df9",
-    "out/regression.json": "5d29e3dfa12c137a0640f4b3c0ebabb4b9d7fbcae788f57a0f1ae6bbc54684cd",
-    "out/regression_knobs_model.json": "cba6535bb023405b0b282c5b4f94b90d66e9f2d82f1171d0d1e3f490f9bfa566",
-    "out/regression_knobs_preds.csv": "1f764d1051f83859275fa9ec5bb71dfa4a285e8c021f6df89d677bd444aa06f9",
-    "out/regression_model.json": "0089ba7f9daf1055f640aa08f2a74a72baabbdfc0b8609b0c7e092f1e3c65e6d",
-    "out/regression_preds.csv": "6dc86df27032b44120ac6dd266fd19f1cdeda35945a2499ee365c2ddd2f4cbe6",
+    "out/regression.csv": "902e11ebdad2625b0b5ad07367ca24c51bbd344e21335fd6648723074bcf410c",
+    "out/regression.json": "8a4461d4c8aa75d3ae7189174a0a32344531ee934003749530604ff432c0a38f",
+    "out/regression_knobs_model.json": "0dea234aa25f4f1a1898ad37982b120c92ef89b165e5448a5e491b298c3ee6e2",
+    "out/regression_knobs_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
+    "out/regression_model.json": "c402c46d9b5b0b083e56b54d68d01850ba3a9fe9a0f49cc4ca87341fcdc9c991",
+    "out/regression_preds.csv": "fc64231fbaccd1480910f5c4efe4daa86faf8932ee9ebf5233b5749c6db3173b",
     "out/regression12.csv": "7f146dc603f85b946e5befb112c52b231000413cb012825171b17aad06230e85",
     "out/regression12.json": "0a90f0194a6fe88da532d7b9b2dbd4ad49911fa264533ccabfdc8ea2d00805af",
-    "out/regression12_model.json": "793c911692c5bdd641516efef5ad1493823e2b390feade49d6fcef6edea008fa",
+    "out/regression12_model.json": "e68152e0c840f1589a2343f307157362eda16aef7c32870f42c8fa135a05d68a",
     "out/regression12_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
     "out/runtime_baselines.json": "4b251174752b5900eb2fea87a07324273224026b52d39b20c93ce3562cf742eb",
-    "out/stacking.csv": "106f94c7560409b2a2aa1286251c3eac54e447f87a97e8d7a5efdc6cd5aa2531",
-    "out/stacking.json": "6c1e6b48218d066852ea998169c430888608bf8cf74164c95a1220ab172da64d",
-    "out/stacking_model.json": "ee7658296f74f611cbdee7b53953770d175f3ce826c96680089a0a5e42d0bf47",
-    "out/stacking_preds.csv": "fdf7e2d930fddff26d8d11adb89968d331164183bbc243aed9813f0fa343190a",
+    "out/stacking.csv": "fa5929207c0a35d0a2d65d9374c8e532e9fe18f1d479af6b1aca6459b5a8306a",
+    "out/stacking.json": "e529aa7775c99b82e35e818b63274c754e49576b2f3b8ae77992703c3aa4adfc",
+    "out/stacking_model.json": "d0a8ee400041c51009fcf95571bb3fb066595a9dbca399578e9836e1f95eedd0",
+    "out/stacking_preds.csv": "7fb03d3f8c329ef3cd1a10a38ddffac88a7b4b28b4454da4be1216702a19fa8b",
     "out/stacking12.csv": "40b95187818b7ab24baf947d9ce62442354b5f50590d97eaf43ae7dd33d90540",
     "out/stacking12.json": "2a78f06bbdcce7b04a5c5178e89f8f1f47fca6b4b654971e5b55efa8438ddced",
-    "out/stacking12_model.json": "acf9cc082e4e28002079618ca2e87beb60b438e67f5efd70f2e6bfa722a38771",
+    "out/stacking12_model.json": "5d47df59c50b50201544c5b28041c1c78a85647514aea55a09e0da6eceee658d",
     "out/stacking12_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
     "out/study.json": "85e70eedda3b35d66da57dd3f4df504c656e624aadcbaf02e29ac55a3b0e18b5",
     "out/study_ecdf.csv": "900eb8a0473e99a0931de54bdf3504d701c13097cad50de14d9cc0684903c67e",
     "out/study_samples.csv": "30aa43ea7c7ea3d198f6d7029bee84bfd3a50f6c0ca632caded727d13ee615cd",
     "out/sunny.csv": "1da16486f71656691e5e9c38711ca632d6960f8c226169ac7ebaf6cf04605c34",
     "out/sunny.json": "751136e605323ed128565fc1d1d934f9655479556408505c263b0f7473669722",
-    "out/sunny_model.json": "6035c318eac5b221922bbf4355b9eec804d0a625b1422f418f81c7f3b907fbdd",
+    "out/sunny_model.json": "a9a0f2606172c8aee022325f071124192fbd12114c76bb196b801e70f37997b2",
     "out/sunny_preds.csv": "5e82fdfcdf030d4a41ea164f37048ab4a0c894824d9aec3eceea130904be814c",
     "quality/description.txt": "6eea6d95e2f8036bd640688a7b7218c9aa2b967c06cde46433aa8ae21eb3a336",
     "quality/features.csv": "b2b29f1ce7f1347c90c6977ed8be52566cf1443169de52e68f0cc420586e05ea",
@@ -160,7 +160,7 @@ def run_chain(root: Path) -> dict[str, str]:
 
 
 def test_chain_outputs_are_byte_identical(tmp_path):
-    assert MODEL_VERSION == 1  # the version the pinned digests were recorded at
+    assert MODEL_VERSION == 2  # the version the pinned digests were recorded at
     got = run_chain(tmp_path)
     # the chain must exercise the presolver, or its digests would say nothing about it
     presolve = json.loads((tmp_path / "out" / "regression_model.json").read_text())["presolve"]

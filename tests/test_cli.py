@@ -262,7 +262,9 @@ class TestTrainPredictEvaluate:
             blobs[tag] = (model.read_bytes(), preds.read_bytes())
         assert blobs["plain"] == blobs["blind"]
 
-    @pytest.mark.parametrize("edit", ["no-payload", "renamed-portfolio"])
+    @pytest.mark.parametrize(
+        "edit", ["no-payload", "renamed-portfolio", "no-medians", "version-1"]
+    )
     def test_broken_or_foreign_model_exits_two(self, learnable_bundle, tmp_path, capsys, edit):
         model = tmp_path / "model.json"
         assert run_cli(
@@ -272,16 +274,32 @@ class TestTrainPredictEvaluate:
         doc = json.loads(model.read_text())
         if edit == "no-payload":
             del doc["payload"]
-        else:
+        elif edit == "renamed-portfolio":
             doc["algorithms"] = ["Z0", "Z1", "Z2"]
+        elif edit == "no-medians":
+            del doc["preprocess"]["medians"]
+        else:
+            doc["version"] = 1
         model.write_text(json.dumps(doc))
         preds = tmp_path / "preds.csv"
         capsys.readouterr()
         assert run_cli(
             "predict", "--scenario", learnable_bundle, "--model", model, "--out", preds
         ) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: ")
+        if edit == "version-1":
+            assert "version 1" in error and "retrain" in error
         assert not preds.exists()
+
+    def test_unknown_hyperparameter_exits_two(self, learnable_bundle, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", "--scenario", learnable_bundle, "--selector", "sunny",
+            "--hp", "k_neighbors=5", "--out", model,
+        ) == 2
+        assert "unknown hyperparameter 'k_neighbors'" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_missing_scenario_exits_two(self, tmp_path):
         assert run_cli("validate", "--scenario", tmp_path / "nope") == 2

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asbench import learners
 from asbench.learners import KNN, fit_forest, fit_kmeans, grow_tree, rng_stream
 from asbench.selectors import Hyperparameters
 
@@ -162,7 +164,7 @@ def test_grow_tree_parts_adjacent_and_huge_doubles():
 
 
 @pytest.mark.parametrize("n_classes", [None, 3])
-def test_fit_forest_matches_the_reference(n_classes):
+def test_fit_forest_matches_the_reference(n_classes, monkeypatch):
     # bootstrap samples of 60 rows repeat rows; the grid makes values tie
     rng = np.random.default_rng(8)
     X = rng.integers(0, 4, size=(60, 5)) * 0.25
@@ -177,6 +179,21 @@ def test_fit_forest_matches_the_reference(n_classes):
         mtry = 3  # ceil(sqrt(5 features))
         want = oracle_grow_tree(X[boot], y[boot], rng_t, hp.min_leaf, mtry, n_classes)
         assert_same_tree(tree, want)
+        # the batched grower keeps each tree to its own sample and generator
+        rng_t = rng_stream(hp.seed, 6, 1, t)
+        assert np.array_equal(rng_t.integers(0, 60, size=60), boot)
+        alone = grow_tree(X[boot], y[boot], rng_t, hp.min_leaf, mtry, n_classes)
+        assert_same_tree(tree, alone)
+    # growing more trees beside them leaves the first ones as they were
+    wider = fit_forest(X, y, replace(hp, n_trees=5), stream=(6, 1), n_classes=n_classes)
+    assert len(wider.trees) == 5
+    for tree, same in zip(forest.trees, wider.trees):
+        assert_same_tree(same, tree)
+    # and so does growing them in groups of two, as large forests grow
+    monkeypatch.setattr(learners, "_GROW_CELLS", 2 * 60 * 6)
+    grouped = fit_forest(X, y, replace(hp, n_trees=5), stream=(6, 1), n_classes=n_classes)
+    for tree, same in zip(wider.trees, grouped.trees):
+        assert_same_tree(same, tree)
 
 
 class TestForest:

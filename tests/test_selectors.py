@@ -636,3 +636,13 @@ class TestDeterminismAndSerialization:
         bad.write_text(json.dumps({**doc, "kind": "oracle"}))
         with pytest.raises(ValueError, match="unknown selector kind 'oracle'"):
             load_model(bad)
+        no_medians = {k: v for k, v in doc["preprocess"].items() if k != "medians"}
+        leftover = {**doc["hyperparameters"], "k_neighbors": 32}
+        for field, value, key in (
+            ("preprocess", no_medians, "medians"),
+            ("hyperparameters", leftover, "k_neighbors"),
+        ):
+            bad.write_text(json.dumps({**doc, field: value}))
+            message = re.escape(f"{bad}: model field {field!r} does not fit: ") + f".*'{key}'"
+            with pytest.raises(ValueError, match=message):
+                load_model(bad)
