@@ -34,7 +34,15 @@ from . import evaluation, scenario_io, selectors, stats
 from .evaluation import ScoreReport, aggregate, report_gap, score_system
 from .scenario import STATUS_CODE, Runs, Scenario, baseline_means, improvement_factor, sbs, validate
 from .scenario_io import ParseError, ViolationsError, generate_splits, parse_scenario
-from .selectors import Hyperparameters, fit_system, load_model, predict_batch, save_model
+from .selectors import (
+    Hyperparameters,
+    fit_prepared,
+    fit_system,
+    load_model,
+    predict_batch,
+    prepare_training,
+    save_model,
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -325,10 +333,12 @@ def cmd_seed_study(args) -> int:
     splits = _resolve_splits(scen, args.splits, args.seed)
     split = _pick_split(splits, args.split_id)
     hp0 = Hyperparameters.from_pairs(args.hp or [])
+    # the presolver and the training set do not depend on the seed
+    prefix, train = prepare_training(scen, split.train, hp0, mode=args.mode)
     samples = []
     for offset in range(args.n_seeds):
         hp = replace(hp0, seed=args.seed + offset)
-        model = fit_system(scen, split.train, args.selector, hp, mode=args.mode)
+        model = fit_prepared(prefix, train, args.selector, hp)
         schedules = predict_batch(model, scen, split.test)
         report = score_system(scen, split, schedules, system=args.selector)
         gap = report_gap(report, args.mode)

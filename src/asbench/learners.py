@@ -8,6 +8,7 @@ evaluation order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,43 +95,42 @@ def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) ->
     """
     X = np.asarray(X, dtype=np.float64)
     boot = np.arange(X.shape[0])[None]
-    return _grow_trees(X, np.asarray(y), boot, [rng], min_leaf, features_per_split, n_classes)[0]
+    Y = np.asarray(y)[None]
+    return _grow_trees(X, Y, boot, [rng], min_leaf, features_per_split, n_classes)[0]
 
 
-def _grow_trees(X, y, boot, rngs, min_leaf, features_per_split, n_classes) -> list[Tree]:
-    """Grow one tree per row of ``boot``, on the sample ``X[boot[t]]``,
-    ``y[boot[t]]``, as :func:`grow_tree` with ``rngs[t]`` does, one depth of
-    all trees at a time.
+def _grow_trees(X, Y, boot, rngs, min_leaf, features_per_split, n_classes) -> list[Tree]:
+    """Grow one tree per row of ``boot``, on the sample ``X[boot[t]]`` with
+    targets ``Y[t]``, as :func:`grow_tree` with ``rngs[t]`` does, one depth
+    of all trees at a time.
 
-    This is presorted CART. Row ``S[t, f]`` holds tree t's sample positions
-    sorted by feature f within each node, and ``S[t, d]`` holds them in
-    ascending order; every node owns one range of columns, and a split
+    This is presorted CART. Tree t owns columns ``t * n`` to ``t * n + n - 1``
+    of every row of ``S``, which hold call-wide sample positions (``t * n + i``
+    is tree t's sample i): row f sorted by feature f within each node, row d
+    ascending. Every node owns one range of its tree's columns, and a split
     partitions that range stably, so both orders hold down the tree. At each
     depth the candidate rows of every splittable node of every tree are
     gathered into padded (nodes, candidates, columns) blocks of nodes of
     similar size (:func:`_size_blocks`), and each block is scored in one pass.
+    Feature values are read from ``X`` through ``boot``, so a call copies no
+    block of them.
     """
     T, n = boot.shape
     d = X.shape[1]
-    XT = np.ascontiguousarray(X.T[:, boot].transpose(1, 0, 2))  # (T, d, n)
-    Y = y[boot]
-    draw = features_per_split is not None and features_per_split < d
-    n_cand = features_per_split if draw else d
+    XT = np.ascontiguousarray(X.T)
+    row_of = boot.reshape(-1)  # the row of X each position holds
+    Y_flat = Y.reshape(-1)
     # the dense rank of each value sorts stably as the value does, and fast
     rank = np.zeros((d, X.shape[0]), dtype=np.uint16 if X.shape[0] <= 1 << 16 else np.int64)
     for f in range(d):
         rank[f] = np.unique(X[:, f], return_inverse=True)[1]
-    S = np.concatenate(
-        [
-            np.argsort(rank[:, boot].transpose(1, 0, 2), axis=2, kind="stable"),
-            np.broadcast_to(np.arange(n), (T, 1, n)),
-        ],
-        axis=1,
-    )
-    S_flat = S.reshape(-1)  # a view: partitions below write through it
-    X_flat = XT.reshape(-1)
-    Y_flat = Y.reshape(-1)
-    row_base = np.arange(T)[:, None] * n
+    S = np.empty((d + 1, T * n), dtype=np.int32 if T * n < 1 << 31 else np.int64)
+    offset = np.arange(0, T * n, n)[:, None]
+    for f in range(d):
+        S[f] = (np.argsort(rank[f, boot], axis=1, kind="stable") + offset).reshape(-1)
+    S[d] = np.arange(T * n)
+    draw = features_per_split is not None and features_per_split < d
+    n_cand = features_per_split if draw else d
 
     # the frontier: tree, first column and size of every node of the current
     # depth, in (tree, node id) order
@@ -140,7 +140,7 @@ def _grow_trees(X, y, boot, rngs, min_leaf, features_per_split, n_classes) -> li
     levels = []  # per depth: the frontier with each node's feature (-1: leaf) and threshold
     while tree.size:
         # a target change between neighbours of the ascending row, counted
-        y_asc = Y_flat[row_base + S[:, d]].reshape(-1)
+        y_asc = Y_flat[S[d]]
         changes = np.concatenate([[0], np.cumsum(y_asc[1:] != y_asc[:-1])])
         first = tree * n + start
         mixed = changes[first + size - 1] > changes[first]
@@ -157,7 +157,7 @@ def _grow_trees(X, y, boot, rngs, min_leaf, features_per_split, n_classes) -> li
         thr = np.zeros(tree.size)
         if n_cand and cand.size:
             feat[cand], thr[cand] = _best_splits(
-                S_flat, X_flat, Y_flat, n_classes, (T, d, n), min_leaf,
+                S, XT, row_of, Y_flat, n_classes, n, min_leaf,
                 tree[cand], start[cand], size[cand], feats,
             )
         levels.append((tree, start, size, feat, thr))
@@ -165,12 +165,12 @@ def _grow_trees(X, y, boot, rngs, min_leaf, features_per_split, n_classes) -> li
         if not idx.size:
             break
         t, s, m = tree[idx], start[idx], size[idx]
-        n_left = _partition(S_flat, X_flat, (T, d, n), t, s, m, feat[idx], thr[idx])
+        n_left = _partition(S, XT, row_of, n, t, s, m, feat[idx], thr[idx])
         # each split's children, left then right, in split order
         tree = np.repeat(t, 2)
         start = np.stack([s, s + n_left], axis=1).reshape(-1)
         size = np.stack([n_left, m - n_left], axis=1).reshape(-1)
-    return _assemble(levels, Y_flat[row_base + S[:, d]], n_classes)
+    return _assemble(levels, Y_flat[S[d]].reshape(T, n), n_classes)
 
 
 # A split search scores nodes in blocks of (nodes, candidates, columns, sums)
@@ -178,7 +178,7 @@ def _grow_trees(X, y, boot, rngs, min_leaf, features_per_split, n_classes) -> li
 # about as much time as _BLOCK_COST padded elements on top of its size, and
 # none holds more than _BLOCK_MAX elements.
 _BLOCK_COST = 1 << 14
-_BLOCK_MAX = 1 << 16
+_BLOCK_MAX = 1 << 14
 
 
 def _size_blocks(size, unit):
@@ -208,10 +208,10 @@ def _size_blocks(size, unit):
     return blocks
 
 
-def _best_splits(S_flat, X_flat, Y_flat, n_classes, shape, min_leaf, tree, start, size, feats):
+def _best_splits(S, XT, row_of, Y_flat, n_classes, n, min_leaf, tree, start, size, feats):
     """Best (feature, threshold) of every node given by its tree, first
     column, size and candidate features; feature -1 where none parts it."""
-    T, d, n = shape
+    width = S.shape[1]
     n_cand = feats.shape[1]
     feat = np.full(size.size, -1, dtype=np.int64)
     thr = np.zeros(size.size)
@@ -220,10 +220,10 @@ def _best_splits(S_flat, X_flat, Y_flat, n_classes, shape, min_leaf, tree, start
     for r in _size_blocks(size, n_cand * sums):
         t, m, F = tree[r], size[r], feats[r]
         L = int(m.max())
-        cols = np.minimum(start[r, None] + np.arange(L), n - 1)
-        SF = S_flat[((t[:, None] * (d + 1) + F) * n)[:, :, None] + cols[:, None, :]]
-        xs = X_flat[((t[:, None] * d + F) * n)[:, :, None] + SF]  # (nodes, cands, L)
-        ys = Y_flat[(t * n)[:, None, None] + SF]
+        cols = t[:, None] * n + np.minimum(start[r, None] + np.arange(L), n - 1)
+        SF = S.reshape(-1)[(F * width)[:, :, None] + cols[:, None, :]]
+        xs = XT.reshape(-1)[(F * XT.shape[1])[:, :, None] + row_of[SF]]  # (nodes, cands, L)
+        ys = Y_flat[SF]
         # split after sorted position p, for p in [min_leaf - 1, m - min_leaf)
         p = np.arange(L - 1)
         n_left = p + 1.0
@@ -261,50 +261,36 @@ def _best_splits(S_flat, X_flat, Y_flat, n_classes, shape, min_leaf, tree, start
     return feat, thr
 
 
-def _partition(S_flat, X_flat, shape, tree, start, size, feat, thr):
+def _partition(S, XT, row_of, n, tree, start, size, feat, thr):
     """Stably partition every row of each split node's columns, samples with
     ``x[feat] <= thr`` first; returns the left sizes."""
-    T, d, n = shape
     seg = np.repeat(np.arange(size.size), size)
-    t = tree[seg]
     k = np.arange(seg.size) - (np.cumsum(size) - size)[seg]  # column within the node
-    cells = np.arange(0, (d + 1) * n, n)[:, None] + (t * ((d + 1) * n) + start[seg] + k)
-    samples = S_flat[cells]  # (d + 1, columns)
+    cols = (tree * n + start)[seg] + k
+    samples = S[:, cols]
     # which side each sample goes to, read through every row
-    goes = np.zeros(T * n, dtype=bool)
-    t_n = t * n
-    goes[t_n + samples[d]] = X_flat[(t * d + feat[seg]) * n + samples[d]] <= thr[seg]
-    goes = goes[t_n + samples]
-    n_left = np.bincount(seg[goes[d]], minlength=size.size)
+    goes = np.zeros(S.shape[1], dtype=bool)
+    goes[samples[-1]] = XT.reshape(-1)[feat[seg] * XT.shape[1] + row_of[samples[-1]]] <= thr[seg]
+    goes = goes[samples]
+    n_left = np.bincount(seg[goes[-1]], minlength=size.size)
     # every row sends the same number of samples left, so row by row, node
     # by node, the left-goers fill the left children's columns in order
     left = k < n_left[seg]
-    moved = np.empty_like(samples)
-    moved[:, left] = samples[goes].reshape(d + 1, -1)
-    moved[:, ~left] = samples[~goes].reshape(d + 1, -1)
-    S_flat[cells] = moved
+    S[:, cols[left]] = samples[goes].reshape(len(S), -1)
+    S[:, cols[~left]] = samples[~goes].reshape(len(S), -1)
     return n_left
 
 
 def _assemble(levels, y_asc, n_classes) -> list[Tree]:
-    """Per-tree node arrays from the frontiers of every depth; ``y_asc``
-    holds each tree's targets in its final ascending row, leaf by leaf."""
+    """Per-tree node arrays from the frontiers of every depth, which it
+    empties; ``y_asc`` holds each tree's targets in its final ascending row,
+    leaf by leaf. Each temporary is dropped once used: one call holds the
+    nodes of many trees."""
     T, n = y_asc.shape
-    tree, start, size, feature, threshold = (np.concatenate(x) for x in zip(*levels))
-    split = feature >= 0
-    # the k-th split of a depth has its children at 2k and 2k + 1 of the next
     counts = [level[0].size for level in levels]
-    depth = np.repeat(np.arange(len(counts)), counts)
-    offsets = np.cumsum([0, *counts])
-    before = np.cumsum(split) - split
-    left = np.where(split, offsets[depth + 1] + 2 * (before - before[offsets[depth]]), -1)
-    # each tree's nodes, depth by depth in frontier order, are its breadth-first ids
-    order = np.argsort(tree, kind="stable")
-    n_nodes = np.bincount(tree, minlength=T)
-    first_id = np.cumsum(n_nodes) - n_nodes
-    node_id = np.empty_like(order)
-    node_id[order] = np.arange(order.size) - first_id[tree[order]]
-    left = np.where(split, node_id[left], -1)
+    tree, start, size, feature, threshold = (np.concatenate(x) for x in zip(*levels))
+    levels.clear()
+    split = feature >= 0
     # the leaves tile the rows
     leaf = np.flatnonzero(~split)
     leaf = leaf[np.argsort(tree[leaf] * n + start[leaf])]
@@ -314,14 +300,26 @@ def _assemble(levels, y_asc, n_classes) -> list[Tree]:
     sums = np.add.reduceat(targets, tree[leaf] * n + start[leaf], axis=0)
     payload = np.zeros((tree.size,) + sums.shape[1:])
     payload[leaf] = sums / (size[leaf] if n_classes is None else size[leaf, None])
-    columns = (
-        feature,
-        np.where(split, threshold, 0.0),
-        left,
-        np.where(split, left + 1, -1),
-        payload,
-    )
-    feature, threshold, left, right, payload = (c[order] for c in columns)
+    del start, size, leaf, targets, sums
+    # each tree's nodes, depth by depth in frontier order, are its breadth-first ids
+    order = np.argsort(tree, kind="stable")
+    n_nodes = np.bincount(tree, minlength=T)
+    first_id = np.cumsum(n_nodes) - n_nodes
+    node_id = np.empty_like(order)
+    node_id[order] = np.arange(order.size) - first_id[tree[order]]
+    del tree
+    # the k-th split of a depth has its children at 2k and 2k + 1 of the next
+    depth = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum([0, *counts])
+    before = np.cumsum(split) - split
+    left = np.where(split, offsets[depth + 1] + 2 * (before - before[offsets[depth]]), -1)
+    del depth, before
+    left = np.where(split, node_id[left], -1)[order]
+    del node_id
+    right = np.where(left >= 0, left + 1, -1)
+    threshold = np.where(split, threshold, 0.0)[order]
+    feature = feature[order]
+    payload = payload[order]
     trees = []
     for first, count in zip(first_id, n_nodes):
         nodes = slice(first, first + count)
@@ -360,32 +358,53 @@ class Forest:
 
 
 # Sorted sample positions (trees x (features + 1) x samples) that one call of
-# the grower holds; a depth's partition makes a few arrays of that size.
+# the grower holds, 4 bytes each. With its other temporaries (per-tree
+# samples and targets, partition, split search blocks, frontiers and node
+# arrays) a call peaks at about 24 bytes a position with 4 features and 14
+# with 20: 6.0 and 3.3 MiB at this bound for regression trees, on top of the
+# trees it returns (2.6 MiB for the 149 trees of the 4-feature call).
 _GROW_CELLS = 1 << 18
 
 
 def fit_forest(X, y, hp, stream, n_classes=None) -> Forest:
-    """Fit a random forest; ``stream`` is a tuple of ids naming the RNG
-    substream so sibling models stay independent but reproducible."""
+    """Fit a random forest on every row of ``X`` (see :func:`fit_forests`)."""
+    return fit_forests(X, [(slice(None), y, stream)], hp, n_classes)[0]
+
+
+def fit_forests(X, jobs, hp, n_classes=None) -> list[Forest]:
+    """Fit one random forest per job ``(rows, y, stream)``: the rows
+    ``X[rows]``, targets ``y`` aligned to them, and a tuple of ids naming
+    the RNG substream, so sibling models stay independent but reproducible.
+
+    Tree t of a job has its own generator, ``rng_stream(hp.seed, *stream,
+    t)``, which draws the tree's bootstrap over ``len(rows)``, then its
+    features. A tree does not depend on its siblings, so the trees of all
+    jobs grow together: pooled by sample count, in groups of at most
+    ``_GROW_CELLS`` sorted positions.
+    """
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    if n == 0:
+    d = X.shape[1]
+    dtype = np.float64 if n_classes is None else np.int64
+    jobs = [(np.arange(X.shape[0])[rows], np.asarray(y, dtype=dtype), s) for rows, y, s in jobs]
+    if any(rows.size == 0 for rows, _, _ in jobs):
         raise ValueError("cannot fit a forest on an empty training set")
-    if n_classes is None:
-        y = np.asarray(y, dtype=np.float64)
-    else:
-        y = np.asarray(y, dtype=np.int64)
     mtry = (hp.features_per_split or int(np.ceil(np.sqrt(d)))) if d else None
-    # each tree's generator draws its bootstrap, then its features
-    rngs = [rng_stream(hp.seed, *stream, t) for t in range(hp.n_trees)]
-    boot = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-    # the trees are independent, so they grow in groups of bounded size
-    group = max(1, _GROW_CELLS // (n * (d + 1)))
-    trees = []
-    for lo in range(0, hp.n_trees, group):
-        sl = slice(lo, lo + group)
-        trees += _grow_trees(X, y, boot[sl], rngs[sl], hp.min_leaf, mtry, n_classes)
-    return Forest(trees=trees, n_classes=n_classes)
+    forests = [[] for _ in jobs]
+    by_size = sorted(range(len(jobs)), key=lambda j: jobs[j][0].size)
+    for n, same in itertools.groupby(by_size, key=lambda j: jobs[j][0].size):
+        trees = [(j, t) for j in same for t in range(hp.n_trees)]
+        # as few groups as the bound allows, of near-equal size
+        n_groups = -(-len(trees) // max(1, _GROW_CELLS // (n * (d + 1))))
+        for g in range(n_groups):
+            group = trees[g * len(trees) // n_groups : (g + 1) * len(trees) // n_groups]
+            rngs = [rng_stream(hp.seed, *jobs[j][2], t) for j, t in group]
+            picks = [rng.integers(0, n, size=n) for rng in rngs]
+            boot = np.stack([jobs[j][0][p] for (j, _), p in zip(group, picks)])
+            Y = np.stack([jobs[j][1][p] for (j, _), p in zip(group, picks)])
+            grown = _grow_trees(X, Y, boot, rngs, hp.min_leaf, mtry, n_classes)
+            for (j, _), tree in zip(group, grown):
+                forests[j].append(tree)
+    return [Forest(trees=trees, n_classes=n_classes) for trees in forests]
 
 
 # ---------------------------------------------------------------------------

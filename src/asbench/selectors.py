@@ -28,13 +28,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .evaluation import FeatureStep, SolverStep, simulate
-from .learners import KNN, Forest, KMeans, Tree, fit_forest, fit_kmeans, rng_stream
+from .learners import KNN, Forest, KMeans, Tree, fit_forest, fit_forests, fit_kmeans, rng_stream
 from .scenario import Scenario
 
 SELECTOR_KINDS = ("regression", "pairwise", "cluster", "stacking", "sunny")
 
 # Fixed stream tags so sibling submodels never share a substream.
 _S_REGRESSION, _S_PAIRWISE, _S_CLUSTER, _S_STACK_L1, _S_STACK_L2, _S_FOLDS = range(1, 7)
+
+# The row index of a forest job that trains on every training instance.
+_ALL_ROWS = slice(None)
 
 MODEL_FORMAT = "asbench-model"
 MODEL_VERSION = 2
@@ -200,11 +203,9 @@ def _mean_costs(train: TrainingSet) -> np.ndarray:
 def fit_regression(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
     """One runtime-predicting forest per algorithm; selection is the argmin
     of the predictions, ties resolved by portfolio order."""
-    forests = [
-        fit_forest(train.X, train.costs[:, a], hp, (_S_REGRESSION, a))
-        for a in range(len(train.algorithms))
-    ]
-    return _model("regression", train, hp, {"forests": forests})
+    k = len(train.algorithms)
+    jobs = [(_ALL_ROWS, train.costs[:, a], (_S_REGRESSION, a)) for a in range(k)]
+    return _model("regression", train, hp, {"forests": fit_forests(train.X, jobs, hp)})
 
 
 def fit_pairwise(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
@@ -214,12 +215,13 @@ def fit_pairwise(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
     k = len(train.algorithms)
     if k < 2:
         raise ValueError("pairwise selection needs at least two algorithms")
-    classifiers = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            labels = (train.costs[:, a] < train.costs[:, b]).astype(np.int64)
-            forest = fit_forest(train.X, labels, hp, (_S_PAIRWISE, a, b), n_classes=2)
-            classifiers.append((a, b, forest))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    jobs = [
+        (_ALL_ROWS, (train.costs[:, a] < train.costs[:, b]).astype(np.int64), (_S_PAIRWISE, a, b))
+        for a, b in pairs
+    ]
+    forests = fit_forests(train.X, jobs, hp, n_classes=2)
+    classifiers = [(a, b, forest) for (a, b), forest in zip(pairs, forests)]
     payload = {"classifiers": classifiers, "mean_costs": _mean_costs(train)}
     return _model("pairwise", train, hp, payload)
 
@@ -252,28 +254,33 @@ def fit_stacking(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
     the full training set.
     """
     n, k = train.costs.shape
-    best_label = np.argmin(train.costs, axis=1)
     n_folds = min(5, n)
+    level1_oof = _out_of_fold(train, hp, n_folds)
+    best_label = np.argmin(train.costs, axis=1)
+    combiner = fit_forest(level1_oof, best_label, hp, (_S_STACK_L2,), n_classes=k)
+    jobs = [(_ALL_ROWS, train.costs[:, a], (_S_STACK_L1, n_folds, a)) for a in range(k)]
+    payload = {"forests": fit_forests(train.X, jobs, hp), "combiner": combiner}
+    return _model("stacking", train, hp, payload)
+
+
+def _out_of_fold(train: TrainingSet, hp: Hyperparameters, n_folds: int) -> np.ndarray:
+    """Each training instance's level-1 predictions by the regressors fitted
+    without its fold; with one instance, its one fold fits on itself."""
+    n, k = train.costs.shape
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[rng_stream(hp.seed, _S_FOLDS).permutation(n)] = np.arange(n) % n_folds
-
-    level1_oof = np.zeros((n, k))
-    for f in range(n_folds):
-        hold = fold_of == f
-        fit_rows = ~hold
-        if not fit_rows.any():
-            fit_rows = hold
-        for a in range(k):
-            forest = fit_forest(
-                train.X[fit_rows], train.costs[fit_rows, a], hp, (_S_STACK_L1, f, a)
-            )
-            level1_oof[hold, a] = forest.predict(train.X[hold])
-
-    combiner = fit_forest(level1_oof, best_label, hp, (_S_STACK_L2,), n_classes=k)
-    forests = [
-        fit_forest(train.X, train.costs[:, a], hp, (_S_STACK_L1, n_folds, a)) for a in range(k)
+    holds = [fold_of == f for f in range(n_folds)]
+    fits = [~hold if (~hold).any() else hold for hold in holds]
+    jobs = [
+        (fit, train.costs[fit, a], (_S_STACK_L1, f, a))
+        for f, fit in enumerate(fits)
+        for a in range(k)
     ]
-    return _model("stacking", train, hp, {"forests": forests, "combiner": combiner})
+    level1_oof = np.zeros((n, k))
+    for j, forest in enumerate(fit_forests(train.X, jobs, hp)):
+        hold = holds[j // k]
+        level1_oof[hold, j % k] = forest.predict(train.X[hold])
+    return level1_oof
 
 
 def fit_sunny(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
@@ -471,22 +478,18 @@ def presolved_instances(prefix, scenario: Scenario, instances):
     return solved
 
 
-def fit_system(
-    scenario: Scenario,
-    train_instances,
-    kind: str,
-    hp: Hyperparameters,
-    mode: str = "icon2015",
-    feature_groups=None,
-) -> SelectorModel:
-    """Full training pipeline: build the presolver, drop the training
-    instances it dispatches, then fit the requested selector family.
+def prepare_training(
+    scenario: Scenario, train_instances, hp: Hyperparameters, mode="icon2015", feature_groups=None
+):
+    """The seed-independent half of :func:`fit_system`: build the presolver,
+    drop the training instances it dispatches, and assemble the training
+    set of the rest. Returns ``(prefix, train)``. Of ``hp`` only
+    ``presolve_budget_fraction`` is read, so one preparation serves the
+    fits of every seed.
 
     2015 rules allow a single pre-solver step; 2017 rules allow a greedy
     schedule of up to three.
     """
-    if kind not in SELECTOR_KINDS:
-        raise ValueError(f"unknown selector kind {kind!r}; choose from {SELECTOR_KINDS}")
     train_instances = tuple(train_instances)
     prefix = build_presolver(
         train_instances, scenario, hp, max_steps=1 if mode == "icon2015" else 3
@@ -496,16 +499,37 @@ def fit_system(
     if not kept:  # the prefix already cleans up the whole training set
         prefix = ()
         kept = train_instances
-    train = build_training_set(scenario, kept, feature_groups)
-    fitter = {
+    return prefix, build_training_set(scenario, kept, feature_groups)
+
+
+def fit_prepared(prefix, train: TrainingSet, kind: str, hp: Hyperparameters) -> SelectorModel:
+    """Fit the requested selector family on a prepared training set (see
+    :func:`prepare_training`), behind the presolver ``prefix``."""
+    fitters = {
         "regression": fit_regression,
         "pairwise": fit_pairwise,
         "cluster": fit_cluster,
         "stacking": fit_stacking,
         "sunny": fit_sunny,
-    }[kind]
-    model = fitter(train, hp)
-    return replace(model, presolve=prefix)
+    }
+    if kind not in fitters:
+        raise ValueError(f"unknown selector kind {kind!r}; choose from {SELECTOR_KINDS}")
+    return replace(fitters[kind](train, hp), presolve=prefix)
+
+
+def fit_system(
+    scenario: Scenario,
+    train_instances,
+    kind: str,
+    hp: Hyperparameters,
+    mode: str = "icon2015",
+    feature_groups=None,
+) -> SelectorModel:
+    """Full training pipeline: build the presolver, drop the training
+    instances it dispatches, then fit the requested selector family
+    (:func:`prepare_training`, then :func:`fit_prepared`)."""
+    prefix, train = prepare_training(scenario, train_instances, hp, mode, feature_groups)
+    return fit_prepared(prefix, train, kind, hp)
 
 
 # ---------------------------------------------------------------------------
@@ -581,26 +605,43 @@ def load_model(path) -> SelectorModel:
     try:
         if doc["kind"] not in SELECTOR_KINDS:
             raise ValueError(f"{path}: unknown selector kind {doc['kind']!r}")
-        pre = {name: tuple(values) for name, values in doc["preprocess"].items()}
-        pre["kept"] = tuple(map(bool, pre["kept"]))
         return SelectorModel(
             kind=doc["kind"],
-            algorithms=tuple(doc["algorithms"]),
-            feature_groups=tuple(doc["feature_groups"]),
-            pre=_build(path, "preprocess", Preprocess, pre),
+            algorithms=_read(path, "algorithms", tuple, doc["algorithms"]),
+            feature_groups=_read(path, "feature_groups", tuple, doc["feature_groups"]),
+            pre=_read(path, "preprocess", _preprocess, doc["preprocess"]),
             sbs_algorithm=doc["sbs_algorithm"],
-            payload=_decode(doc["payload"]),
-            presolve=tuple(SolverStep(algorithm=a, budget=b) for a, b in doc["presolve"]),
-            hp=_build(path, "hyperparameters", Hyperparameters, doc["hyperparameters"]),
+            payload=_read(path, "payload", _payload, doc["payload"]),
+            presolve=_read(path, "presolve", _presolve, doc["presolve"]),
+            hp=_read(
+                path, "hyperparameters", lambda v: Hyperparameters(**v), doc["hyperparameters"]
+            ),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: model document has no {exc.args[0]!r}") from None
 
 
-def _build(path, field, cls, values):
-    """``cls(**values)``, with a key the class lacks or needs reported as
-    invalid input that names the file and the document field."""
+def _read(path, field, convert, value):
+    """``convert(value)``, with a value of the wrong shape or type (a missing
+    or unknown key, a list where an object belongs, a number where a list
+    does) reported as invalid input that names the file and the field."""
     try:
-        return cls(**values)
-    except TypeError as exc:
+        return convert(value)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: model field {field!r} does not fit: {exc}") from None
+
+
+def _preprocess(doc) -> Preprocess:
+    pre = {name: tuple(values) for name, values in doc.items()}
+    pre["kept"] = tuple(map(bool, pre["kept"]))
+    return Preprocess(**pre)
+
+
+def _payload(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object, got {type(doc).__name__}")
+    return _decode(doc)
+
+
+def _presolve(doc) -> tuple[SolverStep, ...]:
+    return tuple(SolverStep(algorithm=a, budget=b) for a, b in doc)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from asbench.evaluation import FeatureStep, SolverStep
-from asbench.learners import Tree
+from asbench.learners import Tree, fit_forest, rng_stream
 from asbench.scenario import (
     DIRECTIONS,
     OBJECTIVES,
@@ -41,6 +41,7 @@ from asbench.scenario_io import (
     _parse_description,
     _parse_float,
 )
+from asbench.selectors import _S_FOLDS, _S_PAIRWISE, _S_REGRESSION, _S_STACK_L1, _S_STACK_L2
 
 
 def oracle_simulate(scenario, instance, schedule):
@@ -293,6 +294,60 @@ def oracle_grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=N
     else:
         tree.value = np.asarray([0.0 if p is None else p for p in payload], dtype=np.float64)
     return tree
+
+
+def oracle_regression_forests(train, hp):
+    """``fit_regression``'s forests, one ``fit_forest`` call each.
+
+    This and the next two are the selector fitters' per-forest loops from
+    before forests shared grower calls. ``fit_forest``, a one-job
+    ``fit_forests`` call, is itself checked against ``oracle_grow_tree``."""
+    forests = [
+        fit_forest(train.X, train.costs[:, a], hp, (_S_REGRESSION, a))
+        for a in range(len(train.algorithms))
+    ]
+    return forests
+
+
+def oracle_pairwise_classifiers(train, hp):
+    """``fit_pairwise``'s (a, b, forest) classifiers, one ``fit_forest`` call
+    each."""
+    k = len(train.algorithms)
+    classifiers = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            labels = (train.costs[:, a] < train.costs[:, b]).astype(np.int64)
+            forest = fit_forest(train.X, labels, hp, (_S_PAIRWISE, a, b), n_classes=2)
+            classifiers.append((a, b, forest))
+    return classifiers
+
+
+def oracle_stacking(train, hp):
+    """``fit_stacking``'s out-of-fold level-1 matrix, combiner and level-1
+    forests, one ``fit_forest`` call per forest."""
+    n, k = train.costs.shape
+    best_label = np.argmin(train.costs, axis=1)
+    n_folds = min(5, n)
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[rng_stream(hp.seed, _S_FOLDS).permutation(n)] = np.arange(n) % n_folds
+
+    level1_oof = np.zeros((n, k))
+    for f in range(n_folds):
+        hold = fold_of == f
+        fit_rows = ~hold
+        if not fit_rows.any():
+            fit_rows = hold
+        for a in range(k):
+            forest = fit_forest(
+                train.X[fit_rows], train.costs[fit_rows, a], hp, (_S_STACK_L1, f, a)
+            )
+            level1_oof[hold, a] = forest.predict(train.X[hold])
+
+    combiner = fit_forest(level1_oof, best_label, hp, (_S_STACK_L2,), n_classes=k)
+    forests = [
+        fit_forest(train.X, train.costs[:, a], hp, (_S_STACK_L1, n_folds, a)) for a in range(k)
+    ]
+    return level1_oof, combiner, forests
 
 
 def _oracle_transform(pre, raw_vector):

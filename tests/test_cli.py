@@ -262,8 +262,17 @@ class TestTrainPredictEvaluate:
             blobs[tag] = (model.read_bytes(), preds.read_bytes())
         assert blobs["plain"] == blobs["blind"]
 
+    # a field of the wrong JSON type, named by the message: (field, value)
+    WRONG_TYPES = {
+        "preprocess-list": ("preprocess", []),
+        "presolve-number": ("presolve", 3),
+        "algorithms-null": ("algorithms", None),
+        "feature-groups-null": ("feature_groups", None),
+        "payload-list": ("payload", [1, 2]),
+    }
+
     @pytest.mark.parametrize(
-        "edit", ["no-payload", "renamed-portfolio", "no-medians", "version-1"]
+        "edit", ["no-payload", "renamed-portfolio", "no-medians", "version-1", *WRONG_TYPES]
     )
     def test_broken_or_foreign_model_exits_two(self, learnable_bundle, tmp_path, capsys, edit):
         model = tmp_path / "model.json"
@@ -278,8 +287,11 @@ class TestTrainPredictEvaluate:
             doc["algorithms"] = ["Z0", "Z1", "Z2"]
         elif edit == "no-medians":
             del doc["preprocess"]["medians"]
-        else:
+        elif edit == "version-1":
             doc["version"] = 1
+        else:
+            field, value = self.WRONG_TYPES[edit]
+            doc[field] = value
         model.write_text(json.dumps(doc))
         preds = tmp_path / "preds.csv"
         capsys.readouterr()
@@ -290,6 +302,8 @@ class TestTrainPredictEvaluate:
         assert error.startswith("error: ")
         if edit == "version-1":
             assert "version 1" in error and "retrain" in error
+        if edit in self.WRONG_TYPES:
+            assert str(model) in error and repr(self.WRONG_TYPES[edit][0]) in error
         assert not preds.exists()
 
     def test_unknown_hyperparameter_exits_two(self, learnable_bundle, tmp_path, capsys):
@@ -426,6 +440,23 @@ class TestSeedStudy:
         fractions = [float(r.split(",")[1]) for r in ecdf_rows]
         assert fractions == sorted(fractions)
         assert fractions[-1] == 1.0
+
+    def test_prepares_the_training_set_once(self, learnable_bundle, tmp_path, monkeypatch):
+        from asbench import cli, selectors
+
+        prepared = []
+
+        def counted(*args, **kwargs):
+            prepared.append(selectors.prepare_training(*args, **kwargs))
+            return prepared[-1]
+
+        monkeypatch.setattr(cli, "prepare_training", counted)
+        assert run_cli(
+            "seed-study", "--scenario", learnable_bundle, "--selector", "regression",
+            "--hp", "n_trees=3", "--n-seeds", "3", "--out", tmp_path / "study",
+        ) == 0
+        assert len(prepared) == 1
+        assert len((tmp_path / "study_samples.csv").read_text().splitlines()) == 4
 
     def test_seed_in_hp_exits_two(self, learnable_bundle, tmp_path, capsys):
         assert run_cli(

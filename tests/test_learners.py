@@ -4,17 +4,30 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asbench import learners
-from asbench.learners import KNN, fit_forest, fit_kmeans, grow_tree, rng_stream
-from asbench.selectors import Hyperparameters
+from asbench import learners, selectors
+from asbench.learners import KNN, fit_forest, fit_forests, fit_kmeans, grow_tree, rng_stream
+from asbench.selectors import (
+    Hyperparameters,
+    Preprocess,
+    TrainingSet,
+    fit_pairwise,
+    fit_regression,
+    fit_stacking,
+)
 
-from oracles import oracle_grow_tree
+from oracles import (
+    oracle_grow_tree,
+    oracle_pairwise_classifiers,
+    oracle_regression_forests,
+    oracle_stacking,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "dist")
@@ -194,6 +207,104 @@ def test_fit_forest_matches_the_reference(n_classes, monkeypatch):
     grouped = fit_forest(X, y, replace(hp, n_trees=5), stream=(6, 1), n_classes=n_classes)
     for tree, same in zip(wider.trees, grouped.trees):
         assert_same_tree(same, tree)
+    # each job of a shared call is the forest its own call fits: row sets of
+    # several sizes, as a slice, a mask and unsorted, repeating indices
+    mask = X[:, 0] > 0.3
+    jobs = [
+        (slice(None), y, (6, 1)),
+        (np.arange(0, 60, 2), y[::2], (6, 2)),
+        (mask, y[mask], (7,)),
+        (np.arange(59, 29, -1), y[59:29:-1], (6, 3)),
+        (np.array([3, 3, 8, 1, 8, 3]), y[[3, 3, 8, 1, 8, 3]], (6, 4)),
+    ]
+    shared = fit_forests(X, jobs, replace(hp, n_trees=5), n_classes=n_classes)
+    assert len(shared) == len(jobs)
+    for (rows, y_rows, stream), forest in zip(jobs, shared):
+        alone = fit_forest(X[rows], y_rows, replace(hp, n_trees=5), stream, n_classes)
+        assert_same_forest(forest, alone)
+
+
+def assert_same_forest(got, want):
+    assert got.n_classes == want.n_classes
+    assert len(got.trees) == len(want.trees)
+    for tree, same in zip(want.trees, got.trees):
+        assert_same_tree(same, tree)
+
+
+def _training_set(X, costs):
+    n, k = costs.shape
+    d = X.shape[1]
+    return TrainingSet(
+        instances=tuple(f"i{j}" for j in range(n)),
+        algorithms=tuple(f"A{a}" for a in range(k)),
+        feature_groups=("g",),
+        X=X,
+        costs=costs,
+        solved=np.ones((n, k), dtype=bool),
+        pre=Preprocess(tuple(range(d)), (0.0,) * d, (0.0,) * d, (1.0,) * d, (True,) * d),
+    )
+
+
+@st.composite
+def training_sets(draw):
+    """A training set of 1 to 23 instances, so the stacking folds often
+    differ in size (and n < 5 takes fewer folds), 2 to 4 algorithms and 0
+    to 3 kept feature columns. Features sit on a coarse grid, so values tie;
+    costs are tied integers or lognormal floats."""
+    n, k, d = draw(st.integers(1, 23)), draw(st.integers(2, 4)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 4, size=(n, d)) * 0.5
+    if draw(st.booleans()):
+        return _training_set(X, rng.integers(1, 4, size=(n, k)) * 10.0)
+    return _training_set(X, rng.lognormal(size=(n, k)))
+
+
+def _hp(n_trees, seed, min_leaf=1, features_per_split=None):
+    return Hyperparameters(n_trees, min_leaf, features_per_split, seed=seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    train=training_sets(),
+    hp=st.builds(
+        _hp,
+        n_trees=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        min_leaf=st.integers(1, 2),
+        features_per_split=st.sampled_from([None, 1]),
+    ),
+    cells=st.sampled_from([None, 1, 60, 300]),
+)
+# one instance: its one fold fits on itself
+@example(train=_training_set(np.array([[0.5]]), np.array([[1.0, 2.0]])), hp=_hp(3, 0), cells=None)
+# no feature columns
+@example(train=_training_set(np.zeros((3, 0)), np.array([[1.0, 2, 3], [3, 2, 1], [2, 2, 2]])),
+         hp=_hp(2, 5), cells=None)
+# folds of 2, 2, 1, 1 and 1 instances, one tree per grower call
+@example(train=_training_set(np.arange(14.0).reshape(7, 2) % 3, np.arange(28.0).reshape(7, 4) % 5),
+         hp=_hp(7, 9), cells=1)
+def test_shared_grower_calls_match_per_forest_fits(train, hp, cells):
+    # the fitters' shared fit_forests calls, with groups cut small by a
+    # patched bound (splitting jobs), against one fit_forest call per forest
+    want_regression = oracle_regression_forests(train, hp)
+    want_pairwise = oracle_pairwise_classifiers(train, hp)
+    want_oof, want_combiner, want_forests = oracle_stacking(train, hp)
+    with mock.patch.object(learners, "_GROW_CELLS", cells or learners._GROW_CELLS):
+        regression = fit_regression(train, hp).payload
+        pairwise = fit_pairwise(train, hp).payload
+        stacking = fit_stacking(train, hp).payload
+        oof = selectors._out_of_fold(train, hp, min(5, len(train.instances)))
+    for got, want in zip(regression["forests"], want_regression, strict=True):
+        assert_same_forest(got, want)
+    for got, want in zip(pairwise["classifiers"], want_pairwise, strict=True):
+        assert got[:2] == want[:2]
+        assert_same_forest(got[2], want[2])
+    assert (oof.dtype, oof.shape, oof.tobytes()) == (
+        want_oof.dtype, want_oof.shape, want_oof.tobytes()
+    )
+    assert_same_forest(stacking["combiner"], want_combiner)
+    for got, want in zip(stacking["forests"], want_forests, strict=True):
+        assert_same_forest(got, want)
 
 
 class TestForest:
