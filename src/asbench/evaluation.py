@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .scenario import PAR10_FACTOR, STATUS_CODE, Scenario, Split, best_ok_time, sbs
+from .scenario import PAR10_FACTOR, STATUS_CODE, Scenario, Split, sbs
 
 GAP_EPS = 1e-12
 
@@ -142,8 +142,9 @@ def mcp(outcome: EvaluationOutcome, scenario: Scenario, instance: str) -> float:
         raise ValueError("the misclassification penalty is defined for runtime scenarios only")
     if outcome.time_used is None:
         raise ValueError("runtime outcome required")
-    capped = min(outcome.time_used, scenario.cutoff)
-    return capped - best_ok_time(scenario, instance)
+    table = scenario.table
+    best = float(table.capped[table.row[instance]].min())  # the cutoff if none solved
+    return min(outcome.time_used, scenario.cutoff) - best
 
 
 @dataclass(frozen=True)

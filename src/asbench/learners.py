@@ -67,17 +67,20 @@ class Tree:
         return self.dist[idx]
 
 
-def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Tree:
-    """Grow a CART tree to purity (no depth cap).
+def _grow_trees(X, Y, boot, rngs, min_leaf, features_per_split, n_classes) -> list[Tree]:
+    """Grow one CART tree to purity (no depth cap) per row of ``boot``, on
+    the sample ``X[boot[t]]`` with targets ``Y[t]`` and feature draws from
+    ``rngs[t]``, one depth of all trees at a time. A tree's bits do not
+    depend on the other trees of the call.
 
     ``n_classes`` switches to classification with Gini splits; otherwise
     splits minimize the summed squared error. ``features_per_split`` caps how
-    many features each node may consider, drawn from ``rng``.
+    many features each node may consider, drawn from ``rngs[t]``.
 
-    The tree grows breadth first. Node 0 is the root, and each depth numbers
+    A tree grows breadth first. Node 0 is the root, and each depth numbers
     its children in parent order, left before right. A node with at least
     ``2 * min_leaf`` samples and mixed targets is splittable; at each depth
-    the tree draws one block of feature orders for its splittable nodes,
+    a tree draws one block of feature orders for its splittable nodes,
     ``rng.permuted`` over rows of ``arange(d)``, one row per node in node-id
     order, and a node's candidates are the first ``features_per_split`` of
     its row (all features in order when that is not below ``d``).
@@ -92,17 +95,6 @@ def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) ->
     order, then the lowest position. A regression leaf holds the sum of its
     targets in ascending position, as ``np.add.reduceat`` takes it, divided
     by its size; a classification leaf its label counts over its size.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    boot = np.arange(X.shape[0])[None]
-    Y = np.asarray(y)[None]
-    return _grow_trees(X, Y, boot, [rng], min_leaf, features_per_split, n_classes)[0]
-
-
-def _grow_trees(X, Y, boot, rngs, min_leaf, features_per_split, n_classes) -> list[Tree]:
-    """Grow one tree per row of ``boot``, on the sample ``X[boot[t]]`` with
-    targets ``Y[t]``, as :func:`grow_tree` with ``rngs[t]`` does, one depth
-    of all trees at a time.
 
     This is presorted CART. Tree t owns columns ``t * n`` to ``t * n + n - 1``
     of every row of ``S``, which hold call-wide sample positions (``t * n + i``

@@ -397,13 +397,6 @@ def effective_cost(scenario: Scenario, instance: str, algorithm: str) -> float:
     return float(table.cost[table.row[instance], scenario.algorithms.index(algorithm)])
 
 
-def best_ok_time(scenario: Scenario, instance: str) -> float:
-    """Fastest successful recorded runtime on an instance, cutoff if none."""
-    assert scenario.objective == "runtime" and scenario.cutoff is not None
-    table = scenario.table
-    return float(table.capped[table.row[instance]].min())
-
-
 def vbs_cost(scenario: Scenario, instance: str) -> float:
     """Cost of the virtual best solver on one instance: the per-instance
     minimum effective cost, with zero overhead for feature computation."""

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evaluation import FeatureStep, SolverStep, validate_schedule
 from .learners import rng_stream
 from .scenario import (
     DIRECTIONS,
@@ -555,8 +556,6 @@ def parse_predictions(path, scenario: Scenario, require_cover=None):
     ``require_cover`` is an optional iterable of instance ids (typically a
     split's test set) that must all receive a schedule.
     """
-    from .evaluation import FeatureStep, SolverStep, validate_schedule
-
     fname = Path(path).name
     inst_set = set(scenario.instances)
     algo_set = set(scenario.algorithms)
@@ -613,8 +612,6 @@ def parse_predictions(path, scenario: Scenario, require_cover=None):
 
 def write_predictions(schedules, scenario: Scenario, path) -> None:
     """Write per-instance schedules as a prediction file (scenario order)."""
-    from .evaluation import FeatureStep
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PREDICTIONS_HEADER)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .evaluation import FeatureStep, SolverStep, simulate
+from .evaluation import FeatureStep, SolverStep
 from .learners import KNN, Forest, KMeans, Tree, fit_forest, fit_forests, fit_kmeans, rng_stream
 from .scenario import Scenario
 
@@ -242,7 +242,7 @@ def fit_cluster(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
         members = assign == c
         totals = train.costs[members].sum(axis=0) if members.any() else mean_costs
         champions.append(int(np.argmin(totals)))
-    payload = {"centroids": km.centroids, "champions": champions}
+    payload = {"centroids": km.centroids, "champions": np.array(champions)}
     return _model("cluster", train, hp, payload)
 
 
@@ -326,11 +326,11 @@ def select_algorithms(model: SelectorModel, X: np.ndarray) -> np.ndarray:
             votes[rows, np.where(forest.predict(X) == 1, a, b)] += 1
         # a vote tie goes to the lower mean training cost, then portfolio order
         rank = np.empty(k, dtype=np.int64)
-        rank[np.argsort(np.asarray(p["mean_costs"]), kind="stable")] = np.arange(k)
+        rank[np.argsort(p["mean_costs"], kind="stable")] = np.arange(k)
         tied = votes == votes.max(axis=1, keepdims=True)
         return np.argmin(np.where(tied, rank, k), axis=1)
     if kind == "cluster":
-        return np.asarray(p["champions"])[KMeans(np.asarray(p["centroids"])).assign(X)]
+        return p["champions"][KMeans(p["centroids"]).assign(X)]
     if kind == "stacking":
         return p["combiner"].predict(np.column_stack([f.predict(X) for f in p["forests"]]))
     if kind == "sunny":
@@ -341,8 +341,8 @@ def select_algorithms(model: SelectorModel, X: np.ndarray) -> np.ndarray:
 
 def _sunny_neighborhood(model: SelectorModel, x: np.ndarray):
     p = model.payload
-    idx = KNN(X=np.asarray(p["X"]), k=model.hp.sunny_k).neighbors(x)
-    return idx, np.asarray(p["costs"])[idx], np.asarray(p["solved"])[idx]
+    idx = KNN(X=p["X"], k=model.hp.sunny_k).neighbors(x)
+    return idx, p["costs"][idx], p["solved"][idx]
 
 
 def _sunny_schedule(model: SelectorModel, x: np.ndarray, budget: float):
@@ -425,6 +425,18 @@ def predict(model: SelectorModel, scenario: Scenario, instance: str):
 # static pre-solving
 
 
+def _solved_times(scenario: Scenario, instances) -> np.ndarray:
+    """Instances x algorithms recorded runtimes, +inf where a run is unsolved.
+
+    A prefix step (a, t) dispatches exactly the instances whose time in
+    column a is at most t: its budget stays below the cutoff, so "ok within
+    t" and "solved within t" agree.
+    """
+    table = scenario.table
+    rows = [table.row[i] for i in instances]
+    return np.where(table.solved[rows], table.values[rows], np.inf)
+
+
 def build_presolver(train_instances, scenario: Scenario, hp: Hyperparameters, max_steps: int = 1):
     """Greedy static prefix run before any feature computation.
 
@@ -436,11 +448,7 @@ def build_presolver(train_instances, scenario: Scenario, hp: Hyperparameters, ma
     if scenario.objective != "runtime" or hp.presolve_budget_fraction <= 0:
         return ()
     budget = hp.presolve_budget_fraction * scenario.cutoff
-    table = scenario.table
-    rows = [table.row[i] for i in train_instances]
-    # Solved times of the remaining instances, +inf where unsolved. The budget
-    # stays below the cutoff, so "ok within t" and "solved within t" agree.
-    times = np.where(table.solved[rows], table.values[rows], np.inf)
+    times = _solved_times(scenario, train_instances)  # rows: the instances left so far
     prefix: list[SolverStep] = []
     for _ in range(max_steps):
         if budget <= 0 or not len(times):
@@ -467,17 +475,6 @@ def build_presolver(train_instances, scenario: Scenario, hp: Hyperparameters, ma
     return tuple(prefix)
 
 
-def presolved_instances(prefix, scenario: Scenario, instances):
-    """Training instances the prefix alone already solves."""
-    if not prefix:
-        return set()
-    solved = set()
-    for inst in instances:
-        if simulate(scenario, inst, tuple(prefix)).solved:
-            solved.add(inst)
-    return solved
-
-
 def prepare_training(
     scenario: Scenario, train_instances, hp: Hyperparameters, mode="icon2015", feature_groups=None
 ):
@@ -494,8 +491,10 @@ def prepare_training(
     prefix = build_presolver(
         train_instances, scenario, hp, max_steps=1 if mode == "icon2015" else 3
     )
-    dispatched = presolved_instances(prefix, scenario, train_instances)
-    kept = tuple(i for i in train_instances if i not in dispatched)
+    times = _solved_times(scenario, train_instances)
+    cols = [scenario.algorithms.index(s.algorithm) for s in prefix]
+    left = (times[:, cols] > [s.budget for s in prefix]).all(axis=1)
+    kept = tuple(i for i, keep in zip(train_instances, left.tolist()) if keep)
     if not kept:  # the prefix already cleans up the whole training set
         prefix = ()
         kept = train_instances
@@ -611,7 +610,7 @@ def load_model(path) -> SelectorModel:
             feature_groups=_read(path, "feature_groups", tuple, doc["feature_groups"]),
             pre=_read(path, "preprocess", _preprocess, doc["preprocess"]),
             sbs_algorithm=doc["sbs_algorithm"],
-            payload=_read(path, "payload", _payload, doc["payload"]),
+            payload=_read(path, "payload", lambda v: _payload(doc["kind"], v), doc["payload"]),
             presolve=_read(path, "presolve", _presolve, doc["presolve"]),
             hp=_read(
                 path, "hyperparameters", lambda v: Hyperparameters(**v), doc["hyperparameters"]
@@ -637,10 +636,26 @@ def _preprocess(doc) -> Preprocess:
     return Preprocess(**pre)
 
 
-def _payload(doc) -> dict:
+# Each kind's payload fields, True for a numeric array (numpy, fitted or loaded).
+_PAYLOAD_FIELDS = {
+    "regression": {"forests": False},
+    "pairwise": {"classifiers": False, "mean_costs": True},
+    "cluster": {"centroids": True, "champions": True},
+    "stacking": {"forests": False, "combiner": False},
+    "sunny": {"X": True, "costs": True, "solved": True, "mean_costs": True},
+}
+
+
+def _payload(kind, doc) -> dict:
     if not isinstance(doc, dict):
         raise TypeError(f"expected an object, got {type(doc).__name__}")
-    return _decode(doc)
+    payload = _decode(doc)
+    for name, is_array in _PAYLOAD_FIELDS[kind].items():
+        if name not in payload:
+            raise ValueError(f"no {name!r}")
+        if is_array and not isinstance(payload[name], np.ndarray):
+            raise ValueError(f"{name!r} is not a numeric array")
+    return payload
 
 
 def _presolve(doc) -> tuple[SolverStep, ...]:

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from asbench.evaluation import FeatureStep, SolverStep
-from asbench.learners import Tree, fit_forest, rng_stream
+from asbench.evaluation import FeatureStep, SolverStep, simulate
+from asbench.learners import Tree, _grow_trees, fit_forest, rng_stream
 from asbench.scenario import (
     DIRECTIONS,
     OBJECTIVES,
@@ -160,9 +160,30 @@ def oracle_presolver(train_instances, scenario, hp, max_steps=1):
     return tuple(prefix)
 
 
+def oracle_presolved_instances(prefix, scenario, instances):
+    """Training instances the prefix alone already solves, one replay each:
+    the dispatch ``prepare_training`` made before it read the run table."""
+    if not prefix:
+        return set()
+    solved = set()
+    for inst in instances:
+        if simulate(scenario, inst, tuple(prefix)).solved:
+            solved.add(inst)
+    return solved
+
+
 # The CART grower before presorting, one node at a time: one argsort and one
 # cumsum chain per node per candidate feature, breadth first, with the same
 # per-depth feature draws. ``grow_tree`` must reproduce its trees bit for bit.
+
+
+def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Tree:
+    """One tree on the whole sample, as a one-tree call of the library's
+    grower: the path under test, not a reference."""
+    X = np.asarray(X, dtype=np.float64)
+    boot = np.arange(X.shape[0])[None]
+    Y = np.asarray(y)[None]
+    return _grow_trees(X, Y, boot, [rng], min_leaf, features_per_split, n_classes)[0]
 
 
 def _oracle_best_split(X, y, target_sq, feat_order, min_leaf, one_hot):

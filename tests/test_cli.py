@@ -271,8 +271,16 @@ class TestTrainPredictEvaluate:
         "payload-list": ("payload", [1, 2]),
     }
 
+    # a cluster payload field missing or not a numeric array: (payload update, field named)
+    PAYLOAD_HOLES = {
+        "payload-empty": (None, "centroids"),
+        "champions-string": ({"champions": "0"}, "champions"),
+        "centroids-strings": ({"centroids": [["x"]]}, "centroids"),
+    }
+
     @pytest.mark.parametrize(
-        "edit", ["no-payload", "renamed-portfolio", "no-medians", "version-1", *WRONG_TYPES]
+        "edit",
+        ["no-payload", "renamed-portfolio", "no-medians", "version-1", *WRONG_TYPES, *PAYLOAD_HOLES],
     )
     def test_broken_or_foreign_model_exits_two(self, learnable_bundle, tmp_path, capsys, edit):
         model = tmp_path / "model.json"
@@ -289,6 +297,9 @@ class TestTrainPredictEvaluate:
             del doc["preprocess"]["medians"]
         elif edit == "version-1":
             doc["version"] = 1
+        elif edit in self.PAYLOAD_HOLES:
+            update = self.PAYLOAD_HOLES[edit][0]
+            doc["payload"] = {**doc["payload"], **update} if update else {}
         else:
             field, value = self.WRONG_TYPES[edit]
             doc[field] = value
@@ -304,6 +315,8 @@ class TestTrainPredictEvaluate:
             assert "version 1" in error and "retrain" in error
         if edit in self.WRONG_TYPES:
             assert str(model) in error and repr(self.WRONG_TYPES[edit][0]) in error
+        if edit in self.PAYLOAD_HOLES:
+            assert str(model) in error and repr(self.PAYLOAD_HOLES[edit][1]) in error
         assert not preds.exists()
 
     def test_unknown_hyperparameter_exits_two(self, learnable_bundle, tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asbench import learners, selectors
-from asbench.learners import KNN, fit_forest, fit_forests, fit_kmeans, grow_tree, rng_stream
+from asbench.learners import KNN, fit_forest, fit_forests, fit_kmeans, rng_stream
 from asbench.selectors import (
     Hyperparameters,
     Preprocess,
@@ -23,6 +23,7 @@ from asbench.selectors import (
 )
 
 from oracles import (
+    grow_tree,
     oracle_grow_tree,
     oracle_pairwise_classifiers,
     oracle_regression_forests,
@@ -141,8 +142,8 @@ _PARTING_SCRIPT = textwrap.dedent(
     """
     import json
     import numpy as np
-    from asbench.learners import grow_tree, rng_stream
-    from oracles import oracle_grow_tree
+    from asbench.learners import rng_stream
+    from oracles import grow_tree, oracle_grow_tree
 
     b = 1 + 2**-51
     pairs = [(float(np.nextafter(b, 0)), b), (1.7e308, 1.79e308), (-1.79e308, -1.7e308)]

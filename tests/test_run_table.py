@@ -23,11 +23,18 @@ from asbench import (
     score_system,
     vbs_cost,
 )
-from asbench.evaluation import SolverStep
-from asbench.scenario import RunRecord, Runs, best_ok_time, effective_cost
+from asbench.evaluation import EvaluationOutcome, SolverStep, mcp
+from asbench.scenario import RunRecord, Runs, effective_cost
+from asbench.selectors import prepare_training
 
 from gen import build_scenario
-from oracles import oracle_presolver, oracle_sbs, oracle_simulate, oracle_vbs_cost
+from oracles import (
+    oracle_presolved_instances,
+    oracle_presolver,
+    oracle_sbs,
+    oracle_simulate,
+    oracle_vbs_cost,
+)
 
 CUTOFF = 100.0
 STEP = 5.0
@@ -100,6 +107,35 @@ def test_presolver_tie_rules():
     assert steps(RATE_TIE, 1) == [("A0", 5.0)]
     assert steps(SHORTER_TIME, 1) == [("A0", 5.0)]
     assert steps(FULL_TIE, 3) == [("A0", 5.0), ("A0", 15.0)]
+
+
+# i0 twice and i2 in a bootstrap sample: A0's 5 s step dispatches both copies of i0
+REPEATED = ([[(1, "ok"), (4, "ok")], [(20, "timeout"), (3, "ok")], [(2, "ok"), (9, "ok")]], [0, 2, 0])
+# A0's 5 s step dispatches every training instance: training keeps all, behind no prefix
+ALL_DISPATCHED = ([[(1, "ok"), (3, "ok")], [(1, "ok"), (20, "timeout")]], [0, 1, 1])
+
+
+@SETTINGS
+@given(
+    spec=specs(),
+    fraction=st.sampled_from([0.05, 0.1, 0.3, 0.9, 0.999999]),
+    max_steps=st.sampled_from([1, 3]),
+)
+@example(spec=REPEATED, fraction=0.05, max_steps=1)
+@example(spec=ALL_DISPATCHED, fraction=0.1, max_steps=3)
+@example(spec=RATE_TIE, fraction=0.999999, max_steps=3)
+def test_training_keeps_what_the_prefix_leaves(spec, fraction, max_steps):
+    scen, train = make(*spec)
+    hp = Hyperparameters(presolve_budget_fraction=fraction)
+    mode = "icon2015" if max_steps == 1 else "oasc2017"
+    prefix, ts = prepare_training(scen, train, hp, mode)
+    full = build_presolver(train, scen, hp, max_steps)
+    dispatched = oracle_presolved_instances(full, scen, train)
+    left = tuple(i for i in train if i not in dispatched)
+    if left:
+        assert (prefix, ts.instances) == (full, left)
+    else:  # the fallback: a selector for every instance, behind no prefix
+        assert (prefix, ts.instances) == ((), tuple(train))
 
 
 @SETTINGS
@@ -177,8 +213,10 @@ def test_table_is_cached_read_only_and_in_scenario_order(tutorial):
         table.cost[0, 0] = 0.0
     # i2: A1 timed out, A2 took 80 s, A3 hit a memout
     assert table.solved[table.row["i2"]].tolist() == [False, True, False]
-    assert best_ok_time(tutorial, "i2") == 80.0
-    assert type(best_ok_time(tutorial, "i2")) is float
+    assert table.capped[table.row["i2"]].min() == 80.0
+    penalty = mcp(EvaluationOutcome(solved=True, time_used=100.0), tutorial, "i2")
+    assert penalty == 20.0
+    assert type(penalty) is float
 
 
 def test_runs_are_the_stored_table_and_read_as_a_mapping(tutorial):

@@ -12,7 +12,8 @@ from asbench import (
     validate,
     vbs_cost,
 )
-from asbench.scenario import best_ok_time, collapse_repetitions
+from asbench.evaluation import EvaluationOutcome, mcp
+from asbench.scenario import collapse_repetitions
 
 from gen import build_scenario, random_scenario
 from oracles import oracle_sbs, oracle_vbs_cost
@@ -283,4 +284,6 @@ def test_best_ok_time_caps_at_cutoff():
         ["i0"],
         cutoff=5000.0,
     )
-    assert best_ok_time(scen, "i0") == 5000.0
+    assert scen.table.capped[0].min() == 5000.0
+    # no algorithm solves i0, so even a timed-out system loses nothing to the best
+    assert mcp(EvaluationOutcome(solved=False, time_used=5000.0), scen, "i0") == 0.0
