@@ -403,6 +403,9 @@ def fit_forests(X, jobs, hp, n_classes=None) -> list[Forest]:
 # k nearest neighbors
 
 
+_KNN_CELLS = 1 << 14  # distance cells a neighbour search holds at once
+
+
 @dataclass
 class KNN:
     """Brute-force Euclidean k-NN store. Distance ties resolve by the
@@ -411,11 +414,30 @@ class KNN:
     X: np.ndarray
     k: int
 
-    def neighbors(self, x: np.ndarray) -> np.ndarray:
-        k = min(self.k, self.X.shape[0])
-        d = self.X - np.asarray(x, dtype=np.float64)
-        dist = np.einsum("ij,ij->i", d, d) if self.X.shape[1] else np.zeros(self.X.shape[0])
-        return np.argsort(dist, kind="stable")[:k]
+    def neighbors(self, Q: np.ndarray) -> np.ndarray:
+        """The (m, k) indices of the nearest training rows of each query row,
+        nearest first: per row, the first k of a stable argsort of its squared
+        distances (inf and NaN last). Distance rows fill a block of at most
+        ``_KNN_CELLS`` cells; every index at or below its row's k-th smallest
+        distance is a candidate (more than k only on ties there), and one
+        lexsort by (row, distance, index) orders the block's candidates.
+        """
+        n, m = self.X.shape[0], len(Q)
+        k = min(self.k, n)
+        rows = max(1, _KNN_CELLS // n)
+        dist = np.empty((min(rows, m), n))
+        out = np.empty((m, k), dtype=np.int64)
+        for start in range(0, m, rows):
+            block = dist[: min(rows, m - start)]
+            for r, q in enumerate(Q[start : start + len(block)]):
+                d = self.X - q
+                block[r] = np.einsum("ij,ij->i", d, d)
+            kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+            row, col = np.nonzero((block <= kth) | np.isnan(kth))
+            order = np.lexsort((col, block[row, col], row))
+            first = np.searchsorted(row, np.arange(len(block)))  # row is sorted
+            out[start : start + len(block)] = col[order][first[:, None] + np.arange(k)]
+        return out
 
 
 # ---------------------------------------------------------------------------

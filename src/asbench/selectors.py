@@ -334,47 +334,50 @@ def select_algorithms(model: SelectorModel, X: np.ndarray) -> np.ndarray:
     if kind == "stacking":
         return p["combiner"].predict(np.column_stack([f.predict(X) for f in p["forests"]]))
     if kind == "sunny":
-        costs = (_sunny_neighborhood(model, x)[1] for x in X)
-        return np.array([np.argmin(c.mean(axis=0)) for c in costs], dtype=np.int64)
+        return np.argmin(_sunny_neighborhoods(model, X)[0].mean(axis=1), axis=1)
     raise ValueError(f"unknown selector kind {kind!r}")
 
 
-def _sunny_neighborhood(model: SelectorModel, x: np.ndarray):
+def _sunny_neighborhoods(model: SelectorModel, X: np.ndarray):
+    """The (rows, k, algorithms) costs and solved flags of each row's k
+    nearest training instances, nearest first."""
     p = model.payload
-    idx = KNN(X=p["X"], k=model.hp.sunny_k).neighbors(x)
-    return idx, p["costs"][idx], p["solved"][idx]
+    idx = KNN(X=p["X"], k=model.hp.sunny_k).neighbors(X)
+    return p["costs"][idx], p["solved"][idx]
 
 
-def _sunny_schedule(model: SelectorModel, x: np.ndarray, budget: float):
-    """Solver steps slicing ``budget`` proportionally to neighborhood solve counts.
+def _sunny_schedules(model: SelectorModel, X: np.ndarray, budget: float) -> list:
+    """Per row, solver steps slicing ``budget`` proportionally to
+    neighborhood solve counts.
 
     Neighborhood instances that nobody solves contribute their share to a
     backup slice for the algorithm with the best mean cost nearby; slices
-    run in order of decreasing solve count, ties broken by mean cost.
+    run in order of decreasing solve count, ties broken by mean cost, then
+    portfolio order.
     """
-    _, costs, solved = _sunny_neighborhood(model, x)
-    counts = solved.sum(axis=0).astype(np.float64)
-    mean_costs = costs.mean(axis=0)
-    unsolved = int((~solved.any(axis=1)).sum())
-    backup = int(np.argmin(mean_costs))
-
-    denom = counts.sum() + unsolved
-    if denom <= 0:
-        return (SolverStep(algorithm=model.algorithms[backup], budget=budget),)
-    order = sorted(
-        (a for a in range(len(counts)) if counts[a] > 0),
-        key=lambda a: (-counts[a], mean_costs[a], a),
-    )
-    slices = {a: budget * counts[a] / denom for a in order}
-    remainder = budget - math.fsum(slices.values())
-    if backup in slices:
-        # Absorbing the remainder here also soaks up float dust, keeping the
-        # slice total at exactly the allocated budget.
-        slices[backup] += remainder
-    elif remainder > 0:
-        order.append(backup)
-        slices[backup] = remainder
-    return tuple(SolverStep(algorithm=model.algorithms[a], budget=slices[a]) for a in order)
+    costs, solved = _sunny_neighborhoods(model, X)
+    counts = solved.sum(axis=1).astype(np.float64)
+    mean_costs = costs.mean(axis=1)
+    denoms = counts.sum(axis=1) + (~solved.any(axis=2)).sum(axis=1)
+    shares = budget * counts / denoms[:, None]
+    orders = np.lexsort((mean_costs, -counts)).tolist()
+    n_slices = (counts > 0).sum(axis=1).tolist()
+    backups = np.argmin(mean_costs, axis=1).tolist()
+    names = model.algorithms
+    schedules = []
+    for order, n, backup, share in zip(orders, n_slices, backups, shares):
+        order = order[:n]
+        slices = {a: share[a] for a in order}
+        remainder = budget - math.fsum(slices.values())
+        if backup in slices:
+            # Absorbing the remainder here also soaks up float dust, keeping the
+            # slice total at exactly the allocated budget.
+            slices[backup] += remainder
+        elif remainder > 0:
+            order.append(backup)
+            slices[backup] = remainder
+        schedules.append(tuple(SolverStep(algorithm=names[a], budget=slices[a]) for a in order))
+    return schedules
 
 
 def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> dict:
@@ -402,7 +405,7 @@ def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> dict:
     remaining = 0.0 if quality else scenario.cutoff - math.fsum(s.budget for s in prefix)
     features = () if quality else tuple(FeatureStep(group=g) for g in model.feature_groups)
     if model.kind == "sunny" and not quality:
-        tails = iter([_sunny_schedule(model, x, remaining) for x in X])
+        tails = iter(_sunny_schedules(model, X, remaining))
     else:
         picks = select_algorithms(model, X).tolist()
         tails = iter([(SolverStep(algorithm=model.algorithms[a], budget=remaining),) for a in picks])
@@ -587,8 +590,8 @@ def save_model(model: SelectorModel, path) -> None:
         "payload": model.payload,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_encode(doc), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        # one json.dumps runs the C encoder; json.dump to a file would not
+        fh.write(json.dumps(_encode(doc), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> SelectorModel:
@@ -636,13 +639,24 @@ def _preprocess(doc) -> Preprocess:
     return Preprocess(**pre)
 
 
-# Each kind's payload fields, True for a numeric array (numpy, fitted or loaded).
+# What a payload field must decode to, and the check of it.
+_FIELD_TYPES = {
+    "a numeric array": lambda v: isinstance(v, np.ndarray),
+    "a forest": lambda v: isinstance(v, Forest),
+    "a list of forests": lambda v: isinstance(v, list) and all(isinstance(f, Forest) for f in v),
+    "a list of (int, int, forest) triples": lambda v: isinstance(v, list) and all(
+        isinstance(c, list) and list(map(type, c)) == [int, int, Forest] for c in v
+    ),
+}
+_ARRAY, _FOREST, _FORESTS, _TRIPLES = _FIELD_TYPES
+
+# Each kind's payload fields and what they decode to.
 _PAYLOAD_FIELDS = {
-    "regression": {"forests": False},
-    "pairwise": {"classifiers": False, "mean_costs": True},
-    "cluster": {"centroids": True, "champions": True},
-    "stacking": {"forests": False, "combiner": False},
-    "sunny": {"X": True, "costs": True, "solved": True, "mean_costs": True},
+    "regression": {"forests": _FORESTS},
+    "pairwise": {"classifiers": _TRIPLES, "mean_costs": _ARRAY},
+    "cluster": {"centroids": _ARRAY, "champions": _ARRAY},
+    "stacking": {"forests": _FORESTS, "combiner": _FOREST},
+    "sunny": {"X": _ARRAY, "costs": _ARRAY, "solved": _ARRAY, "mean_costs": _ARRAY},
 }
 
 
@@ -650,11 +664,11 @@ def _payload(kind, doc) -> dict:
     if not isinstance(doc, dict):
         raise TypeError(f"expected an object, got {type(doc).__name__}")
     payload = _decode(doc)
-    for name, is_array in _PAYLOAD_FIELDS[kind].items():
+    for name, expected in _PAYLOAD_FIELDS[kind].items():
         if name not in payload:
             raise ValueError(f"no {name!r}")
-        if is_array and not isinstance(payload[name], np.ndarray):
-            raise ValueError(f"{name!r} is not a numeric array")
+        if not _FIELD_TYPES[expected](payload[name]):
+            raise ValueError(f"{name!r} is not {expected}")
     return payload
 
 

@@ -457,6 +457,15 @@ def _oracle_sunny_schedule(model, x, budget):
     return tuple((a, slices[a]) for a in order)
 
 
+def oracle_knn_neighbors(X, k, x):
+    """The k nearest training rows of one query ``x``, by one full stable
+    argsort of its distances: ``KNN.neighbors`` before it took a matrix."""
+    k = min(k, X.shape[0])
+    d = X - np.asarray(x, dtype=np.float64)
+    dist = np.einsum("ij,ij->i", d, d) if X.shape[1] else np.zeros(X.shape[0])
+    return np.argsort(dist, kind="stable")[:k]
+
+
 def oracle_predict(model, scenario, instance):
     """The schedule for one instance, one feature vector and one forest
     query per row at a time: the original per-row prediction path."""

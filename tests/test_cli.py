@@ -319,6 +319,38 @@ class TestTrainPredictEvaluate:
             assert str(model) in error and repr(self.PAYLOAD_HOLES[edit][1]) in error
         assert not preds.exists()
 
+    # a forest-valued payload field that decodes to something else:
+    # (selector, payload update from the fitted payload, field named)
+    FOREST_HOLES = {
+        "regression-forests-string": ("regression", lambda p: {"forests": "abc"}, "forests"),
+        "pairwise-string-columns": (
+            "pairwise",
+            lambda p: {"classifiers": [[str(a), str(b), f] for a, b, f in p["classifiers"]]},
+            "classifiers",
+        ),
+        "stacking-combiner-treeless": ("stacking", lambda p: {"combiner": {"n_classes": 3}}, "combiner"),
+    }
+
+    @pytest.mark.parametrize("edit", FOREST_HOLES)
+    def test_broken_forest_field_exits_two(self, learnable_bundle, tmp_path, capsys, edit):
+        kind, update, field = self.FOREST_HOLES[edit]
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", "--scenario", learnable_bundle, "--selector", kind,
+            "--hp", "n_trees=2", "--out", model,
+        ) == 0
+        doc = json.loads(model.read_text())
+        doc["payload"] = {**doc["payload"], **update(doc["payload"])}
+        model.write_text(json.dumps(doc))
+        preds = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert run_cli(
+            "predict", "--scenario", learnable_bundle, "--model", model, "--out", preds
+        ) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: ") and str(model) in error and repr(field) in error
+        assert not preds.exists()
+
     def test_unknown_hyperparameter_exits_two(self, learnable_bundle, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert run_cli(

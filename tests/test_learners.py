@@ -25,6 +25,7 @@ from asbench.selectors import (
 from oracles import (
     grow_tree,
     oracle_grow_tree,
+    oracle_knn_neighbors,
     oracle_pairwise_classifiers,
     oracle_regression_forests,
     oracle_stacking,
@@ -354,16 +355,56 @@ class TestKnn:
     def test_k1_recovers_training_label(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         model = KNN(X=X, k=1)
-        assert model.neighbors(np.array([1.0, 1.0])).tolist() == [1]
+        assert model.neighbors(np.array([[1.0, 1.0]])).tolist() == [[1]]
 
     def test_duplicate_points_resolve_by_index(self):
         X = np.zeros((4, 2))
         model = KNN(X=X, k=2)
-        assert model.neighbors(np.zeros(2)).tolist() == [0, 1]
+        assert model.neighbors(np.zeros((1, 2))).tolist() == [[0, 1]]
 
     def test_zero_width_features(self):
         model = KNN(X=np.zeros((5, 0)), k=2)
-        assert model.neighbors(np.zeros(0)).tolist() == [0, 1]
+        assert model.neighbors(np.zeros((1, 0))).tolist() == [[0, 1]]
+
+
+@st.composite
+def knn_cases(draw):
+    """Training rows drawn, with repeats, from a few distinct points of a
+    coarse grid, and queries from the same grid, so that many distances tie
+    at the k-th smallest; some coordinates are huge (their squares overflow
+    to inf) or infinite (inf - inf is a NaN distance)."""
+    d = draw(st.integers(0, 3))
+    cell = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.sampled_from([1e200, np.inf, -np.inf])
+    )
+    point = st.lists(cell, min_size=d, max_size=d)
+    distinct = draw(st.lists(point, min_size=1, max_size=6))
+    rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=30))
+    X = np.array([distinct[r] for r in rows], dtype=np.float64).reshape(len(rows), d)
+    Q = np.array(draw(st.lists(point, min_size=0, max_size=12)), dtype=np.float64)
+    k = draw(st.integers(1, len(rows) + 2))
+    return X, Q.reshape(len(Q), d), k
+
+
+def _knn_case(X, Q, k):
+    X, Q = np.asarray(X, dtype=np.float64), np.asarray(Q, dtype=np.float64)
+    return X, Q, k
+
+
+@SETTINGS
+@given(case=knn_cases(), cells=st.sampled_from([1, 5, 64, learners._KNN_CELLS]))
+@example(case=_knn_case([[0.0], [1.0], [1.0], [1.0], [2.0]], [[1.0]], 1), cells=1)  # k = 1
+@example(case=_knn_case([[1.0], [0.0], [1.0], [3.0], [1.0]], [[0.0]], 2), cells=64)  # tie at k
+@example(case=_knn_case([[1.0], [2.0]], [[0.0], [5.0]], 7), cells=1)  # k >= n
+@example(case=_knn_case(np.zeros((4, 0)), np.zeros((3, 0)), 2), cells=5)  # d = 0
+@example(case=_knn_case([[np.inf], [0.0], [1e200]], [[np.inf]], 2), cells=64)  # NaN, inf
+def test_knn_matches_the_per_query_argsort(case, cells):
+    X, Q, k = case
+    with mock.patch.object(learners, "_KNN_CELLS", cells), np.errstate(invalid="ignore"):
+        got = KNN(X=X, k=k).neighbors(Q)
+        want = [oracle_knn_neighbors(X, k, q).tolist() for q in Q]
+    assert got.shape == (len(Q), min(k, len(X)))
+    assert got.tolist() == want
 
 
 class TestKMeans:

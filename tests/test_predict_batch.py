@@ -36,9 +36,20 @@ def quality_scenario(seed, direction):
     return blank_one(scen, scen.splits[0].test[0])
 
 
+def grid_scenario(seed):
+    """A runtime scenario whose feature values lie on a coarse integer grid,
+    so that many sunny neighbourhoods tie at their k-th distance."""
+    scen = random_scenario(seed, n_insts=60)
+    rng = np.random.default_rng(seed)
+    d = len(scen.feature_names)
+    features = {i: tuple(rng.integers(0, 3, size=d).astype(float).tolist()) for i in scen.instances}
+    return blank_one(replace(scen, features=features), scen.splits[0].test[0])
+
+
 SCENARIOS = {
     "runtime-presolve": lambda: runtime_scenario(21),
     "runtime-random": lambda: blank_one(random_scenario(9, n_insts=30), "i4"),
+    "runtime-ties": lambda: grid_scenario(13),
     "quality-minimize": lambda: quality_scenario(5, "minimize"),
     "quality-maximize": lambda: quality_scenario(6, "maximize"),
 }
@@ -62,7 +73,7 @@ def test_batch_matches_the_per_row_reference(name, kind, n_trees):
     model, _ = recorded(lambda: fit_system(scen, split.train, kind, hp, mode="oasc2017"))
     if name == "runtime-presolve":
         assert model.presolve
-    test = split.test if name != "runtime-random" else scen.instances
+    test = scen.instances if name in ("runtime-random", "runtime-ties") else split.test
     got, got_warnings = recorded(lambda: predict_batch(model, scen, test))
     want, want_warnings = recorded(lambda: {i: oracle_predict(model, scen, i) for i in test})
     assert list(got.items()) == list(want.items())
