@@ -18,7 +18,6 @@ resolved configuration to stderr, and writes outputs atomically. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -210,9 +209,9 @@ def cmd_evaluate(args) -> int:
         "reports": [evaluation.report_to_dict(r) for r in reports],
     }
     out = Path(args.out)
-    _atomic_write(out.with_suffix(".csv"), lambda tmp: evaluation.write_report_csv(reports, tmp))
+    _atomic_write(out.with_suffix(".csv"), lambda tmp: scenario_io.write_report_csv(reports, tmp))
     if args.json:
-        _atomic_write(out.with_suffix(".json"), lambda tmp: evaluation.dump_json(summary, tmp))
+        _atomic_write(out.with_suffix(".json"), lambda tmp: scenario_io.dump_json(summary, tmp))
     print(f"{args.system} on {scen.id} [{args.mode}]: gap {overall:.6f}")
     return EXIT_OK
 
@@ -281,16 +280,6 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
     return doc
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    def writer(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(header)
-            out.writerows(rows)
-
-    _atomic_write(path, writer)
-
-
 def _write_comparison_csv(doc: dict, prefix: Path) -> None:
     systems, scenarios = doc["systems"], doc["scenarios"]
     ranked = [s for s in systems if s not in doc["ooc"]]
@@ -299,24 +288,24 @@ def _write_comparison_csv(doc: dict, prefix: Path) -> None:
     scores.append(["__meta_vbs__", repr(doc["meta_vbs"]["mean"])] + [""] * (len(systems) - 1))
     ranks = [[scen, *map(repr, row)] for scen, row in zip(scenarios, doc["per_scenario_ranks"])]
     ranks.append(["__avg_rank__", *(repr(doc["avg_rank"][s]) for s in ranked)])
-    _write_csv(prefix.parent / (prefix.name + "_scores.csv"), ["scenario", *systems], scores)
-    _write_csv(prefix.parent / (prefix.name + "_ranks.csv"), ["scenario", *ranked], ranks)
+    scores_path = prefix.parent / (prefix.name + "_scores.csv")
+    _atomic_write(scores_path, lambda tmp: scenario_io.write_csv(tmp, ["scenario", *systems], scores))
+    ranks_path = prefix.parent / (prefix.name + "_ranks.csv")
+    _atomic_write(ranks_path, lambda tmp: scenario_io.write_csv(tmp, ["scenario", *ranked], ranks))
 
 
 def cmd_compare(args) -> int:
     rows = []
     for path in args.reports:
-        rows.extend(evaluation.read_report_csv(path))
+        rows.extend(scenario_io.read_report_csv(path))
     doc = build_comparison(rows, mode=args.mode, ooc=args.ooc or (), alpha=args.alpha)
     prefix = Path(args.out)
     if args.json:
-        _atomic_write(prefix.with_suffix(".json"), lambda tmp: evaluation.dump_json(doc, tmp))
+        _atomic_write(prefix.with_suffix(".json"), lambda tmp: scenario_io.dump_json(doc, tmp))
     else:
         _write_comparison_csv(doc, prefix)
-        _atomic_write(
-            prefix.parent / (prefix.name + "_cd.json"),
-            lambda tmp: evaluation.dump_json(doc["cd_diagram"], tmp),
-        )
+        cd_path = prefix.parent / (prefix.name + "_cd.json")
+        _atomic_write(cd_path, lambda tmp: scenario_io.dump_json(doc["cd_diagram"], tmp))
     ranked = sorted(doc["avg_gap"].items(), key=lambda kv: kv[1])
     for system, gap in ranked:
         rank = doc["avg_rank"].get(system)
@@ -351,10 +340,11 @@ def cmd_seed_study(args) -> int:
     prefix = Path(args.out)
 
     seed_rows = [[args.seed + offset, repr(gap)] for offset, gap in enumerate(samples)]
-    _write_csv(prefix.parent / (prefix.name + "_samples.csv"), ["seed", "gap"], seed_rows)
+    samples_path = prefix.parent / (prefix.name + "_samples.csv")
+    _atomic_write(samples_path, lambda tmp: scenario_io.write_csv(tmp, ["seed", "gap"], seed_rows))
     ecdf_rows = [[repr(x), repr(f)] for x, f in points]
-    ecdf_header = ["gap", "cumulative_fraction"]
-    _write_csv(prefix.parent / (prefix.name + "_ecdf.csv"), ecdf_header, ecdf_rows)
+    ecdf_path = prefix.parent / (prefix.name + "_ecdf.csv")
+    _atomic_write(ecdf_path, lambda tmp: scenario_io.write_csv(tmp, ["gap", "cumulative_fraction"], ecdf_rows))
     summary = {
         "selector": args.selector,
         "scenario": scen.id,
@@ -362,7 +352,7 @@ def cmd_seed_study(args) -> int:
         "first_seed_gap": query,
         "quantile_of_first_seed": quantile,
     }
-    _atomic_write(prefix.with_suffix(".json"), lambda tmp: evaluation.dump_json(summary, tmp))
+    _atomic_write(prefix.with_suffix(".json"), lambda tmp: scenario_io.dump_json(summary, tmp))
     print(f"first seed gap {query:.6f} sits at quantile {quantile:.6f} of {args.n_seeds} seeds")
     return EXIT_OK
 
@@ -371,9 +361,8 @@ def cmd_seed_study(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, scenario=True, split=False, hp=False):
-    if scenario:
-        p.add_argument("--scenario", required=True, help="scenario bundle directory")
+def _add_common(p: argparse.ArgumentParser, split=True, hp=False, mode=True):
+    p.add_argument("--scenario", required=True, help="scenario bundle directory")
     if split:
         p.add_argument(
             "--splits",
@@ -381,16 +370,16 @@ def _add_common(p: argparse.ArgumentParser, scenario=True, split=False, hp=False
             help="'file' (bundle splits), 'bootstrap:N', or 'holdout:N[:FRACTION]'",
         )
         p.add_argument("--split-id", type=int, default=0, help="which split to use")
+        p.add_argument("--seed", type=int, default=0, help="random seed")
     if hp:
         p.add_argument("--hp", action="append", metavar="KEY=VALUE", help="hyperparameter override")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument(
-        "--mode",
-        choices=("icon2015", "oasc2017"),
-        default="oasc2017",
-        help="competition rule set",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+    if mode:
+        p.add_argument(
+            "--mode",
+            choices=("icon2015", "oasc2017"),
+            default="oasc2017",
+            help="competition rule set",
+        )
 
 
 def _positive_int(text: str) -> int:
@@ -412,11 +401,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("baselines", help="portfolio size, SBS/VBS means, improvement factor")
-    _add_common(p)
+    _add_common(p, split=False, mode=False)
+    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
     p.set_defaults(func=cmd_baselines)
 
     p = sub.add_parser("train", help="fit a selector on a split's training instances")
-    _add_common(p, split=True, hp=True)
+    _add_common(p, hp=True)
     p.add_argument("--selector", required=True, choices=selectors.SELECTOR_KINDS)
     p.add_argument("--feature-groups", help="comma list restricting the feature groups used")
     p.add_argument("--anonymize-test", action="store_true", help="blind test rows before fitting")
@@ -424,17 +414,18 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="emit schedules for a split's test instances")
-    _add_common(p, split=True)
+    _add_common(p, mode=False)
     p.add_argument("--model", required=True)
     p.add_argument("--anonymize-test", action="store_true", help="blind test rows before predicting")
     p.add_argument("--out", required=True, help="prediction file path")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a prediction file against recorded data")
-    _add_common(p, split=True)
+    _add_common(p)
     p.add_argument("--predictions", required=True, help="prediction file (2017) or directory (2015)")
     p.add_argument("--system", default="system", help="system name for the report")
     p.add_argument("--out", required=True, help="report path prefix")
+    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="rank systems from evaluation reports")
@@ -447,7 +438,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("seed-study", help="refit across seeds and report the score's ECDF")
-    _add_common(p, split=True, hp=True)
+    _add_common(p, hp=True)
     p.add_argument("--selector", required=True, choices=selectors.SELECTOR_KINDS)
     p.add_argument("--n-seeds", type=_positive_int, required=True)
     p.add_argument("--out", required=True, help="output path prefix")

@@ -11,8 +11,6 @@ solver (gap 1) and the virtual best solver (gap 0).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -314,50 +312,6 @@ def mean_of_split_means(per_split: dict[int, list[float]]) -> float:
     return math.fsum(split_means) / len(split_means)
 
 
-# ---------------------------------------------------------------------------
-# report files
-
-REPORT_HEADER = ["system", "scenario", "split", "metric", "value"]
-
-
-def write_report_csv(reports, path) -> None:
-    """Comma-separated report rows in the fixed column order
-    system,scenario,split,metric,value; undefined gaps land in a footer."""
-    footer = []
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for rep in reports:
-            for name, metric in rep.metrics.items():
-                writer.writerow([rep.system, rep.scenario_id, rep.split_id, name, repr(metric.value)])
-                if metric.gap is not None:
-                    writer.writerow(
-                        [rep.system, rep.scenario_id, rep.split_id, f"gap_{name}", repr(metric.gap)]
-                    )
-                else:
-                    footer.append((rep.system, rep.scenario_id, rep.split_id, name))
-        for system, scen, split, name in footer:
-            fh.write(f"# undefined_gap: {system},{scen},{split},{name}\n")
-
-
-def read_report_csv(path):
-    """Rows of (system, scenario, split, metric, value), footer skipped."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if raw.startswith("#") or not raw.strip():
-                continue
-            row = next(csv.reader([raw]))
-            if lineno == 1:
-                if row != REPORT_HEADER:
-                    raise ValueError(f"{path}: bad report header {row!r}")
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns")
-            rows.append((row[0], row[1], int(row[2]), row[3], float(row[4])))
-    return rows
-
-
 def report_to_dict(report: ScoreReport) -> dict:
     """JSON-shaped summary of one report."""
     return {
@@ -371,9 +325,3 @@ def report_to_dict(report: ScoreReport) -> dict:
         },
         "undefined_gaps": list(report.undefined_gaps),
     }
-
-
-def dump_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

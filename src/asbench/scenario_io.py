@@ -14,11 +14,16 @@ A scenario lives in a directory ("bundle") of five files:
 Repeated rows per (instance, algorithm) in runs.csv are treated as run
 repetitions and collapsed to a single record at load time. The writer is
 deterministic: identical scenarios produce byte-identical bundles.
+
+Every CSV file asbench writes (bundles, predictions, reports, comparison
+and seed-study tables) goes through :func:`write_csv`, and every one it
+reads through ``_read_table``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -90,11 +95,26 @@ def _parse_float(text: str, file: str, line: int, what: str) -> float:
         raise ParseError(file, line, f"bad {what} {text!r}, expected a number") from None
 
 
-def _read_table(path: Path, header: list[str] | None = None):
+def write_csv(path, header, rows, footer=()) -> None:
+    """Write a header row, then ``rows``, as UTF-8 CSV with ``\\n`` line
+    ends; each ``footer`` line follows verbatim."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        fh.writelines(line + "\n" for line in footer)
+
+
+def _read_table(path: Path, header: list[str] | None = None, comments: bool = False):
     """Read a CSV file whole: (header, rows, line numbers), blank rows
-    skipped. The header is checked when given."""
+    skipped. The header is checked when given. With ``comments``, the lines
+    after the first that are blank or start with ``#`` are skipped unread."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        source, lines = fh, None
+        if comments:
+            kept = [(n, t) for n, t in enumerate(fh, 1) if n == 1 or t.strip() and not t.startswith("#")]
+            source, lines = [t for _, t in kept], [n for n, _ in kept[1:]]
+        reader = csv.reader(source)
         try:
             head = next(reader)
         except StopIteration:
@@ -102,7 +122,7 @@ def _read_table(path: Path, header: list[str] | None = None):
         if header is not None and head != header:
             raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
         rows = list(reader)
-    lines = range(2, len(rows) + 2)
+    lines = range(2, len(rows) + 2) if lines is None else lines
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
@@ -499,48 +519,38 @@ def write_scenario(scenario: Scenario, path) -> None:
 
     _write_description(scenario, root / DESCRIPTION_FILE)
 
-    with open(root / RUNS_FILE, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance_id", "algorithm_id", "value", "status"])
-        runs = scenario.runs
-        for inst, values, status in zip(runs.instances, runs.values.tolist(), runs.status.tolist()):
-            writer.writerows(
-                [inst, algo, repr(value), RUN_STATUSES[code]]
-                for algo, value, code in zip(runs.algorithms, values, status)
-            )
-
-    with open(root / FEATURES_FILE, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance_id", *scenario.feature_names])
-        for inst in scenario.instances:
-            vec = scenario.features[inst]
-            writer.writerow([inst, *(MISSING_MARK if v is None else _fmt(v) for v in vec)])
+    runs = scenario.runs
+    run_rows = (
+        [inst, algo, repr(value), RUN_STATUSES[code]]
+        for inst, values, status in zip(runs.instances, runs.values.tolist(), runs.status.tolist())
+        for algo, value, code in zip(runs.algorithms, values, status)
+    )
+    write_csv(root / RUNS_FILE, _RUNS_HEADER, run_rows)
+    feature_rows = (
+        [inst, *(MISSING_MARK if v is None else _fmt(v) for v in scenario.features[inst])]
+        for inst in scenario.instances
+    )
+    write_csv(root / FEATURES_FILE, ["instance_id", *scenario.feature_names], feature_rows)
 
     with_costs = [g for g in scenario.feature_groups if g.cost is not None]
     cost_file = root / COSTS_FILE
     if with_costs or scenario.objective == "runtime":
         # Runtime bundles always ship the cost table, header-only if no
         # group recorded costs.
-        with open(cost_file, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["instance_id", *(g.name for g in with_costs)])
-            if with_costs:
-                for inst in scenario.instances:
-                    writer.writerow(
-                        [inst, *(_fmt(g.cost.get(inst, 0.0)) for g in with_costs)]
-                    )
+        header = ["instance_id", *(g.name for g in with_costs)]
+        rows = ([inst, *(_fmt(g.cost.get(inst, 0.0)) for g in with_costs)] for inst in scenario.instances)
+        write_csv(cost_file, header, rows if with_costs else ())
     elif cost_file.exists():
         cost_file.unlink()
 
-    with open(root / SPLITS_FILE, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split_id", "mode", "role", "instance_id"])
-        order = {inst: i for i, inst in enumerate(scenario.instances)}
-        for split in sorted(scenario.splits, key=lambda s: s.split_id):
-            mode = "bootstrap" if split.from_bootstrap else "custom"
-            for role, part in (("train", split.train), ("test", split.test)):
-                for inst in sorted(part, key=order.__getitem__):
-                    writer.writerow([split.split_id, mode, role, inst])
+    order = {inst: i for i, inst in enumerate(scenario.instances)}
+    split_rows = (
+        [split.split_id, "bootstrap" if split.from_bootstrap else "custom", role, inst]
+        for split in sorted(scenario.splits, key=lambda s: s.split_id)
+        for role, part in (("train", split.train), ("test", split.test))
+        for inst in sorted(part, key=order.__getitem__)
+    )
+    write_csv(root / SPLITS_FILE, _SPLITS_HEADER, split_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +622,62 @@ def parse_predictions(path, scenario: Scenario, require_cover=None):
 
 def write_predictions(schedules, scenario: Scenario, path) -> None:
     """Write per-instance schedules as a prediction file (scenario order)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PREDICTIONS_HEADER)
-        for inst in scenario.instances:
-            if inst not in schedules:
-                continue
-            for ordinal, step in enumerate(schedules[inst], start=1):
-                if isinstance(step, FeatureStep):
-                    writer.writerow([inst, ordinal, "feature", step.group, _fmt(0.0)])
-                else:
-                    writer.writerow([inst, ordinal, "solver", step.algorithm, _fmt(step.budget)])
+    rows = (
+        [inst, ordinal, "feature", step.group, _fmt(0.0)]
+        if isinstance(step, FeatureStep)
+        else [inst, ordinal, "solver", step.algorithm, _fmt(step.budget)]
+        for inst in scenario.instances
+        if inst in schedules
+        for ordinal, step in enumerate(schedules[inst], start=1)
+    )
+    write_csv(path, PREDICTIONS_HEADER, rows)
+
+
+# ---------------------------------------------------------------------------
+# report files
+
+
+REPORT_HEADER = ["system", "scenario", "split", "metric", "value"]
+
+
+def write_report_csv(reports, path) -> None:
+    """Comma-separated report rows in the fixed column order
+    system,scenario,split,metric,value; undefined gaps land in a footer."""
+    rows, footer = [], []
+    for rep in reports:
+        key = [rep.system, rep.scenario_id, rep.split_id]
+        for name, metric in rep.metrics.items():
+            rows.append([*key, name, repr(metric.value)])
+            if metric.gap is not None:
+                rows.append([*key, f"gap_{name}", repr(metric.gap)])
+            else:
+                footer.append(f"# undefined_gap: {rep.system},{rep.scenario_id},{rep.split_id},{name}")
+    write_csv(path, REPORT_HEADER, rows, footer)
+
+
+def read_report_csv(path):
+    """Rows of (system, scenario, split, metric, value), blank and ``#`` lines
+    skipped; a malformed header or row raises :class:`ParseError`."""
+    fname = Path(path).name
+    _, rows, lines = _read_table(Path(path), REPORT_HEADER, comments=True)
+    out = []
+    for row, line in zip(rows, lines):
+        if len(row) != 5:
+            raise ParseError(fname, line, f"expected 5 columns, got {len(row)}")
+        system, scen, split_text, metric, value_text = row
+        try:
+            split = int(split_text)
+        except ValueError:
+            raise ParseError(fname, line, f"bad split id {split_text!r}") from None
+        value = _parse_float(value_text, fname, line, "value")
+        if not math.isfinite(value):
+            raise ParseError(fname, line, f"value {value_text!r} is not finite")
+        out.append((system, scen, split, metric, value))
+    return out
+
+
+def dump_json(obj, path) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,11 @@ class Hyperparameters:
             key, value = pair.split("=", 1)
             if key not in cls.__dataclass_fields__:
                 raise ValueError(f"unknown hyperparameter {key!r}")
-            kwargs[key] = float(value) if key == "presolve_budget_fraction" else int(value)
+            kind = float if key == "presolve_budget_fraction" else int
+            try:
+                kwargs[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"hyperparameter {key!r} expects {kind.__name__}, got {value!r}") from None
         return cls(**kwargs)
 
 

@@ -33,6 +33,7 @@ from asbench.scenario_io import (
     DESCRIPTION_FILE,
     FEATURES_FILE,
     MISSING_MARK,
+    REPORT_HEADER,
     RUNS_FILE,
     SPLITS_FILE,
     ParseError,
@@ -853,3 +854,25 @@ def oracle_validate(scenario: Scenario) -> list[Violation]:
         if overlap and not split.from_bootstrap:
             err("split_overlap", sid, f"train/test share {sorted(overlap)[:3]!r}")
     return out
+
+
+# The report reader before it read through the bundle parser's table reader:
+# raw lines, each parsed on its own, with no check of the split or value.
+
+
+def oracle_read_report_csv(path):
+    """Rows of (system, scenario, split, metric, value), footer skipped."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if raw.startswith("#") or not raw.strip():
+                continue
+            row = next(csv.reader([raw]))
+            if lineno == 1:
+                if row != REPORT_HEADER:
+                    raise ValueError(f"{path}: bad report header {row!r}")
+                continue
+            if len(row) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 columns")
+            rows.append((row[0], row[1], int(row[2]), row[3], float(row[4])))
+    return rows

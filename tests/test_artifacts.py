@@ -121,7 +121,7 @@ def run_chain(root: Path) -> dict[str, str]:
         model, preds, report = out / f"{kind}_model.json", out / f"{kind}_preds.csv", out / kind
         _cli("train", "--scenario", runtime, "--selector", kind, "--hp", "n_trees=3",
              "--mode", "oasc2017", "--out", model)
-        _cli("predict", "--scenario", runtime, "--model", model, "--mode", "oasc2017", "--out", preds)
+        _cli("predict", "--scenario", runtime, "--model", model, "--out", preds)
         _cli("evaluate", "--scenario", runtime, "--predictions", preds, "--system", kind,
              "--mode", "oasc2017", "--out", report, "--json")
         reports.append(report.with_suffix(".csv"))
@@ -134,7 +134,7 @@ def run_chain(root: Path) -> dict[str, str]:
         model, preds = out / f"{kind}12_model.json", out / f"{kind}12_preds.csv"
         _cli("train", "--scenario", runtime, "--selector", kind, "--hp", "n_trees=12",
              "--mode", "oasc2017", "--out", model)
-        _cli("predict", "--scenario", runtime, "--model", model, "--mode", "oasc2017", "--out", preds)
+        _cli("predict", "--scenario", runtime, "--model", model, "--out", preds)
         _cli("evaluate", "--scenario", runtime, "--predictions", preds, "--system", kind,
              "--mode", "oasc2017", "--out", out / f"{kind}12", "--json")
     # the grower's knobs away from their defaults: leaves of two, one feature per split
@@ -143,7 +143,7 @@ def run_chain(root: Path) -> dict[str, str]:
         _cli("train", "--scenario", runtime, "--selector", kind, "--hp", "n_trees=12",
              "--hp", "min_leaf=2", "--hp", "features_per_split=1", "--mode", "oasc2017",
              "--out", model)
-        _cli("predict", "--scenario", runtime, "--model", model, "--mode", "oasc2017", "--out", preds)
+        _cli("predict", "--scenario", runtime, "--model", model, "--out", preds)
 
     model, preds = out / "quality_model.json", out / "quality_preds.csv"
     _cli("train", "--scenario", quality, "--selector", "regression", "--hp", "n_trees=3",

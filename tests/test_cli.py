@@ -360,6 +360,17 @@ class TestTrainPredictEvaluate:
         assert "unknown hyperparameter 'k_neighbors'" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("pair, kind", [("n_trees=abc", "int"), ("presolve_budget_fraction=x", "float")])
+    def test_unparsable_hyperparameter_exits_two(self, learnable_bundle, tmp_path, capsys, pair, kind):
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", "--scenario", learnable_bundle, "--selector", "regression",
+            "--hp", pair, "--out", model,
+        ) == 2
+        key, value = pair.split("=")
+        assert f"hyperparameter {key!r} expects {kind}, got {value!r}" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_scenario_exits_two(self, tmp_path):
         assert run_cli("validate", "--scenario", tmp_path / "nope") == 2
 
@@ -442,11 +453,30 @@ class TestCompare:
         path = tmp_path / "r.csv"
         path.write_text("\n".join(rows) + "\n")
         from asbench.cli import build_comparison
-        from asbench.evaluation import read_report_csv
+        from asbench.scenario_io import read_report_csv
 
         doc = build_comparison(read_report_csv(path), mode="icon2015")
         assert doc["avg_gap"]["solo"] == pytest.approx((0.2 + 0.4) / 2)
         assert doc["avg_gap"]["other"] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            (["system,scenario,split,metric,value", "beta,s1,0,gap_par10,0.2", "beta,s2,0,gap_par10,inf"], 3),
+            (["system,scenario,split,metric,value", "beta,s1,0,gap_par10,0.2", "beta,s2,x,gap_par10,0.5"], 3),
+            (["system,scenario,split,metric,value", "", "# note", "beta,s1,0,gap_par10"], 4),
+            (["# note", "system,scenario,split,metric,value", "beta,s1,0,gap_par10,0.2"], 1),
+        ],
+        ids=["inf-gap", "split-x", "four-columns", "comment-before-header"],
+    )
+    def test_malformed_report_exits_two_with_line(self, tmp_path, capsys, lines, line):
+        good = self.make_report(tmp_path / "good.csv", "alpha", {"s1": 0.1, "s2": 0.3})
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "cmp"
+        assert run_cli("compare", good, bad, "--out", out, "--json") == 2
+        assert f"bad.csv:{line}:" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.with_suffix(".json").exists()
 
     def test_ooc_systems_are_not_ranked(self, tmp_path):
         a = self.make_report(tmp_path / "a.csv", "alpha", {"s1": 0.1, "s2": 0.3, "s3": 0.2})

@@ -11,14 +11,9 @@ from asbench import (
     simulate,
     vbs_cost,
 )
-from asbench.evaluation import (
-    FeatureStep,
-    SolverStep,
-    read_report_csv,
-    validate_schedule,
-    write_report_csv,
-)
+from asbench.evaluation import FeatureStep, SolverStep, validate_schedule
 from asbench.scenario import Split
+from asbench.scenario_io import read_report_csv, write_report_csv
 
 from gen import build_scenario, random_scenario, random_schedule
 from oracles import oracle_simulate

@@ -1,9 +1,13 @@
 import filecmp
 import math
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asbench import (
     ParseError,
@@ -17,9 +21,11 @@ from asbench import (
     write_predictions,
     write_scenario,
 )
-from asbench.evaluation import FeatureStep, SolverStep
+from asbench.evaluation import FeatureStep, MetricScore, ScoreReport, SolverStep
+from asbench.scenario_io import read_report_csv, write_report_csv
 
 from gen import build_scenario, random_scenario, tutorial_scenario
+from oracles import oracle_read_report_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -205,6 +211,58 @@ class TestPredictions:
         path.write_text("instance_id,step,kind,name,budget\ni1,1,solver,A1,0.0\n")
         with pytest.raises(ParseError, match="positive"):
             parse_predictions(path, tutorial)
+
+
+# names may hold anything a CSV field can but a line break
+NAMES = st.text(alphabet=st.sampled_from('ab #,"\'\té'), max_size=5)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def score_reports(draw):
+    metrics = draw(st.lists(st.sampled_from(["par10", "mcp", "solved", "quality"]), unique=True, min_size=1))
+    return ScoreReport(
+        system=draw(NAMES),
+        scenario_id=draw(NAMES),
+        split_id=draw(st.integers(-2, 12)),
+        objective="runtime",
+        metrics={
+            m: MetricScore(draw(FINITE), draw(FINITE), draw(FINITE), draw(st.none() | FINITE)) for m in metrics
+        },
+    )
+
+
+def _bits(rows):
+    return [(*row[:4], struct.pack("<d", row[4])) for row in rows]
+
+
+class TestReports:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(score_reports(), max_size=6))
+    def test_reader_matches_the_line_reader(self, reports):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.csv"
+            write_report_csv(reports, path)
+            rows = read_report_csv(path)
+            assert _bits(rows) == _bits(oracle_read_report_csv(path))
+        # a system starting with "#" and written unquoted makes its rows
+        # comment lines, which both readers skip
+        expected = [
+            (r.system, r.scenario_id, r.split_id, name, value)
+            for r in reports
+            if not (r.system.startswith("#") and set(r.system).isdisjoint(',"'))
+            for m, score in r.metrics.items()
+            for name, value in ((m, score.value), (f"gap_{m}", score.gap))
+            if value is not None
+        ]
+        assert _bits(rows) == _bits(expected)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e999", "abc", ""])
+    def test_value_must_be_a_finite_number(self, tmp_path, value):
+        path = tmp_path / "r.csv"
+        path.write_text(f"system,scenario,split,metric,value\n\n# c\ns,x,0,par10,{value}\n")
+        with pytest.raises(ParseError, match=r"^r\.csv:4: "):
+            read_report_csv(path)
 
 
 class TestGenerateSplits:
