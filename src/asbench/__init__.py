@@ -10,6 +10,7 @@ from .evaluation import (
     EvaluationOutcome,
     FeatureStep,
     MetricScore,
+    Schedules,
     ScoreReport,
     SolverStep,
     aggregate,
@@ -18,6 +19,7 @@ from .evaluation import (
     report_gap,
     score_system,
     simulate,
+    simulate_batch,
     validate_schedule,
 )
 from .scenario import (

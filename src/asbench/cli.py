@@ -183,6 +183,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not args.system or args.system.startswith("#"):
+        # a report row starting with '#' reads back as a comment line
+        raise ValueError(f"--system must be non-empty and must not start with '#', got {args.system!r}")
     scen = parse_scenario(args.scenario)
     splits = _resolve_splits(scen, args.splits, args.seed)
     reports: list[ScoreReport] = []

@@ -4,15 +4,20 @@ Nothing here runs a real solver. A schedule is replayed against the recorded
 data of a scenario: feature steps consume the recorded feature-computation
 cost, solver steps consume recorded runtimes, and an instance counts as
 solved once a scheduled algorithm's successful run fits inside its time
-slice. On top of the per-instance outcomes sit PAR10, the misclassification
-penalty, the solved fraction, and the normalized gap between the single best
-solver (gap 1) and the virtual best solver (gap 0).
+slice. Schedules are kept as step arrays (:class:`Schedules`), and one
+batch replay walks the schedules of every instance at once. On top of the
+per-instance outcomes sit PAR10, the misclassification penalty, the solved
+fraction, and the normalized gap between the single best solver (gap 1) and
+the virtual best solver (gap 0).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from .scenario import PAR10_FACTOR, STATUS_CODE, Scenario, Split, sbs
 
@@ -20,7 +25,7 @@ GAP_EPS = 1e-12
 
 _OK = STATUS_CODE["ok"]
 # runs that may die before their slice ends and give the rest of it back
-_DIES_EARLY = {STATUS_CODE[s] for s in ("memout", "crash", "other")}
+_DIES_EARLY = [STATUS_CODE[s] for s in ("memout", "crash", "other")]
 
 
 @dataclass(frozen=True)
@@ -74,55 +79,198 @@ def validate_schedule(scenario: Scenario, schedule) -> None:
             raise ValueError("quality scenarios take exactly one solver step and nothing else")
 
 
-def simulate(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
-    """Replay a schedule against the recorded runs of one instance.
+# The code of each step kind in ``Schedules.kind``, by its name in prediction files.
+STEP_KIND = {"solver": 0, "feature": 1}
+_SOLVER, _FEATURE = STEP_KIND.values()
 
-    Runtime scenarios walk the steps with a running clock. A solver step
-    gets a slice of min(budget, time left before the cutoff); it solves the
-    instance if its recorded run was ok and fits in the slice. Runs that
-    died early (memout/crash/other, faster than the slice) give their time
-    back; everything else eats the whole slice. Reaching the cutoff means
-    unsolved with time_used pinned at the cutoff.
+
+class Schedules(Mapping):
+    """Per-instance schedules as flat step arrays, read as a mapping from
+    instance to a tuple of :class:`FeatureStep`/:class:`SolverStep`.
+
+    The steps of every schedule lie in ``row`` (the instance's row in the
+    scenario's run table), ``kind`` (a code of ``STEP_KIND``), ``index``
+    (algorithm column or feature-group index) and ``budget``, sorted by
+    instance row and then step; schedule ``p``, of ``instances[p]``, is the
+    slice ``starts[p]:starts[p + 1]``. Step objects are built only when a
+    schedule is looked up. A Schedules object is built by the prediction
+    parser or :meth:`from_mapping`, both of which validate every schedule.
+    """
+
+    __slots__ = ("instances", "starts", "row", "kind", "index", "budget", "_names", "_pos")
+
+    def __init__(self, scenario: Scenario, rows, lengths, kind, index, budget):
+        rows = np.asarray(rows, dtype=np.intp)
+        self.instances = tuple(map(scenario.instances.__getitem__, rows.tolist()))
+        self.starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+        self.row = np.repeat(rows, lengths)
+        self.kind = np.asarray(kind, dtype=np.int8)
+        self.index = np.asarray(index, dtype=np.intp)
+        self.budget = np.asarray(budget, dtype=np.float64)
+        self._names = (scenario.algorithms, tuple(g.name for g in scenario.feature_groups))
+        self._pos = {inst: p for p, inst in enumerate(self.instances)}
+
+    @classmethod
+    def from_mapping(cls, scenario: Scenario, schedules: Mapping) -> Schedules:
+        """Validate and store a mapping of instance to a sequence of steps;
+        raises ValueError as :func:`validate_schedule` does."""
+        row_of = scenario.runs.row
+        for inst in schedules:
+            if inst not in row_of:
+                raise ValueError(f"unknown instance {inst!r}")
+        order = sorted(schedules, key=row_of.__getitem__)
+        steps = [step for inst in order for step in schedules[inst]]
+        kind = [
+            _SOLVER if isinstance(s, SolverStep) else _FEATURE if isinstance(s, FeatureStep) else None
+            for s in steps
+        ]
+        if None not in kind:
+            groups = {g.name: j for j, g in enumerate(scenario.feature_groups)}
+            cols = scenario.runs.col
+            index = [groups.get(s.group) if k else cols.get(s.algorithm) for s, k in zip(steps, kind)]
+            if None not in index:
+                budget = [0.0 if k else s.budget for s, k in zip(steps, kind)]
+                lengths = [len(schedules[inst]) for inst in order]
+                out = cls(scenario, [row_of[inst] for inst in order], lengths, kind, index, budget)
+                if out.valid(scenario.objective):
+                    return out
+        for schedule in schedules.values():
+            validate_schedule(scenario, schedule)
+        raise RuntimeError("a schedule failed the array checks but passed validate_schedule")
+
+    def valid(self, objective: str) -> bool:
+        """Whether every schedule passes :func:`validate_schedule`, given
+        that every name is known: a quality schedule is one solver step; a
+        runtime schedule gives each solver a positive budget and computes
+        no feature group twice."""
+        solver = self.kind == _SOLVER
+        if objective == "quality":
+            return bool(solver.all() and (np.diff(self.starts) == 1).all())
+        groups = (self.row * len(self._names[1]) + self.index)[~solver]
+        return bool((self.budget[solver] > 0).all() and np.unique(groups).size == groups.size)
+
+    def __getitem__(self, instance) -> tuple:
+        p = self._pos[instance]
+        algorithms, groups = self._names
+        span = slice(self.starts[p], self.starts[p + 1])
+        steps = zip(self.kind[span].tolist(), self.index[span].tolist(), self.budget[span].tolist())
+        return tuple(
+            FeatureStep(group=groups[i]) if k else SolverStep(algorithm=algorithms[i], budget=b)
+            for k, i, b in steps
+        )
+
+    def __contains__(self, instance) -> bool:
+        return instance in self._pos
+
+    def __iter__(self):
+        return iter(self.instances)
+
+    def __len__(self) -> int:
+        return len(self.instances)
+
+
+@dataclass(frozen=True)
+class BatchOutcome:
+    """Outcomes of a batch replay, one entry per instance.
+
+    ``time_used`` is NaN on quality scenarios and ``achieved_value`` on
+    runtime ones; ``solving_step`` is 0 where no step solved the instance.
+    """
+
+    solved: np.ndarray
+    time_used: np.ndarray
+    achieved_value: np.ndarray
+    solving_step: np.ndarray
+
+
+def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> BatchOutcome:
+    """Replay the schedules of ``instances`` against their recorded runs.
+
+    Runtime scenarios walk the steps with a running clock, all instances at
+    once. A solver step gets a slice of min(budget, time left before the
+    cutoff); it solves the instance if its recorded run was ok and fits in
+    the slice. Runs that died early (memout/crash/other, faster than the
+    slice) give their time back; everything else eats the whole slice.
+    Reaching the cutoff means unsolved with time_used pinned at the cutoff.
+    Each instance gets the float operations of a walk of its own, in the
+    same order, so its outcome does not depend on the batch.
 
     Quality scenarios return the recorded value of the single scheduled
-    algorithm; feature costs never count against quality.
+    algorithm; feature costs never count against quality. A reached step
+    whose run was never recorded raises KeyError.
     """
     runs = scenario.runs
-    if instance not in runs.row:
-        raise ValueError(f"unknown instance {instance!r}")
-    validate_schedule(scenario, schedule)
-    r = runs.row[instance]
+    n = len(instances)
+    rows = np.array([runs.row[i] for i in instances], dtype=np.intp)[:, None]
+    pos = np.array([schedules._pos[i] for i in instances], dtype=np.intp)
+    first = schedules.starts[pos]
+    if scenario.objective == "quality":  # one solver step each
+        col = schedules.index[first][:, None]
+        status = runs.status[rows, col]
+        _raise_missing(scenario, instances, status < 0, col)
+        value = runs.values[rows, col][:, 0]
+        return BatchOutcome(status[:, 0] == _OK, np.full(n, np.nan), value, np.ones(n, dtype=np.intp))
 
-    def record(algorithm):
-        c = runs.col[algorithm]
-        status = int(runs.status[r, c])
-        if status < 0:
-            raise KeyError((instance, algorithm))
-        return float(runs.values[r, c]), status
-
-    if scenario.objective == "quality":
-        value, status = record(schedule[0].algorithm)
-        return EvaluationOutcome(solved=status == _OK, achieved_value=value, solving_step=1)
+    # pad the schedules into (n, m) step arrays
+    length = schedules.starts[pos + 1] - first
+    m = int(length.max(initial=0))
+    has = np.arange(m) < length[:, None]
+    at = np.where(has, first[:, None] + np.arange(m), 0)
+    solver = has & (schedules.kind[at] == _SOLVER)
+    index = schedules.index[at]
+    col = np.where(solver, index, 0)
+    value = runs.values[rows, col]
+    status = np.where(solver, runs.status[rows, col], _OK)
+    budget = schedules.budget[at]
+    cost = np.zeros((n, m))
+    feature = has & ~solver
+    if feature.any():
+        groups = scenario.feature_groups
+        table = np.array([[g.cost.get(i, 0.0) if g.cost else 0.0 for g in groups] for i in instances])
+        cost[feature] = table[np.nonzero(feature)[0], index[feature]]
+    ok, dies = status == _OK, np.isin(status, _DIES_EARLY)
 
     cutoff = scenario.cutoff
-    groups = {g.name: g for g in scenario.feature_groups}
-    t = 0.0
-    for ordinal, step in enumerate(schedule, start=1):
-        if isinstance(step, FeatureStep):
-            cost = groups[step.group].cost
-            t += cost.get(instance, 0.0) if cost else 0.0
-        else:
-            value, status = record(step.algorithm)
-            slice_ = min(step.budget, cutoff - t)
-            if status == _OK and value <= slice_:
-                return EvaluationOutcome(solved=True, time_used=t + value, solving_step=ordinal)
-            if status in _DIES_EARLY and value < slice_:
-                t += value
-            else:
-                t += slice_
-        if t >= cutoff:
-            return EvaluationOutcome(solved=False, time_used=cutoff)
-    return EvaluationOutcome(solved=False, time_used=cutoff)
+    t = np.zeros(n)
+    time_used = np.full(n, cutoff)
+    step = np.zeros(n, dtype=np.intp)
+    walked = np.zeros(n, dtype=np.intp)
+    walking = np.ones(n, dtype=bool)
+    for j in range(m):
+        on = walking & has[:, j]
+        if not on.any():
+            break
+        walked[on] = j + 1
+        left = cutoff - t
+        slice_ = np.where(left < budget[:, j], left, budget[:, j])
+        v = value[:, j]
+        hit = on & solver[:, j] & ok[:, j] & (v <= slice_)
+        time_used[hit] = (t + v)[hit]
+        step[hit] = j + 1
+        spent = np.where(solver[:, j], np.where(dies[:, j] & (v < slice_), v, slice_), cost[:, j])
+        t = np.where(on & ~hit, t + spent, t)
+        walking &= ~hit & ~(on & (t >= cutoff))
+    _raise_missing(scenario, instances, (status < 0) & (np.arange(m) < walked[:, None]), col)
+    return BatchOutcome(step > 0, time_used, np.full(n, np.nan), step)
+
+
+def _raise_missing(scenario: Scenario, instances, lost: np.ndarray, col: np.ndarray) -> None:
+    """KeyError for the first instance whose walk reached a step with no
+    recorded run (``lost``, aligned with the algorithm columns ``col``)."""
+    if lost.any():
+        i = int(np.flatnonzero(lost.any(axis=1))[0])
+        raise KeyError((instances[i], scenario.algorithms[col[i, lost[i].argmax()]]))
+
+
+def simulate(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
+    """Replay one schedule on one instance: :func:`simulate_batch` of one."""
+    out = simulate_batch(scenario, Schedules.from_mapping(scenario, {instance: schedule}), [instance])
+    solved, used, value, step = (
+        a[0].item() for a in (out.solved, out.time_used, out.achieved_value, out.solving_step)
+    )
+    if scenario.objective == "quality":
+        return EvaluationOutcome(solved, achieved_value=value, solving_step=step)
+    return EvaluationOutcome(solved, time_used=used, solving_step=step or None)
 
 
 def par10(outcome: EvaluationOutcome, cutoff: float) -> float:
@@ -185,7 +333,9 @@ def _gap(value: float, sbs_ref: float, vbs_ref: float) -> float | None:
 def score_system(scenario: Scenario, split: Split, schedules, system: str = "system") -> ScoreReport:
     """Score one system's schedules on a split's test instances.
 
-    The single best solver is picked on the split's training instances and
+    ``schedules`` is a :class:`Schedules` or a mapping of instance to steps,
+    whose test schedules are converted once; all of them are replayed in one
+    :func:`simulate_batch`. The single best solver is picked on the split's training instances and
     replayed as a bare full-cutoff run; the virtual best solver references
     come straight from the recorded data. The solved metric enters its gap
     as an unsolved fraction and maximize-direction quality values as negated
@@ -200,25 +350,29 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
     table = scenario.table
     rows = [table.row[i] for i in test]
     vbs = table.cost[rows].min(axis=1).tolist()
+    if not isinstance(schedules, Schedules):
+        schedules = Schedules.from_mapping(scenario, {i: schedules[i] for i in test})
+    out = simulate_batch(scenario, schedules, test)
 
     if scenario.objective == "runtime":
         cutoff = scenario.cutoff
-        outcomes = [simulate(scenario, i, schedules[i]) for i in test]
         # a bare full-cutoff run of the single best solver replays as the
         # table's own solved flag, PAR10 and capped runtime
         capped = table.capped[rows]
+        best = capped.min(axis=1)
 
         def mean(xs):
             return math.fsum(xs) / n
 
-        par10_s = mean(par10(o, cutoff) for o in outcomes)
+        par10_s = mean(np.where(out.solved, out.time_used, PAR10_FACTOR * cutoff).tolist())
         par10_b = mean(table.cost[rows, sbs_col].tolist())
         par10_v = mean(vbs)
 
-        mcp_s = mean(mcp(o, scenario, i) for o, i in zip(outcomes, test))
-        mcp_b = mean((capped[:, sbs_col] - capped.min(axis=1)).tolist())
+        used = np.where(cutoff < out.time_used, cutoff, out.time_used)  # min(time_used, cutoff)
+        mcp_s = mean((used - best).tolist())
+        mcp_b = mean((capped[:, sbs_col] - best).tolist())
 
-        solved_s = mean(float(o.solved) for o in outcomes)
+        solved_s = mean(out.solved.astype(float).tolist())
         solved_b = mean(table.solved[rows, sbs_col].tolist())
         solved_v = mean(table.solved[rows].any(axis=1).tolist())
 
@@ -231,8 +385,7 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         }
     else:
         sign = -1.0 if scenario.direction == "maximize" else 1.0
-        values = [simulate(scenario, i, schedules[i]).achieved_value for i in test]
-        value_s = math.fsum(values) / n
+        value_s = math.fsum(out.achieved_value.tolist()) / n
         value_b = math.fsum(table.values[rows, sbs_col].tolist()) / n
         value_v = math.fsum(sign * v for v in vbs) / n
         metrics = {

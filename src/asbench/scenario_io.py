@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import FeatureStep, SolverStep, validate_schedule
+from .evaluation import STEP_KIND, FeatureStep, Schedules, SolverStep, validate_schedule
 from .learners import rng_stream
 from .scenario import (
     DIRECTIONS,
@@ -164,6 +164,13 @@ def _numbers(tokens, convert=float, missing: bool = False):
     for j in holes:
         out[j] = None
     return out
+
+
+def _numbers_repeated(tokens, convert=float):
+    """:func:`_numbers` for a column of few distinct tokens, each converted once."""
+    distinct = list(set(tokens))
+    values = _numbers(distinct, convert)
+    return None if values is None else list(map(dict(zip(distinct, values)).__getitem__, tokens))
 
 
 def _raise_bad_row(path: Path, header, check_row) -> None:
@@ -560,20 +567,63 @@ def write_scenario(scenario: Scenario, path) -> None:
 PREDICTIONS_HEADER = ["instance_id", "step", "kind", "name", "budget"]
 
 
-def parse_predictions(path, scenario: Scenario, require_cover=None):
+def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules:
     """Read a prediction file into per-instance schedules.
 
     ``require_cover`` is an optional iterable of instance ids (typically a
-    split's test set) that must all receive a schedule.
+    split's test set) that must all receive a schedule. The file is read
+    column-wise and its schedules are checked as arrays; when a check fails,
+    the rows are walked to the first bad one.
     """
-    fname = Path(path).name
+    path = Path(path)
+    _, rows, _ = _read_table(path, PREDICTIONS_HEADER)
+    clean = set(map(len, rows)) <= {5}
+    if clean:
+        inst, ordinal, kind, name, budget = list(zip(*rows)) or [()] * 5
+        del rows
+        row = _lookup(scenario.runs.row, inst)
+        kind = _lookup(STEP_KIND, kind)
+        ordinal = _numbers_repeated(ordinal, int)
+        budget = _numbers_repeated(budget)
+        clean = None not in row and None not in kind and ordinal is not None and budget is not None
+        # an ordinal outside 1..rows cannot be contiguous, and may not fit an intp
+        clean = clean and 1 <= min(ordinal, default=1) and max(ordinal, default=0) <= len(ordinal)
+    if clean:
+        names = (scenario.runs.col, {g.name: j for j, g in enumerate(scenario.feature_groups)})
+        index = [names[k].get(t) for k, t in zip(kind, name)]
+        if None in index:
+            index = [names[k].get(t.strip()) for k, t in zip(kind, name)]
+        clean = None not in index
+    if clean:
+        row, ordinal = np.array(row, dtype=np.intp), np.array(ordinal, dtype=np.intp)
+        order = np.lexsort((ordinal, row))
+        row, ordinal = row[order], ordinal[order]
+        owners, lengths = np.unique(row, return_counts=True)
+        # each schedule's steps are 1..m once sorted
+        step = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
+        kind, index, budget = np.array(kind, np.int8)[order], np.array(index)[order], np.array(budget)[order]
+        schedules = Schedules(scenario, owners, lengths, kind, index, budget)
+        clean = np.array_equal(ordinal, step) and schedules.valid(scenario.objective)
+    if not clean:
+        _raise_bad_predictions(path, scenario)
+    if require_cover is not None:
+        missing = [i for i in require_cover if i not in schedules]
+        if missing:
+            raise ParseError(path.name, 0, f"no schedule for test instances {missing[:5]!r}")
+    return schedules
+
+
+def _raise_bad_predictions(path: Path, scenario: Scenario) -> None:
+    """Walk a prediction file row by row, then schedule by schedule, and
+    raise the ParseError of the first bad row or schedule."""
+    fname = path.name
     inst_set = set(scenario.instances)
     algo_set = set(scenario.algorithms)
     group_set = {g.name for g in scenario.feature_groups}
 
     staged: dict[str, list[tuple[int, object]]] = {}
     lines: dict[str, int] = {}
-    _, rows, row_lines = _read_table(Path(path), PREDICTIONS_HEADER)
+    _, rows, row_lines = _read_table(path, PREDICTIONS_HEADER)
     for lineno, row in zip(row_lines, rows):
         if len(row) != 5:
             raise ParseError(fname, lineno, f"expected 5 columns, got {len(row)}")
@@ -598,7 +648,6 @@ def parse_predictions(path, scenario: Scenario, require_cover=None):
         staged.setdefault(inst, []).append((ordinal, step))
         lines[inst] = lineno
 
-    schedules = {}
     for inst, steps in staged.items():
         steps.sort(key=lambda pair: pair[0])
         ordinals = [o for o, _ in steps]
@@ -606,18 +655,11 @@ def parse_predictions(path, scenario: Scenario, require_cover=None):
             raise ParseError(
                 fname, lines[inst], f"step ordinals for {inst!r} are not contiguous from 1: {ordinals}"
             )
-        schedule = tuple(step for _, step in steps)
         try:
-            validate_schedule(scenario, schedule)
+            validate_schedule(scenario, tuple(step for _, step in steps))
         except ValueError as exc:
             raise ParseError(fname, lines[inst], f"invalid schedule for {inst!r}: {exc}") from None
-        schedules[inst] = schedule
-
-    if require_cover is not None:
-        missing = [i for i in require_cover if i not in schedules]
-        if missing:
-            raise ParseError(fname, 0, f"no schedule for test instances {missing[:5]!r}")
-    return schedules
+    raise RuntimeError(f"{fname}: a column check failed but every row passed")
 
 
 def write_predictions(schedules, scenario: Scenario, path) -> None:
@@ -642,9 +684,13 @@ REPORT_HEADER = ["system", "scenario", "split", "metric", "value"]
 
 def write_report_csv(reports, path) -> None:
     """Comma-separated report rows in the fixed column order
-    system,scenario,split,metric,value; undefined gaps land in a footer."""
+    system,scenario,split,metric,value; undefined gaps land in a footer.
+    A system name must be non-empty and must not start with ``#``, or its
+    rows would read back as comment lines."""
     rows, footer = [], []
     for rep in reports:
+        if not rep.system or rep.system.startswith("#"):
+            raise ValueError(f"system name {rep.system!r} is empty or starts with '#'")
         key = [rep.system, rep.scenario_id, rep.split_id]
         for name, metric in rep.metrics.items():
             rows.append([*key, name, repr(metric.value)])

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from asbench.evaluation import FeatureStep, SolverStep, simulate
+from asbench.evaluation import EvaluationOutcome, FeatureStep, SolverStep, validate_schedule
 from asbench.learners import Tree, _grow_trees, fit_forest, rng_stream
 from asbench.scenario import (
     DIRECTIONS,
     OBJECTIVES,
     RUN_STATUSES,
+    STATUS_CODE,
     FeatureGroup,
     RunRecord,
     Scenario,
@@ -33,6 +34,7 @@ from asbench.scenario_io import (
     DESCRIPTION_FILE,
     FEATURES_FILE,
     MISSING_MARK,
+    PREDICTIONS_HEADER,
     REPORT_HEADER,
     RUNS_FILE,
     SPLITS_FILE,
@@ -41,6 +43,7 @@ from asbench.scenario_io import (
     _check_id,
     _parse_description,
     _parse_float,
+    _read_table,
 )
 from asbench.selectors import _S_FOLDS, _S_PAIRWISE, _S_REGRESSION, _S_STACK_L1, _S_STACK_L2
 
@@ -168,7 +171,7 @@ def oracle_presolved_instances(prefix, scenario, instances):
         return set()
     solved = set()
     for inst in instances:
-        if simulate(scenario, inst, tuple(prefix)).solved:
+        if oracle_replay(scenario, inst, tuple(prefix)).solved:
             solved.add(inst)
     return solved
 
@@ -876,3 +879,123 @@ def oracle_read_report_csv(path):
                 raise ValueError(f"{path}:{lineno}: expected 5 columns")
             rows.append((row[0], row[1], int(row[2]), row[3], float(row[4])))
     return rows
+
+
+# The replay and the prediction-file parser before they kept schedules as
+# step arrays: one schedule validated and walked at a time, and one row at a
+# time. ``simulate_batch`` must give the same outcomes bit for bit, and
+# ``parse_predictions`` an equal mapping or the same ParseError.
+
+_OK = STATUS_CODE["ok"]
+_DIES_EARLY = {STATUS_CODE[s] for s in ("memout", "crash", "other")}
+
+
+def oracle_replay(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
+    """Replay a schedule against the recorded runs of one instance.
+
+    Runtime scenarios walk the steps with a running clock. A solver step
+    gets a slice of min(budget, time left before the cutoff); it solves the
+    instance if its recorded run was ok and fits in the slice. Runs that
+    died early (memout/crash/other, faster than the slice) give their time
+    back; everything else eats the whole slice. Reaching the cutoff means
+    unsolved with time_used pinned at the cutoff.
+
+    Quality scenarios return the recorded value of the single scheduled
+    algorithm; feature costs never count against quality.
+    """
+    runs = scenario.runs
+    if instance not in runs.row:
+        raise ValueError(f"unknown instance {instance!r}")
+    validate_schedule(scenario, schedule)
+    r = runs.row[instance]
+
+    def record(algorithm):
+        c = runs.col[algorithm]
+        status = int(runs.status[r, c])
+        if status < 0:
+            raise KeyError((instance, algorithm))
+        return float(runs.values[r, c]), status
+
+    if scenario.objective == "quality":
+        value, status = record(schedule[0].algorithm)
+        return EvaluationOutcome(solved=status == _OK, achieved_value=value, solving_step=1)
+
+    cutoff = scenario.cutoff
+    groups = {g.name: g for g in scenario.feature_groups}
+    t = 0.0
+    for ordinal, step in enumerate(schedule, start=1):
+        if isinstance(step, FeatureStep):
+            cost = groups[step.group].cost
+            t += cost.get(instance, 0.0) if cost else 0.0
+        else:
+            value, status = record(step.algorithm)
+            slice_ = min(step.budget, cutoff - t)
+            if status == _OK and value <= slice_:
+                return EvaluationOutcome(solved=True, time_used=t + value, solving_step=ordinal)
+            if status in _DIES_EARLY and value < slice_:
+                t += value
+            else:
+                t += slice_
+        if t >= cutoff:
+            return EvaluationOutcome(solved=False, time_used=cutoff)
+    return EvaluationOutcome(solved=False, time_used=cutoff)
+
+
+def oracle_parse_predictions(path, scenario: Scenario, require_cover=None):
+    """Read a prediction file into per-instance schedules.
+
+    ``require_cover`` is an optional iterable of instance ids (typically a
+    split's test set) that must all receive a schedule.
+    """
+    fname = Path(path).name
+    inst_set = set(scenario.instances)
+    algo_set = set(scenario.algorithms)
+    group_set = {g.name for g in scenario.feature_groups}
+
+    staged: dict[str, list[tuple[int, object]]] = {}
+    lines: dict[str, int] = {}
+    _, rows, row_lines = _read_table(Path(path), PREDICTIONS_HEADER)
+    for lineno, row in zip(row_lines, rows):
+        if len(row) != 5:
+            raise ParseError(fname, lineno, f"expected 5 columns, got {len(row)}")
+        inst, ordinal_text, kind, name, budget_text = (t.strip() for t in row)
+        if inst not in inst_set:
+            raise ParseError(fname, lineno, f"unknown instance {inst!r}")
+        try:
+            ordinal = int(ordinal_text)
+        except ValueError:
+            raise ParseError(fname, lineno, f"bad step ordinal {ordinal_text!r}") from None
+        budget = _parse_float(budget_text, fname, lineno, "budget")
+        if kind == "solver":
+            if name not in algo_set:
+                raise ParseError(fname, lineno, f"unknown algorithm {name!r}")
+            step = SolverStep(algorithm=name, budget=budget)
+        elif kind == "feature":
+            if name not in group_set:
+                raise ParseError(fname, lineno, f"unknown feature group {name!r}")
+            step = FeatureStep(group=name)
+        else:
+            raise ParseError(fname, lineno, f"unknown step kind {kind!r}")
+        staged.setdefault(inst, []).append((ordinal, step))
+        lines[inst] = lineno
+
+    schedules = {}
+    for inst, steps in staged.items():
+        steps.sort(key=lambda pair: pair[0])
+        ordinals = [o for o, _ in steps]
+        if ordinals != list(range(1, len(steps) + 1)):
+            raise ParseError(
+                fname, lines[inst], f"step ordinals for {inst!r} are not contiguous from 1: {ordinals}"
+            )
+        schedule = tuple(step for _, step in steps)
+        try:
+            validate_schedule(scenario, schedule)
+        except ValueError as exc:
+            raise ParseError(fname, lines[inst], f"invalid schedule for {inst!r}: {exc}") from None
+        schedules[inst] = schedule
+
+    if require_cover is not None:
+        missing = [i for i in require_cover if i not in schedules]
+        if missing:
+            raise ParseError(fname, 0, f"no schedule for test instances {missing[:5]!r}")
+    return schedules

@@ -201,6 +201,22 @@ class TestTrainPredictEvaluate:
         summary = json.loads(out.with_suffix(".json").read_text())
         assert summary["aggregate_gap"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("system", ["#x", ""])
+    def test_system_name_that_reads_as_a_comment_exits_two(self, learnable_bundle, tmp_path, capsys, system):
+        # compare would skip every row of a "#x" report as a comment line
+        scen = parse_scenario(learnable_bundle)
+        pred = tmp_path / "a0.csv"
+        rows = ["instance_id,step,kind,name,budget"]
+        rows += [f"{inst},1,solver,{scen.algorithms[0]},{scen.cutoff}" for inst in scen.splits[0].test]
+        pred.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "report"
+        assert run_cli(
+            "evaluate", "--scenario", learnable_bundle, "--predictions", pred,
+            "--system", system, "--out", out,
+        ) == 2
+        assert "--system" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
     def test_oracle_predictions_score_gap_zero(self, learnable_bundle, tmp_path):
         scen = parse_scenario(learnable_bundle)
         split = scen.splits[0]
