@@ -28,7 +28,6 @@ from .scenario import (
     Scenario,
     Split,
     Violation,
-    effective_cost,
     improvement_factor,
     sbs,
     validate,

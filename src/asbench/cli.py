@@ -80,13 +80,15 @@ def _resolve_splits(scenario: Scenario, spec: str, seed: int):
         if not scenario.splits:
             raise ValueError("scenario bundle has no stored splits; use --splits bootstrap:N")
         return list(scenario.splits)
-    parts = spec.split(":")
-    if parts[0] == "bootstrap" and len(parts) == 2:
-        return generate_splits(scenario, int(parts[1]), "bootstrap", seed=seed)
-    if parts[0] == "holdout" and len(parts) in (2, 3):
-        frac = float(parts[2]) if len(parts) == 3 else 0.33
-        return generate_splits(scenario, int(parts[1]), "holdout", test_fraction=frac, seed=seed)
-    raise ValueError(f"bad --splits value {spec!r}")
+    mode, *numbers = spec.split(":")
+    try:
+        if len(numbers) not in {"bootstrap": (1,), "holdout": (1, 2)}.get(mode, ()):
+            raise ValueError(spec)
+        n_splits = int(numbers[0])
+        frac = float(numbers[1]) if len(numbers) == 2 else 0.33
+    except ValueError:
+        raise ValueError(f"bad --splits value {spec!r}") from None
+    return generate_splits(scenario, n_splits, mode, test_fraction=frac, seed=seed)
 
 
 def _pick_split(splits, split_id: int):
@@ -244,8 +246,11 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
             raise ValueError(f"no designated gap rows for {system!r} on {scen!r}")
         return evaluation.mean_of_split_means(splits)
 
+    ooc = set(ooc)
+    if not ooc <= set(systems):
+        raise ValueError(f"--ooc names no system in the reports: {sorted(ooc - set(systems))!r}")
     matrix = [[cell(system, scen) for system in systems] for scen in scenarios]
-    ranked = [s for s in systems if s not in set(ooc)]
+    ranked = [s for s in systems if s not in ooc]
     if not ranked:
         raise ValueError("every system is out of competition; nothing to rank")
     ranked_idx = [systems.index(s) for s in ranked]
@@ -259,7 +264,7 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
         "mode": mode,
         "alpha": alpha,
         "systems": systems,
-        "ooc": [s for s in systems if s in set(ooc)],
+        "ooc": [s for s in systems if s in ooc],
         "scenarios": scenarios,
         "scores": matrix,
         "avg_gap": avg_gap,

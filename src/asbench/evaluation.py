@@ -428,12 +428,10 @@ def _designated(report: ScoreReport, mode: str) -> tuple[str, ...]:
     return tuple(m for m in GAP_METRICS[mode] if m in report.metrics)
 
 
-def aggregate(reports, mode: str = "icon2015", use: str = "gap", weights=None) -> float:
+def aggregate(reports, mode: str = "icon2015", use: str = "gap") -> float:
     """Cascade of unweighted means: metrics, then splits, then scenarios.
 
-    With ``use="value"`` the raw metric values are averaged instead of the
-    gaps. ``weights`` optionally reweights scenarios (same order as their
-    first appearance); splits and metrics always average unweighted.
+    With ``use="value"`` the raw metric values are averaged, not the gaps.
     """
     if not reports:
         raise ValueError("no reports to aggregate")
@@ -450,12 +448,7 @@ def aggregate(reports, mode: str = "icon2015", use: str = "gap", weights=None) -
     if not per_scenario:
         raise ValueError("every gap was undefined; nothing to aggregate")
     scenario_means = [mean_of_split_means(scen) for scen in per_scenario.values()]
-    if weights is None:
-        return math.fsum(scenario_means) / len(scenario_means)
-    if len(weights) != len(scenario_means):
-        raise ValueError("one weight per scenario required")
-    total = math.fsum(weights)
-    return math.fsum(w * m for w, m in zip(weights, scenario_means)) / total
+    return math.fsum(scenario_means) / len(scenario_means)
 
 
 def mean_of_split_means(per_split: dict[int, list[float]]) -> float:

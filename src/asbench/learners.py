@@ -456,8 +456,8 @@ class KMeans:
         return np.argmin(d, axis=1)
 
 
-def fit_kmeans(X, k, rng, max_iter=100, tol=1e-6) -> KMeans:
-    """Lloyd iterations from a k-means++ style seeding.
+def fit_kmeans(X, k, rng) -> KMeans:
+    """At most 100 Lloyd iterations, stopping at a 1e-6 shift, from a k-means++ style seeding.
 
     Empty clusters keep their previous centroid. With zero feature columns
     every point collapses into cluster 0.
@@ -481,7 +481,7 @@ def fit_kmeans(X, k, rng, max_iter=100, tol=1e-6) -> KMeans:
         centroids[c] = X[min(pick, n - 1)]
         sq = np.minimum(sq, ((X - centroids[c]) ** 2).sum(axis=1))
 
-    for _ in range(max_iter):
+    for _ in range(100):
         assign = KMeans(centroids).assign(X)
         new = centroids.copy()
         for c in range(k):
@@ -490,6 +490,6 @@ def fit_kmeans(X, k, rng, max_iter=100, tol=1e-6) -> KMeans:
                 new[c] = members.mean(axis=0)
         shift = np.max(np.abs(new - centroids))
         centroids = new
-        if shift < tol:
+        if shift < 1e-6:
             break
     return KMeans(centroids=centroids)

@@ -386,20 +386,9 @@ def validate(scenario: Scenario) -> list[Violation]:
     return out
 
 
-def effective_cost(scenario: Scenario, instance: str, algorithm: str) -> float:
-    """Cost of running one algorithm alone on one instance, as minimized.
-
-    Runtime scenarios use the PAR10 transform: the recorded time if the run
-    finished ok within the cutoff, otherwise ten times the cutoff. Quality
-    scenarios return the value itself (negated for maximize direction).
-    """
-    table = scenario.table
-    return float(table.cost[table.row[instance], scenario.algorithms.index(algorithm)])
-
-
 def vbs_cost(scenario: Scenario, instance: str) -> float:
     """Cost of the virtual best solver on one instance: the per-instance
-    minimum effective cost, with zero overhead for feature computation."""
+    minimum cost, with zero overhead for feature computation."""
     table = scenario.table
     if instance not in table.row:
         raise ValueError(f"unknown instance {instance!r}")
@@ -407,7 +396,7 @@ def vbs_cost(scenario: Scenario, instance: str) -> float:
 
 
 def sbs(scenario: Scenario, train_instances) -> str:
-    """Single best solver: the algorithm with the lowest total effective cost
+    """Single best solver: the algorithm with the lowest total cost
     over the given training instances. Ties go to the earlier portfolio slot."""
     table = scenario.table
     rows = [table.row[i] for i in train_instances]

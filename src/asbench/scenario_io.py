@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -815,31 +816,18 @@ def rename_scenario(scenario: Scenario, algo_map, inst_map) -> Scenario:
     run table keeps its arrays under the new labels."""
     algorithms = tuple(algo_map[a] for a in scenario.algorithms)
     instances = tuple(inst_map[i] for i in scenario.instances)
-    return Scenario(
-        id=scenario.id,
-        objective=scenario.objective,
-        direction=scenario.direction,
-        cutoff=scenario.cutoff,
+    return replace(
+        scenario,
         algorithms=algorithms,
         instances=instances,
         runs=Runs(instances, algorithms, scenario.runs.values, scenario.runs.status),
         features={inst_map[i]: vec for i, vec in scenario.features.items()},
-        feature_names=scenario.feature_names,
         feature_groups=tuple(
-            FeatureGroup(
-                name=g.name,
-                feature_indices=g.feature_indices,
-                cost=None if g.cost is None else {inst_map[i]: c for i, c in g.cost.items()},
-            )
+            replace(g, cost=None if g.cost is None else {inst_map[i]: c for i, c in g.cost.items()})
             for g in scenario.feature_groups
         ),
         splits=tuple(
-            Split(
-                split_id=s.split_id,
-                train=tuple(inst_map[i] for i in s.train),
-                test=tuple(inst_map[i] for i in s.test),
-                from_bootstrap=s.from_bootstrap,
-            )
+            replace(s, train=tuple(inst_map[i] for i in s.train), test=tuple(inst_map[i] for i in s.test))
             for s in scenario.splits
         ),
     )

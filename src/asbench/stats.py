@@ -29,20 +29,18 @@ _Q_CRIT = {
 }
 
 
-def rank_table(scores, direction: str = "minimize") -> np.ndarray:
+def rank_table(scores) -> np.ndarray:
     """Per-row ranks of a (rows x systems) score matrix, ties averaged.
 
-    Rank 1 is the best system in a row: the lowest score under
-    ``minimize`` (the default, right for gaps and runtimes), the highest
-    under ``maximize``.
+    Rank 1 is the best system in a row: the lowest score, as for gaps and
+    runtimes.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:
         raise ValueError("need a nonempty 2-d score matrix")
     if np.isnan(scores).any():
         raise ValueError("score matrix has missing cells")
-    signed = scores if direction == "minimize" else -scores
-    return np.vstack([rankdata(row) for row in signed])
+    return np.vstack([rankdata(row) for row in scores])
 
 
 def average_ranks(ranks) -> np.ndarray:
@@ -82,32 +80,25 @@ class RankAnalysis:
     """Rank comparison of several systems over several scenarios."""
 
     systems: tuple[str, ...]
-    ranks: np.ndarray  # scenarios x systems, tie-averaged
     avg_ranks: np.ndarray
     friedman_statistic: float
     friedman_p: float
     alpha: float
     critical_distance: float
-    pairwise_significant: np.ndarray  # boolean, |avg rank difference| > CD
 
 
-def compare_systems(systems, scores, direction: str = "minimize", alpha: float = 0.05) -> RankAnalysis:
-    """Full rank analysis of a (scenarios x systems) score matrix."""
+def compare_systems(systems, scores, alpha: float = 0.05) -> RankAnalysis:
+    """Full rank analysis of a (scenarios x systems) score matrix, lower scores better."""
     systems = tuple(systems)
-    ranks = rank_table(scores, direction)
-    avg = average_ranks(ranks)
+    ranks = rank_table(scores)
     stat, p = friedman_test(ranks)
-    cd = nemenyi_cd(len(systems), ranks.shape[0], alpha)
-    diff = np.abs(avg[:, None] - avg[None, :])
     return RankAnalysis(
         systems=systems,
-        ranks=ranks,
-        avg_ranks=avg,
+        avg_ranks=average_ranks(ranks),
         friedman_statistic=stat,
         friedman_p=p,
         alpha=alpha,
-        critical_distance=cd,
-        pairwise_significant=diff > cd,
+        critical_distance=nemenyi_cd(len(systems), ranks.shape[0], alpha),
     )
 
 

@@ -387,6 +387,25 @@ class TestTrainPredictEvaluate:
         assert f"hyperparameter {key!r} expects {kind}, got {value!r}" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("bootstrap:x", "bad --splits value 'bootstrap:x'"),
+            ("holdout:2:abc", "bad --splits value 'holdout:2:abc'"),
+            ("holdout:2:3:4", "bad --splits value 'holdout:2:3:4'"),
+            ("bootstrap:0", "n_splits must be at least 1"),
+            ("holdout:2:1.5", "test_fraction must be in (0, 1)"),
+        ],
+    )
+    def test_bad_splits_value_exits_two(self, tutorial_bundle, tmp_path, capsys, spec, message):
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", "--scenario", tutorial_bundle, "--selector", "regression",
+            "--splits", spec, "--out", model,
+        ) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not model.exists()
+
     def test_missing_scenario_exits_two(self, tmp_path):
         assert run_cli("validate", "--scenario", tmp_path / "nope") == 2
 
@@ -506,6 +525,15 @@ class TestCompare:
         assert doc["ooc"] == ["extra"]
         # meta-VBS covers competing systems only
         assert doc["meta_vbs"]["mean"] == pytest.approx((0.1 + 0.2 + 0.2) / 3)
+
+    def test_ooc_name_of_no_system_exits_two(self, tmp_path, capsys):
+        # a misspelt --ooc would otherwise leave the system in the ranking
+        a = self.make_report(tmp_path / "a.csv", "alpha", {"s1": 0.1, "s2": 0.3})
+        b = self.make_report(tmp_path / "b.csv", "beta", {"s1": 0.4, "s2": 0.2})
+        out = tmp_path / "cmp"
+        assert run_cli("compare", a, b, "--ooc", "ghost", "--ooc", "beta", "--out", out, "--json") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: --ooc names no system in the reports: ['ghost']"
+        assert not out.with_suffix(".json").exists()
 
 
 class TestSeedStudy:

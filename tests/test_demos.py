@@ -5,17 +5,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
-
-def test_scenario_tour_replays_its_schedule():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "01_scenario_tour.py")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+# the last stdout line of each demo; a demo missing here fails its test
+LAST_LINES = {
     # features (1.5 s), then cdcl solves "tricky" in 410 s inside its 500 s slice
-    assert done.stdout.splitlines()[-1] == (
+    "01_scenario_tour.py": (
         "schedule on tricky: EvaluationOutcome(solved=True, time_used=411.5, achieved_value=None, solving_step=2)"
-    )
+    ),
+    "02_selector_shootout.py": "baselines: SBS PAR10 1163.3, VBS PAR10 46.3",
+    "03_ranking_systems.py": "best single system mean gap: 0.323",
+    "04_seed_robustness.py": "  gap <= 0.2263: 82.50% of seeds",
+}
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_prints_its_pinned_last_line(demo):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == LAST_LINES.get(demo.name)

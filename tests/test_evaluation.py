@@ -487,10 +487,6 @@ class TestAggregate:
         reports = [gap_report("a", 0.5), gap_report("b", None)]
         assert aggregate(reports) == pytest.approx(0.5)
 
-    def test_weights(self):
-        reports = [gap_report("a", 0.2), gap_report("b", 0.6)]
-        assert aggregate(reports, weights=[3, 1]) == pytest.approx(0.3)
-
     def test_empty(self):
         with pytest.raises(ValueError):
             aggregate([])

@@ -24,7 +24,7 @@ from asbench import (
     vbs_cost,
 )
 from asbench.evaluation import EvaluationOutcome, SolverStep, mcp
-from asbench.scenario import RunRecord, Runs, effective_cost
+from asbench.scenario import RunRecord, Runs
 from asbench.selectors import prepare_training
 
 from gen import build_scenario
@@ -166,7 +166,7 @@ def test_training_set_matches_per_pair_recomputation(spec, kind):
                 cost = -rec.value if scen.direction == "maximize" else rec.value
             assert ts.solved[r, c] == solved
             assert ts.costs[r, c] == cost
-            assert effective_cost(scen, inst, algo) == cost
+            assert scen.table.cost[scen.table.row[inst], c] == cost
 
 
 # A0 is the single best solver: a memout (15 s) and a crash (10 s) die

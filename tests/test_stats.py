@@ -51,10 +51,6 @@ class TestRankTable:
             expected = k * (k + 1) / 2
             assert np.allclose(ranks.sum(axis=1), expected)
 
-    def test_direction_maximize(self):
-        ranks = rank_table([[1.0, 2.0, 3.0]], direction="maximize")
-        assert ranks[0].tolist() == [3.0, 2.0, 1.0]
-
     def test_missing_cells_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             rank_table([[1.0, float("nan")]])
@@ -123,19 +119,11 @@ class TestNemenyi:
 
 
 class TestCompareSystems:
-    def test_pairwise_significance_is_rank_gap_beyond_cd(self):
-        rng = np.random.default_rng(2)
-        scores = rng.random((12, 5))
-        analysis = compare_systems([f"s{i}" for i in range(5)], scores)
-        diff = np.abs(analysis.avg_ranks[:, None] - analysis.avg_ranks[None, :])
-        assert np.array_equal(analysis.pairwise_significant, diff > analysis.critical_distance)
-        assert not analysis.pairwise_significant.diagonal().any()
-
     def test_identical_systems_are_never_significant(self):
         scores = np.tile(np.arange(6.0)[:, None], (1, 2))
         analysis = compare_systems(["a", "b"], scores)
         assert analysis.avg_ranks[0] == analysis.avg_ranks[1]
-        assert not analysis.pairwise_significant.any()
+        assert cd_diagram_data(analysis)["cliques"] == [["a", "b"]]
 
     def test_cd_diagram_lists_sorted_systems_and_cliques(self):
         scores = np.array(
