@@ -24,8 +24,6 @@ from .scenario import PAR10_FACTOR, STATUS_CODE, Scenario, Split, sbs
 GAP_EPS = 1e-12
 
 _OK = STATUS_CODE["ok"]
-# runs that may die before their slice ends and give the rest of it back
-_DIES_EARLY = [STATUS_CODE[s] for s in ("memout", "crash", "other")]
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,8 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
         groups = scenario.feature_groups
         table = np.array([[g.cost.get(i, 0.0) if g.cost else 0.0 for g in groups] for i in instances])
         cost[feature] = table[np.nonzero(feature)[0], index[feature]]
-    ok, dies = status == _OK, np.isin(status, _DIES_EARLY)
+    # memout, crash and other rank from memout on; missing (-1) and ok do not
+    ok, dies = status == _OK, status >= STATUS_CODE["memout"]
 
     cutoff = scenario.cutoff
     t = np.zeros(n)

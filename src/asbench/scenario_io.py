@@ -33,8 +33,6 @@ import numpy as np
 from .evaluation import STEP_KIND, FeatureStep, Schedules, SolverStep, validate_schedule
 from .learners import rng_stream
 from .scenario import (
-    DIRECTIONS,
-    OBJECTIVES,
     RUN_STATUSES,
     STATUS_CODE,
     FeatureGroup,
@@ -75,6 +73,13 @@ class ViolationsError(ValueError):
         super().__init__(
             "scenario violates invariants: " + "; ".join(str(v) for v in self.violations)
         )
+
+
+def _raise_errors(scenario: Scenario) -> None:
+    """Raise :class:`ViolationsError` with every error-level violation."""
+    problems = [v for v in validate(scenario) if v.severity == "error"]
+    if problems:
+        raise ViolationsError(problems)
 
 
 def _fmt(x: float) -> str:
@@ -191,6 +196,7 @@ _DESC_KEYS = ("scenario_id", "objective", "direction", "cutoff", "algorithms", "
 
 
 def _parse_description(path: Path):
+    """The description's fields as written: syntax only, :func:`validate` judges the rules."""
     fname = path.name
     seen: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -211,49 +217,27 @@ def _parse_description(path: Path):
     for key in ("scenario_id", "objective", "direction", "algorithms", "feature_groups"):
         if key not in seen:
             raise ParseError(fname, 1, f"missing key {key!r}")
-    objective = seen["objective"]
-    if objective not in OBJECTIVES:
-        raise ParseError(fname, 1, f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    direction = seen["direction"]
-    if direction not in DIRECTIONS:
-        raise ParseError(fname, 1, f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    cutoff = None
-    if objective == "runtime":
-        if "cutoff" not in seen:
-            raise ParseError(fname, 1, "runtime scenario needs a cutoff")
-        cutoff = _parse_float(seen["cutoff"], fname, 1, "cutoff")
-    elif "cutoff" in seen:
-        raise ParseError(fname, 1, "quality scenario must not carry a cutoff")
-
-    algorithms = []
-    for tok in seen["algorithms"].split(","):
-        algorithms.append(_check_id(tok, fname, 1, "algorithm"))
-    if len(set(algorithms)) != len(algorithms):
-        raise ParseError(fname, 1, "duplicate algorithm id in portfolio")
+    cutoff = _parse_float(seen["cutoff"], fname, 1, "cutoff") if "cutoff" in seen else None
+    algorithms = tuple(_check_id(tok, fname, 1, "algorithm") for tok in seen["algorithms"].split(","))
 
     # groups: name=cost_column:i,j,k separated by ';'
     groups: list[tuple[str, str, tuple[int, ...]]] = []
-    spec = seen["feature_groups"]
-    if spec:
-        for part in spec.split(";"):
-            if "=" not in part or ":" not in part.split("=", 1)[1]:
-                raise ParseError(fname, 1, f"bad feature group {part!r}, expected name=cost_column:indices")
-            name, rest = part.split("=", 1)
-            cost_col, idx_text = rest.split(":", 1)
-            name = _check_id(name, fname, 1, "feature group")
-            cost_col = _check_id(cost_col, fname, 1, "cost column")
-            try:
-                indices = tuple(int(t) for t in idx_text.split(",") if t.strip() != "")
-            except ValueError:
-                raise ParseError(fname, 1, f"bad index list {idx_text!r}") from None
-            if not indices:
-                raise ParseError(fname, 1, f"feature group {name!r} has no indices")
-            groups.append((name, cost_col, indices))
-        names = [g[0] for g in groups]
-        if len(set(names)) != len(names):
-            raise ParseError(fname, 1, "duplicate feature group name")
+    for part in seen["feature_groups"].split(";") if seen["feature_groups"] else ():
+        if "=" not in part or ":" not in part.split("=", 1)[1]:
+            raise ParseError(fname, 1, f"bad feature group {part!r}, expected name=cost_column:indices")
+        name, rest = part.split("=", 1)
+        cost_col, idx_text = rest.split(":", 1)
+        name = _check_id(name, fname, 1, "feature group")
+        cost_col = _check_id(cost_col, fname, 1, "cost column")
+        try:
+            indices = tuple(int(t) for t in idx_text.split(",") if t.strip() != "")
+        except ValueError:
+            raise ParseError(fname, 1, f"bad index list {idx_text!r}") from None
+        if not indices:
+            raise ParseError(fname, 1, f"feature group {name!r} has no indices")
+        groups.append((name, cost_col, indices))
 
-    return seen["scenario_id"], objective, direction, cutoff, tuple(algorithms), groups
+    return seen["scenario_id"], seen["objective"], seen["direction"], cutoff, algorithms, groups
 
 
 def _write_description(scenario: Scenario, path: Path) -> None:
@@ -291,9 +275,7 @@ def parse_scenario(path, check: bool = True) -> Scenario:
         if not (root / required).exists():
             raise ParseError(required, 0, "required file missing from bundle")
 
-    scenario_id, objective, direction, cutoff, algorithms, group_specs = _parse_description(
-        root / DESCRIPTION_FILE
-    )
+    scenario_id, objective, direction, cutoff, algorithms, specs = _parse_description(root / DESCRIPTION_FILE)
     instances, features, feature_names = _parse_features(root / FEATURES_FILE)
     runs = _parse_runs(root / RUNS_FILE, instances, algorithms)
 
@@ -308,7 +290,7 @@ def parse_scenario(path, check: bool = True) -> Scenario:
     # validate() downgrades that to a warning for runtime scenarios.
     groups = [
         FeatureGroup(name=name, feature_indices=indices, cost=cost_tables.get(cost_col))
-        for name, cost_col, indices in group_specs
+        for name, cost_col, indices in specs
     ]
 
     splits = _parse_splits(root / SPLITS_FILE, set(instances))
@@ -327,9 +309,7 @@ def parse_scenario(path, check: bool = True) -> Scenario:
         splits=splits,
     )
     if check:
-        problems = [v for v in validate(scenario) if v.severity == "error"]
-        if problems:
-            raise ViolationsError(problems)
+        _raise_errors(scenario)
     return scenario
 
 
@@ -419,6 +399,8 @@ def _parse_runs(path: Path, instances, algorithms) -> Runs:
             rec = collapse_repetitions(records)
             values[i] = rec.value
             status[i] = STATUS_CODE[rec.status]
+    if len(col_of) < k:  # a repeated algorithm id gets its runs in each of its columns
+        values, status = (a.reshape(-1, k)[:, [col_of[algo] for algo in algorithms]] for a in (values, status))
     return Runs(instances, algorithms, values, status)
 
 
@@ -519,9 +501,7 @@ def write_scenario(scenario: Scenario, path) -> None:
     Rows follow the scenario's own instance and portfolio order, which the
     parser reconstructs, so write/parse round-trips preserve structure.
     """
-    problems = [v for v in validate(scenario) if v.severity == "error"]
-    if problems:
-        raise ViolationsError(problems)
+    _raise_errors(scenario)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
 

@@ -609,15 +609,19 @@ def load_model(path) -> SelectorModel:
             f"version {MODEL_VERSION}); retrain the model"
         )
     try:
-        if doc["kind"] not in SELECTOR_KINDS:
-            raise ValueError(f"{path}: unknown selector kind {doc['kind']!r}")
+        kind = doc["kind"]
+        if kind not in SELECTOR_KINDS:
+            raise ValueError(f"{path}: unknown selector kind {kind!r}")
+        algorithms = _read(path, "algorithms", tuple, doc["algorithms"])
+        pre = _read(path, "preprocess", _preprocess, doc["preprocess"])
+        d, k = sum(pre.kept), len(algorithms)
         return SelectorModel(
-            kind=doc["kind"],
-            algorithms=_read(path, "algorithms", tuple, doc["algorithms"]),
+            kind=kind,
+            algorithms=algorithms,
             feature_groups=_read(path, "feature_groups", tuple, doc["feature_groups"]),
-            pre=_read(path, "preprocess", _preprocess, doc["preprocess"]),
+            pre=pre,
             sbs_algorithm=doc["sbs_algorithm"],
-            payload=_read(path, "payload", lambda v: _payload(doc["kind"], v), doc["payload"]),
+            payload=_read(path, "payload", lambda v: _payload(kind, v, d, k), doc["payload"]),
             presolve=_read(path, "presolve", _presolve, doc["presolve"]),
             hp=_read(
                 path, "hyperparameters", lambda v: Hyperparameters(**v), doc["hyperparameters"]
@@ -664,16 +668,77 @@ _PAYLOAD_FIELDS = {
 }
 
 
-def _payload(kind, doc) -> dict:
+def _payload(kind, doc, d, k) -> dict:
+    """The decoded payload of a ``kind`` model over ``d`` feature columns and
+    ``k`` algorithms, refused where prediction would follow an index out of
+    range (a tree's walk, a feature column, an algorithm)."""
     if not isinstance(doc, dict):
         raise TypeError(f"expected an object, got {type(doc).__name__}")
-    payload = _decode(doc)
+    p = _decode(doc)
     for name, expected in _PAYLOAD_FIELDS[kind].items():
-        if name not in payload:
+        if name not in p:
             raise ValueError(f"no {name!r}")
-        if not _FIELD_TYPES[expected](payload[name]):
+        if not _FIELD_TYPES[expected](p[name]):
             raise ValueError(f"{name!r} is not {expected}")
-    return payload
+    if kind in ("regression", "stacking"):
+        if len(p["forests"]) != k:
+            raise ValueError(f"'forests' holds {len(p['forests'])} forests for {k} algorithms")
+        _check_forests("forests", p["forests"], d)
+    if kind == "stacking":
+        _check_forests("combiner", [p["combiner"]], k, n_classes=k)
+    if kind == "pairwise":
+        _check_shape("mean_costs", p["mean_costs"], (k,))
+        if not all(0 <= a < k and 0 <= b < k for a, b, _ in p["classifiers"]):
+            raise ValueError(f"'classifiers' names an algorithm outside [0, {k})")
+        _check_forests("classifiers", [f for _, _, f in p["classifiers"]], d, n_classes=2)
+    if kind == "cluster":
+        c = len(p["centroids"])
+        _check_shape("centroids", p["centroids"], (c, d))
+        _check_shape("champions", p["champions"], (c,), integer=True)
+        if not ((0 <= p["champions"]) & (p["champions"] < k)).all():
+            raise ValueError(f"'champions' names an algorithm outside [0, {k})")
+    if kind == "sunny":
+        n = len(p["X"])
+        for name, shape in (("X", (n, d)), ("costs", (n, k)), ("solved", (n, k))):
+            _check_shape(name, p[name], shape)
+    return p
+
+
+def _check_shape(name, array, shape, integer=False) -> None:
+    if array.shape != shape or integer and array.dtype.kind != "i":
+        raise ValueError(f"{name!r} is not {'an integer' if integer else 'a numeric'} array of shape {shape}")
+
+
+def _check_forests(name, forests, d, n_classes=None) -> None:
+    """Refuse forests whose walks could leave their trees: each tree's
+    arrays must share one length n, with integer ``feature``, ``left`` and
+    ``right``; each feature id must be -1 (a leaf) or below ``d``; each
+    split's children must come after it and before n, which ends every walk;
+    and each leaf must hold a value, or ``n_classes`` class weights."""
+    if not all(f.trees and f.n_classes == n_classes for f in forests):
+        raise ValueError(f"{name!r} holds a forest with no trees or not of {n_classes} classes")
+    trees = [t for f in forests for t in f.trees]
+    sizes = [np.size(t.feature) for t in trees]
+    for t, n in zip(trees, sizes):
+        arrays = (t.feature, t.left, t.right, t.threshold, t.value if n_classes is None else t.dist)
+        if not (
+            n
+            and all(isinstance(a, np.ndarray) for a in arrays)
+            and [a.shape for a in arrays] == [(n,)] * 4 + [(n,) if n_classes is None else (n, n_classes)]
+            and all(a.dtype.kind == "i" for a in arrays[:3])
+        ):
+            raise ValueError(f"{name!r} holds a tree whose arrays are not numeric, of one length, with integer ids")
+    if not trees:
+        return
+    feature = np.concatenate([t.feature for t in trees])
+    if ((feature < -1) | (feature >= d)).any():
+        raise ValueError(f"{name!r} holds a tree that reads a feature outside [-1, {d})")
+    n = np.repeat(sizes, sizes)
+    node = np.arange(feature.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # id within its tree
+    for side in ("left", "right"):
+        child = np.concatenate([getattr(t, side) for t in trees])
+        if ((feature >= 0) & ((child <= node) | (child >= n))).any():
+            raise ValueError(f"{name!r} holds a split whose {side} child is not after it in its tree")
 
 
 def _presolve(doc) -> tuple[SolverStep, ...]:

@@ -753,7 +753,7 @@ def oracle_validate(scenario: Scenario) -> list[Violation]:
         err("non_finite_value", scenario.id, f"cutoff {scenario.cutoff}")
     elif runtime and (scenario.cutoff is None or scenario.cutoff <= 0):
         err("bad_cutoff", scenario.id, f"runtime scenario needs cutoff > 0, got {scenario.cutoff}")
-    if not runtime and scenario.cutoff is not None:
+    if scenario.objective == "quality" and scenario.cutoff is not None:
         err("bad_cutoff", scenario.id, "quality scenario must not carry a cutoff")
 
     if len(set(scenario.algorithms)) != len(scenario.algorithms):

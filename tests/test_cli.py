@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from asbench import parse_predictions, parse_scenario, sbs, write_scenario
 from asbench.cli import _atomic_write, main
+from asbench.selectors import Hyperparameters
 
 from gen import learnable_scenario
 
@@ -21,6 +23,20 @@ def learnable_bundle(tmp_path_factory):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _tree_edit(forests, field, edit):
+    """A copy of encoded ``forests`` whose first tree has ``edit`` applied to
+    the list of its ``field``."""
+    forests = copy.deepcopy(forests)
+    tree = forests[0]["trees"][0]
+    tree[field] = edit(tree[field])
+    return forests
+
+
+def _root_edit(forests, field, value):
+    """A copy of encoded ``forests`` with the first tree's root ``field`` set to ``value``."""
+    return _tree_edit(forests, field, lambda a: [value, *a[1:]])
 
 
 class TestValidate:
@@ -49,6 +65,17 @@ class TestValidate:
         assert run_cli("validate", "--scenario", tutorial_bundle) == 2
         assert "value_exceeds_cutoff" in capsys.readouterr().out
 
+
+    def test_description_faults_are_listed_with_the_other_violations(self, tutorial_bundle, capsys):
+        desc = tutorial_bundle / "description.txt"
+        desc.write_text(desc.read_text().replace("objective: runtime", "objective: runtim"))
+        runs = tutorial_bundle / "runs.csv"
+        runs.write_text(runs.read_text().replace("i1,A1,300.0,ok\n", ""))
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 2
+        out = capsys.readouterr().out
+        assert "bad_objective (tutorial)" in out and "missing_run (i1/A1)" in out
+        # an unknown objective is neither runtime nor quality, so no cutoff rule applies
+        assert "bad_cutoff" not in out
 
     def test_repeated_split_instance_exits_two(self, tutorial_bundle, capsys):
         # a test instance listed twice would be scored twice
@@ -292,6 +319,9 @@ class TestTrainPredictEvaluate:
         "payload-empty": (None, "centroids"),
         "champions-string": ({"champions": "0"}, "champions"),
         "centroids-strings": ({"centroids": [["x"]]}, "centroids"),
+        # one champion per cluster, naming no algorithm of the 3
+        "champions-negative": ({"champions": [-1] * Hyperparameters().k_clusters}, "champions"),
+        "champion-past-portfolio": ({"champions": [7] * Hyperparameters().k_clusters}, "champions"),
     }
 
     @pytest.mark.parametrize(
@@ -345,6 +375,42 @@ class TestTrainPredictEvaluate:
             "classifiers",
         ),
         "stacking-combiner-treeless": ("stacking", lambda p: {"combiner": {"n_classes": 3}}, "combiner"),
+        # indices prediction would follow out of range, or a walk that never ends
+        "regression-self-loop": (
+            "regression",
+            lambda p: {"forests": _root_edit(p["forests"], "left", 0)},
+            "forests",
+        ),
+        "regression-child-past-tree": (
+            "regression",
+            lambda p: {"forests": _root_edit(p["forests"], "left", 10**6)},
+            "forests",
+        ),
+        "regression-feature-past-columns": (
+            "regression",
+            lambda p: {"forests": _root_edit(p["forests"], "feature", 99)},
+            "forests",
+        ),
+        "regression-string-thresholds": (
+            "regression",
+            lambda p: {"forests": _tree_edit(p["forests"], "threshold", lambda a: [str(x) for x in a])},
+            "forests",
+        ),
+        "regression-float-feature-ids": (
+            "regression",
+            lambda p: {"forests": _tree_edit(p["forests"], "feature", lambda a: [float(x) for x in a])},
+            "forests",
+        ),
+        "pairwise-negative-algorithm": (
+            "pairwise",
+            lambda p: {"classifiers": [[-1, b, f] for a, b, f in p["classifiers"]]},
+            "classifiers",
+        ),
+        "stacking-combiner-reads-past-level-1": (
+            "stacking",
+            lambda p: {"combiner": _root_edit([p["combiner"]], "feature", 3)[0]},
+            "combiner",
+        ),
     }
 
     @pytest.mark.parametrize("edit", FOREST_HOLES)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from asbench import (
     ParseError,
+    ViolationsError,
     deobfuscate,
     generate_splits,
     obfuscate,
@@ -90,7 +91,7 @@ class TestParseScenario:
         write_scenario(scen, tmp_path / "q")
         desc = tmp_path / "q" / "description.txt"
         desc.write_text(desc.read_text() + "cutoff: 100.0\n")
-        with pytest.raises(ParseError, match="cutoff"):
+        with pytest.raises(ViolationsError, match="cutoff"):
             parse_scenario(tmp_path / "q")
 
     def test_repetitions_collapse_to_mean_and_worst_status(self, tmp_path, tutorial):
