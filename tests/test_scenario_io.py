@@ -94,6 +94,27 @@ class TestParseScenario:
         with pytest.raises(ViolationsError, match="cutoff"):
             parse_scenario(tmp_path / "q")
 
+    @pytest.mark.parametrize(
+        "old, new, code",
+        [
+            ("objective: runtime", "objective: runtim", "bad_objective"),
+            ("direction: minimize", "direction: up", "bad_direction"),
+            ("cutoff: 5000.0\n", "", "bad_cutoff"),
+            ("algorithms: A1,A2,A3", "algorithms: A1,A2,A3,A1", "duplicate_algorithm"),
+            ("probing=probing", "base=probing", "duplicate_group"),
+        ],
+        ids=["objective", "direction", "cutoff", "algorithm", "group"],
+    )
+    def test_description_rules_are_violations(self, tmp_path, tutorial, old, new, code):
+        # the description is read for syntax only; validate judges its values,
+        # and a repeated algorithm's runs fill each of its columns
+        write_scenario(tutorial, tmp_path / "s")
+        desc = tmp_path / "s" / "description.txt"
+        desc.write_text(desc.read_text().replace(old, new))
+        with pytest.raises(ViolationsError) as err:
+            parse_scenario(tmp_path / "s")
+        assert [v.code for v in err.value.violations] == [code]
+
     def test_repetitions_collapse_to_mean_and_worst_status(self, tmp_path, tutorial):
         write_scenario(tutorial, tmp_path / "s")
         runs = tmp_path / "s" / "runs.csv"
