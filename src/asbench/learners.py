@@ -33,11 +33,12 @@ def rng_stream(seed: int, *ids: int) -> np.random.Generator:
 
 @dataclass
 class Tree:
-    """Binary decision tree stored as flat arrays.
+    """Binary decision tree stored as flat arrays (in a forest, views of its).
 
-    ``feature[i] == -1`` marks a leaf. Regression leaves carry the mean
-    target in ``value``; classification leaves carry a class distribution
-    row in ``dist``.
+    ``feature[i] == -1`` marks a leaf; a split sends ``x[feature[i]] <=
+    threshold[i]`` to ``left[i]``, else to ``right[i]``. Regression leaves
+    carry the mean target in ``value``, classification leaves a class
+    distribution row in ``dist``.
     """
 
     feature: np.ndarray
@@ -46,25 +47,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray | None = None
     dist: np.ndarray | None = None
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        idx = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        while active.size:
-            node = idx[active]
-            feat = self.feature[node]
-            inner = feat >= 0
-            if not inner.any():
-                break
-            sel = active[inner]
-            node = idx[sel]
-            go_left = X[sel, self.feature[node]] <= self.threshold[node]
-            idx[sel] = np.where(go_left, self.left[node], self.right[node])
-            active = sel
-        if self.value is not None:
-            return self.value[idx]
-        return self.dist[idx]
 
 
 def _grow_trees(X, Y, boot, rngs, min_leaf, features_per_split, n_classes) -> list[Tree]:
@@ -312,25 +294,32 @@ def _assemble(levels, y_asc, n_classes) -> list[Tree]:
     threshold = np.where(split, threshold, 0.0)[order]
     feature = feature[order]
     payload = payload[order]
-    trees = []
-    for first, count in zip(first_id, n_nodes):
-        nodes = slice(first, first + count)
-        tree = Tree(feature[nodes], threshold[nodes], left[nodes], right[nodes])
-        if n_classes is None:
-            tree.value = payload[nodes]
-        else:
-            tree.dist = payload[nodes]
-        trees.append(tree)
-    return trees
+    leaf = "value" if n_classes is None else "dist"
+    return [
+        Tree(feature[s], threshold[s], left[s], right[s], **{leaf: payload[s]})
+        for s in map(slice, first_id, first_id + n_nodes)
+    ]
 
 
-@dataclass
 class Forest:
-    """Bagged CART trees; regression averages, classification averages
+    """Bagged CART trees, packed: each :class:`Tree` array concatenated
+    over the trees, child ids counted within their tree, and ``roots[t]``
+    tree t's first node. Regression averages, classification averages
     per-tree class distributions and takes the first maximal class."""
 
-    trees: list[Tree]
-    n_classes: int | None = None
+    def __init__(self, trees: list[Tree], n_classes: int | None = None):
+        self.n_classes = n_classes
+        self.roots = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
+        self.value = self.dist = None
+        for name in ("feature", "threshold", "left", "right", "value" if n_classes is None else "dist"):
+            setattr(self, name, np.concatenate([getattr(t, name) for t in trees]))
+
+    @property
+    def trees(self) -> list[Tree]:
+        """Each tree's slice of the packed arrays, as views."""
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value, self.dist)
+        ends = [*self.roots[1:], self.feature.size]
+        return [Tree(*(a if a is None else a[lo:hi] for a in arrays)) for lo, hi in zip(self.roots, ends)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         mean = self._average(X)
@@ -341,12 +330,21 @@ class Forest:
 
     def _average(self, X: np.ndarray) -> np.ndarray:
         """Plain average of the tree outputs, summed in tree order, so a row
-        gets the same bits whichever rows share the call."""
+        gets the same bits whichever rows share the call. Every (tree, row)
+        pair walks down one depth per step, until all stand at a leaf."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        total = self.trees[0].predict(X)
-        for tree in self.trees[1:]:
-            total = total + tree.predict(X)
-        return total / len(self.trees)
+        n_trees, n = self.roots.size, X.shape[0]
+        root = np.repeat(self.roots, n)  # pair t * n + i: tree t, row i
+        node = root.copy()
+        active = np.arange(node.size)
+        while active.size:
+            active = active[self.feature[node[active]] >= 0]
+            at = node[active]
+            go_left = X[active % n, self.feature[at]] <= self.threshold[at]
+            node[active] = root[active] + np.where(go_left, self.left[at], self.right[at])
+        out = (self.value if self.n_classes is None else self.dist)[node]
+        # cumsum adds tree by tree, as a running total would
+        return out.reshape(n_trees, n, *out.shape[1:]).cumsum(axis=0)[-1] / n_trees
 
 
 # Sorted sample positions (trees x (features + 1) x samples) that one call of

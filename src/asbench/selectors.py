@@ -561,12 +561,9 @@ def _encode(obj):
 
 
 def _decode(obj):
-    """Inverse of :func:`_encode`: a dict with trees is a forest, a list numpy
-    reads as an int or float array is that array, and containers recurse."""
+    """Inverse of :func:`_encode`, except that forests stay dicts for :func:`_check_forests`
+    to pack; a list numpy reads as an int or float array is that array; containers recurse."""
     if isinstance(obj, dict):
-        if "trees" in obj:
-            trees = [Tree(**_decode(t)) for t in obj["trees"]]
-            return Forest(trees=trees, n_classes=obj["n_classes"])
         return {key: _decode(value) for key, value in obj.items()}
     if isinstance(obj, list):
         try:
@@ -644,16 +641,18 @@ def _read(path, field, convert, value):
 def _preprocess(doc) -> Preprocess:
     pre = {name: tuple(values) for name, values in doc.items()}
     pre["kept"] = tuple(map(bool, pre["kept"]))
+    if len(set(map(len, pre.values()))) > 1:
+        raise ValueError("its lists are not of one length")
     return Preprocess(**pre)
 
 
 # What a payload field must decode to, and the check of it.
 _FIELD_TYPES = {
     "a numeric array": lambda v: isinstance(v, np.ndarray),
-    "a forest": lambda v: isinstance(v, Forest),
-    "a list of forests": lambda v: isinstance(v, list) and all(isinstance(f, Forest) for f in v),
+    "a forest": lambda v: isinstance(v, dict),
+    "a list of forests": lambda v: isinstance(v, list) and all(isinstance(f, dict) for f in v),
     "a list of (int, int, forest) triples": lambda v: isinstance(v, list) and all(
-        isinstance(c, list) and list(map(type, c)) == [int, int, Forest] for c in v
+        isinstance(c, list) and list(map(type, c)) == [int, int, dict] for c in v
     ),
 }
 _ARRAY, _FOREST, _FORESTS, _TRIPLES = _FIELD_TYPES
@@ -683,14 +682,15 @@ def _payload(kind, doc, d, k) -> dict:
     if kind in ("regression", "stacking"):
         if len(p["forests"]) != k:
             raise ValueError(f"'forests' holds {len(p['forests'])} forests for {k} algorithms")
-        _check_forests("forests", p["forests"], d)
+        p["forests"] = _check_forests("forests", p["forests"], d)
     if kind == "stacking":
-        _check_forests("combiner", [p["combiner"]], k, n_classes=k)
+        (p["combiner"],) = _check_forests("combiner", [p["combiner"]], k, n_classes=k)
     if kind == "pairwise":
         _check_shape("mean_costs", p["mean_costs"], (k,))
         if not all(0 <= a < k and 0 <= b < k for a, b, _ in p["classifiers"]):
             raise ValueError(f"'classifiers' names an algorithm outside [0, {k})")
-        _check_forests("classifiers", [f for _, _, f in p["classifiers"]], d, n_classes=2)
+        forests = _check_forests("classifiers", [f for _, _, f in p["classifiers"]], d, n_classes=2)
+        p["classifiers"] = [[a, b, f] for (a, b, _), f in zip(p["classifiers"], forests)]
     if kind == "cluster":
         c = len(p["centroids"])
         _check_shape("centroids", p["centroids"], (c, d))
@@ -709,17 +709,17 @@ def _check_shape(name, array, shape, integer=False) -> None:
         raise ValueError(f"{name!r} is not {'an integer' if integer else 'a numeric'} array of shape {shape}")
 
 
-def _check_forests(name, forests, d, n_classes=None) -> None:
-    """Refuse forests whose walks could leave their trees: each tree's
-    arrays must share one length n, with integer ``feature``, ``left`` and
-    ``right``; each feature id must be -1 (a leaf) or below ``d``; each
-    split's children must come after it and before n, which ends every walk;
-    and each leaf must hold a value, or ``n_classes`` class weights."""
-    if not all(f.trees and f.n_classes == n_classes for f in forests):
+def _check_forests(name, forests, d, n_classes=None) -> list[Forest]:
+    """The decoded ``forests``, packed once no walk could leave its tree: each
+    tree's arrays must share one length n, with integer ``feature``, ``left`` and
+    ``right``, and each leaf must hold a value, or ``n_classes`` class weights,
+    which makes packing safe; each feature id must be -1 (a leaf) or below ``d``;
+    and each split's children must come after it and before n, ending every walk."""
+    trees = [[Tree(**t) for t in f.get("trees", [])] for f in forests]
+    if not all(ts and f["n_classes"] == n_classes for f, ts in zip(forests, trees)):
         raise ValueError(f"{name!r} holds a forest with no trees or not of {n_classes} classes")
-    trees = [t for f in forests for t in f.trees]
-    sizes = [np.size(t.feature) for t in trees]
-    for t, n in zip(trees, sizes):
+    for t in [t for ts in trees for t in ts]:
+        n = np.size(t.feature)
         arrays = (t.feature, t.left, t.right, t.threshold, t.value if n_classes is None else t.dist)
         if not (
             n
@@ -728,17 +728,17 @@ def _check_forests(name, forests, d, n_classes=None) -> None:
             and all(a.dtype.kind == "i" for a in arrays[:3])
         ):
             raise ValueError(f"{name!r} holds a tree whose arrays are not numeric, of one length, with integer ids")
-    if not trees:
-        return
-    feature = np.concatenate([t.feature for t in trees])
-    if ((feature < -1) | (feature >= d)).any():
-        raise ValueError(f"{name!r} holds a tree that reads a feature outside [-1, {d})")
-    n = np.repeat(sizes, sizes)
-    node = np.arange(feature.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # id within its tree
-    for side in ("left", "right"):
-        child = np.concatenate([getattr(t, side) for t in trees])
-        if ((feature >= 0) & ((child <= node) | (child >= n))).any():
-            raise ValueError(f"{name!r} holds a split whose {side} child is not after it in its tree")
+    packed = [Forest(ts, n_classes) for ts in trees]
+    for f in packed:
+        if ((f.feature < -1) | (f.feature >= d)).any():
+            raise ValueError(f"{name!r} holds a tree that reads a feature outside [-1, {d})")
+        sizes = np.diff([*f.roots, f.feature.size])
+        n = np.repeat(sizes, sizes)
+        node = np.arange(f.feature.size) - np.repeat(f.roots, sizes)  # id within its tree
+        for side, child in (("left", f.left), ("right", f.right)):
+            if ((f.feature >= 0) & ((child <= node) | (child >= n))).any():
+                raise ValueError(f"{name!r} holds a split whose {side} child is not after it in its tree")
+    return packed
 
 
 def _presolve(doc) -> tuple[SolverStep, ...]:

@@ -388,12 +388,34 @@ def _oracle_transform(pre, raw_vector):
     return x[np.asarray(pre.kept, dtype=bool)]
 
 
+def oracle_tree_predict(tree, X):
+    """One tree's leaf payload for every row of ``X``: the library's walk of
+    one tree at a time, from before forests were packed."""
+    n = X.shape[0]
+    idx = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    while active.size:
+        node = idx[active]
+        feat = tree.feature[node]
+        inner = feat >= 0
+        if not inner.any():
+            break
+        sel = active[inner]
+        node = idx[sel]
+        go_left = X[sel, tree.feature[node]] <= tree.threshold[node]
+        idx[sel] = np.where(go_left, tree.left[node], tree.right[node])
+        active = sel
+    if tree.value is not None:
+        return tree.value[idx]
+    return tree.dist[idx]
+
+
 def _oracle_forest_predict(forest, X):
     """A forest's prediction as ``np.mean`` over the stacked tree outputs."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if forest.n_classes is None:
-        return np.mean([t.predict(X) for t in forest.trees], axis=0)
-    dist = np.mean([t.predict(X) for t in forest.trees], axis=0)
+        return np.mean([oracle_tree_predict(t, X) for t in forest.trees], axis=0)
+    dist = np.mean([oracle_tree_predict(t, X) for t in forest.trees], axis=0)
     return np.argmax(dist, axis=1)
 
 

@@ -324,9 +324,15 @@ class TestTrainPredictEvaluate:
         "champion-past-portfolio": ({"champions": [7] * Hyperparameters().k_clusters}, "champions"),
     }
 
+    # a preprocess list one entry shorter than the others: (list shortened)
+    SHORT_PREPROCESS = {"short-medians": "medians", "short-kept": "kept"}
+
     @pytest.mark.parametrize(
         "edit",
-        ["no-payload", "renamed-portfolio", "no-medians", "version-1", *WRONG_TYPES, *PAYLOAD_HOLES],
+        [
+            "no-payload", "renamed-portfolio", "no-medians", "version-1",
+            *WRONG_TYPES, *PAYLOAD_HOLES, *SHORT_PREPROCESS,
+        ],
     )
     def test_broken_or_foreign_model_exits_two(self, learnable_bundle, tmp_path, capsys, edit):
         model = tmp_path / "model.json"
@@ -346,6 +352,9 @@ class TestTrainPredictEvaluate:
         elif edit in self.PAYLOAD_HOLES:
             update = self.PAYLOAD_HOLES[edit][0]
             doc["payload"] = {**doc["payload"], **update} if update else {}
+        elif edit in self.SHORT_PREPROCESS:
+            name = self.SHORT_PREPROCESS[edit]
+            doc["preprocess"][name] = doc["preprocess"][name][:-1]
         else:
             field, value = self.WRONG_TYPES[edit]
             doc[field] = value
@@ -363,6 +372,8 @@ class TestTrainPredictEvaluate:
             assert str(model) in error and repr(self.WRONG_TYPES[edit][0]) in error
         if edit in self.PAYLOAD_HOLES:
             assert str(model) in error and repr(self.PAYLOAD_HOLES[edit][1]) in error
+        if edit in self.SHORT_PREPROCESS:
+            assert str(model) in error and repr("preprocess") in error
         assert not preds.exists()
 
     # a forest-valued payload field that decodes to something else:
@@ -375,6 +386,11 @@ class TestTrainPredictEvaluate:
             "classifiers",
         ),
         "stacking-combiner-treeless": ("stacking", lambda p: {"combiner": {"n_classes": 3}}, "combiner"),
+        "regression-forests-of-no-trees": (
+            "regression",
+            lambda p: {"forests": [{**f, "trees": []} for f in p["forests"]]},
+            "forests",
+        ),
         # indices prediction would follow out of range, or a walk that never ends
         "regression-self-loop": (
             "regression",

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asbench import learners, selectors
-from asbench.learners import KNN, fit_forest, fit_forests, fit_kmeans, rng_stream
+from asbench.learners import KNN, Forest, Tree, fit_forest, fit_forests, fit_kmeans, rng_stream
 from asbench.selectors import (
     Hyperparameters,
     Preprocess,
@@ -29,6 +29,7 @@ from oracles import (
     oracle_pairwise_classifiers,
     oracle_regression_forests,
     oracle_stacking,
+    oracle_tree_predict,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -54,11 +55,11 @@ class TestTree:
         X = rng.random((50, 3))
         y = X @ np.array([1.0, -2.0, 0.5])
         tree = grow_tree(X, y, rng_stream(0, 9))
-        assert np.max(np.abs(tree.predict(X) - y)) < 1e-12
+        assert np.max(np.abs(oracle_tree_predict(tree, X) - y)) < 1e-12
 
     def test_single_point_is_constant(self):
         tree = grow_tree(np.array([[1.0, 2.0]]), np.array([5.0]), rng_stream(0))
-        assert tree.predict(np.array([[9.0, -9.0]]))[0] == 5.0
+        assert oracle_tree_predict(tree, np.array([[9.0, -9.0]]))[0] == 5.0
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(1)
@@ -73,7 +74,7 @@ class TestTree:
         X = rng.uniform(-1, 1, size=(200, 2))
         y = (X[:, 0] > 0).astype(np.int64)
         tree = grow_tree(X, y, rng_stream(0, 1), n_classes=2)
-        preds = np.argmax(tree.predict(X), axis=1)
+        preds = np.argmax(oracle_tree_predict(tree, X), axis=1)
         assert (preds == y).all()
 
 
@@ -307,6 +308,83 @@ def test_shared_grower_calls_match_per_forest_fits(train, hp, cells):
     assert_same_forest(stacking["combiner"], want_combiner)
     for got, want in zip(stacking["forests"], want_forests, strict=True):
         assert_same_forest(got, want)
+
+
+@st.composite
+def packed_forest_cases(draw):
+    """(trees, n_classes, X): hand-built trees whose splits each turn a leaf
+    into a split, the newest leaf (a chain) or any, so one forest mixes root
+    leaves, bushy trees and deep ones. Thresholds and X share a grid, so rows
+    land on thresholds."""
+    d = draw(st.integers(0, 4))
+    n_classes = draw(st.sampled_from([None, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trees = []
+    # past 8 trees numpy's pairwise sum would reorder a one-row total
+    for _ in range(draw(st.integers(1, 12))):
+        feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+        chain = rng.random() < 0.5
+        for _ in range(rng.integers(0, 13) if d else 0):
+            leaves = [i for i, f in enumerate(feature) if f < 0]
+            i = leaves[-1] if chain else rng.choice(leaves)
+            feature[i], threshold[i] = rng.integers(d), rng.integers(5) / 2
+            left[i], right[i] = len(feature), len(feature) + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
+        leaves = rng.normal(scale=1e3, size=(len(feature), n_classes or 1))
+        trees.append(Tree(
+            feature=np.array(feature, dtype=np.int64),
+            threshold=np.array(threshold),
+            left=np.array(left, dtype=np.int64),
+            right=np.array(right, dtype=np.int64),
+            **({"value": leaves[:, 0]} if n_classes is None else {"dist": abs(leaves)}),
+        ))
+    return trees, n_classes, rng.integers(0, 5, size=(draw(st.integers(1, 8)), d)) / 2
+
+
+def _chain_tree(depth, n_classes):
+    """A chain of ``depth`` splits: the split at depth k sends rows with
+    ``x[0] <= k / 2`` left, to a leaf, and the rest right, to the next."""
+    m = 2 * depth + 1
+    split = np.arange(m) % 2 == 0
+    split[-1] = False
+    ids = np.arange(m)
+    return Tree(
+        feature=np.where(split, 0, -1),
+        threshold=np.where(split, ids / 4, 0.0),
+        left=np.where(split, ids + 1, -1),
+        right=np.where(split, ids + 2, -1),
+        dist=np.eye(n_classes)[ids % n_classes],
+    )
+
+
+@SETTINGS
+@given(packed_forest_cases())
+@example((  # a root leaf, a chain of depth 20 and a one-split tree
+    [_chain_tree(0, 2), _chain_tree(20, 2), _chain_tree(1, 2)],
+    2,
+    np.arange(12, dtype=np.float64)[:, None],
+))
+def test_packed_forest_matches_the_per_tree_walk(case):
+    trees, n_classes, X = case
+    forest = Forest(trees, n_classes)
+    # the per-tree walks, summed in tree order
+    total = oracle_tree_predict(trees[0], X)
+    for tree in trees[1:]:
+        total = total + oracle_tree_predict(tree, X)
+    mean = total / len(trees)
+    want = mean if n_classes is None else np.argmax(mean, axis=1)
+    assert forest.predict_dist(X).tobytes() == mean.tobytes()
+    assert forest.predict(X).tobytes() == want.tobytes()
+    for i in range(len(X)):
+        assert forest.predict_dist(X[i : i + 1]).tobytes() == mean[i : i + 1].tobytes()
+    # the trees read back as views of the packed arrays
+    assert len(forest.trees) == len(trees)
+    for view, tree in zip(forest.trees, trees):
+        assert_same_tree(view, tree)
+        assert np.shares_memory(view.left, forest.left)
 
 
 class TestForest:
