@@ -223,9 +223,7 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
     cost = np.zeros((n, m))
     feature = has & ~solver
     if feature.any():
-        groups = scenario.feature_groups
-        table = np.array([[g.cost.get(i, 0.0) if g.cost else 0.0 for g in groups] for i in instances])
-        cost[feature] = table[np.nonzero(feature)[0], index[feature]]
+        cost[feature] = scenario.feature_cost[rows[:, 0][np.nonzero(feature)[0]], index[feature]]
     # memout, crash and other rank from memout on; missing (-1) and ok do not
     ok, dies = status == _OK, status >= STATUS_CODE["memout"]
 

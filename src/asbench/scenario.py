@@ -146,6 +146,82 @@ class Runs(Mapping):
         return f"Runs({n} instances x {k} algorithms, {len(self)} records)"
 
 
+class Features(Mapping):
+    """The stored feature vectors of a scenario.
+
+    ``matrix[n,d]`` (float64, NaN at a missing cell) and ``missing[n,d]``
+    (bool) are read-only arrays with one row per instance of ``instances``
+    and one column per feature. The table reads as a mapping from instance
+    to its vector, a tuple of floats with ``None`` at the missing cells.
+    """
+
+    __slots__ = ("instances", "matrix", "missing", "row")
+
+    def __init__(self, instances, matrix: np.ndarray, missing: np.ndarray):
+        self.instances = tuple(instances)
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.missing = np.asarray(missing, dtype=bool)
+        self.matrix.flags.writeable = False
+        self.missing.flags.writeable = False
+        self.row = {inst: r for r, inst in enumerate(self.instances)}
+
+    @classmethod
+    def from_vectors(cls, vectors: Mapping, instances, d: int) -> Features:
+        """Store a mapping of instance to a vector of ``d`` values (``None``
+        where missing).
+
+        Raises ValueError for a mapping the table cannot hold: one with a
+        vector for an unknown instance, of another length, or none at all.
+        """
+        instances = tuple(instances)
+        known = set(instances)
+        for inst in vectors:
+            if inst not in known:
+                raise ValueError(f"feature vector for unknown instance {inst!r}")
+        cells = []
+        for inst in instances:
+            vec = vectors.get(inst)
+            if vec is None:
+                raise ValueError(f"no feature vector for instance {inst!r}")
+            if len(vec) != d:
+                raise ValueError(f"feature vector of {inst!r} has {len(vec)} values, expected {d}")
+            cells.extend(vec)
+        shape = (len(instances), d)
+        missing = np.array([v is None for v in cells], dtype=bool).reshape(shape)
+        values = np.array([math.nan if v is None else v for v in cells], dtype=np.float64).reshape(shape)
+        return cls(instances, values, missing)
+
+    def __getitem__(self, instance) -> tuple[float | None, ...]:
+        try:
+            r = self.row[instance]
+        except (KeyError, TypeError):
+            raise KeyError(instance) from None
+        return tuple(
+            None if hole else v for v, hole in zip(self.matrix[r].tolist(), self.missing[r].tolist())
+        )
+
+    def __iter__(self):
+        return iter(self.row)
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Features):
+            return super().__eq__(other)
+        return (
+            self.instances == other.instances
+            and np.array_equal(self.missing, other.missing)
+            and np.array_equal(self.matrix, other.matrix, equal_nan=True)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        n, d = self.matrix.shape
+        return f"Features({n} instances x {d} features, {int(self.missing.sum())} missing)"
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete, immutable algorithm-selection benchmark scenario.
@@ -154,8 +230,11 @@ class Scenario:
     ``instances`` and ``algorithms``; a valid scenario has a record for
     every pair. A mapping of ``(instance, algorithm)`` to
     :class:`RunRecord` is accepted instead and converted once, at
-    construction. ``features`` maps each instance to a vector aligned with
-    ``feature_names``; missing values are ``None``, never silently zero.
+    construction. ``features`` is the stored feature table
+    (:class:`Features`), aligned to ``instances`` and ``feature_names``; it
+    reads as a mapping of each instance to its vector, with ``None`` for a
+    missing value, never silently zero. Such a mapping is accepted instead
+    and converted once, at construction.
     """
 
     id: str
@@ -165,7 +244,7 @@ class Scenario:
     algorithms: tuple[str, ...]
     instances: tuple[str, ...]
     runs: Runs
-    features: dict[str, tuple[float | None, ...]]
+    features: Features
     feature_names: tuple[str, ...]
     feature_groups: tuple[FeatureGroup, ...]
     splits: tuple[Split, ...] = ()
@@ -180,11 +259,33 @@ class Scenario:
             object.__setattr__(
                 self, "runs", Runs.from_records(runs, self.instances, self.algorithms)
             )
+        features, d = self.features, len(self.feature_names)
+        if not (
+            isinstance(features, Features)
+            and features.instances == tuple(self.instances)
+            and features.matrix.shape[1] == d
+        ):
+            object.__setattr__(
+                self, "features", Features.from_vectors(features, self.instances, d)
+            )
 
     @cached_property
     def table(self) -> RunTable:
         """The arrays derived from the runs, built on first use."""
         return RunTable.build(self)
+
+    @cached_property
+    def feature_cost(self) -> np.ndarray:
+        """Each feature group's cost per instance, read-only, one row per
+        instance and one column per group; 0 where no cost is recorded."""
+        n = len(self.instances)
+        columns = [
+            [0.0] * n if g.cost is None else [g.cost.get(i, 0.0) for i in self.instances]
+            for g in self.feature_groups
+        ]
+        cost = np.array(columns, dtype=np.float64).reshape(len(columns), n).T
+        cost.flags.writeable = False
+        return cost
 
 
 @dataclass(frozen=True)
@@ -314,22 +415,16 @@ def validate(scenario: Scenario) -> list[Violation]:
         if runtime and status[r, c] == STATUS_CODE["ok"] and scenario.cutoff is not None and value > scenario.cutoff:
             err("value_exceeds_cutoff", entity, f"ok run took {value} > cutoff {scenario.cutoff}")
 
+    # The stored feature table holds one vector of the right length per
+    # instance, so only its values can break an invariant: the first
+    # non-finite one of each instance is reported.
     d = len(scenario.feature_names)
-    for inst in scenario.instances:
-        vec = scenario.features.get(inst)
-        if vec is None:
-            err("missing_features", inst, "no feature vector")
-        elif len(vec) != d:
-            err("bad_feature_length", inst, f"vector has {len(vec)} values, expected {d}")
-        else:
-            for v in vec:
-                if v is not None and not math.isfinite(v):
-                    name = scenario.feature_names[vec.index(v)]
-                    err("non_finite_value", inst, f"feature {name} value {v}")
-                    break  # one report per instance; index() finds this first one
-    for inst in scenario.features:
-        if inst not in inst_set:
-            err("unknown_feature_row", inst, "feature vector for unknown instance")
+    features = scenario.features
+    flagged = ~(np.isfinite(features.matrix) | features.missing)
+    for r in np.flatnonzero(flagged.any(axis=1)).tolist():
+        c = int(flagged[r].argmax())
+        value = float(features.matrix[r, c])
+        err("non_finite_value", features.instances[r], f"feature {scenario.feature_names[c]} value {value}")
 
     group_names = [g.name for g in scenario.feature_groups]
     if len(set(group_names)) != len(group_names):

@@ -23,6 +23,7 @@ reads through ``_read_table``.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 from dataclasses import replace
@@ -36,6 +37,7 @@ from .scenario import (
     RUN_STATUSES,
     STATUS_CODE,
     FeatureGroup,
+    Features,
     RunRecord,
     Runs,
     Scenario,
@@ -150,26 +152,40 @@ def _lookup(index: dict, tokens) -> list:
     return out
 
 
-def _numbers(tokens, convert=float, missing: bool = False):
-    """``convert`` of every token, or None if a token is not a number. With
-    ``missing`` the missing mark reads as None."""
-    filled = tokens
-    holes = [j for j, token in enumerate(tokens) if token == MISSING_MARK] if missing else []
-    if holes:
-        filled = list(tokens)
-        for j in holes:
-            filled[j] = "0"
+def _numbers(tokens, convert=float):
+    """``convert`` of every token, or None if a token is not a number."""
     try:
-        out = list(map(convert, filled))
+        return list(map(convert, tokens))
     except ValueError:
-        # a mark padded with whitespace, or a token that is not a number
-        try:
-            return [None if missing and t.strip() == MISSING_MARK else convert(t) for t in tokens]
-        except ValueError:
-            return None
+        return None
+
+
+def _feature_cells(tokens: list):
+    """The flat value array of feature tokens, NaN at the missing marks, and
+    the mask of the marks; None if a token is neither a number nor a mark.
+    The marks are found with ``list.index`` and overwritten with ``"nan"``."""
+    holes, j = [], -1
+    try:
+        while True:
+            j = tokens.index(MISSING_MARK, j + 1)
+            holes.append(j)
+    except ValueError:
+        pass
     for j in holes:
-        out[j] = None
-    return out
+        tokens[j] = "nan"
+    values = _numbers(tokens)
+    if values is None:
+        # a mark padded with whitespace, or a token that is not a number
+        padded = [j for j, t in enumerate(tokens) if t.strip() == MISSING_MARK]
+        for j in padded:
+            tokens[j] = "nan"
+        values = _numbers(tokens)
+        if values is None:
+            return None
+        holes += padded
+    missing = np.zeros(len(tokens), dtype=bool)
+    missing[holes] = True
+    return np.array(values, dtype=np.float64), missing
 
 
 def _numbers_repeated(tokens, convert=float):
@@ -275,8 +291,22 @@ def parse_scenario(path, check: bool = True) -> Scenario:
         if not (root / required).exists():
             raise ParseError(required, 0, "required file missing from bundle")
 
+    # The parse builds many acyclic row lists, which the cyclic collector
+    # would only walk; it is paused until the scenario is checked.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_bundle(root, check)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse_bundle(root: Path, check: bool) -> Scenario:
+    """:func:`parse_scenario` of a bundle whose files exist."""
     scenario_id, objective, direction, cutoff, algorithms, specs = _parse_description(root / DESCRIPTION_FILE)
-    instances, features, feature_names = _parse_features(root / FEATURES_FILE)
+    features, feature_names = _parse_features(root / FEATURES_FILE)
+    instances = features.instances
     runs = _parse_runs(root / RUNS_FILE, instances, algorithms)
 
     cost_tables: dict[str, dict[str, float]] = {}
@@ -342,12 +372,12 @@ def _parse_features(path: Path):
     if clean:
         cells = [tok for row in rows for tok in row[1:]]
         del rows
-        values = _numbers(cells, missing=True)
-        clean = values is not None
+        parsed = _feature_cells(cells)
+        clean = parsed is not None
     if not clean:
         _raise_bad_row(path, None, check_row)
-    vectors = zip(*[iter(values)] * d) if d else (() for _ in ids)
-    return tuple(ids), dict(zip(ids, vectors)), feature_names
+    values, missing = (a.reshape(len(ids), d) for a in parsed)
+    return Features(ids, values, missing), feature_names
 
 
 _RUNS_HEADER = ["instance_id", "algorithm_id", "value", "status"]
@@ -514,19 +544,21 @@ def write_scenario(scenario: Scenario, path) -> None:
         for algo, value, code in zip(runs.algorithms, values, status)
     )
     write_csv(root / RUNS_FILE, _RUNS_HEADER, run_rows)
+    features = scenario.features
     feature_rows = (
-        [inst, *(MISSING_MARK if v is None else _fmt(v) for v in scenario.features[inst])]
-        for inst in scenario.instances
+        [inst, *(MISSING_MARK if hole else repr(v) for v, hole in zip(values, holes))]
+        for inst, values, holes in zip(features.instances, features.matrix.tolist(), features.missing.tolist())
     )
     write_csv(root / FEATURES_FILE, ["instance_id", *scenario.feature_names], feature_rows)
 
-    with_costs = [g for g in scenario.feature_groups if g.cost is not None]
+    with_costs = [j for j, g in enumerate(scenario.feature_groups) if g.cost is not None]
     cost_file = root / COSTS_FILE
     if with_costs or scenario.objective == "runtime":
         # Runtime bundles always ship the cost table, header-only if no
         # group recorded costs.
-        header = ["instance_id", *(g.name for g in with_costs)]
-        rows = ([inst, *(_fmt(g.cost.get(inst, 0.0)) for g in with_costs)] for inst in scenario.instances)
+        header = ["instance_id", *(scenario.feature_groups[j].name for j in with_costs)]
+        costs = scenario.feature_cost[:, with_costs].tolist()
+        rows = ([inst, *map(repr, row)] for inst, row in zip(scenario.instances, costs))
         write_csv(cost_file, header, rows if with_costs else ())
     elif cost_file.exists():
         cost_file.unlink()
@@ -793,7 +825,7 @@ def deobfuscate(scenario: Scenario, name_map) -> Scenario:
 
 def rename_scenario(scenario: Scenario, algo_map, inst_map) -> Scenario:
     """Rebuild a scenario with algorithm/instance ids renamed in place; the
-    run table keeps its arrays under the new labels."""
+    run and feature tables keep their arrays under the new labels."""
     algorithms = tuple(algo_map[a] for a in scenario.algorithms)
     instances = tuple(inst_map[i] for i in scenario.instances)
     return replace(
@@ -801,7 +833,7 @@ def rename_scenario(scenario: Scenario, algo_map, inst_map) -> Scenario:
         algorithms=algorithms,
         instances=instances,
         runs=Runs(instances, algorithms, scenario.runs.values, scenario.runs.status),
-        features={inst_map[i]: vec for i, vec in scenario.features.items()},
+        features=Features(instances, scenario.features.matrix, scenario.features.missing),
         feature_groups=tuple(
             replace(g, cost=None if g.cost is None else {inst_map[i]: c for i, c in g.cost.items()})
             for g in scenario.feature_groups

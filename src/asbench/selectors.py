@@ -125,12 +125,9 @@ class Preprocess:
 
 def raw_features(scenario: Scenario, instances, columns) -> np.ndarray:
     """The instances x columns feature matrix, NaN where a value is missing."""
-    columns = tuple(columns)
-    rows = [
-        [np.nan if v is None else v for v in (vec[c] for c in columns)]
-        for vec in (scenario.features[i] for i in instances)
-    ]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    features = scenario.features
+    rows = np.array([features.row[i] for i in instances], dtype=np.intp)
+    return features.matrix[rows[:, None], np.array(columns, dtype=np.intp)]
 
 
 def _group_columns(scenario: Scenario, feature_groups) -> tuple[int, ...]:

@@ -388,6 +388,17 @@ def _oracle_transform(pre, raw_vector):
     return x[np.asarray(pre.kept, dtype=bool)]
 
 
+def oracle_raw_features(scenario, instances, columns):
+    """The instances x columns feature matrix, NaN where a value is missing:
+    the library's walk of each instance's feature vector, one row at a time."""
+    columns = tuple(columns)
+    rows = [
+        [np.nan if v is None else v for v in (vec[c] for c in columns)]
+        for vec in (scenario.features[i] for i in instances)
+    ]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+
+
 def oracle_tree_predict(tree, X):
     """One tree's leaf payload for every row of ``X``: the library's walk of
     one tree at a time, from before forests were packed."""

@@ -1,21 +1,30 @@
 import math
+import struct
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asbench import (
     RunRecord,
     improvement_factor,
+    parse_scenario,
     sbs,
     validate,
     vbs_cost,
+    write_scenario,
 )
 from asbench.evaluation import EvaluationOutcome, mcp
-from asbench.scenario import collapse_repetitions
+from asbench.scenario import Features, collapse_repetitions
+from asbench.selectors import raw_features
 
 from gen import build_scenario, random_scenario
-from oracles import oracle_sbs, oracle_vbs_cost
+from oracles import oracle_raw_features, oracle_sbs, oracle_vbs_cost
 
 
 def test_tutorial_is_valid(tutorial):
@@ -283,3 +292,120 @@ def test_best_ok_time_caps_at_cutoff():
     assert scen.table.capped[0].min() == 5000.0
     # no algorithm solves i0, so even a timed-out system loses nothing to the best
     assert mcp(EvaluationOutcome(solved=False, time_used=5000.0), scen, "i0") == 0.0
+
+
+# The stored feature table: arrays aligned to the instances, read as a mapping.
+
+FEATURE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, -1.7976931348623157e308])
+
+
+def _bits(v):
+    return None if v is None else struct.pack("<d", v)
+
+
+@st.composite
+def feature_scenarios(draw, cell=st.none() | st.floats()):
+    """(scenario, vectors): a one-algorithm scenario built from a dict of
+    ``vectors``, whose cells may be None, NaN (any payload) or infinite."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    instances = [f"i{j}" for j in range(n)]
+    vectors = {i: tuple(draw(st.lists(cell, min_size=d, max_size=d))) for i in instances}
+    scen = build_scenario(
+        {(i, "A0"): 1.0 for i in instances},
+        ["A0"],
+        instances,
+        features=vectors,
+        feature_names=[f"f{j}" for j in range(d)],
+        groups=() if d == 0 else None,
+    )
+    return scen, vectors
+
+
+@FEATURE_SETTINGS
+@given(data=st.data(), spec=feature_scenarios())
+def test_raw_features_match_the_per_row_walk(data, spec):
+    scen, _ = spec
+    n, d = scen.features.matrix.shape
+    rows = data.draw(st.lists(st.sampled_from(scen.instances), max_size=2 * n), label="rows")
+    columns = data.draw(st.lists(st.integers(0, d - 1), max_size=6) if d else st.just([]), label="columns")
+    got, want = raw_features(scen, rows, columns), oracle_raw_features(scen, rows, columns)
+    assert got.dtype == want.dtype and got.shape == want.shape == (len(rows), len(columns))
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
+def test_raw_features_of_no_columns_and_no_rows(tutorial):
+    assert raw_features(tutorial, tutorial.instances, ()).shape == (5, 0)
+    assert raw_features(tutorial, (), (0, 2)).shape == (0, 2)
+    assert np.isnan(raw_features(tutorial, ["i3", "i1"], [1, 1])[0]).all()
+
+
+@FEATURE_SETTINGS
+@given(spec=feature_scenarios())
+def test_feature_view_reads_back_every_vector_bit_for_bit(spec):
+    scen, vectors = spec
+    assert list(scen.features) == list(vectors) and len(scen.features) == len(vectors)
+    for inst, vec in vectors.items():
+        back = scen.features[inst]
+        assert type(back) is tuple and all(v is None or type(v) is float for v in back)
+        assert list(map(_bits, back)) == list(map(_bits, vec))
+        r = scen.features.row[inst]
+        assert scen.features.missing[r].tolist() == [v is None for v in vec]
+    assert dict(scen.features.items()).keys() == vectors.keys()
+
+
+@FEATURE_SETTINGS
+@given(spec=feature_scenarios(cell=st.none() | FINITE))
+@example(spec=(build_scenario({("i0", "A0"): 1.0}, ["A0"], ["i0"], features={"i0": (-0.0, None, 0.0)}), {"i0": (-0.0, None, 0.0)}))
+def test_feature_table_round_trips_through_a_bundle(spec):
+    scen, vectors = spec
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scenario(scen, Path(tmp) / "b")
+        back = parse_scenario(Path(tmp) / "b")
+    assert back == scen
+    assert back.features.matrix.tobytes() == scen.features.matrix.tobytes()
+    assert {i: list(map(_bits, back.features[i])) for i in vectors} == {
+        i: list(map(_bits, vec)) for i, vec in vectors.items()
+    }
+
+
+def test_feature_table_is_read_only_and_kept_by_replace(tutorial):
+    features = tutorial.features
+    assert isinstance(features, Features)
+    assert features.matrix.shape == features.missing.shape == (5, 3)
+    assert features.missing.tolist()[2] == [False, True, False] and math.isnan(features.matrix[2, 1])
+    for array in (features.matrix, features.missing):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+    assert replace(tutorial, cutoff=4000.0).features is features
+    assert features == dict(features.items()) and features["i3"] == (2.5, None, 1.0)
+    assert "i9" not in features and features.get("i9") is None
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda f: {**f, "i9": (1.0, 2.0, 3.0)}, "'i9'"),
+        (lambda f: {**f, "i2": (1.0, 2.0)}, "'i2'"),
+        (lambda f: {i: v for i, v in f.items() if i != "i4"}, "'i4'"),
+    ],
+    ids=["unknown-instance", "wrong-length", "missing-row"],
+)
+def test_vectors_the_table_cannot_hold_are_refused(tutorial, edit, named):
+    with pytest.raises(ValueError, match=named):
+        replace(tutorial, features=edit(dict(tutorial.features)))
+
+
+def test_feature_cost_array_reads_the_group_tables(tutorial):
+    base, probing = tutorial.feature_groups
+    scen = replace(
+        tutorial,
+        feature_groups=(replace(base, cost={"i2": 7.5, "i4": -0.0}), replace(probing, cost=None)),
+    )
+    assert scen.feature_cost.shape == (5, 2)
+    assert scen.feature_cost.tolist() == [[0.0, 0.0], [7.5, 0.0], [0.0, 0.0], [-0.0, 0.0], [0.0, 0.0]]
+    assert math.copysign(1.0, scen.feature_cost[3, 0]) == -1.0
+    with pytest.raises(ValueError):
+        scen.feature_cost[0, 0] = 1.0
+    assert tutorial.feature_cost.tolist() == [[10.0, 100.0]] * 5

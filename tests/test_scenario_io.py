@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import math
 import struct
 import tempfile
@@ -124,6 +125,44 @@ class TestParseScenario:
         rec = scen.runs[("i1", "A1")]
         assert rec.value == pytest.approx(200.0)
         assert rec.status == "crash"
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            (None, None, None),
+            ("i1,A1,300.0,ok", "i1,A1,300.0,lost", ParseError),
+            ("i1,A1,300.0,ok", "i1,A1,300000.0,ok", ViolationsError),
+        ],
+        ids=["parsed", "parse-error", "violations"],
+    )
+    def test_collector_is_paused_and_restored(self, tmp_path, tutorial, monkeypatch, collecting, old, new, error):
+        import asbench.scenario_io as scenario_io
+
+        write_scenario(tutorial, tmp_path / "s")
+        runs = tmp_path / "s" / "runs.csv"
+        if old is not None:
+            runs.write_text(runs.read_text().replace(old, new))
+        seen = []
+        real_parse_runs = scenario_io._parse_runs
+
+        def parse_runs(*args):
+            seen.append(gc.isenabled())
+            return real_parse_runs(*args)
+
+        monkeypatch.setattr(scenario_io, "_parse_runs", parse_runs)
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if error is None:
+                parse_scenario(tmp_path / "s")
+            else:
+                with pytest.raises(error):
+                    parse_scenario(tmp_path / "s")
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen and not any(seen)
 
     def test_missing_file(self, tmp_path, tutorial):
         write_scenario(tutorial, tmp_path / "s")
