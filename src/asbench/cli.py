@@ -104,7 +104,7 @@ def _anonymize_test(scenario: Scenario, test_instances) -> Scenario:
     runs = scenario.runs
     blind = np.fromiter((i in test for i in runs.instances), dtype=bool, count=len(runs.instances))
     blind = blind[:, None] & (runs.status >= 0)
-    values = np.where(blind, 0.0, runs.values)
+    values = np.where(blind, 0.0, runs.value)
     status = np.where(blind, STATUS_CODE["ok"], runs.status)
     return replace(scenario, runs=Runs(runs.instances, runs.algorithms, values, status))
 
@@ -312,8 +312,13 @@ def cmd_compare(args) -> int:
         _atomic_write(prefix.with_suffix(".json"), lambda tmp: scenario_io.dump_json(doc, tmp))
     else:
         _write_comparison_csv(doc, prefix)
+        cd = doc["cd_diagram"] or {
+            "applies": False,
+            "reason": "Friedman/Nemenyi needs 2 to 20 ranked systems and 2 or more scenarios; the "
+            f"reports rank {len(doc['avg_rank'])} system(s) on {len(doc['scenarios'])} scenario(s)",
+        }
         cd_path = prefix.parent / (prefix.name + "_cd.json")
-        _atomic_write(cd_path, lambda tmp: scenario_io.dump_json(doc["cd_diagram"], tmp))
+        _atomic_write(cd_path, lambda tmp: scenario_io.dump_json(cd, tmp))
     ranked = sorted(doc["avg_gap"].items(), key=lambda kv: kv[1])
     for system, gap in ranked:
         rank = doc["avg_rank"].get(system)

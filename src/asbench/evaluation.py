@@ -206,7 +206,7 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
         col = schedules.index[first][:, None]
         status = runs.status[rows, col]
         _raise_missing(scenario, instances, status < 0, col)
-        value = runs.values[rows, col][:, 0]
+        value = runs.value[rows, col][:, 0]
         return BatchOutcome(status[:, 0] == _OK, np.full(n, np.nan), value, np.ones(n, dtype=np.intp))
 
     # pad the schedules into (n, m) step arrays
@@ -217,7 +217,7 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
     solver = has & (schedules.kind[at] == _SOLVER)
     index = schedules.index[at]
     col = np.where(solver, index, 0)
-    value = runs.values[rows, col]
+    value = runs.value[rows, col]
     status = np.where(solver, runs.status[rows, col], _OK)
     budget = schedules.budget[at]
     cost = np.zeros((n, m))

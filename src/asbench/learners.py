@@ -28,19 +28,23 @@ def rng_stream(seed: int, *ids: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# CART trees
+# CART forests
 
 
-@dataclass
-class Tree:
-    """Binary decision tree stored as flat arrays (in a forest, views of its).
+@dataclass(eq=False)
+class Forest:
+    """Bagged CART trees as flat node arrays: tree t's nodes run from
+    ``roots[t]`` to the next root, and child ids count within their tree.
 
     ``feature[i] == -1`` marks a leaf; a split sends ``x[feature[i]] <=
-    threshold[i]`` to ``left[i]``, else to ``right[i]``. Regression leaves
-    carry the mean target in ``value``, classification leaves a class
-    distribution row in ``dist``.
+    threshold[i]`` to ``left[i]``, else to ``right[i]``. Leaves carry the
+    mean target in ``value``, or with ``n_classes`` set a class distribution
+    row in ``dist``. Regression averages the trees, classification their
+    distributions, taking the first maximal class.
     """
 
+    n_classes: int | None
+    roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -48,12 +52,62 @@ class Tree:
     value: np.ndarray | None = None
     dist: np.ndarray | None = None
 
+    @property
+    def trees(self) -> list[Forest]:
+        """Each tree as a one-tree forest of views of the packed arrays."""
+        return [self._trees(t, t + 1) for t in range(self.roots.size)]
 
-def _grow_trees(X, Y, boot, rngs, min_leaf, features_per_split, n_classes) -> list[Tree]:
+    def _nodes(self) -> dict:
+        """The node arrays, by field name."""
+        leaf = "value" if self.n_classes is None else "dist"
+        return {name: getattr(self, name) for name in ("feature", "threshold", "left", "right", leaf)}
+
+    def _trees(self, a, b) -> Forest:
+        """Trees ``a`` to ``b - 1``, as a forest of views of the packed arrays."""
+        lo, hi = np.append(self.roots, self.feature.size)[[a, b]]
+        nodes = {name: x[lo:hi] for name, x in self._nodes().items()}
+        return Forest(self.n_classes, self.roots[a:b] - lo, **nodes)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        mean = self._average(X)
+        return mean if self.n_classes is None else np.argmax(mean, axis=1)
+
+    def predict_dist(self, X: np.ndarray) -> np.ndarray:
+        return self._average(X)
+
+    def _average(self, X: np.ndarray) -> np.ndarray:
+        """Plain average of the tree outputs, summed in tree order, so a row
+        gets the same bits whichever rows share the call. Every (tree, row)
+        pair walks down one depth per step, until all stand at a leaf."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        n_trees, n = self.roots.size, X.shape[0]
+        root = np.repeat(self.roots, n)  # pair t * n + i: tree t, row i
+        node = root.copy()
+        active = np.arange(node.size)
+        while active.size:
+            active = active[self.feature[node[active]] >= 0]
+            at = node[active]
+            go_left = X[active % n, self.feature[at]] <= self.threshold[at]
+            node[active] = root[active] + np.where(go_left, self.left[at], self.right[at])
+        out = (self.value if self.n_classes is None else self.dist)[node]
+        # cumsum adds tree by tree, as a running total would
+        return out.reshape(n_trees, n, *out.shape[1:]).cumsum(axis=0)[-1] / n_trees
+
+
+def _join(forests: list[Forest]) -> Forest:
+    """One forest of the trees of ``forests``, in order."""
+    offsets = np.cumsum([0] + [f.feature.size for f in forests[:-1]])
+    roots = np.concatenate([f.roots + lo for f, lo in zip(forests, offsets)])
+    nodes = [f._nodes() for f in forests]
+    joined = {name: np.concatenate([x[name] for x in nodes]) for name in nodes[0]}
+    return Forest(forests[0].n_classes, roots, **joined)
+
+
+def _grow_trees(X, Y, boot, rngs, min_leaf, features_per_split, n_classes) -> Forest:
     """Grow one CART tree to purity (no depth cap) per row of ``boot``, on
     the sample ``X[boot[t]]`` with targets ``Y[t]`` and feature draws from
-    ``rngs[t]``, one depth of all trees at a time. A tree's bits do not
-    depend on the other trees of the call.
+    ``rngs[t]``, one depth of all trees at a time, as tree t of one forest.
+    A tree's bits do not depend on the other trees of the call.
 
     ``n_classes`` switches to classification with Gini splits; otherwise
     splits minimize the summed squared error. ``features_per_split`` caps how
@@ -255,8 +309,8 @@ def _partition(S, XT, row_of, n, tree, start, size, feat, thr):
     return n_left
 
 
-def _assemble(levels, y_asc, n_classes) -> list[Tree]:
-    """Per-tree node arrays from the frontiers of every depth, which it
+def _assemble(levels, y_asc, n_classes) -> Forest:
+    """The forest's node arrays from the frontiers of every depth, which it
     empties; ``y_asc`` holds each tree's targets in its final ascending row,
     leaf by leaf. Each temporary is dropped once used: one call holds the
     nodes of many trees."""
@@ -293,58 +347,8 @@ def _assemble(levels, y_asc, n_classes) -> list[Tree]:
     right = np.where(left >= 0, left + 1, -1)
     threshold = np.where(split, threshold, 0.0)[order]
     feature = feature[order]
-    payload = payload[order]
     leaf = "value" if n_classes is None else "dist"
-    return [
-        Tree(feature[s], threshold[s], left[s], right[s], **{leaf: payload[s]})
-        for s in map(slice, first_id, first_id + n_nodes)
-    ]
-
-
-class Forest:
-    """Bagged CART trees, packed: each :class:`Tree` array concatenated
-    over the trees, child ids counted within their tree, and ``roots[t]``
-    tree t's first node. Regression averages, classification averages
-    per-tree class distributions and takes the first maximal class."""
-
-    def __init__(self, trees: list[Tree], n_classes: int | None = None):
-        self.n_classes = n_classes
-        self.roots = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
-        self.value = self.dist = None
-        for name in ("feature", "threshold", "left", "right", "value" if n_classes is None else "dist"):
-            setattr(self, name, np.concatenate([getattr(t, name) for t in trees]))
-
-    @property
-    def trees(self) -> list[Tree]:
-        """Each tree's slice of the packed arrays, as views."""
-        arrays = (self.feature, self.threshold, self.left, self.right, self.value, self.dist)
-        ends = [*self.roots[1:], self.feature.size]
-        return [Tree(*(a if a is None else a[lo:hi] for a in arrays)) for lo, hi in zip(self.roots, ends)]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        mean = self._average(X)
-        return mean if self.n_classes is None else np.argmax(mean, axis=1)
-
-    def predict_dist(self, X: np.ndarray) -> np.ndarray:
-        return self._average(X)
-
-    def _average(self, X: np.ndarray) -> np.ndarray:
-        """Plain average of the tree outputs, summed in tree order, so a row
-        gets the same bits whichever rows share the call. Every (tree, row)
-        pair walks down one depth per step, until all stand at a leaf."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        n_trees, n = self.roots.size, X.shape[0]
-        root = np.repeat(self.roots, n)  # pair t * n + i: tree t, row i
-        node = root.copy()
-        active = np.arange(node.size)
-        while active.size:
-            active = active[self.feature[node[active]] >= 0]
-            at = node[active]
-            go_left = X[active % n, self.feature[at]] <= self.threshold[at]
-            node[active] = root[active] + np.where(go_left, self.left[at], self.right[at])
-        out = (self.value if self.n_classes is None else self.dist)[node]
-        # cumsum adds tree by tree, as a running total would
-        return out.reshape(n_trees, n, *out.shape[1:]).cumsum(axis=0)[-1] / n_trees
+    return Forest(n_classes, first_id, feature, threshold, left, right, **{leaf: payload[order]})
 
 
 # Sorted sample positions (trees x (features + 1) x samples) that one call of
@@ -379,7 +383,7 @@ def fit_forests(X, jobs, hp, n_classes=None) -> list[Forest]:
     if any(rows.size == 0 for rows, _, _ in jobs):
         raise ValueError("cannot fit a forest on an empty training set")
     mtry = (hp.features_per_split or int(np.ceil(np.sqrt(d)))) if d else None
-    forests = [[] for _ in jobs]
+    grown = []
     by_size = sorted(range(len(jobs)), key=lambda j: jobs[j][0].size)
     for n, same in itertools.groupby(by_size, key=lambda j: jobs[j][0].size):
         trees = [(j, t) for j in same for t in range(hp.n_trees)]
@@ -391,10 +395,10 @@ def fit_forests(X, jobs, hp, n_classes=None) -> list[Forest]:
             picks = [rng.integers(0, n, size=n) for rng in rngs]
             boot = np.stack([jobs[j][0][p] for (j, _), p in zip(group, picks)])
             Y = np.stack([jobs[j][1][p] for (j, _), p in zip(group, picks)])
-            grown = _grow_trees(X, Y, boot, rngs, hp.min_leaf, mtry, n_classes)
-            for (j, _), tree in zip(group, grown):
-                forests[j].append(tree)
-    return [Forest(trees=trees, n_classes=n_classes) for trees in forests]
+            grown.append(_grow_trees(X, Y, boot, rngs, hp.min_leaf, mtry, n_classes))
+    # each job's trees are one run of the joined forest, the jobs in the order they grew
+    forest = _join(grown)
+    return [forest._trees(i * hp.n_trees, (i + 1) * hp.n_trees) for i in np.argsort(by_size)]
 
 
 # ---------------------------------------------------------------------------

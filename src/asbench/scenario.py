@@ -70,7 +70,7 @@ class Split:
 class Runs(Mapping):
     """The stored run data of a scenario, as ASlib's performance matrix.
 
-    ``values[n,k]`` (float64) and ``status[n,k]`` (int8) are read-only
+    ``value[n,k]`` (float64) and ``status[n,k]`` (int8) are read-only
     arrays with one row per instance of ``instances`` and one column per
     algorithm of ``algorithms``. A status is an index into ``RUN_STATUSES``,
     whose order is the severity rank; -1 marks a pair without a record,
@@ -79,15 +79,15 @@ class Runs(Mapping):
     pairs, in row-major order.
     """
 
-    __slots__ = ("instances", "algorithms", "values", "status", "row", "col")
+    __slots__ = ("instances", "algorithms", "value", "status", "row", "col")
 
-    def __init__(self, instances, algorithms, values: np.ndarray, status: np.ndarray):
+    def __init__(self, instances, algorithms, value: np.ndarray, status: np.ndarray):
         self.instances = tuple(instances)
         self.algorithms = tuple(algorithms)
         shape = (len(self.instances), len(self.algorithms))
-        self.values = np.asarray(values, dtype=np.float64).reshape(shape)
+        self.value = np.asarray(value, dtype=np.float64).reshape(shape)
         self.status = np.asarray(status, dtype=np.int8).reshape(shape)
-        self.values.flags.writeable = False
+        self.value.flags.writeable = False
         self.status.flags.writeable = False
         self.row = {inst: r for r, inst in enumerate(self.instances)}
         self.col = {algo: c for c, algo in enumerate(self.algorithms)}
@@ -120,7 +120,7 @@ class Runs(Mapping):
         code = int(self.status[r, c])
         if code < 0:
             raise KeyError(pair)
-        return RunRecord(value=float(self.values[r, c]), status=RUN_STATUSES[code])
+        return RunRecord(value=float(self.value[r, c]), status=RUN_STATUSES[code])
 
     def __iter__(self):
         for r, c in zip(*np.nonzero(self.status >= 0)):
@@ -136,13 +136,13 @@ class Runs(Mapping):
             self.instances == other.instances
             and self.algorithms == other.algorithms
             and np.array_equal(self.status, other.status)
-            and np.array_equal(self.values, other.values, equal_nan=True)
+            and np.array_equal(self.value, other.value, equal_nan=True)
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        n, k = self.values.shape
+        n, k = self.value.shape
         return f"Runs({n} instances x {k} algorithms, {len(self)} records)"
 
 
@@ -313,7 +313,7 @@ class RunTable:
     @classmethod
     def build(cls, scenario: Scenario) -> RunTable:
         runs = scenario.runs
-        values = runs.values
+        values = runs.value
         solved = runs.status == STATUS_CODE["ok"]
         if scenario.objective == "runtime":
             solved &= values <= scenario.cutoff
@@ -393,7 +393,7 @@ def validate(scenario: Scenario) -> list[Violation]:
     # no record for an unknown pair or with an unknown status, so only its
     # cells can break an invariant; details are built for flagged cells only.
     runs = scenario.runs
-    values, status = runs.values, runs.status
+    values, status = runs.value, runs.status
     missing = status < 0
     finite = np.isfinite(values)
     flagged = missing | ~finite

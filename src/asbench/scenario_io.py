@@ -540,7 +540,7 @@ def write_scenario(scenario: Scenario, path) -> None:
     runs = scenario.runs
     run_rows = (
         [inst, algo, repr(value), RUN_STATUSES[code]]
-        for inst, values, status in zip(runs.instances, runs.values.tolist(), runs.status.tolist())
+        for inst, values, status in zip(runs.instances, runs.value.tolist(), runs.status.tolist())
         for algo, value, code in zip(runs.algorithms, values, status)
     )
     write_csv(root / RUNS_FILE, _RUNS_HEADER, run_rows)
@@ -832,7 +832,7 @@ def rename_scenario(scenario: Scenario, algo_map, inst_map) -> Scenario:
         scenario,
         algorithms=algorithms,
         instances=instances,
-        runs=Runs(instances, algorithms, scenario.runs.values, scenario.runs.status),
+        runs=Runs(instances, algorithms, scenario.runs.value, scenario.runs.status),
         features=Features(instances, scenario.features.matrix, scenario.features.missing),
         feature_groups=tuple(
             replace(g, cost=None if g.cost is None else {inst_map[i]: c for i, c in g.cost.items()})

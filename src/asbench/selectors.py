@@ -20,6 +20,7 @@ parameters, seed), and serialize to a versioned JSON artifact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .evaluation import FeatureStep, SolverStep
-from .learners import KNN, Forest, KMeans, Tree, fit_forest, fit_forests, fit_kmeans, rng_stream
+from .learners import KNN, Forest, KMeans, fit_forest, fit_forests, fit_kmeans, rng_stream
 from .scenario import Scenario
 
 SELECTOR_KINDS = ("regression", "pairwise", "cluster", "stacking", "sunny")
@@ -40,7 +41,7 @@ _S_REGRESSION, _S_PAIRWISE, _S_CLUSTER, _S_STACK_L1, _S_STACK_L2, _S_FOLDS = ran
 _ALL_ROWS = slice(None)
 
 MODEL_FORMAT = "asbench-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -210,20 +211,17 @@ def fit_regression(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
 
 
 def fit_pairwise(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
-    """One "does the first beat the second" classifier per algorithm pair;
-    selection is by vote count, ties going to the algorithm with the lower
-    mean training cost, then portfolio order."""
+    """One "does a beat b" classifier per algorithm pair ``(a, b)``, in
+    ``itertools.combinations`` order; selection is by vote count, ties going
+    to the lower mean training cost, then portfolio order."""
     k = len(train.algorithms)
     if k < 2:
         raise ValueError("pairwise selection needs at least two algorithms")
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     jobs = [
         (_ALL_ROWS, (train.costs[:, a] < train.costs[:, b]).astype(np.int64), (_S_PAIRWISE, a, b))
-        for a, b in pairs
+        for a, b in itertools.combinations(range(k), 2)
     ]
-    forests = fit_forests(train.X, jobs, hp, n_classes=2)
-    classifiers = [(a, b, forest) for (a, b), forest in zip(pairs, forests)]
-    payload = {"classifiers": classifiers, "mean_costs": _mean_costs(train)}
+    payload = {"forests": fit_forests(train.X, jobs, hp, n_classes=2), "mean_costs": _mean_costs(train)}
     return _model("pairwise", train, hp, payload)
 
 
@@ -286,12 +284,7 @@ def _out_of_fold(train: TrainingSet, hp: Hyperparameters, n_folds: int) -> np.nd
 
 def fit_sunny(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
     """Store the training set for neighborhood lookups at prediction time."""
-    payload = {
-        "X": train.X,
-        "costs": train.costs,
-        "solved": train.solved,
-        "mean_costs": _mean_costs(train),
-    }
+    payload = {"X": train.X, "costs": train.costs, "solved": train.solved}
     return _model("sunny", train, hp, payload)
 
 
@@ -323,7 +316,7 @@ def select_algorithms(model: SelectorModel, X: np.ndarray) -> np.ndarray:
         k = len(model.algorithms)
         votes = np.zeros((X.shape[0], k), dtype=np.int64)
         rows = np.arange(X.shape[0])
-        for a, b, forest in p["classifiers"]:
+        for (a, b), forest in zip(itertools.combinations(range(k), 2), p["forests"]):
             votes[rows, np.where(forest.predict(X) == 1, a, b)] += 1
         # a vote tie goes to the lower mean training cost, then portfolio order
         rank = np.empty(k, dtype=np.int64)
@@ -541,13 +534,12 @@ def fit_system(
 
 def _encode(obj):
     """JSON-ready form of a payload: arrays, tuples and containers become
-    lists (booleans 0/1), forests and trees dicts of their arrays."""
+    lists (booleans 0/1), a forest a dict of its class count and arrays."""
     if isinstance(obj, np.ndarray):
         return (obj.astype(np.int64) if obj.dtype == bool else obj).tolist()
     if isinstance(obj, Forest):
-        return {"n_classes": obj.n_classes, "trees": [_encode(t) for t in obj.trees]}
-    if isinstance(obj, Tree):
-        return {name: a.tolist() for name, a in vars(obj).items() if a is not None}
+        arrays = {name: a.tolist() for name, a in vars(obj).items() if isinstance(a, np.ndarray)}
+        return {"n_classes": obj.n_classes, **arrays}
     if isinstance(obj, dict):
         return {key: _encode(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -559,7 +551,7 @@ def _encode(obj):
 
 def _decode(obj):
     """Inverse of :func:`_encode`, except that forests stay dicts for :func:`_check_forests`
-    to pack; a list numpy reads as an int or float array is that array; containers recurse."""
+    to build; a list numpy reads as an int or float array is that array; containers recurse."""
     if isinstance(obj, dict):
         return {key: _decode(value) for key, value in obj.items()}
     if isinstance(obj, list):
@@ -648,19 +640,16 @@ _FIELD_TYPES = {
     "a numeric array": lambda v: isinstance(v, np.ndarray),
     "a forest": lambda v: isinstance(v, dict),
     "a list of forests": lambda v: isinstance(v, list) and all(isinstance(f, dict) for f in v),
-    "a list of (int, int, forest) triples": lambda v: isinstance(v, list) and all(
-        isinstance(c, list) and list(map(type, c)) == [int, int, dict] for c in v
-    ),
 }
-_ARRAY, _FOREST, _FORESTS, _TRIPLES = _FIELD_TYPES
+_ARRAY, _FOREST, _FORESTS = _FIELD_TYPES
 
 # Each kind's payload fields and what they decode to.
 _PAYLOAD_FIELDS = {
     "regression": {"forests": _FORESTS},
-    "pairwise": {"classifiers": _TRIPLES, "mean_costs": _ARRAY},
+    "pairwise": {"forests": _FORESTS, "mean_costs": _ARRAY},
     "cluster": {"centroids": _ARRAY, "champions": _ARRAY},
     "stacking": {"forests": _FORESTS, "combiner": _FOREST},
-    "sunny": {"X": _ARRAY, "costs": _ARRAY, "solved": _ARRAY, "mean_costs": _ARRAY},
+    "sunny": {"X": _ARRAY, "costs": _ARRAY, "solved": _ARRAY},
 }
 
 
@@ -676,18 +665,13 @@ def _payload(kind, doc, d, k) -> dict:
             raise ValueError(f"no {name!r}")
         if not _FIELD_TYPES[expected](p[name]):
             raise ValueError(f"{name!r} is not {expected}")
-    if kind in ("regression", "stacking"):
-        if len(p["forests"]) != k:
-            raise ValueError(f"'forests' holds {len(p['forests'])} forests for {k} algorithms")
-        p["forests"] = _check_forests("forests", p["forests"], d)
+    if kind in ("regression", "stacking"):  # one regressor per algorithm
+        p["forests"] = _check_forests("forests", p["forests"], d, count=k)
     if kind == "stacking":
         (p["combiner"],) = _check_forests("combiner", [p["combiner"]], k, n_classes=k)
-    if kind == "pairwise":
+    if kind == "pairwise":  # one classifier per algorithm pair
+        p["forests"] = _check_forests("forests", p["forests"], d, n_classes=2, count=k * (k - 1) // 2)
         _check_shape("mean_costs", p["mean_costs"], (k,))
-        if not all(0 <= a < k and 0 <= b < k for a, b, _ in p["classifiers"]):
-            raise ValueError(f"'classifiers' names an algorithm outside [0, {k})")
-        forests = _check_forests("classifiers", [f for _, _, f in p["classifiers"]], d, n_classes=2)
-        p["classifiers"] = [[a, b, f] for (a, b, _), f in zip(p["classifiers"], forests)]
     if kind == "cluster":
         c = len(p["centroids"])
         _check_shape("centroids", p["centroids"], (c, d))
@@ -698,6 +682,7 @@ def _payload(kind, doc, d, k) -> dict:
         n = len(p["X"])
         for name, shape in (("X", (n, d)), ("costs", (n, k)), ("solved", (n, k))):
             _check_shape(name, p[name], shape)
+        p["solved"] = p["solved"] != 0  # saved as 0/1
     return p
 
 
@@ -706,36 +691,39 @@ def _check_shape(name, array, shape, integer=False) -> None:
         raise ValueError(f"{name!r} is not {'an integer' if integer else 'a numeric'} array of shape {shape}")
 
 
-def _check_forests(name, forests, d, n_classes=None) -> list[Forest]:
-    """The decoded ``forests``, packed once no walk could leave its tree: each
-    tree's arrays must share one length n, with integer ``feature``, ``left`` and
-    ``right``, and each leaf must hold a value, or ``n_classes`` class weights,
-    which makes packing safe; each feature id must be -1 (a leaf) or below ``d``;
-    and each split's children must come after it and before n, ending every walk."""
-    trees = [[Tree(**t) for t in f.get("trees", [])] for f in forests]
-    if not all(ts and f["n_classes"] == n_classes for f, ts in zip(forests, trees)):
-        raise ValueError(f"{name!r} holds a forest with no trees or not of {n_classes} classes")
-    for t in [t for ts in trees for t in ts]:
-        n = np.size(t.feature)
-        arrays = (t.feature, t.left, t.right, t.threshold, t.value if n_classes is None else t.dist)
-        if not (
-            n
-            and all(isinstance(a, np.ndarray) for a in arrays)
-            and [a.shape for a in arrays] == [(n,)] * 4 + [(n,) if n_classes is None else (n, n_classes)]
-            and all(a.dtype.kind == "i" for a in arrays[:3])
-        ):
-            raise ValueError(f"{name!r} holds a tree whose arrays are not numeric, of one length, with integer ids")
-    packed = [Forest(ts, n_classes) for ts in trees]
-    for f in packed:
-        if ((f.feature < -1) | (f.feature >= d)).any():
+def _check_forests(name, forests, d, n_classes=None, count=1) -> list[Forest]:
+    """The ``count`` decoded ``forests``, built once no walk could leave its
+    tree or run forever: each holds ``n_classes`` and exactly the arrays of a
+    :class:`Forest`, of one node count n, with integer ids; its ``roots`` rise
+    from 0 below n, its features lie in [-1, ``d``), and each split's
+    children come after it in its tree."""
+    leaf = "value" if n_classes is None else "dist"
+    fields = ("roots", "feature", "left", "right", "threshold", leaf)
+    if len(forests) != count:
+        raise ValueError(f"{name!r} holds {len(forests)} forests, not {count}")
+    built = []
+    for f in forests:
+        if f.get("n_classes") != n_classes or set(f) != {"n_classes", *fields}:
+            raise ValueError(f"{name!r} holds a forest not of {n_classes} classes with arrays {fields}")
+        roots, feature, left, right, threshold, payload = (f[field] for field in fields)
+        nodes, n = (feature, left, right, threshold, payload), np.size(feature)
+        typed = all(isinstance(a, np.ndarray) for a in nodes) and all(a.dtype.kind == "i" for a in nodes[:3])
+        shapes = [(n,)] * 4 + [(n,) if n_classes is None else (n, n_classes)]
+        if not typed or [a.shape for a in nodes] != shapes:
+            raise ValueError(f"{name!r} holds forest arrays that are not numeric, of one length, with integer ids")
+        int_list = isinstance(roots, np.ndarray) and roots.dtype.kind == "i" and roots.ndim == 1 and roots.size
+        if not int_list or roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n:
+            raise ValueError(f"{name!r} holds a forest whose roots are not integers rising from 0 below {n}")
+        if ((feature < -1) | (feature >= d)).any():
             raise ValueError(f"{name!r} holds a tree that reads a feature outside [-1, {d})")
-        sizes = np.diff([*f.roots, f.feature.size])
-        n = np.repeat(sizes, sizes)
-        node = np.arange(f.feature.size) - np.repeat(f.roots, sizes)  # id within its tree
-        for side, child in (("left", f.left), ("right", f.right)):
-            if ((f.feature >= 0) & ((child <= node) | (child >= n))).any():
+        sizes = np.diff(np.append(roots, n))
+        size = np.repeat(sizes, sizes)  # the node count of each node's tree
+        node = np.arange(n) - np.repeat(roots, sizes)  # id within its tree
+        for side, child in (("left", left), ("right", right)):
+            if ((feature >= 0) & ((child <= node) | (child >= size))).any():
                 raise ValueError(f"{name!r} holds a split whose {side} child is not after it in its tree")
-    return packed
+        built.append(Forest(n_classes, roots, feature, threshold, left, right, **{leaf: payload}))
+    return built
 
 
 def _presolve(doc) -> tuple[SolverStep, ...]:

@@ -8,6 +8,7 @@ into the code paths it verifies.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from asbench.evaluation import EvaluationOutcome, FeatureStep, SolverStep, validate_schedule
-from asbench.learners import Tree, _grow_trees, fit_forest, rng_stream
+from asbench.learners import Forest, _grow_trees, fit_forest, rng_stream
 from asbench.scenario import (
     DIRECTIONS,
     OBJECTIVES,
@@ -181,13 +182,13 @@ def oracle_presolved_instances(prefix, scenario, instances):
 # per-depth feature draws. ``grow_tree`` must reproduce its trees bit for bit.
 
 
-def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Tree:
-    """One tree on the whole sample, as a one-tree call of the library's
-    grower: the path under test, not a reference."""
+def grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Forest:
+    """One tree on the whole sample, as a one-tree forest from a one-tree call
+    of the library's grower: the path under test, not a reference."""
     X = np.asarray(X, dtype=np.float64)
     boot = np.arange(X.shape[0])[None]
     Y = np.asarray(y)[None]
-    return _grow_trees(X, Y, boot, [rng], min_leaf, features_per_split, n_classes)[0]
+    return _grow_trees(X, Y, boot, [rng], min_leaf, features_per_split, n_classes)
 
 
 def _oracle_best_split(X, y, target_sq, feat_order, min_leaf, one_hot):
@@ -236,8 +237,9 @@ def _oracle_best_split(X, y, target_sq, feat_order, min_leaf, one_hot):
     return best
 
 
-def oracle_grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Tree:
-    """Grow a CART tree to purity (no depth cap), breadth first.
+def oracle_grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=None) -> Forest:
+    """Grow a CART tree to purity (no depth cap), breadth first, as a one-tree
+    forest.
 
     ``n_classes`` switches to classification with Gini splits; otherwise
     splits minimize variance. ``features_per_split`` caps how many features
@@ -304,7 +306,9 @@ def oracle_grow_tree(X, y, rng, min_leaf=1, features_per_split=None, n_classes=N
         level = next_level
 
     m = len(feature)
-    tree = Tree(
+    tree = Forest(
+        n_classes=n_classes,
+        roots=np.zeros(1, dtype=np.int64),
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64),
@@ -335,16 +339,15 @@ def oracle_regression_forests(train, hp):
 
 
 def oracle_pairwise_classifiers(train, hp):
-    """``fit_pairwise``'s (a, b, forest) classifiers, one ``fit_forest`` call
-    each."""
+    """``fit_pairwise``'s forests, one per algorithm pair (a, b) with a < b
+    in ``itertools.combinations`` order, one ``fit_forest`` call each."""
     k = len(train.algorithms)
-    classifiers = []
+    forests = []
     for a in range(k):
         for b in range(a + 1, k):
             labels = (train.costs[:, a] < train.costs[:, b]).astype(np.int64)
-            forest = fit_forest(train.X, labels, hp, (_S_PAIRWISE, a, b), n_classes=2)
-            classifiers.append((a, b, forest))
-    return classifiers
+            forests.append(fit_forest(train.X, labels, hp, (_S_PAIRWISE, a, b), n_classes=2))
+    return forests
 
 
 def oracle_stacking(train, hp):
@@ -439,7 +442,8 @@ def _oracle_select(model, x):
         return int(np.argmin(preds))
     if kind == "pairwise":
         votes = np.zeros(len(model.algorithms))
-        for a, b, forest in p["classifiers"]:
+        pairs = itertools.combinations(range(len(model.algorithms)), 2)
+        for (a, b), forest in zip(pairs, p["forests"], strict=True):
             winner = a if _oracle_forest_predict(forest, x[None, :])[0] == 1 else b
             votes[winner] += 1
         best = votes.max()
@@ -947,7 +951,7 @@ def oracle_replay(scenario: Scenario, instance: str, schedule) -> EvaluationOutc
         status = int(runs.status[r, c])
         if status < 0:
             raise KeyError((instance, algorithm))
-        return float(runs.values[r, c]), status
+        return float(runs.value[r, c]), status
 
     if scenario.objective == "quality":
         value, status = record(schedule[0].algorithm)

@@ -12,6 +12,12 @@ Two small generated bundles go through the real command-line entry point:
 * a quality bundle with the maximize direction: the baselines summary and a
   regression train/predict/evaluate chain.
 
+The chain's compare covers one scenario, where no critical-distance
+analysis applies, so ``compare_cd.json`` pins the ``{"applies": false,
+"reason": ...}`` document. The model documents are version 3: each forest
+one object of packed node arrays, pairwise forests in pair order with no
+stored pair indices, and no ``mean_costs`` in the sunny payload.
+
 The sha256 of every output file, and of the scenario bundles themselves,
 must match the pinned values. A refactor or speedup that changes any of
 these bytes is a behaviour change. After a deliberate artifact change (one
@@ -37,48 +43,48 @@ from gen import learnable_scenario, random_scenario
 EXPECTED = {
     "out/cluster.csv": "09c4f575e08cf80738a2985b91ba84a2f2f1a6b509a63e487bdd4454484a561a",
     "out/cluster.json": "5446aedff634cddec9f1263d3a4e6feb3bd9880f75c87662014a9fdd071b9b6c",
-    "out/cluster_model.json": "75251fe7bb17a7ccf2233bd74cb90b80067ec81105e42bc0344552f40e7ad885",
+    "out/cluster_model.json": "9108ec2782d60363f9f9b2ca2477f66b565835ace6693ebe4e9758c5873d69d6",
     "out/cluster_preds.csv": "6428f461221dc862f4c5fcd3c98aa27570906edb1112f891ac92689d1cb169a2",
     "out/compare.json": "8c613a6440708360993c9fd9a74a40ba7c53257d5c74bcc4d8b6d06a26bc8218",
-    "out/compare_cd.json": "38e0b9de817f645c4bec37c0d4a3e58baecccb040f5718dc069a72c7385a0bed",
+    "out/compare_cd.json": "fbd02e070e19cf76ff1e2e59d144d4f5aa5cc840fcca57f7a212c574d7557fa3",
     "out/compare_ranks.csv": "d1100ce25bdfdbb3b7e74c604b119c629c6bfbef2e64c958f25e02e3afeccbea",
     "out/compare_scores.csv": "845d27e4a067ab7b9fc7795679a2f1cb8eea3a79b683df43dbe3b6050a5b6ed9",
     "out/pairwise.csv": "c02fa5a46fb75e7d31b1fafcca04b3fe5b659c2bcbfb5174bf94f00c115615de",
     "out/pairwise.json": "b7c3059218edab946b5d8041d944a2c3e02b489fc745ffe31e468557cdb2ebe4",
-    "out/pairwise_knobs_model.json": "c59a6fc9e92d06296d638588d8fc3a5a7fe027951d27e6c1ae15c3d56930a1b3",
+    "out/pairwise_knobs_model.json": "79efdc3ad550b9382072f9bac8de3a2a257fbe104b25d91b14c34c5244405810",
     "out/pairwise_knobs_preds.csv": "621f24cb3a71dda444d46af438b681fc4a3255793d234a1c5c2d02e75508c9a4",
-    "out/pairwise_model.json": "ed4927caf1c7239c6e33a339f3d85701ce8644f95cd2c2d00d9d1291f04269fd",
+    "out/pairwise_model.json": "33a2be783e4661d0e5961937247bcc1a060d10eb51ee01ad72d002c37026cb4d",
     "out/pairwise_preds.csv": "97c330c82d42111216531626f4aaab2f4da408003363a44f6993275e3f4873aa",
     "out/quality_baselines.json": "a445a0b3977bb69c95191c5cd178013192fb9b37373bdd3d1258d08fede76fc7",
-    "out/quality_model.json": "f01f6f7ea4fee142615587de7427bff2acf93f74ba9d2298f813af8c5ff65257",
+    "out/quality_model.json": "3ccb2269ce03027b18021e677ed194c01c52c2bade620c4b369c72c495ed8578",
     "out/quality_preds.csv": "023748d01556b18886c500f88b0d446ed1a7c7dcffa0417a824a3d72e1f18d1a",
     "out/quality_report.csv": "bee51d187e6fdc5a04b769e73e7c21a54c061e6326561750e83b479b043820c1",
     "out/quality_report.json": "baed87bcc6aa624734698424d30a0280ea51debb590a9328a70a3b740758cc8f",
     "out/regression.csv": "902e11ebdad2625b0b5ad07367ca24c51bbd344e21335fd6648723074bcf410c",
     "out/regression.json": "8a4461d4c8aa75d3ae7189174a0a32344531ee934003749530604ff432c0a38f",
-    "out/regression_knobs_model.json": "0dea234aa25f4f1a1898ad37982b120c92ef89b165e5448a5e491b298c3ee6e2",
+    "out/regression_knobs_model.json": "bd8999c0ffa4a3182184868b5622d5733c5241870509e0dbcf9a44fe6af80421",
     "out/regression_knobs_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
-    "out/regression_model.json": "c402c46d9b5b0b083e56b54d68d01850ba3a9fe9a0f49cc4ca87341fcdc9c991",
+    "out/regression_model.json": "fbd7aae301b15ad1e04f22f80e4e351623601d49d0144fb45631e8695c668f4e",
     "out/regression_preds.csv": "fc64231fbaccd1480910f5c4efe4daa86faf8932ee9ebf5233b5749c6db3173b",
     "out/regression12.csv": "7f146dc603f85b946e5befb112c52b231000413cb012825171b17aad06230e85",
     "out/regression12.json": "0a90f0194a6fe88da532d7b9b2dbd4ad49911fa264533ccabfdc8ea2d00805af",
-    "out/regression12_model.json": "e68152e0c840f1589a2343f307157362eda16aef7c32870f42c8fa135a05d68a",
+    "out/regression12_model.json": "257f25454990bdd3ed9b7be4c1ca4237b57922bd77965c5c28c5021d09480398",
     "out/regression12_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
     "out/runtime_baselines.json": "4b251174752b5900eb2fea87a07324273224026b52d39b20c93ce3562cf742eb",
     "out/stacking.csv": "fa5929207c0a35d0a2d65d9374c8e532e9fe18f1d479af6b1aca6459b5a8306a",
     "out/stacking.json": "e529aa7775c99b82e35e818b63274c754e49576b2f3b8ae77992703c3aa4adfc",
-    "out/stacking_model.json": "d0a8ee400041c51009fcf95571bb3fb066595a9dbca399578e9836e1f95eedd0",
+    "out/stacking_model.json": "abf1ac803ff53222a6c9e65a626d739ac91f97ac7450ecb0b54c76b567cfd857",
     "out/stacking_preds.csv": "7fb03d3f8c329ef3cd1a10a38ddffac88a7b4b28b4454da4be1216702a19fa8b",
     "out/stacking12.csv": "40b95187818b7ab24baf947d9ce62442354b5f50590d97eaf43ae7dd33d90540",
     "out/stacking12.json": "2a78f06bbdcce7b04a5c5178e89f8f1f47fca6b4b654971e5b55efa8438ddced",
-    "out/stacking12_model.json": "5d47df59c50b50201544c5b28041c1c78a85647514aea55a09e0da6eceee658d",
+    "out/stacking12_model.json": "7c1739cb1ab5b9da40494c3fade3dbadf3b7cb37a8a9efd2290db8116bb56c89",
     "out/stacking12_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
     "out/study.json": "85e70eedda3b35d66da57dd3f4df504c656e624aadcbaf02e29ac55a3b0e18b5",
     "out/study_ecdf.csv": "900eb8a0473e99a0931de54bdf3504d701c13097cad50de14d9cc0684903c67e",
     "out/study_samples.csv": "30aa43ea7c7ea3d198f6d7029bee84bfd3a50f6c0ca632caded727d13ee615cd",
     "out/sunny.csv": "1da16486f71656691e5e9c38711ca632d6960f8c226169ac7ebaf6cf04605c34",
     "out/sunny.json": "751136e605323ed128565fc1d1d934f9655479556408505c263b0f7473669722",
-    "out/sunny_model.json": "a9a0f2606172c8aee022325f071124192fbd12114c76bb196b801e70f37997b2",
+    "out/sunny_model.json": "8ab9ab976f34b54dd2b0858245de7a73d6daab89bc2b2b24eafcfe9e63fb5da8",
     "out/sunny_preds.csv": "5e82fdfcdf030d4a41ea164f37048ab4a0c894824d9aec3eceea130904be814c",
     "quality/description.txt": "6eea6d95e2f8036bd640688a7b7218c9aa2b967c06cde46433aa8ae21eb3a336",
     "quality/features.csv": "b2b29f1ce7f1347c90c6977ed8be52566cf1443169de52e68f0cc420586e05ea",
@@ -160,7 +166,7 @@ def run_chain(root: Path) -> dict[str, str]:
 
 
 def test_chain_outputs_are_byte_identical(tmp_path):
-    assert MODEL_VERSION == 2  # the version the pinned digests were recorded at
+    assert MODEL_VERSION == 3  # the version the pinned digests were recorded at
     got = run_chain(tmp_path)
     # the chain must exercise the presolver, or its digests would say nothing about it
     presolve = json.loads((tmp_path / "out" / "regression_model.json").read_text())["presolve"]

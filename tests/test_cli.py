@@ -25,18 +25,18 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def _tree_edit(forests, field, edit):
-    """A copy of encoded ``forests`` whose first tree has ``edit`` applied to
-    the list of its ``field``."""
+def _array_edit(forests, field, edit):
+    """A copy of encoded ``forests`` whose first forest has ``edit`` applied
+    to the list of its ``field``."""
     forests = copy.deepcopy(forests)
-    tree = forests[0]["trees"][0]
-    tree[field] = edit(tree[field])
+    forests[0][field] = edit(forests[0][field])
     return forests
 
 
 def _root_edit(forests, field, value):
-    """A copy of encoded ``forests`` with the first tree's root ``field`` set to ``value``."""
-    return _tree_edit(forests, field, lambda a: [value, *a[1:]])
+    """A copy of encoded ``forests`` with the first tree's root ``field`` set
+    to ``value``: node 0 of the first forest."""
+    return _array_edit(forests, field, lambda a: [value, *a[1:]])
 
 
 class TestValidate:
@@ -330,7 +330,7 @@ class TestTrainPredictEvaluate:
     @pytest.mark.parametrize(
         "edit",
         [
-            "no-payload", "renamed-portfolio", "no-medians", "version-1",
+            "no-payload", "renamed-portfolio", "no-medians", "version-1", "version-2",
             *WRONG_TYPES, *PAYLOAD_HOLES, *SHORT_PREPROCESS,
         ],
     )
@@ -347,8 +347,8 @@ class TestTrainPredictEvaluate:
             doc["algorithms"] = ["Z0", "Z1", "Z2"]
         elif edit == "no-medians":
             del doc["preprocess"]["medians"]
-        elif edit == "version-1":
-            doc["version"] = 1
+        elif edit.startswith("version-"):
+            doc["version"] = int(edit[-1])
         elif edit in self.PAYLOAD_HOLES:
             update = self.PAYLOAD_HOLES[edit][0]
             doc["payload"] = {**doc["payload"], **update} if update else {}
@@ -366,8 +366,8 @@ class TestTrainPredictEvaluate:
         ) == 2
         error = capsys.readouterr().err.splitlines()[-1]
         assert error.startswith("error: ")
-        if edit == "version-1":
-            assert "version 1" in error and "retrain" in error
+        if edit.startswith("version-"):
+            assert str(model) in error and f"version {edit[-1]}" in error and "retrain" in error
         if edit in self.WRONG_TYPES:
             assert str(model) in error and repr(self.WRONG_TYPES[edit][0]) in error
         if edit in self.PAYLOAD_HOLES:
@@ -380,15 +380,35 @@ class TestTrainPredictEvaluate:
     # (selector, payload update from the fitted payload, field named)
     FOREST_HOLES = {
         "regression-forests-string": ("regression", lambda p: {"forests": "abc"}, "forests"),
-        "pairwise-string-columns": (
-            "pairwise",
-            lambda p: {"classifiers": [[str(a), str(b), f] for a, b, f in p["classifiers"]]},
-            "classifiers",
-        ),
         "stacking-combiner-treeless": ("stacking", lambda p: {"combiner": {"n_classes": 3}}, "combiner"),
         "regression-forests-of-no-trees": (
             "regression",
-            lambda p: {"forests": [{**f, "trees": []} for f in p["forests"]]},
+            lambda p: {"forests": [{**f, "roots": []} for f in p["forests"]]},
+            "forests",
+        ),
+        "pairwise-forest-missing": ("pairwise", lambda p: {"forests": p["forests"][:-1]}, "forests"),
+        # roots that do not start at 0, repeat one (an empty tree), name a tree
+        # past the last node, or are not integers
+        "regression-roots-from-one": (
+            "regression",
+            lambda p: {"forests": _root_edit(p["forests"], "roots", 1)},
+            "forests",
+        ),
+        "regression-roots-not-rising": (
+            "regression",
+            lambda p: {"forests": _array_edit(p["forests"], "roots", lambda a: [0, *a])},
+            "forests",
+        ),
+        "regression-roots-reach-node-count": (
+            "regression",
+            lambda p: {"forests": _array_edit(
+                p["forests"], "roots", lambda a: [*a, len(p["forests"][0]["feature"])]
+            )},
+            "forests",
+        ),
+        "regression-float-roots": (
+            "regression",
+            lambda p: {"forests": _array_edit(p["forests"], "roots", lambda a: [float(x) for x in a])},
             "forests",
         ),
         # indices prediction would follow out of range, or a walk that never ends
@@ -409,18 +429,13 @@ class TestTrainPredictEvaluate:
         ),
         "regression-string-thresholds": (
             "regression",
-            lambda p: {"forests": _tree_edit(p["forests"], "threshold", lambda a: [str(x) for x in a])},
+            lambda p: {"forests": _array_edit(p["forests"], "threshold", lambda a: [str(x) for x in a])},
             "forests",
         ),
         "regression-float-feature-ids": (
             "regression",
-            lambda p: {"forests": _tree_edit(p["forests"], "feature", lambda a: [float(x) for x in a])},
+            lambda p: {"forests": _array_edit(p["forests"], "feature", lambda a: [float(x) for x in a])},
             "forests",
-        ),
-        "pairwise-negative-algorithm": (
-            "pairwise",
-            lambda p: {"classifiers": [[-1, b, f] for a, b, f in p["classifiers"]]},
-            "classifiers",
         ),
         "stacking-combiner-reads-past-level-1": (
             "stacking",
@@ -559,6 +574,17 @@ class TestCompare:
         ranks = (tmp_path / "cmp_ranks.csv").read_text()
         assert "__avg_rank__" in ranks
         assert (tmp_path / "cmp_cd.json").exists()
+
+    def test_one_scenario_says_why_no_cd_diagram(self, tmp_path):
+        a = self.make_report(tmp_path / "a.csv", "alpha", {"s1": 0.1})
+        b = self.make_report(tmp_path / "b.csv", "beta", {"s1": 0.4})
+        out = tmp_path / "cmp"
+        assert run_cli("compare", a, b, "--out", out) == 0
+        cd = json.loads((tmp_path / "cmp_cd.json").read_text())
+        assert cd["applies"] is False and "rank 2 system(s) on 1 scenario(s)" in cd["reason"]
+        # the JSON comparison keeps its null field
+        assert run_cli("compare", a, b, "--out", out, "--json") == 0
+        assert json.loads(out.with_suffix(".json").read_text())["cd_diagram"] is None
 
     def test_icon2015_mode_averages_all_metric_gaps(self, tmp_path):
         rows = ["system,scenario,split,metric,value"]

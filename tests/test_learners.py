@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asbench import learners, selectors
-from asbench.learners import KNN, Forest, Tree, fit_forest, fit_forests, fit_kmeans, rng_stream
+from asbench.learners import KNN, Forest, _join, fit_forest, fit_forests, fit_kmeans, rng_stream
 from asbench.selectors import (
     Hyperparameters,
     Preprocess,
@@ -33,7 +33,7 @@ from oracles import (
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
-TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "dist")
+FOREST_ARRAYS = ("roots", "feature", "threshold", "left", "right", "value", "dist")
 
 
 class TestRngStream:
@@ -79,8 +79,10 @@ class TestTree:
 
 
 def assert_same_tree(got, want):
-    """Every array of the two trees has the same dtype, shape and bytes."""
-    for name in TREE_FIELDS:
+    """The two forests (one-tree ones, as a rule) have the same class count,
+    and every array the same dtype, shape and bytes."""
+    assert got.n_classes == want.n_classes
+    for name in FOREST_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         if b is None:
             assert a is None, name
@@ -228,7 +230,7 @@ def test_fit_forest_matches_the_reference(n_classes, monkeypatch):
 
 
 def assert_same_forest(got, want):
-    assert got.n_classes == want.n_classes
+    assert_same_tree(got, want)  # the packed arrays
     assert len(got.trees) == len(want.trees)
     for tree, same in zip(want.trees, got.trees):
         assert_same_tree(same, tree)
@@ -299,9 +301,8 @@ def test_shared_grower_calls_match_per_forest_fits(train, hp, cells):
         oof = selectors._out_of_fold(train, hp, min(5, len(train.instances)))
     for got, want in zip(regression["forests"], want_regression, strict=True):
         assert_same_forest(got, want)
-    for got, want in zip(pairwise["classifiers"], want_pairwise, strict=True):
-        assert got[:2] == want[:2]
-        assert_same_forest(got[2], want[2])
+    for got, want in zip(pairwise["forests"], want_pairwise, strict=True):
+        assert_same_forest(got, want)
     assert (oof.dtype, oof.shape, oof.tobytes()) == (
         want_oof.dtype, want_oof.shape, want_oof.tobytes()
     )
@@ -312,10 +313,10 @@ def test_shared_grower_calls_match_per_forest_fits(train, hp, cells):
 
 @st.composite
 def packed_forest_cases(draw):
-    """(trees, n_classes, X): hand-built trees whose splits each turn a leaf
-    into a split, the newest leaf (a chain) or any, so one forest mixes root
-    leaves, bushy trees and deep ones. Thresholds and X share a grid, so rows
-    land on thresholds."""
+    """(trees, n_classes, X): hand-built one-tree forests whose splits each
+    turn a leaf into a split, the newest leaf (a chain) or any, so one forest
+    mixes root leaves, bushy trees and deep ones. Thresholds and X share a
+    grid, so rows land on thresholds."""
     d = draw(st.integers(0, 4))
     n_classes = draw(st.sampled_from([None, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -334,7 +335,9 @@ def packed_forest_cases(draw):
             left += [-1, -1]
             right += [-1, -1]
         leaves = rng.normal(scale=1e3, size=(len(feature), n_classes or 1))
-        trees.append(Tree(
+        trees.append(Forest(
+            n_classes=n_classes,
+            roots=np.zeros(1, dtype=np.int64),
             feature=np.array(feature, dtype=np.int64),
             threshold=np.array(threshold),
             left=np.array(left, dtype=np.int64),
@@ -345,13 +348,16 @@ def packed_forest_cases(draw):
 
 
 def _chain_tree(depth, n_classes):
-    """A chain of ``depth`` splits: the split at depth k sends rows with
-    ``x[0] <= k / 2`` left, to a leaf, and the rest right, to the next."""
+    """A one-tree forest, a chain of ``depth`` splits: the split at depth k
+    sends rows with ``x[0] <= k / 2`` left, to a leaf, and the rest right, to
+    the next."""
     m = 2 * depth + 1
     split = np.arange(m) % 2 == 0
     split[-1] = False
     ids = np.arange(m)
-    return Tree(
+    return Forest(
+        n_classes=n_classes,
+        roots=np.zeros(1, dtype=np.int64),
         feature=np.where(split, 0, -1),
         threshold=np.where(split, ids / 4, 0.0),
         left=np.where(split, ids + 1, -1),
@@ -369,7 +375,7 @@ def _chain_tree(depth, n_classes):
 ))
 def test_packed_forest_matches_the_per_tree_walk(case):
     trees, n_classes, X = case
-    forest = Forest(trees, n_classes)
+    forest = _join(trees)
     # the per-tree walks, summed in tree order
     total = oracle_tree_predict(trees[0], X)
     for tree in trees[1:]:

@@ -187,7 +187,7 @@ def _bits(scen):
         _exact(scen.cutoff),
         scen.algorithms,
         scen.instances,
-        scen.runs.values.tobytes(),
+        scen.runs.value.tobytes(),
         scen.runs.status.tobytes(),
         [(i, tuple(map(_exact, v))) for i, v in scen.features.items()],
         scen.feature_names,

@@ -221,8 +221,8 @@ def test_table_is_cached_read_only_and_in_scenario_order(tutorial):
 
 def test_runs_are_the_stored_table_and_read_as_a_mapping(tutorial):
     runs = tutorial.runs
-    assert runs.values.shape == runs.status.shape == (5, 3)
-    for array in (runs.values, runs.status):
+    assert runs.value.shape == runs.status.shape == (5, 3)
+    for array in (runs.value, runs.status):
         with pytest.raises(ValueError):
             array[0, 0] = 0
     records = dict(runs.items())
@@ -233,9 +233,17 @@ def test_runs_are_the_stored_table_and_read_as_a_mapping(tutorial):
     # a pair without a record reads as missing
     del records[("i3", "A2")]
     holed = replace(tutorial, runs=records)
-    assert holed.runs.status[2, 1] == -1 and math.isnan(holed.runs.values[2, 1])
+    assert holed.runs.status[2, 1] == -1 and math.isnan(holed.runs.value[2, 1])
     assert ("i3", "A2") not in holed.runs and holed.runs.get(("i3", "A2")) is None
     assert len(holed.runs) == 14 and holed.runs == records
+
+
+def test_runs_values_are_the_records_in_items_order(tutorial):
+    # the array is ``Runs.value``, so the Mapping method stays callable
+    values = list(tutorial.runs.values())
+    assert len(values) == 15 and all(isinstance(rec, RunRecord) for rec in values)
+    assert values == [rec for _, rec in tutorial.runs.items()]
+    assert values[list(tutorial.runs).index(("i2", "A3"))] == RunRecord(900.0, "memout")
 
 
 def test_records_the_table_cannot_hold_are_refused(tutorial):

@@ -22,9 +22,10 @@ from asbench import (
     save_model,
     simulate,
     validate_schedule,
+    write_predictions,
 )
 from asbench.evaluation import FeatureStep, SolverStep
-from asbench.learners import Tree, Forest
+from asbench.learners import Forest
 from asbench.selectors import SelectorModel, raw_features, select_algorithms
 
 from gen import best_algorithm_truth, build_scenario, learnable_scenario, random_scenario
@@ -148,19 +149,7 @@ class TestRegression:
         scen = dominant_scenario()
         train = build_training_set(scen, scen.instances)
         model = fit_regression(train, FAST)
-        shifted_forests = []
-        for forest in model.payload["forests"]:
-            trees = [
-                Tree(
-                    feature=t.feature,
-                    threshold=t.threshold,
-                    left=t.left,
-                    right=t.right,
-                    value=t.value + 123.0,
-                )
-                for t in forest.trees
-            ]
-            shifted_forests.append(Forest(trees=trees))
+        shifted_forests = [replace(f, value=f.value + 123.0) for f in model.payload["forests"]]
         shifted = replace(model, payload={"forests": shifted_forests})
         X = model.pre.transform(raw_features(scen, scen.instances, model.pre.columns))
         assert select_algorithms(model, X).tolist() == select_algorithms(shifted, X).tolist()
@@ -180,7 +169,7 @@ class TestPairwise:
             features=scen.features,
         )
         model = fit_pairwise(build_training_set(two, two.instances), FAST)
-        assert len(model.payload["classifiers"]) == 1
+        assert len(model.payload["forests"]) == 1
         for inst in two.instances:
             steps = [s for s in predict(model, two, inst) if isinstance(s, SolverStep)]
             assert steps[0].algorithm == "A0"
@@ -193,7 +182,7 @@ class TestPairwise:
     def test_vote_count_is_all_pairs(self):
         scen = random_scenario(5, n_algos=4, n_insts=8)
         model = fit_pairwise(build_training_set(scen, scen.instances), FAST)
-        assert len(model.payload["classifiers"]) == 4 * 3 // 2
+        assert len(model.payload["forests"]) == 4 * 3 // 2
 
     def test_tie_broken_by_training_cost(self):
         # hand-built constant classifiers forcing a three-way vote tie
@@ -201,16 +190,13 @@ class TestPairwise:
             dist = np.zeros((1, 2))
             dist[0, label] = 1.0
             return Forest(
-                trees=[
-                    Tree(
-                        feature=np.array([-1]),
-                        threshold=np.array([0.0]),
-                        left=np.array([-1]),
-                        right=np.array([-1]),
-                        dist=dist,
-                    )
-                ],
                 n_classes=2,
+                roots=np.array([0]),
+                feature=np.array([-1]),
+                threshold=np.array([0.0]),
+                left=np.array([-1]),
+                right=np.array([-1]),
+                dist=dist,
             )
 
         model = SelectorModel(
@@ -220,10 +206,10 @@ class TestPairwise:
             pre=None,
             sbs_algorithm="A1",
             payload={
-                "classifiers": [
-                    (0, 1, constant_classifier(1)),  # A0 beats A1
-                    (0, 2, constant_classifier(0)),  # A2 beats A0
-                    (1, 2, constant_classifier(1)),  # A1 beats A2
+                "forests": [  # pairs (0, 1), (0, 2), (1, 2)
+                    constant_classifier(1),  # A0 beats A1
+                    constant_classifier(0),  # A2 beats A0
+                    constant_classifier(1),  # A1 beats A2
                 ],
                 "mean_costs": np.array([30.0, 10.0, 20.0]),
             },
@@ -536,6 +522,29 @@ class TestPredictSchedules:
                 validate_schedule(scen, predict(model, scen, inst))
 
 
+def payload_arrays(payload) -> dict:
+    """Every value of a payload by its path, forests opened into their
+    fields, and arrays as (dtype, shape, bytes)."""
+    out = {}
+
+    def walk(path, value):
+        if isinstance(value, Forest):
+            value = vars(value)
+        if isinstance(value, dict):
+            for key, v in value.items():
+                walk(f"{path}.{key}", v)
+        elif isinstance(value, (list, tuple)):
+            for i, v in enumerate(value):
+                walk(f"{path}[{i}]", v)
+        elif isinstance(value, np.ndarray):
+            out[path] = (value.dtype, value.shape, value.tobytes())
+        else:
+            out[path] = value
+
+    walk("payload", payload)
+    return out
+
+
 def constant_features(scen):
     """The scenario with one value per feature column on every instance."""
     return replace(scen, features={i: (1.0,) * len(scen.feature_names) for i in scen.instances})
@@ -614,7 +623,10 @@ class TestDeterminismAndSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert predict_batch(model, scen, split.test) == predict_batch(loaded, scen, split.test)
+        assert payload_arrays(loaded.payload) == payload_arrays(model.payload)
+        for tag, m in (("fitted", model), ("loaded", loaded)):
+            write_predictions(predict_batch(m, scen, split.test), scen, tmp_path / f"{tag}.csv")
+        assert (tmp_path / "fitted.csv").read_bytes() == (tmp_path / "loaded.csv").read_bytes()
         again = tmp_path / "again.json"
         save_model(loaded, again)
         assert path.read_bytes() == again.read_bytes()
