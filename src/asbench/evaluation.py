@@ -92,7 +92,8 @@ class Schedules(Mapping):
     instance row and then step; schedule ``p``, of ``instances[p]``, is the
     slice ``starts[p]:starts[p + 1]``. Step objects are built only when a
     schedule is looked up. A Schedules object is built by the prediction
-    parser or :meth:`from_mapping`, both of which validate every schedule.
+    parser or :meth:`from_mapping`; both refuse it when :meth:`faults` marks
+    a schedule, the parser naming the first marked one in file order.
     """
 
     __slots__ = ("instances", "starts", "row", "kind", "index", "budget", "_names", "_pos")
@@ -130,22 +131,30 @@ class Schedules(Mapping):
                 budget = [0.0 if k else s.budget for s, k in zip(steps, kind)]
                 lengths = [len(schedules[inst]) for inst in order]
                 out = cls(scenario, [row_of[inst] for inst in order], lengths, kind, index, budget)
-                if out.valid(scenario.objective):
+                if not out.faults(scenario.objective).any():
                     return out
         for schedule in schedules.values():
             validate_schedule(scenario, schedule)
         raise RuntimeError("a schedule failed the array checks but passed validate_schedule")
 
-    def valid(self, objective: str) -> bool:
-        """Whether every schedule passes :func:`validate_schedule`, given
-        that every name is known: a quality schedule is one solver step; a
-        runtime schedule gives each solver a positive budget and computes
-        no feature group twice."""
+    def faults(self, objective: str) -> np.ndarray:
+        """The mask of the schedules that fail :func:`validate_schedule`,
+        given that every name is known: a quality schedule is one solver
+        step; a runtime schedule gives each solver a positive budget and
+        computes no feature group twice. The steps are checked as one batch,
+        and sorted into schedules only when a step fails."""
         solver = self.kind == _SOLVER
         if objective == "quality":
-            return bool(solver.all() and (np.diff(self.starts) == 1).all())
-        groups = (self.row * len(self._names[1]) + self.index)[~solver]
-        return bool((self.budget[solver] > 0).all() and np.unique(groups).size == groups.size)
+            out, bad = np.diff(self.starts) != 1, ~solver
+        else:
+            out, bad = np.zeros(len(self.instances), dtype=bool), solver & ~(self.budget > 0)
+            groups = (self.row * len(self._names[1]) + self.index)[~solver]
+            if groups.size > 1 and np.unique(groups).size < groups.size:  # mark each repeat of a group
+                bad[np.delete(np.flatnonzero(~solver), np.unique(groups, return_index=True)[1])] = True
+        if not bad.any():
+            return out
+        owner = np.repeat(np.arange(out.size), np.diff(self.starts))
+        return out | (np.bincount(owner[bad], minlength=out.size) > 0)
 
     def __getitem__(self, instance) -> tuple:
         p = self._pos[instance]

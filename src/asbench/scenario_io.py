@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import STEP_KIND, FeatureStep, Schedules, SolverStep, validate_schedule
+from .evaluation import STEP_KIND, FeatureStep, Schedules, validate_schedule
 from .learners import rng_stream
 from .scenario import (
     RUN_STATUSES,
@@ -137,15 +137,59 @@ def _read_table(path: Path, header: list[str] | None = None, comments: bool = Fa
     return head, rows, lines
 
 
-# The bundle files are read column-wise, and each check asks whether a whole
-# column is clean. When one is not, the file is read again and walked from
-# its first row through the per-row checks, which raise the first bad row's
-# error with its line.
+# Each input file is read once, and its checks ask whether whole columns are
+# clean. When one is not, each rule flags rows from the columns in memory; a
+# flag at row i depends only on rows up to i (a repeated id is flagged at its
+# second row), so every row before the earliest flagged one is clean.
+
+
+def _raise_first(file: str, lines, rules) -> None:
+    """Raise the ParseError of the earliest row a rule flags, with the reason
+    of the first rule (in check order) that flags it. A rule is a pair of
+    flags over the rows (None: none) and ``reason(i)``, None if no fault."""
+    hits = [(int(np.argmax(flags)), r) for r, (flags, _) in enumerate(rules) if flags is not None and np.any(flags)]
+    i, r = min(hits, default=(0, None))
+    reason = None if r is None else rules[r][1](i)
+    if reason is None:
+        raise RuntimeError(f"{file}: a check failed but no rule names the row at fault")
+    raise ParseError(file, lines[i], reason)
+
+
+def _width_rule(rows: list, width: int):
+    """The rule that a row has ``width`` cells, flags None if all have. A row
+    of another width is blanked in place, so the other rules read blanks."""
+    if set(map(len, rows)) <= {width}:
+        return None, None
+    widths = list(map(len, rows))
+    rows[:] = [row if len(row) == width else [""] * width for row in rows]
+    return [n != width for n in widths], lambda i: f"expected {width} columns, got {widths[i]}"
+
+
+def _cell_rule(rows, what: str, marks=()):
+    """The rule that each cell of a row is a number or, stripped, one of
+    ``marks``; the reason quotes the row's first other cell as written."""
+    bad = [next((t for t in row if _number(t) is None and t.strip() not in marks), None) for row in rows]
+    return [t is not None for t in bad], lambda i: f"bad {what} {bad[i]!r}, expected a number"
+
+
+def _number(token: str, convert=float):
+    """``convert(token)``, or None if the token is not a number."""
+    try:
+        return convert(token)
+    except ValueError:
+        return None
+
+
+def _unlike_first(keys, values) -> list[bool]:
+    """Flags of the rows whose value differs from that of the first row with
+    their key; ``_unlike_first(ids, range(n))`` flags each repeated id."""
+    first: dict = {}
+    return [first.setdefault(k, v) != v for k, v in zip(keys, values)]
 
 
 def _lookup(index: dict, tokens) -> list:
-    """Map tokens through ``index``, ignoring surrounding whitespace as the
-    row checks do; None where a token is unknown."""
+    """Map tokens through ``index``, ignoring surrounding whitespace; None
+    where a token is unknown."""
     out = list(map(index.get, tokens))
     if None in out:
         out = [index.get(t.strip()) for t in tokens]
@@ -193,15 +237,6 @@ def _numbers_repeated(tokens, convert=float):
     distinct = list(set(tokens))
     values = _numbers(distinct, convert)
     return None if values is None else list(map(dict(zip(distinct, values)).__getitem__, tokens))
-
-
-def _raise_bad_row(path: Path, header, check_row) -> None:
-    """Walk the file, read again, through ``check_row(row, line)``, which
-    raises the ParseError of the first bad row."""
-    _, rows, lines = _read_table(path, header)
-    for row, line in zip(rows, lines):
-        check_row(row, line)
-    raise RuntimeError(f"{path.name}: a column check failed but every row passed")
 
 
 # ---------------------------------------------------------------------------
@@ -345,37 +380,28 @@ def _parse_bundle(root: Path, check: bool) -> Scenario:
 
 def _parse_features(path: Path):
     """features.csv fixes the instance order; one row per instance."""
-    head, rows, _ = _read_table(path)
+    head, rows, lines = _read_table(path)
     if not head or head[0] != "instance_id":
         raise ParseError(FEATURES_FILE, 1, "first column must be instance_id")
     feature_names = tuple(head[1:])
     d = len(feature_names)
-    seen = set()
-
-    def check_row(row, line):
-        if len(row) != 1 + d:
-            raise ParseError(FEATURES_FILE, line, f"expected {1 + d} columns, got {len(row)}")
-        inst = _check_id(row[0], FEATURES_FILE, line, "instance")
-        if inst in seen:
-            raise ParseError(FEATURES_FILE, line, f"duplicate instance row {inst!r}")
-        seen.add(inst)
-        for tok in row[1:]:
-            if tok.strip() != MISSING_MARK:
-                _parse_float(tok, FEATURES_FILE, line, "feature")
-
+    width = _width_rule(rows, 1 + d)
     ids = [row[0].strip() for row in rows]
+    cells = [tok for row in rows for tok in row[1:]]
+    del rows  # the cells hold them now
     clean = (
-        set(map(len, rows)) <= {1 + d}
+        width[0] is None
         and all(t and _ID_FORBIDDEN.isdisjoint(t) for t in ids)
         and len(set(ids)) == len(ids)
     )
-    if clean:
-        cells = [tok for row in rows for tok in row[1:]]
-        del rows
-        parsed = _feature_cells(cells)
-        clean = parsed is not None
-    if not clean:
-        _raise_bad_row(path, None, check_row)
+    parsed = _feature_cells(cells) if clean else None
+    if parsed is None:  # _feature_cells has turned only missing marks into "nan"
+        _raise_first(FEATURES_FILE, lines, [
+            width,
+            ([not t or not _ID_FORBIDDEN.isdisjoint(t) for t in ids], lambda i: f"bad instance id {ids[i]!r}"),
+            (_unlike_first(ids, range(len(ids))), lambda i: f"duplicate instance row {ids[i]!r}"),
+            _cell_rule((cells[i * d : (i + 1) * d] for i in range(len(ids))), "feature", (MISSING_MARK,)),
+        ])
     values, missing = (a.reshape(len(ids), d) for a in parsed)
     return Features(ids, values, missing), feature_names
 
@@ -385,34 +411,26 @@ _RUNS_HEADER = ["instance_id", "algorithm_id", "value", "status"]
 
 def _parse_runs(path: Path, instances, algorithms) -> Runs:
     """runs.csv into the run table; repeated pairs collapse to one record."""
-    _, rows, _ = _read_table(path, _RUNS_HEADER)
+    _, rows, lines = _read_table(path, _RUNS_HEADER)
     row_of = {inst: r for r, inst in enumerate(instances)}
     col_of = {algo: c for c, algo in enumerate(algorithms)}
-
-    def check_row(row, line):
-        if len(row) != 4:
-            raise ParseError(RUNS_FILE, line, f"expected 4 columns, got {len(row)}")
-        inst, algo, value_text, status = (t.strip() for t in row)
-        if inst not in row_of:
-            raise ParseError(RUNS_FILE, line, f"unknown instance {inst!r}")
-        if algo not in col_of:
-            raise ParseError(RUNS_FILE, line, f"unknown algorithm {algo!r}")
-        if status not in STATUS_CODE:
-            raise ParseError(RUNS_FILE, line, f"unknown status {status!r}")
-        _parse_float(value_text, RUNS_FILE, line, "value")
-
-    clean = set(map(len, rows)) <= {4}
-    if clean:
-        columns = list(zip(*rows)) or [(), (), (), ()]
-        del rows  # the columns hold the cells now
-        r = _lookup(row_of, columns[0])
-        c = _lookup(col_of, columns[1])
-        s = _lookup(STATUS_CODE, columns[3])
-        v = _numbers(columns[2])
-        del columns
-        clean = v is not None and None not in r and None not in c and None not in s
-    if not clean:
-        _raise_bad_row(path, _RUNS_HEADER, check_row)
+    width = _width_rule(rows, 4)
+    columns = list(zip(*rows)) or [(), (), (), ()]
+    del rows  # the columns hold the cells now
+    r = _lookup(row_of, columns[0])
+    c = _lookup(col_of, columns[1])
+    s = _lookup(STATUS_CODE, columns[3])
+    v = _numbers(columns[2])
+    if width[0] is not None or v is None or None in r or None in c or None in s:
+        inst, algo, value, status = columns
+        _raise_first(RUNS_FILE, lines, [
+            width,
+            ([x is None for x in r], lambda i: f"unknown instance {inst[i].strip()!r}"),
+            ([x is None for x in c], lambda i: f"unknown algorithm {algo[i].strip()!r}"),
+            ([x is None for x in s], lambda i: f"unknown status {status[i].strip()!r}"),
+            ([_number(t) is None for t in value], lambda i: f"bad value {value[i].strip()!r}, expected a number"),
+        ])
+    del columns
 
     k = len(algorithms)
     cell = np.array(r, dtype=np.intp) * k + np.array(c, dtype=np.intp)
@@ -436,36 +454,29 @@ def _parse_runs(path: Path, instances, algorithms) -> Runs:
 
 def _parse_costs(path: Path, inst_set: set[str]) -> dict[str, dict[str, float]]:
     """feature_costs.csv: one cost table per column, keyed by instance."""
-    head, rows, _ = _read_table(path)
+    head, rows, lines = _read_table(path)
     if not head or head[0] != "instance_id":
         raise ParseError(COSTS_FILE, 1, "first column must be instance_id")
     cost_cols = head[1:]
     if len(set(cost_cols)) != len(cost_cols):
         raise ParseError(COSTS_FILE, 1, "duplicate cost column")
 
-    seen = set()
-
-    def check_row(row, line):
-        if len(row) != 1 + len(cost_cols):
-            raise ParseError(COSTS_FILE, line, f"expected {1 + len(cost_cols)} columns")
-        inst = row[0].strip()
-        if inst not in inst_set:
-            raise ParseError(COSTS_FILE, line, f"unknown instance {inst!r}")
-        if cost_cols and inst in seen:
-            raise ParseError(COSTS_FILE, line, f"duplicate instance row {inst!r}")
-        seen.add(inst)
-        for tok in row[1:]:
-            _parse_float(tok, COSTS_FILE, line, "cost")
-
+    width = _width_rule(rows, len(head))
     ids = [row[0].strip() for row in rows]
     clean = (
-        set(map(len, rows)) <= {len(head)}
+        width[0] is None
         and inst_set.issuperset(ids)
         and (not cost_cols or len(set(ids)) == len(ids))
     )
     costs = [_numbers([row[j] for row in rows]) for j in range(1, len(head))] if clean else []
     if not clean or None in costs:
-        _raise_bad_row(path, None, check_row)
+        _raise_first(COSTS_FILE, lines, [
+            (width[0], lambda i: f"expected {len(head)} columns"),
+            ([t not in inst_set for t in ids], lambda i: f"unknown instance {ids[i]!r}"),
+            (_unlike_first(ids, range(len(ids))) if cost_cols else None,
+             lambda i: f"duplicate instance row {ids[i]!r}"),
+            _cell_rule((row[1:] for row in rows), "cost"),
+        ])
     return {col: dict(zip(ids, column)) for col, column in zip(cost_cols, costs)}
 
 
@@ -474,41 +485,30 @@ _SPLIT_MODES = ("bootstrap", "holdout", "custom")
 
 
 def _parse_splits(path: Path, inst_set: set[str]) -> tuple[Split, ...]:
-    _, rows, _ = _read_table(path, _SPLITS_HEADER)
-    first_mode: dict[int, str] = {}
-
-    def check_row(row, line):
-        if len(row) != 4:
-            raise ParseError(SPLITS_FILE, line, f"expected 4 columns, got {len(row)}")
-        sid_text, mode, role, inst = (t.strip() for t in row)
-        try:
-            sid = int(sid_text)
-        except ValueError:
-            raise ParseError(SPLITS_FILE, line, f"bad split id {sid_text!r}") from None
-        if mode not in _SPLIT_MODES:
-            raise ParseError(SPLITS_FILE, line, f"unknown split mode {mode!r}")
-        if role not in ("train", "test"):
-            raise ParseError(SPLITS_FILE, line, f"unknown role {role!r}")
-        if inst not in inst_set:
-            raise ParseError(SPLITS_FILE, line, f"unknown instance {inst!r}")
-        if first_mode.setdefault(sid, mode) != mode:
-            raise ParseError(SPLITS_FILE, line, f"split {sid} mixes modes")
-
-    clean = set(map(len, rows)) <= {4}
-    if clean:
-        columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[], [], [], []]
-        del rows
-        sid_texts, modes, roles, insts = columns
-        sids = _numbers(sid_texts, int)
-        clean = (
-            sids is not None
-            and set(modes) <= set(_SPLIT_MODES)
-            and set(roles) <= {"train", "test"}
-            and inst_set.issuperset(insts)
-            and len(set(sids)) == len(set(zip(sids, modes)))  # no split mixes modes
-        )
+    _, rows, lines = _read_table(path, _SPLITS_HEADER)
+    width = _width_rule(rows, 4)
+    columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[], [], [], []]
+    del rows
+    sid_texts, modes, roles, insts = columns
+    sids = _numbers(sid_texts, int)
+    clean = (
+        width[0] is None
+        and sids is not None
+        and set(modes) <= set(_SPLIT_MODES)
+        and set(roles) <= {"train", "test"}
+        and inst_set.issuperset(insts)
+        and len(set(sids)) == len(set(zip(sids, modes)))  # no split mixes modes
+    )
     if not clean:
-        _raise_bad_row(path, _SPLITS_HEADER, check_row)
+        sid = [_number(t, int) for t in sid_texts]
+        _raise_first(SPLITS_FILE, lines, [
+            width,
+            ([x is None for x in sid], lambda i: f"bad split id {sid_texts[i]!r}"),
+            ([m not in _SPLIT_MODES for m in modes], lambda i: f"unknown split mode {modes[i]!r}"),
+            ([r not in ("train", "test") for r in roles], lambda i: f"unknown role {roles[i]!r}"),
+            ([t not in inst_set for t in insts], lambda i: f"unknown instance {insts[i]!r}"),
+            (_unlike_first(sid, modes), lambda i: f"split {sid[i]} mixes modes"),
+        ])
 
     mode_of = dict(zip(sids, modes))
     parts = {sid: {"train": [], "test": []} for sid in sorted(mode_of)}
@@ -585,94 +585,67 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
 
     ``require_cover`` is an optional iterable of instance ids (typically a
     split's test set) that must all receive a schedule. The file is read
-    column-wise and its schedules are checked as arrays; when a check fails,
-    the rows are walked to the first bad one.
+    once, column-wise, and its schedules are checked as arrays. When a check
+    fails, the ParseError names the first bad row, or else the first bad
+    schedule in the order the file first names instances, at its last line.
     """
     path = Path(path)
-    _, rows, _ = _read_table(path, PREDICTIONS_HEADER)
-    clean = set(map(len, rows)) <= {5}
-    if clean:
-        inst, ordinal, kind, name, budget = list(zip(*rows)) or [()] * 5
-        del rows
-        row = _lookup(scenario.runs.row, inst)
-        kind = _lookup(STEP_KIND, kind)
-        ordinal = _numbers_repeated(ordinal, int)
-        budget = _numbers_repeated(budget)
-        clean = None not in row and None not in kind and ordinal is not None and budget is not None
-        # an ordinal outside 1..rows cannot be contiguous, and may not fit an intp
-        clean = clean and 1 <= min(ordinal, default=1) and max(ordinal, default=0) <= len(ordinal)
-    if clean:
-        names = (scenario.runs.col, {g.name: j for j, g in enumerate(scenario.feature_groups)})
-        index = [names[k].get(t) for k, t in zip(kind, name)]
-        if None in index:
-            index = [names[k].get(t.strip()) for k, t in zip(kind, name)]
-        clean = None not in index
-    if clean:
-        row, ordinal = np.array(row, dtype=np.intp), np.array(ordinal, dtype=np.intp)
-        order = np.lexsort((ordinal, row))
-        row, ordinal = row[order], ordinal[order]
-        owners, lengths = np.unique(row, return_counts=True)
-        # each schedule's steps are 1..m once sorted
-        step = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
-        kind, index, budget = np.array(kind, np.int8)[order], np.array(index)[order], np.array(budget)[order]
-        schedules = Schedules(scenario, owners, lengths, kind, index, budget)
-        clean = np.array_equal(ordinal, step) and schedules.valid(scenario.objective)
-    if not clean:
-        _raise_bad_predictions(path, scenario)
+    _, rows, lines = _read_table(path, PREDICTIONS_HEADER)
+    width = _width_rule(rows, 5)
+    inst, ordinal, kind, name, budget = list(zip(*rows)) or [()] * 5
+    del rows
+    row = _lookup(scenario.runs.row, inst)
+    code = _lookup(STEP_KIND, kind)
+    ordinals = _numbers_repeated(ordinal, int)
+    budgets = _numbers_repeated(budget)
+    names = (scenario.runs.col, {g.name: j for j, g in enumerate(scenario.feature_groups)})
+    index = [None if k is None else names[k].get(t) for k, t in zip(code, name)]
+    if None in index:
+        index = [None if k is None else names[k].get(t.strip()) for k, t in zip(code, name)]
+    if width[0] is not None or None in row or None in code or ordinals is None or budgets is None or None in index:
+        _raise_first(path.name, lines, [
+            width,
+            ([r is None for r in row], lambda i: f"unknown instance {inst[i].strip()!r}"),
+            ([_number(t, int) is None for t in ordinal], lambda i: f"bad step ordinal {ordinal[i].strip()!r}"),
+            ([_number(t) is None for t in budget], lambda i: f"bad budget {budget[i].strip()!r}, expected a number"),
+            ([k is None for k in code], lambda i: f"unknown step kind {kind[i].strip()!r}"),
+            ([k is not None and j is None for k, j in zip(code, index)],
+             lambda i: f"unknown {('algorithm', 'feature group')[code[i]]} {name[i].strip()!r}"),
+        ])
+    # an ordinal outside 1..rows cannot be contiguous, and may not fit an intp
+    in_range = 1 <= min(ordinals, default=1) and max(ordinals, default=0) <= len(ordinals)
+    row = np.array(row, dtype=np.intp)
+    ordinal = np.array(ordinals if in_range else [o if 1 <= o <= len(ordinals) else 0 for o in ordinals], np.intp)
+    order = np.lexsort((ordinal, row))
+    owners, lengths = np.unique(row[order], return_counts=True)
+    # each schedule's steps are 1..m once sorted
+    step = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
+    kind, index, budget = np.array(code, np.int8)[order], np.array(index)[order], np.array(budgets)[order]
+    schedules = Schedules(scenario, owners, lengths, kind, index, budget)
+    faults = schedules.faults(scenario.objective)
+    if not np.array_equal(ordinal[order], step) or faults.any():
+        # the schedules in the order the file first names them, each at its last line
+        starts = schedules.starts[:-1]
+        by_file = np.argsort(np.minimum.reduceat(order, starts))
+        insts = [schedules.instances[p] for p in by_file]
+        steps = [sorted(ordinals[j] for j in span) for span in np.split(order, starts[1:])]
+
+        def invalid(q):
+            try:
+                validate_schedule(scenario, schedules[insts[q]])
+            except ValueError as exc:
+                return f"invalid schedule for {insts[q]!r}: {exc}"
+
+        _raise_first(path.name, [lines[j] for j in np.maximum.reduceat(order, starts)[by_file]], [
+            ([steps[p] != list(range(1, len(steps[p]) + 1)) for p in by_file],
+             lambda q: f"step ordinals for {insts[q]!r} are not contiguous from 1: {steps[by_file[q]]}"),
+            (faults[by_file], invalid),
+        ])
     if require_cover is not None:
         missing = [i for i in require_cover if i not in schedules]
         if missing:
             raise ParseError(path.name, 0, f"no schedule for test instances {missing[:5]!r}")
     return schedules
-
-
-def _raise_bad_predictions(path: Path, scenario: Scenario) -> None:
-    """Walk a prediction file row by row, then schedule by schedule, and
-    raise the ParseError of the first bad row or schedule."""
-    fname = path.name
-    inst_set = set(scenario.instances)
-    algo_set = set(scenario.algorithms)
-    group_set = {g.name for g in scenario.feature_groups}
-
-    staged: dict[str, list[tuple[int, object]]] = {}
-    lines: dict[str, int] = {}
-    _, rows, row_lines = _read_table(path, PREDICTIONS_HEADER)
-    for lineno, row in zip(row_lines, rows):
-        if len(row) != 5:
-            raise ParseError(fname, lineno, f"expected 5 columns, got {len(row)}")
-        inst, ordinal_text, kind, name, budget_text = (t.strip() for t in row)
-        if inst not in inst_set:
-            raise ParseError(fname, lineno, f"unknown instance {inst!r}")
-        try:
-            ordinal = int(ordinal_text)
-        except ValueError:
-            raise ParseError(fname, lineno, f"bad step ordinal {ordinal_text!r}") from None
-        budget = _parse_float(budget_text, fname, lineno, "budget")
-        if kind == "solver":
-            if name not in algo_set:
-                raise ParseError(fname, lineno, f"unknown algorithm {name!r}")
-            step = SolverStep(algorithm=name, budget=budget)
-        elif kind == "feature":
-            if name not in group_set:
-                raise ParseError(fname, lineno, f"unknown feature group {name!r}")
-            step = FeatureStep(group=name)
-        else:
-            raise ParseError(fname, lineno, f"unknown step kind {kind!r}")
-        staged.setdefault(inst, []).append((ordinal, step))
-        lines[inst] = lineno
-
-    for inst, steps in staged.items():
-        steps.sort(key=lambda pair: pair[0])
-        ordinals = [o for o, _ in steps]
-        if ordinals != list(range(1, len(steps) + 1)):
-            raise ParseError(
-                fname, lines[inst], f"step ordinals for {inst!r} are not contiguous from 1: {ordinals}"
-            )
-        try:
-            validate_schedule(scenario, tuple(step for _, step in steps))
-        except ValueError as exc:
-            raise ParseError(fname, lines[inst], f"invalid schedule for {inst!r}: {exc}") from None
-    raise RuntimeError(f"{fname}: a column check failed but every row passed")
 
 
 def write_predictions(schedules, scenario: Scenario, path) -> None:
@@ -717,22 +690,19 @@ def write_report_csv(reports, path) -> None:
 def read_report_csv(path):
     """Rows of (system, scenario, split, metric, value), blank and ``#`` lines
     skipped; a malformed header or row raises :class:`ParseError`."""
-    fname = Path(path).name
     _, rows, lines = _read_table(Path(path), REPORT_HEADER, comments=True)
-    out = []
-    for row, line in zip(rows, lines):
-        if len(row) != 5:
-            raise ParseError(fname, line, f"expected 5 columns, got {len(row)}")
-        system, scen, split_text, metric, value_text = row
-        try:
-            split = int(split_text)
-        except ValueError:
-            raise ParseError(fname, line, f"bad split id {split_text!r}") from None
-        value = _parse_float(value_text, fname, line, "value")
-        if not math.isfinite(value):
-            raise ParseError(fname, line, f"value {value_text!r} is not finite")
-        out.append((system, scen, split, metric, value))
-    return out
+    width = _width_rule(rows, 5)
+    system, scen, split, metric, value = list(zip(*rows)) or [()] * 5
+    ids, values = [_number(t, int) for t in split], [_number(t) for t in value]
+    finite = [v is not None and math.isfinite(v) for v in values]
+    if width[0] is not None or None in ids or not all(finite):
+        _raise_first(Path(path).name, lines, [
+            width,
+            ([x is None for x in ids], lambda i: f"bad split id {split[i]!r}"),
+            ([x is None for x in values], lambda i: f"bad value {value[i]!r}, expected a number"),
+            ([not f for f in finite], lambda i: f"value {value[i]!r} is not finite"),
+        ])
+    return list(zip(system, scen, ids, metric, values))
 
 
 def dump_json(obj, path) -> None:

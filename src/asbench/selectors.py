@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -61,6 +62,12 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            fraction = name == "presolve_budget_fraction"
+            kind, what = (numbers.Real, "a number") if fraction else (numbers.Integral, "an integer")
+            unset = value is None and name == "features_per_split"
+            if not (unset or isinstance(value, kind) and not isinstance(value, bool)):
+                raise TypeError(f"{name} must be {what}, got {value!r}")
         for name in ("n_trees", "min_leaf", "k_clusters", "sunny_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -606,12 +613,10 @@ def load_model(path) -> SelectorModel:
             algorithms=algorithms,
             feature_groups=_read(path, "feature_groups", tuple, doc["feature_groups"]),
             pre=pre,
-            sbs_algorithm=doc["sbs_algorithm"],
+            sbs_algorithm=_read(path, "sbs_algorithm", lambda v: _member(v, algorithms), doc["sbs_algorithm"]),
             payload=_read(path, "payload", lambda v: _payload(kind, v, d, k), doc["payload"]),
-            presolve=_read(path, "presolve", _presolve, doc["presolve"]),
-            hp=_read(
-                path, "hyperparameters", lambda v: Hyperparameters(**v), doc["hyperparameters"]
-            ),
+            presolve=_read(path, "presolve", lambda v: _presolve(v, algorithms), doc["presolve"]),
+            hp=_read(path, "hyperparameters", lambda v: Hyperparameters(**v), doc["hyperparameters"]),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: model document has no {exc.args[0]!r}") from None
@@ -726,5 +731,16 @@ def _check_forests(name, forests, d, n_classes=None, count=1) -> list[Forest]:
     return built
 
 
-def _presolve(doc) -> tuple[SolverStep, ...]:
-    return tuple(SolverStep(algorithm=a, budget=b) for a, b in doc)
+def _member(name, algorithms):
+    if name not in algorithms:
+        raise ValueError(f"{name!r} is not in the portfolio")
+    return name
+
+
+def _presolve(doc, algorithms) -> tuple[SolverStep, ...]:
+    """Presolve steps, each naming a portfolio algorithm with a finite budget above 0."""
+    steps = tuple(SolverStep(algorithm=_member(a, algorithms), budget=b) for a, b in doc)
+    for step in steps:
+        if type(step.budget) not in (int, float) or not 0 < step.budget < math.inf:
+            raise ValueError(f"{step} has no finite budget above 0")
+    return steps

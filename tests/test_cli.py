@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -312,6 +313,21 @@ class TestTrainPredictEvaluate:
         "algorithms-null": ("algorithms", None),
         "feature-groups-null": ("feature_groups", None),
         "payload-list": ("payload", [1, 2]),
+        # values prediction cannot use: a presolve step outside the portfolio
+        # or without a finite budget above 0, an SBS outside the portfolio, a
+        # hyperparameter of the wrong type (given as an edit of the fitted one)
+        "presolve-foreign-algorithm": ("presolve", [["nosuch", 5.0]]),
+        "presolve-foreign-negative": ("presolve", [["nosuch", -5.0]]),
+        "presolve-negative-budget": ("presolve", [["A0", -5.0]]),
+        "presolve-zero-budget": ("presolve", [["A0", 0]]),
+        "presolve-infinite-budget": ("presolve", [["A0", math.inf]]),
+        "presolve-nan-budget": ("presolve", [["A0", math.nan]]),
+        "presolve-string-budget": ("presolve", [["A0", "5.0"]]),
+        "sbs-foreign": ("sbs_algorithm", "nosuch"),
+        "sunny-k-float": ("hyperparameters", lambda hp: {**hp, "sunny_k": 2.5}),
+        "sunny-k-bool": ("hyperparameters", lambda hp: {**hp, "sunny_k": True}),
+        "seed-string": ("hyperparameters", lambda hp: {**hp, "seed": "0"}),
+        "fraction-bool": ("hyperparameters", lambda hp: {**hp, "presolve_budget_fraction": False}),
     }
 
     # a cluster payload field missing or not a numeric array: (payload update, field named)
@@ -357,7 +373,7 @@ class TestTrainPredictEvaluate:
             doc["preprocess"][name] = doc["preprocess"][name][:-1]
         else:
             field, value = self.WRONG_TYPES[edit]
-            doc[field] = value
+            doc[field] = value(doc[field]) if callable(value) else value
         model.write_text(json.dumps(doc))
         preds = tmp_path / "preds.csv"
         capsys.readouterr()

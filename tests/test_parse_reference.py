@@ -109,15 +109,17 @@ CORRUPTIONS = {
         "i0,a0,fast,ok",  # bad float
         "i0,a0,?,ok",
         "zz,zz,fast,done",  # several faults in one row: the first check wins
+        "i0,a0, fast ,ok",  # a padded bad value, quoted stripped
     ],
-    "features.csv": ["i0", "i0,1.0,2.0,3.0,4.0", "i0", " ,1.0", "i;0,1.0", "DUP", "i1,abc", "zz,?,x,1"],
-    "feature_costs.csv": ["zz,1.0", "DUP", "i0,cheap", "i0,1.0,cheap", "i0,1.0,2.0,3.0,4.0", "i0"],
+    "features.csv": ["i0", "i0,1.0,2.0,3.0,4.0", "i0", " ,1.0", "i;0,1.0", "DUP", "i1,abc", "zz,?,x,1", "i1, abc "],
+    "feature_costs.csv": ["zz,1.0", "DUP", "i0,cheap", "i0,1.0,cheap", "i0,1.0,2.0,3.0,4.0", "i0", "i0, cheap "],
     "splits.csv": [
         "x,custom,train,i0",  # bad split id
         "0,crossval,train,i0",  # bad mode
         "0,custom,valid,i0",  # bad role
         "0,custom,train,zz",  # unknown instance
         "0,MIXED,test,i0",  # the split's other mode
+        "00,MIXED,test,i0",  # the same, its split id written with a leading zero
         "0,custom,train",
         "1.5,custom,train,i0",
     ],
@@ -137,10 +139,11 @@ def _corrupt(files, draw):
         if not earlier:
             return files
         bad = lines[draw(st.sampled_from(earlier))]
-    if bad.startswith("0,MIXED"):
+    if ",MIXED," in bad:
         first = lines[body[0]].split(",")
         other = {"bootstrap": "custom"}.get(first[1].strip(), "bootstrap")
-        bad = f"{first[0]},{other},test,i0"
+        zero = "0" if bad.startswith("00") else ""  # 00 reads as split 0
+        bad = f"{zero}{first[0]},{other},test,i0"
     lines[j] = bad
     return {**files, name: "\n".join(lines)}
 
@@ -287,6 +290,29 @@ def test_duplicate_and_mixed_rows_name_their_lines(tmp_path):
         assert got[0] == "ParseError" and got[1][0] == name
         assert got[1][1] == len(original.splitlines()) + 1
         path.write_text(original)
+
+
+# Padded bad tokens (the cost and feature reasons quote them as written, the
+# runs reason stripped) and a split id written another way, each replacing
+# the second data row of the tutorial bundle: (file, row, reason).
+RAW_TOKEN_ROWS = [
+    ("feature_costs.csv", "i2, cheap ,1.0", "bad cost ' cheap ', expected a number"),
+    ("features.csv", "i2, abc ,1.0,2.0", "bad feature ' abc ', expected a number"),
+    ("runs.csv", "i1,A2, fast ,ok", "bad value 'fast', expected a number"),
+    ("splits.csv", "00,bootstrap,train,i2", "split 0 mixes modes"),
+]
+
+
+@pytest.mark.parametrize("name, bad, reason", RAW_TOKEN_ROWS)
+def test_padded_tokens_and_rewritten_split_ids_fail_like_the_row_parser(tmp_path, name, bad, reason):
+    write_scenario(tutorial_scenario(), tmp_path / "s")
+    path = tmp_path / "s" / name
+    lines = path.read_text().splitlines()
+    lines[2] = bad
+    path.write_text("\n".join(lines) + "\n")
+    got = _outcome(parse_scenario, tmp_path / "s", True)
+    assert got == _outcome(oracle_parse_scenario, tmp_path / "s", True)
+    assert got == ("ParseError", (name, 3, reason))
 
 
 @SETTINGS

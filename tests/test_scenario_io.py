@@ -274,6 +274,62 @@ class TestPredictions:
             parse_predictions(path, tutorial)
 
 
+class TestEachFileReadOnce:
+    """A malformed file is judged from the one read that parses it."""
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        import asbench.scenario_io as scenario_io
+
+        reads = []
+        real_read_table = scenario_io._read_table
+
+        def read_table(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return real_read_table(path, *args, **kwargs)
+
+        monkeypatch.setattr(scenario_io, "_read_table", read_table)
+        return reads
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("features.csv", "i2,abc,1.0,2.0"),
+            ("runs.csv", "i1,A2,fast,ok"),
+            ("feature_costs.csv", "i2,cheap,1.0"),
+            ("splits.csv", "0,custom,train,zz"),
+        ],
+    )
+    def test_malformed_bundle(self, tmp_path, tutorial, monkeypatch, name, bad):
+        write_scenario(tutorial, tmp_path / "s")
+        path = tmp_path / "s" / name
+        lines = path.read_text().splitlines()
+        lines[2] = bad
+        path.write_text("\n".join(lines) + "\n")
+        reads = self._count_reads(monkeypatch)
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(tmp_path / "s")
+        assert (exc.value.file, exc.value.line) == (name, 3)
+        assert reads.count(name) == 1 and len(reads) == len(set(reads))
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            (["i1,1,solver,A1,10.0", "i2,1,solver,Z,10.0"], "unknown algorithm"),
+            (["i1,1,solver,A1,10.0", "i2,3,solver,A2,10.0"], "not contiguous"),
+        ],
+        ids=["bad-row", "bad-schedule"],
+    )
+    def test_malformed_prediction_file(self, tmp_path, tutorial, monkeypatch, rows, reason):
+        path = tmp_path / "pred.csv"
+        path.write_text("\n".join(["instance_id,step,kind,name,budget", *rows]) + "\n")
+        reads = self._count_reads(monkeypatch)
+        with pytest.raises(ParseError, match=reason) as exc:
+            parse_predictions(path, tutorial)
+        assert exc.value.line == 3
+        assert reads == ["pred.csv"]
+
+
 # names may hold anything a CSV field can but a line break
 NAMES = st.text(alphabet=st.sampled_from('ab #,"\'\té'), max_size=5)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -328,6 +384,22 @@ class TestReports:
         path.write_text(f"system,scenario,split,metric,value\n\n# c\ns,x,0,par10,{value}\n")
         with pytest.raises(ParseError, match=r"^r\.csv:4: "):
             read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("s,x,0,par10", "expected 5 columns, got 4"),
+            ("s,x,zero,par10,abc", "bad split id 'zero'"),  # the first rule of the row wins
+            ("s,x,0,par10, abc ", "bad value ' abc ', expected a number"),
+            ("s,x,0,par10,inf", "value 'inf' is not finite"),
+        ],
+    )
+    def test_first_bad_row_is_named(self, tmp_path, bad, reason):
+        path = tmp_path / "r.csv"
+        path.write_text(f"system,scenario,split,metric,value\ns,x,0,par10,1.0\n# c\n{bad}\ns,x,x,par10,x\n")
+        with pytest.raises(ParseError) as exc:
+            read_report_csv(path)
+        assert (exc.value.file, exc.value.line, exc.value.reason) == ("r.csv", 4, reason)
 
 
 class TestGenerateSplits:

@@ -110,6 +110,19 @@ class TestHyperparameters:
         with pytest.raises(ValueError):
             Hyperparameters(presolve_budget_fraction=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sunny_k", 2.5), ("sunny_k", True), ("seed", "0"), ("features_per_split", 2.0),
+         ("n_trees", None), ("presolve_budget_fraction", False), ("presolve_budget_fraction", "0.1")],
+    )
+    def test_rejects_values_of_the_wrong_type(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            Hyperparameters(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        hp = Hyperparameters(n_trees=np.int64(3), presolve_budget_fraction=np.float64(0.2))
+        assert (hp.n_trees, hp.presolve_budget_fraction) == (3, 0.2)
+
 
 class TestRegression:
     def test_dominant_algorithm_selected_everywhere(self):
