@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -419,21 +420,17 @@ class KNN:
     def neighbors(self, Q: np.ndarray) -> np.ndarray:
         """The (m, k) indices of the nearest training rows of each query row,
         nearest first: per row, the first k of a stable argsort of its squared
-        distances (inf and NaN last). Distance rows fill a block of at most
-        ``_KNN_CELLS`` cells; every index at or below its row's k-th smallest
-        distance is a candidate (more than k only on ties there), and one
-        lexsort by (row, distance, index) orders the block's candidates.
+        distances (inf and NaN last). One ``cdist`` call fills a block of at
+        most ``_KNN_CELLS`` distance cells; every index at or below its row's
+        k-th smallest distance is a candidate (more than k only on ties there),
+        and one lexsort by (row, distance, index) orders the block's candidates.
         """
         n, m = self.X.shape[0], len(Q)
         k = min(self.k, n)
         rows = max(1, _KNN_CELLS // n)
-        dist = np.empty((min(rows, m), n))
         out = np.empty((m, k), dtype=np.int64)
         for start in range(0, m, rows):
-            block = dist[: min(rows, m - start)]
-            for r, q in enumerate(Q[start : start + len(block)]):
-                d = self.X - q
-                block[r] = np.einsum("ij,ij->i", d, d)
+            block = cdist(Q[start : start + rows], self.X, "sqeuclidean")
             kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
             row, col = np.nonzero((block <= kth) | np.isnan(kth))
             order = np.lexsort((col, block[row, col], row))
@@ -451,11 +448,8 @@ class KMeans:
     centroids: np.ndarray
 
     def assign(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.centroids.shape[1] == 0:
-            return np.zeros(X.shape[0], dtype=np.int64)
-        d = ((X[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d, axis=1)
+        """Each row's nearest centroid by squared distance: the first on a tie, or the first NaN."""
+        return np.argmin(cdist(X, self.centroids, "sqeuclidean"), axis=1)
 
 
 def fit_kmeans(X, k, rng) -> KMeans:

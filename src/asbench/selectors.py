@@ -20,6 +20,7 @@ parameters, seed), and serialize to a versioned JSON artifact.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -42,7 +43,8 @@ _S_REGRESSION, _S_PAIRWISE, _S_CLUSTER, _S_STACK_L1, _S_STACK_L2, _S_FOLDS = ran
 _ALL_ROWS = slice(None)
 
 MODEL_FORMAT = "asbench-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
+_BLOCK_DTYPES = ("<f8", "<i8", "|b1")  # the dtypes a model's array blocks hold: float64, int64, bool
 
 
 @dataclass(frozen=True)
@@ -540,36 +542,39 @@ def fit_system(
 
 
 def _encode(obj):
-    """JSON-ready form of a payload: arrays, tuples and containers become
-    lists (booleans 0/1), a forest a dict of its class count and arrays."""
+    """JSON-ready form of a payload: an array becomes a block of its dtype (``_BLOCK_DTYPES``),
+    shape and base64 bytes, a forest a dict of its class count and arrays; containers recurse."""
     if isinstance(obj, np.ndarray):
-        return (obj.astype(np.int64) if obj.dtype == bool else obj).tolist()
+        dtype = obj.dtype.newbyteorder("<").str
+        if dtype not in _BLOCK_DTYPES:
+            raise TypeError(f"cannot store a {obj.dtype} array")
+        data = base64.b64encode(obj.astype(dtype).tobytes()).decode()
+        return {"array": dtype, "shape": list(obj.shape), "data": data}
     if isinstance(obj, Forest):
-        arrays = {name: a.tolist() for name, a in vars(obj).items() if isinstance(a, np.ndarray)}
+        arrays = {name: _encode(a) for name, a in vars(obj).items() if isinstance(a, np.ndarray)}
         return {"n_classes": obj.n_classes, **arrays}
     if isinstance(obj, dict):
         return {key: _encode(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
-    if isinstance(obj, bool):
-        return int(obj)
     return obj
 
 
 def _decode(obj):
-    """Inverse of :func:`_encode`, except that forests stay dicts for :func:`_check_forests`
-    to build; a list numpy reads as an int or float array is that array; containers recurse."""
-    if isinstance(obj, dict):
-        return {key: _decode(value) for key, value in obj.items()}
+    """Inverse of :func:`_encode`, except that forests stay dicts for :func:`_check_forests` to
+    build. A block decodes read-only, refused unless its dtype is in ``_BLOCK_DTYPES``, its shape
+    integers >= 0 and its ``data`` strict base64 of prod(shape) items (as ``reshape`` checks)."""
     if isinstance(obj, list):
-        try:
-            array = np.asarray(obj)
-            if array.dtype.kind in "if":
-                return array
-        except ValueError:  # ragged
-            pass
         return [_decode(v) for v in obj]
-    return obj
+    if not isinstance(obj, dict):
+        return obj
+    if "array" not in obj:
+        return {key: _decode(value) for key, value in obj.items()}
+    if set(obj) != {"array", "shape", "data"} or obj["array"] not in _BLOCK_DTYPES:
+        raise ValueError(f"array block of keys {sorted(obj)} and dtype {obj['array']!r}: not {_BLOCK_DTYPES}")
+    if not isinstance(obj["shape"], list) or not all(type(s) is int and s >= 0 for s in obj["shape"]):
+        raise ValueError(f"array shape {obj['shape']!r} is not a list of integers >= 0")
+    return np.frombuffer(base64.b64decode(obj["data"], validate=True), obj["array"]).reshape(obj["shape"])
 
 
 def save_model(model: SelectorModel, path) -> None:
@@ -642,7 +647,7 @@ def _preprocess(doc) -> Preprocess:
 
 # What a payload field must decode to, and the check of it.
 _FIELD_TYPES = {
-    "a numeric array": lambda v: isinstance(v, np.ndarray),
+    "an array": lambda v: isinstance(v, np.ndarray),
     "a forest": lambda v: isinstance(v, dict),
     "a list of forests": lambda v: isinstance(v, list) and all(isinstance(f, dict) for f in v),
 }
@@ -664,10 +669,12 @@ def _payload(kind, doc, d, k) -> dict:
     range (a tree's walk, a feature column, an algorithm)."""
     if not isinstance(doc, dict):
         raise TypeError(f"expected an object, got {type(doc).__name__}")
-    p = _decode(doc)
+    p = {}
     for name, expected in _PAYLOAD_FIELDS[kind].items():
-        if name not in p:
-            raise ValueError(f"no {name!r}")
+        try:
+            p[name] = _decode(doc.get(name))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name!r}: {exc}") from None
         if not _FIELD_TYPES[expected](p[name]):
             raise ValueError(f"{name!r} is not {expected}")
     if kind in ("regression", "stacking"):  # one regressor per algorithm
@@ -678,30 +685,29 @@ def _payload(kind, doc, d, k) -> dict:
         p["forests"] = _check_forests("forests", p["forests"], d, n_classes=2, count=k * (k - 1) // 2)
         _check_shape("mean_costs", p["mean_costs"], (k,))
     if kind == "cluster":
-        c = len(p["centroids"])
-        _check_shape("centroids", p["centroids"], (c, d))
-        _check_shape("champions", p["champions"], (c,), integer=True)
+        c = p["centroids"].shape[:1]
+        _check_shape("centroids", p["centroids"], (*c, d))
+        _check_shape("champions", p["champions"], c, np.int64)
         if not ((0 <= p["champions"]) & (p["champions"] < k)).all():
             raise ValueError(f"'champions' names an algorithm outside [0, {k})")
     if kind == "sunny":
-        n = len(p["X"])
-        for name, shape in (("X", (n, d)), ("costs", (n, k)), ("solved", (n, k))):
-            _check_shape(name, p[name], shape)
-        p["solved"] = p["solved"] != 0  # saved as 0/1
+        n = p["X"].shape[:1]
+        for name, shape, dtype in (("X", (*n, d), float), ("costs", (*n, k), float), ("solved", (*n, k), bool)):
+            _check_shape(name, p[name], shape, dtype)
     return p
 
 
-def _check_shape(name, array, shape, integer=False) -> None:
-    if array.shape != shape or integer and array.dtype.kind != "i":
-        raise ValueError(f"{name!r} is not {'an integer' if integer else 'a numeric'} array of shape {shape}")
+def _check_shape(name, array, shape, dtype=np.float64) -> None:
+    if array.shape != shape or array.dtype != dtype or shape[:1] == (0,):
+        raise ValueError(f"{name!r} is not an array of {np.dtype(dtype)} of shape {shape} with at least one row")
 
 
 def _check_forests(name, forests, d, n_classes=None, count=1) -> list[Forest]:
     """The ``count`` decoded ``forests``, built once no walk could leave its
     tree or run forever: each holds ``n_classes`` and exactly the arrays of a
-    :class:`Forest`, of one node count n, with integer ids; its ``roots`` rise
-    from 0 below n, its features lie in [-1, ``d``), and each split's
-    children come after it in its tree."""
+    :class:`Forest`, of one node count n, with integer ids and float values;
+    its ``roots`` rise from 0 below n, its features lie in [-1, ``d``), and
+    each split's children come after it in its tree."""
     leaf = "value" if n_classes is None else "dist"
     fields = ("roots", "feature", "left", "right", "threshold", leaf)
     if len(forests) != count:
@@ -712,10 +718,10 @@ def _check_forests(name, forests, d, n_classes=None, count=1) -> list[Forest]:
             raise ValueError(f"{name!r} holds a forest not of {n_classes} classes with arrays {fields}")
         roots, feature, left, right, threshold, payload = (f[field] for field in fields)
         nodes, n = (feature, left, right, threshold, payload), np.size(feature)
-        typed = all(isinstance(a, np.ndarray) for a in nodes) and all(a.dtype.kind == "i" for a in nodes[:3])
+        typed = all(isinstance(a, np.ndarray) for a in nodes) and [a.dtype.kind for a in nodes] == list("iiiff")
         shapes = [(n,)] * 4 + [(n,) if n_classes is None else (n, n_classes)]
         if not typed or [a.shape for a in nodes] != shapes:
-            raise ValueError(f"{name!r} holds forest arrays that are not numeric, of one length, with integer ids")
+            raise ValueError(f"{name!r} holds forest arrays not of one length, with integer ids and float values")
         int_list = isinstance(roots, np.ndarray) and roots.dtype.kind == "i" and roots.ndim == 1 and roots.size
         if not int_list or roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n:
             raise ValueError(f"{name!r} holds a forest whose roots are not integers rising from 0 below {n}")

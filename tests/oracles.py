@@ -44,7 +44,6 @@ from asbench.scenario_io import (
     _check_id,
     _parse_description,
     _parse_float,
-    _read_table,
 )
 from asbench.selectors import _S_FOLDS, _S_PAIRWISE, _S_REGRESSION, _S_STACK_L1, _S_STACK_L2
 
@@ -505,6 +504,16 @@ def oracle_knn_neighbors(X, k, x):
     d = X - np.asarray(x, dtype=np.float64)
     dist = np.einsum("ij,ij->i", d, d) if X.shape[1] else np.zeros(X.shape[0])
     return np.argsort(dist, kind="stable")[:k]
+
+
+def oracle_kmeans_assign(centroids, X):
+    """Each row's nearest centroid by the (n x k x d) broadcast:
+    ``KMeans.assign`` before one ``cdist`` call gave its distances."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if centroids.shape[1] == 0:
+        return np.zeros(X.shape[0], dtype=np.int64)
+    d = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d, axis=1)
 
 
 def oracle_predict(model, scenario, instance):
@@ -991,8 +1000,7 @@ def oracle_parse_predictions(path, scenario: Scenario, require_cover=None):
 
     staged: dict[str, list[tuple[int, object]]] = {}
     lines: dict[str, int] = {}
-    _, rows, row_lines = _read_table(Path(path), PREDICTIONS_HEADER)
-    for lineno, row in zip(row_lines, rows):
+    for lineno, row in itertools.islice(_oracle_read_csv(Path(path), PREDICTIONS_HEADER), 1, None):
         if len(row) != 5:
             raise ParseError(fname, lineno, f"expected 5 columns, got {len(row)}")
         inst, ordinal_text, kind, name, budget_text = (t.strip() for t in row)

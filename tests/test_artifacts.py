@@ -14,9 +14,10 @@ Two small generated bundles go through the real command-line entry point:
 
 The chain's compare covers one scenario, where no critical-distance
 analysis applies, so ``compare_cd.json`` pins the ``{"applies": false,
-"reason": ...}`` document. The model documents are version 3: each forest
+"reason": ...}`` document. The model documents are version 4: each forest
 one object of packed node arrays, pairwise forests in pair order with no
-stored pair indices, and no ``mean_costs`` in the sunny payload.
+stored pair indices, no ``mean_costs`` in the sunny payload, and every
+array a typed block of its dtype, shape and base64 bytes.
 
 The sha256 of every output file, and of the scenario bundles themselves,
 must match the pinned values. A refactor or speedup that changes any of
@@ -43,7 +44,7 @@ from gen import learnable_scenario, random_scenario
 EXPECTED = {
     "out/cluster.csv": "09c4f575e08cf80738a2985b91ba84a2f2f1a6b509a63e487bdd4454484a561a",
     "out/cluster.json": "5446aedff634cddec9f1263d3a4e6feb3bd9880f75c87662014a9fdd071b9b6c",
-    "out/cluster_model.json": "9108ec2782d60363f9f9b2ca2477f66b565835ace6693ebe4e9758c5873d69d6",
+    "out/cluster_model.json": "e759fca225114b31ca0df54038f8d6c6dc237c2f130227e448679b08aad53be5",
     "out/cluster_preds.csv": "6428f461221dc862f4c5fcd3c98aa27570906edb1112f891ac92689d1cb169a2",
     "out/compare.json": "8c613a6440708360993c9fd9a74a40ba7c53257d5c74bcc4d8b6d06a26bc8218",
     "out/compare_cd.json": "fbd02e070e19cf76ff1e2e59d144d4f5aa5cc840fcca57f7a212c574d7557fa3",
@@ -51,40 +52,40 @@ EXPECTED = {
     "out/compare_scores.csv": "845d27e4a067ab7b9fc7795679a2f1cb8eea3a79b683df43dbe3b6050a5b6ed9",
     "out/pairwise.csv": "c02fa5a46fb75e7d31b1fafcca04b3fe5b659c2bcbfb5174bf94f00c115615de",
     "out/pairwise.json": "b7c3059218edab946b5d8041d944a2c3e02b489fc745ffe31e468557cdb2ebe4",
-    "out/pairwise_knobs_model.json": "79efdc3ad550b9382072f9bac8de3a2a257fbe104b25d91b14c34c5244405810",
+    "out/pairwise_knobs_model.json": "efec868ced80d880804d44ef7bd7695b1a742ece7b0bc8d6f57fc36de42dbefc",
     "out/pairwise_knobs_preds.csv": "621f24cb3a71dda444d46af438b681fc4a3255793d234a1c5c2d02e75508c9a4",
-    "out/pairwise_model.json": "33a2be783e4661d0e5961937247bcc1a060d10eb51ee01ad72d002c37026cb4d",
+    "out/pairwise_model.json": "2bd77f963bd3972998bfea2da251b58e68dbf917694368cd7d5997f8a1547d75",
     "out/pairwise_preds.csv": "97c330c82d42111216531626f4aaab2f4da408003363a44f6993275e3f4873aa",
     "out/quality_baselines.json": "a445a0b3977bb69c95191c5cd178013192fb9b37373bdd3d1258d08fede76fc7",
-    "out/quality_model.json": "3ccb2269ce03027b18021e677ed194c01c52c2bade620c4b369c72c495ed8578",
+    "out/quality_model.json": "56c6f3a3019c134ddd948b9c36e0ccd8cb5bb9743452d9b19b969cceac903f4e",
     "out/quality_preds.csv": "023748d01556b18886c500f88b0d446ed1a7c7dcffa0417a824a3d72e1f18d1a",
     "out/quality_report.csv": "bee51d187e6fdc5a04b769e73e7c21a54c061e6326561750e83b479b043820c1",
     "out/quality_report.json": "baed87bcc6aa624734698424d30a0280ea51debb590a9328a70a3b740758cc8f",
     "out/regression.csv": "902e11ebdad2625b0b5ad07367ca24c51bbd344e21335fd6648723074bcf410c",
     "out/regression.json": "8a4461d4c8aa75d3ae7189174a0a32344531ee934003749530604ff432c0a38f",
-    "out/regression_knobs_model.json": "bd8999c0ffa4a3182184868b5622d5733c5241870509e0dbcf9a44fe6af80421",
+    "out/regression_knobs_model.json": "70b9519316a6995f9b74a9775eb1a812b8f13c477c36d6f49a6cc9b978a525b7",
     "out/regression_knobs_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
-    "out/regression_model.json": "fbd7aae301b15ad1e04f22f80e4e351623601d49d0144fb45631e8695c668f4e",
+    "out/regression_model.json": "01b2694b57337cf3ba697aa718f7c81dc2e437551051a2cdee85c40d904f908f",
     "out/regression_preds.csv": "fc64231fbaccd1480910f5c4efe4daa86faf8932ee9ebf5233b5749c6db3173b",
     "out/regression12.csv": "7f146dc603f85b946e5befb112c52b231000413cb012825171b17aad06230e85",
     "out/regression12.json": "0a90f0194a6fe88da532d7b9b2dbd4ad49911fa264533ccabfdc8ea2d00805af",
-    "out/regression12_model.json": "257f25454990bdd3ed9b7be4c1ca4237b57922bd77965c5c28c5021d09480398",
+    "out/regression12_model.json": "f234a1c918f5a9ebfbf6b4eeed5440f2ca250bed863e46339ff5ea0b2a0e8bdf",
     "out/regression12_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
     "out/runtime_baselines.json": "4b251174752b5900eb2fea87a07324273224026b52d39b20c93ce3562cf742eb",
     "out/stacking.csv": "fa5929207c0a35d0a2d65d9374c8e532e9fe18f1d479af6b1aca6459b5a8306a",
     "out/stacking.json": "e529aa7775c99b82e35e818b63274c754e49576b2f3b8ae77992703c3aa4adfc",
-    "out/stacking_model.json": "abf1ac803ff53222a6c9e65a626d739ac91f97ac7450ecb0b54c76b567cfd857",
+    "out/stacking_model.json": "298d0f2f0c087ef9eef325b3e0ba79f1b0840bea55b183e9965214a7d1c5ee79",
     "out/stacking_preds.csv": "7fb03d3f8c329ef3cd1a10a38ddffac88a7b4b28b4454da4be1216702a19fa8b",
     "out/stacking12.csv": "40b95187818b7ab24baf947d9ce62442354b5f50590d97eaf43ae7dd33d90540",
     "out/stacking12.json": "2a78f06bbdcce7b04a5c5178e89f8f1f47fca6b4b654971e5b55efa8438ddced",
-    "out/stacking12_model.json": "7c1739cb1ab5b9da40494c3fade3dbadf3b7cb37a8a9efd2290db8116bb56c89",
+    "out/stacking12_model.json": "8ec2b9d37a4658e92bebb30bf59fadb487cc7d0ee8762562134afd6cb367e6ae",
     "out/stacking12_preds.csv": "415b11e0c45af0bc02a91bfebd7c273ce1c3b2254ad9a3825a8f8a1991edc1a7",
     "out/study.json": "85e70eedda3b35d66da57dd3f4df504c656e624aadcbaf02e29ac55a3b0e18b5",
     "out/study_ecdf.csv": "900eb8a0473e99a0931de54bdf3504d701c13097cad50de14d9cc0684903c67e",
     "out/study_samples.csv": "30aa43ea7c7ea3d198f6d7029bee84bfd3a50f6c0ca632caded727d13ee615cd",
     "out/sunny.csv": "1da16486f71656691e5e9c38711ca632d6960f8c226169ac7ebaf6cf04605c34",
     "out/sunny.json": "751136e605323ed128565fc1d1d934f9655479556408505c263b0f7473669722",
-    "out/sunny_model.json": "8ab9ab976f34b54dd2b0858245de7a73d6daab89bc2b2b24eafcfe9e63fb5da8",
+    "out/sunny_model.json": "09141fa732b97b566f2bc70c9542c3deccdf75624e35fe92aa4ec2781ef2564a",
     "out/sunny_preds.csv": "5e82fdfcdf030d4a41ea164f37048ab4a0c894824d9aec3eceea130904be814c",
     "quality/description.txt": "6eea6d95e2f8036bd640688a7b7218c9aa2b967c06cde46433aa8ae21eb3a336",
     "quality/features.csv": "b2b29f1ce7f1347c90c6977ed8be52566cf1443169de52e68f0cc420586e05ea",
@@ -166,7 +167,7 @@ def run_chain(root: Path) -> dict[str, str]:
 
 
 def test_chain_outputs_are_byte_identical(tmp_path):
-    assert MODEL_VERSION == 3  # the version the pinned digests were recorded at
+    assert MODEL_VERSION == 4  # the version the pinned digests were recorded at
     got = run_chain(tmp_path)
     # the chain must exercise the presolver, or its digests would say nothing about it
     presolve = json.loads((tmp_path / "out" / "regression_model.json").read_text())["presolve"]

@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from asbench import parse_predictions, parse_scenario, sbs, write_scenario
+from asbench import parse_predictions, parse_scenario, sbs, selectors, write_scenario
 from asbench.cli import _atomic_write, main
 from asbench.selectors import Hyperparameters
 
@@ -28,16 +29,24 @@ def run_cli(*argv):
 
 def _array_edit(forests, field, edit):
     """A copy of encoded ``forests`` whose first forest has ``edit`` applied
-    to the list of its ``field``."""
+    to the decoded array of its ``field``, written back through the codec."""
     forests = copy.deepcopy(forests)
-    forests[0][field] = edit(forests[0][field])
+    forests[0][field] = selectors._encode(edit(selectors._decode(forests[0][field])))
     return forests
 
 
 def _root_edit(forests, field, value):
     """A copy of encoded ``forests`` with the first tree's root ``field`` set
     to ``value``: node 0 of the first forest."""
-    return _array_edit(forests, field, lambda a: [value, *a[1:]])
+    return _array_edit(forests, field, lambda a: np.concatenate([[value], a[1:]]))
+
+
+def _block_edit(forests, field, **block):
+    """A copy of encoded ``forests`` whose first forest's ``field`` block has
+    the entries ``block`` in place of its own."""
+    forests = copy.deepcopy(forests)
+    forests[0][field] = {**forests[0][field], **block}
+    return forests
 
 
 class TestValidate:
@@ -330,14 +339,18 @@ class TestTrainPredictEvaluate:
         "fraction-bool": ("hyperparameters", lambda hp: {**hp, "presolve_budget_fraction": False}),
     }
 
-    # a cluster payload field missing or not a numeric array: (payload update, field named)
+    # a cluster payload field missing or not an array: (payload update, field named)
     PAYLOAD_HOLES = {
         "payload-empty": (None, "centroids"),
         "champions-string": ({"champions": "0"}, "champions"),
         "centroids-strings": ({"centroids": [["x"]]}, "centroids"),
         # one champion per cluster, naming no algorithm of the 3
-        "champions-negative": ({"champions": [-1] * Hyperparameters().k_clusters}, "champions"),
-        "champion-past-portfolio": ({"champions": [7] * Hyperparameters().k_clusters}, "champions"),
+        "champions-negative": (
+            {"champions": selectors._encode(np.full(Hyperparameters().k_clusters, -1))}, "champions"
+        ),
+        "champion-past-portfolio": (
+            {"champions": selectors._encode(np.full(Hyperparameters().k_clusters, 7))}, "champions"
+        ),
     }
 
     # a preprocess list one entry shorter than the others: (list shortened)
@@ -346,7 +359,7 @@ class TestTrainPredictEvaluate:
     @pytest.mark.parametrize(
         "edit",
         [
-            "no-payload", "renamed-portfolio", "no-medians", "version-1", "version-2",
+            "no-payload", "renamed-portfolio", "no-medians", "version-1", "version-2", "version-3",
             *WRONG_TYPES, *PAYLOAD_HOLES, *SHORT_PREPROCESS,
         ],
     )
@@ -399,7 +412,7 @@ class TestTrainPredictEvaluate:
         "stacking-combiner-treeless": ("stacking", lambda p: {"combiner": {"n_classes": 3}}, "combiner"),
         "regression-forests-of-no-trees": (
             "regression",
-            lambda p: {"forests": [{**f, "roots": []} for f in p["forests"]]},
+            lambda p: {"forests": [{**f, "roots": selectors._encode(np.zeros(0, np.int64))} for f in p["forests"]]},
             "forests",
         ),
         "pairwise-forest-missing": ("pairwise", lambda p: {"forests": p["forests"][:-1]}, "forests"),
@@ -412,19 +425,19 @@ class TestTrainPredictEvaluate:
         ),
         "regression-roots-not-rising": (
             "regression",
-            lambda p: {"forests": _array_edit(p["forests"], "roots", lambda a: [0, *a])},
+            lambda p: {"forests": _array_edit(p["forests"], "roots", lambda a: np.concatenate([[0], a]))},
             "forests",
         ),
         "regression-roots-reach-node-count": (
             "regression",
             lambda p: {"forests": _array_edit(
-                p["forests"], "roots", lambda a: [*a, len(p["forests"][0]["feature"])]
+                p["forests"], "roots", lambda a: np.append(a, p["forests"][0]["feature"]["shape"][0])
             )},
             "forests",
         ),
         "regression-float-roots": (
             "regression",
-            lambda p: {"forests": _array_edit(p["forests"], "roots", lambda a: [float(x) for x in a])},
+            lambda p: {"forests": _array_edit(p["forests"], "roots", lambda a: a.astype(float))},
             "forests",
         ),
         # indices prediction would follow out of range, or a walk that never ends
@@ -450,13 +463,50 @@ class TestTrainPredictEvaluate:
         ),
         "regression-float-feature-ids": (
             "regression",
-            lambda p: {"forests": _array_edit(p["forests"], "feature", lambda a: [float(x) for x in a])},
+            lambda p: {"forests": _array_edit(p["forests"], "feature", lambda a: a.astype(float))},
+            "forests",
+        ),
+        # thresholds or leaves that are not floats
+        "regression-bool-thresholds": (
+            "regression",
+            lambda p: {"forests": _array_edit(p["forests"], "threshold", lambda a: a > 0)},
+            "forests",
+        ),
+        "pairwise-integer-leaves": (
+            "pairwise",
+            lambda p: {"forests": _array_edit(p["forests"], "dist", lambda a: a.astype(np.int64))},
             "forests",
         ),
         "stacking-combiner-reads-past-level-1": (
             "stacking",
             lambda p: {"combiner": _root_edit([p["combiner"]], "feature", 3)[0]},
             "combiner",
+        ),
+        # array blocks the codec refuses: another dtype, data that does not
+        # fill the shape, data that is not base64, a negative shape entry
+        "regression-unknown-dtype": (
+            "regression",
+            lambda p: {"forests": _block_edit(p["forests"], "roots", array="<i4")},
+            "forests",
+        ),
+        "regression-data-short-of-shape": (
+            "regression",
+            lambda p: {"forests": _block_edit(
+                p["forests"], "threshold", data=selectors._encode(np.zeros(1))["data"]
+            )},
+            "forests",
+        ),
+        "regression-data-not-base64": (
+            "regression",
+            lambda p: {"forests": _block_edit(
+                p["forests"], "threshold", data="*" + p["forests"][0]["threshold"]["data"][1:]
+            )},
+            "forests",
+        ),
+        "regression-negative-shape": (
+            "regression",
+            lambda p: {"forests": _block_edit(p["forests"], "roots", shape=[-1, -2])},
+            "forests",
         ),
     }
 

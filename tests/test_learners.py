@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from asbench import learners, selectors
-from asbench.learners import KNN, Forest, _join, fit_forest, fit_forests, fit_kmeans, rng_stream
+from asbench.learners import KNN, Forest, KMeans, _join, fit_forest, fit_forests, fit_kmeans, rng_stream
 from asbench.selectors import (
     Hyperparameters,
     Preprocess,
@@ -25,6 +26,7 @@ from asbench.selectors import (
 from oracles import (
     grow_tree,
     oracle_grow_tree,
+    oracle_kmeans_assign,
     oracle_knn_neighbors,
     oracle_pairwise_classifiers,
     oracle_regression_forests,
@@ -489,6 +491,64 @@ def test_knn_matches_the_per_query_argsort(case, cells):
         want = [oracle_knn_neighbors(X, k, q).tolist() for q in Q]
     assert got.shape == (len(Q), min(k, len(X)))
     assert got.tolist() == want
+
+
+@st.composite
+def kmeans_cases(draw):
+    """Rows and centroids drawn, with repeats, from a few distinct points of
+    a coarse grid each, so that distances tie and sum exactly in any order; a
+    few coordinates are NaN, infinite or huge (their squares overflow to
+    inf). Up to 10 columns, past the 8 at which numpy's sum pairs terms."""
+    d = draw(st.integers(0, 10))
+    cell = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0])
+    X, C = [], []
+    for rows in (X, C):
+        distinct = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=6))
+        for _ in range(draw(st.integers(0, 2)) if d else 0):
+            point = draw(st.sampled_from(distinct))
+            point[draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200]))
+        rows += draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=12))
+    X, C = (np.array(rows).reshape(len(rows), d) for rows in (X, C))
+    return X[: draw(st.integers(0, len(X)))], C
+
+
+@SETTINGS
+@given(case=kmeans_cases())
+@example(case=(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 0.0], [1.0, 1.0]])))  # ties
+@example(case=(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0], [1.0, 1.0]])))  # nearer in squares only
+@example(case=(np.array([[np.nan, 0.0], [np.inf, 0.0]]), np.array([[0.0, 0.0], [np.inf, 0.0]])))
+@example(case=(np.zeros((3, 0)), np.zeros((2, 0))))  # d = 0
+def test_kmeans_assign_matches_the_broadcast(case):
+    X, C = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = KMeans(C).assign(X)
+        want = oracle_kmeans_assign(C, X)
+    assert got.tolist() == want.tolist()
+
+
+@st.composite
+def distance_cases(draw):
+    """Row and centroid matrices of finite floats of any scale, up to 12 columns."""
+    d = draw(st.integers(0, 12))
+    value = st.floats(-1e100, 1e100, allow_nan=False)
+    rows = st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=8)
+    return tuple(np.array(r, dtype=np.float64).reshape(len(r), d) for r in (draw(rows), draw(rows)))
+
+
+@SETTINGS
+@given(case=distance_cases())
+def test_cdist_distances_lie_within_a_few_ulps_of_the_oracles(case):
+    """``cdist`` adds a pair's squared differences in column order; the
+    oracles' broadcast (``oracle_kmeans_assign``) and per-row einsum
+    (``oracle_knn_neighbors``) add the same terms in other orders. Terms are
+    never negative, so each sum lies within d - 1 rounding steps of the exact
+    one, and any two within 2d ulps of each other."""
+    Q, X = case
+    got = cdist(Q, X, "sqeuclidean")
+    broadcast = ((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    per_row = np.array([np.einsum("ij,ij->i", X - q, X - q) for q in Q]).reshape(got.shape)
+    for want in (broadcast, per_row):
+        np.testing.assert_array_max_ulp(got, want, maxulp=max(1, 2 * Q.shape[1]))
 
 
 class TestKMeans:

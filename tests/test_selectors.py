@@ -20,13 +20,14 @@ from asbench import (
     predict,
     predict_batch,
     save_model,
+    selectors,
     simulate,
     validate_schedule,
     write_predictions,
 )
 from asbench.evaluation import FeatureStep, SolverStep
 from asbench.learners import Forest
-from asbench.selectors import SelectorModel, raw_features, select_algorithms
+from asbench.selectors import SELECTOR_KINDS, SelectorModel, raw_features, select_algorithms
 
 from gen import best_algorithm_truth, build_scenario, learnable_scenario, random_scenario
 from oracles import oracle_simulate
@@ -671,3 +672,77 @@ class TestDeterminismAndSerialization:
             message = re.escape(f"{bad}: model field {field!r} does not fit: ") + f".*'{key}'"
             with pytest.raises(ValueError, match=message):
                 load_model(bad)
+
+    @pytest.mark.parametrize("kind", SELECTOR_KINDS)
+    def test_round_trip_keeps_each_array_bit_for_bit(self, tmp_path, kind):
+        """Every payload array loads with the dtype, shape and bytes it was
+        saved with: NaN, ±inf and -0.0 in float arrays, and a bool ``solved``."""
+        scen = learnable_scenario(n_train=40, n_test=10, seed=4)
+        model = fit_system(scen, scen.splits[0].train, kind, Hyperparameters(n_trees=3, seed=3))
+        payload = with_special_floats(model.payload)
+        if kind == "sunny":
+            assert payload["solved"].dtype == bool
+        path = tmp_path / "model.json"
+        save_model(replace(model, payload=payload), path)
+        assert payload_arrays(load_model(path).payload) == payload_arrays(payload)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0,), (3, 0), ()])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, bool])
+    def test_codec_round_trips_empty_and_scalar_arrays(self, shape, dtype):
+        array = np.zeros(shape, dtype=dtype)
+        got = selectors._decode(json.loads(json.dumps(selectors._encode(array))))
+        assert (got.dtype, got.shape, got.tobytes()) == (array.dtype, array.shape, array.tobytes())
+
+    @pytest.mark.parametrize("kind, field", [("cluster", "centroids"), ("sunny", "X")])
+    def test_store_of_no_rows_is_refused(self, tmp_path, kind, field):
+        """A store of no rows (0 centroids, 0 neighbours) leaves prediction
+        nothing to pick from; fitting never makes one, and loading refuses it."""
+        scen = learnable_scenario(n_train=40, n_test=10, seed=4)
+        model = fit_system(scen, scen.splits[0].train, kind, Hyperparameters(n_trees=3, seed=3))
+        path = tmp_path / "model.json"
+        save_model(replace(model, payload={name: a[:0] for name, a in model.payload.items()}), path)
+        with pytest.raises(ValueError, match=f"'{field}' is not an array .* with at least one row"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"array": "<i4", "shape": [1], "data": "AAAAAA=="}, "dtype '<i4': not ("),
+            ({"array": "<f8", "shape": [1], "data": "AAAAAAAAAAA=", "order": "C"}, "'order', 'shape']"),
+            ({"array": "<f8", "shape": [2], "data": "AAAAAAAAAAA="}, "of size 1 into shape (2,)"),
+            ({"array": "<f8", "shape": [], "data": "AAAAAA=="}, "multiple of element size"),
+            ({"array": "<f8", "shape": [1], "data": "AAAAAAAAA*A="}, "base64"),
+            ({"array": "<f8", "shape": [1], "data": "AAAAAAAAAAA"}, "padding"),
+            ({"array": "<f8", "shape": [-1, -1], "data": "AAAAAAAAAAA="}, "not a list of integers >= 0"),
+            ({"array": "<f8", "shape": [1.0], "data": "AAAAAAAAAAA="}, "not a list of integers >= 0"),
+            ({"array": "|b1", "shape": [True], "data": "AQ=="}, "not a list of integers >= 0"),
+            ({"array": "<f8", "shape": 1, "data": "AAAAAAAAAAA="}, "not a list of integers >= 0"),
+        ],
+    )
+    def test_decode_refuses_malformed_blocks(self, block, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            selectors._decode(block)
+
+    def test_encode_refuses_arrays_it_cannot_type(self):
+        for array in (np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.float32), np.array(["a"])):
+            with pytest.raises(TypeError, match="cannot store"):
+                selectors._encode(array)
+        big_endian = np.arange(3, dtype=">i8")
+        assert selectors._encode(big_endian) == selectors._encode(np.arange(3))
+
+
+def with_special_floats(value):
+    """``value`` with NaN, inf, -inf and -0.0 written over the first entries
+    of each of its float arrays, forests opened into their arrays."""
+    if isinstance(value, Forest):
+        return Forest(**{name: with_special_floats(v) for name, v in vars(value).items()})
+    if isinstance(value, dict):
+        return {name: with_special_floats(v) for name, v in value.items()}
+    if isinstance(value, list):
+        return [with_special_floats(v) for v in value]
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        value = value.copy()
+        flat = value.reshape(-1)
+        flat[: min(4, flat.size)] = [math.nan, math.inf, -math.inf, -0.0][: flat.size]
+        return value
+    return value
