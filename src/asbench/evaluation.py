@@ -88,12 +88,12 @@ class Schedules(Mapping):
 
     The steps of every schedule lie in ``row`` (the instance's row in the
     scenario's run table), ``kind`` (a code of ``STEP_KIND``), ``index``
-    (algorithm column or feature-group index) and ``budget``, sorted by
-    instance row and then step; schedule ``p``, of ``instances[p]``, is the
-    slice ``starts[p]:starts[p + 1]``. Step objects are built only when a
-    schedule is looked up. A Schedules object is built by the prediction
-    parser or :meth:`from_mapping`; both refuse it when :meth:`faults` marks
-    a schedule, the parser naming the first marked one in file order.
+    (algorithm column or feature-group index) and ``budget``; schedule
+    ``p``, of ``instances[p]``, is the slice ``starts[p]:starts[p + 1]``, in
+    step order. Step objects are built only when a schedule is looked up.
+    ``predict_batch`` builds one in the order its instances are given, the
+    prediction parser in scenario row order (refusing it when :meth:`faults`
+    marks a schedule), and :meth:`from_mapping` in the mapping's order.
     """
 
     __slots__ = ("instances", "starts", "row", "kind", "index", "budget", "_names", "_pos")
@@ -111,31 +111,21 @@ class Schedules(Mapping):
 
     @classmethod
     def from_mapping(cls, scenario: Scenario, schedules: Mapping) -> Schedules:
-        """Validate and store a mapping of instance to a sequence of steps;
-        raises ValueError as :func:`validate_schedule` does."""
+        """Store a mapping of instance to a sequence of steps, in the
+        mapping's order; the first unknown instance or invalid schedule
+        raises ValueError, the latter as :func:`validate_schedule` does."""
         row_of = scenario.runs.row
-        for inst in schedules:
+        for inst, schedule in schedules.items():
             if inst not in row_of:
                 raise ValueError(f"unknown instance {inst!r}")
-        order = sorted(schedules, key=row_of.__getitem__)
-        steps = [step for inst in order for step in schedules[inst]]
-        kind = [
-            _SOLVER if isinstance(s, SolverStep) else _FEATURE if isinstance(s, FeatureStep) else None
-            for s in steps
-        ]
-        if None not in kind:
-            groups = {g.name: j for j, g in enumerate(scenario.feature_groups)}
-            cols = scenario.runs.col
-            index = [groups.get(s.group) if k else cols.get(s.algorithm) for s, k in zip(steps, kind)]
-            if None not in index:
-                budget = [0.0 if k else s.budget for s, k in zip(steps, kind)]
-                lengths = [len(schedules[inst]) for inst in order]
-                out = cls(scenario, [row_of[inst] for inst in order], lengths, kind, index, budget)
-                if not out.faults(scenario.objective).any():
-                    return out
-        for schedule in schedules.values():
             validate_schedule(scenario, schedule)
-        raise RuntimeError("a schedule failed the array checks but passed validate_schedule")
+        steps = [step for schedule in schedules.values() for step in schedule]
+        kind = [_FEATURE if isinstance(s, FeatureStep) else _SOLVER for s in steps]
+        groups, cols = {g.name: j for j, g in enumerate(scenario.feature_groups)}, scenario.runs.col
+        index = [groups[s.group] if k else cols[s.algorithm] for s, k in zip(steps, kind)]
+        budget = [0.0 if k else s.budget for s, k in zip(steps, kind)]
+        lengths = [len(schedule) for schedule in schedules.values()]
+        return cls(scenario, [row_of[inst] for inst in schedules], lengths, kind, index, budget)
 
     def faults(self, objective: str) -> np.ndarray:
         """The mask of the schedules that fail :func:`validate_schedule`,
@@ -339,13 +329,15 @@ def _gap(value: float, sbs_ref: float, vbs_ref: float) -> float | None:
 def score_system(scenario: Scenario, split: Split, schedules, system: str = "system") -> ScoreReport:
     """Score one system's schedules on a split's test instances.
 
-    ``schedules`` is a :class:`Schedules` or a mapping of instance to steps,
-    whose test schedules are converted once; all of them are replayed in one
-    :func:`simulate_batch`. The single best solver is picked on the split's training instances and
-    replayed as a bare full-cutoff run; the virtual best solver references
-    come straight from the recorded data. The solved metric enters its gap
-    as an unsolved fraction and maximize-direction quality values as negated
-    costs, so every gap is a ratio of minimized quantities.
+    ``schedules`` is a :class:`Schedules` (as ``predict_batch`` returns it)
+    or a mapping of instance to steps, whose test schedules
+    :meth:`Schedules.from_mapping` converts first; the test schedules are
+    replayed in one :func:`simulate_batch`. The single best solver is picked
+    on the split's training instances and replayed as a bare full-cutoff
+    run; the virtual best solver references come straight from the recorded
+    data. The solved metric enters its gap as an unsolved fraction and
+    maximize-direction quality values as negated costs, so every gap is a
+    ratio of minimized quantities.
     """
     test = list(split.test)
     missing = [i for i in test if i not in schedules]

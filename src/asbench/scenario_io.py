@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import STEP_KIND, FeatureStep, Schedules, validate_schedule
+from .evaluation import STEP_KIND, Schedules, validate_schedule
 from .learners import rng_stream
 from .scenario import (
     RUN_STATUSES,
@@ -649,15 +649,17 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
 
 
 def write_predictions(schedules, scenario: Scenario, path) -> None:
-    """Write per-instance schedules as a prediction file (scenario order)."""
-    rows = (
-        [inst, ordinal, "feature", step.group, _fmt(0.0)]
-        if isinstance(step, FeatureStep)
-        else [inst, ordinal, "solver", step.algorithm, _fmt(step.budget)]
-        for inst in scenario.instances
-        if inst in schedules
-        for ordinal, step in enumerate(schedules[inst], start=1)
-    )
+    """Write per-instance schedules (a :class:`Schedules`, or a mapping that
+    :meth:`Schedules.from_mapping` converts) as a prediction file in scenario
+    row order; a feature step's budget is written as 0.0."""
+    if not isinstance(schedules, Schedules):
+        schedules = Schedules.from_mapping(scenario, schedules)
+    ordinal = np.arange(schedules.kind.size) - np.repeat(schedules.starts[:-1], np.diff(schedules.starts)) + 1
+    budget = np.where(schedules.kind == STEP_KIND["solver"], schedules.budget, 0.0)
+    order = np.argsort(schedules.row, kind="stable")
+    kinds, names = tuple(STEP_KIND), (scenario.algorithms, [g.name for g in scenario.feature_groups])
+    columns = (a[order].tolist() for a in (schedules.row, ordinal, schedules.kind, schedules.index, budget))
+    rows = ([scenario.instances[r], o, kinds[k], names[k][i], _fmt(b)] for r, o, k, i, b in zip(*columns))
     write_csv(path, PREDICTIONS_HEADER, rows)
 
 

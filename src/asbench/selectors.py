@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .evaluation import FeatureStep, SolverStep
+from .evaluation import STEP_KIND, Schedules, SolverStep
 from .learners import KNN, Forest, KMeans, fit_forest, fit_forests, fit_kmeans, rng_stream
 from .scenario import Scenario
 
@@ -349,9 +349,10 @@ def _sunny_neighborhoods(model: SelectorModel, X: np.ndarray):
     return p["costs"][idx], p["solved"][idx]
 
 
-def _sunny_schedules(model: SelectorModel, X: np.ndarray, budget: float) -> list:
+def _sunny_schedules(model: SelectorModel, X: np.ndarray, budget: float):
     """Per row, solver steps slicing ``budget`` proportionally to
-    neighborhood solve counts.
+    neighborhood solve counts, as (rows, algorithms + 1) arrays of algorithm
+    columns, budgets and a mask of the steps each row runs.
 
     Neighborhood instances that nobody solves contribute their share to a
     backup slice for the algorithm with the best mean cost nearby; slices
@@ -362,29 +363,21 @@ def _sunny_schedules(model: SelectorModel, X: np.ndarray, budget: float) -> list
     counts = solved.sum(axis=1).astype(np.float64)
     mean_costs = costs.mean(axis=1)
     denoms = counts.sum(axis=1) + (~solved.any(axis=2)).sum(axis=1)
-    shares = budget * counts / denoms[:, None]
-    orders = np.lexsort((mean_costs, -counts)).tolist()
-    n_slices = (counts > 0).sum(axis=1).tolist()
-    backups = np.argmin(mean_costs, axis=1).tolist()
-    names = model.algorithms
-    schedules = []
-    for order, n, backup, share in zip(orders, n_slices, backups, shares):
-        order = order[:n]
-        slices = {a: share[a] for a in order}
-        remainder = budget - math.fsum(slices.values())
-        if backup in slices:
-            # Absorbing the remainder here also soaks up float dust, keeping the
-            # slice total at exactly the allocated budget.
-            slices[backup] += remainder
-        elif remainder > 0:
-            order.append(backup)
-            slices[backup] = remainder
-        schedules.append(tuple(SolverStep(algorithm=names[a], budget=slices[a]) for a in order))
-    return schedules
+    shares = budget * counts / denoms[:, None]  # 0.0 for an algorithm that solves no neighbor
+    remainder = budget - np.array([math.fsum(row) for row in shares.tolist()])
+    rows, backup = np.arange(len(X)), np.argmin(mean_costs, axis=1)
+    # Absorbing the remainder into a backup that has a slice also soaks up
+    # float dust, keeping the slice total at exactly the allocated budget.
+    absorbed = counts[rows, backup] > 0
+    shares[rows[absorbed], backup[absorbed]] += remainder[absorbed]
+    order = np.lexsort((mean_costs, -counts))
+    budgets = np.column_stack([np.take_along_axis(shares, order, axis=1), remainder])
+    taken = np.column_stack([np.take_along_axis(counts, order, axis=1) > 0, ~absorbed & (remainder > 0)])
+    return np.column_stack([order, backup]), budgets, taken
 
 
-def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> dict:
-    """Emit the schedule of each instance, in the given order.
+def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> Schedules:
+    """Emit each instance's schedule, as :class:`Schedules` in the order first given.
 
     Runtime schedules are presolve prefix, then the model's feature groups,
     then solver steps filling the cutoff left after presolving. Quality
@@ -399,27 +392,38 @@ def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> dict:
         )
     if _group_columns(scenario, model.feature_groups) != model.pre.columns:
         raise ValueError("model feature groups sit at other columns in this scenario")
-    instances = tuple(instances)
+    instances = tuple(dict.fromkeys(instances))
     raw = raw_features(scenario, instances, model.pre.columns)
     blank = np.isnan(raw).all(axis=1) & (raw.shape[1] > 0)
+    for inst in itertools.compress(instances, blank.tolist()):
+        warnings.warn(f"no features for {inst!r}; falling back to the single best solver")
     X = model.pre.transform(raw[~blank])
     quality = scenario.objective == "quality"
-    prefix = () if quality else tuple(model.presolve)
+    prefix = () if quality else model.presolve
     remaining = 0.0 if quality else scenario.cutoff - math.fsum(s.budget for s in prefix)
-    features = () if quality else tuple(FeatureStep(group=g) for g in model.feature_groups)
     if model.kind == "sunny" and not quality:
-        tails = iter(_sunny_schedules(model, X, remaining))
+        cols, budgets, taken = _sunny_schedules(model, X, remaining)
     else:
-        picks = select_algorithms(model, X).tolist()
-        tails = iter([(SolverStep(algorithm=model.algorithms[a], budget=remaining),) for a in picks])
-    out = {}
-    for inst, missing in zip(instances, blank.tolist()):
-        if missing:
-            warnings.warn(f"no features for {inst!r}; falling back to the single best solver")
-            out[inst] = prefix + (SolverStep(algorithm=model.sbs_algorithm, budget=remaining),)
-        else:
-            out[inst] = prefix + features + next(tails)
-    return out
+        cols = select_algorithms(model, X)[:, None]
+        budgets, taken = np.full(cols.shape, remaining), np.ones(cols.shape, dtype=bool)
+    group_of = {g.name: j for j, g in enumerate(scenario.feature_groups)}
+    groups = [] if quality else [group_of[g] for g in model.feature_groups]
+    col, n_prefix, n_head = scenario.runs.col, len(prefix), len(prefix) + len(groups)
+
+    def columns(head, tail, fallback):
+        """Each row's steps padded into columns: ``head`` (the prefix, then the
+        feature groups), then ``tail``, or ``fallback`` on rows without features."""
+        full = np.zeros((len(instances), tail.shape[1]), tail.dtype)
+        full[:, 0], full[~blank] = fallback, tail
+        return np.hstack([np.broadcast_to(np.array(head, tail.dtype), (len(full), n_head)), full])
+
+    # rows without features skip the feature groups and run the single best solver
+    on = columns(np.arange(n_head) < np.where(blank, n_prefix, n_head)[:, None], taken, True)
+    feature = columns(np.arange(n_head) >= n_prefix, np.zeros_like(taken), False)[on]
+    index = columns([col[s.algorithm] for s in prefix] + groups, cols, col[model.sbs_algorithm])[on]
+    budget = columns([s.budget for s in prefix] + [0.0] * len(groups), budgets, remaining)[on]
+    kind = np.where(feature, STEP_KIND["feature"], STEP_KIND["solver"])
+    return Schedules(scenario, [scenario.runs.row[i] for i in instances], on.sum(axis=1), kind, index, budget)
 
 
 def predict(model: SelectorModel, scenario: Scenario, instance: str):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from asbench.evaluation import EvaluationOutcome, FeatureStep, SolverStep, validate_schedule
+from asbench.evaluation import EvaluationOutcome, FeatureStep, SolverStep
 from asbench.learners import Forest, _grow_trees, fit_forest, rng_stream
 from asbench.scenario import (
     DIRECTIONS,
@@ -936,6 +936,30 @@ _OK = STATUS_CODE["ok"]
 _DIES_EARLY = {STATUS_CODE[s] for s in ("memout", "crash", "other")}
 
 
+def _oracle_check_schedule(scenario: Scenario, schedule) -> None:
+    """Raise ValueError, with the library's messages, for the first illegal
+    step of a schedule walked in order, then for a quality schedule that is
+    not exactly one solver step."""
+    group_names = [g.name for g in scenario.feature_groups]
+    computed = []
+    for step in schedule:
+        if isinstance(step, FeatureStep):
+            if step.group not in group_names:
+                raise ValueError(f"unknown feature group {step.group!r}")
+            if step.group in computed:
+                raise ValueError(f"feature group {step.group!r} scheduled twice")
+            computed.append(step.group)
+        elif isinstance(step, SolverStep):
+            if step.algorithm not in scenario.algorithms:
+                raise ValueError(f"unknown algorithm {step.algorithm!r}")
+            if scenario.objective == "runtime" and not step.budget > 0:
+                raise ValueError(f"solver budget must be positive, got {step.budget}")
+        else:
+            raise ValueError(f"unknown step type {type(step).__name__}")
+    if scenario.objective == "quality" and (len(schedule) != 1 or not isinstance(schedule[0], SolverStep)):
+        raise ValueError("quality scenarios take exactly one solver step and nothing else")
+
+
 def oracle_replay(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
     """Replay a schedule against the recorded runs of one instance.
 
@@ -952,7 +976,7 @@ def oracle_replay(scenario: Scenario, instance: str, schedule) -> EvaluationOutc
     runs = scenario.runs
     if instance not in runs.row:
         raise ValueError(f"unknown instance {instance!r}")
-    validate_schedule(scenario, schedule)
+    _oracle_check_schedule(scenario, schedule)
     r = runs.row[instance]
 
     def record(algorithm):
@@ -1034,7 +1058,7 @@ def oracle_parse_predictions(path, scenario: Scenario, require_cover=None):
             )
         schedule = tuple(step for _, step in steps)
         try:
-            validate_schedule(scenario, schedule)
+            _oracle_check_schedule(scenario, schedule)
         except ValueError as exc:
             raise ParseError(fname, lines[inst], f"invalid schedule for {inst!r}: {exc}") from None
         schedules[inst] = schedule

@@ -98,62 +98,138 @@ def bundles(draw):
     return files
 
 
-# Malformed rows, by file: each replaces one data row of that file.
+# Malformed rows, by file. Each replaces one data row of that file and is
+# fitted to it, as TUTORIAL_BAD_ROWS are to the tutorial bundle: it rewrites
+# the row's own fields, so the row keeps its instance, algorithm, split and
+# width, and the rule it targets fires rather than a width or id rule. A
+# rewrite that does not fit the row gives None and is skipped.
+
+
+def _put(j, token):
+    """The row with field ``j`` replaced by ``token``."""
+    return lambda fields: fields[:j] + [token] + fields[j + 1 :] if j < len(fields) else None
+
+
+def _short(fields):
+    """The row without its last field (ragged)."""
+    return fields[:-1] if len(fields) > 1 else None
+
+
+def _id_only(fields):
+    """The row's first field alone (ragged)."""
+    return fields[:1] if len(fields) > 1 else None
+
+
+def _long(fields):
+    """The row with one more field (ragged)."""
+    return [*fields, "4.0"]
+
+
 CORRUPTIONS = {
     "runs.csv": [
-        "i0,a0,1.0",  # ragged
-        "i0,a0,1.0,ok,extra",
-        "zz,a0,1.0,ok",  # unknown instance
-        "i0,zz,1.0,ok",  # unknown algorithm
-        "i0,a0,1.0,finished",  # unknown status
-        "i0,a0,fast,ok",  # bad float
-        "i0,a0,?,ok",
-        "zz,zz,fast,done",  # several faults in one row: the first check wins
-        "i0,a0, fast ,ok",  # a padded bad value, quoted stripped
+        _short,  # ragged
+        lambda fields: [*fields, "extra"],
+        _put(0, "zz"),  # unknown instance
+        _put(1, "zz"),  # unknown algorithm
+        _put(3, "finished"),  # unknown status
+        _put(2, "fast"),  # bad float
+        _put(2, "?"),
+        lambda fields: ["zz", "zz", "fast", "done"],  # several faults in one row: the first check wins
+        _put(2, " fast "),  # a padded bad value, quoted stripped
     ],
-    "features.csv": ["i0", "i0,1.0,2.0,3.0,4.0", "i0", " ,1.0", "i;0,1.0", "DUP", "i1,abc", "zz,?,x,1", "i1, abc "],
-    "feature_costs.csv": ["zz,1.0", "DUP", "i0,cheap", "i0,1.0,cheap", "i0,1.0,2.0,3.0,4.0", "i0", "i0, cheap "],
+    "features.csv": [
+        _id_only,
+        _long,
+        _short,
+        _put(0, " "),  # an empty instance id
+        _put(0, "i;0"),  # a forbidden character in the id
+        "DUP",  # an earlier data row again
+        _put(1, "abc"),  # bad feature value
+        lambda fields: ["zz", "?", "x", "1"],
+        _put(1, " abc "),  # a padded bad value, quoted as written
+    ],
+    "feature_costs.csv": [
+        _put(0, "zz"),  # unknown instance
+        "DUP",
+        _put(1, "cheap"),  # bad cost
+        _put(2, "cheap"),
+        _long,
+        _id_only,
+        _put(1, " cheap "),  # a padded bad cost, quoted as written
+    ],
     "splits.csv": [
-        "x,custom,train,i0",  # bad split id
-        "0,crossval,train,i0",  # bad mode
-        "0,custom,valid,i0",  # bad role
-        "0,custom,train,zz",  # unknown instance
-        "0,MIXED,test,i0",  # the split's other mode
-        "00,MIXED,test,i0",  # the same, its split id written with a leading zero
-        "0,custom,train",
-        "1.5,custom,train,i0",
+        _put(0, "x"),  # bad split id
+        _put(1, "crossval"),  # bad mode
+        _put(2, "valid"),  # bad role
+        _put(3, "zz"),  # unknown instance
+        "MIXED",  # another row's split in another mode
+        "00MIXED",  # the same, its split id written with a leading zero
+        _short,
+        _put(0, "1.5"),
     ],
 }
 
 
-def _corrupt(files, draw):
-    name = draw(st.sampled_from(sorted(set(CORRUPTIONS) & set(files))))
+# The order in which the parsers read the files a corruption lands in.
+PARSE_ORDER = ("features.csv", "runs.csv", "feature_costs.csv", "splits.csv")
+
+
+def _fit(bad, lines, j, pick):
+    """The fields that corruption ``bad`` writes in place of data row ``j`` of
+    a file's ``lines``, or None where it does not fit; ``pick`` chooses the
+    other row that a DUP or MIXED row copies."""
+    fields = lines[j].split(",")
+    others = [i for i, line in enumerate(lines) if i and line and i != j]
+    if bad == "DUP":  # an earlier data row again
+        earlier = [i for i in others if i < j]
+        return lines[earlier[pick % len(earlier)]].split(",") if earlier else None
+    if bad in ("MIXED", "00MIXED"):  # another row's split id, in another mode than that row's
+        theirs = [t for t in (lines[i].split(",") for i in others) if len(t) == 4]
+        if not theirs:
+            return None
+        sid, mode = theirs[pick % len(theirs)][:2]
+        other = {"bootstrap": "custom"}.get(mode.strip(), "bootstrap")
+        return [("0" if bad == "00MIXED" else "") + sid, other, *fields[2:]]
+    return bad(fields)
+
+
+def _replace(files, name, j, fields):
     lines = files[name].split("\n")
-    body = [j for j, line in enumerate(lines) if j > 0 and line]
-    if not body:
-        return files
-    j = draw(st.sampled_from(body))
-    bad = draw(st.sampled_from(CORRUPTIONS[name]))
-    if bad == "DUP":  # repeat an earlier data row
-        earlier = [i for i in body if i < j]
-        if not earlier:
-            return files
-        bad = lines[draw(st.sampled_from(earlier))]
-    if ",MIXED," in bad:
-        first = lines[body[0]].split(",")
-        other = {"bootstrap": "custom"}.get(first[1].strip(), "bootstrap")
-        zero = "0" if bad.startswith("00") else ""  # 00 reads as split 0
-        bad = f"{zero}{first[0]},{other},test,i0"
-    lines[j] = bad
+    lines[j] = ",".join(fields)
     return {**files, name: "\n".join(lines)}
+
+
+def _data_rows(files, after):
+    """The data rows (file rank, line) the parsers read after ``after``, by file."""
+    rows = {}
+    for rank, name in enumerate(PARSE_ORDER):
+        for j, line in enumerate(files.get(name, "").split("\n")):
+            if j and line and (rank, j) > after:
+                rows.setdefault(rank, []).append(j)
+    return rows
 
 
 @st.composite
 def malformed_bundles(draw):
+    """A bundle, a data row to corrupt and a ``pick`` for :func:`_fit`. Up to
+    two more rows, read after that one, are corrupted already, so the fault
+    both parsers must report is the one the first row gets."""
     files = draw(bundles())
-    for _ in range(draw(st.integers(1, 3))):
-        files = _corrupt(files, draw)
-    return files
+    rows = _data_rows(files, (0, 0))
+    rank = draw(st.sampled_from(sorted(rows)))
+    first = after = (rank, draw(st.sampled_from(rows[rank])))
+    pick = draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(0, 2))):
+        rows = _data_rows(files, after)
+        if not rows:
+            break
+        rank = draw(st.sampled_from(sorted(rows)))
+        after = (rank, draw(st.sampled_from(rows[rank])))
+        name = PARSE_ORDER[rank]
+        fields = _fit(draw(st.sampled_from(CORRUPTIONS[name])), files[name].split("\n"), after[1], pick)
+        if fields is not None:
+            files = _replace(files, name, after[1], fields)
+    return files, first, pick
 
 
 def _write(files, root: Path):
@@ -225,9 +301,14 @@ def test_parse_matches_the_row_parser(files):
 
 
 @SETTINGS
-@given(files=malformed_bundles())
-def test_malformed_bundles_fail_like_the_row_parser(files):
-    _assert_same_parse(files)
+@given(case=malformed_bundles())
+def test_malformed_bundles_fail_like_the_row_parser(case):
+    files, (rank, j), pick = case
+    name = PARSE_ORDER[rank]
+    for bad in CORRUPTIONS[name]:  # every corruption of the file, each fitted to the one row
+        fields = _fit(bad, files[name].split("\n"), j, pick)
+        if fields is not None:
+            _assert_same_parse(_replace(files, name, j, fields))
 
 
 # One malformed row per check, fitted to the tutorial bundle.

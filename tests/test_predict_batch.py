@@ -105,6 +105,13 @@ def test_schedules_do_not_depend_on_the_batch(kind):
     backwards = predict_batch(model, scen, split.test[::-1])
     assert list(backwards) == list(split.test[::-1])
     assert backwards == whole
+    # a repeated instance keeps one schedule, where it is first named; no instances, no schedules
+    three = split.test[2::-1]
+    for batch, first_seen in ((three * 2 + split.test[1:2], three), ((), ())):
+        got = predict_batch(model, scen, batch)
+        assert list(got) == list(first_seen) and len(got) == len(first_seen)
+        assert got == {i: whole[i] for i in first_seen}
+        assert got.kind.size == sum(len(whole[i]) for i in first_seen)
 
 
 def test_nan_and_none_are_the_same_missing_value(tmp_path):

@@ -233,6 +233,15 @@ class TestPredictions:
         path = tmp_path / "pred.csv"
         write_predictions(schedules, tutorial, path)
         assert parse_predictions(path, tutorial) == schedules
+        # a parsed file is written back with 0.0 for a feature step's budget ...
+        read = tmp_path / "read.csv"
+        read.write_text("instance_id,step,kind,name,budget\ni4,2,solver,A1,4995.0\ni4,1,feature,base,5\n")
+        write_predictions(parse_predictions(read, tutorial), tutorial, tmp_path / "again.csv")
+        again = (tmp_path / "again.csv").read_text().splitlines()
+        assert again[1:] == ["i4,1,feature,base,0.0", "i4,2,solver,A1,4995.0"]
+        # ... and a file the writer wrote comes back byte for byte
+        write_predictions(parse_predictions(path, tutorial), tutorial, tmp_path / "twice.csv")
+        assert (tmp_path / "twice.csv").read_bytes() == path.read_bytes()
 
     def test_quality_scenario_rejects_multiple_solvers(self, tmp_path):
         scen = random_scenario(1, objective="quality")
