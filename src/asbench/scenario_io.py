@@ -17,13 +17,19 @@ deterministic: identical scenarios produce byte-identical bundles.
 
 Every CSV file asbench writes (bundles, predictions, reports, comparison
 and seed-study tables) goes through :func:`write_csv`, and every one it
-reads through ``_read_table``.
+reads through ``_read_table``. That reader decodes the file once as UTF-8
+and hands each parser columns, not rows. Text with no ``"`` and no CR,
+which covers every file asbench writes, is split on ``\\n`` and ``,``; other
+text goes through ``csv.reader``. Either way blank lines are skipped but
+counted, and an undecodable byte or broken quoting is a :class:`ParseError`
+with the file and line.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import math
 from dataclasses import replace
@@ -113,28 +119,89 @@ def write_csv(path, header, rows, footer=()) -> None:
         fh.writelines(line + "\n" for line in footer)
 
 
+def _decode(name: str, data: bytes) -> str:
+    """``data`` as UTF-8 text; an undecodable byte is a ParseError at its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        line = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+        raise ParseError(name, line, f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+
+
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
+
+
 def _read_table(path: Path, header: list[str] | None = None, comments: bool = False):
-    """Read a CSV file whole: (header, rows, line numbers), blank rows
-    skipped. The header is checked when given. With ``comments``, the lines
-    after the first that are blank or start with ``#`` are skipped unread."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        source, lines = fh, None
-        if comments:
-            kept = [(n, t) for n, t in enumerate(fh, 1) if n == 1 or t.strip() and not t.startswith("#")]
-            source, lines = [t for _, t in kept], [n for n, _ in kept[1:]]
-        reader = csv.reader(source)
-        try:
-            head = next(reader)
-        except StopIteration:
-            raise ParseError(path.name, 1, "file is empty, header row required") from None
-        if header is not None and head != header:
-            raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
-        rows = list(reader)
-    lines = range(2, len(rows) + 2) if lines is None else lines
+    """Read a CSV file once, whole: (header, columns, line numbers, width
+    rule). The header is checked when given.
+
+    Blank rows are skipped, and still counted in the line numbers. With
+    ``comments``, the lines after the first that are blank or start with
+    ``#`` are skipped unread. A row of other width than the header is blank
+    in the columns, and the width rule (the pair :func:`_raise_first` takes)
+    flags it. Text that holds a ``"`` or a CR goes through ``csv.reader``,
+    whose line numbers count records; other text is split on ``\\n`` and
+    ``,``. A field past ``csv.field_size_limit()`` is a ParseError either way.
+    """
+    name, data = path.name, path.read_bytes()
+    text = _decode(name, data)
+    if not text:
+        raise ParseError(name, 1, "file is empty, header row required")
+    limit = csv.field_size_limit()
+    plain = '"' not in text and "\r" not in text
+    if plain and not comments and "\n\n" not in text and (len(text) <= limit or _longest_line(data) <= limit):
+        first = text[: text.find("\n") % (len(text) + 1)]  # all of the text if it is one line
+        w = first.count(",") + 1
+        if first and _is_grid(data, w):
+            _check_header(name, first.split(","), header)
+            cells = text.removesuffix("\n").replace("\n", ",").split(",")
+            return cells[:w], [cells[w + j :: w] for j in range(w)], range(2, len(cells) // w + 1), (None, None)
+    lines = text.split("\n") if plain else io.StringIO(text, newline="").readlines()
+    if comments:
+        numbers = [n for n, t in enumerate(lines, 1) if n == 1 or t.strip() and not t.startswith("#")]
+        lines = [lines[n - 1] for n in numbers]
+    records, head, rows = _split_records(lines, limit) if plain else csv.reader(lines), None, []
+    try:
+        head = next(records)
+        _check_header(name, head, header)
+        rows.extend(records)
+    except csv.Error as exc:
+        line = 1 if head is None else numbers[len(rows) + 1] if comments else len(rows) + 2
+        raise ParseError(name, line, f"malformed CSV: {exc}") from None
+    lines = numbers[1:] if comments else range(2, len(rows) + 2)
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
-    return head, rows, lines
+    width = _width_rule(rows, len(head))
+    return head, [list(col) for col in zip(*rows)] or [[] for _ in head], lines, width
+
+
+def _split_records(lines, limit: int):
+    """``csv.reader`` of lines that hold no quote and no CR."""
+    for line in lines:
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
+            raise csv.Error(f"field larger than field limit ({limit})")
+        yield line.split(",") if line else []
+
+
+def _check_header(name: str, head: list[str], header) -> None:
+    if header is not None and head != header:
+        raise ParseError(name, 1, f"bad header {head!r}, expected {header!r}")
+
+
+def _longest_line(data: bytes) -> int:
+    """The length in bytes of the longest line of ``data``."""
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    return int(np.diff(ends, prepend=-1, append=len(data)).max()) - 1
+
+
+def _is_grid(data: bytes, width: int) -> bool:
+    """Whether every line of ``data`` has ``width`` fields: its commas and
+    line ends, all else deleted, repeat ``width - 1`` commas and a line end."""
+    skeleton = data.translate(None, _NOT_SEPARATORS).removesuffix(b"\n") + b"\n"
+    unit = b"," * (width - 1) + b"\n"
+    return skeleton == unit * (len(skeleton) // len(unit))
 
 
 # Each input file is read once, and its checks ask whether whole columns are
@@ -165,11 +232,12 @@ def _width_rule(rows: list, width: int):
     return [n != width for n in widths], lambda i: f"expected {width} columns, got {widths[i]}"
 
 
-def _cell_rule(rows, what: str, marks=()):
+def _cell_rule(columns: list, what: str, marks=()):
     """The rule that each cell of a row is a number or, stripped, one of
     ``marks``; the reason quotes the row's first other cell as written."""
-    bad = [next((t for t in row if _number(t) is None and t.strip() not in marks), None) for row in rows]
-    return [t is not None for t in bad], lambda i: f"bad {what} {bad[i]!r}, expected a number"
+    bad = [[_number(t) is None and t.strip() not in marks for t in col] for col in columns]
+    first = lambda i: next(col[i] for col, flags in zip(columns, bad) if flags[i])
+    return list(map(any, zip(*bad))) if bad else None, lambda i: f"bad {what} {first(i)!r}, expected a number"
 
 
 def _number(token: str, convert=float):
@@ -204,9 +272,9 @@ def _numbers(tokens, convert=float):
         return None
 
 
-def _feature_cells(tokens: list):
-    """The flat value array of feature tokens, NaN at the missing marks, and
-    the mask of the marks; None if a token is neither a number nor a mark.
+def _feature_column(tokens: list):
+    """The values of a column of feature tokens, NaN at the missing marks, and
+    the rows of the marks; None if a token is neither a number nor a mark.
     The marks are found with ``list.index`` and overwritten with ``"nan"``."""
     holes, j = [], -1
     try:
@@ -227,9 +295,7 @@ def _feature_cells(tokens: list):
         if values is None:
             return None
         holes += padded
-    missing = np.zeros(len(tokens), dtype=bool)
-    missing[holes] = True
-    return np.array(values, dtype=np.float64), missing
+    return values, holes
 
 
 def _numbers_repeated(tokens, convert=float):
@@ -250,20 +316,20 @@ def _parse_description(path: Path):
     """The description's fields as written: syntax only, :func:`validate` judges the rules."""
     fname = path.name
     seen: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if ":" not in line:
-                raise ParseError(fname, lineno, f"expected 'key: value', got {line!r}")
-            key, value = line.split(":", 1)
-            key = key.strip()
-            if key not in _DESC_KEYS:
-                raise ParseError(fname, lineno, f"unknown key {key!r}")
-            if key in seen:
-                raise ParseError(fname, lineno, f"duplicate key {key!r}")
-            seen[key] = value.strip()
+    # newline=None: a CR, LF or CRLF ends a line, as in a file opened in text mode
+    for lineno, raw in enumerate(io.StringIO(_decode(fname, path.read_bytes()), newline=None), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if ":" not in line:
+            raise ParseError(fname, lineno, f"expected 'key: value', got {line!r}")
+        key, value = line.split(":", 1)
+        key = key.strip()
+        if key not in _DESC_KEYS:
+            raise ParseError(fname, lineno, f"unknown key {key!r}")
+        if key in seen:
+            raise ParseError(fname, lineno, f"duplicate key {key!r}")
+        seen[key] = value.strip()
 
     for key in ("scenario_id", "objective", "direction", "algorithms", "feature_groups"):
         if key not in seen:
@@ -326,7 +392,7 @@ def parse_scenario(path, check: bool = True) -> Scenario:
         if not (root / required).exists():
             raise ParseError(required, 0, "required file missing from bundle")
 
-    # The parse builds many acyclic row lists, which the cyclic collector
+    # The parse builds many acyclic lists, which the cyclic collector
     # would only walk; it is paused until the scenario is checked.
     collecting = gc.isenabled()
     gc.disable()
@@ -380,29 +446,31 @@ def _parse_bundle(root: Path, check: bool) -> Scenario:
 
 def _parse_features(path: Path):
     """features.csv fixes the instance order; one row per instance."""
-    head, rows, lines = _read_table(path)
+    head, columns, lines, width = _read_table(path)
     if not head or head[0] != "instance_id":
         raise ParseError(FEATURES_FILE, 1, "first column must be instance_id")
     feature_names = tuple(head[1:])
-    d = len(feature_names)
-    width = _width_rule(rows, 1 + d)
-    ids = [row[0].strip() for row in rows]
-    cells = [tok for row in rows for tok in row[1:]]
-    del rows  # the cells hold them now
+    ids = [t.strip() for t in columns[0]]
     clean = (
         width[0] is None
         and all(t and _ID_FORBIDDEN.isdisjoint(t) for t in ids)
         and len(set(ids)) == len(ids)
     )
-    parsed = _feature_cells(cells) if clean else None
-    if parsed is None:  # _feature_cells has turned only missing marks into "nan"
+    values = np.empty((len(ids), len(feature_names)))
+    missing = np.zeros(values.shape, dtype=bool)
+    for j, col in enumerate(columns[1:] if clean else ()):
+        parsed = _feature_column(col)
+        if parsed is None:
+            clean = False
+            break
+        values[:, j], missing[parsed[1], j] = parsed[0], True
+    if not clean:  # _feature_column has turned only missing marks into "nan"
         _raise_first(FEATURES_FILE, lines, [
             width,
             ([not t or not _ID_FORBIDDEN.isdisjoint(t) for t in ids], lambda i: f"bad instance id {ids[i]!r}"),
             (_unlike_first(ids, range(len(ids))), lambda i: f"duplicate instance row {ids[i]!r}"),
-            _cell_rule((cells[i * d : (i + 1) * d] for i in range(len(ids))), "feature", (MISSING_MARK,)),
+            _cell_rule(columns[1:], "feature", (MISSING_MARK,)),
         ])
-    values, missing = (a.reshape(len(ids), d) for a in parsed)
     return Features(ids, values, missing), feature_names
 
 
@@ -411,12 +479,9 @@ _RUNS_HEADER = ["instance_id", "algorithm_id", "value", "status"]
 
 def _parse_runs(path: Path, instances, algorithms) -> Runs:
     """runs.csv into the run table; repeated pairs collapse to one record."""
-    _, rows, lines = _read_table(path, _RUNS_HEADER)
+    _, columns, lines, width = _read_table(path, _RUNS_HEADER)
     row_of = {inst: r for r, inst in enumerate(instances)}
     col_of = {algo: c for c, algo in enumerate(algorithms)}
-    width = _width_rule(rows, 4)
-    columns = list(zip(*rows)) or [(), (), (), ()]
-    del rows  # the columns hold the cells now
     r = _lookup(row_of, columns[0])
     c = _lookup(col_of, columns[1])
     s = _lookup(STATUS_CODE, columns[3])
@@ -454,28 +519,27 @@ def _parse_runs(path: Path, instances, algorithms) -> Runs:
 
 def _parse_costs(path: Path, inst_set: set[str]) -> dict[str, dict[str, float]]:
     """feature_costs.csv: one cost table per column, keyed by instance."""
-    head, rows, lines = _read_table(path)
+    head, columns, lines, width = _read_table(path)
     if not head or head[0] != "instance_id":
         raise ParseError(COSTS_FILE, 1, "first column must be instance_id")
     cost_cols = head[1:]
     if len(set(cost_cols)) != len(cost_cols):
         raise ParseError(COSTS_FILE, 1, "duplicate cost column")
 
-    width = _width_rule(rows, len(head))
-    ids = [row[0].strip() for row in rows]
+    ids = [t.strip() for t in columns[0]]
     clean = (
         width[0] is None
         and inst_set.issuperset(ids)
         and (not cost_cols or len(set(ids)) == len(ids))
     )
-    costs = [_numbers([row[j] for row in rows]) for j in range(1, len(head))] if clean else []
+    costs = [_numbers(col) for col in columns[1:]] if clean else []
     if not clean or None in costs:
         _raise_first(COSTS_FILE, lines, [
             (width[0], lambda i: f"expected {len(head)} columns"),
             ([t not in inst_set for t in ids], lambda i: f"unknown instance {ids[i]!r}"),
             (_unlike_first(ids, range(len(ids))) if cost_cols else None,
              lambda i: f"duplicate instance row {ids[i]!r}"),
-            _cell_rule((row[1:] for row in rows), "cost"),
+            _cell_rule(columns[1:], "cost"),
         ])
     return {col: dict(zip(ids, column)) for col, column in zip(cost_cols, costs)}
 
@@ -485,11 +549,8 @@ _SPLIT_MODES = ("bootstrap", "holdout", "custom")
 
 
 def _parse_splits(path: Path, inst_set: set[str]) -> tuple[Split, ...]:
-    _, rows, lines = _read_table(path, _SPLITS_HEADER)
-    width = _width_rule(rows, 4)
-    columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[], [], [], []]
-    del rows
-    sid_texts, modes, roles, insts = columns
+    _, columns, lines, width = _read_table(path, _SPLITS_HEADER)
+    sid_texts, modes, roles, insts = ([t.strip() for t in col] for col in columns)
     sids = _numbers(sid_texts, int)
     clean = (
         width[0] is None
@@ -590,10 +651,7 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
     schedule in the order the file first names instances, at its last line.
     """
     path = Path(path)
-    _, rows, lines = _read_table(path, PREDICTIONS_HEADER)
-    width = _width_rule(rows, 5)
-    inst, ordinal, kind, name, budget = list(zip(*rows)) or [()] * 5
-    del rows
+    _, (inst, ordinal, kind, name, budget), lines, width = _read_table(path, PREDICTIONS_HEADER)
     row = _lookup(scenario.runs.row, inst)
     code = _lookup(STEP_KIND, kind)
     ordinals = _numbers_repeated(ordinal, int)
@@ -692,9 +750,7 @@ def write_report_csv(reports, path) -> None:
 def read_report_csv(path):
     """Rows of (system, scenario, split, metric, value), blank and ``#`` lines
     skipped; a malformed header or row raises :class:`ParseError`."""
-    _, rows, lines = _read_table(Path(path), REPORT_HEADER, comments=True)
-    width = _width_rule(rows, 5)
-    system, scen, split, metric, value = list(zip(*rows)) or [()] * 5
+    _, (system, scen, split, metric, value), lines, width = _read_table(Path(path), REPORT_HEADER, comments=True)
     ids, values = [_number(t, int) for t in split], [_number(t) for t in value]
     finite = [v is not None and math.isfinite(v) for v in values]
     if width[0] is not None or None in ids or not all(finite):

@@ -609,6 +609,36 @@ def oracle_range_quantile(k, alpha):
     q = brentq(lambda x: cdf(x) - (1 - alpha), 0.1, 10.0, xtol=1e-10)
     return q / math.sqrt(2.0)
 
+# The table reader before it split plain text itself: every file through
+# ``csv.reader``, returned as rows. ``_read_table`` must give the same header,
+# the same rows as columns (a row of another width than the header blanked
+# and flagged) and the same line numbers, or the same ParseError.
+
+
+def oracle_read_table(path: Path, header: list[str] | None = None, comments: bool = False):
+    """Read a CSV file whole: (header, rows, line numbers), blank rows
+    skipped. The header is checked when given. With ``comments``, the lines
+    after the first that are blank or start with ``#`` are skipped unread."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        source, lines = fh, None
+        if comments:
+            kept = [(n, t) for n, t in enumerate(fh, 1) if n == 1 or t.strip() and not t.startswith("#")]
+            source, lines = [t for _, t in kept], [n for n, _ in kept[1:]]
+        reader = csv.reader(source)
+        try:
+            head = next(reader)
+        except StopIteration:
+            raise ParseError(path.name, 1, "file is empty, header row required") from None
+        if header is not None and head != header:
+            raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
+        rows = list(reader)
+    lines = range(2, len(rows) + 2) if lines is None else lines
+    if not all(rows):
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    return head, rows, lines
+
+
 # The bundle parser and validate before the columnar parser and the array
 # checks: one RunRecord per runs.csv row, collapsed per pair, then a walk over
 # every (instance, algorithm) pair. ``parse_scenario`` and ``validate`` must

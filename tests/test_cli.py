@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -135,6 +136,63 @@ class TestValidate:
         assert run_cli("predict", "--scenario", broken, "--model", model, "--out", preds) == 2
         assert "non_finite_value" in capsys.readouterr().err
         assert not preds.exists()
+
+
+def _unclosed_quote(lines):
+    """Line 3 opens a quote that never closes, and the rows after it make the
+    quoted field longer than csv's field limit."""
+    return [*lines[:2], lines[2].replace(",", ',"', 1), *lines[3:], *[lines[1]] * 12_000]
+
+
+def _long_field(lines):
+    """Line 3 with a 200,000-character first field."""
+    return [*lines[:2], "x" * 200_000 + lines[2][lines[2].index(","):], *lines[3:]]
+
+
+def _quoted_long_field(lines):
+    """Line 3 with a 200,000-character first field, quoted."""
+    return [*lines[:2], '"' + "x" * 200_000 + '"' + lines[2][lines[2].index(","):], *lines[3:]]
+
+
+class TestBrokenText:
+    """Broken quoting, a field past csv's limit and an undecodable byte each
+    exit 2 with the file and line, in a bundle and in a prediction file."""
+
+    @pytest.mark.parametrize("edit", [_unclosed_quote, _long_field, _quoted_long_field])
+    def test_bundle_file(self, tutorial_bundle, capsys, edit):
+        runs = tutorial_bundle / "runs.csv"
+        runs.write_text("\n".join(edit(runs.read_text().splitlines())) + "\n")
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 2
+        limit = csv.field_size_limit()
+        assert f"error: runs.csv:3: malformed CSV: field larger than field limit ({limit})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [_unclosed_quote, _long_field, _quoted_long_field])
+    def test_prediction_file(self, learnable_bundle, tmp_path, capsys, edit):
+        scen = parse_scenario(learnable_bundle)
+        best = sbs(scen, scen.splits[0].train)
+        rows = [f"{inst},1,solver,{best},{scen.cutoff}" for inst in scen.splits[0].test]
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(edit(["instance_id,step,kind,name,budget", *rows])) + "\n")
+        argv = ["evaluate", "--scenario", learnable_bundle, "--predictions", pred, "--system", "s", "--out", tmp_path / "r"]
+        assert run_cli(*argv) == 2
+        limit = csv.field_size_limit()
+        assert f"error: pred.csv:3: malformed CSV: field larger than field limit ({limit})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line", [("runs.csv", 4), ("description.txt", 2), ("splits.csv", 2)])
+    def test_undecodable_byte(self, tutorial_bundle, capsys, name, line):
+        path = tutorial_bundle / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:3] + b"\xe9" + lines[line - 1][3:]
+        path.write_bytes(b"\n".join(lines))
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 2
+        assert f"error: {name}:{line}: byte 0xe9 is not UTF-8 text" in capsys.readouterr().err
+
+    def test_undecodable_byte_in_a_prediction_file(self, tutorial_bundle, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_bytes(b"instance_id,step,kind,name,budget\ni1,1,solver,A1,1.0\ni2,1,solver,A\xe9,1.0\n")
+        argv = ["evaluate", "--scenario", tutorial_bundle, "--predictions", pred, "--system", "s", "--out", tmp_path / "r"]
+        assert run_cli(*argv) == 2
+        assert "error: pred.csv:3: byte 0xe9 is not UTF-8 text" in capsys.readouterr().err
 
 
 class TestAtomicWrite:

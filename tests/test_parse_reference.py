@@ -3,7 +3,7 @@ parser and the record walk they replaced (``tests/oracles.py``).
 
 Bundles are written here as raw CSV text, so they can hold what
 ``write_scenario`` never writes: repeated and missing pairs, ``?`` cells,
-padded tokens, blank lines and malformed rows.
+padded tokens, blank lines, CRLF line ends, quoted cells and malformed rows.
 """
 
 import math
@@ -35,12 +35,21 @@ def _pad(draw, token):
     return draw(st.sampled_from(["", " "])) + token + draw(st.sampled_from(["", " "]))
 
 
+def _quote(token):
+    return '"' + token.replace('"', '""') + '"'
+
+
 def _csv(header, rows, draw):
-    lines = [",".join(header)]
+    """The rows as CSV text. A file may have CRLF line ends, or some cells
+    quoted; csv.reader then reads it in both parsers."""
+    style = draw(st.sampled_from(["plain", "plain", "crlf", "quoted"]))
+    cell = (lambda t: _quote(t) if draw(st.booleans()) else t) if style == "quoted" else (lambda t: t)
+    lines = [",".join(map(cell, header))]
     for row in rows:
         lines.extend([""] * draw(st.integers(0, 1)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(map(cell, row)))
+    end = "\r\n" if style == "crlf" else "\n"
+    return end.join(lines) + end
 
 
 @st.composite

@@ -156,7 +156,9 @@ def prediction_files(draw):
     for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
         if rows:
             rows = mutation(draw, rows)
-    lines = ["instance_id,step,kind,name,budget"] + [",".join(row) for row in rows]
+    quoted = draw(st.integers(0, 3)) == 0  # some cells quoted, so csv.reader reads the file
+    cell = (lambda t: '"' + t.replace('"', '""') + '"' if draw(st.booleans()) else t) if quoted else (lambda t: t)
+    lines = ["instance_id,step,kind,name,budget"] + [",".join(map(cell, row)) for row in rows]
     for _ in range(draw(st.integers(0, 2))):  # blank lines
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "", "", "  "])))
     text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"

@@ -1,5 +1,7 @@
+import csv
 import filecmp
 import gc
+import io
 import math
 import struct
 import tempfile
@@ -24,10 +26,10 @@ from asbench import (
     write_scenario,
 )
 from asbench.evaluation import FeatureStep, MetricScore, ScoreReport, SolverStep
-from asbench.scenario_io import read_report_csv, write_report_csv
+from asbench.scenario_io import _read_table, read_report_csv, write_report_csv
 
 from gen import build_scenario, random_scenario, tutorial_scenario
-from oracles import oracle_read_report_csv
+from oracles import oracle_read_report_csv, oracle_read_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -409,6 +411,114 @@ class TestReports:
         with pytest.raises(ParseError) as exc:
             read_report_csv(path)
         assert (exc.value.file, exc.value.line, exc.value.reason) == ("r.csv", 4, reason)
+
+
+# Cells of the reader's random texts. The quoted ones hold what plain text
+# cannot: a quote, a comma, a line end or a CR inside a cell, and quotes in
+# odd places (inside a cell, or never closed).
+PLAIN_CELLS = ["", "a", "1.5", " x ", "#", "?", "nan", "\x00", "é", "long-cell-text"]
+QUOTED_CELLS = ['"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\rcr"', '"crlf\r\nx"', '"1.5"', 'a"b', '"']
+
+
+@st.composite
+def table_texts(draw):
+    """A random CSV text, a header to check it against (None: none) and the
+    ``comments`` flag."""
+    quoted = draw(st.booleans())
+    cells = st.sampled_from(PLAIN_CELLS + QUOTED_CELLS if quoted else PLAIN_CELLS)
+    width = draw(st.integers(1, 4))
+    head = [f"h{j}" for j in range(width)]
+    lines = [draw(st.sampled_from([",".join(head)] * 4 + ["", " ", "#h0"]))]
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["row"] * 4 + ["ragged", "blank", "space", "comment"]))
+        if shape in ("row", "ragged"):
+            n = width if shape == "row" else draw(st.integers(1, width + 2))
+            lines.append(",".join(draw(cells) for _ in range(n)))
+        else:
+            lines.append({"blank": "", "space": "  ", "comment": "# note, here"}[shape])
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"] if quoted else ["\n"])
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    if draw(st.booleans()):
+        text += draw(ends)  # a trailing line end
+    if draw(st.integers(0, 20)) == 0:
+        text = ""
+    header = draw(st.sampled_from([None, None, head, ["h0"]]))
+    return text, header, draw(st.booleans())
+
+
+def _read_with(read, path, header, comments):
+    """What a reader gives as (header, columns, line numbers, width flags and
+    reasons), or its ParseError; a csv.Error as its message."""
+    try:
+        return ("ok", *read(path, header, comments))
+    except ParseError as exc:
+        return "ParseError", exc.file, exc.line, exc.reason
+    except csv.Error as exc:
+        return "csv.Error", str(exc)
+
+
+def _as_columns(head, rows, lines):
+    """The oracle's rows as ``_read_table`` returns them: columns, rows of
+    another width than the header blanked, and the width rule's flags."""
+    w = len(head)
+    flags = [len(row) != w for row in rows]
+    blank = [row if len(row) == w else [""] * w for row in rows]
+    reasons = [f"expected {w} columns, got {len(row)}" for row in rows if len(row) != w]
+    return head, [list(col) for col in zip(*blank)] or [[] for _ in head], list(lines), flags if any(flags) else None, reasons
+
+
+def _records_before_failure(path):
+    """How many records ``csv.reader`` reads from the file before it fails."""
+    count = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for _ in csv.reader(fh):
+                count += 1
+        except csv.Error:
+            return count
+
+
+class TestReadTable:
+    """``_read_table`` against the csv.reader table reader it replaced
+    (``tests/oracles.py``), on plain and quoted texts."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(case=table_texts(), limit=st.sampled_from([None, 8]))
+    def test_matches_the_csv_reader(self, tmp_path_factory, case, limit):
+        text, header, comments = case
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        path.write_bytes(text.encode())
+        # a small field limit makes csv.reader fail on short texts
+        old_limit = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            want = _read_with(oracle_read_table, path, header, comments)
+            got = _read_with(_read_table, path, header, comments)
+            failing_record = _records_before_failure(path) + 1 if want[0] == "csv.Error" else None
+        finally:
+            csv.field_size_limit(old_limit)
+        if want[0] == "ok":
+            assert got[0] == "ok", got
+            head, columns, lines, (flags, reason) = got[1:]
+            reasons = [reason(i) for i, flag in enumerate(flags or ()) if flag]
+            assert (head, [list(col) for col in columns], list(lines), flags, reasons) == _as_columns(*want[1:])
+        elif want[0] == "ParseError":
+            assert got == want
+        else:  # csv.reader's failure is a ParseError of the record it was reading
+            assert got[:2] == ("ParseError", "t.csv") and got[3] == f"malformed CSV: {want[1]}"
+            if not comments:
+                assert got[2] == failing_record
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(case=table_texts(), at=st.integers(0, 200))
+    def test_an_undecodable_byte_names_its_line(self, tmp_path_factory, case, at):
+        text, header, comments = case
+        at = min(at, len(text))
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        path.write_bytes(text[:at].encode() + b"\xe9" + text[at:].encode())
+        with pytest.raises(ParseError) as exc:
+            _read_table(path, header, comments)
+        line = len(list(io.StringIO(text[:at] + "x", newline="")))  # the line of the character at ``at``
+        assert (exc.value.file, exc.value.line, exc.value.reason) == ("t.csv", line, "byte 0xe9 is not UTF-8 text")
 
 
 class TestGenerateSplits:
