@@ -18,11 +18,12 @@ deterministic: identical scenarios produce byte-identical bundles.
 Every CSV file asbench writes (bundles, predictions, reports, comparison
 and seed-study tables) goes through :func:`write_csv`, and every one it
 reads through ``_read_table``. That reader decodes the file once as UTF-8
-and hands each parser columns, not rows. Text with no ``"`` and no CR,
-which covers every file asbench writes, is split on ``\\n`` and ``,``; other
-text goes through ``csv.reader``. Either way blank lines are skipped but
-counted, and an undecodable byte or broken quoting is a :class:`ParseError`
-with the file and line.
+and hands each parser columns, not rows. A grid of plain text (no ``"``,
+no CR, no blank line, every line as wide as the first), which covers every
+bundle and prediction file asbench writes, is split on ``\\n`` and ``,``;
+all other text goes through ``csv.reader``. Either way blank lines are
+skipped but counted, and an undecodable byte or broken quoting is a
+:class:`ParseError` with the file and line.
 """
 
 from __future__ import annotations
@@ -140,28 +141,31 @@ def _read_table(path: Path, header: list[str] | None = None, comments: bool = Fa
     ``comments``, the lines after the first that are blank or start with
     ``#`` are skipped unread. A row of other width than the header is blank
     in the columns, and the width rule (the pair :func:`_raise_first` takes)
-    flags it. Text that holds a ``"`` or a CR goes through ``csv.reader``,
-    whose line numbers count records; other text is split on ``\\n`` and
-    ``,``. A field past ``csv.field_size_limit()`` is a ParseError either way.
+    flags it. A grid (every line as wide as the header, no blank line, no
+    ``"``, no CR, as :func:`write_csv` writes tables) is split on ``\\n``
+    and ``,``; all other text goes through ``csv.reader``, whose line
+    numbers count records. A field past ``csv.field_size_limit()`` is a
+    ParseError either way.
     """
     name, data = path.name, path.read_bytes()
     text = _decode(name, data)
     if not text:
         raise ParseError(name, 1, "file is empty, header row required")
     limit = csv.field_size_limit()
-    plain = '"' not in text and "\r" not in text
-    if plain and not comments and "\n\n" not in text and (len(text) <= limit or _longest_line(data) <= limit):
+    plain = '"' not in text and "\r" not in text and "\n\n" not in text
+    if plain and not comments and (len(text) <= limit or _longest_line(data) <= limit):
         first = text[: text.find("\n") % (len(text) + 1)]  # all of the text if it is one line
         w = first.count(",") + 1
         if first and _is_grid(data, w):
             _check_header(name, first.split(","), header)
             cells = text.removesuffix("\n").replace("\n", ",").split(",")
             return cells[:w], [cells[w + j :: w] for j in range(w)], range(2, len(cells) // w + 1), (None, None)
-    lines = text.split("\n") if plain else io.StringIO(text, newline="").readlines()
+    del text  # csv.reader streams the text from the bytes, as from the file
+    lines, numbers = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), None
     if comments:
-        numbers = [n for n, t in enumerate(lines, 1) if n == 1 or t.strip() and not t.startswith("#")]
-        lines = [lines[n - 1] for n in numbers]
-    records, head, rows = _split_records(lines, limit) if plain else csv.reader(lines), None, []
+        kept = [(n, t) for n, t in enumerate(lines, 1) if n == 1 or t.strip() and not t.startswith("#")]
+        numbers, lines = [n for n, _ in kept], [t for _, t in kept]
+    records, head, rows = csv.reader(lines), None, []
     try:
         head = next(records)
         _check_header(name, head, header)
@@ -175,14 +179,6 @@ def _read_table(path: Path, header: list[str] | None = None, comments: bool = Fa
         rows = [row for row in rows if row]
     width = _width_rule(rows, len(head))
     return head, [list(col) for col in zip(*rows)] or [[] for _ in head], lines, width
-
-
-def _split_records(lines, limit: int):
-    """``csv.reader`` of lines that hold no quote and no CR."""
-    for line in lines:
-        if len(line) > limit and max(map(len, line.split(","))) > limit:
-            raise csv.Error(f"field larger than field limit ({limit})")
-        yield line.split(",") if line else []
 
 
 def _check_header(name: str, head: list[str], header) -> None:

@@ -40,13 +40,14 @@ def _quote(token):
 
 
 def _csv(header, rows, draw):
-    """The rows as CSV text. A file may have CRLF line ends, or some cells
-    quoted; csv.reader then reads it in both parsers."""
-    style = draw(st.sampled_from(["plain", "plain", "crlf", "quoted"]))
+    """The rows as CSV text. A "grid" file is LF text with no blank line, as
+    asbench writes it; the others may have blank lines, and CRLF line ends
+    or some cells quoted, which csv.reader reads in both parsers."""
+    style = draw(st.sampled_from(["grid", "plain", "crlf", "quoted"]))
     cell = (lambda t: _quote(t) if draw(st.booleans()) else t) if style == "quoted" else (lambda t: t)
     lines = [",".join(map(cell, header))]
     for row in rows:
-        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.extend([""] * (0 if style == "grid" else draw(st.integers(0, 1))))
         lines.append(",".join(map(cell, row)))
     end = "\r\n" if style == "crlf" else "\n"
     return end.join(lines) + end
@@ -355,13 +356,14 @@ def test_each_malformed_row_names_its_line(tmp_path, name, bad):
     path = tmp_path / "s" / name
     original = path.read_text().splitlines()
     for j in (1, 2, len(original) - 1):  # the first, the second and the last data row
-        lines = list(original)
-        lines[j : j + 1] = ["", "", bad]  # blank lines before the bad row still count
-        path.write_text("\n".join(lines) + "\n")
-        got = _outcome(parse_scenario, tmp_path / "s", True)
-        assert got == _outcome(oracle_parse_scenario, tmp_path / "s", True)
-        assert got[0] == "ParseError"
-        assert got[1][:2] == (name, j + 3)
+        for blanks in ([], ["", ""]):  # the file as written, and blank lines that still count
+            lines = list(original)
+            lines[j : j + 1] = [*blanks, bad]
+            path.write_text("\n".join(lines) + "\n")
+            got = _outcome(parse_scenario, tmp_path / "s", True)
+            assert got == _outcome(oracle_parse_scenario, tmp_path / "s", True)
+            assert got[0] == "ParseError"
+            assert got[1][:2] == (name, j + 1 + len(blanks))
 
 
 def test_duplicate_and_mixed_rows_name_their_lines(tmp_path):
