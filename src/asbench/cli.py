@@ -444,7 +444,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="rank systems from evaluation reports")
     p.add_argument("reports", nargs="+", help="report CSV files from evaluate")
     p.add_argument("--ooc", action="append", help="system scored but excluded from ranking")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=float, default=0.05, choices=sorted(stats._Q_CRIT), help="significance level")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--mode", choices=("icon2015", "oasc2017"), default="oasc2017")
     p.add_argument("--json", action="store_true")

@@ -284,8 +284,7 @@ def mcp(outcome: EvaluationOutcome, scenario: Scenario, instance: str) -> float:
         raise ValueError("the misclassification penalty is defined for runtime scenarios only")
     if outcome.time_used is None:
         raise ValueError("runtime outcome required")
-    table = scenario.table
-    best = float(table.capped[table.row[instance]].min())  # the cutoff if none solved
+    best = float(scenario.capped[scenario.runs.row[instance]].min())  # the cutoff if none solved
     return min(outcome.time_used, scenario.cutoff) - best
 
 
@@ -345,9 +344,8 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         raise ValueError(f"missing predictions for test instances {missing[:5]!r}")
     sbs_col = scenario.algorithms.index(sbs(scenario, split.train))
     n = len(test)
-    table = scenario.table
-    rows = [table.row[i] for i in test]
-    vbs = table.cost[rows].min(axis=1).tolist()
+    rows = [scenario.runs.row[i] for i in test]
+    vbs = scenario.cost[rows].min(axis=1).tolist()
     if not isinstance(schedules, Schedules):
         schedules = Schedules.from_mapping(scenario, {i: schedules[i] for i in test})
     out = simulate_batch(scenario, schedules, test)
@@ -355,15 +353,15 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
     if scenario.objective == "runtime":
         cutoff = scenario.cutoff
         # a bare full-cutoff run of the single best solver replays as the
-        # table's own solved flag, PAR10 and capped runtime
-        capped = table.capped[rows]
+        # scenario's own solved flag, PAR10 and capped runtime
+        capped = scenario.capped[rows]
         best = capped.min(axis=1)
 
         def mean(xs):
             return math.fsum(xs) / n
 
         par10_s = mean(np.where(out.solved, out.time_used, PAR10_FACTOR * cutoff).tolist())
-        par10_b = mean(table.cost[rows, sbs_col].tolist())
+        par10_b = mean(scenario.cost[rows, sbs_col].tolist())
         par10_v = mean(vbs)
 
         used = np.where(cutoff < out.time_used, cutoff, out.time_used)  # min(time_used, cutoff)
@@ -371,8 +369,8 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         mcp_b = mean((capped[:, sbs_col] - best).tolist())
 
         solved_s = mean(out.solved.astype(float).tolist())
-        solved_b = mean(table.solved[rows, sbs_col].tolist())
-        solved_v = mean(table.solved[rows].any(axis=1).tolist())
+        solved_b = mean(scenario.solved[rows, sbs_col].tolist())
+        solved_v = mean(scenario.solved[rows].any(axis=1).tolist())
 
         metrics = {
             "par10": MetricScore(par10_s, par10_b, par10_v, _gap(par10_s, par10_b, par10_v)),
@@ -384,7 +382,7 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
     else:
         sign = -1.0 if scenario.direction == "maximize" else 1.0
         value_s = math.fsum(out.achieved_value.tolist()) / n
-        value_b = math.fsum(table.values[rows, sbs_col].tolist()) / n
+        value_b = math.fsum(scenario.runs.value[rows, sbs_col].tolist()) / n
         value_v = math.fsum(sign * v for v in vbs) / n
         metrics = {
             "quality": MetricScore(

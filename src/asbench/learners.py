@@ -140,7 +140,9 @@ def _grow_trees(X, Y, boot, rngs, min_leaf, features_per_split, n_classes) -> Fo
     partitions that range stably, so both orders hold down the tree. At each
     depth the candidate rows of every splittable node of every tree are
     gathered into padded (nodes, candidates, columns) blocks of nodes of
-    similar size (:func:`_size_blocks`), and each block is scored in one pass.
+    ascending size (:func:`_size_blocks`), and each block is scored in one
+    pass; each node is scored on its own padded row, so no blocking changes
+    a tree.
     Feature values are read from ``X`` through ``boot``, so a call copies no
     block of them.
     """
@@ -203,37 +205,24 @@ def _grow_trees(X, Y, boot, rngs, min_leaf, features_per_split, n_classes) -> Fo
 
 
 # A split search scores nodes in blocks of (nodes, candidates, columns, sums)
-# elements, each node padded to the block's largest size. One block costs
-# about as much time as _BLOCK_COST padded elements on top of its size, and
-# none holds more than _BLOCK_MAX elements.
-_BLOCK_COST = 1 << 14
+# elements, each node padded to the block's largest size; a block of more than
+# one node holds at most _BLOCK_MAX elements.
 _BLOCK_MAX = 1 << 14
 
 
 def _size_blocks(size, unit):
-    """Node index blocks, by size, as groups of consecutive size classes
-    (sizes in ``(2**(k-1), 2**k]``) that cost the least padded elements, at
-    ``unit`` elements a column, plus ``_BLOCK_COST`` per block."""
-    if size.size * int(size.max()) * unit <= _BLOCK_COST:
-        return [np.arange(size.size)]  # what the search below would pick
+    """Node index blocks in ascending size: of the nodes sorted by size
+    (stably), each block takes the most that fit within ``_BLOCK_MAX``
+    padded elements at ``unit`` elements a column, and at least one."""
     order = np.argsort(size, kind="stable")
-    ends = np.append(np.flatnonzero(np.diff(np.frexp(size[order] - 1)[1])) + 1, size.size)
-    starts = np.append(0, ends[:-1])
-    widths = size[order][ends - 1] * unit
-    # best[j]: the least cost of the classes before j; cut[j]: the first
-    # class of the last block in the best grouping of classes up to j
-    best, cut = [0], []
-    for j, end in enumerate(ends):
-        costs = [best[i] + (end - starts[i]) * widths[j] for i in range(j + 1)]
-        cut.append(int(np.argmin(costs)))
-        best.append(costs[cut[-1]] + _BLOCK_COST)
-    blocks = []
-    j = len(ends) - 1
-    while j >= 0:
-        group = order[starts[cut[j]] : ends[j]]
-        step = max(1, _BLOCK_MAX // int(widths[j]))
-        blocks += [group[lo : lo + step] for lo in range(0, group.size, step)]
-        j = cut[j] - 1
+    width = size[order] * unit
+    blocks, lo = [], 0
+    while lo < order.size:
+        # j + 1 nodes padded to the width of the j-th grow with j: count those that fit
+        w = width[lo : lo + max(1, _BLOCK_MAX // int(width[lo]))]
+        hi = lo + max(1, int(np.count_nonzero(np.arange(1, w.size + 1) * w <= _BLOCK_MAX)))
+        blocks.append(order[lo:hi])
+        lo = hi
     return blocks
 
 

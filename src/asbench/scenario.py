@@ -235,6 +235,10 @@ class Scenario:
     reads as a mapping of each instance to its vector, with ``None`` for a
     missing value, never silently zero. Such a mapping is accepted instead
     and converted once, at construction.
+
+    ``solved``, ``cost`` and ``capped`` are read-only arrays aligned to
+    ``runs``, derived from it and the objective, direction and cutoff on
+    first use.
     """
 
     id: str
@@ -270,9 +274,30 @@ class Scenario:
             )
 
     @cached_property
-    def table(self) -> RunTable:
-        """The arrays derived from the runs, built on first use."""
-        return RunTable.build(self)
+    def solved(self) -> np.ndarray:
+        """The one solved predicate: status ``ok`` and, for runtime
+        scenarios, a value within the cutoff."""
+        solved = self.runs.status == STATUS_CODE["ok"]
+        if self.objective == "runtime":
+            solved &= self.runs.value <= self.cutoff
+        return _read_only(solved)
+
+    @cached_property
+    def cost(self) -> np.ndarray:
+        """What selection minimizes: PAR10 for runtime scenarios, the value
+        (negated under the maximize direction) for quality ones."""
+        values = self.runs.value
+        if self.objective == "runtime":
+            return _read_only(np.where(self.solved, values, PAR10_FACTOR * self.cutoff))
+        return _read_only(-values) if self.direction == "maximize" else values
+
+    @cached_property
+    def capped(self) -> np.ndarray:
+        """The unpenalized runtime, the cutoff for an unsolved run; quality
+        scenarios keep the raw values."""
+        if self.objective == "runtime":
+            return _read_only(np.where(self.solved, self.runs.value, self.cutoff))
+        return self.runs.value
 
     @cached_property
     def feature_cost(self) -> np.ndarray:
@@ -283,48 +308,12 @@ class Scenario:
             [0.0] * n if g.cost is None else [g.cost.get(i, 0.0) for i in self.instances]
             for g in self.feature_groups
         ]
-        cost = np.array(columns, dtype=np.float64).reshape(len(columns), n).T
-        cost.flags.writeable = False
-        return cost
+        return _read_only(np.array(columns, dtype=np.float64).reshape(len(columns), n).T)
 
 
-@dataclass(frozen=True)
-class RunTable:
-    """Arrays derived from a scenario's stored runs (:class:`Runs`) and its
-    objective, direction and cutoff: one row per instance, in
-    ``Scenario.instances`` order, and one column per algorithm, in portfolio
-    order. The arrays are read-only; ``row`` and ``values`` are the stored
-    table's own.
-
-    ``solved`` is the one solved predicate: status ``ok`` and, for runtime
-    scenarios, a value within the cutoff. ``cost`` is what selection
-    minimizes: PAR10 for runtime scenarios, the value (negated under the
-    maximize direction) for quality ones. ``capped`` is the unpenalized
-    runtime, the cutoff for an unsolved run; quality scenarios keep the raw
-    values there.
-    """
-
-    row: dict[str, int]
-    values: np.ndarray
-    solved: np.ndarray
-    cost: np.ndarray
-    capped: np.ndarray
-
-    @classmethod
-    def build(cls, scenario: Scenario) -> RunTable:
-        runs = scenario.runs
-        values = runs.value
-        solved = runs.status == STATUS_CODE["ok"]
-        if scenario.objective == "runtime":
-            solved &= values <= scenario.cutoff
-            cost = np.where(solved, values, PAR10_FACTOR * scenario.cutoff)
-            capped = np.where(solved, values, scenario.cutoff)
-        else:
-            cost = -values if scenario.direction == "maximize" else values
-            capped = values
-        for array in (solved, cost, capped):
-            array.flags.writeable = False
-        return cls(row=runs.row, values=values, solved=solved, cost=cost, capped=capped)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -484,20 +473,19 @@ def validate(scenario: Scenario) -> list[Violation]:
 def vbs_cost(scenario: Scenario, instance: str) -> float:
     """Cost of the virtual best solver on one instance: the per-instance
     minimum cost, with zero overhead for feature computation."""
-    table = scenario.table
-    if instance not in table.row:
+    row = scenario.runs.row.get(instance)
+    if row is None:
         raise ValueError(f"unknown instance {instance!r}")
-    return float(table.cost[table.row[instance]].min())
+    return float(scenario.cost[row].min())
 
 
 def sbs(scenario: Scenario, train_instances) -> str:
     """Single best solver: the algorithm with the lowest total cost
     over the given training instances. Ties go to the earlier portfolio slot."""
-    table = scenario.table
-    rows = [table.row[i] for i in train_instances]
+    rows = [scenario.runs.row[i] for i in train_instances]
     if not rows:
         raise ValueError("cannot pick a single best solver from an empty training set")
-    totals = [math.fsum(column) for column in table.cost[rows].T.tolist()]
+    totals = [math.fsum(column) for column in scenario.cost[rows].T.tolist()]
     return scenario.algorithms[totals.index(min(totals))]
 
 
@@ -508,10 +496,9 @@ def baseline_means(scenario: Scenario, rows) -> tuple[float, float]:
     Runtime scenarios average unpenalized runtimes capped at the cutoff;
     quality scenarios average the raw values.
     """
-    table = scenario.table
-    capped = table.capped[rows]
+    capped = scenario.capped[rows]
     # the virtual best solver runs each row's cheapest algorithm
-    vbs = capped[np.arange(len(capped)), table.cost[rows].argmin(axis=1)]
+    vbs = capped[np.arange(len(capped)), scenario.cost[rows].argmin(axis=1)]
     sbs_col = scenario.algorithms.index(sbs(scenario, scenario.instances))
     n = len(capped)
     return math.fsum(capped[:, sbs_col].tolist()) / n, math.fsum(vbs.tolist()) / n
@@ -526,7 +513,7 @@ def improvement_factor(scenario: Scenario) -> float:
     VBS yields a factor above 1 for either direction.
     """
     if scenario.objective == "runtime":
-        rows = np.flatnonzero(scenario.table.solved.any(axis=1))
+        rows = np.flatnonzero(scenario.solved.any(axis=1))
         if not len(rows):
             raise ValueError("degenerate scenario: every algorithm failed on every instance")
         sbs_mean, vbs_mean = baseline_means(scenario, rows)

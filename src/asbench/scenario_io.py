@@ -143,9 +143,9 @@ def _read_table(path: Path, header: list[str] | None = None, comments: bool = Fa
     in the columns, and the width rule (the pair :func:`_raise_first` takes)
     flags it. A grid (every line as wide as the header, no blank line, no
     ``"``, no CR, as :func:`write_csv` writes tables) is split on ``\\n``
-    and ``,``; all other text goes through ``csv.reader``, whose line
-    numbers count records. A field past ``csv.field_size_limit()`` is a
-    ParseError either way.
+    and ``,``; all other text goes through ``csv.reader``, and a record
+    there is numbered by the line it starts on. A field past
+    ``csv.field_size_limit()`` is a ParseError either way.
     """
     name, data = path.name, path.read_bytes()
     text = _decode(name, data)
@@ -161,19 +161,23 @@ def _read_table(path: Path, header: list[str] | None = None, comments: bool = Fa
             cells = text.removesuffix("\n").replace("\n", ",").split(",")
             return cells[:w], [cells[w + j :: w] for j in range(w)], range(2, len(cells) // w + 1), (None, None)
     del text  # csv.reader streams the text from the bytes, as from the file
-    lines, numbers = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), None
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    numbers = range(1, len(data) + 2)  # the physical number of each line read
     if comments:
         kept = [(n, t) for n, t in enumerate(lines, 1) if n == 1 or t.strip() and not t.startswith("#")]
         numbers, lines = [n for n, _ in kept], [t for _, t in kept]
-    records, head, rows = csv.reader(lines), None, []
+    # starts[i]: the lines read before record i, the header being record 0
+    records, starts, rows = csv.reader(lines), [0], []
     try:
         head = next(records)
         _check_header(name, head, header)
-        rows.extend(records)
+        starts.append(records.line_num)
+        for row in records:
+            rows.append(row)
+            starts.append(records.line_num)
     except csv.Error as exc:
-        line = 1 if head is None else numbers[len(rows) + 1] if comments else len(rows) + 2
-        raise ParseError(name, line, f"malformed CSV: {exc}") from None
-    lines = numbers[1:] if comments else range(2, len(rows) + 2)
+        raise ParseError(name, numbers[starts[-1]], f"malformed CSV: {exc}") from None
+    lines = [numbers[n] for n in starts[1:-1]]
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
@@ -194,8 +198,9 @@ def _longest_line(data: bytes) -> int:
 
 def _is_grid(data: bytes, width: int) -> bool:
     """Whether every line of ``data`` has ``width`` fields: its commas and
-    line ends, all else deleted, repeat ``width - 1`` commas and a line end."""
-    skeleton = data.translate(None, _NOT_SEPARATORS).removesuffix(b"\n") + b"\n"
+    line ends, all else deleted, repeat ``width - 1`` commas and a line end
+    (one taken as ending the last line if it has none)."""
+    skeleton = data.translate(None, _NOT_SEPARATORS) + (b"" if data.endswith(b"\n") else b"\n")
     unit = b"," * (width - 1) + b"\n"
     return skeleton == unit * (len(skeleton) // len(unit))
 

@@ -180,15 +180,14 @@ def build_training_set(scenario: Scenario, instances, feature_groups=None) -> Tr
     columns = _group_columns(scenario, feature_groups)
     raw = raw_features(scenario, instances, columns)
     pre = Preprocess.fit(raw, columns)
-    table = scenario.table
-    rows = [table.row[i] for i in instances]
+    rows = [scenario.runs.row[i] for i in instances]
     return TrainingSet(
         instances=instances,
         algorithms=scenario.algorithms,
         feature_groups=feature_groups,
         X=pre.transform(raw),
-        costs=table.cost[rows],
-        solved=table.solved[rows],
+        costs=scenario.cost[rows],
+        solved=scenario.solved[rows],
         pre=pre,
     )
 
@@ -442,9 +441,8 @@ def _solved_times(scenario: Scenario, instances) -> np.ndarray:
     column a is at most t: its budget stays below the cutoff, so "ok within
     t" and "solved within t" agree.
     """
-    table = scenario.table
-    rows = [table.row[i] for i in instances]
-    return np.where(table.solved[rows], table.values[rows], np.inf)
+    rows = [scenario.runs.row[i] for i in instances]
+    return np.where(scenario.solved[rows], scenario.runs.value[rows], np.inf)
 
 
 def build_presolver(train_instances, scenario: Scenario, hp: Hyperparameters, max_steps: int = 1):

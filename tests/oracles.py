@@ -617,22 +617,24 @@ def oracle_range_quantile(k, alpha):
 
 def oracle_read_table(path: Path, header: list[str] | None = None, comments: bool = False):
     """Read a CSV file whole: (header, rows, line numbers), blank rows
-    skipped. The header is checked when given. With ``comments``, the lines
-    after the first that are blank or start with ``#`` are skipped unread."""
+    skipped, each row numbered by the physical line it starts on. The header
+    is checked when given. With ``comments``, the lines after the first that
+    are blank or start with ``#`` are skipped unread."""
     with open(path, newline="", encoding="utf-8") as fh:
-        source, lines = fh, None
-        if comments:
-            kept = [(n, t) for n, t in enumerate(fh, 1) if n == 1 or t.strip() and not t.startswith("#")]
-            source, lines = [t for _, t in kept], [n for n, _ in kept[1:]]
-        reader = csv.reader(source)
-        try:
-            head = next(reader)
-        except StopIteration:
-            raise ParseError(path.name, 1, "file is empty, header row required") from None
-        if header is not None and head != header:
-            raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
-        rows = list(reader)
-    lines = range(2, len(rows) + 2) if lines is None else lines
+        numbered = list(enumerate(fh, 1))
+    if comments:
+        numbered = [(n, t) for n, t in numbered if n == 1 or t.strip() and not t.startswith("#")]
+    reader = csv.reader(t for _, t in numbered)
+    try:
+        head = next(reader)
+    except StopIteration:
+        raise ParseError(path.name, 1, "file is empty, header row required") from None
+    if header is not None and head != header:
+        raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
+    rows, lines = [], []
+    while reader.line_num < len(numbered):  # a record starts on the first line not yet read
+        lines.append(numbered[reader.line_num][0])
+        rows.append(next(reader))
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
@@ -646,19 +648,22 @@ def oracle_read_table(path: Path, header: list[str] | None = None, comments: boo
 
 
 def _oracle_read_csv(path: Path, header: list[str] | None = None):
-    """Yield (line_number, row) pairs, checking the header when given."""
+    """Yield (line_number, row) pairs, checking the header when given; a row
+    is numbered by the physical line it starts on."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            head = next(reader)
-        except StopIteration:
-            raise ParseError(path.name, 1, "file is empty, header row required") from None
-        if header is not None and head != header:
-            raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
-        yield 1, head
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    try:
+        head = next(reader)
+    except StopIteration:
+        raise ParseError(path.name, 1, "file is empty, header row required") from None
+    if header is not None and head != header:
+        raise ParseError(path.name, 1, f"bad header {head!r}, expected {header!r}")
+    yield 1, head
+    while reader.line_num < len(lines):
+        lineno = reader.line_num + 1
+        row = next(reader)
+        if row:
             yield lineno, row
 
 

@@ -5,15 +5,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from asbench import parse_predictions, parse_scenario, sbs, selectors, write_scenario
+from asbench import ParseError, parse_predictions, parse_scenario, sbs, selectors, write_scenario
 from asbench.cli import _atomic_write, main
 from asbench.selectors import Hyperparameters
 
-from gen import learnable_scenario
+from gen import learnable_scenario, random_scenario
+from oracles import oracle_parse_scenario
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +195,122 @@ class TestBrokenText:
         argv = ["evaluate", "--scenario", tutorial_bundle, "--predictions", pred, "--system", "s", "--out", tmp_path / "r"]
         assert run_cli(*argv) == 2
         assert "error: pred.csv:3: byte 0xe9 is not UTF-8 text" in capsys.readouterr().err
+
+
+def _edit(name, old, new):
+    """An edit of one bundle file: ``old`` replaced by ``new`` once."""
+    return lambda root: (root / name).write_text((root / name).read_text().replace(old, new, 1))
+
+
+class TestBundleRejects:
+    """Each bundle reject exits ``validate`` with 2 and ``file:line: reason``;
+    the CSV ones fail alike in the row parser (``tests/oracles.py``)."""
+
+    GROUPS = "feature_groups: base=base:0,1;probing=probing:2"
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (_edit("description.txt", "direction: minimize\n", "direction minimize\n"),
+             "description.txt:3: expected 'key: value', got 'direction minimize'"),
+            (_edit("description.txt", "cutoff: 5000.0\n", "cutoff: 5000.0\nobjective: quality\n"),
+             "description.txt:5: duplicate key 'objective'"),
+            (_edit("description.txt", "direction: minimize\n", ""), "description.txt:1: missing key 'direction'"),
+            (_edit("description.txt", GROUPS, "feature_groups: base:0,1;probing=probing:2"),
+             "description.txt:1: bad feature group 'base:0,1', expected name=cost_column:indices"),
+            (_edit("description.txt", GROUPS, "feature_groups: base=base:0,x;probing=probing:2"),
+             "description.txt:1: bad index list '0,x'"),
+            (_edit("description.txt", GROUPS, "feature_groups: base=base:0,1;probing=probing:"),
+             "description.txt:1: feature group 'probing' has no indices"),
+            (_edit("features.csv", "instance_id,", "inst,"), "features.csv:1: first column must be instance_id"),
+            (_edit("feature_costs.csv", "instance_id,", "inst,"),
+             "feature_costs.csv:1: first column must be instance_id"),
+            (_edit("feature_costs.csv", "base,probing", "base,base"), "feature_costs.csv:1: duplicate cost column"),
+            (lambda root: (root / "feature_costs.csv").unlink(),
+             "feature_costs.csv:0: runtime scenario requires a feature cost table"),
+        ],
+        ids=["no-colon", "repeated-key", "missing-key", "group-grammar", "index-list", "no-indices",
+             "features-first-column", "costs-first-column", "repeated-cost-column", "no-cost-table"],
+    )
+    def test_exits_two_with_file_and_line(self, tutorial_bundle, capsys, edit, error):
+        edit(tutorial_bundle)
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {error}"
+        with pytest.raises(ParseError) as exc:
+            oracle_parse_scenario(tutorial_bundle)
+        assert str(exc.value) == error
+
+    def test_blank_description_lines_are_skipped(self, tutorial, tutorial_bundle, capsys):
+        desc = tutorial_bundle / "description.txt"
+        desc.write_text("\n" + desc.read_text().replace("\n", "\n  \n", 2))
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 0
+        assert parse_scenario(tutorial_bundle) == tutorial
+        # the blank lines still count: a bad key on the last line names line 10
+        desc.write_text(desc.read_text() + "surprise: 1\n")
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: description.txt:10: unknown key 'surprise'"
+
+    def test_quality_bundle_without_costs_replaces_a_stale_cost_table(self, tutorial_bundle):
+        quality = random_scenario(3, objective="quality")
+        quality = replace(quality, feature_groups=tuple(replace(g, cost=None) for g in quality.feature_groups))
+        assert (tutorial_bundle / "feature_costs.csv").exists()
+        write_scenario(quality, tutorial_bundle)
+        assert not (tutorial_bundle / "feature_costs.csv").exists()
+        assert parse_scenario(tutorial_bundle) == quality
+        assert run_cli("validate", "--scenario", tutorial_bundle) == 0
+
+
+class TestCommandRejects:
+    """Each command reject exits 2 with its message on the last stderr line."""
+
+    def test_file_splits_on_a_bundle_without_splits(self, tutorial_bundle, tmp_path, capsys):
+        (tutorial_bundle / "splits.csv").write_text("split_id,mode,role,instance_id\n")
+        argv = ["train", "--scenario", tutorial_bundle, "--selector", "cluster", "--out", tmp_path / "m.json"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: scenario bundle has no stored splits; use --splits bootstrap:N"
+        )
+
+    def test_unknown_split_id(self, tutorial_bundle, tmp_path, capsys):
+        argv = ["train", "--scenario", tutorial_bundle, "--selector", "cluster", "--split-id", "7",
+                "--out", tmp_path / "m.json"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: no split with id 7; have [0, 1]"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_icon2015_evaluate_without_a_split_file(self, tutorial_bundle, tmp_path, capsys):
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        (preds / "predictions_split0.csv").write_text(
+            "instance_id,step,kind,name,budget\ni4,1,solver,A1,5000.0\ni5,1,solver,A1,5000.0\n"
+        )
+        argv = ["evaluate", "--scenario", tutorial_bundle, "--mode", "icon2015", "--predictions", preds,
+                "--out", tmp_path / "r"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: missing prediction file {preds / 'predictions_split1.csv'}"
+        )
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_compare_with_every_system_out_of_competition(self, tmp_path, capsys):
+        report = tmp_path / "a.csv"
+        report.write_text("system,scenario,split,metric,value\nalpha,s1,0,gap_par10,0.1\nbeta,s1,0,gap_par10,0.2\n")
+        argv = ["compare", report, "--ooc", "alpha", "--ooc", "beta", "--out", tmp_path / "cmp", "--json"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: every system is out of competition; nothing to rank"
+        assert not (tmp_path / "cmp.json").exists()
+
+    def test_seed_study_where_the_single_best_is_the_virtual_best(self, tutorial_bundle, tmp_path, capsys):
+        # A1 solves every instance in 1 s, so the SBS is the VBS and no gap is defined
+        runs = tutorial_bundle / "runs.csv"
+        runs.write_text("\n".join(
+            line.split(",")[0] + ",A1,1.0,ok" if ",A1," in line else line for line in runs.read_text().splitlines()
+        ) + "\n")
+        argv = ["seed-study", "--scenario", tutorial_bundle, "--selector", "cluster", "--hp", "n_trees=2",
+                "--hp", "k_clusters=2", "--n-seeds", "2", "--out", tmp_path / "study"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: gap undefined on this scenario (SBS equals VBS)"
+        assert not list(tmp_path.glob("study*"))
 
 
 class TestAtomicWrite:
@@ -766,6 +884,19 @@ class TestCompare:
         assert run_cli("compare", a, b, "--ooc", "ghost", "--ooc", "beta", "--out", out, "--json") == 2
         assert capsys.readouterr().err.splitlines()[-1] == "error: --ooc names no system in the reports: ['ghost']"
         assert not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("gaps", [{"s1": 0.1}, {"s1": 0.1, "s2": 0.3}], ids=["one-scenario", "two-scenarios"])
+    def test_untabulated_alpha_exits_two(self, tmp_path, capsys, gaps):
+        a = self.make_report(tmp_path / "a.csv", "alpha", gaps)
+        b = self.make_report(tmp_path / "b.csv", "beta", gaps)
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", a, b, "--alpha", "0.07", "--out", out, "--json")
+        assert exc.value.code == 2
+        assert "argument --alpha: invalid choice: 0.07" in capsys.readouterr().err
+        assert not out.with_suffix(".json").exists()
+        assert run_cli("compare", a, b, "--alpha", "0.10", "--out", out, "--json") == 0
+        assert json.loads(out.with_suffix(".json").read_text())["alpha"] == 0.1
 
 
 class TestSeedStudy:

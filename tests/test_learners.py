@@ -313,6 +313,42 @@ def test_shared_grower_calls_match_per_forest_fits(train, hp, cells):
         assert_same_forest(got, want)
 
 
+@pytest.mark.parametrize("features_per_split", [None, 2])
+def test_block_planning_never_changes_a_tree(features_per_split):
+    # one node per block, and every node of a depth in one block, against the
+    # default bound: each node's split is scored on its own padded row
+    rng = np.random.default_rng(21)
+    train = _training_set(rng.integers(0, 40, size=(150, 4)) * 0.25, rng.lognormal(size=(150, 3)))
+    hp = _hp(4, 17, features_per_split=features_per_split)
+
+    def forests():
+        fits = [fit(train, hp).payload for fit in (fit_regression, fit_pairwise, fit_stacking)]
+        return [f for p in fits for f in p["forests"]] + [fits[2]["combiner"]]
+
+    want = forests()
+    assert {f.n_classes for f in want} >= {None, 2}  # regression and classification forests
+    for bound in (1, 1 << 40):
+        with mock.patch.object(learners, "_BLOCK_MAX", bound):
+            got = forests()
+        for a, b in zip(got, want, strict=True):
+            assert_same_forest(a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(sizes=st.lists(st.integers(2, 3000), min_size=1, max_size=200), unit=st.integers(1, 64))
+def test_size_blocks_are_maximal_runs_of_ascending_size(sizes, unit):
+    size = np.array(sizes, dtype=np.int64)
+    blocks = learners._size_blocks(size, unit)
+    order = np.concatenate(blocks)
+    # every node once, in ascending size, equal sizes in node order
+    assert order.tolist() == np.argsort(size, kind="stable").tolist()
+    for b, after in zip(blocks, blocks[1:] + [None]):
+        padded = b.size * int(size[b].max()) * unit
+        assert b.size == 1 or padded <= learners._BLOCK_MAX
+        if after is not None:  # the next node would not fit
+            assert (b.size + 1) * int(size[after[0]]) * unit > learners._BLOCK_MAX
+
+
 @st.composite
 def packed_forest_cases(draw):
     """(trees, n_classes, X): hand-built one-tree forests whose splits each

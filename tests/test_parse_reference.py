@@ -416,7 +416,7 @@ def test_write_then_parse_round_trips(seed, objective):
         back = parse_scenario(Path(tmp) / "b")
     assert back == scen
     assert _bits(back) == _bits(scen)
-    assert back.table.cost.tobytes() == scen.table.cost.tobytes()
+    assert back.cost.tobytes() == scen.cost.tobytes()
 
 
 def _broken(tutorial, cells):
@@ -444,6 +444,31 @@ def test_validate_matches_the_record_walk(cells, cutoff):
     scen = _broken(tutorial, {p: None if c is None else RunRecord(*c) for p, c in cells.items()})
     scen = replace(scen, cutoff=cutoff)
     assert _violations(validate(scen)) == _violations(oracle_validate(scen))
+
+
+def _edited_group(scenario, j, **fields):
+    groups = list(scenario.feature_groups)
+    groups[j] = replace(groups[j], **fields)
+    return replace(scenario, feature_groups=tuple(groups))
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        (lambda t: replace(t, instances=t.instances + ("i1",)), "duplicate_instance"),
+        (lambda t: _edited_group(t, 0, feature_indices=(0, 1, 7)), "bad_feature_index"),
+        (lambda t: _edited_group(t, 0, feature_indices=(0,)), "ungrouped_feature"),
+        (lambda t: _edited_group(t, 1, cost={**t.feature_groups[1].cost, "i9": 1.0}), "unknown_cost_row"),
+        (lambda t: replace(t, splits=(t.splits[0], t.splits[0])), "duplicate_split"),
+        (lambda t: replace(t, splits=(Split(0, ("i1", "i9"), ("i4",)),)), "unknown_split_instance"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else None,
+)
+def test_validate_codes_match_the_record_walk(edit, code):
+    scen = edit(tutorial_scenario())
+    found = validate(scen)
+    assert code in [v.code for v in found]
+    assert _violations(found) == _violations(oracle_validate(scen))
 
 
 class TestDuplicateSplitInstance:

@@ -166,7 +166,7 @@ def test_training_set_matches_per_pair_recomputation(spec, kind):
                 cost = -rec.value if scen.direction == "maximize" else rec.value
             assert ts.solved[r, c] == solved
             assert ts.costs[r, c] == cost
-            assert scen.table.cost[scen.table.row[inst], c] == cost
+            assert scen.cost[scen.runs.row[inst], c] == cost
 
 
 # A0 is the single best solver: a memout (15 s) and a crash (10 s) die
@@ -205,15 +205,17 @@ def test_sbs_scores_match_oracle_replays(spec, kind):
 
 
 def test_table_is_cached_read_only_and_in_scenario_order(tutorial):
-    table = tutorial.table
-    assert tutorial.table is table
-    assert list(table.row) == list(tutorial.instances)
-    assert table.values.shape == (len(tutorial.instances), len(tutorial.algorithms))
-    with pytest.raises(ValueError):
-        table.cost[0, 0] = 0.0
+    arrays = tutorial.solved, tutorial.cost, tutorial.capped
+    assert all(a is b for a, b in zip(arrays, (tutorial.solved, tutorial.cost, tutorial.capped)))
+    assert list(tutorial.runs.row) == list(tutorial.instances)
+    for array in arrays:
+        assert array.shape == (len(tutorial.instances), len(tutorial.algorithms))
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+    row = tutorial.runs.row["i2"]
     # i2: A1 timed out, A2 took 80 s, A3 hit a memout
-    assert table.solved[table.row["i2"]].tolist() == [False, True, False]
-    assert table.capped[table.row["i2"]].min() == 80.0
+    assert tutorial.solved[row].tolist() == [False, True, False]
+    assert tutorial.capped[row].min() == 80.0
     penalty = mcp(EvaluationOutcome(solved=True, time_used=100.0), tutorial, "i2")
     assert penalty == 20.0
     assert type(penalty) is float
@@ -253,9 +255,9 @@ def test_records_the_table_cannot_hold_are_refused(tutorial):
 
 
 def test_table_follows_the_cutoff_of_a_replaced_scenario(tutorial):
-    assert tutorial.table.solved[tutorial.table.row["i3"]].tolist() == [True, True, False]
+    assert tutorial.solved[tutorial.runs.row["i3"]].tolist() == [True, True, False]
     tighter = replace(tutorial, cutoff=2000.0)
     assert tighter.runs is tutorial.runs
     # i3: A1 took 2,500 s, over the new cutoff
-    assert tighter.table.solved[tighter.table.row["i3"]].tolist() == [False, True, False]
-    assert tighter.table.cost[tighter.table.row["i3"], 0] == 20000.0
+    assert tighter.solved[tighter.runs.row["i3"]].tolist() == [False, True, False]
+    assert tighter.cost[tighter.runs.row["i3"], 0] == 20000.0

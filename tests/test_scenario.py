@@ -147,7 +147,7 @@ def test_effective_cost_penalizes_any_non_ok_status():
         ["i0"],
         cutoff=100.0,
     )
-    assert scen.table.cost.tolist() == [[1000.0, 1.0]]
+    assert scen.cost.tolist() == [[1000.0, 1.0]]
 
 
 class TestVbsCost:
@@ -180,7 +180,7 @@ class TestVbsCost:
         for seed in range(25):
             scen = random_scenario(seed)
             for inst in scen.instances:
-                assert (vbs_cost(scen, inst) <= scen.table.cost[scen.table.row[inst]]).all()
+                assert (vbs_cost(scen, inst) <= scen.cost[scen.runs.row[inst]]).all()
 
 
 class TestSbs:
@@ -289,7 +289,7 @@ def test_best_ok_time_caps_at_cutoff():
         ["i0"],
         cutoff=5000.0,
     )
-    assert scen.table.capped[0].min() == 5000.0
+    assert scen.capped[0].min() == 5000.0
     # no algorithm solves i0, so even a timed-out system loses nothing to the best
     assert mcp(EvaluationOutcome(solved=False, time_used=5000.0), scen, "i0") == 0.0
 

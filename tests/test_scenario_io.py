@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asbench import (
@@ -72,6 +72,17 @@ class TestParseScenario:
         assert err.value.file == "features.csv"
         assert err.value.line == 7
         assert "duplicate" in err.value.reason
+
+    def test_rows_after_a_multi_line_cell_keep_their_lines(self, tmp_path, tutorial):
+        # i1's first value is the quoted cell "0.5\n" (lines 2-3), so i3 is on line 5
+        write_scenario(tutorial, tmp_path / "s")
+        feats = tmp_path / "s" / "features.csv"
+        text = feats.read_text().replace("i1,0.5,", 'i1,"0.5\n",').replace("i3,2.5,", "i3,abc,")
+        feats.write_text(text)
+        with pytest.raises(ParseError) as err:
+            parse_scenario(tmp_path / "s")
+        assert (err.value.file, err.value.line) == ("features.csv", 5)
+        assert "'abc'" in err.value.reason
 
     def test_unknown_description_key_rejected(self, tmp_path, tutorial):
         write_scenario(tutorial, tmp_path / "s")
@@ -413,6 +424,14 @@ class TestReports:
         assert (exc.value.file, exc.value.line, exc.value.reason) == ("r.csv", 4, reason)
 
 
+    def test_a_row_after_a_multi_line_cell_and_a_comment_keeps_its_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text('system,scenario,split,metric,value\ns,x,0,par10,1.0\n"a\nb",x,0,par10,1.0\n# c\nz,s,0,par10,abc\n')
+        with pytest.raises(ParseError) as exc:
+            read_report_csv(path)
+        assert (exc.value.file, exc.value.line, exc.value.reason) == ("r.csv", 6, "bad value 'abc', expected a number")
+
+
 # Cells of the reader's random texts. The quoted ones hold what plain text
 # cannot: a quote, a comma, a line end or a CR inside a cell, and quotes in
 # odd places (inside a cell, or never closed).
@@ -467,15 +486,16 @@ def _as_columns(head, rows, lines):
     return head, [list(col) for col in zip(*blank)] or [[] for _ in head], list(lines), flags if any(flags) else None, reasons
 
 
-def _records_before_failure(path):
-    """How many records ``csv.reader`` reads from the file before it fails."""
-    count = 0
+def _failing_record_line(path):
+    """The line on which the record that ``csv.reader`` fails on starts."""
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            for _ in csv.reader(fh):
-                count += 1
+            while True:
+                start = reader.line_num + 1
+                next(reader)
         except csv.Error:
-            return count
+            return start
 
 
 class TestReadTable:
@@ -484,6 +504,8 @@ class TestReadTable:
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(case=table_texts(), limit=st.sampled_from([None, 8]))
+    # a last line with no line end and fewer commas is no grid row
+    @example(case=("h0,h1\n  ", None, False), limit=None)
     def test_matches_the_csv_reader(self, tmp_path_factory, case, limit):
         text, header, comments = case
         path = tmp_path_factory.mktemp("table") / "t.csv"
@@ -493,7 +515,7 @@ class TestReadTable:
         try:
             want = _read_with(oracle_read_table, path, header, comments)
             got = _read_with(_read_table, path, header, comments)
-            failing_record = _records_before_failure(path) + 1 if want[0] == "csv.Error" else None
+            failing_line = _failing_record_line(path) if want[0] == "csv.Error" else None
         finally:
             csv.field_size_limit(old_limit)
         if want[0] == "ok":
@@ -506,7 +528,7 @@ class TestReadTable:
         else:  # csv.reader's failure is a ParseError of the record it was reading
             assert got[:2] == ("ParseError", "t.csv") and got[3] == f"malformed CSV: {want[1]}"
             if not comments:
-                assert got[2] == failing_record
+                assert got[2] == failing_line
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(case=table_texts(), at=st.integers(0, 200))
