@@ -185,9 +185,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if not args.system or args.system.startswith("#"):
-        # a report row starting with '#' reads back as a comment line
-        raise ValueError(f"--system must be non-empty and must not start with '#', got {args.system!r}")
+    scenario_io.check_system_name(args.system, "--system")
     scen = parse_scenario(args.scenario)
     splits = _resolve_splits(scen, args.splits, args.seed)
     reports: list[ScoreReport] = []
@@ -228,6 +226,7 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
     of a system on a scenario is its designated gap (2017: PAR10 or quality
     gap; 2015: the mean of the three metric gaps), averaged over splits.
     """
+    stats.check_alpha(alpha)
     designated = {f"gap_{m}" for m in evaluation.GAP_METRICS[mode]}
     per_cell: dict[tuple[str, str], dict[int, list[float]]] = {}
     systems: list[str] = []
@@ -469,7 +468,7 @@ def main(argv=None) -> int:
     except (ParseError, ViolationsError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

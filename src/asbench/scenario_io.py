@@ -91,11 +91,6 @@ def _raise_errors(scenario: Scenario) -> None:
         raise ViolationsError(problems)
 
 
-def _fmt(x: float) -> str:
-    # repr() is the shortest decimal string that round-trips the float.
-    return repr(float(x))
-
-
 def _check_id(token: str, file: str, line: int, what: str) -> str:
     token = token.strip()
     if not token or _ID_FORBIDDEN & set(token):
@@ -103,16 +98,10 @@ def _check_id(token: str, file: str, line: int, what: str) -> str:
     return token
 
 
-def _parse_float(text: str, file: str, line: int, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(file, line, f"bad {what} {text!r}, expected a number") from None
-
-
 def write_csv(path, header, rows, footer=()) -> None:
     """Write a header row, then ``rows``, as UTF-8 CSV with ``\\n`` line
-    ends; each ``footer`` line follows verbatim."""
+    ends; each ``footer`` line follows verbatim. Callers write floats with
+    ``repr``, the shortest decimal string that round-trips the float."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -143,9 +132,9 @@ def _read_table(path: Path, header: list[str] | None = None, comments: bool = Fa
     in the columns, and the width rule (the pair :func:`_raise_first` takes)
     flags it. A grid (every line as wide as the header, no blank line, no
     ``"``, no CR, as :func:`write_csv` writes tables) is split on ``\\n``
-    and ``,``; all other text goes through ``csv.reader``, and a record
-    there is numbered by the line it starts on. A field past
-    ``csv.field_size_limit()`` is a ParseError either way.
+    and ``,``; all other text goes through ``csv.reader``, the collector
+    paused, and a record there is numbered by the line it starts on. A
+    field past ``csv.field_size_limit()`` is a ParseError either way.
     """
     name, data = path.name, path.read_bytes()
     text = _decode(name, data)
@@ -168,6 +157,11 @@ def _read_table(path: Path, header: list[str] | None = None, comments: bool = Fa
         numbers, lines = [n for n, _ in kept], [t for _, t in kept]
     # starts[i]: the lines read before record i, the header being record 0
     records, starts, rows = csv.reader(lines), [0], []
+    # csv.reader builds a list per record and the transpose an iterator per
+    # row, all acyclic: the cyclic collector, which would only walk them, is
+    # paused until the columns are built and then left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         head = next(records)
         _check_header(name, head, header)
@@ -175,14 +169,19 @@ def _read_table(path: Path, header: list[str] | None = None, comments: bool = Fa
         for row in records:
             rows.append(row)
             starts.append(records.line_num)
+        lines = [numbers[n] for n in starts[1:-1]]
+        if not all(rows):
+            lines = [line for line, row in zip(lines, rows) if row]
+            rows = [row for row in rows if row]
+        width = _width_rule(rows, len(head))
+        columns = [list(col) for col in zip(*rows)] or [[] for _ in head]
+        del rows  # freed while paused, so their count cannot set off a collection
     except csv.Error as exc:
         raise ParseError(name, numbers[starts[-1]], f"malformed CSV: {exc}") from None
-    lines = [numbers[n] for n in starts[1:-1]]
-    if not all(rows):
-        lines = [line for line, row in zip(lines, rows) if row]
-        rows = [row for row in rows if row]
-    width = _width_rule(rows, len(head))
-    return head, [list(col) for col in zip(*rows)] or [[] for _ in head], lines, width
+    finally:
+        if collecting:
+            gc.enable()
+    return head, columns, lines, width
 
 
 def _check_header(name: str, head: list[str], header) -> None:
@@ -335,7 +334,9 @@ def _parse_description(path: Path):
     for key in ("scenario_id", "objective", "direction", "algorithms", "feature_groups"):
         if key not in seen:
             raise ParseError(fname, 1, f"missing key {key!r}")
-    cutoff = _parse_float(seen["cutoff"], fname, 1, "cutoff") if "cutoff" in seen else None
+    cutoff = _number(seen["cutoff"]) if "cutoff" in seen else None
+    if "cutoff" in seen and cutoff is None:
+        raise ParseError(fname, 1, f"bad cutoff {seen['cutoff']!r}, expected a number")
     algorithms = tuple(_check_id(tok, fname, 1, "algorithm") for tok in seen["algorithms"].split(","))
 
     # groups: name=cost_column:i,j,k separated by ';'
@@ -365,7 +366,7 @@ def _write_description(scenario: Scenario, path: Path) -> None:
         f"direction: {scenario.direction}",
     ]
     if scenario.objective == "runtime":
-        lines.append(f"cutoff: {_fmt(scenario.cutoff)}")
+        lines.append(f"cutoff: {float(scenario.cutoff)!r}")
     lines.append("algorithms: " + ",".join(scenario.algorithms))
     groups = ";".join(
         f"{g.name}={g.name}:" + ",".join(str(i) for i in g.feature_indices)
@@ -393,19 +394,6 @@ def parse_scenario(path, check: bool = True) -> Scenario:
         if not (root / required).exists():
             raise ParseError(required, 0, "required file missing from bundle")
 
-    # The parse builds many acyclic lists, which the cyclic collector
-    # would only walk; it is paused until the scenario is checked.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_bundle(root, check)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _parse_bundle(root: Path, check: bool) -> Scenario:
-    """:func:`parse_scenario` of a bundle whose files exist."""
     scenario_id, objective, direction, cutoff, algorithms, specs = _parse_description(root / DESCRIPTION_FILE)
     features, feature_names = _parse_features(root / FEATURES_FILE)
     instances = features.instances
@@ -718,7 +706,7 @@ def write_predictions(schedules, scenario: Scenario, path) -> None:
     order = np.argsort(schedules.row, kind="stable")
     kinds, names = tuple(STEP_KIND), (scenario.algorithms, [g.name for g in scenario.feature_groups])
     columns = (a[order].tolist() for a in (schedules.row, ordinal, schedules.kind, schedules.index, budget))
-    rows = ([scenario.instances[r], o, kinds[k], names[k][i], _fmt(b)] for r, o, k, i, b in zip(*columns))
+    rows = ([scenario.instances[r], o, kinds[k], names[k][i], repr(b)] for r, o, k, i, b in zip(*columns))
     write_csv(path, PREDICTIONS_HEADER, rows)
 
 
@@ -729,15 +717,20 @@ def write_predictions(schedules, scenario: Scenario, path) -> None:
 REPORT_HEADER = ["system", "scenario", "split", "metric", "value"]
 
 
+def check_system_name(name: str, what: str = "system name") -> None:
+    """Refuse a system name that is empty, starts with ``#`` or holds a CR or
+    LF: the report reader drops blank and ``#`` lines before it parses CSV."""
+    if not name or name.startswith("#") or "\n" in name or "\r" in name:
+        raise ValueError(f"{what} {name!r} is empty, starts with '#' or holds a line break")
+
+
 def write_report_csv(reports, path) -> None:
     """Comma-separated report rows in the fixed column order
     system,scenario,split,metric,value; undefined gaps land in a footer.
-    A system name must be non-empty and must not start with ``#``, or its
-    rows would read back as comment lines."""
+    Each system name must pass :func:`check_system_name`."""
     rows, footer = [], []
     for rep in reports:
-        if not rep.system or rep.system.startswith("#"):
-            raise ValueError(f"system name {rep.system!r} is empty or starts with '#'")
+        check_system_name(rep.system)
         key = [rep.system, rep.scenario_id, rep.split_id]
         for name, metric in rep.metrics.items():
             rows.append([*key, name, repr(metric.value)])

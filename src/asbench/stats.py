@@ -64,10 +64,15 @@ def friedman_test(ranks) -> tuple[float, float]:
     return float(stat), p
 
 
-def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
-    """Critical distance between average ranks: q_alpha(k) sqrt(k(k+1)/(6N))."""
+def check_alpha(alpha: float) -> None:
+    """Refuse a significance level with no tabulated critical values."""
     if alpha not in _Q_CRIT:
         raise ValueError(f"alpha must be one of {sorted(_Q_CRIT)}, got {alpha}")
+
+
+def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
+    """Critical distance between average ranks: q_alpha(k) sqrt(k(k+1)/(6N))."""
+    check_alpha(alpha)
     if not 2 <= k <= 20:
         raise ValueError(f"tabulated critical values cover 2..20 systems, got {k}")
     if n < 1:

@@ -41,9 +41,6 @@ from asbench.scenario_io import (
     SPLITS_FILE,
     ParseError,
     ViolationsError,
-    _check_id,
-    _parse_description,
-    _parse_float,
 )
 from asbench.selectors import _S_FOLDS, _S_PAIRWISE, _S_REGRESSION, _S_STACK_L1, _S_STACK_L2
 
@@ -667,6 +664,74 @@ def _oracle_read_csv(path: Path, header: list[str] | None = None):
             yield lineno, row
 
 
+def _oracle_id(token: str, file: str, line: int, what: str) -> str:
+    """An id as README's "Scenario bundles" states it: stripped of
+    surrounding whitespace, not empty, and holding none of ``,;:="`` and
+    no line break."""
+    token = token.strip()
+    if token == "" or any(ch in ',;:="\r\n' for ch in token):
+        raise ParseError(file, line, f"bad {what} id {token!r}")
+    return token
+
+
+def _oracle_float(text: str, file: str, line: int, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(file, line, f"bad {what} {text!r}, expected a number") from None
+
+
+_ORACLE_KEYS = ("scenario_id", "objective", "direction", "cutoff", "algorithms", "feature_groups")
+
+
+def _oracle_parse_description(path: Path):
+    """description.txt as README's "Scenario bundles" states it: one
+    ``key: value`` per line (CR, LF or CRLF ends a line), blank lines skipped
+    but counted, each key at most once and all but ``cutoff`` required. A
+    fault in a line names that line; a fault in a value names line 1."""
+    name = path.name
+    fields: dict[str, str] = {}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        if line.strip() == "":
+            continue
+        key, colon, value = line.partition(":")
+        if not colon:
+            raise ParseError(name, lineno, f"expected 'key: value', got {line!r}")
+        key = key.strip()
+        if key not in _ORACLE_KEYS:
+            raise ParseError(name, lineno, f"unknown key {key!r}")
+        if key in fields:
+            raise ParseError(name, lineno, f"duplicate key {key!r}")
+        fields[key] = value.strip()
+    for key in _ORACLE_KEYS:
+        if key != "cutoff" and key not in fields:
+            raise ParseError(name, 1, f"missing key {key!r}")
+
+    cutoff = _oracle_float(fields["cutoff"], name, 1, "cutoff") if "cutoff" in fields else None
+    algorithms = tuple(_oracle_id(t, name, 1, "algorithm") for t in fields["algorithms"].split(","))
+    groups = []
+    # name=cost_column:index,index,... joined by ';'; an empty value is no group
+    for part in fields["feature_groups"].split(";") if fields["feature_groups"] else []:
+        group, eq, rest = part.partition("=")
+        cost_column, colon, index_text = rest.partition(":")
+        if not (eq and colon):
+            raise ParseError(name, 1, f"bad feature group {part!r}, expected name=cost_column:indices")
+        group = _oracle_id(group, name, 1, "feature group")
+        cost_column = _oracle_id(cost_column, name, 1, "cost column")
+        indices = []
+        for token in index_text.split(","):
+            if token.strip() == "":
+                continue
+            try:
+                indices.append(int(token))
+            except ValueError:
+                raise ParseError(name, 1, f"bad index list {index_text!r}") from None
+        if not indices:
+            raise ParseError(name, 1, f"feature group {group!r} has no indices")
+        groups.append((group, cost_column, tuple(indices)))
+    return fields["scenario_id"], fields["objective"], fields["direction"], cutoff, algorithms, groups
+
+
 def oracle_parse_scenario(path, check: bool = True) -> Scenario:
     """The row parser before the columnar one: one ``RunRecord`` per row.
 
@@ -681,7 +746,7 @@ def oracle_parse_scenario(path, check: bool = True) -> Scenario:
         if not (root / required).exists():
             raise ParseError(required, 0, "required file missing from bundle")
 
-    scenario_id, objective, direction, cutoff, algorithms, group_specs = _parse_description(
+    scenario_id, objective, direction, cutoff, algorithms, group_specs = _oracle_parse_description(
         root / DESCRIPTION_FILE
     )
 
@@ -699,11 +764,11 @@ def oracle_parse_scenario(path, check: bool = True) -> Scenario:
             raise ParseError(
                 FEATURES_FILE, lineno, f"expected {1 + len(feature_names)} columns, got {len(row)}"
             )
-        inst = _check_id(row[0], FEATURES_FILE, lineno, "instance")
+        inst = _oracle_id(row[0], FEATURES_FILE, lineno, "instance")
         if inst in features:
             raise ParseError(FEATURES_FILE, lineno, f"duplicate instance row {inst!r}")
         vec = tuple(
-            None if tok.strip() == MISSING_MARK else _parse_float(tok, FEATURES_FILE, lineno, "feature")
+            None if tok.strip() == MISSING_MARK else _oracle_float(tok, FEATURES_FILE, lineno, "feature")
             for tok in row[1:]
         )
         instances.append(inst)
@@ -724,7 +789,7 @@ def oracle_parse_scenario(path, check: bool = True) -> Scenario:
             raise ParseError(RUNS_FILE, lineno, f"unknown algorithm {algo!r}")
         if status not in RUN_STATUSES:
             raise ParseError(RUNS_FILE, lineno, f"unknown status {status!r}")
-        value = _parse_float(value_text, RUNS_FILE, lineno, "value")
+        value = _oracle_float(value_text, RUNS_FILE, lineno, "value")
         reps.setdefault((inst, algo), []).append(RunRecord(value=value, status=status))
     runs = {pair: collapse_repetitions(records) for pair, records in reps.items()}
 
@@ -750,7 +815,7 @@ def oracle_parse_scenario(path, check: bool = True) -> Scenario:
             if cost_cols and inst in cost_tables[cost_cols[0]]:
                 raise ParseError(COSTS_FILE, lineno, f"duplicate instance row {inst!r}")
             for col, tok in zip(cost_cols, row[1:]):
-                cost_tables[col][inst] = _parse_float(tok, COSTS_FILE, lineno, "cost")
+                cost_tables[col][inst] = _oracle_float(tok, COSTS_FILE, lineno, "cost")
     elif objective == "runtime":
         raise ParseError(COSTS_FILE, 0, "runtime scenario requires a feature cost table")
 
@@ -1069,7 +1134,7 @@ def oracle_parse_predictions(path, scenario: Scenario, require_cover=None):
             ordinal = int(ordinal_text)
         except ValueError:
             raise ParseError(fname, lineno, f"bad step ordinal {ordinal_text!r}") from None
-        budget = _parse_float(budget_text, fname, lineno, "budget")
+        budget = _oracle_float(budget_text, fname, lineno, "budget")
         if kind == "solver":
             if name not in algo_set:
                 raise ParseError(fname, lineno, f"unknown algorithm {name!r}")

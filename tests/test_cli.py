@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from asbench import ParseError, parse_predictions, parse_scenario, sbs, selectors, write_scenario
-from asbench.cli import _atomic_write, main
+from asbench.cli import _atomic_write, build_comparison, main
+from asbench.evaluation import MetricScore, ScoreReport
+from asbench.scenario_io import read_report_csv, write_report_csv
 from asbench.selectors import Hyperparameters
 
 from gen import learnable_scenario, random_scenario
@@ -216,6 +218,8 @@ class TestBundleRejects:
             (_edit("description.txt", "cutoff: 5000.0\n", "cutoff: 5000.0\nobjective: quality\n"),
              "description.txt:5: duplicate key 'objective'"),
             (_edit("description.txt", "direction: minimize\n", ""), "description.txt:1: missing key 'direction'"),
+            (_edit("description.txt", "cutoff: 5000.0", "cutoff: soon"),
+             "description.txt:1: bad cutoff 'soon', expected a number"),
             (_edit("description.txt", GROUPS, "feature_groups: base:0,1;probing=probing:2"),
              "description.txt:1: bad feature group 'base:0,1', expected name=cost_column:indices"),
             (_edit("description.txt", GROUPS, "feature_groups: base=base:0,x;probing=probing:2"),
@@ -229,7 +233,7 @@ class TestBundleRejects:
             (lambda root: (root / "feature_costs.csv").unlink(),
              "feature_costs.csv:0: runtime scenario requires a feature cost table"),
         ],
-        ids=["no-colon", "repeated-key", "missing-key", "group-grammar", "index-list", "no-indices",
+        ids=["no-colon", "repeated-key", "missing-key", "bad-cutoff", "group-grammar", "index-list", "no-indices",
              "features-first-column", "costs-first-column", "repeated-cost-column", "no-cost-table"],
     )
     def test_exits_two_with_file_and_line(self, tutorial_bundle, capsys, edit, error):
@@ -365,6 +369,14 @@ class TestBaselines:
         assert doc["vbs_mean"] == pytest.approx(1124.0)
         assert doc["improvement_factor"] == pytest.approx(2225.0 / 1124.0)
 
+    def test_internal_failure_exits_one(self, tutorial_bundle, monkeypatch, capsys):
+        def fail(*args):
+            raise RuntimeError("baselines broke")
+
+        monkeypatch.setattr("asbench.cli.baseline_means", fail)
+        assert run_cli("baselines", "--scenario", tutorial_bundle) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "failure: baselines broke"
+
 
 class TestTrainPredictEvaluate:
     def test_full_pipeline_and_determinism(self, learnable_bundle, tmp_path, capsys):
@@ -414,9 +426,10 @@ class TestTrainPredictEvaluate:
         summary = json.loads(out.with_suffix(".json").read_text())
         assert summary["aggregate_gap"] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("system", ["#x", ""])
+    @pytest.mark.parametrize("system", ["#x", "", "a\n# b", "a\n\nb"])
     def test_system_name_that_reads_as_a_comment_exits_two(self, learnable_bundle, tmp_path, capsys, system):
-        # compare would skip every row of a "#x" report as a comment line
+        # compare would skip every row of a "#x" report as a comment line, and
+        # the "# b" or blank line that a line break in the name starts
         scen = parse_scenario(learnable_bundle)
         pred = tmp_path / "a0.csv"
         rows = ["instance_id,step,kind,name,budget"]
@@ -727,6 +740,36 @@ class TestTrainPredictEvaluate:
         assert not model.exists()
 
     @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("features_per_split=0", "features_per_split must be positive"),
+            ("n_trees", "expected key=value, got 'n_trees'"),
+        ],
+    )
+    def test_invalid_hyperparameter_exits_two(self, learnable_bundle, tmp_path, capsys, pair, message):
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", "--scenario", learnable_bundle, "--selector", "regression",
+            "--hp", pair, "--out", model,
+        ) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not model.exists()
+
+    def test_hp_seed_overrides_seed_for_the_fit(self, learnable_bundle, tmp_path):
+        # the bundle's stored splits are drawn by no seed, so --seed reaches the fit only
+        models = {}
+        for tag, flags in {"hp": ["--seed", "0", "--hp", "seed=5"], "5": ["--seed", "5"], "0": ["--seed", "0"]}.items():
+            models[tag] = tmp_path / f"model_{tag}.json"
+            assert run_cli(
+                "train", "--scenario", learnable_bundle, "--selector", "regression", "--splits", "file",
+                "--hp", "n_trees=3", *flags, "--out", models[tag],
+            ) == 0
+        assert models["hp"].read_bytes() == models["5"].read_bytes()
+        docs = {tag: json.loads(path.read_text()) for tag, path in models.items()}
+        assert docs["hp"]["hyperparameters"]["seed"] == 5
+        assert docs["hp"]["payload"] != docs["0"]["payload"]  # the seed changes the forest
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ("bootstrap:x", "bad --splits value 'bootstrap:x'"),
@@ -837,9 +880,6 @@ class TestCompare:
         rows.append("other,s1,0,gap_par10,0.9")
         path = tmp_path / "r.csv"
         path.write_text("\n".join(rows) + "\n")
-        from asbench.cli import build_comparison
-        from asbench.scenario_io import read_report_csv
-
         doc = build_comparison(read_report_csv(path), mode="icon2015")
         assert doc["avg_gap"]["solo"] == pytest.approx((0.2 + 0.4) / 2)
         assert doc["avg_gap"]["other"] == pytest.approx(0.9)
@@ -897,6 +937,22 @@ class TestCompare:
         assert not out.with_suffix(".json").exists()
         assert run_cli("compare", a, b, "--alpha", "0.10", "--out", out, "--json") == 0
         assert json.loads(out.with_suffix(".json").read_text())["alpha"] == 0.1
+
+    def test_system_whose_every_gap_is_undefined_exits_two(self, tmp_path, capsys):
+        # SBS and VBS coincide on s, so x's report holds values and no gap row
+        report = tmp_path / "x.csv"
+        write_report_csv([ScoreReport("x", "s", 0, "runtime", {"par10": MetricScore(9.0, 9.0, 9.0, None)})], report)
+        out = tmp_path / "cmp"
+        assert run_cli("compare", report, "--out", out, "--json") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: no designated gap rows for 'x' on 's'"
+        assert not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("scenarios", [["s1"], ["s1", "s2"]], ids=["one-scenario", "two-scenarios"])
+    def test_build_comparison_refuses_an_untabulated_alpha(self, scenarios):
+        rows = [(system, scen, 0, "gap_par10", 0.1) for system in ("a", "b") for scen in scenarios]
+        with pytest.raises(ValueError, match=r"^alpha must be one of \[0\.05, 0\.1\], got 0\.07$"):
+            build_comparison(rows, "oasc2017", alpha=0.07)
+        assert build_comparison(rows, "oasc2017", alpha=0.1)["alpha"] == 0.1
 
 
 class TestSeedStudy:

@@ -11,7 +11,7 @@ from asbench import (
     simulate,
     vbs_cost,
 )
-from asbench.evaluation import FeatureStep, SolverStep, validate_schedule
+from asbench.evaluation import EvaluationOutcome, FeatureStep, SolverStep, validate_schedule
 from asbench.scenario import Split
 from asbench.scenario_io import read_report_csv, write_report_csv
 
@@ -186,6 +186,10 @@ class TestMcp:
         )
         out = simulate(scen, "i0", (SolverStep(algorithm="A1", budget=5000.0),))
         assert mcp(out, scen, "i0") == pytest.approx(4990.0)
+
+    def test_outcome_without_time_rejected(self):
+        with pytest.raises(ValueError, match="runtime outcome required"):
+            mcp(EvaluationOutcome(solved=True), three_step_fixture(), "i0")
 
     def test_quality_scenario_rejected(self):
         scen = random_scenario(1, objective="quality")
@@ -490,6 +494,10 @@ class TestAggregate:
     def test_empty(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    def test_every_gap_undefined(self):
+        with pytest.raises(ValueError, match="every gap was undefined"):
+            aggregate([gap_report("a", None), gap_report("b", None, split=1)])
 
 
 class TestReportCsv:

@@ -310,6 +310,45 @@ def test_parse_matches_the_row_parser(files):
     _assert_same_parse(files)
 
 
+# Faults of description.txt, each an edit of its lines that ``pick`` places:
+# the oracle reads the description with its own reader, so these check
+# ``_parse_description`` as the row corruptions check the CSV parsers.
+
+
+def _set_key(key, value):
+    """The lines with ``key``'s line replaced by ``key: value``, or that line added."""
+
+    def edit(lines, pick):
+        kept = [line for line in lines if not line.startswith(key + ":")]
+        return kept[: pick % (len(kept) + 1)] + [f"{key}: {value}"] + kept[pick % (len(kept) + 1) :]
+
+    return edit
+
+
+DESCRIPTION_CORRUPTIONS = {
+    "bad-cutoff": _set_key("cutoff", "soon"),
+    "bad-index-list": _set_key("feature_groups", "g0=g0: 0,x ;g1=g1:1"),  # quoted as written
+    "unknown-key": lambda lines, pick: lines[: pick % len(lines)] + ["surprise: 1"] + lines[pick % len(lines) :],
+    "duplicate-key": lambda lines, pick: lines + [lines[pick % len(lines)]],
+    "missing-key": lambda lines, pick: lines[: pick % len(lines)] + lines[pick % len(lines) + 1 :],
+    "group-without-equals": _set_key("feature_groups", "g0:0"),
+    "group-without-colon": _set_key("feature_groups", "g0=g0;g1=g1:0"),
+    "bad-algorithm-id": _set_key("algorithms", "a0,,a1"),
+    "no-colon": lambda lines, pick: [
+        line.replace(":", "", 1) if j == pick % len(lines) else line for j, line in enumerate(lines)
+    ],
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(files=bundles(), pick=st.integers(0, 7))
+def test_malformed_descriptions_fail_like_the_row_parser(files, pick):
+    lines = files["description.txt"].splitlines()
+    for corrupt in DESCRIPTION_CORRUPTIONS.values():
+        got = _assert_same_parse({**files, "description.txt": "\n".join(corrupt(lines, pick)) + "\n"})
+        assert got[0] in ("ParseError", "ViolationsError")
+
+
 @SETTINGS
 @given(case=malformed_bundles())
 def test_malformed_bundles_fail_like_the_row_parser(case):

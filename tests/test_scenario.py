@@ -272,6 +272,12 @@ class TestImprovementFactor:
         assert got == pytest.approx(expected)
         assert got == pytest.approx(1.0183, abs=5e-4)
 
+    def test_minimize_quality_by_hand(self):
+        runs = {("i0", "A0"): 3.0, ("i1", "A0"): 2.0, ("i0", "A1"): 1.0, ("i1", "A1"): 6.0}
+        scen = build_scenario(runs, ["A0", "A1"], ["i0", "i1"], cutoff=None, objective="quality")
+        # SBS is A0 (mean 2.5 against 3.5); the VBS takes 1.0 on i0 and 2.0 on i1, mean 1.5
+        assert improvement_factor(scen) == 2.5 / 1.5
+
     def test_at_least_one_on_random_scenarios(self):
         for seed in range(25):
             scen = random_scenario(seed)

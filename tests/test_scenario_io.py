@@ -34,6 +34,16 @@ from oracles import oracle_read_report_csv, oracle_read_table
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off, as a caller may leave it;
+    its state before the test is restored after."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
 class TestParseScenario:
     def test_golden_bundle(self):
         scen = parse_scenario(FIXTURES / "tutorial")
@@ -139,23 +149,10 @@ class TestParseScenario:
         assert rec.value == pytest.approx(200.0)
         assert rec.status == "crash"
 
-    @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
-    @pytest.mark.parametrize(
-        "old, new, error",
-        [
-            (None, None, None),
-            ("i1,A1,300.0,ok", "i1,A1,300.0,lost", ParseError),
-            ("i1,A1,300.0,ok", "i1,A1,300000.0,ok", ViolationsError),
-        ],
-        ids=["parsed", "parse-error", "violations"],
-    )
-    def test_collector_is_paused_and_restored(self, tmp_path, tutorial, monkeypatch, collecting, old, new, error):
+    def test_grid_parse_leaves_the_collector_as_the_caller_set_it(self, tmp_path, tutorial, monkeypatch, collector):
         import asbench.scenario_io as scenario_io
 
         write_scenario(tutorial, tmp_path / "s")
-        runs = tmp_path / "s" / "runs.csv"
-        if old is not None:
-            runs.write_text(runs.read_text().replace(old, new))
         seen = []
         real_parse_runs = scenario_io._parse_runs
 
@@ -164,18 +161,61 @@ class TestParseScenario:
             return real_parse_runs(*args)
 
         monkeypatch.setattr(scenario_io, "_parse_runs", parse_runs)
-        before = gc.isenabled()
-        (gc.enable if collecting else gc.disable)()
+        assert parse_scenario(tmp_path / "s") == tutorial
+        assert seen == [collector]
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "old, new, limit, error, match",
+        [
+            (None, None, None, None, None),
+            ("i1,A1,300.0,ok", "i1,A1," + "3" * 50 + ",ok", 40, ParseError, "runs.csv:2: malformed CSV"),
+            ("i1,A1,300.0,ok", "i1,A1,300.0,lost", None, ParseError, "runs.csv:2: unknown status"),
+            ("i1,A1,300.0,ok", "i1,A1,300000.0,ok", None, ViolationsError, "value_exceeds_cutoff"),
+        ],
+        ids=["parsed", "csv-error", "parse-error", "violations"],
+    )
+    def test_csv_reader_reads_records_with_the_collector_paused(
+        self, tmp_path, tutorial, monkeypatch, collector, old, new, limit, error, match
+    ):
+        import asbench.scenario_io as scenario_io
+
+        write_scenario(tutorial, tmp_path / "s")
+        runs = tmp_path / "s" / "runs.csv"
+        text = runs.read_text() if old is None else runs.read_text().replace(old, new)
+        runs.write_bytes(text.replace("\n", "\r\n").encode())  # CRLF text goes through csv.reader
+        seen = []
+        real_reader = csv.reader
+
+        class Reader:
+            """csv.reader, noting the collector's state at each record read."""
+
+            def __init__(self, lines):
+                self.records = real_reader(lines)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                seen.append(gc.isenabled())
+                return next(self.records)
+
+            @property
+            def line_num(self):
+                return self.records.line_num
+
+        monkeypatch.setattr(scenario_io.csv, "reader", Reader)
+        old_limit = csv.field_size_limit(limit or csv.field_size_limit())  # a small limit fails a long field
         try:
             if error is None:
-                parse_scenario(tmp_path / "s")
+                assert parse_scenario(tmp_path / "s") == tutorial
             else:
-                with pytest.raises(error):
+                with pytest.raises(error, match=match):
                     parse_scenario(tmp_path / "s")
-            assert gc.isenabled() is collecting
         finally:
-            (gc.enable if before else gc.disable)()
+            csv.field_size_limit(old_limit)
         assert seen and not any(seen)
+        assert gc.isenabled() is collector
 
     def test_missing_file(self, tmp_path, tutorial):
         write_scenario(tutorial, tmp_path / "s")
@@ -393,9 +433,10 @@ class TestReports:
         ]
         assert _bits(rows) == _bits(expected)
 
-    @pytest.mark.parametrize("system", ["", "#", "#x", "#,y"])
+    @pytest.mark.parametrize("system", ["", "#", "#x", "#,y", "a\n# b", "a\n\nb", "a\rb", "a\n"])
     def test_writer_rejects_names_that_read_as_comments(self, tmp_path, system):
-        # rows of a system starting with "#" would read back as comment lines
+        # rows of a system starting with "#" would read back as comment lines, and
+        # a line break in a name could start a line that reads as one, or a blank line
         report = ScoreReport(system, "s", 0, "runtime", {"par10": MetricScore(1.0, 2.0, 0.0, 0.5)})
         with pytest.raises(ValueError, match="system name"):
             write_report_csv([report], tmp_path / "r.csv")

@@ -90,6 +90,10 @@ class TestTrainingSet:
         with pytest.raises(ValueError, match="unknown feature groups"):
             build_training_set(tutorial, tutorial.instances, feature_groups=["nope"])
 
+    def test_empty_instance_list_rejected(self, tutorial):
+        with pytest.raises(ValueError, match="empty training set"):
+            build_training_set(tutorial, [])
+
     def test_costs_are_par10(self, tutorial):
         train = build_training_set(tutorial, ("i1",))
         assert train.costs[0].tolist() == [300.0, 50000.0, 1200.0]
@@ -123,6 +127,11 @@ class TestHyperparameters:
     def test_accepts_numpy_scalars(self):
         hp = Hyperparameters(n_trees=np.int64(3), presolve_budget_fraction=np.float64(0.2))
         assert (hp.n_trees, hp.presolve_budget_fraction) == (3, 0.2)
+
+
+def test_unknown_selector_kind_rejected(tutorial):
+    with pytest.raises(ValueError, match="unknown selector kind 'nope'"):
+        fit_system(tutorial, tutorial.instances, "nope", FAST)
 
 
 class TestRegression:

@@ -55,6 +55,11 @@ class TestRankTable:
         with pytest.raises(ValueError, match="missing"):
             rank_table([[1.0, float("nan")]])
 
+    @pytest.mark.parametrize("scores", [[], [[]], [1.0, 2.0]], ids=["empty", "no-columns", "one-dimensional"])
+    def test_shapeless_matrix_rejected(self, scores):
+        with pytest.raises(ValueError, match="need a nonempty 2-d score matrix"):
+            rank_table(scores)
+
 
 class TestFriedman:
     def test_identical_scores_give_zero_statistic(self):
@@ -177,6 +182,8 @@ class TestEcdf:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ecdf([], 1.0)
+        with pytest.raises(ValueError, match="empty sample"):
+            ecdf_points([])
 
 
 class TestVirtualBestSelector:
