@@ -7,20 +7,16 @@ fraction, and SBS/VBS gap metrics, plus rank statistics across scenarios.
 """
 
 from .evaluation import (
-    EvaluationOutcome,
     FeatureStep,
     MetricScore,
     Schedules,
     ScoreReport,
     SolverStep,
     aggregate,
-    mcp,
-    par10,
     report_gap,
     score_system,
     simulate,
     simulate_batch,
-    validate_schedule,
 )
 from .scenario import (
     FeatureGroup,
@@ -57,7 +53,6 @@ from .selectors import (
     fit_sunny,
     fit_system,
     load_model,
-    predict,
     predict_batch,
     save_model,
 )

@@ -41,45 +41,20 @@ class SolverStep:
     budget: float
 
 
-@dataclass(frozen=True)
-class EvaluationOutcome:
-    """Result of replaying one schedule on one instance."""
-
-    solved: bool
-    time_used: float | None = None
-    achieved_value: float | None = None
-    solving_step: int | None = None
-
-
-def validate_schedule(scenario: Scenario, schedule) -> None:
-    """Raise ValueError unless the schedule is legal for the scenario."""
-    groups = {g.name for g in scenario.feature_groups}
-    algos = set(scenario.algorithms)
-    seen_groups = set()
-    n_solver = 0
-    for step in schedule:
-        if isinstance(step, FeatureStep):
-            if step.group not in groups:
-                raise ValueError(f"unknown feature group {step.group!r}")
-            if step.group in seen_groups:
-                raise ValueError(f"feature group {step.group!r} scheduled twice")
-            seen_groups.add(step.group)
-        elif isinstance(step, SolverStep):
-            if step.algorithm not in algos:
-                raise ValueError(f"unknown algorithm {step.algorithm!r}")
-            if scenario.objective == "runtime" and not step.budget > 0:
-                raise ValueError(f"solver budget must be positive, got {step.budget}")
-            n_solver += 1
-        else:
-            raise ValueError(f"unknown step type {type(step).__name__}")
-    if scenario.objective == "quality":
-        if n_solver != 1 or len(schedule) != 1:
-            raise ValueError("quality scenarios take exactly one solver step and nothing else")
-
-
 # The code of each step kind in ``Schedules.kind``, by its name in prediction files.
 STEP_KIND = {"solver": 0, "feature": 1}
 _SOLVER, _FEATURE = STEP_KIND.values()
+
+# The schedule rules, by the code :meth:`Schedules.faults` gives a schedule that
+# breaks one, with the message naming the step at fault (the last rule names none).
+SCHEDULE_FAULTS = {
+    1: lambda step: f"unknown step type {type(step).__name__}",
+    2: lambda step: f"unknown feature group {step.group!r}",
+    3: lambda step: f"feature group {step.group!r} scheduled twice",
+    4: lambda step: f"unknown algorithm {step.algorithm!r}",
+    5: lambda step: f"solver budget must be positive, got {step.budget}",
+    6: lambda step: "quality scenarios take exactly one solver step and nothing else",
+}
 
 
 class Schedules(Mapping):
@@ -92,8 +67,8 @@ class Schedules(Mapping):
     ``p``, of ``instances[p]``, is the slice ``starts[p]:starts[p + 1]``, in
     step order. Step objects are built only when a schedule is looked up.
     ``predict_batch`` builds one in the order its instances are given, the
-    prediction parser in scenario row order (refusing it when :meth:`faults`
-    marks a schedule), and :meth:`from_mapping` in the mapping's order.
+    prediction parser in scenario row order, and :meth:`from_mapping` in the
+    mapping's order (both refusing it when :meth:`faults` marks a schedule).
     """
 
     __slots__ = ("instances", "starts", "row", "kind", "index", "budget", "_names", "_pos")
@@ -112,39 +87,58 @@ class Schedules(Mapping):
     @classmethod
     def from_mapping(cls, scenario: Scenario, schedules: Mapping) -> Schedules:
         """Store a mapping of instance to a sequence of steps, in the
-        mapping's order; the first unknown instance or invalid schedule
-        raises ValueError, the latter as :func:`validate_schedule` does."""
-        row_of = scenario.runs.row
-        for inst, schedule in schedules.items():
-            if inst not in row_of:
-                raise ValueError(f"unknown instance {inst!r}")
-            validate_schedule(scenario, schedule)
+        mapping's order, coding a non-step as kind -1 and an unknown name as
+        index -1. The first schedule in that order whose instance is unknown
+        or which :meth:`faults` marks raises ValueError."""
         steps = [step for schedule in schedules.values() for step in schedule]
-        kind = [_FEATURE if isinstance(s, FeatureStep) else _SOLVER for s in steps]
+        kind = [_FEATURE if isinstance(s, FeatureStep) else _SOLVER if isinstance(s, SolverStep) else -1 for s in steps]
         groups, cols = {g.name: j for j, g in enumerate(scenario.feature_groups)}, scenario.runs.col
-        index = [groups[s.group] if k else cols[s.algorithm] for s, k in zip(steps, kind)]
-        budget = [0.0 if k else s.budget for s, k in zip(steps, kind)]
+        index = [
+            groups.get(s.group, -1) if k == _FEATURE else cols.get(s.algorithm, -1) if k == _SOLVER else -1
+            for s, k in zip(steps, kind)
+        ]
+        budget = [s.budget if k == _SOLVER else 0.0 for s, k in zip(steps, kind)]
         lengths = [len(schedule) for schedule in schedules.values()]
-        return cls(scenario, [row_of[inst] for inst in schedules], lengths, kind, index, budget)
+        rows = [scenario.runs.row.get(inst) for inst in schedules]
+        known = rows.index(None) if None in rows else len(rows)  # the schedules before an unknown instance
+        n = sum(lengths[:known])
+        out = cls(scenario, rows[:known], lengths[:known], kind[:n], index[:n], budget[:n])
+        fault, at = out.faults(scenario.objective)
+        if fault.any():
+            p = int(np.flatnonzero(fault)[0])
+            raise ValueError(SCHEDULE_FAULTS[fault[p]](steps[at[p]] if at[p] >= 0 else None))
+        if known < len(rows):
+            raise ValueError(f"unknown instance {list(schedules)[known]!r}")
+        return out
 
-    def faults(self, objective: str) -> np.ndarray:
-        """The mask of the schedules that fail :func:`validate_schedule`,
-        given that every name is known: a quality schedule is one solver
-        step; a runtime schedule gives each solver a positive budget and
-        computes no feature group twice. The steps are checked as one batch,
-        and sorted into schedules only when a step fails."""
-        solver = self.kind == _SOLVER
+    def faults(self, objective: str) -> tuple[np.ndarray, np.ndarray]:
+        """Each schedule's code in ``SCHEDULE_FAULTS`` for the first rule it
+        breaks (0 if none), and the position in the step arrays of the step
+        at fault (-1 if none). The steps are checked as one batch, each
+        schedule's in step order; then a quality schedule must be one solver
+        step. The budget rule holds on runtime scenarios only."""
+        n, lengths = len(self.instances), self.starts[1:] - self.starts[:-1]
+        owner = np.arange(n).repeat(lengths)
+        solver, feature, known = self.kind == _SOLVER, self.kind == _FEATURE, self.index >= 0
+        groups = np.flatnonzero(feature & known)
+        repeated = np.zeros(self.kind.size, dtype=bool)  # each computation of a group after its first
+        if groups.size > 1:
+            keys = owner[groups] * len(self._names[1]) + self.index[groups]
+            repeated[np.delete(groups, np.unique(keys, return_index=True)[1])] = True
+        unpaid = solver & ~(self.budget > 0) if objective == "runtime" else False
+        rules = [~(solver | feature), feature & ~known, repeated, solver & ~known, unpaid]
+        step_fault = np.zeros(self.kind.size, dtype=np.int8)
+        for code in range(len(rules), 0, -1):  # the first rule a step breaks names it
+            step_fault[rules[code - 1]] = code
+        fault, at = np.zeros(n, dtype=np.int8), np.full(n, -1, dtype=np.intp)
+        bad = np.flatnonzero(step_fault)
+        if bad.size:
+            owners, first = np.unique(owner[bad], return_index=True)  # each schedule's first faulty step
+            fault[owners], at[owners] = step_fault[bad[first]], bad[first]
         if objective == "quality":
-            out, bad = np.diff(self.starts) != 1, ~solver
-        else:
-            out, bad = np.zeros(len(self.instances), dtype=bool), solver & ~(self.budget > 0)
-            groups = (self.row * len(self._names[1]) + self.index)[~solver]
-            if groups.size > 1 and np.unique(groups).size < groups.size:  # mark each repeat of a group
-                bad[np.delete(np.flatnonzero(~solver), np.unique(groups, return_index=True)[1])] = True
-        if not bad.any():
-            return out
-        owner = np.repeat(np.arange(out.size), np.diff(self.starts))
-        return out | (np.bincount(owner[bad], minlength=out.size) > 0)
+            shapeless = (lengths != 1) | (np.bincount(owner[solver], minlength=n) != 1)
+            fault[shapeless & (fault == 0)] = max(SCHEDULE_FAULTS)
+        return fault, at
 
     def __getitem__(self, instance) -> tuple:
         p = self._pos[instance]
@@ -170,7 +164,10 @@ class Schedules(Mapping):
 class BatchOutcome:
     """Outcomes of a batch replay, one entry per instance.
 
-    ``time_used`` is NaN on quality scenarios and ``achieved_value`` on
+    ``par10`` is the time used if solved, else ten times the cutoff; ``mcp``
+    (the misclassification penalty) is the time used, capped at the cutoff
+    and not 10x penalized, over the instance's best recorded time. Those two
+    and ``time_used`` are NaN on quality scenarios, ``achieved_value`` on
     runtime ones; ``solving_step`` is 0 where no step solved the instance.
     """
 
@@ -178,6 +175,8 @@ class BatchOutcome:
     time_used: np.ndarray
     achieved_value: np.ndarray
     solving_step: np.ndarray
+    par10: np.ndarray
+    mcp: np.ndarray
 
 
 def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> BatchOutcome:
@@ -206,7 +205,8 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
         status = runs.status[rows, col]
         _raise_missing(scenario, instances, status < 0, col)
         value = runs.value[rows, col][:, 0]
-        return BatchOutcome(status[:, 0] == _OK, np.full(n, np.nan), value, np.ones(n, dtype=np.intp))
+        time_used, par10, mcp = np.full((3, n), np.nan)
+        return BatchOutcome(status[:, 0] == _OK, time_used, value, np.ones(n, dtype=np.intp), par10, mcp)
 
     # pad the schedules into (n, m) step arrays
     length = schedules.starts[pos + 1] - first
@@ -247,7 +247,11 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
         t = np.where(on & ~hit, t + spent, t)
         walking &= ~hit & ~(on & (t >= cutoff))
     _raise_missing(scenario, instances, (status < 0) & (np.arange(m) < walked[:, None]), col)
-    return BatchOutcome(step > 0, time_used, np.full(n, np.nan), step)
+    solved = step > 0
+    par10 = np.where(solved, time_used, PAR10_FACTOR * cutoff)
+    best = scenario.capped[rows[:, 0]].min(axis=1)  # the cutoff if nothing solves
+    mcp = np.where(cutoff < time_used, cutoff, time_used) - best  # min(time_used, cutoff) - best
+    return BatchOutcome(solved, time_used, np.full(n, np.nan), step, par10, mcp)
 
 
 def _raise_missing(scenario: Scenario, instances, lost: np.ndarray, col: np.ndarray) -> None:
@@ -258,34 +262,9 @@ def _raise_missing(scenario: Scenario, instances, lost: np.ndarray, col: np.ndar
         raise KeyError((instances[i], scenario.algorithms[col[i, lost[i].argmax()]]))
 
 
-def simulate(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
-    """Replay one schedule on one instance: :func:`simulate_batch` of one."""
-    out = simulate_batch(scenario, Schedules.from_mapping(scenario, {instance: schedule}), [instance])
-    solved, used, value, step = (
-        a[0].item() for a in (out.solved, out.time_used, out.achieved_value, out.solving_step)
-    )
-    if scenario.objective == "quality":
-        return EvaluationOutcome(solved, achieved_value=value, solving_step=step)
-    return EvaluationOutcome(solved, time_used=used, solving_step=step or None)
-
-
-def par10(outcome: EvaluationOutcome, cutoff: float) -> float:
-    """Penalized runtime: the time used if solved, ten times the cutoff if not."""
-    if outcome.time_used is None:
-        raise ValueError("PAR10 is defined for runtime outcomes only")
-    return outcome.time_used if outcome.solved else PAR10_FACTOR * cutoff
-
-
-def mcp(outcome: EvaluationOutcome, scenario: Scenario, instance: str) -> float:
-    """Misclassification penalty: extra time over the per-instance best
-    algorithm, with unsolved instances contributing the cutoff (no 10x
-    penalty, which would double-count the timeout)."""
-    if scenario.objective != "runtime":
-        raise ValueError("the misclassification penalty is defined for runtime scenarios only")
-    if outcome.time_used is None:
-        raise ValueError("runtime outcome required")
-    best = float(scenario.capped[scenario.runs.row[instance]].min())  # the cutoff if none solved
-    return min(outcome.time_used, scenario.cutoff) - best
+def simulate(scenario: Scenario, instance: str, schedule) -> BatchOutcome:
+    """Replay one schedule on one instance: the one-row :func:`simulate_batch`."""
+    return simulate_batch(scenario, Schedules.from_mapping(scenario, {instance: schedule}), [instance])
 
 
 @dataclass(frozen=True)
@@ -351,7 +330,6 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
     out = simulate_batch(scenario, schedules, test)
 
     if scenario.objective == "runtime":
-        cutoff = scenario.cutoff
         # a bare full-cutoff run of the single best solver replays as the
         # scenario's own solved flag, PAR10 and capped runtime
         capped = scenario.capped[rows]
@@ -360,12 +338,11 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         def mean(xs):
             return math.fsum(xs) / n
 
-        par10_s = mean(np.where(out.solved, out.time_used, PAR10_FACTOR * cutoff).tolist())
+        par10_s = mean(out.par10.tolist())
         par10_b = mean(scenario.cost[rows, sbs_col].tolist())
         par10_v = mean(vbs)
 
-        used = np.where(cutoff < out.time_used, cutoff, out.time_used)  # min(time_used, cutoff)
-        mcp_s = mean((used - best).tolist())
+        mcp_s = mean(out.mcp.tolist())
         mcp_b = mean((capped[:, sbs_col] - best).tolist())
 
         solved_s = mean(out.solved.astype(float).tolist())

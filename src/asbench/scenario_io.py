@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import STEP_KIND, Schedules, validate_schedule
+from .evaluation import SCHEDULE_FAULTS, STEP_KIND, Schedules
 from .learners import rng_stream
 from .scenario import (
     RUN_STATUSES,
@@ -669,8 +669,8 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
     step = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
     kind, index, budget = np.array(code, np.int8)[order], np.array(index)[order], np.array(budgets)[order]
     schedules = Schedules(scenario, owners, lengths, kind, index, budget)
-    faults = schedules.faults(scenario.objective)
-    if not np.array_equal(ordinal[order], step) or faults.any():
+    fault, at = schedules.faults(scenario.objective)
+    if not np.array_equal(ordinal[order], step) or fault.any():
         # the schedules in the order the file first names them, each at its last line
         starts = schedules.starts[:-1]
         by_file = np.argsort(np.minimum.reduceat(order, starts))
@@ -678,15 +678,14 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
         steps = [sorted(ordinals[j] for j in span) for span in np.split(order, starts[1:])]
 
         def invalid(q):
-            try:
-                validate_schedule(scenario, schedules[insts[q]])
-            except ValueError as exc:
-                return f"invalid schedule for {insts[q]!r}: {exc}"
+            p = by_file[q]
+            step = schedules[insts[q]][at[p] - starts[p]] if at[p] >= 0 else None
+            return f"invalid schedule for {insts[q]!r}: {SCHEDULE_FAULTS[fault[p]](step)}"
 
         _raise_first(path.name, [lines[j] for j in np.maximum.reduceat(order, starts)[by_file]], [
             ([steps[p] != list(range(1, len(steps[p]) + 1)) for p in by_file],
              lambda q: f"step ordinals for {insts[q]!r} are not contiguous from 1: {steps[by_file[q]]}"),
-            (faults[by_file], invalid),
+            (fault[by_file] > 0, invalid),
         ])
     if require_cover is not None:
         missing = [i for i in require_cover if i not in schedules]

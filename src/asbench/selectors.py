@@ -315,7 +315,8 @@ def _model(kind, train, hp, payload) -> SelectorModel:
 
 def select_algorithms(model: SelectorModel, X: np.ndarray) -> np.ndarray:
     """Index of the algorithm the model picks for each row of a transformed
-    feature matrix."""
+    feature matrix. The kind was checked where the model was fitted or
+    loaded, so the last branch is sunny's."""
     kind = model.kind
     p = model.payload
     if kind == "regression":
@@ -335,9 +336,7 @@ def select_algorithms(model: SelectorModel, X: np.ndarray) -> np.ndarray:
         return p["champions"][KMeans(p["centroids"]).assign(X)]
     if kind == "stacking":
         return p["combiner"].predict(np.column_stack([f.predict(X) for f in p["forests"]]))
-    if kind == "sunny":
-        return np.argmin(_sunny_neighborhoods(model, X)[0].mean(axis=1), axis=1)
-    raise ValueError(f"unknown selector kind {kind!r}")
+    return np.argmin(_sunny_neighborhoods(model, X)[0].mean(axis=1), axis=1)
 
 
 def _sunny_neighborhoods(model: SelectorModel, X: np.ndarray):
@@ -423,11 +422,6 @@ def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> Schedu
     budget = columns([s.budget for s in prefix] + [0.0] * len(groups), budgets, remaining)[on]
     kind = np.where(feature, STEP_KIND["feature"], STEP_KIND["solver"])
     return Schedules(scenario, [scenario.runs.row[i] for i in instances], on.sum(axis=1), kind, index, budget)
-
-
-def predict(model: SelectorModel, scenario: Scenario, instance: str):
-    """Emit the schedule for one instance (see :func:`predict_batch`)."""
-    return predict_batch(model, scenario, (instance,))[instance]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ import csv
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from asbench.evaluation import EvaluationOutcome, FeatureStep, SolverStep
+from asbench.evaluation import FeatureStep, SolverStep
 from asbench.learners import Forest, _grow_trees, fit_forest, rng_stream
 from asbench.scenario import (
     DIRECTIONS,
@@ -1060,7 +1061,17 @@ def _oracle_check_schedule(scenario: Scenario, schedule) -> None:
         raise ValueError("quality scenarios take exactly one solver step and nothing else")
 
 
-def oracle_replay(scenario: Scenario, instance: str, schedule) -> EvaluationOutcome:
+@dataclass(frozen=True)
+class ReplayOutcome:
+    """Result of replaying one schedule on one instance."""
+
+    solved: bool
+    time_used: float | None = None
+    achieved_value: float | None = None
+    solving_step: int | None = None
+
+
+def oracle_replay(scenario: Scenario, instance: str, schedule) -> ReplayOutcome:
     """Replay a schedule against the recorded runs of one instance.
 
     Runtime scenarios walk the steps with a running clock. A solver step
@@ -1088,7 +1099,7 @@ def oracle_replay(scenario: Scenario, instance: str, schedule) -> EvaluationOutc
 
     if scenario.objective == "quality":
         value, status = record(schedule[0].algorithm)
-        return EvaluationOutcome(solved=status == _OK, achieved_value=value, solving_step=1)
+        return ReplayOutcome(solved=status == _OK, achieved_value=value, solving_step=1)
 
     cutoff = scenario.cutoff
     groups = {g.name: g for g in scenario.feature_groups}
@@ -1101,14 +1112,14 @@ def oracle_replay(scenario: Scenario, instance: str, schedule) -> EvaluationOutc
             value, status = record(step.algorithm)
             slice_ = min(step.budget, cutoff - t)
             if status == _OK and value <= slice_:
-                return EvaluationOutcome(solved=True, time_used=t + value, solving_step=ordinal)
+                return ReplayOutcome(solved=True, time_used=t + value, solving_step=ordinal)
             if status in _DIES_EARLY and value < slice_:
                 t += value
             else:
                 t += slice_
         if t >= cutoff:
-            return EvaluationOutcome(solved=False, time_used=cutoff)
-    return EvaluationOutcome(solved=False, time_used=cutoff)
+            return ReplayOutcome(solved=False, time_used=cutoff)
+    return ReplayOutcome(solved=False, time_used=cutoff)
 
 
 def oracle_parse_predictions(path, scenario: Scenario, require_cover=None):

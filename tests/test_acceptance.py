@@ -28,8 +28,7 @@ from asbench import (
     aggregate,
     fit_system,
     obfuscate,
-    par10,
-    predict,
+    predict_batch,
     sbs,
     score_system,
     simulate,
@@ -226,7 +225,7 @@ class TestCriterion4Par10Rule:
                 {("i0", "A0"): (cutoff, "timeout")}, ["A0"], ["i0"], cutoff=cutoff
             )
             out = simulate(scen, "i0", (SolverStep(algorithm="A0", budget=cutoff),))
-            assert par10(out, cutoff) == 10.0 * cutoff
+            assert out.par10[0] == 10.0 * cutoff
 
 
 def enumerate_micro_cases():
@@ -266,7 +265,7 @@ class TestCriterion5Properties:
                 got = simulate(scen, "i0", schedule)
                 solved, time_used = oracle_simulate(scen, "i0", schedule)
                 cases += 1
-                if got.solved != solved or abs(got.time_used - time_used) > 1e-12:
+                if got.solved[0] != solved or abs(got.time_used[0] - time_used) > 1e-12:
                     mismatches.append((scen.runs, schedule, got, (solved, time_used)))
             assert cases >= 10_000, cases
             assert not mismatches, mismatches[:3]
@@ -280,7 +279,7 @@ class TestCriterion5Properties:
                 inst = scen.instances[int(rng.integers(0, len(scen.instances)))]
                 schedule = random_schedule(rng, scen)
                 out = simulate(scen, inst, schedule)
-                assert par10(out, scen.cutoff) >= vbs_cost(scen, inst) - 1e-12
+                assert out.par10[0] >= vbs_cost(scen, inst) - 1e-12
                 draws += 1
             checked = 0
             for seed in range(40):
@@ -368,7 +367,7 @@ class TestCriterion5Properties:
             split = scen.splits[0]
             started = time.perf_counter()
             model = fit_system(scen, split.train, kind, Hyperparameters(seed=1))
-            schedules = {i: predict(model, scen, i) for i in split.test}
+            schedules = {i: predict_batch(model, scen, [i])[i] for i in split.test}
             report = score_system(scen, split, schedules, system=kind)
             elapsed = time.perf_counter() - started
             assert report.metrics["par10"].gap <= 0.2

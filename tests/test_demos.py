@@ -12,9 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the last stdout line of each demo; a demo missing here fails its test
 LAST_LINES = {
     # features (1.5 s), then cdcl solves "tricky" in 410 s inside its 500 s slice
-    "01_scenario_tour.py": (
-        "schedule on tricky: EvaluationOutcome(solved=True, time_used=411.5, achieved_value=None, solving_step=2)"
-    ),
+    "01_scenario_tour.py": "schedule on tricky: solved True in 411.5 s at step 2; PAR10 411.5, MCP 389.5",
     "02_selector_shootout.py": "baselines: SBS PAR10 1163.3, VBS PAR10 46.3",
     "03_ranking_systems.py": "best single system mean gap: 0.323",
     "04_seed_robustness.py": "  gap <= 0.2263: 82.50% of seeds",

@@ -3,15 +3,14 @@ import pytest
 
 from asbench import (
     MetricScore,
+    Schedules,
     ScoreReport,
     aggregate,
-    mcp,
-    par10,
     score_system,
     simulate,
     vbs_cost,
 )
-from asbench.evaluation import EvaluationOutcome, FeatureStep, SolverStep, validate_schedule
+from asbench.evaluation import FeatureStep, SolverStep
 from asbench.scenario import Split
 from asbench.scenario_io import read_report_csv, write_report_csv
 
@@ -40,7 +39,7 @@ def three_step_fixture():
 class TestSimulate:
     def test_single_step_solves(self, tutorial):
         out = simulate(tutorial, "i1", (SolverStep(algorithm="A1", budget=5000.0),))
-        assert out.solved and out.time_used == 300.0 and out.solving_step == 1
+        assert out.solved[0] and out.time_used[0] == 300.0 and out.solving_step[0] == 1
 
     def test_interleaved_walk(self):
         scen = three_step_fixture()
@@ -50,9 +49,9 @@ class TestSimulate:
             SolverStep(algorithm="A2", budget=2900.0),
         )
         out = simulate(scen, "i0", schedule)
-        assert out.solved
-        assert out.time_used == pytest.approx(100.0 + 2000.0 + 1000.0)
-        assert out.solving_step == 3
+        assert out.solved[0]
+        assert out.time_used[0] == pytest.approx(100.0 + 2000.0 + 1000.0)
+        assert out.solving_step[0] == 3
 
     def test_every_step_fails(self, tutorial):
         schedule = (
@@ -60,8 +59,8 @@ class TestSimulate:
             SolverStep(algorithm="A2", budget=2500.0),
         )
         out = simulate(tutorial, "i5", schedule)
-        assert not out.solved
-        assert out.time_used == 5000.0
+        assert not out.solved[0]
+        assert out.time_used[0] == 5000.0
 
     def test_crashed_run_returns_unused_slice(self, tutorial):
         # i2/A3 dies of memout after 900s; A2 then still has time to finish
@@ -70,8 +69,8 @@ class TestSimulate:
             SolverStep(algorithm="A2", budget=4990.0),
         )
         out = simulate(tutorial, "i2", schedule)
-        assert out.solved
-        assert out.time_used == pytest.approx(900.0 + 80.0)
+        assert out.solved[0]
+        assert out.time_used[0] == pytest.approx(900.0 + 80.0)
 
     def test_feature_cost_can_exhaust_the_cutoff(self):
         from asbench import FeatureGroup
@@ -85,15 +84,15 @@ class TestSimulate:
             groups=(FeatureGroup("g", (0,), cost={"i0": 60.0}),),
         )
         out = simulate(scen, "i0", (FeatureStep(group="g"), SolverStep(algorithm="A0", budget=50.0)))
-        assert not out.solved
-        assert out.time_used == 50.0
+        assert not out.solved[0]
+        assert out.time_used[0] == 50.0
 
     def test_quality_returns_recorded_value(self):
         scen = random_scenario(2, objective="quality")
         inst = scen.instances[0]
         algo = scen.algorithms[0]
         out = simulate(scen, inst, (SolverStep(algorithm=algo, budget=0.0),))
-        assert out.achieved_value == scen.runs[(inst, algo)].value
+        assert out.achieved_value[0] == scen.runs[(inst, algo)].value
 
     def test_schedule_validation(self, tutorial):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -105,7 +104,7 @@ class TestSimulate:
                 (FeatureStep(group="base"), FeatureStep(group="base"), SolverStep("A1", 10.0)),
             )
         with pytest.raises(ValueError, match="positive"):
-            validate_schedule(tutorial, (SolverStep(algorithm="A1", budget=0.0),))
+            Schedules.from_mapping(tutorial, {"i1": (SolverStep(algorithm="A1", budget=0.0),)})
 
     def test_matches_exact_oracle_on_random_draws(self):
         rng = np.random.default_rng(42)
@@ -116,8 +115,8 @@ class TestSimulate:
                 schedule = random_schedule(rng, scen)
                 got = simulate(scen, inst, schedule)
                 solved, time_used = oracle_simulate(scen, inst, schedule)
-                assert got.solved == solved
-                assert got.time_used == pytest.approx(time_used, abs=1e-9)
+                assert got.solved[0] == solved
+                assert got.time_used[0] == pytest.approx(time_used, abs=1e-9)
 
     def test_outcome_invariants_hold_on_random_draws(self):
         # solved runs end at or before the cutoff; unsolved ones sit on it
@@ -127,35 +126,37 @@ class TestSimulate:
             for _ in range(4):
                 inst = scen.instances[int(rng.integers(0, len(scen.instances)))]
                 out = simulate(scen, inst, random_schedule(rng, scen))
-                if out.solved:
-                    assert out.time_used <= scen.cutoff
-                    assert out.solving_step is not None
+                if out.solved[0]:
+                    assert out.time_used[0] <= scen.cutoff
+                    assert out.solving_step[0] > 0
                 else:
-                    assert out.time_used == scen.cutoff
-                    assert out.solving_step is None
+                    assert out.time_used[0] == scen.cutoff
+                    assert out.solving_step[0] == 0
 
 
 class TestPar10:
     def test_solved(self):
-        out = simulate_outcome(True, 3000.0)
-        assert par10(out, 5000.0) == 3000.0
+        out = simulate_outcome(True, 3000.0, 5000.0)
+        assert out.par10[0] == 3000.0
 
     @pytest.mark.parametrize("cutoff", [1.0, 1200.0, 5000.0])
     def test_unsolved_is_ten_times_cutoff(self, cutoff):
-        out = simulate_outcome(False, cutoff)
-        assert par10(out, cutoff) == 10.0 * cutoff
+        out = simulate_outcome(False, cutoff, cutoff)
+        assert out.par10[0] == 10.0 * cutoff
 
-    def test_quality_outcome_rejected(self):
-        from asbench import EvaluationOutcome
+    def test_quality_outcome_has_none(self):
+        scen = random_scenario(1, objective="quality")
+        out = simulate(scen, scen.instances[0], (SolverStep(scen.algorithms[0], 0.0),))
+        assert np.isnan(out.par10[0])
 
-        with pytest.raises(ValueError):
-            par10(EvaluationOutcome(solved=True, achieved_value=1.0), 100.0)
 
-
-def simulate_outcome(solved, time_used):
-    from asbench import EvaluationOutcome
-
-    return EvaluationOutcome(solved=solved, time_used=time_used)
+def simulate_outcome(solved, time_used, cutoff):
+    """The one-row replay of a single full-cutoff run that ends at
+    ``time_used``, ok or timed out."""
+    scen = build_scenario({("i0", "A0"): (time_used, "ok" if solved else "timeout")}, ["A0"], ["i0"], cutoff=cutoff)
+    out = simulate(scen, "i0", (SolverStep(algorithm="A0", budget=cutoff),))
+    assert (out.solved[0], out.time_used[0]) == (solved, time_used)
+    return out
 
 
 class TestMcp:
@@ -170,12 +171,12 @@ class TestMcp:
                 SolverStep(algorithm="A2", budget=2900.0),
             ),
         )
-        assert mcp(out, scen, "i0") == pytest.approx(3100.0 - 300.0)
+        assert out.mcp[0] == pytest.approx(3100.0 - 300.0)
 
     def test_picking_the_best_costs_nothing(self):
         scen = three_step_fixture()
         out = simulate(scen, "i0", (SolverStep(algorithm="A3", budget=5000.0),))
-        assert mcp(out, scen, "i0") == 0.0
+        assert out.mcp[0] == 0.0
 
     def test_unsolved_contributes_cutoff_not_penalty(self):
         scen = build_scenario(
@@ -185,17 +186,16 @@ class TestMcp:
             cutoff=5000.0,
         )
         out = simulate(scen, "i0", (SolverStep(algorithm="A1", budget=5000.0),))
-        assert mcp(out, scen, "i0") == pytest.approx(4990.0)
+        assert out.mcp[0] == pytest.approx(4990.0)
 
-    def test_outcome_without_time_rejected(self):
-        with pytest.raises(ValueError, match="runtime outcome required"):
-            mcp(EvaluationOutcome(solved=True), three_step_fixture(), "i0")
+    def test_empty_schedule_costs_the_cutoff_over_the_best(self):
+        out = simulate(three_step_fixture(), "i0", ())
+        assert out.mcp[0] == 5000.0 - 300.0
 
-    def test_quality_scenario_rejected(self):
+    def test_quality_scenario_has_none(self):
         scen = random_scenario(1, objective="quality")
         out = simulate(scen, scen.instances[0], (SolverStep(scen.algorithms[0], 0.0),))
-        with pytest.raises(ValueError):
-            mcp(out, scen, scen.instances[0])
+        assert np.isnan(out.mcp[0])
 
 
 def scoring_fixture():
@@ -367,12 +367,12 @@ class TestScoreSystem:
             inst = scen.instances[0]
             schedule = random_schedule(rng, scen)
             base = simulate(scen, inst, schedule)
-            if base.solved:
+            if base.solved[0]:
                 continue
             for algo in scen.algorithms:
                 extended = schedule + (SolverStep(algorithm=algo, budget=scen.cutoff),)
                 after = simulate(scen, inst, extended)
-                assert par10(after, scen.cutoff) <= par10(base, scen.cutoff)
+                assert after.par10[0] <= base.par10[0]
                 checked += 1
         assert checked > 20
 
@@ -427,7 +427,7 @@ class TestScoreSystem:
             for _ in range(3):
                 inst = scen.instances[int(rng.integers(0, len(scen.instances)))]
                 out = simulate(scen, inst, random_schedule(rng, scen))
-                assert par10(out, scen.cutoff) >= vbs_cost(scen, inst) - 1e-9
+                assert out.par10[0] >= vbs_cost(scen, inst) - 1e-9
 
 
 def gap_report(scenario_id, gap, split=0, metric="par10"):

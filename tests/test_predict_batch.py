@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asbench import Hyperparameters, fit_system, predict, predict_batch, save_model
+from asbench import Hyperparameters, fit_system, predict_batch, save_model
 from asbench.learners import fit_forest
 
 from gen import learnable_scenario, random_scenario
@@ -101,7 +101,7 @@ def test_schedules_do_not_depend_on_the_batch(kind):
     model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=12, seed=8))
     whole = predict_batch(model, scen, split.test)
     assert list(whole) == list(split.test)
-    assert {i: predict(model, scen, i) for i in split.test} == whole
+    assert {i: predict_batch(model, scen, [i])[i] for i in split.test} == whole
     backwards = predict_batch(model, scen, split.test[::-1])
     assert list(backwards) == list(split.test[::-1])
     assert backwards == whole

@@ -1,6 +1,7 @@
 """The batch replay and the column-wise prediction parser against the
 one-at-a-time code they replaced (``tests/oracles.py``)."""
 
+import dataclasses
 import math
 import struct
 
@@ -14,7 +15,7 @@ from asbench.evaluation import FeatureStep, Schedules, SolverStep, simulate_batc
 from asbench.scenario import RUN_STATUSES
 
 from gen import build_scenario, random_scenario, random_schedule, tutorial_scenario
-from oracles import oracle_parse_predictions, oracle_replay
+from oracles import _oracle_check_schedule, oracle_parse_predictions, oracle_replay
 
 
 # half the runs are ok, the rest spread over every status
@@ -23,6 +24,13 @@ STATUSES = st.sampled_from(("ok",) * 4 + RUN_STATUSES[1:])
 
 def _bits(x) -> bytes:
     return struct.pack("<d", x)
+
+
+def _best_time(scen, inst) -> float:
+    """The instance's fastest solving run, the cutoff if no run solves it."""
+    runs = [scen.runs.get((inst, a)) for a in scen.algorithms]
+    times = [r.value for r in runs if r is not None and r.status == "ok" and r.value <= scen.cutoff]
+    return min(times, default=scen.cutoff)
 
 
 @st.composite
@@ -91,15 +99,21 @@ class TestSimulateBatch:
         assert got.solved.tolist() == [o.solved for o in want]
         assert got.solving_step.tolist() == [o.solving_step or 0 for o in want]
         if scen.objective == "runtime":
+            cutoff = scen.cutoff
             assert list(map(_bits, got.time_used.tolist())) == [_bits(o.time_used) for o in want]
+            assert list(map(_bits, got.par10.tolist())) == [_bits(o.time_used if o.solved else 10 * cutoff) for o in want]
+            mcp = [min(o.time_used, cutoff) - _best_time(scen, inst) for o, inst in zip(want, replayed)]
+            assert list(map(_bits, got.mcp.tolist())) == list(map(_bits, mcp))
             assert np.isnan(got.achieved_value).all()
         else:
             assert list(map(_bits, got.achieved_value.tolist())) == [_bits(o.achieved_value) for o in want]
-            assert np.isnan(got.time_used).all()
-        for inst, outcome in zip(replayed, want):
-            assert simulate(scen, inst, schedules[inst]) == outcome
+            assert np.isnan(np.column_stack([got.time_used, got.par10, got.mcp])).all()
+        for k, inst in enumerate(replayed):  # the one-row replay is the batch's row
+            one = simulate(scen, inst, schedules[inst])
+            for field in dataclasses.fields(got):
+                assert _bits(getattr(one, field.name)[0]) == _bits(getattr(got, field.name)[k])
 
-    def test_invalid_schedules_raise_what_validate_schedule_raises(self, tutorial):
+    def test_invalid_schedules_raise_what_the_reference_check_raises(self, tutorial):
         cases = [
             ({"i1": (SolverStep("Z", 1.0),)}, "unknown algorithm 'Z'"),
             ({"i1": (FeatureStep("nope"),)}, "unknown feature group 'nope'"),
@@ -255,3 +269,88 @@ class TestParsePredictions:
             assert isinstance(got, Schedules)
             assert got == schedules
             assert list(got) == [i for i in scen.instances if i in schedules]
+
+
+# Schedules breaking the schedule rules: from_mapping and the prediction
+# parser must refuse them with the reference check's messages.
+@st.composite
+def faulty_mappings(draw):
+    """A scenario and a mapping of 1-3 instances to legal schedules, into
+    which 0-3 violations of mixed rules are inserted at drawn positions."""
+    scen = draw(st.sampled_from(SCENARIOS))
+    groups = [g.name for g in scen.feature_groups]
+    algorithm = st.sampled_from(scen.algorithms)
+    violations = st.one_of(
+        # an unknown group, or a known one again (on quality, any feature step)
+        st.builds(FeatureStep, st.sampled_from(["nope", *groups])),
+        # an unknown algorithm, a budget that is not positive, both, or one
+        # more legal solver step (on quality, a second solver step)
+        st.builds(
+            SolverStep, st.sampled_from(["Z", *scen.algorithms]), st.sampled_from([0.0, -0.0, -1.0, math.nan, 0, 1.0])
+        ),
+        st.sampled_from(["A1", None, 3]),  # not a step
+    )
+    instances = draw(st.lists(st.sampled_from(scen.instances + ("zz",)), unique=True, min_size=1, max_size=3))
+    schedules = {}
+    for inst in instances:
+        if scen.objective == "quality":
+            steps = [SolverStep(draw(algorithm), 0.0)]
+        else:
+            steps = [FeatureStep(g) for g in groups if draw(st.booleans())]
+            steps += [SolverStep(draw(algorithm), scen.cutoff) for _ in range(draw(st.integers(0, 2)))]
+        for _ in range(draw(st.integers(0, 3))):
+            steps.insert(draw(st.integers(0, len(steps))), draw(violations))
+        if scen.objective == "quality" and draw(st.integers(0, 5)) == 0:
+            steps = []
+        schedules[inst] = tuple(steps)
+    return scen, schedules
+
+
+def _reference_error(scen, schedules):
+    """The reference message for the first schedule, in the mapping's order,
+    whose instance is unknown or which breaks a rule, with its instance."""
+    for inst, schedule in schedules.items():
+        if inst not in scen.instances:
+            return inst, f"unknown instance {inst!r}"
+        try:
+            _oracle_check_schedule(scen, schedule)
+        except ValueError as exc:
+            return inst, str(exc)
+    return None, None
+
+
+class TestScheduleRules:
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(faulty_mappings())
+    def test_messages_match_the_reference_check(self, tmp_path_factory, case):
+        scen, schedules = case
+        inst, want = _reference_error(scen, schedules)
+        try:
+            Schedules.from_mapping(scen, schedules)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+
+        steps = [step for schedule in schedules.values() for step in schedule]
+        if not all(isinstance(step, (FeatureStep, SolverStep)) for step in steps):
+            return  # a non-step object cannot be written to a file
+        rows = ["instance_id,step,kind,name,budget"]
+        for name, schedule in schedules.items():
+            for o, step in enumerate(schedule, 1):
+                if isinstance(step, FeatureStep):
+                    rows.append(f"{name},{o},feature,{step.group},0.0")
+                else:
+                    rows.append(f"{name},{o},solver,{step.algorithm},{step.budget!r}")
+        path = tmp_path_factory.mktemp("pred") / "pred.csv"
+        path.write_text("\n".join(rows) + "\n")
+        got = _parse(parse_predictions, path, scen, None)
+        assert got == _parse(oracle_parse_predictions, path, scen, None)
+        # with every instance and name known, every budget a float (the file reads 0 as
+        # 0.0) and no schedule empty (a file cannot hold one), the file is
+        # refused for the same schedule with the same text
+        names = {(s.group if isinstance(s, FeatureStep) else s.algorithm) for s in steps}
+        known = names <= {*scen.algorithms, *(g.name for g in scen.feature_groups)}
+        floats = all(type(getattr(s, "budget", 0.0)) is float for s in steps)
+        if want is not None and "zz" not in schedules and known and floats and all(schedules.values()):
+            assert got[3] == f"invalid schedule for {inst!r}: {want}"

@@ -23,7 +23,7 @@ from asbench import (
     score_system,
     vbs_cost,
 )
-from asbench.evaluation import EvaluationOutcome, SolverStep, mcp
+from asbench.evaluation import SolverStep, simulate
 from asbench.scenario import RunRecord, Runs
 from asbench.selectors import prepare_training
 
@@ -216,9 +216,10 @@ def test_table_is_cached_read_only_and_in_scenario_order(tutorial):
     # i2: A1 timed out, A2 took 80 s, A3 hit a memout
     assert tutorial.solved[row].tolist() == [False, True, False]
     assert tutorial.capped[row].min() == 80.0
-    penalty = mcp(EvaluationOutcome(solved=True, time_used=100.0), tutorial, "i2")
-    assert penalty == 20.0
-    assert type(penalty) is float
+    # A1 times out in its 20 s slice, then A2 solves at 100 s
+    out = simulate(tutorial, "i2", (SolverStep("A1", 20.0), SolverStep("A2", 4980.0)))
+    assert (out.solved[0], out.time_used[0]) == (True, 100.0)
+    assert out.mcp.tolist() == [20.0]
 
 
 def test_runs_are_the_stored_table_and_read_as_a_mapping(tutorial):

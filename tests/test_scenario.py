@@ -19,7 +19,7 @@ from asbench import (
     vbs_cost,
     write_scenario,
 )
-from asbench.evaluation import EvaluationOutcome, mcp
+from asbench.evaluation import SolverStep, simulate
 from asbench.scenario import Features, collapse_repetitions
 from asbench.selectors import raw_features
 
@@ -297,7 +297,9 @@ def test_best_ok_time_caps_at_cutoff():
     )
     assert scen.capped[0].min() == 5000.0
     # no algorithm solves i0, so even a timed-out system loses nothing to the best
-    assert mcp(EvaluationOutcome(solved=False, time_used=5000.0), scen, "i0") == 0.0
+    out = simulate(scen, "i0", (SolverStep("A0", 5000.0),))
+    assert (out.solved[0], out.time_used[0]) == (False, 5000.0)
+    assert out.mcp[0] == 0.0
 
 
 # The stored feature table: arrays aligned to the instances, read as a mapping.
