@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -67,16 +66,14 @@ class Split:
     from_bootstrap: bool = False
 
 
-class Runs(Mapping):
+class Runs:
     """The stored run data of a scenario, as ASlib's performance matrix.
 
     ``value[n,k]`` (float64) and ``status[n,k]`` (int8) are read-only
     arrays with one row per instance of ``instances`` and one column per
-    algorithm of ``algorithms``. A status is an index into ``RUN_STATUSES``,
-    whose order is the severity rank; -1 marks a pair without a record,
-    whose value is NaN. The table reads as a mapping from
-    ``(instance, algorithm)`` to :class:`RunRecord`, without the missing
-    pairs, in row-major order.
+    algorithm of ``algorithms``; ``row`` and ``col`` map a label to its
+    index. A status is an index into ``RUN_STATUSES``, whose order is the
+    severity rank; -1 marks a pair without a record, whose value is NaN.
     """
 
     __slots__ = ("instances", "algorithms", "value", "status", "row", "col")
@@ -93,8 +90,8 @@ class Runs(Mapping):
         self.col = {algo: c for c, algo in enumerate(self.algorithms)}
 
     @classmethod
-    def from_records(cls, records: Mapping, instances, algorithms) -> Runs:
-        """Store a mapping of ``(instance, algorithm)`` to :class:`RunRecord`.
+    def from_records(cls, records: dict, instances, algorithms) -> Runs:
+        """Store a dict of ``(instance, algorithm)`` to :class:`RunRecord`.
 
         Raises ValueError for a record the table cannot hold: one for an
         unknown instance or algorithm, or with an unknown status.
@@ -111,27 +108,9 @@ class Runs(Mapping):
         values = [math.nan if rec is None else rec.value for rec in cells]
         return cls(instances, algorithms, values, status)
 
-    def __getitem__(self, pair) -> RunRecord:
-        try:
-            inst, algo = pair
-            r, c = self.row[inst], self.col[algo]
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(pair) from None
-        code = int(self.status[r, c])
-        if code < 0:
-            raise KeyError(pair)
-        return RunRecord(value=float(self.value[r, c]), status=RUN_STATUSES[code])
-
-    def __iter__(self):
-        for r, c in zip(*np.nonzero(self.status >= 0)):
-            yield self.instances[r], self.algorithms[c]
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.status >= 0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Runs):
-            return super().__eq__(other)
+            return NotImplemented
         return (
             self.instances == other.instances
             and self.algorithms == other.algorithms
@@ -139,23 +118,16 @@ class Runs(Mapping):
             and np.array_equal(self.value, other.value, equal_nan=True)
         )
 
-    __hash__ = None
 
-    def __repr__(self) -> str:
-        n, k = self.value.shape
-        return f"Runs({n} instances x {k} algorithms, {len(self)} records)"
-
-
-class Features(Mapping):
+class Features:
     """The stored feature vectors of a scenario.
 
     ``matrix[n,d]`` (float64, NaN at a missing cell) and ``missing[n,d]``
     (bool) are read-only arrays with one row per instance of ``instances``
-    and one column per feature. The table reads as a mapping from instance
-    to its vector, a tuple of floats with ``None`` at the missing cells.
+    and one column per feature.
     """
 
-    __slots__ = ("instances", "matrix", "missing", "row")
+    __slots__ = ("instances", "matrix", "missing")
 
     def __init__(self, instances, matrix: np.ndarray, missing: np.ndarray):
         self.instances = tuple(instances)
@@ -163,14 +135,13 @@ class Features(Mapping):
         self.missing = np.asarray(missing, dtype=bool)
         self.matrix.flags.writeable = False
         self.missing.flags.writeable = False
-        self.row = {inst: r for r, inst in enumerate(self.instances)}
 
     @classmethod
-    def from_vectors(cls, vectors: Mapping, instances, d: int) -> Features:
-        """Store a mapping of instance to a vector of ``d`` values (``None``
+    def from_vectors(cls, vectors: dict, instances, d: int) -> Features:
+        """Store a dict of instance to a vector of ``d`` values (``None``
         where missing).
 
-        Raises ValueError for a mapping the table cannot hold: one with a
+        Raises ValueError for a dict the table cannot hold: one with a
         vector for an unknown instance, of another length, or none at all.
         """
         instances = tuple(instances)
@@ -191,35 +162,14 @@ class Features(Mapping):
         values = np.array([math.nan if v is None else v for v in cells], dtype=np.float64).reshape(shape)
         return cls(instances, values, missing)
 
-    def __getitem__(self, instance) -> tuple[float | None, ...]:
-        try:
-            r = self.row[instance]
-        except (KeyError, TypeError):
-            raise KeyError(instance) from None
-        return tuple(
-            None if hole else v for v, hole in zip(self.matrix[r].tolist(), self.missing[r].tolist())
-        )
-
-    def __iter__(self):
-        return iter(self.row)
-
-    def __len__(self) -> int:
-        return len(self.row)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Features):
-            return super().__eq__(other)
+            return NotImplemented
         return (
             self.instances == other.instances
             and np.array_equal(self.missing, other.missing)
             and np.array_equal(self.matrix, other.matrix, equal_nan=True)
         )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        n, d = self.matrix.shape
-        return f"Features({n} instances x {d} features, {int(self.missing.sum())} missing)"
 
 
 @dataclass(frozen=True)
@@ -228,13 +178,12 @@ class Scenario:
 
     ``runs`` is the stored run table (:class:`Runs`), aligned to
     ``instances`` and ``algorithms``; a valid scenario has a record for
-    every pair. A mapping of ``(instance, algorithm)`` to
-    :class:`RunRecord` is accepted instead and converted once, at
-    construction. ``features`` is the stored feature table
-    (:class:`Features`), aligned to ``instances`` and ``feature_names``; it
-    reads as a mapping of each instance to its vector, with ``None`` for a
-    missing value, never silently zero. Such a mapping is accepted instead
-    and converted once, at construction.
+    every pair. A dict of ``(instance, algorithm)`` to :class:`RunRecord`
+    is accepted instead and stored once, at construction. ``features`` is
+    the stored feature table (:class:`Features`), aligned to ``instances``
+    and ``feature_names``, with a missing value marked, never silently
+    zero. A dict of each instance to its vector, ``None`` where a value is
+    missing, is accepted instead and stored once, at construction.
 
     ``solved``, ``cost`` and ``capped`` are read-only arrays aligned to
     ``runs``, derived from it and the objective, direction and cutoff on

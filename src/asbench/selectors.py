@@ -135,9 +135,9 @@ class Preprocess:
 
 def raw_features(scenario: Scenario, instances, columns) -> np.ndarray:
     """The instances x columns feature matrix, NaN where a value is missing."""
-    features = scenario.features
-    rows = np.array([features.row[i] for i in instances], dtype=np.intp)
-    return features.matrix[rows[:, None], np.array(columns, dtype=np.intp)]
+    row = scenario.runs.row  # the feature table shares the run table's instance order
+    rows = np.array([row[i] for i in instances], dtype=np.intp)
+    return scenario.features.matrix[rows[:, None], np.array(columns, dtype=np.intp)]
 
 
 def _group_columns(scenario: Scenario, feature_groups) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import numpy as np
 
 from asbench import FeatureGroup, RunRecord, Scenario, Split
 from asbench.evaluation import FeatureStep, SolverStep
+from oracles import feature_vector
 
 
 def build_scenario(
@@ -238,5 +239,5 @@ def learnable_scenario(n_train=500, n_test=200, seed=7, flip=0.0):
 
 def best_algorithm_truth(scenario, instance):
     """Ground-truth label for ``learnable_scenario`` instances."""
-    f0, f1 = scenario.features[instance][:2]
+    f0, f1 = feature_vector(scenario, instance)[:2]
     return 0 if f0 < 0 else (1 if f1 < 0 else 2)

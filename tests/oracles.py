@@ -46,6 +46,35 @@ from asbench.scenario_io import (
 from asbench.selectors import _S_FOLDS, _S_PAIRWISE, _S_REGRESSION, _S_STACK_L1, _S_STACK_L2
 
 
+def run_record(scenario, instance, algorithm) -> RunRecord | None:
+    """The recorded run of one pair, None where the table holds none: one
+    cell of the stored ``value`` and ``status`` arrays, never of the arrays
+    ``Scenario`` derives from them."""
+    runs = scenario.runs
+    r, c = runs.row[instance], runs.col[algorithm]
+    code = int(runs.status[r, c])
+    return None if code < 0 else RunRecord(float(runs.value[r, c]), RUN_STATUSES[code])
+
+
+def records(scenario) -> dict:
+    """Every recorded run keyed by ``(instance, algorithm)``, in row-major
+    order: the dict a scenario is built from."""
+    pairs = itertools.product(scenario.runs.instances, scenario.runs.algorithms)
+    return {pair: rec for pair in pairs if (rec := run_record(scenario, *pair)) is not None}
+
+
+def feature_vector(scenario, instance) -> tuple:
+    """One instance's stored feature values, ``None`` at the holes."""
+    r = scenario.runs.row[instance]  # the feature table shares the run table's instance order
+    values, holes = scenario.features.matrix[r].tolist(), scenario.features.missing[r].tolist()
+    return tuple(None if hole else v for v, hole in zip(values, holes))
+
+
+def feature_vectors(scenario) -> dict:
+    """Every instance's feature vector: the dict a scenario is built from."""
+    return {inst: feature_vector(scenario, inst) for inst in scenario.features.instances}
+
+
 def oracle_simulate(scenario, instance, schedule):
     """Exact step walk. Returns (solved, time_used) for runtime scenarios."""
     cutoff = Fraction(scenario.cutoff)
@@ -56,7 +85,7 @@ def oracle_simulate(scenario, instance, schedule):
             table = costs[step.group]
             clock = clock + Fraction(table.get(instance, 0.0) if table else 0.0)
         elif isinstance(step, SolverStep):
-            rec = scenario.runs[(instance, step.algorithm)]
+            rec = run_record(scenario, instance, step.algorithm)
             run_time = Fraction(rec.value)
             slice_left = min(Fraction(step.budget), cutoff - clock)
             if rec.status == "ok":
@@ -76,7 +105,7 @@ def oracle_vbs_cost(scenario, instance):
     """Brute-force minimum PAR10 (or quality cost) over the portfolio."""
     best = None
     for algo in scenario.algorithms:
-        rec = scenario.runs[(instance, algo)]
+        rec = run_record(scenario, instance, algo)
         if scenario.objective == "runtime":
             if rec.status == "ok" and rec.value <= scenario.cutoff:
                 cost = rec.value
@@ -95,7 +124,7 @@ def oracle_sbs(scenario, instances):
     for algo in scenario.algorithms:
         total = 0.0
         for inst in instances:
-            rec = scenario.runs[(inst, algo)]
+            rec = run_record(scenario, inst, algo)
             if scenario.objective == "runtime":
                 if rec.status == "ok" and rec.value <= scenario.cutoff:
                     total += rec.value
@@ -128,14 +157,14 @@ def oracle_presolver(train_instances, scenario, hp, max_steps=1):
         for ai, algo in enumerate(scenario.algorithms):
             times = sorted(
                 {
-                    scenario.runs[(i, algo)].value
+                    run_record(scenario, i, algo).value
                     for i in remaining
-                    if scenario.runs[(i, algo)].status == "ok"
-                    and 0 < scenario.runs[(i, algo)].value <= budget
+                    if run_record(scenario, i, algo).status == "ok"
+                    and 0 < run_record(scenario, i, algo).value <= budget
                 }
             )
             if not times and any(
-                scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value == 0
+                run_record(scenario, i, algo).status == "ok" and run_record(scenario, i, algo).value == 0
                 for i in remaining
             ):
                 times = [budget]
@@ -143,7 +172,7 @@ def oracle_presolver(train_instances, scenario, hp, max_steps=1):
                 solved = sum(
                     1
                     for i in remaining
-                    if scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value <= t
+                    if run_record(scenario, i, algo).status == "ok" and run_record(scenario, i, algo).value <= t
                 )
                 rate = solved / t
                 if best is None or rate > best[0] or (rate == best[0] and t < best[1]):
@@ -156,7 +185,7 @@ def oracle_presolver(train_instances, scenario, hp, max_steps=1):
         remaining = [
             i
             for i in remaining
-            if not (scenario.runs[(i, algo)].status == "ok" and scenario.runs[(i, algo)].value <= t)
+            if not (run_record(scenario, i, algo).status == "ok" and run_record(scenario, i, algo).value <= t)
         ]
         budget -= t
     return tuple(prefix)
@@ -394,7 +423,7 @@ def oracle_raw_features(scenario, instances, columns):
     columns = tuple(columns)
     rows = [
         [np.nan if v is None else v for v in (vec[c] for c in columns)]
-        for vec in (scenario.features[i] for i in instances)
+        for vec in (feature_vector(scenario, i) for i in instances)
     ]
     return np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
 
@@ -517,7 +546,7 @@ def oracle_kmeans_assign(centroids, X):
 def oracle_predict(model, scenario, instance):
     """The schedule for one instance, one feature vector and one forest
     query per row at a time: the original per-row prediction path."""
-    x = _oracle_transform(model.pre, scenario.features[instance])
+    x = _oracle_transform(model.pre, feature_vector(scenario, instance))
     if scenario.objective == "quality":
         if x is None:
             warnings.warn(f"no features for {instance!r}; falling back to the single best solver")
@@ -914,7 +943,7 @@ def oracle_validate(scenario: Scenario) -> list[Violation]:
     # Dense run matrix: exactly one record per pair, nothing extra.
     for inst in scenario.instances:
         for algo in scenario.algorithms:
-            rec = scenario.runs.get((inst, algo))
+            rec = run_record(scenario, inst, algo)
             if rec is None:
                 err("missing_run", f"{inst}/{algo}", "no run record for pair")
                 continue
@@ -931,13 +960,14 @@ def oracle_validate(scenario: Scenario) -> list[Violation]:
                     f"{inst}/{algo}",
                     f"ok run took {rec.value} > cutoff {scenario.cutoff}",
                 )
-    for inst, algo in scenario.runs:
+    for inst, algo in records(scenario):
         if inst not in inst_set or algo not in algo_set:
             err("unknown_run", f"{inst}/{algo}", "run for unknown instance or algorithm")
 
     d = len(scenario.feature_names)
+    table = feature_vectors(scenario)
     for inst in scenario.instances:
-        vec = scenario.features.get(inst)
+        vec = table.get(inst)
         if vec is None:
             err("missing_features", inst, "no feature vector")
         elif len(vec) != d:
@@ -948,7 +978,7 @@ def oracle_validate(scenario: Scenario) -> list[Violation]:
                     name = scenario.feature_names[vec.index(v)]
                     err("non_finite_value", inst, f"feature {name} value {v}")
                     break  # one report per instance; index() finds this first one
-    for inst in scenario.features:
+    for inst in table:
         if inst not in inst_set:
             err("unknown_feature_row", inst, "feature vector for unknown instance")
 

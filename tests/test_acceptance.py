@@ -56,6 +56,7 @@ from oracles import (
     oracle_friedman_permutation_p,
     oracle_friedman_statistic,
     oracle_simulate,
+    run_record,
 )
 
 QUALITY_SCENARIOS_2017 = {"Camilla", "Oberon", "Titus"}
@@ -294,9 +295,9 @@ class TestCriterion5Properties:
                 for i in split.test:
                     champion = min(
                         scen.algorithms,
-                        key=lambda a: scen.runs[(i, a)].value
-                        if scen.runs[(i, a)].status == "ok"
-                        and scen.runs[(i, a)].value <= scen.cutoff
+                        key=lambda a: run_record(scen, i, a).value
+                        if run_record(scen, i, a).status == "ok"
+                        and run_record(scen, i, a).value <= scen.cutoff
                         else 10 * scen.cutoff,
                     )
                     oracle_schedules[i] = (SolverStep(algorithm=champion, budget=scen.cutoff),)

@@ -17,7 +17,7 @@ from asbench.scenario_io import read_report_csv, write_report_csv
 from asbench.selectors import Hyperparameters
 
 from gen import learnable_scenario, random_scenario
-from oracles import oracle_parse_scenario
+from oracles import oracle_parse_scenario, run_record
 
 
 @pytest.fixture(scope="module")
@@ -450,8 +450,8 @@ class TestTrainPredictEvaluate:
         for inst in split.test:
             best = min(
                 scen.algorithms,
-                key=lambda a: scen.runs[(inst, a)].value
-                if scen.runs[(inst, a)].status == "ok"
+                key=lambda a: run_record(scen, inst, a).value
+                if run_record(scen, inst, a).status == "ok"
                 else 10 * scen.cutoff,
             )
             rows.append(f"{inst},1,solver,{best},{scen.cutoff}")

@@ -15,7 +15,7 @@ from asbench.scenario import Split
 from asbench.scenario_io import read_report_csv, write_report_csv
 
 from gen import build_scenario, random_scenario, random_schedule
-from oracles import oracle_simulate
+from oracles import feature_vectors, oracle_simulate, records, run_record
 
 
 def three_step_fixture():
@@ -92,7 +92,7 @@ class TestSimulate:
         inst = scen.instances[0]
         algo = scen.algorithms[0]
         out = simulate(scen, inst, (SolverStep(algorithm=algo, budget=0.0),))
-        assert out.achieved_value[0] == scen.runs[(inst, algo)].value
+        assert out.achieved_value[0] == run_record(scen, inst, algo).value
 
     def test_schedule_validation(self, tutorial):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -272,8 +272,8 @@ class TestScoreSystem:
                 best = min(
                     scen.algorithms,
                     key=lambda a: (
-                        scen.runs[(i, a)].value
-                        if scen.runs[(i, a)].status == "ok" and scen.runs[(i, a)].value <= scen.cutoff
+                        run_record(scen, i, a).value
+                        if run_record(scen, i, a).status == "ok" and run_record(scen, i, a).value <= scen.cutoff
                         else 10 * scen.cutoff
                     ),
                 )
@@ -335,11 +335,11 @@ class TestScoreSystem:
         scen = scoring_fixture()
         factor = 7.0
         scaled = build_scenario(
-            {pair: (rec.value * factor, rec.status) for pair, rec in scen.runs.items()},
+            {pair: (rec.value * factor, rec.status) for pair, rec in records(scen).items()},
             scen.algorithms,
             scen.instances,
             cutoff=scen.cutoff * factor,
-            features=scen.features,
+            features=feature_vectors(scen),
             groups=tuple(
                 type(g)(g.name, g.feature_indices, {i: c * factor for i, c in g.cost.items()})
                 for g in scen.feature_groups

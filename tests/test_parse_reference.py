@@ -19,7 +19,7 @@ from asbench import ParseError, RunRecord, Split, ViolationsError, parse_scenari
 from asbench.scenario import RUN_STATUSES
 
 from gen import random_scenario, tutorial_scenario
-from oracles import oracle_parse_scenario, oracle_validate
+from oracles import feature_vectors, oracle_parse_scenario, oracle_validate, records
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 CUTOFF = 100.0
@@ -278,7 +278,7 @@ def _bits(scen):
         scen.instances,
         scen.runs.value.tobytes(),
         scen.runs.status.tobytes(),
-        [(i, tuple(map(_exact, v))) for i, v in scen.features.items()],
+        [(i, tuple(map(_exact, v))) for i, v in feature_vectors(scen).items()],
         scen.feature_names,
         [
             (g.name, g.feature_indices, None if g.cost is None else [(i, _exact(c)) for i, c in g.cost.items()])
@@ -460,7 +460,7 @@ def test_write_then_parse_round_trips(seed, objective):
 
 def _broken(tutorial, cells):
     """The tutorial with some run cells overwritten (None: no record)."""
-    runs = dict(tutorial.runs)
+    runs = records(tutorial)
     for pair, rec in cells.items():
         if rec is None:
             del runs[pair]
@@ -494,7 +494,10 @@ def _edited_group(scenario, j, **fields):
 @pytest.mark.parametrize(
     "edit, code",
     [
-        (lambda t: replace(t, instances=t.instances + ("i1",)), "duplicate_instance"),
+        (
+            lambda t: replace(t, instances=t.instances + ("i1",), runs=records(t), features=feature_vectors(t)),
+            "duplicate_instance",
+        ),
         (lambda t: _edited_group(t, 0, feature_indices=(0, 1, 7)), "bad_feature_index"),
         (lambda t: _edited_group(t, 0, feature_indices=(0,)), "ungrouped_feature"),
         (lambda t: _edited_group(t, 1, cost={**t.feature_groups[1].cost, "i9": 1.0}), "unknown_cost_row"),

@@ -13,14 +13,14 @@ from asbench import Hyperparameters, fit_system, predict_batch, save_model
 from asbench.learners import fit_forest
 
 from gen import learnable_scenario, random_scenario
-from oracles import oracle_predict
+from oracles import feature_vectors, oracle_predict
 
 KINDS = ("regression", "pairwise", "cluster", "stacking", "sunny")
 
 
 def blank_one(scen, instance):
     """The scenario with every feature value of ``instance`` missing."""
-    features = dict(scen.features)
+    features = feature_vectors(scen)
     features[instance] = (None,) * len(scen.feature_names)
     return replace(scen, features=features)
 
@@ -120,7 +120,7 @@ def test_nan_and_none_are_the_same_missing_value(tmp_path):
     holes = (split.train[0], split.train[5], split.test[2])
 
     def punched(missing):
-        features = dict(scen.features)
+        features = feature_vectors(scen)
         for inst in holes:
             features[inst] = (missing,) + features[inst][1:]
         return replace(scen, features=features)

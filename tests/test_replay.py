@@ -15,7 +15,7 @@ from asbench.evaluation import FeatureStep, Schedules, SolverStep, simulate_batc
 from asbench.scenario import RUN_STATUSES
 
 from gen import build_scenario, random_scenario, random_schedule, tutorial_scenario
-from oracles import _oracle_check_schedule, oracle_parse_predictions, oracle_replay
+from oracles import _oracle_check_schedule, oracle_parse_predictions, oracle_replay, run_record
 
 
 # half the runs are ok, the rest spread over every status
@@ -28,7 +28,7 @@ def _bits(x) -> bytes:
 
 def _best_time(scen, inst) -> float:
     """The instance's fastest solving run, the cutoff if no run solves it."""
-    runs = [scen.runs.get((inst, a)) for a in scen.algorithms]
+    runs = [run_record(scen, inst, a) for a in scen.algorithms]
     times = [r.value for r in runs if r is not None and r.status == "ok" and r.value <= scen.cutoff]
     return min(times, default=scen.cutoff)
 

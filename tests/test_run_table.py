@@ -8,6 +8,7 @@ reaches one step past the cutoff: an ok run over the cutoff is unsolved.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,7 @@ from asbench import (
     vbs_cost,
 )
 from asbench.evaluation import SolverStep, simulate
-from asbench.scenario import RunRecord, Runs
+from asbench.scenario import RUN_STATUSES, RunRecord, Runs
 from asbench.selectors import prepare_training
 
 from gen import build_scenario
@@ -34,6 +35,8 @@ from oracles import (
     oracle_sbs,
     oracle_simulate,
     oracle_vbs_cost,
+    records,
+    run_record,
 )
 
 CUTOFF = 100.0
@@ -157,7 +160,7 @@ def test_training_set_matches_per_pair_recomputation(spec, kind):
     assert ts.costs.shape == ts.solved.shape == (len(train), len(scen.algorithms))
     for r, inst in enumerate(train):
         for c, algo in enumerate(scen.algorithms):
-            rec = scen.runs[(inst, algo)]
+            rec = run_record(scen, inst, algo)
             if scen.objective == "runtime":
                 solved = rec.status == "ok" and rec.value <= scen.cutoff
                 cost = rec.value if solved else 10 * scen.cutoff
@@ -189,7 +192,7 @@ def test_sbs_scores_match_oracle_replays(spec, kind):
     if scen.objective == "quality":
         schedules = {i: (SolverStep(scen.algorithms[-1], 0.0),) for i in test}
         report = score_system(scen, Split(0, tuple(train), test), schedules)
-        assert report.metrics["quality"].sbs == mean(scen.runs[(i, algo)].value for i in test)
+        assert report.metrics["quality"].sbs == mean(run_record(scen, i, algo).value for i in test)
         return
     # the system runs the last algorithm for half the cutoff, then the first
     system = (SolverStep(scen.algorithms[-1], CUTOFF / 2), SolverStep(scen.algorithms[0], CUTOFF))
@@ -222,37 +225,62 @@ def test_table_is_cached_read_only_and_in_scenario_order(tutorial):
     assert out.mcp.tolist() == [20.0]
 
 
-def test_runs_are_the_stored_table_and_read_as_a_mapping(tutorial):
+@st.composite
+def record_tables(draw):
+    """(instances, algorithms, records): any float, NaN, infinities and -0.0
+    included, under any status; about one pair in four has no record."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    instances, algorithms = [f"i{j}" for j in range(n)], [f"A{j}" for j in range(k)]
+    table = {
+        (i, a): RunRecord(draw(st.floats()), draw(st.sampled_from(RUN_STATUSES)))
+        for i in instances
+        for a in algorithms
+        if draw(st.integers(0, 3))
+    }
+    return instances, algorithms, table
+
+
+@SETTINGS
+@given(spec=record_tables())
+def test_from_records_stores_every_record_bit_for_bit(spec):
+    instances, algorithms, table = spec
+    scen = build_scenario(table, algorithms, instances)
+    back = records(scen)
+    assert list(back) == list(table)
+    for (inst, algo), rec in table.items():
+        assert struct.pack("<d", back[inst, algo].value) == struct.pack("<d", rec.value)
+        assert back[inst, algo].status == rec.status
+    for r, inst in enumerate(instances):
+        for c, algo in enumerate(algorithms):
+            if (inst, algo) not in table:
+                assert run_record(scen, inst, algo) is None
+                assert scen.runs.status[r, c] == -1 and math.isnan(scen.runs.value[r, c])
+
+
+def test_runs_are_read_only_arrays_kept_by_replace(tutorial):
     runs = tutorial.runs
     assert runs.value.shape == runs.status.shape == (5, 3)
     for array in (runs.value, runs.status):
         with pytest.raises(ValueError):
             array[0, 0] = 0
-    records = dict(runs.items())
-    assert list(records) == [(i, a) for i in tutorial.instances for a in tutorial.algorithms]
-    assert len(runs) == 15 and ("i2", "A2") in runs and ("i2", "A9") not in runs and "i2" not in runs
-    assert runs[("i2", "A3")] == RunRecord(900.0, "memout")
-    assert runs == records and Runs.from_records(records, tutorial.instances, tutorial.algorithms) == runs
-    # a pair without a record reads as missing
-    del records[("i3", "A2")]
-    holed = replace(tutorial, runs=records)
+    assert replace(tutorial, cutoff=4000.0).runs is runs
+    table = records(tutorial)
+    assert list(table) == [(i, a) for i in tutorial.instances for a in tutorial.algorithms]
+    assert run_record(tutorial, "i2", "A3") == RunRecord(900.0, "memout")
+    # the table is its arrays, not the dict it was built from
+    assert Runs.from_records(table, tutorial.instances, tutorial.algorithms) == runs
+    assert runs != table and table != runs
+    # a pair without a record reads as status -1 and NaN
+    del table[("i3", "A2")]
+    holed = replace(tutorial, runs=table)
     assert holed.runs.status[2, 1] == -1 and math.isnan(holed.runs.value[2, 1])
-    assert ("i3", "A2") not in holed.runs and holed.runs.get(("i3", "A2")) is None
-    assert len(holed.runs) == 14 and holed.runs == records
-
-
-def test_runs_values_are_the_records_in_items_order(tutorial):
-    # the array is ``Runs.value``, so the Mapping method stays callable
-    values = list(tutorial.runs.values())
-    assert len(values) == 15 and all(isinstance(rec, RunRecord) for rec in values)
-    assert values == [rec for _, rec in tutorial.runs.items()]
-    assert values[list(tutorial.runs).index(("i2", "A3"))] == RunRecord(900.0, "memout")
+    assert run_record(holed, "i3", "A2") is None and records(holed) == table
 
 
 def test_records_the_table_cannot_hold_are_refused(tutorial):
     for pair, rec in ((("i9", "A1"), RunRecord(1.0)), (("i1", "A9"), RunRecord(1.0)), (("i1", "A1"), RunRecord(1.0, "lost"))):
         with pytest.raises(ValueError):
-            replace(tutorial, runs={**tutorial.runs, pair: rec})
+            replace(tutorial, runs={**records(tutorial), pair: rec})
 
 
 def test_table_follows_the_cutoff_of_a_replaced_scenario(tutorial):

@@ -24,7 +24,7 @@ from asbench.scenario import Features, collapse_repetitions
 from asbench.selectors import raw_features
 
 from gen import build_scenario, random_scenario
-from oracles import oracle_raw_features, oracle_sbs, oracle_vbs_cost
+from oracles import feature_vector, feature_vectors, oracle_raw_features, oracle_sbs, oracle_vbs_cost, records
 
 
 def test_tutorial_is_valid(tutorial):
@@ -32,7 +32,7 @@ def test_tutorial_is_valid(tutorial):
 
 
 def test_missing_run_is_reported(tutorial):
-    runs = dict(tutorial.runs)
+    runs = records(tutorial)
     del runs[("i3", "A2")]
     from dataclasses import replace
 
@@ -54,7 +54,7 @@ def test_ok_value_over_cutoff_is_reported():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_are_reported(tutorial, bad):
-    runs = {**tutorial.runs, ("i1", "A1"): RunRecord(bad, "ok")}
+    runs = {**records(tutorial), ("i1", "A1"): RunRecord(bad, "ok")}
     base, probing = tutorial.feature_groups
     costly = replace(base, cost={**base.cost, "i2": bad})
     broken = {
@@ -69,7 +69,7 @@ def test_non_finite_values_are_reported(tutorial, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_feature_values_are_reported(tutorial, bad):
-    features = {**tutorial.features, "i2": (1.5, bad, 2.0)}
+    features = {**feature_vectors(tutorial), "i2": (1.5, bad, 2.0)}
     found = [v for v in validate(replace(tutorial, features=features)) if v.code == "non_finite_value"]
     assert [(v.entity, v.severity) for v in found] == [("i2", "error")]
     assert "f_b" in found[0].detail
@@ -213,12 +213,12 @@ class TestSbs:
             scaled = build_scenario(
                 {
                     pair: (rec.value * factor, rec.status)
-                    for pair, rec in scen.runs.items()
+                    for pair, rec in records(scen).items()
                 },
                 scen.algorithms,
                 scen.instances,
                 cutoff=scen.cutoff * factor,
-                features=scen.features,
+                features=feature_vectors(scen),
                 feature_names=scen.feature_names,
                 groups=scen.feature_groups,
             )
@@ -302,7 +302,7 @@ def test_best_ok_time_caps_at_cutoff():
     assert out.mcp[0] == 0.0
 
 
-# The stored feature table: arrays aligned to the instances, read as a mapping.
+# The stored feature table: arrays aligned to the instances.
 
 FEATURE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, -1.7976931348623157e308])
@@ -351,16 +351,17 @@ def test_raw_features_of_no_columns_and_no_rows(tutorial):
 
 @FEATURE_SETTINGS
 @given(spec=feature_scenarios())
-def test_feature_view_reads_back_every_vector_bit_for_bit(spec):
+def test_from_vectors_stores_every_vector_bit_for_bit(spec):
     scen, vectors = spec
-    assert list(scen.features) == list(vectors) and len(scen.features) == len(vectors)
-    for inst, vec in vectors.items():
-        back = scen.features[inst]
+    assert scen.features.instances == tuple(vectors)
+    for r, (inst, vec) in enumerate(vectors.items()):
+        back = feature_vector(scen, inst)
         assert type(back) is tuple and all(v is None or type(v) is float for v in back)
         assert list(map(_bits, back)) == list(map(_bits, vec))
-        r = scen.features.row[inst]
+        # a missing value reads as NaN, marked missing
         assert scen.features.missing[r].tolist() == [v is None for v in vec]
-    assert dict(scen.features.items()).keys() == vectors.keys()
+        assert all(math.isnan(x) for x, v in zip(scen.features.matrix[r].tolist(), vec) if v is None)
+    assert feature_vectors(scen).keys() == vectors.keys()
 
 
 @FEATURE_SETTINGS
@@ -373,7 +374,7 @@ def test_feature_table_round_trips_through_a_bundle(spec):
         back = parse_scenario(Path(tmp) / "b")
     assert back == scen
     assert back.features.matrix.tobytes() == scen.features.matrix.tobytes()
-    assert {i: list(map(_bits, back.features[i])) for i in vectors} == {
+    assert {i: list(map(_bits, feature_vector(back, i))) for i in vectors} == {
         i: list(map(_bits, vec)) for i, vec in vectors.items()
     }
 
@@ -387,8 +388,11 @@ def test_feature_table_is_read_only_and_kept_by_replace(tutorial):
         with pytest.raises(ValueError):
             array[0, 0] = 0
     assert replace(tutorial, cutoff=4000.0).features is features
-    assert features == dict(features.items()) and features["i3"] == (2.5, None, 1.0)
-    assert "i9" not in features and features.get("i9") is None
+    assert feature_vector(tutorial, "i3") == (2.5, None, 1.0)
+    # the table is its arrays, not the dict it was built from
+    vectors = feature_vectors(tutorial)
+    assert Features.from_vectors(vectors, tutorial.instances, 3) == features
+    assert features != vectors and vectors != features
 
 
 @pytest.mark.parametrize(
@@ -402,7 +406,7 @@ def test_feature_table_is_read_only_and_kept_by_replace(tutorial):
 )
 def test_vectors_the_table_cannot_hold_are_refused(tutorial, edit, named):
     with pytest.raises(ValueError, match=named):
-        replace(tutorial, features=edit(dict(tutorial.features)))
+        replace(tutorial, features=edit(feature_vectors(tutorial)))
 
 
 def test_feature_cost_array_reads_the_group_tables(tutorial):

@@ -29,7 +29,7 @@ from asbench.evaluation import FeatureStep, MetricScore, ScoreReport, SolverStep
 from asbench.scenario_io import _read_table, read_report_csv, write_report_csv
 
 from gen import build_scenario, random_scenario, tutorial_scenario
-from oracles import oracle_read_report_csv, oracle_read_table
+from oracles import feature_vector, oracle_read_report_csv, oracle_read_table, run_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,7 +51,7 @@ class TestParseScenario:
         assert len(scen.instances) == 5
         assert scen.cutoff == 5000.0
         assert scen.feature_names == ("f_a", "f_b", "f_c")
-        assert scen.features["i3"][1] is None
+        assert feature_vector(scen, "i3")[1] is None
         assert scen.feature_groups[1].cost["i2"] == 100.0
         assert scen.splits[0].test == ("i4", "i5")
         assert validate(scen) == []
@@ -145,7 +145,7 @@ class TestParseScenario:
         text = runs.read_text().replace("i1,A1,300.0,ok\n", "i1,A1,100.0,ok\ni1,A1,300.0,crash\n")
         runs.write_text(text)
         scen = parse_scenario(tmp_path / "s", check=False)
-        rec = scen.runs[("i1", "A1")]
+        rec = run_record(scen, "i1", "A1")
         assert rec.value == pytest.approx(200.0)
         assert rec.status == "crash"
 

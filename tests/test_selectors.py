@@ -28,7 +28,7 @@ from asbench.learners import Forest
 from asbench.selectors import SELECTOR_KINDS, SelectorModel, raw_features, select_algorithms
 
 from gen import best_algorithm_truth, build_scenario, learnable_scenario, random_scenario
-from oracles import _oracle_check_schedule, oracle_simulate
+from oracles import _oracle_check_schedule, feature_vectors, oracle_simulate, records, run_record
 
 FAST = Hyperparameters(n_trees=25, seed=1)
 # bare selector, no presolving prefix: for accuracy-style checks
@@ -183,11 +183,11 @@ class TestPairwise:
             scen, scen.instances
         )
         two = build_scenario(
-            {k: v for k, v in scen.runs.items() if k[1] != "A2"},
+            {k: v for k, v in records(scen).items() if k[1] != "A2"},
             ["A0", "A1"],
             scen.instances,
             cutoff=scen.cutoff,
-            features=scen.features,
+            features=feature_vectors(scen),
         )
         model = fit_pairwise(build_training_set(two, two.instances), FAST)
         assert len(model.payload["forests"]) == 1
@@ -395,14 +395,14 @@ class TestPresolver:
         best_rate = 0.0
         for algo in scen.algorithms:
             for inst in scen.instances:
-                rec = scen.runs[(inst, algo)]
+                rec = run_record(scen, inst, algo)
                 if rec.status != "ok" or not 0 < rec.value <= budget:
                     continue
                 t = rec.value
                 solved = sum(
                     1
                     for other in scen.instances
-                    if scen.runs[(other, algo)].status == "ok" and scen.runs[(other, algo)].value <= t
+                    if run_record(scen, other, algo).status == "ok" and run_record(scen, other, algo).value <= t
                 )
                 best_rate = max(best_rate, solved / t)
         assert 4 / 30.0 == pytest.approx(best_rate)
@@ -471,7 +471,7 @@ class TestPredictSchedules:
     def test_missing_features_fall_back_to_sbs_with_warning(self):
         scen = learnable_scenario(n_train=40, n_test=5, seed=3)
         blank = scen.splits[0].test[0]
-        features = dict(scen.features)
+        features = feature_vectors(scen)
         features[blank] = (None, None, None, None)
         scen = replace(scen, features=features)
         model = fit_system(scen, scen.splits[0].train, "regression", FAST)
@@ -498,7 +498,7 @@ class TestPredictSchedules:
         mangled = replace(
             scen,
             features={
-                inst: (vec[0], vec[1], 999.0, -999.0) for inst, vec in scen.features.items()
+                inst: (vec[0], vec[1], 999.0, -999.0) for inst, vec in feature_vectors(scen).items()
             },
         )
         for inst in split.test:
