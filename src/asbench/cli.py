@@ -102,11 +102,11 @@ def _anonymize_test(scenario: Scenario, test_instances) -> Scenario:
     """Blind the test rows: performance 0, status ok, like a hidden test set."""
     test = set(test_instances)
     runs = scenario.runs
-    blind = np.fromiter((i in test for i in runs.instances), dtype=bool, count=len(runs.instances))
+    blind = np.fromiter((i in test for i in scenario.instances), dtype=bool, count=len(scenario.instances))
     blind = blind[:, None] & (runs.status >= 0)
     values = np.where(blind, 0.0, runs.value)
     status = np.where(blind, STATUS_CODE["ok"], runs.status)
-    return replace(scenario, runs=Runs(runs.instances, runs.algorithms, values, status))
+    return replace(scenario, runs=Runs(values, status))
 
 
 # ---------------------------------------------------------------------------

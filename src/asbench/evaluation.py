@@ -92,14 +92,14 @@ class Schedules(Mapping):
         or which :meth:`faults` marks raises ValueError."""
         steps = [step for schedule in schedules.values() for step in schedule]
         kind = [_FEATURE if isinstance(s, FeatureStep) else _SOLVER if isinstance(s, SolverStep) else -1 for s in steps]
-        groups, cols = {g.name: j for j, g in enumerate(scenario.feature_groups)}, scenario.runs.col
+        groups, cols = {g.name: j for j, g in enumerate(scenario.feature_groups)}, scenario.col
         index = [
             groups.get(s.group, -1) if k == _FEATURE else cols.get(s.algorithm, -1) if k == _SOLVER else -1
             for s, k in zip(steps, kind)
         ]
         budget = [s.budget if k == _SOLVER else 0.0 for s, k in zip(steps, kind)]
         lengths = [len(schedule) for schedule in schedules.values()]
-        rows = [scenario.runs.row.get(inst) for inst in schedules]
+        rows = [scenario.row.get(inst) for inst in schedules]
         known = rows.index(None) if None in rows else len(rows)  # the schedules before an unknown instance
         n = sum(lengths[:known])
         out = cls(scenario, rows[:known], lengths[:known], kind[:n], index[:n], budget[:n])
@@ -197,7 +197,7 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
     """
     runs = scenario.runs
     n = len(instances)
-    rows = np.array([runs.row[i] for i in instances], dtype=np.intp)[:, None]
+    rows = np.array([scenario.row[i] for i in instances], dtype=np.intp)[:, None]
     pos = np.array([schedules._pos[i] for i in instances], dtype=np.intp)
     first = schedules.starts[pos]
     if scenario.objective == "quality":  # one solver step each
@@ -323,7 +323,7 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         raise ValueError(f"missing predictions for test instances {missing[:5]!r}")
     sbs_col = scenario.algorithms.index(sbs(scenario, split.train))
     n = len(test)
-    rows = [scenario.runs.row[i] for i in test]
+    rows = [scenario.row[i] for i in test]
     vbs = scenario.cost[rows].min(axis=1).tolist()
     if not isinstance(schedules, Schedules):
         schedules = Schedules.from_mapping(scenario, {i: schedules[i] for i in test})

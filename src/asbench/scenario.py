@@ -70,28 +70,25 @@ class Runs:
     """The stored run data of a scenario, as ASlib's performance matrix.
 
     ``value[n,k]`` (float64) and ``status[n,k]`` (int8) are read-only
-    arrays with one row per instance of ``instances`` and one column per
-    algorithm of ``algorithms``; ``row`` and ``col`` map a label to its
-    index. A status is an index into ``RUN_STATUSES``, whose order is the
-    severity rank; -1 marks a pair without a record, whose value is NaN.
+    arrays. They hold no labels: row r is the scenario's instance r and
+    column c its algorithm c, so a table of the same shape is taken
+    positionally. A status is an index into ``RUN_STATUSES``, whose order
+    is the severity rank; -1 marks a pair without a record, whose value is
+    NaN.
     """
 
-    __slots__ = ("instances", "algorithms", "value", "status", "row", "col")
+    __slots__ = ("value", "status")
 
-    def __init__(self, instances, algorithms, value: np.ndarray, status: np.ndarray):
-        self.instances = tuple(instances)
-        self.algorithms = tuple(algorithms)
-        shape = (len(self.instances), len(self.algorithms))
-        self.value = np.asarray(value, dtype=np.float64).reshape(shape)
-        self.status = np.asarray(status, dtype=np.int8).reshape(shape)
+    def __init__(self, value: np.ndarray, status: np.ndarray):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.status = np.asarray(status, dtype=np.int8).reshape(self.value.shape)
         self.value.flags.writeable = False
         self.status.flags.writeable = False
-        self.row = {inst: r for r, inst in enumerate(self.instances)}
-        self.col = {algo: c for c, algo in enumerate(self.algorithms)}
 
     @classmethod
     def from_records(cls, records: dict, instances, algorithms) -> Runs:
-        """Store a dict of ``(instance, algorithm)`` to :class:`RunRecord`.
+        """Store a dict of ``(instance, algorithm)`` to :class:`RunRecord`
+        in the order of ``instances`` and ``algorithms``.
 
         Raises ValueError for a record the table cannot hold: one for an
         unknown instance or algorithm, or with an unknown status.
@@ -106,40 +103,35 @@ class Runs:
         except KeyError as exc:
             raise ValueError(f"unknown run status {exc.args[0]!r}") from None
         values = [math.nan if rec is None else rec.value for rec in cells]
-        return cls(instances, algorithms, values, status)
+        return cls(np.reshape(values, (len(instances), len(algorithms))), status)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Runs):
             return NotImplemented
-        return (
-            self.instances == other.instances
-            and self.algorithms == other.algorithms
-            and np.array_equal(self.status, other.status)
-            and np.array_equal(self.value, other.value, equal_nan=True)
-        )
+        return np.array_equal(self.status, other.status) and np.array_equal(self.value, other.value, equal_nan=True)
 
 
 class Features:
     """The stored feature vectors of a scenario.
 
     ``matrix[n,d]`` (float64, NaN at a missing cell) and ``missing[n,d]``
-    (bool) are read-only arrays with one row per instance of ``instances``
-    and one column per feature.
+    (bool) are read-only arrays. They hold no labels: row r is the
+    scenario's instance r and column j its feature j, so a table of the
+    same shape is taken positionally.
     """
 
-    __slots__ = ("instances", "matrix", "missing")
+    __slots__ = ("matrix", "missing")
 
-    def __init__(self, instances, matrix: np.ndarray, missing: np.ndarray):
-        self.instances = tuple(instances)
+    def __init__(self, matrix: np.ndarray, missing: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.missing = np.asarray(missing, dtype=bool)
+        self.missing = np.asarray(missing, dtype=bool).reshape(self.matrix.shape)
         self.matrix.flags.writeable = False
         self.missing.flags.writeable = False
 
     @classmethod
     def from_vectors(cls, vectors: dict, instances, d: int) -> Features:
         """Store a dict of instance to a vector of ``d`` values (``None``
-        where missing).
+        where missing) in the order of ``instances``.
 
         Raises ValueError for a dict the table cannot hold: one with a
         vector for an unknown instance, of another length, or none at all.
@@ -160,30 +152,30 @@ class Features:
         shape = (len(instances), d)
         missing = np.array([v is None for v in cells], dtype=bool).reshape(shape)
         values = np.array([math.nan if v is None else v for v in cells], dtype=np.float64).reshape(shape)
-        return cls(instances, values, missing)
+        return cls(values, missing)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Features):
             return NotImplemented
-        return (
-            self.instances == other.instances
-            and np.array_equal(self.missing, other.missing)
-            and np.array_equal(self.matrix, other.matrix, equal_nan=True)
-        )
+        return np.array_equal(self.missing, other.missing) and np.array_equal(self.matrix, other.matrix, equal_nan=True)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A complete, immutable algorithm-selection benchmark scenario.
 
-    ``runs`` is the stored run table (:class:`Runs`), aligned to
-    ``instances`` and ``algorithms``; a valid scenario has a record for
-    every pair. A dict of ``(instance, algorithm)`` to :class:`RunRecord`
-    is accepted instead and stored once, at construction. ``features`` is
-    the stored feature table (:class:`Features`), aligned to ``instances``
-    and ``feature_names``, with a missing value marked, never silently
-    zero. A dict of each instance to its vector, ``None`` where a value is
-    missing, is accepted instead and stored once, at construction.
+    The labels live here only: ``row`` and ``col`` map an instance and an
+    algorithm to its position in ``instances`` and ``algorithms``. ``runs``
+    is the stored run table (:class:`Runs`), one row per instance and one
+    column per algorithm; a valid scenario has a record for every pair. A
+    dict of ``(instance, algorithm)`` to :class:`RunRecord` is accepted
+    instead and stored once, at construction. ``features`` is the stored
+    feature table (:class:`Features`), one row per instance and one column
+    per feature name, with a missing value marked, never silently zero. A
+    dict of each instance to its vector, ``None`` where a value is missing,
+    is accepted instead and stored once, at construction. A table is taken
+    by position, so renaming labels keeps it as it is; one of another shape
+    is refused with a ValueError.
 
     ``solved``, ``cost`` and ``capped`` are read-only arrays aligned to
     ``runs``, derived from it and the objective, direction and cutoff on
@@ -203,24 +195,27 @@ class Scenario:
     splits: tuple[Split, ...] = ()
 
     def __post_init__(self):
-        runs = self.runs
-        if not (
-            isinstance(runs, Runs)
-            and runs.instances == tuple(self.instances)
-            and runs.algorithms == tuple(self.algorithms)
+        n, d = len(self.instances), len(self.feature_names)
+        if not isinstance(self.runs, Runs):
+            object.__setattr__(self, "runs", Runs.from_records(self.runs, self.instances, self.algorithms))
+        if not isinstance(self.features, Features):
+            object.__setattr__(self, "features", Features.from_vectors(self.features, self.instances, d))
+        for name, shape, expected in (
+            ("run table", self.runs.value.shape, (n, len(self.algorithms))),
+            ("feature table", self.features.matrix.shape, (n, d)),
         ):
-            object.__setattr__(
-                self, "runs", Runs.from_records(runs, self.instances, self.algorithms)
-            )
-        features, d = self.features, len(self.feature_names)
-        if not (
-            isinstance(features, Features)
-            and features.instances == tuple(self.instances)
-            and features.matrix.shape[1] == d
-        ):
-            object.__setattr__(
-                self, "features", Features.from_vectors(features, self.instances, d)
-            )
+            if shape != expected:
+                raise ValueError(f"{name} has shape {shape}, expected {expected}")
+
+    @cached_property
+    def row(self) -> dict[str, int]:
+        """Each instance's row in the run and feature tables."""
+        return {inst: r for r, inst in enumerate(self.instances)}
+
+    @cached_property
+    def col(self) -> dict[str, int]:
+        """Each algorithm's column in the run table."""
+        return {algo: c for c, algo in enumerate(self.algorithms)}
 
     @cached_property
     def solved(self) -> np.ndarray:
@@ -330,8 +325,7 @@ def validate(scenario: Scenario) -> list[Violation]:
     # Dense run matrix: exactly one record per pair. The stored table holds
     # no record for an unknown pair or with an unknown status, so only its
     # cells can break an invariant; details are built for flagged cells only.
-    runs = scenario.runs
-    values, status = runs.value, runs.status
+    values, status = scenario.runs.value, scenario.runs.status
     missing = status < 0
     finite = np.isfinite(values)
     flagged = missing | ~finite
@@ -340,7 +334,7 @@ def validate(scenario: Scenario) -> list[Violation]:
         if scenario.cutoff is not None:
             flagged |= (status == STATUS_CODE["ok"]) & (values > scenario.cutoff)
     for r, c in zip(*np.nonzero(flagged)):
-        entity = f"{runs.instances[r]}/{runs.algorithms[c]}"
+        entity = f"{scenario.instances[r]}/{scenario.algorithms[c]}"
         value = float(values[r, c])
         if missing[r, c]:
             err("missing_run", entity, "no run record for pair")
@@ -362,7 +356,7 @@ def validate(scenario: Scenario) -> list[Violation]:
     for r in np.flatnonzero(flagged.any(axis=1)).tolist():
         c = int(flagged[r].argmax())
         value = float(features.matrix[r, c])
-        err("non_finite_value", features.instances[r], f"feature {scenario.feature_names[c]} value {value}")
+        err("non_finite_value", scenario.instances[r], f"feature {scenario.feature_names[c]} value {value}")
 
     group_names = [g.name for g in scenario.feature_groups]
     if len(set(group_names)) != len(group_names):
@@ -422,7 +416,7 @@ def validate(scenario: Scenario) -> list[Violation]:
 def vbs_cost(scenario: Scenario, instance: str) -> float:
     """Cost of the virtual best solver on one instance: the per-instance
     minimum cost, with zero overhead for feature computation."""
-    row = scenario.runs.row.get(instance)
+    row = scenario.row.get(instance)
     if row is None:
         raise ValueError(f"unknown instance {instance!r}")
     return float(scenario.cost[row].min())
@@ -431,7 +425,7 @@ def vbs_cost(scenario: Scenario, instance: str) -> float:
 def sbs(scenario: Scenario, train_instances) -> str:
     """Single best solver: the algorithm with the lowest total cost
     over the given training instances. Ties go to the earlier portfolio slot."""
-    rows = [scenario.runs.row[i] for i in train_instances]
+    rows = [scenario.row[i] for i in train_instances]
     if not rows:
         raise ValueError("cannot pick a single best solver from an empty training set")
     totals = [math.fsum(column) for column in scenario.cost[rows].T.tolist()]

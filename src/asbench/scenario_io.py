@@ -395,8 +395,7 @@ def parse_scenario(path, check: bool = True) -> Scenario:
             raise ParseError(required, 0, "required file missing from bundle")
 
     scenario_id, objective, direction, cutoff, algorithms, specs = _parse_description(root / DESCRIPTION_FILE)
-    features, feature_names = _parse_features(root / FEATURES_FILE)
-    instances = features.instances
+    instances, features, feature_names = _parse_features(root / FEATURES_FILE)
     runs = _parse_runs(root / RUNS_FILE, instances, algorithms)
 
     cost_tables: dict[str, dict[str, float]] = {}
@@ -434,7 +433,8 @@ def parse_scenario(path, check: bool = True) -> Scenario:
 
 
 def _parse_features(path: Path):
-    """features.csv fixes the instance order; one row per instance."""
+    """features.csv fixes the instance order; one row per instance. Returns
+    the instance ids, the feature table and the feature names."""
     head, columns, lines, width = _read_table(path)
     if not head or head[0] != "instance_id":
         raise ParseError(FEATURES_FILE, 1, "first column must be instance_id")
@@ -460,7 +460,7 @@ def _parse_features(path: Path):
             (_unlike_first(ids, range(len(ids))), lambda i: f"duplicate instance row {ids[i]!r}"),
             _cell_rule(columns[1:], "feature", (MISSING_MARK,)),
         ])
-    return Features(ids, values, missing), feature_names
+    return tuple(ids), Features(values, missing), feature_names
 
 
 _RUNS_HEADER = ["instance_id", "algorithm_id", "value", "status"]
@@ -503,7 +503,7 @@ def _parse_runs(path: Path, instances, algorithms) -> Runs:
             status[i] = STATUS_CODE[rec.status]
     if len(col_of) < k:  # a repeated algorithm id gets its runs in each of its columns
         values, status = (a.reshape(-1, k)[:, [col_of[algo] for algo in algorithms]] for a in (values, status))
-    return Runs(instances, algorithms, values, status)
+    return Runs(values.reshape(len(instances), k), status)
 
 
 def _parse_costs(path: Path, inst_set: set[str]) -> dict[str, dict[str, float]]:
@@ -590,14 +590,14 @@ def write_scenario(scenario: Scenario, path) -> None:
     runs = scenario.runs
     run_rows = (
         [inst, algo, repr(value), RUN_STATUSES[code]]
-        for inst, values, status in zip(runs.instances, runs.value.tolist(), runs.status.tolist())
-        for algo, value, code in zip(runs.algorithms, values, status)
+        for inst, values, status in zip(scenario.instances, runs.value.tolist(), runs.status.tolist())
+        for algo, value, code in zip(scenario.algorithms, values, status)
     )
     write_csv(root / RUNS_FILE, _RUNS_HEADER, run_rows)
     features = scenario.features
     feature_rows = (
         [inst, *(MISSING_MARK if hole else repr(v) for v, hole in zip(values, holes))]
-        for inst, values, holes in zip(features.instances, features.matrix.tolist(), features.missing.tolist())
+        for inst, values, holes in zip(scenario.instances, features.matrix.tolist(), features.missing.tolist())
     )
     write_csv(root / FEATURES_FILE, ["instance_id", *scenario.feature_names], feature_rows)
 
@@ -641,11 +641,11 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
     """
     path = Path(path)
     _, (inst, ordinal, kind, name, budget), lines, width = _read_table(path, PREDICTIONS_HEADER)
-    row = _lookup(scenario.runs.row, inst)
+    row = _lookup(scenario.row, inst)
     code = _lookup(STEP_KIND, kind)
     ordinals = _numbers_repeated(ordinal, int)
     budgets = _numbers_repeated(budget)
-    names = (scenario.runs.col, {g.name: j for j, g in enumerate(scenario.feature_groups)})
+    names = (scenario.col, {g.name: j for j, g in enumerate(scenario.feature_groups)})
     index = [None if k is None else names[k].get(t) for k, t in zip(code, name)]
     if None in index:
         index = [None if k is None else names[k].get(t.strip()) for k, t in zip(code, name)]
@@ -774,11 +774,14 @@ def generate_splits(scenario: Scenario, n_splits: int, mode: str, test_fraction:
     Bootstrap mode draws |instances| samples with replacement; the distinct
     draws form the training set and the out-of-bag instances the test set.
     Holdout mode is a disjoint random partition with a test share of
-    ``test_fraction`` (rounded half up).
+    ``test_fraction`` (rounded half up). Both need at least 2 instances,
+    since every split has a training and a non-empty test set.
     """
     if n_splits < 1:
         raise ValueError("n_splits must be at least 1")
     n = len(scenario.instances)
+    if n < 2:
+        raise ValueError(f"splits need at least 2 instances, the scenario has {n}")
     splits = []
     if mode == "bootstrap":
         for s in range(n_splits):
@@ -846,15 +849,11 @@ def deobfuscate(scenario: Scenario, name_map) -> Scenario:
 
 def rename_scenario(scenario: Scenario, algo_map, inst_map) -> Scenario:
     """Rebuild a scenario with algorithm/instance ids renamed in place; the
-    run and feature tables keep their arrays under the new labels."""
-    algorithms = tuple(algo_map[a] for a in scenario.algorithms)
-    instances = tuple(inst_map[i] for i in scenario.instances)
+    run and feature tables are positional, so they are kept as they are."""
     return replace(
         scenario,
-        algorithms=algorithms,
-        instances=instances,
-        runs=Runs(instances, algorithms, scenario.runs.value, scenario.runs.status),
-        features=Features(instances, scenario.features.matrix, scenario.features.missing),
+        algorithms=tuple(algo_map[a] for a in scenario.algorithms),
+        instances=tuple(inst_map[i] for i in scenario.instances),
         feature_groups=tuple(
             replace(g, cost=None if g.cost is None else {inst_map[i]: c for i, c in g.cost.items()})
             for g in scenario.feature_groups

@@ -135,8 +135,7 @@ class Preprocess:
 
 def raw_features(scenario: Scenario, instances, columns) -> np.ndarray:
     """The instances x columns feature matrix, NaN where a value is missing."""
-    row = scenario.runs.row  # the feature table shares the run table's instance order
-    rows = np.array([row[i] for i in instances], dtype=np.intp)
+    rows = np.array([scenario.row[i] for i in instances], dtype=np.intp)
     return scenario.features.matrix[rows[:, None], np.array(columns, dtype=np.intp)]
 
 
@@ -180,7 +179,7 @@ def build_training_set(scenario: Scenario, instances, feature_groups=None) -> Tr
     columns = _group_columns(scenario, feature_groups)
     raw = raw_features(scenario, instances, columns)
     pre = Preprocess.fit(raw, columns)
-    rows = [scenario.runs.row[i] for i in instances]
+    rows = [scenario.row[i] for i in instances]
     return TrainingSet(
         instances=instances,
         algorithms=scenario.algorithms,
@@ -406,7 +405,7 @@ def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> Schedu
         budgets, taken = np.full(cols.shape, remaining), np.ones(cols.shape, dtype=bool)
     group_of = {g.name: j for j, g in enumerate(scenario.feature_groups)}
     groups = [] if quality else [group_of[g] for g in model.feature_groups]
-    col, n_prefix, n_head = scenario.runs.col, len(prefix), len(prefix) + len(groups)
+    col, n_prefix, n_head = scenario.col, len(prefix), len(prefix) + len(groups)
 
     def columns(head, tail, fallback):
         """Each row's steps padded into columns: ``head`` (the prefix, then the
@@ -421,7 +420,7 @@ def predict_batch(model: SelectorModel, scenario: Scenario, instances) -> Schedu
     index = columns([col[s.algorithm] for s in prefix] + groups, cols, col[model.sbs_algorithm])[on]
     budget = columns([s.budget for s in prefix] + [0.0] * len(groups), budgets, remaining)[on]
     kind = np.where(feature, STEP_KIND["feature"], STEP_KIND["solver"])
-    return Schedules(scenario, [scenario.runs.row[i] for i in instances], on.sum(axis=1), kind, index, budget)
+    return Schedules(scenario, [scenario.row[i] for i in instances], on.sum(axis=1), kind, index, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +434,7 @@ def _solved_times(scenario: Scenario, instances) -> np.ndarray:
     column a is at most t: its budget stays below the cutoff, so "ok within
     t" and "solved within t" agree.
     """
-    rows = [scenario.runs.row[i] for i in instances]
+    rows = [scenario.row[i] for i in instances]
     return np.where(scenario.solved[rows], scenario.runs.value[rows], np.inf)
 
 

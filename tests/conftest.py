@@ -1,11 +1,6 @@
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from gen import tutorial_scenario  # noqa: E402
+from gen import tutorial_scenario
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from asbench.evaluation import MetricScore, ScoreReport
 from asbench.scenario_io import read_report_csv, write_report_csv
 from asbench.selectors import Hyperparameters
 
-from gen import learnable_scenario, random_scenario
+from gen import build_scenario, learnable_scenario, random_scenario
 from oracles import oracle_parse_scenario, run_record
 
 
@@ -788,6 +788,18 @@ class TestTrainPredictEvaluate:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not model.exists()
 
+    @pytest.mark.parametrize("spec", ["holdout:1", "bootstrap:1"])
+    def test_splits_of_a_one_instance_bundle_exit_two(self, tmp_path, capsys, spec):
+        bundle, model = tmp_path / "one", tmp_path / "model.json"
+        write_scenario(build_scenario({("only", "A0"): 1.0, ("only", "A1"): 2.0}, ["A0", "A1"], ["only"]), bundle)
+        assert run_cli(
+            "train", "--scenario", bundle, "--selector", "regression", "--splits", spec, "--out", model,
+        ) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: splits need at least 2 instances, the scenario has 1"
+        )
+        assert not model.exists()
+
     def test_missing_scenario_exits_two(self, tmp_path):
         assert run_cli("validate", "--scenario", tmp_path / "nope") == 2
 
@@ -1017,8 +1029,10 @@ class TestSeedStudy:
 
 
 def test_console_script_is_installed():
+    # the child imports asbench from the path this process was given
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     proc = subprocess.run(
-        [sys.executable, "-m", "asbench.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "asbench.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "algorithm selection" in proc.stdout

@@ -26,9 +26,10 @@ from asbench import (
 )
 from asbench.evaluation import SolverStep, simulate
 from asbench.scenario import RUN_STATUSES, RunRecord, Runs
+from asbench.scenario_io import deobfuscate, obfuscate
 from asbench.selectors import prepare_training
 
-from gen import build_scenario
+from gen import build_scenario, random_scenario
 from oracles import (
     oracle_presolved_instances,
     oracle_presolver,
@@ -169,7 +170,7 @@ def test_training_set_matches_per_pair_recomputation(spec, kind):
                 cost = -rec.value if scen.direction == "maximize" else rec.value
             assert ts.solved[r, c] == solved
             assert ts.costs[r, c] == cost
-            assert scen.cost[scen.runs.row[inst], c] == cost
+            assert scen.cost[scen.row[inst], c] == cost
 
 
 # A0 is the single best solver: a memout (15 s) and a crash (10 s) die
@@ -210,12 +211,12 @@ def test_sbs_scores_match_oracle_replays(spec, kind):
 def test_table_is_cached_read_only_and_in_scenario_order(tutorial):
     arrays = tutorial.solved, tutorial.cost, tutorial.capped
     assert all(a is b for a, b in zip(arrays, (tutorial.solved, tutorial.cost, tutorial.capped)))
-    assert list(tutorial.runs.row) == list(tutorial.instances)
+    assert list(tutorial.row) == list(tutorial.instances)
     for array in arrays:
         assert array.shape == (len(tutorial.instances), len(tutorial.algorithms))
         with pytest.raises(ValueError):
             array[0, 0] = 0
-    row = tutorial.runs.row["i2"]
+    row = tutorial.row["i2"]
     # i2: A1 timed out, A2 took 80 s, A3 hit a memout
     assert tutorial.solved[row].tolist() == [False, True, False]
     assert tutorial.capped[row].min() == 80.0
@@ -277,6 +278,36 @@ def test_runs_are_read_only_arrays_kept_by_replace(tutorial):
     assert run_record(holed, "i3", "A2") is None and records(holed) == table
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6), objective=st.sampled_from(("runtime", "quality")))
+def test_labels_index_the_tables_and_renaming_keeps_them(seed, objective):
+    scen = random_scenario(seed, objective=objective)
+    assert scen.row == {i: scen.instances.index(i) for i in scen.instances}
+    assert scen.col == {a: scen.algorithms.index(a) for a in scen.algorithms}
+    assert scen.row is scen.row and scen.col is scen.col
+    hidden, name_map = obfuscate(scen, seed=seed)
+    # the tables are positional: renaming moves only the labels
+    assert hidden.runs is scen.runs and hidden.features is scen.features
+    assert {name_map["instances"][i]: r for i, r in hidden.row.items()} == scen.row
+    assert {name_map["algorithms"][a]: c for a, c in hidden.col.items()} == scen.col
+    assert deobfuscate(hidden, name_map) == scen
+
+
+def test_a_table_of_another_shape_is_refused(tutorial):
+    # (5, 3) runs and features, 3 feature names
+    cases = [
+        (dict(instances=tutorial.instances[:3]), "run table has shape (5, 3), expected (3, 3)"),
+        (dict(algorithms=tutorial.algorithms + ("A4",)), "run table has shape (5, 3), expected (5, 4)"),
+        (dict(runs=Runs(tutorial.runs.value[:, :2], tutorial.runs.status[:, :2])),
+         "run table has shape (5, 2), expected (5, 3)"),
+        (dict(feature_names=tutorial.feature_names[:2]), "feature table has shape (5, 3), expected (5, 2)"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError) as info:
+            replace(tutorial, **fields)
+        assert str(info.value) == message
+
+
 def test_records_the_table_cannot_hold_are_refused(tutorial):
     for pair, rec in ((("i9", "A1"), RunRecord(1.0)), (("i1", "A9"), RunRecord(1.0)), (("i1", "A1"), RunRecord(1.0, "lost"))):
         with pytest.raises(ValueError):
@@ -284,9 +315,9 @@ def test_records_the_table_cannot_hold_are_refused(tutorial):
 
 
 def test_table_follows_the_cutoff_of_a_replaced_scenario(tutorial):
-    assert tutorial.solved[tutorial.runs.row["i3"]].tolist() == [True, True, False]
+    assert tutorial.solved[tutorial.row["i3"]].tolist() == [True, True, False]
     tighter = replace(tutorial, cutoff=2000.0)
     assert tighter.runs is tutorial.runs
     # i3: A1 took 2,500 s, over the new cutoff
-    assert tighter.solved[tighter.runs.row["i3"]].tolist() == [False, True, False]
-    assert tighter.cost[tighter.runs.row["i3"], 0] == 20000.0
+    assert tighter.solved[tighter.row["i3"]].tolist() == [False, True, False]
+    assert tighter.cost[tighter.row["i3"], 0] == 20000.0

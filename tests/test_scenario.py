@@ -180,7 +180,7 @@ class TestVbsCost:
         for seed in range(25):
             scen = random_scenario(seed)
             for inst in scen.instances:
-                assert (vbs_cost(scen, inst) <= scen.cost[scen.runs.row[inst]]).all()
+                assert (vbs_cost(scen, inst) <= scen.cost[scen.row[inst]]).all()
 
 
 class TestSbs:
@@ -353,7 +353,7 @@ def test_raw_features_of_no_columns_and_no_rows(tutorial):
 @given(spec=feature_scenarios())
 def test_from_vectors_stores_every_vector_bit_for_bit(spec):
     scen, vectors = spec
-    assert scen.features.instances == tuple(vectors)
+    assert scen.instances == tuple(vectors)
     for r, (inst, vec) in enumerate(vectors.items()):
         back = feature_vector(scen, inst)
         assert type(back) is tuple and all(v is None or type(v) is float for v in back)

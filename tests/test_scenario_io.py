@@ -626,13 +626,17 @@ class TestGenerateSplits:
         c = generate_splits(tutorial, 4, "bootstrap", seed=10)
         assert a != c
 
-    def test_single_instance_bootstrap_gives_up(self):
-        scen = build_scenario(
-            {("only", "A0"): 1.0}, ["A0"], ["only"], features={"only": (0.0,)}
-        )
-        # every draw contains the lone instance, so out-of-bag stays empty
-        with pytest.raises(RuntimeError, match="100 attempts"):
-            generate_splits(scen, 1, "bootstrap", seed=0)
+    @pytest.mark.parametrize("mode", ["bootstrap", "holdout"])
+    def test_fewer_than_two_instances_are_refused(self, mode):
+        for n in (0, 1):
+            insts = [f"i{j}" for j in range(n)]
+            scen = build_scenario({(i, "A0"): 1.0 for i in insts}, ["A0"], insts)
+            # one instance cannot fill both a training and a test set
+            with pytest.raises(ValueError, match=f"at least 2 instances, the scenario has {n}$"):
+                generate_splits(scen, 1, mode, seed=0)
+        scen = build_scenario({("i0", "A0"): 1.0, ("i1", "A0"): 2.0}, ["A0"], ["i0", "i1"])
+        for split in generate_splits(scen, 5, mode, seed=0):
+            assert split.test and split.train and set(split.train) | set(split.test) == {"i0", "i1"}
 
     def test_bad_arguments(self, tutorial):
         with pytest.raises(ValueError):
