@@ -14,13 +14,18 @@ Two small generated bundles go through the real command-line entry point:
 
 The chain's compare covers one scenario, where no critical-distance
 analysis applies, so ``compare_cd.json`` pins the ``{"applies": false,
-"reason": ...}`` document. The model documents are version 4: each forest
+"reason": ...}`` document. A second chain pins the rank path: three
+selectors on three runtime bundles under the 2015 rules, two holdout
+splits each, with one (scenario, split, metric) whose SBS and VBS coincide,
+so its gap is undefined in all three reports. It pins the reports, the
+compare CSV, JSON and stdout, and an ``--ooc`` run at ``--alpha 0.1``. The model documents are version 4: each forest
 one object of packed node arrays, pairwise forests in pair order with no
 stored pair indices, no ``mean_costs`` in the sunny payload, and every
 array a typed block of its dtype, shape and base64 bytes.
 
 The sha256 of every output file, and of the scenario bundles themselves,
-must match the pinned values. A refactor or speedup that changes any of
+must match the pinned values (for the second chain, of every report and
+compare output). A refactor or speedup that changes any of
 these bytes is a behaviour change. After a deliberate artifact change (one
 that bumps ``MODEL_VERSION`` and says so in CHANGES.md) print the new
 digests with ``PYTHONPATH=src python tests/test_artifacts.py``.
@@ -40,6 +45,8 @@ from asbench.cli import main
 from asbench.selectors import MODEL_VERSION, SELECTOR_KINDS
 
 from gen import learnable_scenario, random_scenario
+
+SYSTEMS = ("regression", "pairwise", "cluster")
 
 EXPECTED = {
     "out/cluster.csv": "09c4f575e08cf80738a2985b91ba84a2f2f1a6b509a63e487bdd4454484a561a",
@@ -96,6 +103,37 @@ EXPECTED = {
     "runtime/features.csv": "1460eb0c7a4725a40bb8d03d627697b5a9ff4c5c74e42337a6a2482f0da54b7b",
     "runtime/runs.csv": "b03210a5836fc67b2347711e99d8637238e19c98e85ffd502e3cd56e5f49e192",
     "runtime/splits.csv": "cef4031b35a2fd40c876049e7667236363fb1361b9cc0ae1942a8646414275bb",
+}
+
+# The second chain's reports and compare outputs (see the module docstring).
+EXPECTED_COMPARE = {
+    "out/cluster_random7.csv": "923ccd1a137b92727a3e2896bd5a89d5d888ede7a8a4c019fdca914992b6eb59",
+    "out/cluster_random7.json": "6480bd4faec278ec2563cf2305b1396b734fd2a0ad387ad7e295dc436a358c8f",
+    "out/cluster_random8.csv": "c8b9dcb611fe9b671b6614ccf52109a14e45b7b98e10bdb7c90a04513aad30d3",
+    "out/cluster_random8.json": "6adb407b70ffd5966906d7f16b2fa805c80a6aad9f97659f7a3d1e8488eccf1a",
+    "out/cluster_random9.csv": "182432b99f8c187cf06705103e53f6336faa9406e469b12bf42dd5d4ef24bcb1",
+    "out/cluster_random9.json": "49ef55710568dc5bc92b062f107b9247123b61bd9b7ac1660b4b9ff6dc396e41",
+    "out/compare.json": "9a178225ec8b4981f7c76237686049ad50e524bd6ca85bdde283647725757dee",
+    "out/compare_cd.json": "5bb54d802f5d53fea7d927b8039c5341cd311a8056321d30867523c4f17c65b2",
+    "out/compare_ranks.csv": "7bc906de0dade472eb3a8fe4f4ce0f06990cba07ec3d326d827fea8cbbc5b535",
+    "out/compare_scores.csv": "64dd10f327214065ad9d57f9df7132a3905041df3f7ca260af05f03e3380bda2",
+    "out/compare_stdout.txt": "151dca4dff479c8c4cf59a134afb96f2cef1db911e5e632b6e3f631ac556c089",
+    "out/ooc_cd.json": "d2df6702942ed02d3341761020206c05f7a0031753658de30512f2de36265fff",
+    "out/ooc_ranks.csv": "dd56e16fec874f9f2414bbe23cab6b2451b6b0b75c666b998d539ea191226eb4",
+    "out/ooc_scores.csv": "bf85cc327744429f9dde8a1776224efde060daff74fe34b328631ecefe71e8cf",
+    "out/ooc_stdout.txt": "46336797f15ebd06fa218c845bb208fe0206d7d34ecfe39c9db6e2d396e6849d",
+    "out/pairwise_random7.csv": "9de89e207794a5279bc87cc433d7ddff58cd6be41d4e65ccc4eb46b37b105195",
+    "out/pairwise_random7.json": "f9b4dfd6bf976d9c368a6b596c22b07ad37aa276db45d9787181379854845688",
+    "out/pairwise_random8.csv": "4cba21b7f0686c9f751c0fc5153af08f62c4de8915a004be5d037e286261258e",
+    "out/pairwise_random8.json": "ed9895638cf665eb04aa3d29f1f667259c2fdd86cc35e5dfab8c50f166ecde52",
+    "out/pairwise_random9.csv": "28545e7790193e732c147503dc064bea109111bf78bb6539cb0ae455fcb69b2c",
+    "out/pairwise_random9.json": "df8515ae6358ac10850394271e6056134d5a716404363900ae27b2a3307ecb1b",
+    "out/regression_random7.csv": "4e3db6a58c0581f880b9c6661477288b0183d9602f11eca8f999d2bfe24848ef",
+    "out/regression_random7.json": "42919c73e7b8d1888c3b077ebdd8b53063e1e4f33e4877e6d1c2265a9c58ad56",
+    "out/regression_random8.csv": "5a16a4eb7ccd922ce738deec6279a57efc073eb7c1086ce5997073b5889b2d0b",
+    "out/regression_random8.json": "811161cfbddb8393efbc8be365e40d6e159e62a51788b834d89c4900fbe12968",
+    "out/regression_random9.csv": "251ef32b79d5ab5cfa2fba1e58688a4a7817992855db2d95080f561268585f20",
+    "out/regression_random9.json": "ef5ca67e943ed840ac1d08e5c56b47b43a1ee582779366ffc56663503826fef3",
 }
 
 
@@ -166,6 +204,49 @@ def run_chain(root: Path) -> dict[str, str]:
     }
 
 
+def run_compare_chain(root: Path) -> dict[str, str]:
+    """Evaluate three selectors on three bundles under the 2015 rules, then
+    compare them; map each report and compare output to its sha256."""
+    work, out = root / "work", root / "out"
+    work.mkdir()
+    out.mkdir()
+    reports = []
+    for seed in (7, 8, 9):
+        scenario = work / f"random{seed}"
+        write_scenario(random_scenario(seed, n_algos=4, n_insts=24), scenario)
+        for kind in SYSTEMS:
+            preds = work / f"{kind}{seed}"
+            preds.mkdir()
+            for split in (0, 1):
+                model, chosen = work / "model.json", ("--splits", "holdout:2", "--split-id", split)
+                _cli("train", "--scenario", scenario, *chosen, "--selector", kind, "--hp", "n_trees=3",
+                     "--mode", "icon2015", "--out", model)
+                _cli("predict", "--scenario", scenario, *chosen, "--model", model,
+                     "--out", preds / f"predictions_split{split}.csv")
+            report = out / f"{kind}_random{seed}"
+            _cli("evaluate", "--scenario", scenario, "--splits", "holdout:2", "--predictions", preds,
+                 "--system", kind, "--mode", "icon2015", "--out", report, "--json")
+            reports.append(report)
+    csvs = [r.with_suffix(".csv") for r in reports]
+    (out / "compare_stdout.txt").write_text(_cli("compare", *csvs, "--mode", "icon2015", "--out", out / "compare"))
+    _cli("compare", *csvs, "--mode", "icon2015", "--json", "--out", out / "compare")
+    (out / "ooc_stdout.txt").write_text(
+        _cli("compare", *csvs, "--mode", "icon2015", "--ooc", "cluster", "--alpha", "0.1", "--out", out / "ooc")
+    )
+    # evaluate's aggregate gap is compare's average gap over the same report
+    for report in reports:
+        single = work / "single"
+        _cli("compare", report.with_suffix(".csv"), "--mode", "icon2015", "--json", "--out", single)
+        summary = json.loads(report.with_suffix(".json").read_text())
+        assert json.loads(single.with_suffix(".json").read_text())["avg_gap"] == {
+            summary["system"]: summary["aggregate_gap"]
+        }
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+    }
+
+
 def test_chain_outputs_are_byte_identical(tmp_path):
     assert MODEL_VERSION == 4  # the version the pinned digests were recorded at
     got = run_chain(tmp_path)
@@ -176,9 +257,29 @@ def test_chain_outputs_are_byte_identical(tmp_path):
     assert not changed, f"artifact bytes changed: {changed}"
 
 
+
+def test_multi_scenario_compare_is_byte_identical(tmp_path):
+    got = run_compare_chain(tmp_path)
+    out = tmp_path / "out"
+    # one undefined gap, shared by the three systems' reports, and a rank path that runs
+    undefined = {
+        line.split(",", 1)[1]
+        for path in out.glob("*.csv")
+        for line in path.read_text().splitlines()
+        if line.startswith("# undefined_gap: ")
+    }
+    assert len(undefined) == 1
+    assert json.loads((out / "compare_cd.json").read_text())["cliques"]
+    assert json.loads((out / "ooc_cd.json").read_text())["alpha"] == 0.1
+    changed = sorted(name for name in got.keys() | EXPECTED_COMPARE.keys() if got.get(name) != EXPECTED_COMPARE.get(name))
+    assert not changed, f"compare bytes changed: {changed}"
+
+
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in run_chain(Path(tmp)).items():
-            print(f'    "{name}": "{digest}",')
+    for chain in (run_chain, run_compare_chain):
+        print(f"# {chain.__name__}")
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, digest in chain(Path(tmp)).items():
+                print(f'    "{name}": "{digest}",')
