@@ -4,7 +4,7 @@ critical distance with its clique structure."""
 
 import numpy as np
 
-from asbench import compare_systems, cd_diagram_data, virtual_best_selector
+from asbench import cd_diagram_data, friedman_test, nemenyi_cd, rank_table, virtual_best_selector
 
 rng = np.random.default_rng(3)
 systems = ("steady", "flashy", "middling", "legacy", "wildcard")
@@ -20,15 +20,19 @@ for r in range(n_scenarios):
     scores[r, 3] = rng.uniform(0.5, 1.0)
     scores[r, 4] = rng.uniform(0.0, 1.4)
 
-analysis = compare_systems(systems, scores, alpha=0.05)
+alpha = 0.05
+ranks = rank_table(scores)
+avg_ranks = ranks.mean(axis=0)
+statistic, p = friedman_test(ranks)
+cd = nemenyi_cd(len(systems), n_scenarios, alpha)
 print(f"{'system':>10} {'avg gap':>8} {'avg rank':>9}")
 for c, name in enumerate(systems):
-    print(f"{name:>10} {scores[:, c].mean():8.3f} {analysis.avg_ranks[c]:9.2f}")
+    print(f"{name:>10} {scores[:, c].mean():8.3f} {avg_ranks[c]:9.2f}")
 
-print(f"\nFriedman chi-square {analysis.friedman_statistic:.3f}, p = {analysis.friedman_p:.4f}")
-print(f"Nemenyi critical distance at alpha {analysis.alpha}: {analysis.critical_distance:.3f}")
+print(f"\nFriedman chi-square {statistic:.3f}, p = {p:.4f}")
+print(f"Nemenyi critical distance at alpha {alpha}: {cd:.3f}")
 
-doc = cd_diagram_data(analysis)
+doc = cd_diagram_data(systems, avg_ranks, cd)
 for clique in doc["cliques"]:
     print("not separable:", ", ".join(clique))
 

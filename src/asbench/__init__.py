@@ -57,9 +57,7 @@ from .selectors import (
     save_model,
 )
 from .stats import (
-    RankAnalysis,
     cd_diagram_data,
-    compare_systems,
     ecdf,
     ecdf_points,
     friedman_test,

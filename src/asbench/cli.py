@@ -222,43 +222,31 @@ def cmd_evaluate(args) -> int:
 def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
     """Merge report rows into the comparison document used by ``compare``.
 
-    ``rows`` are (system, scenario, split, metric, value) tuples. The score
-    of a system on a scenario is its designated gap (2017: PAR10 or quality
-    gap; 2015: the mean of the three metric gaps), averaged over splits.
+    ``rows`` is a list of (system, scenario, split, metric, value) tuples.
+    The score of a system on a scenario is its
+    :func:`~asbench.evaluation.headline_gaps` entry: the designated gap
+    (2017: PAR10 or quality gap; 2015: the mean of the three metric gaps),
+    averaged over splits.
     """
     stats.check_alpha(alpha)
-    designated = {f"gap_{m}" for m in evaluation.GAP_METRICS[mode]}
-    per_cell: dict[tuple[str, str], dict[int, list[float]]] = {}
-    systems: list[str] = []
-    scenarios: list[str] = []
-    for system, scen, split, metric, value in rows:
-        if system not in systems:
-            systems.append(system)
-        if scen not in scenarios:
-            scenarios.append(scen)
-        if metric in designated:
-            per_cell.setdefault((system, scen), {}).setdefault(split, []).append(value)
-
-    def cell(system, scen):
-        splits = per_cell.get((system, scen))
-        if not splits:
-            raise ValueError(f"no designated gap rows for {system!r} on {scen!r}")
-        return evaluation.mean_of_split_means(splits)
-
+    cells = evaluation.headline_gaps(rows, mode)
+    systems = list(dict.fromkeys(row[0] for row in rows))
+    scenarios = list(dict.fromkeys(row[1] for row in rows))
     ooc = set(ooc)
     if not ooc <= set(systems):
         raise ValueError(f"--ooc names no system in the reports: {sorted(ooc - set(systems))!r}")
-    matrix = [[cell(system, scen) for system in systems] for scen in scenarios]
+    missing = [(system, scen) for scen in scenarios for system in systems if (system, scen) not in cells]
+    if missing:
+        raise ValueError("no designated gap rows for {!r} on {!r}".format(*missing[0]))
+    matrix = [[cells[system, scen] for system in systems] for scen in scenarios]
     ranked = [s for s in systems if s not in ooc]
     if not ranked:
         raise ValueError("every system is out of competition; nothing to rank")
-    ranked_idx = [systems.index(s) for s in ranked]
-    ranked_matrix = [[row[i] for i in ranked_idx] for row in matrix]
+    ranked_matrix = [[row[systems.index(s)] for s in ranked] for row in matrix]
     mins, meta_vbs = stats.virtual_best_selector(ranked_matrix)
-    avg_gap = {
-        system: math.fsum(matrix[r][c] for r in range(len(scenarios))) / len(scenarios)
-        for c, system in enumerate(systems)
-    }
+    avg_gap = {system: math.fsum(row[c] for row in matrix) / len(scenarios) for c, system in enumerate(systems)}
+    ranks = stats.rank_table(ranked_matrix)
+    avg_rank = ranks.mean(axis=0)
     doc = {
         "mode": mode,
         "alpha": alpha,
@@ -272,18 +260,17 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
         "friedman_p": None,
         "critical_distance": None,
         "cd_diagram": None,
+        "per_scenario_ranks": ranks.tolist(),
+        "avg_rank": {s: float(r) for s, r in zip(ranked, avg_rank)},
     }
-    ranks = stats.rank_table(ranked_matrix)
-    doc["per_scenario_ranks"] = ranks.tolist()
-    doc["avg_rank"] = {s: float(r) for s, r in zip(ranked, stats.average_ranks(ranks))}
     # the Friedman/Nemenyi machinery needs at least 2 systems, 2 scenarios,
     # and a tabulated critical value; smaller comparisons keep ranks only
     if 2 <= len(ranked) <= 20 and len(scenarios) >= 2:
-        analysis = stats.compare_systems(ranked, ranked_matrix, alpha=alpha)
-        doc["friedman_statistic"] = analysis.friedman_statistic
-        doc["friedman_p"] = analysis.friedman_p
-        doc["critical_distance"] = analysis.critical_distance
-        doc["cd_diagram"] = stats.cd_diagram_data(analysis)
+        cd = stats.nemenyi_cd(len(ranked), len(scenarios), alpha)
+        statistic, p = stats.friedman_test(ranks)
+        analysis = {"alpha": alpha, "critical_distance": cd, "friedman_statistic": statistic, "friedman_p": p}
+        doc.update(analysis)
+        doc["cd_diagram"] = {**analysis, **stats.cd_diagram_data(ranked, avg_rank, cd)}
     return doc
 
 

@@ -304,6 +304,10 @@ def _gap(value: float, sbs_ref: float, vbs_ref: float) -> float | None:
     return (value - vbs_ref) / denom
 
 
+def _mean(values) -> float:
+    return math.fsum(values) / len(values)
+
+
 def score_system(scenario: Scenario, split: Split, schedules, system: str = "system") -> ScoreReport:
     """Score one system's schedules on a split's test instances.
 
@@ -322,7 +326,6 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
     if missing:
         raise ValueError(f"missing predictions for test instances {missing[:5]!r}")
     sbs_col = scenario.algorithms.index(sbs(scenario, split.train))
-    n = len(test)
     rows = [scenario.row[i] for i in test]
     vbs = scenario.cost[rows].min(axis=1).tolist()
     if not isinstance(schedules, Schedules):
@@ -335,19 +338,16 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         capped = scenario.capped[rows]
         best = capped.min(axis=1)
 
-        def mean(xs):
-            return math.fsum(xs) / n
+        par10_s = _mean(out.par10.tolist())
+        par10_b = _mean(scenario.cost[rows, sbs_col].tolist())
+        par10_v = _mean(vbs)
 
-        par10_s = mean(out.par10.tolist())
-        par10_b = mean(scenario.cost[rows, sbs_col].tolist())
-        par10_v = mean(vbs)
+        mcp_s = _mean(out.mcp.tolist())
+        mcp_b = _mean((capped[:, sbs_col] - best).tolist())
 
-        mcp_s = mean(out.mcp.tolist())
-        mcp_b = mean((capped[:, sbs_col] - best).tolist())
-
-        solved_s = mean(out.solved.astype(float).tolist())
-        solved_b = mean(scenario.solved[rows, sbs_col].tolist())
-        solved_v = mean(scenario.solved[rows].any(axis=1).tolist())
+        solved_s = _mean(out.solved.astype(float).tolist())
+        solved_b = _mean(scenario.solved[rows, sbs_col].tolist())
+        solved_v = _mean(scenario.solved[rows].any(axis=1).tolist())
 
         metrics = {
             "par10": MetricScore(par10_s, par10_b, par10_v, _gap(par10_s, par10_b, par10_v)),
@@ -358,9 +358,9 @@ def score_system(scenario: Scenario, split: Split, schedules, system: str = "sys
         }
     else:
         sign = -1.0 if scenario.direction == "maximize" else 1.0
-        value_s = math.fsum(out.achieved_value.tolist()) / n
-        value_b = math.fsum(scenario.runs.value[rows, sbs_col].tolist()) / n
-        value_v = math.fsum(sign * v for v in vbs) / n
+        value_s = _mean(out.achieved_value.tolist())
+        value_b = _mean(scenario.runs.value[rows, sbs_col].tolist())
+        value_v = _mean([sign * v for v in vbs])
         metrics = {
             "quality": MetricScore(
                 value_s, value_b, value_v, _gap(sign * value_s, sign * value_b, sign * value_v)
@@ -383,52 +383,56 @@ GAP_METRICS = {
 }
 
 
-def report_gap(report: ScoreReport, mode: str) -> float | None:
-    """The mode's headline gap for one report.
+def report_rows(reports):
+    """The rows of a report file, as (system, scenario, split, metric, value):
+    each metric's value, then its ``gap_<metric>`` where the gap is defined."""
+    for rep in reports:
+        key = (rep.system, rep.scenario_id, rep.split_id)
+        for name, m in rep.metrics.items():
+            yield (*key, name, m.value)
+            if m.gap is not None:
+                yield (*key, f"gap_{name}", m.gap)
+
+
+def headline_gaps(rows, mode: str, use: str = "gap") -> dict[tuple[str, str], float]:
+    """Each (system, scenario)'s headline score from report rows.
 
     The 2015 rule averages the gaps of all three runtime metrics; the 2017
     rule uses the PAR10 gap alone (the quality gap on quality scenarios).
-    Undefined gaps are skipped; ``None`` means nothing was defined.
+    Each split's designated gaps are averaged, then the split means, so
+    every split weighs the same. Undefined gaps have no row; a pair with no
+    designated row has no entry. ``use="value"`` averages the metric values
+    instead. A row repeated across the inputs raises ValueError.
     """
-    names = _designated(report, mode)
-    gaps = [report.metrics[m].gap for m in names if report.metrics[m].gap is not None]
-    if not gaps:
-        return None
-    return math.fsum(gaps) / len(gaps)
+    designated = {("gap_" if use == "gap" else "") + m for m in GAP_METRICS[mode]}
+    seen, cells = set(), {}
+    for system, scen, split, metric, value in rows:
+        if (key := (system, scen, split, metric)) in seen:
+            raise ValueError(f"report row {key!r} appears more than once; give each system its own --system name")
+        seen.add(key)
+        if metric in designated:
+            cells.setdefault((system, scen), {}).setdefault(split, []).append(value)
+    return {pair: _mean([_mean(vs) for vs in splits.values()]) for pair, splits in cells.items()}
 
 
-def _designated(report: ScoreReport, mode: str) -> tuple[str, ...]:
-    return tuple(m for m in GAP_METRICS[mode] if m in report.metrics)
+def report_gap(report: ScoreReport, mode: str) -> float | None:
+    """The mode's headline gap for one report; ``None`` means no designated
+    gap was defined."""
+    return headline_gaps(report_rows([report]), mode).get((report.system, report.scenario_id))
 
 
 def aggregate(reports, mode: str = "icon2015", use: str = "gap") -> float:
-    """Cascade of unweighted means: metrics, then splits, then scenarios.
+    """Cascade of unweighted means over one system's reports: metrics, then
+    splits (both in :func:`headline_gaps`), then scenarios.
 
     With ``use="value"`` the raw metric values are averaged, not the gaps.
     """
     if not reports:
         raise ValueError("no reports to aggregate")
-    per_scenario: dict[str, dict[int, list[float]]] = {}
-    for rep in reports:
-        if use == "gap":
-            v = report_gap(rep, mode)
-            if v is None:
-                continue
-        else:
-            vals = [rep.metrics[m].value for m in _designated(rep, mode)]
-            v = math.fsum(vals) / len(vals)
-        per_scenario.setdefault(rep.scenario_id, {}).setdefault(rep.split_id, []).append(v)
+    per_scenario = headline_gaps(report_rows(reports), mode, use)
     if not per_scenario:
         raise ValueError("every gap was undefined; nothing to aggregate")
-    scenario_means = [mean_of_split_means(scen) for scen in per_scenario.values()]
-    return math.fsum(scenario_means) / len(scenario_means)
-
-
-def mean_of_split_means(per_split: dict[int, list[float]]) -> float:
-    """Average each split's values, then the split means, so every split
-    weighs the same whatever its number of values."""
-    split_means = [math.fsum(vs) / len(vs) for vs in per_split.values()]
-    return math.fsum(split_means) / len(split_means)
+    return _mean(list(per_scenario.values()))
 
 
 def report_to_dict(report: ScoreReport) -> dict:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import SCHEDULE_FAULTS, STEP_KIND, Schedules
+from .evaluation import SCHEDULE_FAULTS, STEP_KIND, Schedules, report_rows
 from .learners import rng_stream
 from .scenario import (
     RUN_STATUSES,
@@ -724,19 +725,17 @@ def check_system_name(name: str, what: str = "system name") -> None:
 
 
 def write_report_csv(reports, path) -> None:
-    """Comma-separated report rows in the fixed column order
-    system,scenario,split,metric,value; undefined gaps land in a footer.
-    Each system name must pass :func:`check_system_name`."""
-    rows, footer = [], []
+    """Comma-separated :func:`~asbench.evaluation.report_rows` in the fixed
+    column order system,scenario,split,metric,value; undefined gaps land in
+    a footer. Each system name must pass :func:`check_system_name`."""
     for rep in reports:
         check_system_name(rep.system)
-        key = [rep.system, rep.scenario_id, rep.split_id]
-        for name, metric in rep.metrics.items():
-            rows.append([*key, name, repr(metric.value)])
-            if metric.gap is not None:
-                rows.append([*key, f"gap_{name}", repr(metric.gap)])
-            else:
-                footer.append(f"# undefined_gap: {rep.system},{rep.scenario_id},{rep.split_id},{name}")
+    rows = ([*key, repr(value)] for *key, value in report_rows(reports))
+    footer = [
+        f"# undefined_gap: {rep.system},{rep.scenario_id},{rep.split_id},{name}"
+        for rep in reports
+        for name in rep.undefined_gaps
+    ]
     write_csv(path, REPORT_HEADER, rows, footer)
 
 
@@ -785,17 +784,15 @@ def generate_splits(scenario: Scenario, n_splits: int, mode: str, test_fraction:
     splits = []
     if mode == "bootstrap":
         for s in range(n_splits):
-            for attempt in range(100):
-                rng = rng_stream(seed, 101, s, attempt)
-                draws = rng.integers(0, n, size=n)
-                chosen = set(draws.tolist())
-                test = tuple(scenario.instances[i] for i in range(n) if i not in chosen)
-                if test:
-                    train = tuple(scenario.instances[i] for i in sorted(chosen))
-                    splits.append(Split(split_id=s, train=train, test=test, from_bootstrap=True))
+            # redraw until an instance is out of bag: with n >= 2 each draw
+            # leaves one out with probability at least 1/2
+            for attempt in itertools.count():
+                chosen = set(rng_stream(seed, 101, s, attempt).integers(0, n, size=n).tolist())
+                if len(chosen) < n:
                     break
-            else:
-                raise RuntimeError(f"no out-of-bag instances after 100 attempts for split {s}")
+            train = tuple(scenario.instances[i] for i in sorted(chosen))
+            test = tuple(scenario.instances[i] for i in range(n) if i not in chosen)
+            splits.append(Split(split_id=s, train=train, test=test, from_bootstrap=True))
     elif mode == "holdout":
         if not 0 < test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")

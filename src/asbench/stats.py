@@ -5,7 +5,6 @@ studies, and the virtual best selector over a set of systems."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2, rankdata
@@ -43,10 +42,6 @@ def rank_table(scores) -> np.ndarray:
     return np.vstack([rankdata(row) for row in scores])
 
 
-def average_ranks(ranks) -> np.ndarray:
-    return np.asarray(ranks, dtype=np.float64).mean(axis=0)
-
-
 def friedman_test(ranks) -> tuple[float, float]:
     """Friedman chi-square statistic and p-value from a rank matrix.
 
@@ -80,58 +75,27 @@ def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
     return _Q_CRIT[alpha][k - 2] * math.sqrt(k * (k + 1) / (6.0 * n))
 
 
-@dataclass(frozen=True)
-class RankAnalysis:
-    """Rank comparison of several systems over several scenarios."""
-
-    systems: tuple[str, ...]
-    avg_ranks: np.ndarray
-    friedman_statistic: float
-    friedman_p: float
-    alpha: float
-    critical_distance: float
-
-
-def compare_systems(systems, scores, alpha: float = 0.05) -> RankAnalysis:
-    """Full rank analysis of a (scenarios x systems) score matrix, lower scores better."""
-    systems = tuple(systems)
-    ranks = rank_table(scores)
-    stat, p = friedman_test(ranks)
-    return RankAnalysis(
-        systems=systems,
-        avg_ranks=average_ranks(ranks),
-        friedman_statistic=stat,
-        friedman_p=p,
-        alpha=alpha,
-        critical_distance=nemenyi_cd(len(systems), ranks.shape[0], alpha),
-    )
-
-
-def cd_diagram_data(analysis: RankAnalysis) -> dict:
-    """Everything a critical-distance diagram needs, as plain data.
+def cd_diagram_data(systems, avg_ranks, critical_distance: float) -> dict:
+    """The systems sorted by average rank, and the cliques of a
+    critical-distance diagram, as plain data.
 
     Cliques are the maximal runs of rank-sorted systems whose average ranks
     span at most the critical distance (the "thick lines" in such plots).
     """
-    order = np.argsort(analysis.avg_ranks, kind="stable")
-    sorted_sys = [analysis.systems[i] for i in order]
-    sorted_rank = analysis.avg_ranks[order]
+    avg_ranks = np.asarray(avg_ranks, dtype=np.float64)
+    order = np.argsort(avg_ranks, kind="stable")
+    sorted_sys = [systems[i] for i in order]
+    sorted_rank = avg_ranks[order]
     cliques = []
     for i in range(len(order)):
         j = i
-        while j + 1 < len(order) and sorted_rank[j + 1] - sorted_rank[i] <= analysis.critical_distance:
+        while j + 1 < len(order) and sorted_rank[j + 1] - sorted_rank[i] <= critical_distance:
             j += 1
         if j > i:
             cliques.append((i, j))
     maximal = [c for c in cliques if not any(o[0] <= c[0] and c[1] <= o[1] and o != c for o in cliques)]
     return {
-        "alpha": analysis.alpha,
-        "critical_distance": analysis.critical_distance,
-        "friedman_statistic": analysis.friedman_statistic,
-        "friedman_p": analysis.friedman_p,
-        "systems": [
-            {"name": s, "avg_rank": float(r)} for s, r in zip(sorted_sys, sorted_rank)
-        ],
+        "systems": [{"name": s, "avg_rank": float(r)} for s, r in zip(sorted_sys, sorted_rank)],
         "cliques": [[sorted_sys[i] for i in range(a, b + 1)] for a, b in maximal],
     }
 

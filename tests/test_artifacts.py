@@ -14,20 +14,23 @@ Two small generated bundles go through the real command-line entry point:
 
 The chain's compare covers one scenario, where no critical-distance
 analysis applies, so ``compare_cd.json`` pins the ``{"applies": false,
-"reason": ...}`` document. A second chain pins the rank path: three
-selectors on three runtime bundles under the 2015 rules, two holdout
-splits each, with one (scenario, split, metric) whose SBS and VBS coincide,
-so its gap is undefined in all three reports. It pins the reports, the
-compare CSV, JSON and stdout, and an ``--ooc`` run at ``--alpha 0.1``. The model documents are version 4: each forest
+"reason": ...}`` document. The model documents are version 4: each forest
 one object of packed node arrays, pairwise forests in pair order with no
 stored pair indices, no ``mean_costs`` in the sunny payload, and every
 array a typed block of its dtype, shape and base64 bytes.
 
+A second chain pins the rank path: three selectors on three runtime
+bundles under the 2015 rules, two holdout splits each, with one (scenario,
+split, metric) whose SBS and VBS coincide, so its gap is undefined in all
+three reports. It pins the reports, the compare CSV, JSON and stdout, and
+an ``--ooc`` run at ``--alpha 0.1``, and checks that each report's
+``aggregate_gap`` is the average gap ``compare`` gives that report alone.
+
 The sha256 of every output file, and of the scenario bundles themselves,
 must match the pinned values (for the second chain, of every report and
-compare output). A refactor or speedup that changes any of
-these bytes is a behaviour change. After a deliberate artifact change (one
-that bumps ``MODEL_VERSION`` and says so in CHANGES.md) print the new
+compare output). A refactor or speedup that changes any of these bytes is
+a behaviour change. After a deliberate artifact change (one that bumps
+``MODEL_VERSION`` and says so in CHANGES.md) print the new
 digests with ``PYTHONPATH=src python tests/test_artifacts.py``.
 """
 
@@ -257,7 +260,6 @@ def test_chain_outputs_are_byte_identical(tmp_path):
     assert not changed, f"artifact bytes changed: {changed}"
 
 
-
 def test_multi_scenario_compare_is_byte_identical(tmp_path):
     got = run_compare_chain(tmp_path)
     out = tmp_path / "out"
@@ -271,7 +273,8 @@ def test_multi_scenario_compare_is_byte_identical(tmp_path):
     assert len(undefined) == 1
     assert json.loads((out / "compare_cd.json").read_text())["cliques"]
     assert json.loads((out / "ooc_cd.json").read_text())["alpha"] == 0.1
-    changed = sorted(name for name in got.keys() | EXPECTED_COMPARE.keys() if got.get(name) != EXPECTED_COMPARE.get(name))
+    names = got.keys() | EXPECTED_COMPARE.keys()
+    changed = sorted(name for name in names if got.get(name) != EXPECTED_COMPARE.get(name))
     assert not changed, f"compare bytes changed: {changed}"
 
 

@@ -959,6 +959,19 @@ class TestCompare:
         assert capsys.readouterr().err.splitlines()[-1] == "error: no designated gap rows for 'x' on 's'"
         assert not out.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["csv", "json"])
+    def test_repeated_report_rows_exit_two(self, tmp_path, capsys, json_flag):
+        # two selectors evaluated under the default --system name would merge into one entry
+        a = self.make_report(tmp_path / "a.csv", "system", {"s1": 0.1, "s2": 0.3})
+        b = self.make_report(tmp_path / "b.csv", "system", {"s1": 0.9, "s2": 0.7})
+        c = self.make_report(tmp_path / "c.csv", "other", {"s1": 0.5, "s2": 0.5})
+        out = tmp_path / "cmp"
+        assert run_cli("compare", a, b, c, "--out", out, *json_flag) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: report row ('system', 's1', 0, 'gap_par10') appears more than once")
+        assert "--system" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "c.csv"]
+
     @pytest.mark.parametrize("scenarios", [["s1"], ["s1", "s2"]], ids=["one-scenario", "two-scenarios"])
     def test_build_comparison_refuses_an_untabulated_alpha(self, scenarios):
         rows = [(system, scen, 0, "gap_par10", 0.1) for system in ("a", "b") for scen in scenarios]

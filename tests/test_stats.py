@@ -5,7 +5,6 @@ import pytest
 
 from asbench.stats import (
     cd_diagram_data,
-    compare_systems,
     ecdf,
     ecdf_points,
     friedman_test,
@@ -123,12 +122,18 @@ class TestNemenyi:
             nemenyi_cd(8, 0)
 
 
+def cd_diagram(systems, scores):
+    ranks = rank_table(scores)
+    avg_ranks = ranks.mean(axis=0)
+    return avg_ranks, cd_diagram_data(systems, avg_ranks, nemenyi_cd(len(systems), ranks.shape[0]))
+
+
 class TestCompareSystems:
     def test_identical_systems_are_never_significant(self):
         scores = np.tile(np.arange(6.0)[:, None], (1, 2))
-        analysis = compare_systems(["a", "b"], scores)
-        assert analysis.avg_ranks[0] == analysis.avg_ranks[1]
-        assert cd_diagram_data(analysis)["cliques"] == [["a", "b"]]
+        avg_ranks, doc = cd_diagram(["a", "b"], scores)
+        assert avg_ranks[0] == avg_ranks[1]
+        assert doc["cliques"] == [["a", "b"]]
 
     def test_cd_diagram_lists_sorted_systems_and_cliques(self):
         scores = np.array(
@@ -139,8 +144,7 @@ class TestCompareSystems:
                 [0.1, 0.25, 0.7],
             ]
         )
-        analysis = compare_systems(["good", "mid", "bad"], scores)
-        doc = cd_diagram_data(analysis)
+        _, doc = cd_diagram(["good", "mid", "bad"], scores)
         names = [s["name"] for s in doc["systems"]]
         assert names == ["good", "mid", "bad"]
         ranks = [s["avg_rank"] for s in doc["systems"]]
