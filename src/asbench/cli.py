@@ -27,11 +27,9 @@ import uuid
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, scenario_io, selectors, stats
 from .evaluation import ScoreReport, aggregate, report_gap, score_system
-from .scenario import STATUS_CODE, Runs, Scenario, baseline_means, improvement_factor, sbs, validate
+from .scenario import Scenario, Split, baseline_means, improvement_factor, sbs, validate
 from .scenario_io import ParseError, ViolationsError, generate_splits, parse_scenario
 from .selectors import (
     Hyperparameters,
@@ -98,15 +96,10 @@ def _pick_split(splits, split_id: int):
     raise ValueError(f"no split with id {split_id}; have {[s.split_id for s in splits]}")
 
 
-def _anonymize_test(scenario: Scenario, test_instances) -> Scenario:
-    """Blind the test rows: performance 0, status ok, like a hidden test set."""
-    test = set(test_instances)
-    runs = scenario.runs
-    blind = np.fromiter((i in test for i in scenario.instances), dtype=bool, count=len(scenario.instances))
-    blind = blind[:, None] & (runs.status >= 0)
-    values = np.where(blind, 0.0, runs.value)
-    status = np.where(blind, STATUS_CODE["ok"], runs.status)
-    return replace(scenario, runs=Runs(values, status))
+def _load(args) -> tuple[Scenario, Split]:
+    """Parse the bundle, then pick the ``--split-id`` split of ``--splits``."""
+    scen = parse_scenario(args.scenario)
+    return scen, _pick_split(_resolve_splits(scen, args.splits, args.seed), args.split_id)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +143,10 @@ def cmd_baselines(args) -> int:
 
 
 def cmd_train(args) -> int:
-    scen = parse_scenario(args.scenario)
-    splits = _resolve_splits(scen, args.splits, args.seed)
-    split = _pick_split(splits, args.split_id)
+    scen, split = _load(args)
     hp = Hyperparameters.from_pairs(args.hp or [])
     if "seed" not in _hp_keys(args.hp):
         hp = replace(hp, seed=args.seed)
-    if args.anonymize_test:
-        scen = _anonymize_test(scen, split.test)
     groups = args.feature_groups.split(",") if args.feature_groups else None
     started = time.perf_counter()
     model = fit_system(scen, split.train, args.selector, hp, mode=args.mode, feature_groups=groups)
@@ -172,12 +161,8 @@ def _hp_keys(pairs) -> set:
 
 
 def cmd_predict(args) -> int:
-    scen = parse_scenario(args.scenario)
-    splits = _resolve_splits(scen, args.splits, args.seed)
-    split = _pick_split(splits, args.split_id)
+    scen, split = _load(args)
     model = load_model(args.model)
-    if args.anonymize_test:
-        scen = _anonymize_test(scen, split.test)
     schedules = predict_batch(model, scen, split.test)
     _atomic_write(Path(args.out), lambda tmp: scenario_io.write_predictions(schedules, scen, tmp))
     print(f"wrote schedules for {len(schedules)} test instances -> {args.out}")
@@ -188,21 +173,19 @@ def cmd_evaluate(args) -> int:
     scenario_io.check_system_name(args.system, "--system")
     scen = parse_scenario(args.scenario)
     splits = _resolve_splits(scen, args.splits, args.seed)
-    reports: list[ScoreReport] = []
     if args.mode == "oasc2017":
-        split = _pick_split(splits, args.split_id)
-        schedules = scenario_io.parse_predictions(args.predictions, scen, require_cover=split.test)
-        reports.append(score_system(scen, split, schedules, system=args.system))
+        pairs = [(_pick_split(splits, args.split_id), Path(args.predictions))]
     else:
         pred_root = Path(args.predictions)
         if not pred_root.is_dir():
             raise ValueError("icon2015 evaluation expects --predictions DIR with one file per split")
-        for split in splits:
-            path = pred_root / f"predictions_split{split.split_id}.csv"
-            if not path.exists():
-                raise ValueError(f"missing prediction file {path}")
-            schedules = scenario_io.parse_predictions(path, scen, require_cover=split.test)
-            reports.append(score_system(scen, split, schedules, system=args.system))
+        pairs = [(split, pred_root / f"predictions_split{split.split_id}.csv") for split in splits]
+    reports: list[ScoreReport] = []
+    for split, path in pairs:
+        if not path.is_file():
+            raise ValueError(f"missing prediction file {path}")
+        schedules = scenario_io.parse_predictions(path, scen, require_cover=split.test)
+        reports.append(score_system(scen, split, schedules, system=args.system))
     overall = aggregate(reports, mode=args.mode)
     summary = {
         "system": args.system,
@@ -317,9 +300,7 @@ def cmd_compare(args) -> int:
 def cmd_seed_study(args) -> int:
     if "seed" in _hp_keys(args.hp):
         raise ValueError("seed-study sets each fit's seed from --seed; drop seed from --hp")
-    scen = parse_scenario(args.scenario)
-    splits = _resolve_splits(scen, args.splits, args.seed)
-    split = _pick_split(splits, args.split_id)
+    scen, split = _load(args)
     hp0 = Hyperparameters.from_pairs(args.hp or [])
     # the presolver and the training set do not depend on the seed
     prefix, train = prepare_training(scen, split.train, hp0, mode=args.mode)
@@ -408,14 +389,12 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p, hp=True)
     p.add_argument("--selector", required=True, choices=selectors.SELECTOR_KINDS)
     p.add_argument("--feature-groups", help="comma list restricting the feature groups used")
-    p.add_argument("--anonymize-test", action="store_true", help="blind test rows before fitting")
     p.add_argument("--out", required=True, help="model artifact path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="emit schedules for a split's test instances")
     _add_common(p, mode=False)
     p.add_argument("--model", required=True)
-    p.add_argument("--anonymize-test", action="store_true", help="blind test rows before predicting")
     p.add_argument("--out", required=True, help="prediction file path")
     p.set_defaults(func=cmd_predict)
 

@@ -428,8 +428,14 @@ def sbs(scenario: Scenario, train_instances) -> str:
     rows = [scenario.row[i] for i in train_instances]
     if not rows:
         raise ValueError("cannot pick a single best solver from an empty training set")
-    totals = [math.fsum(column) for column in scenario.cost[rows].T.tolist()]
-    return scenario.algorithms[totals.index(min(totals))]
+    return scenario.algorithms[_cheapest_column(scenario.cost[rows])]
+
+
+def _cheapest_column(costs: np.ndarray) -> int:
+    """The single best solver rule, which the fitted selectors share: the cost
+    column with the lowest ``math.fsum`` total, ties to the earlier column."""
+    totals = [math.fsum(column) for column in costs.T.tolist()]
+    return totals.index(min(totals))
 
 
 def baseline_means(scenario: Scenario, rows) -> tuple[float, float]:

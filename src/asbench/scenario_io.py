@@ -525,7 +525,7 @@ def _parse_costs(path: Path, inst_set: set[str]) -> dict[str, dict[str, float]]:
     costs = [_numbers(col) for col in columns[1:]] if clean else []
     if not clean or None in costs:
         _raise_first(COSTS_FILE, lines, [
-            (width[0], lambda i: f"expected {len(head)} columns"),
+            width,
             ([t not in inst_set for t in ids], lambda i: f"unknown instance {ids[i]!r}"),
             (_unlike_first(ids, range(len(ids))) if cost_cols else None,
              lambda i: f"duplicate instance row {ids[i]!r}"),

@@ -32,7 +32,7 @@ import numpy as np
 
 from .evaluation import STEP_KIND, Schedules, SolverStep
 from .learners import KNN, Forest, KMeans, fit_forest, fit_forests, fit_kmeans, rng_stream
-from .scenario import Scenario
+from .scenario import Scenario, _cheapest_column
 
 SELECTOR_KINDS = ("regression", "pairwise", "cluster", "stacking", "sunny")
 
@@ -296,13 +296,12 @@ def fit_sunny(train: TrainingSet, hp: Hyperparameters) -> SelectorModel:
 
 
 def _model(kind, train, hp, payload) -> SelectorModel:
-    order = np.argsort(_mean_costs(train), kind="stable")
     return SelectorModel(
         kind=kind,
         algorithms=train.algorithms,
         feature_groups=train.feature_groups,
         pre=train.pre,
-        sbs_algorithm=train.algorithms[int(order[0])],
+        sbs_algorithm=train.algorithms[_cheapest_column(train.costs)],
         payload=payload,
         hp=hp,
     )

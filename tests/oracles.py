@@ -838,7 +838,7 @@ def oracle_parse_scenario(path, check: bool = True) -> Scenario:
                     cost_tables[col] = {}
                 continue
             if len(row) != 1 + len(cost_cols):
-                raise ParseError(COSTS_FILE, lineno, f"expected {1 + len(cost_cols)} columns")
+                raise ParseError(COSTS_FILE, lineno, f"expected {1 + len(cost_cols)} columns, got {len(row)}")
             inst = row[0].strip()
             if inst not in inst_set:
                 raise ParseError(COSTS_FILE, lineno, f"unknown instance {inst!r}")

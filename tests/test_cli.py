@@ -296,6 +296,16 @@ class TestCommandRejects:
         )
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "absent"])
+    def test_oasc2017_evaluate_of_no_prediction_file(self, tutorial_bundle, tmp_path, capsys, kind):
+        preds = tmp_path / "preds"
+        if kind == "directory":
+            preds.mkdir()
+        argv = ["evaluate", "--scenario", tutorial_bundle, "--predictions", preds, "--out", tmp_path / "r"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: missing prediction file {preds}"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_compare_with_every_system_out_of_competition(self, tmp_path, capsys):
         report = tmp_path / "a.csv"
         report.write_text("system,scenario,split,metric,value\nalpha,s1,0,gap_par10,0.1\nbeta,s1,0,gap_par10,0.2\n")
@@ -488,21 +498,17 @@ class TestTrainPredictEvaluate:
             "--mode", "icon2015", "--system", "a0", "--out", tmp_path / "bad",
         ) == 2
 
-    def test_anonymized_test_rows_change_nothing(self, learnable_bundle, tmp_path):
-        blobs = {}
-        for tag, flag in (("plain", []), ("blind", ["--anonymize-test"])):
-            model = tmp_path / f"m_{tag}.json"
-            preds = tmp_path / f"p_{tag}.csv"
-            assert run_cli(
+    def test_anonymize_test_is_no_option(self, learnable_bundle, tmp_path, capsys):
+        # selectors read no test row's runs (see test_selectors.py::
+        # test_blinding_the_test_rows_changes_no_byte), so there is nothing to blind
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
                 "train", "--scenario", learnable_bundle, "--selector", "cluster",
-                "--hp", "n_trees=5", "--seed", "1", "--out", model, *flag,
-            ) == 0
-            assert run_cli(
-                "predict", "--scenario", learnable_bundle, "--model", model,
-                "--seed", "1", "--out", preds, *flag,
-            ) == 0
-            blobs[tag] = (model.read_bytes(), preds.read_bytes())
-        assert blobs["plain"] == blobs["blind"]
+                "--out", tmp_path / "m.json", "--anonymize-test",
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --anonymize-test" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     # a field of the wrong JSON type, named by the message: (field, value)
     WRONG_TYPES = {

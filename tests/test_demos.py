@@ -22,6 +22,6 @@ LAST_LINES = {
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_prints_its_pinned_last_line(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == LAST_LINES.get(demo.name)

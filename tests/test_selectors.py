@@ -19,11 +19,13 @@ from asbench import (
     load_model,
     predict_batch,
     save_model,
+    sbs,
     selectors,
     simulate,
     write_predictions,
 )
 from asbench.evaluation import FeatureStep, SolverStep
+from asbench.scenario import STATUS_CODE, Runs
 from asbench.learners import Forest
 from asbench.selectors import SELECTOR_KINDS, SelectorModel, raw_features, select_algorithms
 
@@ -127,6 +129,21 @@ class TestHyperparameters:
         assert (hp.n_trees, hp.presolve_budget_fraction) == (3, 0.2)
 
 
+@pytest.mark.parametrize("kind", SELECTOR_KINDS)
+def test_model_sbs_is_the_scenario_sbs(kind):
+    # B's costs are A's in reverse, so the totals tie and A wins; numpy's
+    # column means of the two differ in the last bit and put B first
+    n = 31
+    instances = [f"i{j}" for j in range(n)]
+    runs = {}
+    for j, inst in enumerate(instances):
+        runs[(inst, "A")] = 1 / (n - j)
+        runs[(inst, "B")] = 1 / (j + 1)
+    scen = build_scenario(runs, ["A", "B"], instances)
+    model = fit_system(scen, scen.instances, kind, Hyperparameters(n_trees=2, seed=0, presolve_budget_fraction=0.0))
+    assert model.sbs_algorithm == sbs(scen, scen.instances) == "A"
+
+
 def test_unknown_selector_kind_rejected(tutorial):
     with pytest.raises(ValueError, match="unknown selector kind 'nope'"):
         fit_system(tutorial, tutorial.instances, "nope", FAST)
@@ -153,8 +170,6 @@ class TestRegression:
             features={i: (1.0,) for i in instances},
         )
         model = fit_regression(build_training_set(scen, scen.instances), FAST)
-        from asbench import sbs
-
         expected = sbs(scen, scen.instances)
         for inst in scen.instances:
             steps = [s for s in predict_batch(model, scen, [inst])[inst] if isinstance(s, SolverStep)]
@@ -250,8 +265,6 @@ class TestCluster:
         scen = dominant_scenario()
         hp = Hyperparameters(k_clusters=1, n_trees=2, seed=0)
         model = fit_cluster(build_training_set(scen, scen.instances), hp)
-        from asbench import sbs
-
         expected = sbs(scen, scen.instances)
         for inst in scen.instances:
             steps = [s for s in predict_batch(model, scen, [inst])[inst] if isinstance(s, SolverStep)]
@@ -651,6 +664,28 @@ class TestDeterminismAndSerialization:
         again = tmp_path / "again.json"
         save_model(loaded, again)
         assert path.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["icon2015", "oasc2017"])
+    @pytest.mark.parametrize("kind", SELECTOR_KINDS)
+    def test_blinding_the_test_rows_changes_no_byte(self, tmp_path, kind, mode):
+        """No selector reads a test row's runs: with the test rows set to
+        value 0 and status ok, as a withheld test set is, the model and the
+        prediction file keep every byte."""
+        scen = learnable_scenario(n_train=120, n_test=60, seed=5)
+        split = scen.splits[0]
+        value, status = scen.runs.value.copy(), scen.runs.status.copy()
+        rows = [scen.row[i] for i in split.test]
+        value[rows], status[rows] = 0.0, STATUS_CODE["ok"]
+        blind = replace(scen, runs=Runs(value, status))
+        assert (blind.cost[rows] != scen.cost[rows]).any()
+        hp = Hyperparameters(n_trees=5, seed=1, presolve_budget_fraction=0.1)
+        blobs = []
+        for tag, s in (("plain", scen), ("blind", blind)):
+            model = fit_system(s, split.train, kind, hp, mode=mode)
+            save_model(model, tmp_path / f"{tag}.json")
+            write_predictions(predict_batch(model, s, split.test), s, tmp_path / f"{tag}.csv")
+            blobs.append(((tmp_path / f"{tag}.json").read_bytes(), (tmp_path / f"{tag}.csv").read_bytes()))
+        assert blobs[0] == blobs[1]
 
     def test_load_rejects_other_files(self, tmp_path):
         bad = tmp_path / "not_a_model.json"
