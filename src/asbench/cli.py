@@ -165,7 +165,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     schedules = predict_batch(model, scen, split.test)
     _atomic_write(Path(args.out), lambda tmp: scenario_io.write_predictions(schedules, scen, tmp))
-    print(f"wrote schedules for {len(schedules)} test instances -> {args.out}")
+    print(f"wrote schedules for {len(schedules.instances)} test instances -> {args.out}")
     return EXIT_OK
 
 

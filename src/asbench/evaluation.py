@@ -4,8 +4,8 @@ Nothing here runs a real solver. A schedule is replayed against the recorded
 data of a scenario: feature steps consume the recorded feature-computation
 cost, solver steps consume recorded runtimes, and an instance counts as
 solved once a scheduled algorithm's successful run fits inside its time
-slice. Schedules are kept as step arrays (:class:`Schedules`), and one
-batch replay walks the schedules of every instance at once. On top of the
+slice. Schedules are kept as a batch of step arrays read by position
+(:class:`Schedules`), and one replay walks a batch at once. On top of the
 per-instance outcomes sit PAR10, the misclassification penalty, the solved
 fraction, and the normalized gap between the single best solver (gap 1) and
 the virtual best solver (gap 0).
@@ -14,7 +14,6 @@ the virtual best solver (gap 0).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,40 +56,37 @@ SCHEDULE_FAULTS = {
 }
 
 
-class Schedules(Mapping):
-    """Per-instance schedules as flat step arrays, read as a mapping from
-    instance to a tuple of :class:`FeatureStep`/:class:`SolverStep`.
+class Schedules:
+    """A batch of schedules as flat step arrays, read by position.
 
-    The steps of every schedule lie in ``row`` (the instance's row in the
-    scenario's run table), ``kind`` (a code of ``STEP_KIND``), ``index``
-    (algorithm column or feature-group index) and ``budget``; schedule
-    ``p``, of ``instances[p]``, is the slice ``starts[p]:starts[p + 1]``, in
-    step order. Step objects are built only when a schedule is looked up.
+    Schedule ``p``, of ``instances[p]`` (run-table row ``row[p]``), is the
+    slice ``starts[p]:starts[p + 1]`` of the step arrays ``kind`` (a code of
+    ``STEP_KIND``), ``index`` (algorithm column or feature-group index) and
+    ``budget``. A batch may hold several schedules of one instance.
     ``predict_batch`` builds one in the order its instances are given, the
-    prediction parser in scenario row order, and :meth:`from_mapping` in the
-    mapping's order (both refusing it when :meth:`faults` marks a schedule).
+    prediction parser in scenario row order, and :meth:`from_steps` in the
+    order of its pairs (both refusing it when :meth:`faults` marks a schedule).
     """
 
-    __slots__ = ("instances", "starts", "row", "kind", "index", "budget", "_names", "_pos")
+    __slots__ = ("instances", "starts", "row", "kind", "index", "budget", "_names")
 
     def __init__(self, scenario: Scenario, rows, lengths, kind, index, budget):
-        rows = np.asarray(rows, dtype=np.intp)
-        self.instances = tuple(map(scenario.instances.__getitem__, rows.tolist()))
+        self.row = np.asarray(rows, dtype=np.intp)
+        self.instances = tuple(scenario.instances[r] for r in self.row.tolist())
         self.starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
-        self.row = np.repeat(rows, lengths)
         self.kind = np.asarray(kind, dtype=np.int8)
         self.index = np.asarray(index, dtype=np.intp)
         self.budget = np.asarray(budget, dtype=np.float64)
         self._names = (scenario.algorithms, tuple(g.name for g in scenario.feature_groups))
-        self._pos = {inst: p for p, inst in enumerate(self.instances)}
 
     @classmethod
-    def from_mapping(cls, scenario: Scenario, schedules: Mapping) -> Schedules:
-        """Store a mapping of instance to a sequence of steps, in the
-        mapping's order, coding a non-step as kind -1 and an unknown name as
-        index -1. The first schedule in that order whose instance is unknown
-        or which :meth:`faults` marks raises ValueError."""
-        steps = [step for schedule in schedules.values() for step in schedule]
+    def from_steps(cls, scenario: Scenario, pairs) -> Schedules:
+        """Store (instance, sequence of steps) pairs, in their order, coding a
+        non-step as kind -1 and an unknown name as index -1. The first
+        schedule in that order whose instance is unknown or which
+        :meth:`faults` marks raises ValueError."""
+        instances, schedules = zip(*pairs) if (pairs := list(pairs)) else ((), ())
+        steps = [step for schedule in schedules for step in schedule]
         kind = [_FEATURE if isinstance(s, FeatureStep) else _SOLVER if isinstance(s, SolverStep) else -1 for s in steps]
         groups, cols = {g.name: j for j, g in enumerate(scenario.feature_groups)}, scenario.col
         index = [
@@ -98,8 +94,8 @@ class Schedules(Mapping):
             for s, k in zip(steps, kind)
         ]
         budget = [s.budget if k == _SOLVER else 0.0 for s, k in zip(steps, kind)]
-        lengths = [len(schedule) for schedule in schedules.values()]
-        rows = [scenario.row.get(inst) for inst in schedules]
+        lengths = list(map(len, schedules))
+        rows = [scenario.row.get(inst) for inst in instances]
         known = rows.index(None) if None in rows else len(rows)  # the schedules before an unknown instance
         n = sum(lengths[:known])
         out = cls(scenario, rows[:known], lengths[:known], kind[:n], index[:n], budget[:n])
@@ -108,7 +104,7 @@ class Schedules(Mapping):
             p = int(np.flatnonzero(fault)[0])
             raise ValueError(SCHEDULE_FAULTS[fault[p]](steps[at[p]] if at[p] >= 0 else None))
         if known < len(rows):
-            raise ValueError(f"unknown instance {list(schedules)[known]!r}")
+            raise ValueError(f"unknown instance {instances[known]!r}")
         return out
 
     def faults(self, objective: str) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +113,7 @@ class Schedules(Mapping):
         at fault (-1 if none). The steps are checked as one batch, each
         schedule's in step order; then a quality schedule must be one solver
         step. The budget rule holds on runtime scenarios only."""
-        n, lengths = len(self.instances), self.starts[1:] - self.starts[:-1]
+        n, lengths = self.row.size, np.diff(self.starts)
         owner = np.arange(n).repeat(lengths)
         solver, feature, known = self.kind == _SOLVER, self.kind == _FEATURE, self.index >= 0
         groups = np.flatnonzero(feature & known)
@@ -140,29 +136,29 @@ class Schedules(Mapping):
             fault[shapeless & (fault == 0)] = max(SCHEDULE_FAULTS)
         return fault, at
 
-    def __getitem__(self, instance) -> tuple:
-        p = self._pos[instance]
+    def positions(self, scenario: Scenario) -> np.ndarray:
+        """Each scenario row's schedule position in the batch, -1 where it has
+        none; ValueError names the first instance the batch schedules twice."""
+        twice = np.flatnonzero(np.bincount(self.row)[self.row] > 1)
+        if twice.size:
+            raise ValueError(f"more than one schedule for instance {self.instances[twice[0]]!r}")
+        pos = np.full(len(scenario.instances), -1, dtype=np.intp)
+        pos[self.row] = np.arange(self.row.size)
+        return pos
+
+    def values(self) -> list[tuple]:
+        """Each schedule's steps as a tuple of :class:`FeatureStep` and
+        :class:`SolverStep`, in batch order; the one place step objects are built."""
         algorithms, groups = self._names
-        span = slice(self.starts[p], self.starts[p + 1])
-        steps = zip(self.kind[span].tolist(), self.index[span].tolist(), self.budget[span].tolist())
-        return tuple(
-            FeatureStep(group=groups[i]) if k else SolverStep(algorithm=algorithms[i], budget=b)
-            for k, i, b in steps
-        )
-
-    def __contains__(self, instance) -> bool:
-        return instance in self._pos
-
-    def __iter__(self):
-        return iter(self.instances)
-
-    def __len__(self) -> int:
-        return len(self.instances)
+        cells = zip(self.kind.tolist(), self.index.tolist(), self.budget.tolist())
+        steps = [FeatureStep(groups[i]) if k else SolverStep(algorithms[i], b) for k, i, b in cells]
+        starts = self.starts.tolist()
+        return [tuple(steps[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """Outcomes of a batch replay, one entry per instance.
+    """Outcomes of a batch replay, one entry per replayed schedule.
 
     ``par10`` is the time used if solved, else ten times the cutoff; ``mcp``
     (the misclassification penalty) is the time used, capped at the cutoff
@@ -179,16 +175,17 @@ class BatchOutcome:
     mcp: np.ndarray
 
 
-def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> BatchOutcome:
-    """Replay the schedules of ``instances`` against their recorded runs.
+def simulate_batch(scenario: Scenario, schedules: Schedules, at) -> BatchOutcome:
+    """Replay the schedules at positions ``at`` of the batch against their
+    instances' recorded runs; row ``k`` of the outcome is schedule ``at[k]``.
 
-    Runtime scenarios walk the steps with a running clock, all instances at
+    Runtime scenarios walk the steps with a running clock, all schedules at
     once. A solver step gets a slice of min(budget, time left before the
     cutoff); it solves the instance if its recorded run was ok and fits in
     the slice. Runs that died early (memout/crash/other, faster than the
     slice) give their time back; everything else eats the whole slice.
     Reaching the cutoff means unsolved with time_used pinned at the cutoff.
-    Each instance gets the float operations of a walk of its own, in the
+    Each schedule gets the float operations of a walk of its own, in the
     same order, so its outcome does not depend on the batch.
 
     Quality scenarios return the recorded value of the single scheduled
@@ -196,14 +193,14 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
     whose run was never recorded raises KeyError.
     """
     runs = scenario.runs
-    n = len(instances)
-    rows = np.array([scenario.row[i] for i in instances], dtype=np.intp)[:, None]
-    pos = np.array([schedules._pos[i] for i in instances], dtype=np.intp)
+    pos = np.asarray(at, dtype=np.intp)
+    n = pos.size
+    rows = schedules.row[pos][:, None]
     first = schedules.starts[pos]
     if scenario.objective == "quality":  # one solver step each
         col = schedules.index[first][:, None]
         status = runs.status[rows, col]
-        _raise_missing(scenario, instances, status < 0, col)
+        _raise_missing(scenario, schedules, pos, status < 0, col)
         value = runs.value[rows, col][:, 0]
         time_used, par10, mcp = np.full((3, n), np.nan)
         return BatchOutcome(status[:, 0] == _OK, time_used, value, np.ones(n, dtype=np.intp), par10, mcp)
@@ -212,13 +209,13 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
     length = schedules.starts[pos + 1] - first
     m = int(length.max(initial=0))
     has = np.arange(m) < length[:, None]
-    at = np.where(has, first[:, None] + np.arange(m), 0)
-    solver = has & (schedules.kind[at] == _SOLVER)
-    index = schedules.index[at]
+    slot = np.where(has, first[:, None] + np.arange(m), 0)
+    solver = has & (schedules.kind[slot] == _SOLVER)
+    index = schedules.index[slot]
     col = np.where(solver, index, 0)
     value = runs.value[rows, col]
     status = np.where(solver, runs.status[rows, col], _OK)
-    budget = schedules.budget[at]
+    budget = schedules.budget[slot]
     cost = np.zeros((n, m))
     feature = has & ~solver
     if feature.any():
@@ -246,7 +243,7 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
         spent = np.where(solver[:, j], np.where(dies[:, j] & (v < slice_), v, slice_), cost[:, j])
         t = np.where(on & ~hit, t + spent, t)
         walking &= ~hit & ~(on & (t >= cutoff))
-    _raise_missing(scenario, instances, (status < 0) & (np.arange(m) < walked[:, None]), col)
+    _raise_missing(scenario, schedules, pos, (status < 0) & (np.arange(m) < walked[:, None]), col)
     solved = step > 0
     par10 = np.where(solved, time_used, PAR10_FACTOR * cutoff)
     best = scenario.capped[rows[:, 0]].min(axis=1)  # the cutoff if nothing solves
@@ -254,17 +251,17 @@ def simulate_batch(scenario: Scenario, schedules: Schedules, instances) -> Batch
     return BatchOutcome(solved, time_used, np.full(n, np.nan), step, par10, mcp)
 
 
-def _raise_missing(scenario: Scenario, instances, lost: np.ndarray, col: np.ndarray) -> None:
-    """KeyError for the first instance whose walk reached a step with no
-    recorded run (``lost``, aligned with the algorithm columns ``col``)."""
+def _raise_missing(scenario: Scenario, schedules: Schedules, pos, lost: np.ndarray, col: np.ndarray) -> None:
+    """KeyError for the first schedule (of batch positions ``pos``) whose walk
+    reached a step with no recorded run (``lost``, aligned with ``col``)."""
     if lost.any():
         i = int(np.flatnonzero(lost.any(axis=1))[0])
-        raise KeyError((instances[i], scenario.algorithms[col[i, lost[i].argmax()]]))
+        raise KeyError((schedules.instances[pos[i]], scenario.algorithms[col[i, lost[i].argmax()]]))
 
 
 def simulate(scenario: Scenario, instance: str, schedule) -> BatchOutcome:
     """Replay one schedule on one instance: the one-row :func:`simulate_batch`."""
-    return simulate_batch(scenario, Schedules.from_mapping(scenario, {instance: schedule}), [instance])
+    return simulate_batch(scenario, Schedules.from_steps(scenario, [(instance, schedule)]), [0])
 
 
 @dataclass(frozen=True)
@@ -308,29 +305,27 @@ def _mean(values) -> float:
     return math.fsum(values) / len(values)
 
 
-def score_system(scenario: Scenario, split: Split, schedules, system: str = "system") -> ScoreReport:
+def score_system(scenario: Scenario, split: Split, schedules: Schedules, system: str = "system") -> ScoreReport:
     """Score one system's schedules on a split's test instances.
 
-    ``schedules`` is a :class:`Schedules` (as ``predict_batch`` returns it)
-    or a mapping of instance to steps, whose test schedules
-    :meth:`Schedules.from_mapping` converts first; the test schedules are
-    replayed in one :func:`simulate_batch`. The single best solver is picked
-    on the split's training instances and replayed as a bare full-cutoff
-    run; the virtual best solver references come straight from the recorded
-    data. The solved metric enters its gap as an unsolved fraction and
-    maximize-direction quality values as negated costs, so every gap is a
-    ratio of minimized quantities.
+    ``schedules`` (as ``predict_batch`` or the prediction parser returns
+    it) holds one schedule of each test instance, found by its row, and
+    those are replayed in one :func:`simulate_batch`; a missing test
+    instance or a second schedule of an instance raises ValueError. The
+    single best solver is picked on the split's training instances and
+    replayed as a bare full-cutoff run; the virtual best solver references
+    come straight from the recorded data. The solved metric enters its gap
+    as an unsolved fraction and maximize-direction quality values as negated
+    costs, so every gap is a ratio of minimized quantities.
     """
     test = list(split.test)
-    missing = [i for i in test if i not in schedules]
-    if missing:
+    rows = [scenario.row[i] for i in test]
+    at = schedules.positions(scenario)[rows]
+    if missing := [i for i, p in zip(test, at.tolist()) if p < 0]:
         raise ValueError(f"missing predictions for test instances {missing[:5]!r}")
     sbs_col = scenario.algorithms.index(sbs(scenario, split.train))
-    rows = [scenario.row[i] for i in test]
     vbs = scenario.cost[rows].min(axis=1).tolist()
-    if not isinstance(schedules, Schedules):
-        schedules = Schedules.from_mapping(scenario, {i: schedules[i] for i in test})
-    out = simulate_batch(scenario, schedules, test)
+    out = simulate_batch(scenario, schedules, at)
 
     if scenario.objective == "runtime":
         # a bare full-cutoff run of the single best solver replays as the

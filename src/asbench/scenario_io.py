@@ -632,7 +632,7 @@ PREDICTIONS_HEADER = ["instance_id", "step", "kind", "name", "budget"]
 
 
 def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules:
-    """Read a prediction file into per-instance schedules.
+    """Read a prediction file into a batch of schedules, one per instance.
 
     ``require_cover`` is an optional iterable of instance ids (typically a
     split's test set) that must all receive a schedule. The file is read
@@ -680,7 +680,7 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
 
         def invalid(q):
             p = by_file[q]
-            step = schedules[insts[q]][at[p] - starts[p]] if at[p] >= 0 else None
+            step = schedules.values()[p][at[p] - starts[p]] if at[p] >= 0 else None
             return f"invalid schedule for {insts[q]!r}: {SCHEDULE_FAULTS[fault[p]](step)}"
 
         _raise_first(path.name, [lines[j] for j in np.maximum.reduceat(order, starts)[by_file]], [
@@ -689,23 +689,25 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
             (fault[by_file] > 0, invalid),
         ])
     if require_cover is not None:
-        missing = [i for i in require_cover if i not in schedules]
+        parsed = set(schedules.instances)
+        missing = [i for i in require_cover if i not in parsed]
         if missing:
             raise ParseError(path.name, 0, f"no schedule for test instances {missing[:5]!r}")
     return schedules
 
 
-def write_predictions(schedules, scenario: Scenario, path) -> None:
-    """Write per-instance schedules (a :class:`Schedules`, or a mapping that
-    :meth:`Schedules.from_mapping` converts) as a prediction file in scenario
-    row order; a feature step's budget is written as 0.0."""
-    if not isinstance(schedules, Schedules):
-        schedules = Schedules.from_mapping(scenario, schedules)
-    ordinal = np.arange(schedules.kind.size) - np.repeat(schedules.starts[:-1], np.diff(schedules.starts)) + 1
+def write_predictions(schedules: Schedules, scenario: Scenario, path) -> None:
+    """Write a batch of schedules as a prediction file in scenario row order;
+    a feature step's budget is written as 0.0. A batch holding two schedules
+    of one instance raises ValueError, since the file could not tell them apart."""
+    schedules.positions(scenario)  # refuses two schedules of one instance
+    lengths = np.diff(schedules.starts)
+    ordinal = np.arange(schedules.kind.size) - np.repeat(schedules.starts[:-1], lengths) + 1
     budget = np.where(schedules.kind == STEP_KIND["solver"], schedules.budget, 0.0)
-    order = np.argsort(schedules.row, kind="stable")
+    row = np.repeat(schedules.row, lengths)
+    order = np.argsort(row, kind="stable")
     kinds, names = tuple(STEP_KIND), (scenario.algorithms, [g.name for g in scenario.feature_groups])
-    columns = (a[order].tolist() for a in (schedules.row, ordinal, schedules.kind, schedules.index, budget))
+    columns = (a[order].tolist() for a in (row, ordinal, schedules.kind, schedules.index, budget))
     rows = ([scenario.instances[r], o, kinds[k], names[k][i], repr(b)] for r, o, k, i, b in zip(*columns))
     write_csv(path, PREDICTIONS_HEADER, rows)
 

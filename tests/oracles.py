@@ -75,6 +75,15 @@ def feature_vectors(scenario) -> dict:
     return {inst: feature_vector(scenario, inst) for inst in scenario.instances}
 
 
+def schedule_map(schedules) -> dict:
+    """A batch's schedules keyed by instance, in batch order, each a tuple of
+    ``FeatureStep``/``SolverStep``, for tests that compare schedules by
+    instance. A batch holding two schedules of one instance raises ValueError."""
+    if len(set(schedules.instances)) < len(schedules.instances):
+        raise ValueError("the batch holds more than one schedule of an instance")
+    return dict(zip(schedules.instances, schedules.values()))
+
+
 def oracle_simulate(scenario, instance, schedule):
     """Exact step walk. Returns (solved, time_used) for runtime scenarios."""
     cutoff = Fraction(scenario.cutoff)

@@ -36,7 +36,7 @@ from asbench import (
     write_scenario,
 )
 from asbench.cli import build_comparison, main as cli_main
-from asbench.evaluation import FeatureStep, MetricScore, ScoreReport, SolverStep
+from asbench.evaluation import FeatureStep, MetricScore, Schedules, ScoreReport, SolverStep, simulate_batch
 from asbench.stats import ecdf, friedman_test, nemenyi_cd, rank_table, virtual_best_selector
 
 from fixtures.competition_results import (
@@ -57,6 +57,7 @@ from oracles import (
     oracle_friedman_statistic,
     oracle_simulate,
     run_record,
+    schedule_map,
 )
 
 QUALITY_SCENARIOS_2017 = {"Camilla", "Oberon", "Titus"}
@@ -260,14 +261,19 @@ def enumerate_micro_cases():
 class TestCriterion5Properties:
     def test_simulator_matches_bruteforce_oracle_exhaustively(self):
         with criterion("criterion 5 (simulator-oracle equivalence, >= 10^4 cases)"):
+            batches = {}  # each scenario's schedules, replayed as one batch
+            for scen, schedule in enumerate_micro_cases():
+                batches.setdefault(id(scen), (scen, []))[1].append(schedule)
             cases = 0
             mismatches = []
-            for scen, schedule in enumerate_micro_cases():
-                got = simulate(scen, "i0", schedule)
-                solved, time_used = oracle_simulate(scen, "i0", schedule)
-                cases += 1
-                if got.solved[0] != solved or abs(got.time_used[0] - time_used) > 1e-12:
-                    mismatches.append((scen.runs, schedule, got, (solved, time_used)))
+            for scen, schedules in batches.values():
+                stored = Schedules.from_steps(scen, [("i0", schedule) for schedule in schedules])
+                got = simulate_batch(scen, stored, range(len(schedules)))
+                for k, schedule in enumerate(schedules):
+                    solved, time_used = oracle_simulate(scen, "i0", schedule)
+                    cases += 1
+                    if got.solved[k] != solved or abs(got.time_used[k] - time_used) > 1e-12:
+                        mismatches.append((scen.runs, schedule, (got.solved[k], got.time_used[k]), (solved, time_used)))
             assert cases >= 10_000, cases
             assert not mismatches, mismatches[:3]
 
@@ -290,7 +296,7 @@ class TestCriterion5Properties:
                 sbs_schedules = {
                     i: (SolverStep(algorithm=best, budget=scen.cutoff),) for i in split.test
                 }
-                report = score_system(scen, split, sbs_schedules)
+                report = score_system(scen, split, Schedules.from_steps(scen, sbs_schedules.items()))
                 oracle_schedules = {}
                 for i in split.test:
                     champion = min(
@@ -301,7 +307,7 @@ class TestCriterion5Properties:
                         else 10 * scen.cutoff,
                     )
                     oracle_schedules[i] = (SolverStep(algorithm=champion, budget=scen.cutoff),)
-                oracle_report = score_system(scen, split, oracle_schedules)
+                oracle_report = score_system(scen, split, Schedules.from_steps(scen, oracle_schedules.items()))
                 for name, metric in report.metrics.items():
                     if metric.gap is not None:
                         assert metric.gap == 1.0, name
@@ -322,7 +328,7 @@ class TestCriterion5Properties:
                 schedules = {
                     i: (SolverStep(algorithm=best, budget=budget),) for i in split.test
                 }
-                before = score_system(scen, split, schedules)
+                before = score_system(scen, split, Schedules.from_steps(scen, schedules.items()))
                 hidden, name_map = obfuscate(scen, seed=seed)
                 algo_fwd = {old: new for new, old in name_map["algorithms"].items()}
                 inst_fwd = {old: new for new, old in name_map["instances"].items()}
@@ -330,7 +336,7 @@ class TestCriterion5Properties:
                     inst_fwd[i]: (SolverStep(algorithm=algo_fwd[best], budget=budget),)
                     for i in split.test
                 }
-                after = score_system(hidden, hidden.splits[0], hidden_schedules)
+                after = score_system(hidden, hidden.splits[0], Schedules.from_steps(hidden, hidden_schedules.items()))
                 assert before.metrics == after.metrics, seed
                 count += 1
             assert count == 100
@@ -368,8 +374,8 @@ class TestCriterion5Properties:
             split = scen.splits[0]
             started = time.perf_counter()
             model = fit_system(scen, split.train, kind, Hyperparameters(seed=1))
-            schedules = {i: predict_batch(model, scen, [i])[i] for i in split.test}
-            report = score_system(scen, split, schedules, system=kind)
+            schedules = [(i, schedule_map(predict_batch(model, scen, [i]))[i]) for i in split.test]
+            report = score_system(scen, split, Schedules.from_steps(scen, schedules), system=kind)
             elapsed = time.perf_counter() - started
             assert report.metrics["par10"].gap <= 0.2
             assert elapsed < 60.0

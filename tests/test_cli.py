@@ -416,7 +416,7 @@ class TestTrainPredictEvaluate:
             )
         assert outputs["one"] == outputs["two"]
         schedules = parse_predictions(tmp_path / "preds_one.csv", scen)
-        assert set(schedules) == set(scen.splits[0].test)
+        assert set(schedules.instances) == set(scen.splits[0].test)
         summary = json.loads((tmp_path / "report_one.json").read_text())
         assert summary["aggregate_gap"] <= 0.5
 

@@ -104,7 +104,7 @@ class TestSimulate:
                 (FeatureStep(group="base"), FeatureStep(group="base"), SolverStep("A1", 10.0)),
             )
         with pytest.raises(ValueError, match="positive"):
-            Schedules.from_mapping(tutorial, {"i1": (SolverStep(algorithm="A1", budget=0.0),)})
+            Schedules.from_steps(tutorial, [("i1", (SolverStep(algorithm="A1", budget=0.0),))])
 
     def test_matches_exact_oracle_on_random_draws(self):
         rng = np.random.default_rng(42)
@@ -232,7 +232,7 @@ class TestScoreSystem:
             i: (FeatureStep(group="all"), SolverStep(algorithm="B", budget=100.0))
             for i in split.test
         }
-        report = score_system(scen, split, schedules, system="always-B")
+        report = score_system(scen, split, Schedules.from_steps(scen, schedules.items()), system="always-B")
         par = report.metrics["par10"]
         assert par.value == pytest.approx((42 + 22 + 1000 + 1000) / 4)
         assert par.sbs == pytest.approx((10 + 1000 + 30 + 1000) / 4)
@@ -257,7 +257,7 @@ class TestScoreSystem:
 
             best = sbs(scen, split.train)
             schedules = {i: (SolverStep(algorithm=best, budget=scen.cutoff),) for i in split.test}
-            report = score_system(scen, split, schedules)
+            report = score_system(scen, split, Schedules.from_steps(scen, schedules.items()))
             for name, metric in report.metrics.items():
                 if metric.gap is not None:
                     assert metric.gap == 1.0, name
@@ -278,7 +278,7 @@ class TestScoreSystem:
                     ),
                 )
                 schedules[i] = (SolverStep(algorithm=best, budget=scen.cutoff),)
-            report = score_system(scen, split, schedules)
+            report = score_system(scen, split, Schedules.from_steps(scen, schedules.items()))
             gap = report.metrics["par10"].gap
             if gap is not None:  # None means SBS == VBS on this draw
                 assert gap == 0.0
@@ -288,7 +288,7 @@ class TestScoreSystem:
     def test_missing_prediction_is_an_error(self, tutorial):
         split = tutorial.splits[0]
         with pytest.raises(ValueError, match="missing predictions"):
-            score_system(tutorial, split, {})
+            score_system(tutorial, split, Schedules.from_steps(tutorial, []))
 
     def test_degenerate_gap_is_undefined_not_poisoned(self):
         runs = {("i0", "A"): 10.0, ("i1", "A"): 20.0}
@@ -300,7 +300,7 @@ class TestScoreSystem:
             splits=(Split(split_id=0, train=("i0",), test=("i1",)),),
         )
         schedules = {"i1": (SolverStep(algorithm="A", budget=100.0),)}
-        report = score_system(scen, scen.splits[0], schedules)
+        report = score_system(scen, scen.splits[0], Schedules.from_steps(scen, schedules.items()))
         assert report.metrics["par10"].gap is None
         assert "par10" in report.undefined_gaps
 
@@ -324,7 +324,7 @@ class TestScoreSystem:
             "i0": (SolverStep(algorithm="A", budget=0.0),),
             "i1": (SolverStep(algorithm="A", budget=0.0),),
         }
-        report = score_system(scen, scen.splits[0], schedules)
+        report = score_system(scen, scen.splits[0], Schedules.from_steps(scen, schedules.items()))
         q = report.metrics["quality"]
         assert q.value == pytest.approx(0.55)
         assert q.sbs == pytest.approx(0.65)
@@ -354,8 +354,8 @@ class TestScoreSystem:
             i: (FeatureStep(group="all"), SolverStep(algorithm="B", budget=100.0 * factor))
             for i in scen.splits[0].test
         }
-        a = score_system(scen, scen.splits[0], schedules)
-        b = score_system(scaled, scaled.splits[0], scaled_schedules)
+        a = score_system(scen, scen.splits[0], Schedules.from_steps(scen, schedules.items()))
+        b = score_system(scaled, scaled.splits[0], Schedules.from_steps(scaled, scaled_schedules.items()))
         for name in a.metrics:
             assert a.metrics[name].gap == pytest.approx(b.metrics[name].gap)
 
@@ -387,7 +387,7 @@ class TestScoreSystem:
                 algo = scen.algorithms[int(rng.integers(0, len(scen.algorithms)))]
                 budget = scen.cutoff if objective == "runtime" else 0.0
                 schedules = {i: (SolverStep(algorithm=algo, budget=budget),) for i in split.test}
-                report = score_system(scen, split, schedules)
+                report = score_system(scen, split, Schedules.from_steps(scen, schedules.items()))
                 sign = -1.0 if scen.direction == "maximize" else 1.0
                 for name, m in report.metrics.items():
                     if m.gap is None:
@@ -409,7 +409,7 @@ class TestScoreSystem:
             reports = []
             for algo in scen.algorithms:
                 schedules = {i: (SolverStep(algorithm=algo, budget=scen.cutoff),) for i in split.test}
-                reports.append(score_system(scen, split, schedules, system=algo))
+                reports.append(score_system(scen, split, Schedules.from_steps(scen, schedules.items()), system=algo))
             for name in ("par10", "mcp"):
                 pairs = [
                     (r.metrics[name].value, r.metrics[name].gap)
@@ -505,7 +505,7 @@ class TestReportCsv:
         scen = scoring_fixture()
         split = scen.splits[0]
         schedules = {i: (SolverStep(algorithm="A", budget=100.0),) for i in split.test}
-        report = score_system(scen, split, schedules, system="always-A")
+        report = score_system(scen, split, Schedules.from_steps(scen, schedules.items()), system="always-A")
         path = tmp_path / "report.csv"
         write_report_csv([report], path)
         rows = read_report_csv(path)

@@ -13,7 +13,7 @@ from asbench import Hyperparameters, fit_system, predict_batch, save_model
 from asbench.learners import fit_forest
 
 from gen import learnable_scenario, random_scenario
-from oracles import feature_vectors, oracle_predict
+from oracles import feature_vectors, oracle_predict, schedule_map
 
 KINDS = ("regression", "pairwise", "cluster", "stacking", "sunny")
 
@@ -76,7 +76,7 @@ def test_batch_matches_the_per_row_reference(name, kind, n_trees):
     test = scen.instances if name in ("runtime-random", "runtime-ties") else split.test
     got, got_warnings = recorded(lambda: predict_batch(model, scen, test))
     want, want_warnings = recorded(lambda: {i: oracle_predict(model, scen, i) for i in test})
-    assert list(got.items()) == list(want.items())
+    assert list(schedule_map(got).items()) == list(want.items())
     assert got_warnings == want_warnings
     assert len(got_warnings) == 1 and "falling back" in got_warnings[0]
 
@@ -99,18 +99,18 @@ def test_schedules_do_not_depend_on_the_batch(kind):
     scen = learnable_scenario(n_train=60, n_test=30, seed=17, flip=0.2)
     split = scen.splits[0]
     model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=12, seed=8))
-    whole = predict_batch(model, scen, split.test)
+    whole = schedule_map(predict_batch(model, scen, split.test))
     assert list(whole) == list(split.test)
-    assert {i: predict_batch(model, scen, [i])[i] for i in split.test} == whole
-    backwards = predict_batch(model, scen, split.test[::-1])
+    assert {i: schedule_map(predict_batch(model, scen, [i]))[i] for i in split.test} == whole
+    backwards = schedule_map(predict_batch(model, scen, split.test[::-1]))
     assert list(backwards) == list(split.test[::-1])
     assert backwards == whole
     # a repeated instance keeps one schedule, where it is first named; no instances, no schedules
     three = split.test[2::-1]
     for batch, first_seen in ((three * 2 + split.test[1:2], three), ((), ())):
         got = predict_batch(model, scen, batch)
-        assert list(got) == list(first_seen) and len(got) == len(first_seen)
-        assert got == {i: whole[i] for i in first_seen}
+        assert got.instances == tuple(first_seen)
+        assert schedule_map(got) == {i: whole[i] for i in first_seen}
         assert got.kind.size == sum(len(whole[i]) for i in first_seen)
 
 
@@ -133,4 +133,4 @@ def test_nan_and_none_are_the_same_missing_value(tmp_path):
         save_model(a, tmp_path / "none.json")
         save_model(b, tmp_path / "nan.json")
         assert (tmp_path / "none.json").read_bytes() == (tmp_path / "nan.json").read_bytes()
-        assert predict_batch(a, with_nan, split.test) == predict_batch(a, with_none, split.test)
+        assert schedule_map(predict_batch(a, with_nan, split.test)) == schedule_map(predict_batch(a, with_none, split.test))

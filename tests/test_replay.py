@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asbench import FeatureGroup, ParseError, RunRecord, parse_predictions, simulate, write_predictions
+from asbench import FeatureGroup, ParseError, RunRecord, parse_predictions, score_system, simulate, write_predictions
 from asbench.evaluation import FeatureStep, Schedules, SolverStep, simulate_batch
 from asbench.scenario import RUN_STATUSES
 
 from gen import build_scenario, random_scenario, random_schedule, tutorial_scenario
-from oracles import _oracle_check_schedule, oracle_parse_predictions, oracle_replay, run_record
+from oracles import _oracle_check_schedule, oracle_parse_predictions, oracle_replay, run_record, schedule_map
 
 
 # half the runs are ok, the rest spread over every status
@@ -35,7 +35,8 @@ def _best_time(scen, inst) -> float:
 
 @st.composite
 def replay_cases(draw):
-    """A scenario, schedules for some of its instances and a replay order.
+    """A scenario, (instance, schedule) pairs for some of its instances, one
+    of them sometimes scheduled twice, and a replay order of pair positions.
 
     Run values cluster on the cutoff, on halves and thirds of it and on the
     budgets, so slices end exactly on a run as often as not; some pairs have
@@ -63,38 +64,41 @@ def replay_cases(draw):
         runs, algorithms, instances, cutoff=cutoff, objective=objective, groups=tuple(groups)
     )
     budgets = st.floats(1e-3, 2 * ref) | st.sampled_from([ref, ref / 2, ref / 3, math.inf])
-    schedules = {}
-    for inst in draw(st.lists(st.sampled_from(instances), unique=True, min_size=1)):
+    drawn = draw(st.lists(st.sampled_from(instances), unique=True, min_size=1))
+    if draw(st.integers(0, 3)) == 0:  # one instance scheduled a second time
+        drawn.insert(draw(st.integers(0, len(drawn))), draw(st.sampled_from(drawn)))
+    pairs = []
+    for inst in drawn:
         if objective == "quality":
-            schedules[inst] = (SolverStep(draw(st.sampled_from(algorithms)), 0.0),)
+            pairs.append((inst, (SolverStep(draw(st.sampled_from(algorithms)), 0.0),)))
             continue
         steps = [FeatureStep(g.name) for g in groups if draw(st.booleans())]
         steps += [SolverStep(draw(st.sampled_from(algorithms)), draw(budgets)) for _ in range(draw(st.integers(0, 5)))]
-        schedules[inst] = tuple(draw(st.permutations(steps)))
-    order = draw(st.permutations(list(schedules)))
-    return scen, schedules, order
+        pairs.append((inst, tuple(draw(st.permutations(steps)))))
+    order = draw(st.permutations(range(len(pairs))))
+    return scen, pairs, order
 
 
 class TestSimulateBatch:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(replay_cases())
     def test_matches_the_one_instance_walk_bit_for_bit(self, case):
-        scen, schedules, order = case
-        stored = Schedules.from_mapping(scen, schedules)
-        assert dict(stored.items()) == schedules
+        scen, pairs, order = case
+        stored = Schedules.from_steps(scen, pairs)
+        assert list(zip(stored.instances, stored.values())) == pairs
         expected = {}
-        for inst in order:
+        for p in order:
             try:
-                expected[inst] = oracle_replay(scen, inst, schedules[inst])
+                expected[p] = oracle_replay(scen, *pairs[p])
             except KeyError as exc:  # the walk reached a pair with no run
-                expected[inst] = exc
-        lost = [inst for inst in order if isinstance(expected[inst], KeyError)]
+                expected[p] = exc
+        lost = [p for p in order if isinstance(expected[p], KeyError)]
         if lost:
             with pytest.raises(KeyError) as info:
                 simulate_batch(scen, stored, order)
             assert info.value.args == expected[lost[0]].args
-        replayed = [inst for inst in order if inst not in lost]
-        want = [expected[inst] for inst in replayed]
+        replayed = [p for p in order if p not in lost]
+        want = [expected[p] for p in replayed]
         got = simulate_batch(scen, stored, replayed)
         assert got.solved.tolist() == [o.solved for o in want]
         assert got.solving_step.tolist() == [o.solving_step or 0 for o in want]
@@ -102,14 +106,14 @@ class TestSimulateBatch:
             cutoff = scen.cutoff
             assert list(map(_bits, got.time_used.tolist())) == [_bits(o.time_used) for o in want]
             assert list(map(_bits, got.par10.tolist())) == [_bits(o.time_used if o.solved else 10 * cutoff) for o in want]
-            mcp = [min(o.time_used, cutoff) - _best_time(scen, inst) for o, inst in zip(want, replayed)]
+            mcp = [min(o.time_used, cutoff) - _best_time(scen, pairs[p][0]) for o, p in zip(want, replayed)]
             assert list(map(_bits, got.mcp.tolist())) == list(map(_bits, mcp))
             assert np.isnan(got.achieved_value).all()
         else:
             assert list(map(_bits, got.achieved_value.tolist())) == [_bits(o.achieved_value) for o in want]
             assert np.isnan(np.column_stack([got.time_used, got.par10, got.mcp])).all()
-        for k, inst in enumerate(replayed):  # the one-row replay is the batch's row
-            one = simulate(scen, inst, schedules[inst])
+        for k, p in enumerate(replayed):  # the one-row replay is the batch's row
+            one = simulate(scen, *pairs[p])
             for field in dataclasses.fields(got):
                 assert _bits(getattr(one, field.name)[0]) == _bits(getattr(got, field.name)[k])
 
@@ -122,31 +126,49 @@ class TestSimulateBatch:
             ({"i1": (SolverStep("A1", math.nan),)}, "must be positive, got nan"),
             ({"i1": ("A1",)}, "unknown step type str"),
             ({"i1": (), "zz": ()}, "unknown instance 'zz'"),
-            # the mapping's order picks the schedule whose error is raised
+            # the pairs' order picks the schedule whose error is raised
             ({"i4": (SolverStep("A1", -1.0),), "i1": (SolverStep("Z", 1.0),)}, "got -1.0"),
         ]
         for schedules, message in cases:
             with pytest.raises(ValueError, match=message):
-                Schedules.from_mapping(tutorial, schedules)
+                Schedules.from_steps(tutorial, schedules.items())
         quality = random_scenario(1, objective="quality")
         a0 = quality.algorithms[0]
         for schedule in ((), (SolverStep(a0, 0.0),) * 2):
             with pytest.raises(ValueError, match="exactly one solver step"):
-                Schedules.from_mapping(quality, {quality.instances[0]: schedule})
+                Schedules.from_steps(quality, [(quality.instances[0], schedule)])
 
     def test_a_group_without_a_cost_for_the_instance_costs_nothing(self):
         groups = (FeatureGroup("none", (0,), cost=None), FeatureGroup("part", (0,), cost={"i1": 2.0}))
         scen = build_scenario({("i0", "a"): 3.0, ("i1", "a"): 3.0}, ["a"], ["i0", "i1"], cutoff=10.0, groups=groups)
         steps = (FeatureStep("none"), FeatureStep("part"), SolverStep("a", 10.0))
-        got = simulate_batch(scen, Schedules.from_mapping(scen, {"i0": steps, "i1": steps}), ["i0", "i1"])
+        got = simulate_batch(scen, Schedules.from_steps(scen, [("i0", steps), ("i1", steps)]), [0, 1])
         assert got.time_used.tolist() == [3.0, 5.0]
 
     def test_an_empty_schedule_leaves_the_instance_unsolved(self, tutorial):
-        stored = Schedules.from_mapping(tutorial, {"i1": (), "i2": (SolverStep("A2", 5000.0),)})
-        got = simulate_batch(tutorial, stored, ["i1", "i2"])
+        stored = Schedules.from_steps(tutorial, [("i1", ()), ("i2", (SolverStep("A2", 5000.0),))])
+        got = simulate_batch(tutorial, stored, [0, 1])
         assert got.solved.tolist() == [False, True]
         assert got.time_used[0] == tutorial.cutoff
         assert got.solving_step.tolist() == [0, 1]
+
+
+class TestOneSchedulePerInstance:
+    """A batch may schedule an instance twice; a prediction file and a score may not."""
+
+    @staticmethod
+    def twice(tutorial):  # split 0 tests i4 and i5; i4 is scheduled twice
+        steps = [("i4", (SolverStep("A1", 5000.0),)), ("i5", (SolverStep("A3", 5000.0),)), ("i4", (SolverStep("A2", 5000.0),))]
+        return Schedules.from_steps(tutorial, steps)
+
+    def test_write_predictions_refuses_it(self, tmp_path, tutorial):
+        with pytest.raises(ValueError, match="more than one schedule for instance 'i4'"):
+            write_predictions(self.twice(tutorial), tutorial, tmp_path / "p.csv")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_score_system_refuses_it(self, tutorial):
+        with pytest.raises(ValueError, match="more than one schedule for instance 'i4'"):
+            score_system(tutorial, tutorial.splits[0], self.twice(tutorial))
 
 
 # Prediction files: written from random legal schedules, then corrupted.
@@ -240,6 +262,8 @@ def _parse(parse, path, scen, cover):
     scenarios), or the ParseError's location and reason."""
     try:
         schedules = parse(path, scen, require_cover=cover)
+        if not isinstance(schedules, dict):
+            schedules = schedule_map(schedules)
         return "ok", {inst: tuple(map(_step_bits, steps)) for inst, steps in schedules.items()}
     except ParseError as exc:
         return "error", exc.file, exc.line, exc.reason
@@ -264,14 +288,14 @@ class TestParsePredictions:
         rng = np.random.default_rng(5)
         for scen in SCENARIOS:
             schedules = {i: random_schedule(rng, scen) for i in scen.instances[::2]}
-            write_predictions(schedules, scen, tmp_path / "p.csv")
+            write_predictions(Schedules.from_steps(scen, schedules.items()), scen, tmp_path / "p.csv")
             got = parse_predictions(tmp_path / "p.csv", scen)
             assert isinstance(got, Schedules)
-            assert got == schedules
-            assert list(got) == [i for i in scen.instances if i in schedules]
+            assert schedule_map(got) == schedules
+            assert list(got.instances) == [i for i in scen.instances if i in schedules]
 
 
-# Schedules breaking the schedule rules: from_mapping and the prediction
+# Schedules breaking the schedule rules: from_steps and the prediction
 # parser must refuse them with the reference check's messages.
 @st.composite
 def faulty_mappings(draw):
@@ -326,7 +350,7 @@ class TestScheduleRules:
         scen, schedules = case
         inst, want = _reference_error(scen, schedules)
         try:
-            Schedules.from_mapping(scen, schedules)
+            Schedules.from_steps(scen, schedules.items())
             got = None
         except ValueError as exc:
             got = str(exc)

@@ -24,7 +24,7 @@ from asbench import (
     score_system,
     vbs_cost,
 )
-from asbench.evaluation import SolverStep, simulate
+from asbench.evaluation import Schedules, SolverStep, simulate
 from asbench.scenario import RUN_STATUSES, RunRecord, Runs
 from asbench.scenario_io import deobfuscate, obfuscate
 from asbench.selectors import prepare_training
@@ -192,12 +192,12 @@ def test_sbs_scores_match_oracle_replays(spec, kind):
 
     if scen.objective == "quality":
         schedules = {i: (SolverStep(scen.algorithms[-1], 0.0),) for i in test}
-        report = score_system(scen, Split(0, tuple(train), test), schedules)
+        report = score_system(scen, Split(0, tuple(train), test), Schedules.from_steps(scen, schedules.items()))
         assert report.metrics["quality"].sbs == mean(run_record(scen, i, algo).value for i in test)
         return
     # the system runs the last algorithm for half the cutoff, then the first
     system = (SolverStep(scen.algorithms[-1], CUTOFF / 2), SolverStep(scen.algorithms[0], CUTOFF))
-    report = score_system(scen, Split(0, tuple(train), test), {i: system for i in test})
+    report = score_system(scen, Split(0, tuple(train), test), Schedules.from_steps(scen, [(i, system) for i in test]))
     best = [min(oracle_vbs_cost(scen, i), CUTOFF) for i in test]
     for metric, schedule in (("sbs", (SolverStep(algo, CUTOFF),)), ("value", system)):
         replays = [oracle_simulate(scen, i, schedule) for i in test]

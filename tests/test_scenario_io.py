@@ -25,11 +25,11 @@ from asbench import (
     write_predictions,
     write_scenario,
 )
-from asbench.evaluation import FeatureStep, MetricScore, ScoreReport, SolverStep
+from asbench.evaluation import FeatureStep, MetricScore, Schedules, ScoreReport, SolverStep
 from asbench.scenario_io import _read_table, read_report_csv, write_report_csv
 
 from gen import build_scenario, random_scenario, tutorial_scenario
-from oracles import feature_vector, oracle_read_report_csv, oracle_read_table, run_record
+from oracles import feature_vector, oracle_read_report_csv, oracle_read_table, run_record, schedule_map
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -261,7 +261,7 @@ class TestPredictions:
         path = tmp_path / "pred.csv"
         path.write_text("instance_id,step,kind,name,budget\ni1,1,solver,A2,5000.0\n")
         schedules = parse_predictions(path, tutorial)
-        assert schedules == {"i1": (SolverStep(algorithm="A2", budget=5000.0),)}
+        assert schedule_map(schedules) == {"i1": (SolverStep(algorithm="A2", budget=5000.0),)}
 
     def test_three_step_schedule(self, tmp_path, tutorial):
         path = tmp_path / "pred.csv"
@@ -272,7 +272,7 @@ class TestPredictions:
             "i1,3,solver,A3,2500.0\n"
         )
         schedules = parse_predictions(path, tutorial)
-        assert schedules["i1"] == (
+        assert schedule_map(schedules)["i1"] == (
             FeatureStep(group="base"),
             SolverStep(algorithm="A1", budget=2500.0),
             SolverStep(algorithm="A3", budget=2500.0),
@@ -284,8 +284,8 @@ class TestPredictions:
             "i4": (SolverStep(algorithm="A2", budget=5000.0),),
         }
         path = tmp_path / "pred.csv"
-        write_predictions(schedules, tutorial, path)
-        assert parse_predictions(path, tutorial) == schedules
+        write_predictions(Schedules.from_steps(tutorial, schedules.items()), tutorial, path)
+        assert schedule_map(parse_predictions(path, tutorial)) == schedules
         # a parsed file is written back with 0.0 for a feature step's budget ...
         read = tmp_path / "read.csv"
         read.write_text("instance_id,step,kind,name,budget\ni4,2,solver,A1,4995.0\ni4,1,feature,base,5\n")
@@ -666,7 +666,7 @@ class TestObfuscate:
             inst: (FeatureStep(group="base"), SolverStep(algorithm="A1", budget=5000.0))
             for inst in split.test
         }
-        before = score_system(tutorial, split, schedules)
+        before = score_system(tutorial, split, Schedules.from_steps(tutorial, schedules.items()))
         hidden, name_map = obfuscate(tutorial, seed=11)
         algo_fwd = {old: new for new, old in name_map["algorithms"].items()}
         inst_fwd = {old: new for new, old in name_map["instances"].items()}
@@ -679,5 +679,5 @@ class TestObfuscate:
             )
             for inst, sched in schedules.items()
         }
-        after = score_system(hidden, hidden.splits[0], hidden_schedules)
+        after = score_system(hidden, hidden.splits[0], Schedules.from_steps(hidden, hidden_schedules.items()))
         assert before.metrics == after.metrics

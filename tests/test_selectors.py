@@ -30,7 +30,7 @@ from asbench.learners import Forest
 from asbench.selectors import SELECTOR_KINDS, SelectorModel, raw_features, select_algorithms
 
 from gen import best_algorithm_truth, build_scenario, learnable_scenario, random_scenario
-from oracles import _oracle_check_schedule, feature_vectors, oracle_simulate, records, run_record
+from oracles import _oracle_check_schedule, feature_vectors, oracle_simulate, records, run_record, schedule_map
 
 FAST = Hyperparameters(n_trees=25, seed=1)
 # bare selector, no presolving prefix: for accuracy-style checks
@@ -59,7 +59,7 @@ def dominant_scenario():
 def selection_accuracy(model, scenario, instances):
     hits = 0
     for inst in instances:
-        schedule = predict_batch(model, scenario, [inst])[inst]
+        schedule = schedule_map(predict_batch(model, scenario, [inst]))[inst]
         # the model's own pick is the solver step after any presolve prefix
         chosen = [s for s in schedule if isinstance(s, SolverStep)][-1].algorithm
         if chosen == scenario.algorithms[best_algorithm_truth(scenario, inst)]:
@@ -154,7 +154,7 @@ class TestRegression:
         scen = dominant_scenario()
         model = fit_regression(build_training_set(scen, scen.instances), FAST)
         for inst in scen.instances:
-            steps = [s for s in predict_batch(model, scen, [inst])[inst] if isinstance(s, SolverStep)]
+            steps = [s for s in schedule_map(predict_batch(model, scen, [inst]))[inst] if isinstance(s, SolverStep)]
             assert steps[0].algorithm == "A0"
 
     def test_constant_features_reduce_to_sbs(self):
@@ -172,7 +172,7 @@ class TestRegression:
         model = fit_regression(build_training_set(scen, scen.instances), FAST)
         expected = sbs(scen, scen.instances)
         for inst in scen.instances:
-            steps = [s for s in predict_batch(model, scen, [inst])[inst] if isinstance(s, SolverStep)]
+            steps = [s for s in schedule_map(predict_batch(model, scen, [inst]))[inst] if isinstance(s, SolverStep)]
             assert steps[0].algorithm == expected
 
     def test_learns_the_synthetic_rule(self):
@@ -207,7 +207,7 @@ class TestPairwise:
         model = fit_pairwise(build_training_set(two, two.instances), FAST)
         assert len(model.payload["forests"]) == 1
         for inst in two.instances:
-            steps = [s for s in predict_batch(model, two, [inst])[inst] if isinstance(s, SolverStep)]
+            steps = [s for s in schedule_map(predict_batch(model, two, [inst]))[inst] if isinstance(s, SolverStep)]
             assert steps[0].algorithm == "A0"
 
     def test_single_algorithm_rejected(self):
@@ -267,7 +267,7 @@ class TestCluster:
         model = fit_cluster(build_training_set(scen, scen.instances), hp)
         expected = sbs(scen, scen.instances)
         for inst in scen.instances:
-            steps = [s for s in predict_batch(model, scen, [inst])[inst] if isinstance(s, SolverStep)]
+            steps = [s for s in schedule_map(predict_batch(model, scen, [inst]))[inst] if isinstance(s, SolverStep)]
             assert steps[0].algorithm == expected
 
     def test_two_blobs_recover_their_champions(self):
@@ -286,7 +286,7 @@ class TestCluster:
         model = fit_cluster(build_training_set(scen, scen.instances), hp)
         chosen = set()
         for inst in instances:
-            steps = [s for s in predict_batch(model, scen, [inst])[inst] if isinstance(s, SolverStep)]
+            steps = [s for s in schedule_map(predict_batch(model, scen, [inst]))[inst] if isinstance(s, SolverStep)]
             chosen.add(steps[0].algorithm)
             expected = "A0" if inst in instances[:20] else "A1"
             assert steps[0].algorithm == expected
@@ -310,7 +310,7 @@ class TestStacking:
         )
         model = fit_stacking(build_training_set(scen, scen.instances), FAST)
         for inst in scen.instances:
-            steps = [s for s in predict_batch(model, scen, [inst])[inst] if isinstance(s, SolverStep)]
+            steps = [s for s in schedule_map(predict_batch(model, scen, [inst]))[inst] if isinstance(s, SolverStep)]
             assert steps[0].algorithm == "A0"
 
     def test_close_to_regression_on_the_synthetic_rule(self):
@@ -344,7 +344,7 @@ class TestSunny:
             runs[(inst, "A0")] = 10.0 if solved_by_a0 else (4000.0, "timeout")
             runs[(inst, "A1")] = (4000.0, "timeout") if solved_by_a0 else 10.0
         scen, model = self.sunny_fixture(runs, instances, cutoff=4000.0)
-        schedule = predict_batch(model, scen, ["t0"])["t0"]
+        schedule = schedule_map(predict_batch(model, scen, ["t0"]))["t0"]
         solver_steps = [s for s in schedule if isinstance(s, SolverStep)]
         assert [s.algorithm for s in solver_steps] == ["A0", "A1"]
         assert [s.budget for s in solver_steps] == [3000.0, 1000.0]
@@ -357,7 +357,7 @@ class TestSunny:
             runs[(inst, "A1")] = 10.0 if j < 2 else (4000.0, "timeout")
             runs[(inst, "A2")] = (4000.0, "timeout")
         scen, model = self.sunny_fixture(runs, instances, cutoff=4000.0)
-        schedule = predict_batch(model, scen, ["t0"])["t0"]
+        schedule = schedule_map(predict_batch(model, scen, ["t0"]))["t0"]
         solver_steps = [s for s in schedule if isinstance(s, SolverStep)]
         assert len(solver_steps) == 1
         assert solver_steps[0].algorithm == "A1"
@@ -368,7 +368,7 @@ class TestSunny:
         split = scen.splits[0]
         model = fit_system(scen, split.train, "sunny", Hyperparameters(sunny_k=16, n_trees=2))
         for inst in split.test[:10]:
-            schedule = predict_batch(model, scen, [inst])[inst]
+            schedule = schedule_map(predict_batch(model, scen, [inst]))[inst]
             got = simulate(scen, inst, schedule)
             solved, time_used = oracle_simulate(scen, inst, schedule)
             assert got.solved[0] == solved
@@ -382,7 +382,7 @@ class TestSunny:
                 scen, split.train, "sunny", Hyperparameters(sunny_k=4, n_trees=2, seed=seed)
             )
             for inst in split.test:
-                schedule = predict_batch(model, scen, [inst])[inst]
+                schedule = schedule_map(predict_batch(model, scen, [inst]))[inst]
                 total = math.fsum(s.budget for s in schedule if isinstance(s, SolverStep))
                 assert total <= scen.cutoff + 1e-9
 
@@ -463,7 +463,7 @@ class TestPresolver:
 class TestPredictSchedules:
     def test_runtime_schedule_shape(self, tutorial):
         model = fit_system(tutorial, tutorial.splits[0].train, "regression", FAST)
-        schedule = predict_batch(model, tutorial, ["i4"])["i4"]
+        schedule = schedule_map(predict_batch(model, tutorial, ["i4"]))["i4"]
         _oracle_check_schedule(tutorial, schedule)
         kinds = [type(s).__name__ for s in schedule]
         n_presolve = len(model.presolve)
@@ -476,7 +476,7 @@ class TestPredictSchedules:
         scen = random_scenario(4, objective="quality")
         model = fit_system(scen, scen.splits[0].train, "regression", FAST)
         for inst in scen.splits[0].test:
-            schedule = predict_batch(model, scen, [inst])[inst]
+            schedule = schedule_map(predict_batch(model, scen, [inst]))[inst]
             assert len(schedule) == 1
             assert isinstance(schedule[0], SolverStep)
             _oracle_check_schedule(scen, schedule)
@@ -489,7 +489,7 @@ class TestPredictSchedules:
         scen = replace(scen, features=features)
         model = fit_system(scen, scen.splits[0].train, "regression", FAST)
         with pytest.warns(UserWarning, match="falling back"):
-            schedule = predict_batch(model, scen, [blank])[blank]
+            schedule = schedule_map(predict_batch(model, scen, [blank]))[blank]
         solver_steps = [s for s in schedule if isinstance(s, SolverStep)]
         assert solver_steps[-1].algorithm == model.sbs_algorithm
         assert not any(isinstance(s, FeatureStep) for s in schedule)
@@ -515,8 +515,8 @@ class TestPredictSchedules:
             },
         )
         for inst in split.test:
-            assert predict_batch(model, scen, [inst])[inst] == predict_batch(model, mangled, [inst])[inst]
-        schedule = predict_batch(model, scen, [split.test[0]])[split.test[0]]
+            assert schedule_map(predict_batch(model, scen, [inst]))[inst] == schedule_map(predict_batch(model, mangled, [inst]))[inst]
+        schedule = schedule_map(predict_batch(model, scen, [split.test[0]]))[split.test[0]]
         feature_steps = [s for s in schedule if isinstance(s, FeatureStep)]
         assert [s.group for s in feature_steps] == ["base"]
 
@@ -553,7 +553,7 @@ class TestPredictSchedules:
         for kind in ("regression", "pairwise", "cluster", "stacking", "sunny"):
             model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=5, seed=2))
             for inst in split.test:
-                _oracle_check_schedule(scen, predict_batch(model, scen, [inst])[inst])
+                _oracle_check_schedule(scen, schedule_map(predict_batch(model, scen, [inst]))[inst])
 
 
 def payload_arrays(payload) -> dict:
