@@ -11,8 +11,10 @@ One binary, seven subcommands::
     asbench seed-study --scenario DIR --selector KIND --n-seeds N --out PREFIX
 
 Every command is deterministic given its flags (seeds included), echoes its
-resolved configuration to stderr, and writes outputs atomically. Exit codes:
-0 success, 1 runtime failure, 2 invalid input.
+resolved configuration to stderr, and writes outputs atomically. Each output
+of a command that takes ``--out PREFIX`` is PREFIX plus a fixed suffix, and
+``--json`` adds ``PREFIX.json``. Exit codes: 0 success, 1 runtime failure,
+2 invalid input.
 """
 
 from __future__ import annotations
@@ -66,6 +68,14 @@ def _atomic_write(path: Path, writer) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write(prefix, suffix: str, writer) -> None:
+    """Write the output ``prefix`` + ``suffix`` atomically. The suffix is
+    appended, never swapped for a dotted tail of the prefix, so prefixes such
+    as ``sunny.v1`` and ``sunny.v2`` never share a file."""
+    prefix = Path(prefix)
+    _atomic_write(prefix.parent / (prefix.name + suffix), writer)
 
 
 def _resolve_splits(scenario: Scenario, spec: str, seed: int):
@@ -136,9 +146,8 @@ def cmd_baselines(args) -> int:
     else:
         for key, value in doc.items():
             if key == "improvement_factor":
-                print(f"{key}: {value:.3f}")
-            else:
-                print(f"{key}: {value}")
+                value = "undefined" if value is None else f"{value:.3f}"
+            print(f"{key}: {value}")
     return EXIT_OK
 
 
@@ -194,10 +203,9 @@ def cmd_evaluate(args) -> int:
         "aggregate_gap": overall,
         "reports": [evaluation.report_to_dict(r) for r in reports],
     }
-    out = Path(args.out)
-    _atomic_write(out.with_suffix(".csv"), lambda tmp: scenario_io.write_report_csv(reports, tmp))
+    _write(args.out, ".csv", lambda tmp: scenario_io.write_report_csv(reports, tmp))
     if args.json:
-        _atomic_write(out.with_suffix(".json"), lambda tmp: scenario_io.dump_json(summary, tmp))
+        _write(args.out, ".json", lambda tmp: scenario_io.dump_json(summary, tmp))
     print(f"{args.system} on {scen.id} [{args.mode}]: gap {overall:.6f}")
     return EXIT_OK
 
@@ -257,39 +265,28 @@ def build_comparison(rows, mode: str, ooc=(), alpha: float = 0.05) -> dict:
     return doc
 
 
-def _write_comparison_csv(doc: dict, prefix: Path) -> None:
-    systems, scenarios = doc["systems"], doc["scenarios"]
-    ranked = [s for s in systems if s not in doc["ooc"]]
-    scores = [[scen, *map(repr, row)] for scen, row in zip(scenarios, doc["scores"])]
-    scores.append(["__avg_gap__", *(repr(doc["avg_gap"][s]) for s in systems)])
-    scores.append(["__meta_vbs__", repr(doc["meta_vbs"]["mean"])] + [""] * (len(systems) - 1))
-    ranks = [[scen, *map(repr, row)] for scen, row in zip(scenarios, doc["per_scenario_ranks"])]
-    ranks.append(["__avg_rank__", *(repr(doc["avg_rank"][s]) for s in ranked)])
-    scores_path = prefix.parent / (prefix.name + "_scores.csv")
-    _atomic_write(scores_path, lambda tmp: scenario_io.write_csv(tmp, ["scenario", *systems], scores))
-    ranks_path = prefix.parent / (prefix.name + "_ranks.csv")
-    _atomic_write(ranks_path, lambda tmp: scenario_io.write_csv(tmp, ["scenario", *ranked], ranks))
-
-
 def cmd_compare(args) -> int:
     rows = []
     for path in args.reports:
         rows.extend(scenario_io.read_report_csv(path))
     doc = build_comparison(rows, mode=args.mode, ooc=args.ooc or (), alpha=args.alpha)
-    prefix = Path(args.out)
+    systems, scenarios, ranked = doc["systems"], doc["scenarios"], list(doc["avg_rank"])
+    scores = [[scen, *map(repr, row)] for scen, row in zip(scenarios, doc["scores"])]
+    scores.append(["__avg_gap__", *(repr(doc["avg_gap"][s]) for s in systems)])
+    scores.append(["__meta_vbs__", repr(doc["meta_vbs"]["mean"])] + [""] * (len(systems) - 1))
+    ranks = [[scen, *map(repr, row)] for scen, row in zip(scenarios, doc["per_scenario_ranks"])]
+    ranks.append(["__avg_rank__", *(repr(doc["avg_rank"][s]) for s in ranked)])
+    cd = doc["cd_diagram"] or {
+        "applies": False,
+        "reason": "Friedman/Nemenyi needs 2 to 20 ranked systems and 2 or more scenarios; the "
+        f"reports rank {len(ranked)} system(s) on {len(scenarios)} scenario(s)",
+    }
+    _write(args.out, "_scores.csv", lambda tmp: scenario_io.write_csv(tmp, ["scenario", *systems], scores))
+    _write(args.out, "_ranks.csv", lambda tmp: scenario_io.write_csv(tmp, ["scenario", *ranked], ranks))
+    _write(args.out, "_cd.json", lambda tmp: scenario_io.dump_json(cd, tmp))
     if args.json:
-        _atomic_write(prefix.with_suffix(".json"), lambda tmp: scenario_io.dump_json(doc, tmp))
-    else:
-        _write_comparison_csv(doc, prefix)
-        cd = doc["cd_diagram"] or {
-            "applies": False,
-            "reason": "Friedman/Nemenyi needs 2 to 20 ranked systems and 2 or more scenarios; the "
-            f"reports rank {len(doc['avg_rank'])} system(s) on {len(doc['scenarios'])} scenario(s)",
-        }
-        cd_path = prefix.parent / (prefix.name + "_cd.json")
-        _atomic_write(cd_path, lambda tmp: scenario_io.dump_json(cd, tmp))
-    ranked = sorted(doc["avg_gap"].items(), key=lambda kv: kv[1])
-    for system, gap in ranked:
+        _write(args.out, ".json", lambda tmp: scenario_io.dump_json(doc, tmp))
+    for system, gap in sorted(doc["avg_gap"].items(), key=lambda kv: kv[1]):
         rank = doc["avg_rank"].get(system)
         rank_text = f"{rank:.1f}" if rank is not None else "N/A (ooc)"
         print(f"{system}: avg gap {gap:.3f}, avg rank {rank_text}")
@@ -317,14 +314,10 @@ def cmd_seed_study(args) -> int:
     query = samples[0]
     quantile = stats.ecdf(samples, query)
     points = stats.ecdf_points(samples)
-    prefix = Path(args.out)
-
     seed_rows = [[args.seed + offset, repr(gap)] for offset, gap in enumerate(samples)]
-    samples_path = prefix.parent / (prefix.name + "_samples.csv")
-    _atomic_write(samples_path, lambda tmp: scenario_io.write_csv(tmp, ["seed", "gap"], seed_rows))
+    _write(args.out, "_samples.csv", lambda tmp: scenario_io.write_csv(tmp, ["seed", "gap"], seed_rows))
     ecdf_rows = [[repr(x), repr(f)] for x, f in points]
-    ecdf_path = prefix.parent / (prefix.name + "_ecdf.csv")
-    _atomic_write(ecdf_path, lambda tmp: scenario_io.write_csv(tmp, ["gap", "cumulative_fraction"], ecdf_rows))
+    _write(args.out, "_ecdf.csv", lambda tmp: scenario_io.write_csv(tmp, ["gap", "cumulative_fraction"], ecdf_rows))
     summary = {
         "selector": args.selector,
         "scenario": scen.id,
@@ -332,7 +325,7 @@ def cmd_seed_study(args) -> int:
         "first_seed_gap": query,
         "quantile_of_first_seed": quantile,
     }
-    _atomic_write(prefix.with_suffix(".json"), lambda tmp: scenario_io.dump_json(summary, tmp))
+    _write(args.out, ".json", lambda tmp: scenario_io.dump_json(summary, tmp))
     print(f"first seed gap {query:.6f} sits at quantile {quantile:.6f} of {args.n_seeds} seeds")
     return EXIT_OK
 
@@ -403,7 +396,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True, help="prediction file (2017) or directory (2015)")
     p.add_argument("--system", default="system", help="system name for the report")
     p.add_argument("--out", required=True, help="report path prefix")
-    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+    p.add_argument("--json", action="store_true", help="also write PREFIX.json")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="rank systems from evaluation reports")
@@ -412,7 +405,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05, choices=sorted(stats._Q_CRIT), help="significance level")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--mode", choices=("icon2015", "oasc2017"), default="oasc2017")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="also write PREFIX.json")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("seed-study", help="refit across seeds and report the score's ECDF")

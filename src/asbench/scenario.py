@@ -453,21 +453,22 @@ def baseline_means(scenario: Scenario, rows) -> tuple[float, float]:
     return math.fsum(capped[:, sbs_col].tolist()) / n, math.fsum(vbs.tolist()) / n
 
 
-def improvement_factor(scenario: Scenario) -> float:
+def improvement_factor(scenario: Scenario) -> float | None:
     """How many times better the virtual best solver is than the single best.
 
     Runtime scenarios compare mean unpenalized runtimes capped at the cutoff,
     skipping instances that no algorithm solved. Quality scenarios compare
     mean values over all instances, with the ratio oriented so that a better
-    VBS yields a factor above 1 for either direction.
+    VBS yields a factor above 1 for either direction. A zero denominator
+    leaves the factor undefined: ``None``.
     """
     if scenario.objective == "runtime":
         rows = np.flatnonzero(scenario.solved.any(axis=1))
         if not len(rows):
             raise ValueError("degenerate scenario: every algorithm failed on every instance")
-        sbs_mean, vbs_mean = baseline_means(scenario, rows)
-        return sbs_mean / vbs_mean
-    sbs_mean, vbs_mean = baseline_means(scenario, slice(None))
-    if scenario.direction == "maximize":
-        return vbs_mean / sbs_mean
-    return sbs_mean / vbs_mean
+        num, den = baseline_means(scenario, rows)  # SBS mean over VBS mean
+    else:
+        num, den = baseline_means(scenario, slice(None))
+        if scenario.direction == "maximize":
+            num, den = den, num
+    return num / den if den else None

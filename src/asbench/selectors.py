@@ -146,6 +146,10 @@ def _group_columns(scenario: Scenario, feature_groups) -> tuple[int, ...]:
     unknown = [g for g in feature_groups if g not in by_name]
     if unknown:
         raise ValueError(f"unknown feature groups {unknown!r}")
+    # a schedule computes each group once, so a repeat would be charged twice
+    repeated = [g for i, g in enumerate(feature_groups) if g in feature_groups[:i]]
+    if repeated:
+        raise ValueError(f"feature group {repeated[0]!r} named more than once")
     return tuple(idx for name in feature_groups for idx in by_name[name].feature_indices)
 
 

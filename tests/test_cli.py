@@ -282,6 +282,21 @@ class TestCommandRejects:
         assert capsys.readouterr().err.splitlines()[-1] == "error: no split with id 7; have [0, 1]"
         assert not (tmp_path / "m.json").exists()
 
+    def test_repeated_feature_group(self, tutorial_bundle, tmp_path, capsys):
+        # the schedule would compute the group once and scoring would charge it twice
+        model = tmp_path / "m.json"
+        argv = ["train", "--scenario", tutorial_bundle, "--selector", "regression", "--hp", "n_trees=3", "--out", model]
+        assert run_cli(*argv, "--feature-groups", "base,base") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: feature group 'base' named more than once"
+        assert not model.exists()
+        assert run_cli(*argv, "--feature-groups", "base") == 0
+        doc = json.loads(model.read_text())
+        model.write_text(json.dumps({**doc, "feature_groups": ["base", "base"]}))
+        preds = tmp_path / "p.csv"
+        assert run_cli("predict", "--scenario", tutorial_bundle, "--model", model, "--out", preds) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: feature group 'base' named more than once"
+        assert not preds.exists()
+
     def test_icon2015_evaluate_without_a_split_file(self, tutorial_bundle, tmp_path, capsys):
         preds = tmp_path / "preds"
         preds.mkdir()
@@ -378,6 +393,23 @@ class TestBaselines:
         assert doc["sbs_mean"] == pytest.approx(2225.0)
         assert doc["vbs_mean"] == pytest.approx(1124.0)
         assert doc["improvement_factor"] == pytest.approx(2225.0 / 1124.0)
+
+    @pytest.mark.parametrize(
+        "runs, objective, direction",
+        [
+            ({("i0", "A0"): 0.0, ("i0", "A1"): 5.0, ("i1", "A0"): 3.0, ("i1", "A1"): 0.0}, "runtime", "minimize"),
+            ({("i0", "A0"): 2.0, ("i0", "A1"): -1.0, ("i1", "A0"): -2.0, ("i1", "A1"): -1.5}, "quality", "maximize"),
+        ],
+        ids=["runtime-vbs-zero", "maximize-sbs-zero"],
+    )
+    def test_zero_denominator_prints_an_undefined_factor(self, tmp_path, capsys, runs, objective, direction):
+        bundle = tmp_path / "zero"
+        scen = build_scenario(runs, ["A0", "A1"], ["i0", "i1"], objective=objective, direction=direction)
+        write_scenario(scen, bundle)
+        assert run_cli("baselines", "--scenario", bundle) == 0
+        assert "improvement_factor: undefined" in capsys.readouterr().out.splitlines()
+        assert run_cli("baselines", "--scenario", bundle, "--json") == 0
+        assert json.loads(capsys.readouterr().out)["improvement_factor"] is None
 
     def test_internal_failure_exits_one(self, tutorial_bundle, monkeypatch, capsys):
         def fail(*args):
@@ -878,6 +910,18 @@ class TestCompare:
         assert "__avg_rank__" in ranks
         assert (tmp_path / "cmp_cd.json").exists()
 
+    @pytest.mark.parametrize("gaps", [{"s1": 0.1}, {"s1": 0.1, "s2": 0.3}], ids=["one-scenario", "two-scenarios"])
+    def test_json_adds_a_file_to_the_same_tables(self, tmp_path, gaps):
+        a = self.make_report(tmp_path / "a.csv", "alpha", gaps)
+        b = self.make_report(tmp_path / "b.csv", "beta", {s: 1.0 - g for s, g in gaps.items()})
+        plain, with_json = tmp_path / "plain", tmp_path / "json"
+        assert run_cli("compare", a, b, "--out", plain / "cmp") == 0
+        assert run_cli("compare", a, b, "--out", with_json / "cmp", "--json") == 0
+        tables = {p.name: p.read_bytes() for p in plain.iterdir()}
+        assert sorted(tables) == ["cmp_cd.json", "cmp_ranks.csv", "cmp_scores.csv"]
+        assert {p.name: p.read_bytes() for p in with_json.iterdir() if p.name != "cmp.json"} == tables
+        assert json.loads((with_json / "cmp.json").read_text())["systems"] == ["alpha", "beta"]
+
     def test_one_scenario_says_why_no_cd_diagram(self, tmp_path):
         a = self.make_report(tmp_path / "a.csv", "alpha", {"s1": 0.1})
         b = self.make_report(tmp_path / "b.csv", "beta", {"s1": 0.4})
@@ -984,6 +1028,43 @@ class TestCompare:
         with pytest.raises(ValueError, match=r"^alpha must be one of \[0\.05, 0\.1\], got 0\.07$"):
             build_comparison(rows, "oasc2017", alpha=0.07)
         assert build_comparison(rows, "oasc2017", alpha=0.1)["alpha"] == 0.1
+
+
+class TestOutputPrefix:
+    """Each output of a command that takes --out PREFIX is PREFIX plus a
+    fixed suffix, so prefixes that differ after a dot never share a file."""
+
+    @pytest.mark.parametrize(
+        "command, suffixes",
+        [
+            ("evaluate", [".csv", ".json"]),
+            ("compare", ["_scores.csv", "_ranks.csv", "_cd.json", ".json"]),
+            ("seed-study", ["_samples.csv", "_ecdf.csv", ".json"]),
+        ],
+    )
+    def test_dotted_prefixes_keep_their_own_files(self, learnable_bundle, tmp_path, command, suffixes):
+        scen = parse_scenario(learnable_bundle)
+        split, preds = scen.splits[0], tmp_path / "sbs.csv"
+        rows = [f"{inst},1,solver,{sbs(scen, split.train)},{scen.cutoff}" for inst in split.test]
+        preds.write_text("\n".join(["instance_id,step,kind,name,budget", *rows]) + "\n")
+        reports = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for report, (system, gap) in zip(reports, [("alpha", 0.1), ("beta", 0.4)]):
+            report.write_text(f"system,scenario,split,metric,value\n{system},s1,0,gap_par10,{gap}\n"
+                              f"{system},s2,0,gap_par10,{1 - gap}\n")
+        argv = {
+            "evaluate": ["--scenario", learnable_bundle, "--predictions", preds, "--json"],
+            "compare": [*reports, "--json"],
+            "seed-study": ["--scenario", learnable_bundle, "--selector", "cluster", "--hp", "n_trees=3",
+                           "--n-seeds", "2"],
+        }[command]
+        out = tmp_path / "d"
+        assert run_cli(command, *argv, "--out", out / "name.v1") == 0
+        v1 = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(v1) == sorted("name.v1" + suffix for suffix in suffixes)
+        assert run_cli(command, *argv, "--out", out / "name.v2") == 0
+        v2 = sorted(p.name for p in out.iterdir() if p.name not in v1)
+        assert v2 == sorted("name.v2" + suffix for suffix in suffixes)
+        assert {name: (out / name).read_bytes() for name in v1} == v1
 
 
 class TestSeedStudy:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,25 @@ class TestMcp:
         scen = random_scenario(1, objective="quality")
         out = simulate(scen, scen.instances[0], (SolverStep(scen.algorithms[0], 0.0),))
         assert np.isnan(out.mcp[0])
+
+    def test_cap_holds_a_clock_that_rounds_past_the_cutoff(self):
+        from asbench import FeatureGroup
+
+        # after the feature step, cutoff - cost = 3 - 2**-52 rounds to 3.0, so
+        # A's 3.0 s run fits its slice; t + 3.0 then rounds to one ulp past the
+        # cutoff, and the cap holds the MCP at cutoff - 3.0, not 2**-50
+        cutoff = math.nextafter(3.0, 4.0)
+        scen = build_scenario(
+            {("i0", "A"): 3.0},
+            ["A"],
+            ["i0"],
+            cutoff=cutoff,
+            groups=(FeatureGroup("g", (0,), cost={"i0": float.fromhex("0x1.8p-51")}),),
+        )
+        out = simulate(scen, "i0", (FeatureStep(group="g"), SolverStep(algorithm="A", budget=cutoff)))
+        assert out.solved[0]
+        assert out.time_used[0] == float.fromhex("0x1.8000000000002p+1") == math.nextafter(cutoff, 4.0)
+        assert out.mcp[0] == cutoff - 3.0 == 2.0**-51
 
 
 def scoring_fixture():

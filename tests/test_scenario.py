@@ -256,6 +256,22 @@ class TestImprovementFactor:
         with pytest.raises(ValueError):
             improvement_factor(scen)
 
+    @pytest.mark.parametrize(
+        "runs, objective, direction",
+        [
+            # every instance's best run takes 0.0 s: the VBS mean is 0
+            ({("i0", "A0"): 0.0, ("i0", "A1"): 5.0, ("i1", "A0"): 3.0, ("i1", "A1"): 0.0}, "runtime", "minimize"),
+            # SBS A0 has mean 0; the VBS mean is (2 - 1.5) / 2
+            ({("i0", "A0"): 2.0, ("i0", "A1"): -1.0, ("i1", "A0"): -2.0, ("i1", "A1"): -1.5}, "quality", "maximize"),
+            # the VBS takes -1 on i0 and 1 on i1: mean 0
+            ({("i0", "A0"): 1.0, ("i0", "A1"): -1.0, ("i1", "A0"): 1.0, ("i1", "A1"): 5.0}, "quality", "minimize"),
+        ],
+        ids=["runtime-vbs-zero", "maximize-sbs-zero", "minimize-vbs-zero"],
+    )
+    def test_zero_denominator_is_undefined(self, runs, objective, direction):
+        scen = build_scenario(runs, ["A0", "A1"], ["i0", "i1"], objective=objective, direction=direction)
+        assert improvement_factor(scen) is None
+
     def test_maximize_quality_bruteforce(self):
         runs = {
             ("i0", "A0"): 0.80,

@@ -90,6 +90,17 @@ class TestTrainingSet:
         with pytest.raises(ValueError, match="unknown feature groups"):
             build_training_set(tutorial, tutorial.instances, feature_groups=["nope"])
 
+    def test_repeated_group_rejected(self, tutorial):
+        # one schedule computes a group once, so scoring would charge a repeat twice
+        split = tutorial.splits[0]
+        with pytest.raises(ValueError, match="^feature group 'base' named more than once$"):
+            build_training_set(tutorial, tutorial.instances, feature_groups=["base", "probing", "base"])
+        with pytest.raises(ValueError, match="'probing' named more than once"):
+            fit_system(tutorial, split.train, "regression", FAST, feature_groups=["probing", "probing"])
+        model = fit_system(tutorial, split.train, "regression", FAST, feature_groups=["base"])
+        with pytest.raises(ValueError, match="'base' named more than once"):
+            predict_batch(replace(model, feature_groups=("base", "base")), tutorial, split.test)
+
     def test_empty_instance_list_rejected(self, tutorial):
         with pytest.raises(ValueError, match="empty training set"):
             build_training_set(tutorial, [])
