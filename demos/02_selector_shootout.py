@@ -57,7 +57,7 @@ hp = Hyperparameters(n_trees=30, seed=7)
 print(f"{'selector':>12} {'PAR10':>8} {'gap':>6}   (0 = virtual best, 1 = single best)")
 report = None
 for kind in ("regression", "pairwise", "cluster", "stacking", "sunny"):
-    model = fit_system(scenario, split.train, kind, hp)
+    model = fit_system(scenario, split.train, kind, hp, mode="oasc2017")
     schedules = predict_batch(model, scenario, split.test)
     report = score_system(scenario, split, schedules, system=kind)
     gap = report_gap(report, mode="oasc2017")

@@ -51,7 +51,7 @@ split = scenario.splits[0]
 samples = []
 for seed in range(40):
     hp = Hyperparameters(n_trees=3, seed=seed)
-    model = fit_system(scenario, split.train, "regression", hp)
+    model = fit_system(scenario, split.train, "regression", hp, mode="oasc2017")
     schedules = predict_batch(model, scenario, split.test)
     report = score_system(scenario, split, schedules, system="regression")
     samples.append(report_gap(report, mode="oasc2017"))

@@ -32,7 +32,7 @@ from pathlib import Path
 from . import evaluation, scenario_io, selectors, stats
 from .evaluation import ScoreReport, aggregate, report_gap, score_system
 from .scenario import Scenario, Split, baseline_means, improvement_factor, sbs, validate
-from .scenario_io import ParseError, ViolationsError, generate_splits, parse_scenario
+from .scenario_io import generate_splits, parse_scenario
 from .selectors import (
     Hyperparameters,
     fit_prepared,
@@ -349,7 +349,7 @@ def _add_common(p: argparse.ArgumentParser, split=True, hp=False, mode=True):
     if mode:
         p.add_argument(
             "--mode",
-            choices=("icon2015", "oasc2017"),
+            choices=tuple(evaluation.RULES),
             default="oasc2017",
             help="competition rule set",
         )
@@ -404,7 +404,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ooc", action="append", help="system scored but excluded from ranking")
     p.add_argument("--alpha", type=float, default=0.05, choices=sorted(stats._Q_CRIT), help="significance level")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--mode", choices=("icon2015", "oasc2017"), default="oasc2017")
+    p.add_argument("--mode", choices=tuple(evaluation.RULES), default="oasc2017")
     p.add_argument("--json", action="store_true", help="also write PREFIX.json")
     p.set_defaults(func=cmd_compare)
 
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except (ParseError, ViolationsError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -370,11 +370,13 @@ def score_system(scenario: Scenario, split: Split, schedules: Schedules, system:
     )
 
 
-# The metrics whose gaps a mode averages into its headline gap; a report
-# holds only those of its objective (par10, mcp and solved, or quality).
-GAP_METRICS = {
-    "icon2015": ("par10", "mcp", "solved", "quality"),
-    "oasc2017": ("par10", "quality"),
+# Each competition's rules: the metrics whose gaps its headline gap averages
+# (a report holds only those of its objective: par10, mcp and solved, or
+# quality) and the most steps its static pre-solver may take. Every function
+# that takes a ``mode`` looks it up here; an unknown mode is a KeyError.
+RULES = {
+    "icon2015": {"gap_metrics": ("par10", "mcp", "solved", "quality"), "presolve_steps": 1},
+    "oasc2017": {"gap_metrics": ("par10", "quality"), "presolve_steps": 3},
 }
 
 
@@ -399,7 +401,7 @@ def headline_gaps(rows, mode: str, use: str = "gap") -> dict[tuple[str, str], fl
     designated row has no entry. ``use="value"`` averages the metric values
     instead. A row repeated across the inputs raises ValueError.
     """
-    designated = {("gap_" if use == "gap" else "") + m for m in GAP_METRICS[mode]}
+    designated = {("gap_" if use == "gap" else "") + m for m in RULES[mode]["gap_metrics"]}
     seen, cells = set(), {}
     for system, scen, split, metric, value in rows:
         if (key := (system, scen, split, metric)) in seen:
@@ -416,7 +418,7 @@ def report_gap(report: ScoreReport, mode: str) -> float | None:
     return headline_gaps(report_rows([report]), mode).get((report.system, report.scenario_id))
 
 
-def aggregate(reports, mode: str = "icon2015", use: str = "gap") -> float:
+def aggregate(reports, mode: str, use: str = "gap") -> float:
     """Cascade of unweighted means over one system's reports: metrics, then
     splits (both in :func:`headline_gaps`), then scenarios.
 

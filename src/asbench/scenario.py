@@ -459,8 +459,9 @@ def improvement_factor(scenario: Scenario) -> float | None:
     Runtime scenarios compare mean unpenalized runtimes capped at the cutoff,
     skipping instances that no algorithm solved. Quality scenarios compare
     mean values over all instances, with the ratio oriented so that a better
-    VBS yields a factor above 1 for either direction. A zero denominator
-    leaves the factor undefined: ``None``.
+    VBS yields a factor above 1 for either direction. A ratio only orders
+    two positive means, so the factor is undefined (``None``) unless both
+    are above 0.
     """
     if scenario.objective == "runtime":
         rows = np.flatnonzero(scenario.solved.any(axis=1))
@@ -471,4 +472,4 @@ def improvement_factor(scenario: Scenario) -> float | None:
         num, den = baseline_means(scenario, slice(None))
         if scenario.direction == "maximize":
             num, den = den, num
-    return num / den if den else None
+    return num / den if num > 0 and den > 0 else None

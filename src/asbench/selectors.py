@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .evaluation import STEP_KIND, Schedules, SolverStep
+from .evaluation import RULES, STEP_KIND, Schedules, SolverStep
 from .learners import KNN, Forest, KMeans, fit_forest, fit_forests, fit_kmeans, rng_stream
 from .scenario import Scenario, _cheapest_column
 
@@ -441,20 +441,22 @@ def _solved_times(scenario: Scenario, instances) -> np.ndarray:
     return np.where(scenario.solved[rows], scenario.runs.value[rows], np.inf)
 
 
-def build_presolver(train_instances, scenario: Scenario, hp: Hyperparameters, max_steps: int = 1):
+def build_presolver(train_instances, scenario: Scenario, hp: Hyperparameters, mode: str):
     """Greedy static prefix run before any feature computation.
 
     Each round picks the (algorithm, time) pair that solves the most
     remaining training instances per allocated second, with times drawn from
     the recorded runtimes that fit the remaining budget. Stops when nothing
-    solves, the budget is gone, or ``max_steps`` rounds were taken.
+    solves, the budget is gone, or the mode's ``presolve_steps`` rounds (see
+    :data:`~asbench.evaluation.RULES`) were taken.
     """
+    steps = RULES[mode]["presolve_steps"]
     if scenario.objective != "runtime" or hp.presolve_budget_fraction <= 0:
         return ()
     budget = hp.presolve_budget_fraction * scenario.cutoff
     times = _solved_times(scenario, train_instances)  # rows: the instances left so far
     prefix: list[SolverStep] = []
-    for _ in range(max_steps):
+    for _ in range(steps):
         if budget <= 0 or not len(times):
             break
         best = None  # (rate, time, algo_idx)
@@ -479,22 +481,15 @@ def build_presolver(train_instances, scenario: Scenario, hp: Hyperparameters, ma
     return tuple(prefix)
 
 
-def prepare_training(
-    scenario: Scenario, train_instances, hp: Hyperparameters, mode="icon2015", feature_groups=None
-):
+def prepare_training(scenario: Scenario, train_instances, hp: Hyperparameters, mode: str, feature_groups=None):
     """The seed-independent half of :func:`fit_system`: build the presolver,
     drop the training instances it dispatches, and assemble the training
     set of the rest. Returns ``(prefix, train)``. Of ``hp`` only
     ``presolve_budget_fraction`` is read, so one preparation serves the
-    fits of every seed.
-
-    2015 rules allow a single pre-solver step; 2017 rules allow a greedy
-    schedule of up to three.
+    fits of every seed. ``mode`` names the rules the presolver follows.
     """
     train_instances = tuple(train_instances)
-    prefix = build_presolver(
-        train_instances, scenario, hp, max_steps=1 if mode == "icon2015" else 3
-    )
+    prefix = build_presolver(train_instances, scenario, hp, mode)
     times = _solved_times(scenario, train_instances)
     cols = [scenario.algorithms.index(s.algorithm) for s in prefix]
     left = (times[:, cols] > [s.budget for s in prefix]).all(axis=1)
@@ -525,7 +520,7 @@ def fit_system(
     train_instances,
     kind: str,
     hp: Hyperparameters,
-    mode: str = "icon2015",
+    mode: str,
     feature_groups=None,
 ) -> SelectorModel:
     """Full training pipeline: build the presolver, drop the training

@@ -85,7 +85,10 @@ def schedule_map(schedules) -> dict:
 
 
 def oracle_simulate(scenario, instance, schedule):
-    """Exact step walk. Returns (solved, time_used) for runtime scenarios."""
+    """Exact step walk. Returns (solved, time_used) for runtime scenarios.
+
+    This walk and the float walk of ``asbench.evaluation.simulate`` can
+    differ where a slice rounds at the last ulp."""
     cutoff = Fraction(scenario.cutoff)
     clock = Fraction(0)
     costs = {g.name: g.cost for g in scenario.feature_groups}

@@ -373,7 +373,7 @@ class TestCriterion5Properties:
             scen = learnable_scenario(n_train=500, n_test=200, seed=77)
             split = scen.splits[0]
             started = time.perf_counter()
-            model = fit_system(scen, split.train, kind, Hyperparameters(seed=1))
+            model = fit_system(scen, split.train, kind, Hyperparameters(seed=1), mode="icon2015")
             schedules = [(i, schedule_map(predict_batch(model, scen, [i]))[i]) for i in split.test]
             report = score_system(scen, split, Schedules.from_steps(scen, schedules), system=kind)
             elapsed = time.perf_counter() - started

@@ -399,11 +399,13 @@ class TestBaselines:
         [
             ({("i0", "A0"): 0.0, ("i0", "A1"): 5.0, ("i1", "A0"): 3.0, ("i1", "A1"): 0.0}, "runtime", "minimize"),
             ({("i0", "A0"): 2.0, ("i0", "A1"): -1.0, ("i1", "A0"): -2.0, ("i1", "A1"): -1.5}, "quality", "maximize"),
+            ({("i0", "A0"): -4.0, ("i0", "A1"): -8.0, ("i1", "A0"): -6.0, ("i1", "A1"): -3.0}, "quality", "maximize"),
+            ({("i0", "A0"): -4.0, ("i0", "A1"): -7.0, ("i1", "A0"): -7.0, ("i1", "A1"): -2.0}, "quality", "minimize"),
         ],
-        ids=["runtime-vbs-zero", "maximize-sbs-zero"],
+        ids=["runtime-vbs-zero", "maximize-sbs-zero", "maximize-negative", "minimize-negative"],
     )
-    def test_zero_denominator_prints_an_undefined_factor(self, tmp_path, capsys, runs, objective, direction):
-        bundle = tmp_path / "zero"
+    def test_undefined_factor_prints_undefined(self, tmp_path, capsys, runs, objective, direction):
+        bundle = tmp_path / "undefined"
         scen = build_scenario(runs, ["A0", "A1"], ["i0", "i1"], objective=objective, direction=direction)
         write_scenario(scen, bundle)
         assert run_cli("baselines", "--scenario", bundle) == 0

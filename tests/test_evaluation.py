@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from asbench import (
+    Hyperparameters,
     MetricScore,
     Schedules,
     ScoreReport,
     aggregate,
+    build_presolver,
+    fit_system,
+    report_gap,
     score_system,
     simulate,
     vbs_cost,
 )
-from asbench.evaluation import FeatureStep, SolverStep
+from asbench.cli import build_comparison
+from asbench.evaluation import FeatureStep, SolverStep, headline_gaps, report_rows
 from asbench.scenario import Split
 from asbench.scenario_io import read_report_csv, write_report_csv
+from asbench.selectors import prepare_training
 
 from gen import build_scenario, random_scenario, random_schedule
 from oracles import feature_vectors, oracle_simulate, records, run_record
@@ -199,12 +205,12 @@ class TestMcp:
         out = simulate(scen, scen.instances[0], (SolverStep(scen.algorithms[0], 0.0),))
         assert np.isnan(out.mcp[0])
 
-    def test_cap_holds_a_clock_that_rounds_past_the_cutoff(self):
+    @staticmethod
+    def ulp_cap_case():
+        """A feature step of 1.5 * 2**-52 s, then A's 3.0 s run, against a
+        cutoff one ulp above 3.0."""
         from asbench import FeatureGroup
 
-        # after the feature step, cutoff - cost = 3 - 2**-52 rounds to 3.0, so
-        # A's 3.0 s run fits its slice; t + 3.0 then rounds to one ulp past the
-        # cutoff, and the cap holds the MCP at cutoff - 3.0, not 2**-50
         cutoff = math.nextafter(3.0, 4.0)
         scen = build_scenario(
             {("i0", "A"): 3.0},
@@ -213,10 +219,25 @@ class TestMcp:
             cutoff=cutoff,
             groups=(FeatureGroup("g", (0,), cost={"i0": float.fromhex("0x1.8p-51")}),),
         )
-        out = simulate(scen, "i0", (FeatureStep(group="g"), SolverStep(algorithm="A", budget=cutoff)))
+        return scen, (FeatureStep(group="g"), SolverStep(algorithm="A", budget=cutoff))
+
+    def test_cap_holds_a_clock_that_rounds_past_the_cutoff(self):
+        # after the feature step, cutoff - cost = 3 - 2**-52 rounds to 3.0, so
+        # A's 3.0 s run fits its slice; t + 3.0 then rounds to one ulp past the
+        # cutoff, and the cap holds the MCP at cutoff - 3.0, not 2**-50
+        scen, schedule = self.ulp_cap_case()
+        cutoff = scen.cutoff
+        out = simulate(scen, "i0", schedule)
         assert out.solved[0]
         assert out.time_used[0] == float.fromhex("0x1.8000000000002p+1") == math.nextafter(cutoff, 4.0)
         assert out.mcp[0] == cutoff - 3.0 == 2.0**-51
+
+    def test_the_exact_walk_leaves_the_same_instance_unsolved(self):
+        # exactly, the slice left after the feature step is 3 - 2**-52 < 3.0,
+        # so the reference walk runs A out of time where the float walk solves
+        scen, schedule = self.ulp_cap_case()
+        assert simulate(scen, "i0", schedule).solved[0]
+        assert oracle_simulate(scen, "i0", schedule) == (False, 3.0000000000000004)
 
 
 def scoring_fixture():
@@ -484,7 +505,7 @@ class TestAggregate:
 
     def test_identical_reports_average_to_themselves(self):
         reports = [gap_report("s", 0.4, split=k) for k in range(10)]
-        assert aggregate(reports) == pytest.approx(0.4)
+        assert aggregate(reports, mode="icon2015") == pytest.approx(0.4)
 
     def test_metric_then_split_order_equals_flat_mean(self):
         # unweighted means commute, so both averaging orders coincide
@@ -510,15 +531,43 @@ class TestAggregate:
 
     def test_undefined_gaps_are_excluded(self):
         reports = [gap_report("a", 0.5), gap_report("b", None)]
-        assert aggregate(reports) == pytest.approx(0.5)
+        assert aggregate(reports, mode="icon2015") == pytest.approx(0.5)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], mode="icon2015")
 
     def test_every_gap_undefined(self):
         with pytest.raises(ValueError, match="every gap was undefined"):
-            aggregate([gap_report("a", None), gap_report("b", None, split=1)])
+            aggregate([gap_report("a", None), gap_report("b", None, split=1)], mode="icon2015")
+
+
+def unknown_mode_calls(mode):
+    """Every library call that takes a rule set, each given ``mode``."""
+    runtime = three_step_fixture()
+    quality = random_scenario(1, objective="quality")
+    hp = Hyperparameters(n_trees=1)
+    report = gap_report("s", 0.5)
+    return {
+        "fit_system": lambda: fit_system(runtime, runtime.instances, "regression", hp, mode),
+        "prepare_training": lambda: prepare_training(runtime, runtime.instances, hp, mode),
+        "aggregate": lambda: aggregate([report], mode),
+        "headline_gaps": lambda: headline_gaps(report_rows([report]), mode),
+        "report_gap": lambda: report_gap(report, mode),
+        "build_comparison": lambda: build_comparison(list(report_rows([report])), mode),
+        "build_presolver-runtime": lambda: build_presolver(runtime.instances, runtime, hp, mode),
+        "build_presolver-quality": lambda: build_presolver(quality.instances, quality, hp, mode),
+        "build_presolver-no-budget": lambda: build_presolver(
+            runtime.instances, runtime, Hyperparameters(presolve_budget_fraction=0.0), mode
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(unknown_mode_calls("oasc2017")))
+def test_unknown_mode_is_refused(name):
+    with pytest.raises(KeyError, match="OASC2017"):
+        unknown_mode_calls("OASC2017")[name]()
+    unknown_mode_calls("oasc2017")[name]()  # the same call under a known mode runs
 
 
 class TestReportCsv:

@@ -98,7 +98,7 @@ def test_forest_rows_do_not_depend_on_the_batch(n_classes):
 def test_schedules_do_not_depend_on_the_batch(kind):
     scen = learnable_scenario(n_train=60, n_test=30, seed=17, flip=0.2)
     split = scen.splits[0]
-    model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=12, seed=8))
+    model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=12, seed=8), mode="icon2015")
     whole = schedule_map(predict_batch(model, scen, split.test))
     assert list(whole) == list(split.test)
     assert {i: schedule_map(predict_batch(model, scen, [i]))[i] for i in split.test} == whole
@@ -128,8 +128,8 @@ def test_nan_and_none_are_the_same_missing_value(tmp_path):
     with_none, with_nan = punched(None), punched(float("nan"))
     for kind in KINDS:
         hp = Hyperparameters(n_trees=3, seed=1)
-        a = fit_system(with_none, split.train, kind, hp)
-        b = fit_system(with_nan, split.train, kind, hp)
+        a = fit_system(with_none, split.train, kind, hp, mode="icon2015")
+        b = fit_system(with_nan, split.train, kind, hp, mode="icon2015")
         save_model(a, tmp_path / "none.json")
         save_model(b, tmp_path / "nan.json")
         assert (tmp_path / "none.json").read_bytes() == (tmp_path / "nan.json").read_bytes()

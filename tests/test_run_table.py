@@ -24,7 +24,7 @@ from asbench import (
     score_system,
     vbs_cost,
 )
-from asbench.evaluation import Schedules, SolverStep, simulate
+from asbench.evaluation import RULES, Schedules, SolverStep, simulate
 from asbench.scenario import RUN_STATUSES, RunRecord, Runs
 from asbench.scenario_io import deobfuscate, obfuscate
 from asbench.selectors import prepare_training
@@ -87,30 +87,30 @@ FULL_TIE = ([[(1, "ok"), (1, "ok")], [(3, "ok"), (3, "ok")], [(0, "ok"), (0, "ok
 @given(
     spec=specs(),
     fraction=st.sampled_from([0.05, 0.1, 0.3, 0.6, 0.95]),
-    max_steps=st.sampled_from([1, 3]),
+    mode=st.sampled_from(tuple(RULES)),
 )
-@example(spec=ZERO_TIMES, fraction=0.1, max_steps=1)
-@example(spec=RATE_TIE, fraction=0.3, max_steps=3)
-@example(spec=SHORTER_TIME, fraction=0.3, max_steps=1)
-@example(spec=FULL_TIE, fraction=0.3, max_steps=3)
-def test_presolver_matches_the_reference_search(spec, fraction, max_steps):
+@example(spec=ZERO_TIMES, fraction=0.1, mode="icon2015")
+@example(spec=RATE_TIE, fraction=0.3, mode="oasc2017")
+@example(spec=SHORTER_TIME, fraction=0.3, mode="icon2015")
+@example(spec=FULL_TIE, fraction=0.3, mode="oasc2017")
+def test_presolver_matches_the_reference_search(spec, fraction, mode):
     scen, train = make(*spec)
     hp = Hyperparameters(presolve_budget_fraction=fraction)
-    got = build_presolver(train, scen, hp, max_steps=max_steps)
-    assert got == oracle_presolver(train, scen, hp, max_steps=max_steps)
+    got = build_presolver(train, scen, hp, mode)
+    assert got == oracle_presolver(train, scen, hp, max_steps=RULES[mode]["presolve_steps"])
     assert all(type(step.budget) is float for step in got)
 
 
 def test_presolver_tie_rules():
-    def steps(spec, max_steps):
+    def steps(spec, mode):
         scen, train = make(*spec)
         hp = Hyperparameters(presolve_budget_fraction=0.3)  # a 30 s budget
-        return [(s.algorithm, s.budget) for s in build_presolver(train, scen, hp, max_steps)]
+        return [(s.algorithm, s.budget) for s in build_presolver(train, scen, hp, mode)]
 
-    assert steps(ZERO_TIMES, 1) == [("A0", 30.0)]
-    assert steps(RATE_TIE, 1) == [("A0", 5.0)]
-    assert steps(SHORTER_TIME, 1) == [("A0", 5.0)]
-    assert steps(FULL_TIE, 3) == [("A0", 5.0), ("A0", 15.0)]
+    assert steps(ZERO_TIMES, "icon2015") == [("A0", 30.0)]
+    assert steps(RATE_TIE, "icon2015") == [("A0", 5.0)]
+    assert steps(SHORTER_TIME, "icon2015") == [("A0", 5.0)]
+    assert steps(FULL_TIE, "oasc2017") == [("A0", 5.0), ("A0", 15.0)]
 
 
 # i0 twice and i2 in a bootstrap sample: A0's 5 s step dispatches both copies of i0
@@ -123,17 +123,16 @@ ALL_DISPATCHED = ([[(1, "ok"), (3, "ok")], [(1, "ok"), (20, "timeout")]], [0, 1,
 @given(
     spec=specs(),
     fraction=st.sampled_from([0.05, 0.1, 0.3, 0.9, 0.999999]),
-    max_steps=st.sampled_from([1, 3]),
+    mode=st.sampled_from(tuple(RULES)),
 )
-@example(spec=REPEATED, fraction=0.05, max_steps=1)
-@example(spec=ALL_DISPATCHED, fraction=0.1, max_steps=3)
-@example(spec=RATE_TIE, fraction=0.999999, max_steps=3)
-def test_training_keeps_what_the_prefix_leaves(spec, fraction, max_steps):
+@example(spec=REPEATED, fraction=0.05, mode="icon2015")
+@example(spec=ALL_DISPATCHED, fraction=0.1, mode="oasc2017")
+@example(spec=RATE_TIE, fraction=0.999999, mode="oasc2017")
+def test_training_keeps_what_the_prefix_leaves(spec, fraction, mode):
     scen, train = make(*spec)
     hp = Hyperparameters(presolve_budget_fraction=fraction)
-    mode = "icon2015" if max_steps == 1 else "oasc2017"
     prefix, ts = prepare_training(scen, train, hp, mode)
-    full = build_presolver(train, scen, hp, max_steps)
+    full = oracle_presolver(train, scen, hp, max_steps=RULES[mode]["presolve_steps"])
     dispatched = oracle_presolved_instances(full, scen, train)
     left = tuple(i for i in train if i not in dispatched)
     if left:

@@ -265,10 +265,15 @@ class TestImprovementFactor:
             ({("i0", "A0"): 2.0, ("i0", "A1"): -1.0, ("i1", "A0"): -2.0, ("i1", "A1"): -1.5}, "quality", "maximize"),
             # the VBS takes -1 on i0 and 1 on i1: mean 0
             ({("i0", "A0"): 1.0, ("i0", "A1"): -1.0, ("i1", "A0"): 1.0, ("i1", "A1"): 5.0}, "quality", "minimize"),
+            # the VBS beats the SBS in both, yet the ratio of the negative
+            # means would read below 1: SBS A0 mean -5.0 (A1 -5.5), VBS -3.5 ...
+            ({("i0", "A0"): -4.0, ("i0", "A1"): -8.0, ("i1", "A0"): -6.0, ("i1", "A1"): -3.0}, "quality", "maximize"),
+            # ... and SBS A0 mean -5.5 (A1 -4.5), VBS -7.0
+            ({("i0", "A0"): -4.0, ("i0", "A1"): -7.0, ("i1", "A0"): -7.0, ("i1", "A1"): -2.0}, "quality", "minimize"),
         ],
-        ids=["runtime-vbs-zero", "maximize-sbs-zero", "minimize-vbs-zero"],
+        ids=["runtime-vbs-zero", "maximize-sbs-zero", "minimize-vbs-zero", "maximize-negative", "minimize-negative"],
     )
-    def test_zero_denominator_is_undefined(self, runs, objective, direction):
+    def test_undefined_without_two_positive_means(self, runs, objective, direction):
         scen = build_scenario(runs, ["A0", "A1"], ["i0", "i1"], objective=objective, direction=direction)
         assert improvement_factor(scen) is None
 

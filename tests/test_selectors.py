@@ -96,8 +96,10 @@ class TestTrainingSet:
         with pytest.raises(ValueError, match="^feature group 'base' named more than once$"):
             build_training_set(tutorial, tutorial.instances, feature_groups=["base", "probing", "base"])
         with pytest.raises(ValueError, match="'probing' named more than once"):
-            fit_system(tutorial, split.train, "regression", FAST, feature_groups=["probing", "probing"])
-        model = fit_system(tutorial, split.train, "regression", FAST, feature_groups=["base"])
+            fit_system(
+                tutorial, split.train, "regression", FAST, mode="icon2015", feature_groups=["probing", "probing"]
+            )
+        model = fit_system(tutorial, split.train, "regression", FAST, feature_groups=["base"], mode="icon2015")
         with pytest.raises(ValueError, match="'base' named more than once"):
             predict_batch(replace(model, feature_groups=("base", "base")), tutorial, split.test)
 
@@ -151,13 +153,14 @@ def test_model_sbs_is_the_scenario_sbs(kind):
         runs[(inst, "A")] = 1 / (n - j)
         runs[(inst, "B")] = 1 / (j + 1)
     scen = build_scenario(runs, ["A", "B"], instances)
-    model = fit_system(scen, scen.instances, kind, Hyperparameters(n_trees=2, seed=0, presolve_budget_fraction=0.0))
+    hp = Hyperparameters(n_trees=2, seed=0, presolve_budget_fraction=0.0)
+    model = fit_system(scen, scen.instances, kind, hp, mode="icon2015")
     assert model.sbs_algorithm == sbs(scen, scen.instances) == "A"
 
 
 def test_unknown_selector_kind_rejected(tutorial):
     with pytest.raises(ValueError, match="unknown selector kind 'nope'"):
-        fit_system(tutorial, tutorial.instances, "nope", FAST)
+        fit_system(tutorial, tutorial.instances, "nope", FAST, mode="icon2015")
 
 
 class TestRegression:
@@ -189,7 +192,7 @@ class TestRegression:
     def test_learns_the_synthetic_rule(self):
         scen = learnable_scenario(n_train=500, n_test=200, seed=7)
         split = scen.splits[0]
-        model = fit_system(scen, split.train, "regression", BARE)
+        model = fit_system(scen, split.train, "regression", BARE, mode="icon2015")
         assert selection_accuracy(model, scen, split.test) >= 0.9
 
     def test_argmin_invariance_under_constant_shift(self):
@@ -267,7 +270,7 @@ class TestPairwise:
     def test_learns_the_synthetic_rule(self):
         scen = learnable_scenario(n_train=500, n_test=200, seed=8)
         split = scen.splits[0]
-        model = fit_system(scen, split.train, "pairwise", BARE)
+        model = fit_system(scen, split.train, "pairwise", BARE, mode="icon2015")
         assert selection_accuracy(model, scen, split.test) >= 0.9
 
 
@@ -327,8 +330,8 @@ class TestStacking:
     def test_close_to_regression_on_the_synthetic_rule(self):
         scen = learnable_scenario(n_train=300, n_test=120, seed=9)
         split = scen.splits[0]
-        reg = fit_system(scen, split.train, "regression", BARE)
-        stack = fit_system(scen, split.train, "stacking", BARE)
+        reg = fit_system(scen, split.train, "regression", BARE, mode="icon2015")
+        stack = fit_system(scen, split.train, "stacking", BARE, mode="icon2015")
         reg_acc = selection_accuracy(reg, scen, split.test)
         stack_acc = selection_accuracy(stack, scen, split.test)
         assert stack_acc >= reg_acc - 0.05
@@ -377,7 +380,7 @@ class TestSunny:
     def test_schedule_walk_matches_oracle(self):
         scen = learnable_scenario(n_train=60, n_test=20, seed=11)
         split = scen.splits[0]
-        model = fit_system(scen, split.train, "sunny", Hyperparameters(sunny_k=16, n_trees=2))
+        model = fit_system(scen, split.train, "sunny", Hyperparameters(sunny_k=16, n_trees=2), mode="icon2015")
         for inst in split.test[:10]:
             schedule = schedule_map(predict_batch(model, scen, [inst]))[inst]
             got = simulate(scen, inst, schedule)
@@ -390,7 +393,7 @@ class TestSunny:
             scen = random_scenario(seed, n_insts=8)
             split = scen.splits[0]
             model = fit_system(
-                scen, split.train, "sunny", Hyperparameters(sunny_k=4, n_trees=2, seed=seed)
+                scen, split.train, "sunny", Hyperparameters(sunny_k=4, n_trees=2, seed=seed), mode="icon2015"
             )
             for inst in split.test:
                 schedule = schedule_map(predict_batch(model, scen, [inst]))[inst]
@@ -410,7 +413,7 @@ class TestPresolver:
 
     def test_fast_dispatcher_is_selected(self):
         scen = self.presolve_scenario()
-        prefix = build_presolver(scen.instances, scen, Hyperparameters())
+        prefix = build_presolver(scen.instances, scen, Hyperparameters(), mode="icon2015")
         assert len(prefix) == 1
         assert prefix[0].algorithm == "A0"
         assert prefix[0].budget == pytest.approx(30.0)
@@ -438,12 +441,12 @@ class TestPresolver:
             ["i0", "i1"],
             cutoff=5000.0,
         )
-        assert build_presolver(scen.instances, scen, Hyperparameters()) == ()
+        assert build_presolver(scen.instances, scen, Hyperparameters(), mode="icon2015") == ()
 
     def test_zero_budget_fraction(self):
         scen = self.presolve_scenario()
         hp = Hyperparameters(presolve_budget_fraction=0.0)
-        assert build_presolver(scen.instances, scen, hp) == ()
+        assert build_presolver(scen.instances, scen, hp, mode="icon2015") == ()
 
     def test_2017_mode_can_chain_steps(self):
         instances = [f"i{j}" for j in range(9)]
@@ -453,27 +456,27 @@ class TestPresolver:
             runs[(inst, "A1")] = 20.0 if 3 <= j < 6 else (1000.0, "timeout")
         scen = build_scenario(runs, ["A0", "A1"], instances, cutoff=1000.0)
         hp = Hyperparameters(presolve_budget_fraction=0.1)
-        one = build_presolver(scen.instances, scen, hp, max_steps=1)
-        three = build_presolver(scen.instances, scen, hp, max_steps=3)
+        one = build_presolver(scen.instances, scen, hp, "icon2015")
+        three = build_presolver(scen.instances, scen, hp, "oasc2017")
         assert len(one) == 1
         assert [s.algorithm for s in three] == ["A0", "A1"]
 
     def test_presolved_instances_removed_before_fitting(self):
         scen = self.presolve_scenario()
-        model = fit_system(scen, scen.instances, "sunny", Hyperparameters(n_trees=2))
+        model = fit_system(scen, scen.instances, "sunny", Hyperparameters(n_trees=2), mode="icon2015")
         assert model.presolve
         # the four instances A0 dispatches in 30s are gone from the store
         assert np.asarray(model.payload["X"]).shape[0] == 6
 
     def test_quality_scenarios_never_presolve(self):
         scen = random_scenario(2, objective="quality")
-        model = fit_system(scen, scen.instances, "regression", FAST)
+        model = fit_system(scen, scen.instances, "regression", FAST, mode="icon2015")
         assert model.presolve == ()
 
 
 class TestPredictSchedules:
     def test_runtime_schedule_shape(self, tutorial):
-        model = fit_system(tutorial, tutorial.splits[0].train, "regression", FAST)
+        model = fit_system(tutorial, tutorial.splits[0].train, "regression", FAST, mode="icon2015")
         schedule = schedule_map(predict_batch(model, tutorial, ["i4"]))["i4"]
         _oracle_check_schedule(tutorial, schedule)
         kinds = [type(s).__name__ for s in schedule]
@@ -485,7 +488,7 @@ class TestPredictSchedules:
 
     def test_quality_schedule_is_one_step(self):
         scen = random_scenario(4, objective="quality")
-        model = fit_system(scen, scen.splits[0].train, "regression", FAST)
+        model = fit_system(scen, scen.splits[0].train, "regression", FAST, mode="icon2015")
         for inst in scen.splits[0].test:
             schedule = schedule_map(predict_batch(model, scen, [inst]))[inst]
             assert len(schedule) == 1
@@ -498,7 +501,7 @@ class TestPredictSchedules:
         features = feature_vectors(scen)
         features[blank] = (None, None, None, None)
         scen = replace(scen, features=features)
-        model = fit_system(scen, scen.splits[0].train, "regression", FAST)
+        model = fit_system(scen, scen.splits[0].train, "regression", FAST, mode="icon2015")
         with pytest.warns(UserWarning, match="falling back"):
             schedule = schedule_map(predict_batch(model, scen, [blank]))[blank]
         solver_steps = [s for s in schedule if isinstance(s, SolverStep)]
@@ -517,7 +520,7 @@ class TestPredictSchedules:
         )
         scen = replace(scen, feature_groups=groups)
         split = scen.splits[0]
-        model = fit_system(scen, split.train, "regression", FAST, feature_groups=["base"])
+        model = fit_system(scen, split.train, "regression", FAST, feature_groups=["base"], mode="icon2015")
         assert model.feature_groups == ("base",)
         mangled = replace(
             scen,
@@ -534,7 +537,7 @@ class TestPredictSchedules:
     def test_model_of_another_portfolio_is_refused(self):
         scen = learnable_scenario(n_train=40, n_test=5, seed=6)
         split = scen.splits[0]
-        model = fit_system(scen, split.train, "regression", FAST)
+        model = fit_system(scen, split.train, "regression", FAST, mode="icon2015")
         renamed = replace(model, algorithms=("Z0", "Z1", "Z2"))
         shorter = replace(model, algorithms=model.algorithms[:2])
         for foreign in (renamed, shorter):
@@ -551,10 +554,11 @@ class TestPredictSchedules:
             return replace(scen, feature_groups=groups)
 
         split = scen.splits[0]
-        model = fit_system(scen, split.train, "regression", FAST, feature_groups=["all"])
+        model = fit_system(scen, split.train, "regression", FAST, feature_groups=["all"], mode="icon2015")
         with pytest.raises(ValueError, match="unknown feature groups"):
             predict_batch(model, grouped((0, 1), (2, 3)), split.test)
-        model = fit_system(grouped((0, 1), (2, 3)), split.train, "regression", FAST, ["base"])
+        model = fit_system(grouped((0, 1), (2, 3)), split.train, "regression", FAST, "oasc2017", ["base"])
+        assert model.feature_groups == ("base",)
         with pytest.raises(ValueError, match="other columns"):
             predict_batch(model, grouped((2, 3), (0, 1)), split.test)
 
@@ -562,7 +566,7 @@ class TestPredictSchedules:
         scen = learnable_scenario(n_train=50, n_test=10, seed=6)
         split = scen.splits[0]
         for kind in ("regression", "pairwise", "cluster", "stacking", "sunny"):
-            model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=5, seed=2))
+            model = fit_system(scen, split.train, kind, Hyperparameters(n_trees=5, seed=2), mode="icon2015")
             for inst in split.test:
                 _oracle_check_schedule(scen, schedule_map(predict_batch(model, scen, [inst]))[inst])
 
@@ -633,7 +637,7 @@ class TestDeterminismAndSerialization:
         split = scen.splits[0]
         paths = []
         for run in ("a", "b"):
-            model = fit_system(scen, split.train, "regression", Hyperparameters(n_trees=10, seed=5))
+            model = fit_system(scen, split.train, "regression", Hyperparameters(n_trees=10, seed=5), mode="icon2015")
             path = tmp_path / f"model_{run}.json"
             save_model(model, path)
             paths.append(path)
@@ -642,8 +646,8 @@ class TestDeterminismAndSerialization:
     def test_different_seed_changes_the_model(self, tmp_path):
         scen = learnable_scenario(n_train=60, n_test=10, seed=2)
         split = scen.splits[0]
-        a = fit_system(scen, split.train, "regression", Hyperparameters(n_trees=10, seed=5))
-        b = fit_system(scen, split.train, "regression", Hyperparameters(n_trees=10, seed=6))
+        a = fit_system(scen, split.train, "regression", Hyperparameters(n_trees=10, seed=5), mode="icon2015")
+        b = fit_system(scen, split.train, "regression", Hyperparameters(n_trees=10, seed=6), mode="icon2015")
         save_model(a, tmp_path / "a.json")
         save_model(b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() != (tmp_path / "b.json").read_bytes()
@@ -706,7 +710,7 @@ class TestDeterminismAndSerialization:
                 load_model(bad)
         scen = learnable_scenario(n_train=40, n_test=5, seed=4)
         good = tmp_path / "model.json"
-        save_model(fit_system(scen, scen.splits[0].train, "cluster", FAST), good)
+        save_model(fit_system(scen, scen.splits[0].train, "cluster", FAST, mode="icon2015"), good)
         doc = json.loads(good.read_text())
         for key in ("payload", "preprocess", "kind"):
             bad.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
@@ -731,7 +735,7 @@ class TestDeterminismAndSerialization:
         """Every payload array loads with the dtype, shape and bytes it was
         saved with: NaN, ±inf and -0.0 in float arrays, and a bool ``solved``."""
         scen = learnable_scenario(n_train=40, n_test=10, seed=4)
-        model = fit_system(scen, scen.splits[0].train, kind, Hyperparameters(n_trees=3, seed=3))
+        model = fit_system(scen, scen.splits[0].train, kind, Hyperparameters(n_trees=3, seed=3), mode="icon2015")
         payload = with_special_floats(model.payload)
         if kind == "sunny":
             assert payload["solved"].dtype == bool
@@ -751,7 +755,7 @@ class TestDeterminismAndSerialization:
         """A store of no rows (0 centroids, 0 neighbours) leaves prediction
         nothing to pick from; fitting never makes one, and loading refuses it."""
         scen = learnable_scenario(n_train=40, n_test=10, seed=4)
-        model = fit_system(scen, scen.splits[0].train, kind, Hyperparameters(n_trees=3, seed=3))
+        model = fit_system(scen, scen.splits[0].train, kind, Hyperparameters(n_trees=3, seed=3), mode="icon2015")
         path = tmp_path / "model.json"
         save_model(replace(model, payload={name: a[:0] for name, a in model.payload.items()}), path)
         with pytest.raises(ValueError, match=f"'{field}' is not an array .* with at least one row"):
