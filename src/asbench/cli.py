@@ -182,12 +182,12 @@ def cmd_evaluate(args) -> int:
     scenario_io.check_system_name(args.system, "--system")
     scen = parse_scenario(args.scenario)
     splits = _resolve_splits(scen, args.splits, args.seed)
-    if args.mode == "oasc2017":
+    if evaluation.RULES[args.mode]["splits"] == "one":
         pairs = [(_pick_split(splits, args.split_id), Path(args.predictions))]
     else:
         pred_root = Path(args.predictions)
         if not pred_root.is_dir():
-            raise ValueError("icon2015 evaluation expects --predictions DIR with one file per split")
+            raise ValueError(f"{args.mode} evaluation expects --predictions DIR with one file per split")
         pairs = [(split, pred_root / f"predictions_split{split.split_id}.csv") for split in splits]
     reports: list[ScoreReport] = []
     for split, path in pairs:

@@ -372,11 +372,13 @@ def score_system(scenario: Scenario, split: Split, schedules: Schedules, system:
 
 # Each competition's rules: the metrics whose gaps its headline gap averages
 # (a report holds only those of its objective: par10, mcp and solved, or
-# quality) and the most steps its static pre-solver may take. Every function
-# that takes a ``mode`` looks it up here; an unknown mode is a KeyError.
+# quality), the most steps its static pre-solver may take, and the splits
+# ``evaluate`` scores: "one" from one prediction file, or "all" from a
+# directory with one file per split. Every function that takes a ``mode``
+# looks it up here; an unknown mode is a KeyError.
 RULES = {
-    "icon2015": {"gap_metrics": ("par10", "mcp", "solved", "quality"), "presolve_steps": 1},
-    "oasc2017": {"gap_metrics": ("par10", "quality"), "presolve_steps": 3},
+    "icon2015": {"gap_metrics": ("par10", "mcp", "solved", "quality"), "presolve_steps": 1, "splits": "all"},
+    "oasc2017": {"gap_metrics": ("par10", "quality"), "presolve_steps": 3, "splits": "one"},
 }
 
 

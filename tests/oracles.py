@@ -581,6 +581,13 @@ def oracle_predict(model, scenario, instance):
     return prefix + tuple(steps)
 
 
+def oracle_rank_table(scores):
+    """``rank_table``'s ranks as scipy's ``rankdata`` gives them, row by row."""
+    from scipy.stats import rankdata
+
+    return np.vstack([rankdata(row) for row in scores])
+
+
 def oracle_friedman_statistic(score_rows):
     """Hand evaluation of the Friedman formula with exact rationals.
 

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from asbench import ParseError, parse_predictions, parse_scenario, sbs, selectors, write_scenario
 from asbench.cli import _atomic_write, build_comparison, main
-from asbench.evaluation import MetricScore, ScoreReport
+from asbench.evaluation import RULES, MetricScore, ScoreReport
 from asbench.scenario_io import read_report_csv, write_report_csv
 from asbench.selectors import Hyperparameters
 
@@ -531,6 +532,30 @@ class TestTrainPredictEvaluate:
             "evaluate", "--scenario", learnable_bundle, "--predictions", single,
             "--mode", "icon2015", "--system", "a0", "--out", tmp_path / "bad",
         ) == 2
+
+    @pytest.mark.parametrize("mode", tuple(RULES))
+    def test_each_mode_takes_the_input_shape_its_rules_name(self, learnable_bundle, tmp_path, capsys, mode):
+        scen = parse_scenario(learnable_bundle)
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        for split in scen.splits:
+            rows = ["instance_id,step,kind,name,budget"]
+            rows += [f"{inst},1,solver,{scen.algorithms[0]},{scen.cutoff}" for inst in split.test]
+            (pred_dir / f"predictions_split{split.split_id}.csv").write_text("\n".join(rows) + "\n")
+        single = pred_dir / "predictions_split0.csv"
+        # what the mode takes, how many reports it gives, what it refuses, and why
+        expects_dir = f"{mode} evaluation expects --predictions DIR with one file per split"
+        taken, n_reports, refused, error = {
+            "one": (single, 1, pred_dir, f"missing prediction file {pred_dir}"),
+            "all": (pred_dir, len(scen.splits), single, expects_dir),
+        }[RULES[mode]["splits"]]
+        argv = ["evaluate", "--scenario", learnable_bundle, "--mode", mode, "--system", "a0", "--json"]
+        assert run_cli(*argv, "--predictions", taken, "--out", tmp_path / "ok") == 0
+        assert len(json.loads((tmp_path / "ok.json").read_text())["reports"]) == n_reports
+        capsys.readouterr()
+        assert run_cli(*argv, "--predictions", refused, "--out", tmp_path / "bad") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {error}"
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_anonymize_test_is_no_option(self, learnable_bundle, tmp_path, capsys):
         # selectors read no test row's runs (see test_selectors.py::
@@ -1138,3 +1163,20 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "algorithm selection" in proc.stdout
+
+
+def test_importing_the_cli_loads_no_scipy_stats():
+    # scipy.stats pulls in scipy's optimize, integrate, interpolate, ndimage
+    # and fft packages (about 31 MiB of resident memory); only a fresh
+    # interpreter can tell, since other tests load it into this one
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import asbench, asbench.cli, sys; "
+        "print([m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asbench.stats import (
     cd_diagram_data,
@@ -17,6 +19,7 @@ from oracles import (
     oracle_friedman_permutation_p,
     oracle_friedman_statistic,
     oracle_range_quantile,
+    oracle_rank_table,
 )
 
 # 2017 quality-scenario row with two exact ties (published per-scenario gaps)
@@ -32,7 +35,28 @@ FRIEDMAN_SCORES = [
 ]
 
 
+@st.composite
+def tied_score_matrices(draw):
+    """Small integer-valued matrices (1 x k and n x 1 included) with heavy
+    ties, times one scale; a zero cell keeps a drawn sign, so -0.0 meets 0.0."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=n * k, max_size=n * k))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e300, math.inf, -math.inf]))
+    values = [i * scale if i else (-0.0 if negative else 0.0) for i, negative in cells]
+    return np.array(values, dtype=np.float64).reshape(n, k)
+
+
 class TestRankTable:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(scores=tied_score_matrices())
+    @example(scores=np.array([[math.inf, -0.0, 0.0, -math.inf, 1e300, -math.inf, 0.1]]))
+    @example(scores=np.array([[2.0], [-0.0], [math.inf]]))
+    def test_matches_the_scipy_oracle_bit_for_bit(self, scores):
+        ranks, expected = rank_table(scores), oracle_rank_table(scores)
+        assert ranks.dtype == expected.dtype
+        assert ranks.shape == expected.shape
+        assert ranks.tobytes() == expected.tobytes()
+
     def test_published_row_with_ties(self):
         ranks = rank_table([CAMILLA_ROW])
         assert ranks[0].tolist() == [1.5, 1.5, 3.0, 4.0, 7.5, 7.5, 5.0, 6.0]
@@ -65,7 +89,24 @@ class TestFriedman:
         ranks = rank_table([[1.0, 1.0, 1.0]] * 4)
         stat, p = friedman_test(ranks)
         assert stat == 0.0
-        assert p == pytest.approx(1.0)
+        assert p == 1.0
+
+    @pytest.mark.parametrize("k", range(2, 22))
+    def test_p_value_is_scipy_chi2_survival_bit_for_bit(self, k):
+        # rows agreeing on one order, the rest reversed: from full agreement
+        # (the largest statistic) down to stat 0.0 when the halves cancel
+        from scipy.stats import chi2
+
+        order = np.arange(1.0, k + 1)
+        stats = set()
+        for n in (2, 7, 10, 60):
+            for agree in range(n + 1):
+                stat, p = friedman_test(np.vstack([order] * agree + [order[::-1]] * (n - agree)))
+                assert p == float(chi2.sf(stat, k - 1))
+                stats.add(stat)
+        stat, p = friedman_test(np.full((4, k), (k + 1) / 2.0))
+        assert (stat, p) == (0.0, float(chi2.sf(0.0, k - 1)))
+        assert 0.0 in stats and max(stats) == pytest.approx(60.0 * (k - 1))
 
     def test_matches_hand_formula_to_1e6(self):
         ranks = rank_table(FRIEDMAN_SCORES)
