@@ -193,7 +193,7 @@ def cmd_evaluate(args) -> int:
     for split, path in pairs:
         if not path.is_file():
             raise ValueError(f"missing prediction file {path}")
-        schedules = scenario_io.parse_predictions(path, scen, require_cover=split.test)
+        schedules = scenario_io.parse_predictions(path, scen)
         reports.append(score_system(scen, split, schedules, system=args.system))
     overall = aggregate(reports, mode=args.mode)
     summary = {

@@ -308,66 +308,44 @@ def _mean(values) -> float:
 def score_system(scenario: Scenario, split: Split, schedules: Schedules, system: str = "system") -> ScoreReport:
     """Score one system's schedules on a split's test instances.
 
-    ``schedules`` (as ``predict_batch`` or the prediction parser returns
-    it) holds one schedule of each test instance, found by its row, and
-    those are replayed in one :func:`simulate_batch`; a missing test
-    instance or a second schedule of an instance raises ValueError. The
-    single best solver is picked on the split's training instances and
-    replayed as a bare full-cutoff run; the virtual best solver references
-    come straight from the recorded data. The solved metric enters its gap
-    as an unsolved fraction and maximize-direction quality values as negated
-    costs, so every gap is a ratio of minimized quantities.
+    This is the one check that a batch (as ``predict_batch`` or the
+    prediction parser returns it) covers a split: a test instance without a
+    schedule raises ValueError naming the split and the instances (and one
+    scheduled twice, naming that instance). The test schedules are replayed
+    in one :func:`simulate_batch`. Each metric is one entry of per-instance columns:
+    the system's outcome, the single best solver's (picked on the split's
+    training instances and replayed as a bare full-cutoff run) and the
+    virtual best solver's, straight from the recorded data. Its value and
+    references are the columns' ``math.fsum`` means, and its gap compares
+    what the metric minimizes: the unsolved fraction, and quality values as
+    costs (negated when maximized).
     """
     test = list(split.test)
     rows = [scenario.row[i] for i in test]
     at = schedules.positions(scenario)[rows]
     if missing := [i for i, p in zip(test, at.tolist()) if p < 0]:
-        raise ValueError(f"missing predictions for test instances {missing[:5]!r}")
-    sbs_col = scenario.algorithms.index(sbs(scenario, split.train))
-    vbs = scenario.cost[rows].min(axis=1).tolist()
+        raise ValueError(f"split {split.split_id}: missing predictions for test instances {missing[:5]!r}")
+    sbs_col = scenario.col[sbs(scenario, split.train)]
+    cost = scenario.cost[rows]
     out = simulate_batch(scenario, schedules, at)
-
     if scenario.objective == "runtime":
         # a bare full-cutoff run of the single best solver replays as the
         # scenario's own solved flag, PAR10 and capped runtime
-        capped = scenario.capped[rows]
-        best = capped.min(axis=1)
-
-        par10_s = _mean(out.par10.tolist())
-        par10_b = _mean(scenario.cost[rows, sbs_col].tolist())
-        par10_v = _mean(vbs)
-
-        mcp_s = _mean(out.mcp.tolist())
-        mcp_b = _mean((capped[:, sbs_col] - best).tolist())
-
-        solved_s = _mean(out.solved.astype(float).tolist())
-        solved_b = _mean(scenario.solved[rows, sbs_col].tolist())
-        solved_v = _mean(scenario.solved[rows].any(axis=1).tolist())
-
-        metrics = {
-            "par10": MetricScore(par10_s, par10_b, par10_v, _gap(par10_s, par10_b, par10_v)),
-            "mcp": MetricScore(mcp_s, mcp_b, 0.0, _gap(mcp_s, mcp_b, 0.0)),
-            "solved": MetricScore(
-                solved_s, solved_b, solved_v, _gap(1.0 - solved_s, 1.0 - solved_b, 1.0 - solved_v)
-            ),
+        capped, solved = scenario.capped[rows], scenario.solved[rows]
+        columns = {  # metric: system, SBS and VBS columns, and what the gap minimizes of their means
+            "par10": (out.par10, cost[:, sbs_col], cost.min(axis=1), lambda m: m),
+            "mcp": (out.mcp, capped[:, sbs_col] - capped.min(axis=1), np.zeros(len(rows)), lambda m: m),
+            "solved": (out.solved.astype(float), solved[:, sbs_col], solved.any(axis=1), lambda m: 1.0 - m),
         }
     else:
         sign = -1.0 if scenario.direction == "maximize" else 1.0
-        value_s = _mean(out.achieved_value.tolist())
-        value_b = _mean(scenario.runs.value[rows, sbs_col].tolist())
-        value_v = _mean([sign * v for v in vbs])
-        metrics = {
-            "quality": MetricScore(
-                value_s, value_b, value_v, _gap(sign * value_s, sign * value_b, sign * value_v)
-            )
-        }
-    return ScoreReport(
-        system=system,
-        scenario_id=scenario.id,
-        split_id=split.split_id,
-        objective=scenario.objective,
-        metrics=metrics,
-    )
+        value = scenario.runs.value[rows]
+        columns = {"quality": (out.achieved_value, value[:, sbs_col], sign * cost.min(axis=1), lambda m: sign * m)}
+    metrics = {}
+    for name, (*refs, minimized) in columns.items():
+        means = [_mean(column.tolist()) for column in refs]
+        metrics[name] = MetricScore(*means, _gap(*map(minimized, means)))
+    return ScoreReport(system, scenario.id, split.split_id, scenario.objective, metrics)
 
 
 # Each competition's rules: the metrics whose gaps its headline gap averages

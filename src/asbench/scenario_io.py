@@ -631,14 +631,13 @@ def write_scenario(scenario: Scenario, path) -> None:
 PREDICTIONS_HEADER = ["instance_id", "step", "kind", "name", "budget"]
 
 
-def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules:
-    """Read a prediction file into a batch of schedules, one per instance.
-
-    ``require_cover`` is an optional iterable of instance ids (typically a
-    split's test set) that must all receive a schedule. The file is read
-    once, column-wise, and its schedules are checked as arrays. When a check
-    fails, the ParseError names the first bad row, or else the first bad
-    schedule in the order the file first names instances, at its last line.
+def parse_predictions(path, scenario: Scenario) -> Schedules:
+    """Read a prediction file into a batch of schedules, one per instance it
+    names. The file is read once, column-wise, and its schedules are checked
+    as arrays. When a check fails, the ParseError names the first bad row, or
+    else the first bad schedule in the order the file first names instances,
+    at its last line. Whether the file covers a split is judged when it is
+    scored (``evaluation.score_system``).
     """
     path = Path(path)
     _, (inst, ordinal, kind, name, budget), lines, width = _read_table(path, PREDICTIONS_HEADER)
@@ -688,11 +687,6 @@ def parse_predictions(path, scenario: Scenario, require_cover=None) -> Schedules
              lambda q: f"step ordinals for {insts[q]!r} are not contiguous from 1: {steps[by_file[q]]}"),
             (fault[by_file] > 0, invalid),
         ])
-    if require_cover is not None:
-        parsed = set(schedules.instances)
-        missing = [i for i in require_cover if i not in parsed]
-        if missing:
-            raise ParseError(path.name, 0, f"no schedule for test instances {missing[:5]!r}")
     return schedules
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from asbench.evaluation import FeatureStep, SolverStep
+from asbench.evaluation import FeatureStep, MetricScore, ScoreReport, SolverStep, _gap, _mean, simulate_batch
 from asbench.learners import Forest, _grow_trees, fit_forest, rng_stream
 from asbench.scenario import (
     DIRECTIONS,
@@ -30,6 +30,7 @@ from asbench.scenario import (
     Split,
     Violation,
     collapse_repetitions,
+    sbs,
 )
 from asbench.scenario_io import (
     COSTS_FILE,
@@ -1156,12 +1157,8 @@ def oracle_replay(scenario: Scenario, instance: str, schedule) -> ReplayOutcome:
     return ReplayOutcome(solved=False, time_used=cutoff)
 
 
-def oracle_parse_predictions(path, scenario: Scenario, require_cover=None):
-    """Read a prediction file into per-instance schedules.
-
-    ``require_cover`` is an optional iterable of instance ids (typically a
-    split's test set) that must all receive a schedule.
-    """
+def oracle_parse_predictions(path, scenario: Scenario):
+    """Read a prediction file into per-instance schedules."""
     fname = Path(path).name
     inst_set = set(scenario.instances)
     algo_set = set(scenario.algorithms)
@@ -1207,9 +1204,75 @@ def oracle_parse_predictions(path, scenario: Scenario, require_cover=None):
         except ValueError as exc:
             raise ParseError(fname, lines[inst], f"invalid schedule for {inst!r}: {exc}") from None
         schedules[inst] = schedule
-
-    if require_cover is not None:
-        missing = [i for i in require_cover if i not in schedules]
-        if missing:
-            raise ParseError(fname, 0, f"no schedule for test instances {missing[:5]!r}")
     return schedules
+
+
+# The scorer before it read each metric's system, SBS and VBS columns from one
+# table: eleven means spelled out one by one. ``score_system`` must give the
+# same report bit for bit, and refuse a batch that misses a test instance for
+# the same instances.
+
+
+def oracle_score_system(scenario: Scenario, split: Split, schedules, system: str = "system") -> ScoreReport:
+    """Score one system's schedules on a split's test instances.
+
+    ``schedules`` (as ``predict_batch`` or the prediction parser returns
+    it) holds one schedule of each test instance, found by its row, and
+    those are replayed in one :func:`simulate_batch`; a missing test
+    instance or a second schedule of an instance raises ValueError. The
+    single best solver is picked on the split's training instances and
+    replayed as a bare full-cutoff run; the virtual best solver references
+    come straight from the recorded data. The solved metric enters its gap
+    as an unsolved fraction and maximize-direction quality values as negated
+    costs, so every gap is a ratio of minimized quantities.
+    """
+    test = list(split.test)
+    rows = [scenario.row[i] for i in test]
+    at = schedules.positions(scenario)[rows]
+    if missing := [i for i, p in zip(test, at.tolist()) if p < 0]:
+        raise ValueError(f"missing predictions for test instances {missing[:5]!r}")
+    sbs_col = scenario.algorithms.index(sbs(scenario, split.train))
+    vbs = scenario.cost[rows].min(axis=1).tolist()
+    out = simulate_batch(scenario, schedules, at)
+
+    if scenario.objective == "runtime":
+        # a bare full-cutoff run of the single best solver replays as the
+        # scenario's own solved flag, PAR10 and capped runtime
+        capped = scenario.capped[rows]
+        best = capped.min(axis=1)
+
+        par10_s = _mean(out.par10.tolist())
+        par10_b = _mean(scenario.cost[rows, sbs_col].tolist())
+        par10_v = _mean(vbs)
+
+        mcp_s = _mean(out.mcp.tolist())
+        mcp_b = _mean((capped[:, sbs_col] - best).tolist())
+
+        solved_s = _mean(out.solved.astype(float).tolist())
+        solved_b = _mean(scenario.solved[rows, sbs_col].tolist())
+        solved_v = _mean(scenario.solved[rows].any(axis=1).tolist())
+
+        metrics = {
+            "par10": MetricScore(par10_s, par10_b, par10_v, _gap(par10_s, par10_b, par10_v)),
+            "mcp": MetricScore(mcp_s, mcp_b, 0.0, _gap(mcp_s, mcp_b, 0.0)),
+            "solved": MetricScore(
+                solved_s, solved_b, solved_v, _gap(1.0 - solved_s, 1.0 - solved_b, 1.0 - solved_v)
+            ),
+        }
+    else:
+        sign = -1.0 if scenario.direction == "maximize" else 1.0
+        value_s = _mean(out.achieved_value.tolist())
+        value_b = _mean(scenario.runs.value[rows, sbs_col].tolist())
+        value_v = _mean([sign * v for v in vbs])
+        metrics = {
+            "quality": MetricScore(
+                value_s, value_b, value_v, _gap(sign * value_s, sign * value_b, sign * value_v)
+            )
+        }
+    return ScoreReport(
+        system=system,
+        scenario_id=scenario.id,
+        split_id=split.split_id,
+        objective=scenario.objective,
+        metrics=metrics,
+    )

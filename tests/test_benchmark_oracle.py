@@ -4,7 +4,9 @@ working and its scores equal to the library's. The benchmark's tracer
 (``perfbench/tracing.py``) counts prediction steps through
 ``Schedules.values``; this keeps that count equal to the step arrays'. Every
 span name the tracer reads must name a function of ``asbench``, or its
-metric reads 0; the names already dead are listed, so no more can join them."""
+metric reads 0; the names already dead are listed, so no more can join them.
+The chain run through the CLI must also open those spans: a function the
+code reaches through a binding the tracer does not rebind runs untraced."""
 
 import ast
 import importlib.util
@@ -23,7 +25,9 @@ from asbench import (
     predict_batch,
     score_system,
     write_predictions,
+    write_scenario,
 )
+from asbench import cli
 from asbench.selectors import SELECTOR_KINDS
 
 from gen import build_scenario, learnable_scenario, random_scenario, random_schedule
@@ -46,7 +50,7 @@ def test_exact_score_of_a_prediction_file_matches_score_system(tmp_path):
     path = tmp_path / "pred.csv"
     write_predictions(Schedules.from_steps(scen, [(i, random_schedule(rng, scen)) for i in split.test]), scen, path)
     par10, gap = oracle.score(scen, path, split)
-    report = score_system(scen, split, parse_predictions(path, scen, require_cover=split.test))
+    report = score_system(scen, split, parse_predictions(path, scen))
     assert gap is not None
     assert report.metrics["par10"].value == pytest.approx(float(par10), rel=1e-12)
     assert report.metrics["par10"].gap == pytest.approx(float(gap), rel=1e-12)
@@ -103,6 +107,29 @@ def resolves(name: str) -> bool:
 
 def test_every_traced_span_names_a_function():
     assert {name for name in traced_span_names() if not resolves(name)} == DEAD_SPANS
+
+
+def test_the_cli_chain_opens_a_span_of_each_function_it_runs(tmp_path):
+    # a module-level table holding function objects from import time would
+    # call the originals around the tracer's wrappers, and their metrics read 0
+    bundle = tmp_path / "bundle"
+    write_scenario(learnable_scenario(40, 20, seed=3), bundle)
+    tracer = load("tracing").Tracer()
+    tracer.install()
+    try:
+        for kind in SELECTOR_KINDS:
+            model, preds = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
+            for argv in (
+                ["train", "--scenario", bundle, "--selector", kind, "--hp", "n_trees=2", "--out", model],
+                ["predict", "--scenario", bundle, "--model", model, "--out", preds],
+                ["evaluate", "--scenario", bundle, "--predictions", preds, "--out", tmp_path / kind],
+            ):
+                assert cli.main([str(a) for a in argv]) == 0
+    finally:
+        tracer.uninstall()
+    wanted = {"scenario_io.parse_predictions", "scenario_io.write_predictions", "evaluation.score_system"}
+    wanted |= {f"selectors.fit_{kind}" for kind in SELECTOR_KINDS}
+    assert wanted - {span[1] for span in tracer.spans} == set()
 
 
 def test_the_tracer_counts_the_presolver_steps():

@@ -322,6 +322,25 @@ class TestCommandRejects:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: missing prediction file {preds}"
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("mode", tuple(RULES))
+    def test_evaluate_of_a_prediction_file_that_misses_a_test_instance(self, tutorial_bundle, tmp_path, capsys, mode):
+        # split 0 tests i4 and i5, split 1 tests i1 and i2: the one file
+        # scored lacks i5, or the directory's file of split 1 lacks i2
+        one = RULES[mode]["splits"] == "one"
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for split_id, insts in ((0, ["i4"] if one else ["i4", "i5"]), (1, ["i1"])):
+            rows = "".join(f"{inst},1,solver,A1,5000.0\n" for inst in insts)
+            (preds / f"predictions_split{split_id}.csv").write_text("instance_id,step,kind,name,budget\n" + rows)
+        taken, split_id, missing = (preds / "predictions_split0.csv", 0, "i5") if one else (preds, 1, "i2")
+        argv = ["evaluate", "--scenario", tutorial_bundle, "--mode", mode, "--predictions", taken,
+                "--out", tmp_path / "r", "--json"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: split {split_id}: missing predictions for test instances ['{missing}']"
+        )
+        assert not (tmp_path / "r.csv").exists()
+
     def test_compare_with_every_system_out_of_competition(self, tmp_path, capsys):
         report = tmp_path / "a.csv"
         report.write_text("system,scenario,split,metric,value\nalpha,s1,0,gap_par10,0.1\nbeta,s1,0,gap_par10,0.2\n")

@@ -1,5 +1,5 @@
-"""The batch replay and the column-wise prediction parser against the
-one-at-a-time code they replaced (``tests/oracles.py``)."""
+"""The batch replay, the column-wise prediction parser and the table-driven
+scorer against the code they replaced (``tests/oracles.py``)."""
 
 import dataclasses
 import math
@@ -12,10 +12,17 @@ from hypothesis import strategies as st
 
 from asbench import FeatureGroup, ParseError, RunRecord, parse_predictions, score_system, simulate, write_predictions
 from asbench.evaluation import FeatureStep, Schedules, SolverStep, simulate_batch
-from asbench.scenario import RUN_STATUSES
+from asbench.scenario import RUN_STATUSES, STATUS_CODE, Runs, Split
 
 from gen import build_scenario, random_scenario, random_schedule, tutorial_scenario
-from oracles import _oracle_check_schedule, oracle_parse_predictions, oracle_replay, run_record, schedule_map
+from oracles import (
+    _oracle_check_schedule,
+    oracle_parse_predictions,
+    oracle_replay,
+    oracle_score_system,
+    run_record,
+    schedule_map,
+)
 
 
 # half the runs are ok, the rest spread over every status
@@ -171,6 +178,69 @@ class TestOneSchedulePerInstance:
             score_system(tutorial, tutorial.splits[0], self.twice(tutorial))
 
 
+# Scores of random schedules, some missing a test instance, on random
+# scenarios, some with tied costs or with the single best solver as the
+# virtual best.
+@st.composite
+def scoring_cases(draw):
+    """A random runtime or quality scenario (minimized or maximized), a
+    drawn split of it, and a batch of random schedules of the split's test
+    instances (in one case in four, not all of them) and of a few training
+    ones, in a drawn order. Its run values are kept as drawn, or rounded up
+    to quarters of the cutoff (of 10 on quality) so costs tie, or the first
+    algorithm gets each instance's best value, solved, so every gap is
+    undefined."""
+    objective = draw(st.sampled_from(["runtime", "quality"]))
+    scen = random_scenario(draw(st.integers(0, 2**16)), objective=objective, with_splits=False)
+    if objective == "quality":
+        scen = dataclasses.replace(scen, direction=draw(st.sampled_from(["minimize", "maximize"])))
+    value, status = scen.runs.value.copy(), scen.runs.status.copy()
+    shape = draw(st.sampled_from(["drawn", "tied", "dominant"]))
+    if shape == "tied":
+        quarter = (scen.cutoff or 10.0) / 4
+        value = np.ceil(value / quarter) * quarter
+    elif shape == "dominant":
+        sign = -1.0 if scen.direction == "maximize" else 1.0
+        value[:, 0], status[:, 0] = sign * (sign * value).min(axis=1), STATUS_CODE["ok"]
+    scen = dataclasses.replace(scen, runs=Runs(value, status))
+    order = draw(st.permutations(scen.instances))
+    cut = draw(st.integers(1, len(order) - 1))
+    split = Split(draw(st.integers(0, 3)), tuple(order[cut:]), tuple(order[:cut]))
+    scheduled = list(split.test)
+    if draw(st.integers(0, 3)) == 0:  # some test instances left out
+        scheduled = draw(st.lists(st.sampled_from(split.test), unique=True, max_size=len(split.test) - 1))
+    scheduled += draw(st.lists(st.sampled_from(split.train), unique=True, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pairs = draw(st.permutations([(inst, random_schedule(rng, scen)) for inst in scheduled]))
+    return scen, split, Schedules.from_steps(scen, pairs), shape == "dominant"
+
+
+def _report_bits(report):
+    """A report with each float as its bits, a ``None`` gap kept as ``None``."""
+    metrics = [
+        (name, [None if x is None else _bits(x) for x in dataclasses.astuple(m)]) for name, m in report.metrics.items()
+    ]
+    return report.system, report.scenario_id, report.split_id, report.objective, metrics, report.undefined_gaps
+
+
+class TestScoreSystem:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(scoring_cases())
+    def test_matches_the_means_spelled_out_bit_for_bit(self, case):
+        scen, split, schedules, dominant = case
+        try:
+            want = oracle_score_system(scen, split, schedules, system="s")
+        except ValueError as exc:  # a test instance without a schedule
+            with pytest.raises(ValueError) as info:
+                score_system(scen, split, schedules, system="s")
+            assert str(info.value) == f"split {split.split_id}: {exc}"
+            return
+        got = score_system(scen, split, schedules, system="s")
+        assert _report_bits(got) == _report_bits(want)
+        if dominant:
+            assert got.undefined_gaps == tuple(got.metrics)
+
+
 # Prediction files: written from random legal schedules, then corrupted.
 SCENARIOS = (tutorial_scenario(), random_scenario(3), random_scenario(1, objective="quality"))
 JUNK = ["", "x", "1.5", "0", "-1", "nan", "inf", "1e999", "Z", "feature", "solver", "i1", "base", "A1", "2"]
@@ -198,8 +268,7 @@ def prediction_files(draw):
     for _ in range(draw(st.integers(0, 2))):  # blank lines
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "", "", "  "])))
     text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
-    cover = draw(st.none() | st.lists(st.sampled_from(scen.instances), unique=True, max_size=4))
-    return scen, text, cover
+    return scen, text
 
 
 def _pick(draw, rows):
@@ -257,11 +326,11 @@ def _step_bits(step):
     return (step.group,) if isinstance(step, FeatureStep) else (step.algorithm, _bits(step.budget))
 
 
-def _parse(parse, path, scen, cover):
+def _parse(parse, path, scen):
     """The schedules with budgets as bits (a NaN budget is legal on quality
     scenarios), or the ParseError's location and reason."""
     try:
-        schedules = parse(path, scen, require_cover=cover)
+        schedules = parse(path, scen)
         if not isinstance(schedules, dict):
             schedules = schedule_map(schedules)
         return "ok", {inst: tuple(map(_step_bits, steps)) for inst, steps in schedules.items()}
@@ -273,16 +342,16 @@ class TestParsePredictions:
     @settings(derandomize=True, deadline=None, max_examples=600)
     @given(prediction_files())
     def test_matches_the_row_parser(self, tmp_path_factory, case):
-        scen, text, cover = case
+        scen, text = case
         path = tmp_path_factory.mktemp("pred") / "pred.csv"
         path.write_bytes(text.encode())
-        assert _parse(parse_predictions, path, scen, cover) == _parse(oracle_parse_predictions, path, scen, cover)
+        assert _parse(parse_predictions, path, scen) == _parse(oracle_parse_predictions, path, scen)
 
     @pytest.mark.parametrize("ordinal", ["0", "-1", "2", "1.0", " 1", "99999999999999999999", "-99999999999999999999"])
     def test_ordinals_past_any_intp_fail_like_the_row_parser(self, tmp_path, tutorial, ordinal):
         path = tmp_path / "pred.csv"
         path.write_text(f"instance_id,step,kind,name,budget\ni1,{ordinal},solver,A1,1.0\n")
-        assert _parse(parse_predictions, path, tutorial, None) == _parse(oracle_parse_predictions, path, tutorial, None)
+        assert _parse(parse_predictions, path, tutorial) == _parse(oracle_parse_predictions, path, tutorial)
 
     def test_written_schedules_read_back_equal(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -368,8 +437,8 @@ class TestScheduleRules:
                     rows.append(f"{name},{o},solver,{step.algorithm},{step.budget!r}")
         path = tmp_path_factory.mktemp("pred") / "pred.csv"
         path.write_text("\n".join(rows) + "\n")
-        got = _parse(parse_predictions, path, scen, None)
-        assert got == _parse(oracle_parse_predictions, path, scen, None)
+        got = _parse(parse_predictions, path, scen)
+        assert got == _parse(oracle_parse_predictions, path, scen)
         # with every instance and name known, every budget a float (the file reads 0 as
         # 0.0) and no schedule empty (a file cannot hold one), the file is
         # refused for the same schedule with the same text

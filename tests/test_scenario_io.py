@@ -323,12 +323,6 @@ class TestPredictions:
         with pytest.raises(ParseError, match="unknown algorithm"):
             parse_predictions(path, tutorial)
 
-    def test_coverage_requirement(self, tmp_path, tutorial):
-        path = tmp_path / "pred.csv"
-        path.write_text("instance_id,step,kind,name,budget\ni4,1,solver,A1,10.0\n")
-        with pytest.raises(ParseError, match="no schedule"):
-            parse_predictions(path, tutorial, require_cover=("i4", "i5"))
-
     def test_nonpositive_budget_rejected(self, tmp_path, tutorial):
         path = tmp_path / "pred.csv"
         path.write_text("instance_id,step,kind,name,budget\ni1,1,solver,A1,0.0\n")
